@@ -3,15 +3,16 @@
 //! The paper argues per-window LP solves are cheap because "the complexity
 //! of this strategy only depends on the number of principals". This bench
 //! quantifies that: community-model solve time for n ∈ {2..32} principals
-//! (n² + 1 variables), the optimized flat-tableau/Dantzig solver against
-//! the retained naive reference on the identical window LPs, and raw
-//! simplex throughput on a fixed small model.
+//! (`θ` plus one variable per agreement-backed pair, `4n` rows), the
+//! production window path against the retained naive reference on the
+//! identical window LPs, and raw simplex throughput on a fixed small model.
 //!
-//! Past n ≈ 32 the dense tableau stops being an option (its working set is
-//! quadratic in `n² + 1`), so the large-n rows compare the sparse revised
-//! engine against itself: a cold all-slack dual-simplex solve vs the
-//! steady-state warm re-solve over the previous window's basis, with pivot
-//! counts, for n ∈ {64 … 1024}.
+//! The large-n rows compare the sparse revised engine against itself: a
+//! cold all-slack dual-simplex solve vs the steady-state warm re-solve over
+//! the previous window's basis, with pivot counts, for n ∈ {64 … 1024}.
+//! Their demand (`10 + 3i` requests a window) is far above every
+//! principal's entitlement, so `θ` binds every coverage row: the regime
+//! where pivot rows and columns are densest.
 //!
 //! The run ends by writing its means — plus the steady-state plan-cache hit
 //! rate — into the repo-root `BENCH_lp.json` so the perf trajectory is

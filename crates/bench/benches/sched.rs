@@ -31,11 +31,11 @@ fn uncached(cfg: SchedulerConfig) -> SchedulerConfig {
 
 fn admit_path(c: &mut Criterion) {
     let mut gate = CreditGate::for_principals(3);
-    gate.roll_window(&Plan {
-        assignments: vec![vec![0.0; 3], vec![1e12, 0.0, 0.0], vec![1e12, 0.0, 0.0]],
-        theta: None,
-        income: None,
-    });
+    gate.roll_window(&Plan::from_dense(&[
+        vec![0.0; 3],
+        vec![1e12, 0.0, 0.0],
+        vec![1e12, 0.0, 0.0],
+    ]));
     let mut id = 0u64;
     c.bench_function("credit_gate_admit", |b| {
         b.iter(|| {

@@ -1,7 +1,8 @@
 //! Warm-solver smoke gate for tier-1: steady-state window solves at
-//! n = 256 principals must stay far inside the paper's 100 ms window
-//! budget, and the warm engine must never hand a window of this shape to
-//! the dense fallback (whose tableau is quadratic in `n²` and would blow
+//! n = 512 principals must stay far inside the paper's 100 ms window
+//! budget, the window LP must have one variable per agreement-backed pair
+//! (not one per pair of principals), and the warm engine must never hand a
+//! window of this shape to the dense fallback (whose tableau would blow
 //! the budget by orders of magnitude).
 //!
 //! The run primes a prepared community skeleton with one cold window,
@@ -10,18 +11,21 @@
 //! scheduling window — and fails loudly (nonzero exit) if any warm window
 //! exceeds a conservative fraction of the budget.
 
-use covenant_bench::bipartite_graph;
+use covenant_agreements::PrincipalId;
+use covenant_bench::{bipartite_graph, SmallLcg};
 use covenant_lp::SimplexWorkspace;
 use covenant_sched::PreparedCommunity;
 use std::time::Instant;
 
 /// Principal count of the gated workload.
-const N: usize = 256;
+const N: usize = 512;
 /// Perturbed steady-state windows to drive.
 const WINDOWS: usize = 24;
-/// Per-window warm-solve budget: a quarter of the paper's 100 ms window,
-/// leaving generous headroom for slow CI machines.
-const BUDGET_MS: f64 = 25.0;
+/// Per-window warm-solve budget. These windows take 0.4–0.9 ms; while the
+/// LP still carried a column for every pair of principals and pivoted with
+/// dense sweeps, the fastest of them took 3.7 ms (the slowest 10 ms), so
+/// the gate sits under all of those with room for a slow CI machine.
+const BUDGET_MS: f64 = 3.0;
 
 fn main() {
     // Two-tier provider/consumer community: keeps the exact path closure
@@ -31,7 +35,21 @@ fn main() {
     let mut prepared = PreparedCommunity::new(&levels, None);
     let mut ws = SimplexWorkspace::new();
 
-    let base: Vec<f64> = (0..N).map(|i| 10.0 + (i as f64) * 3.0).collect();
+    // Demand between 0.4 and 1.6 times each principal's mandatory level:
+    // about half sit under their floor and half reach into the optional
+    // share, the mix a community in steady state presents.
+    let mut rng = SmallLcg::new(7);
+    let base: Vec<f64> = (0..N)
+        .map(|i| levels.mandatory(PrincipalId(i)) * (0.4 + 1.2 * rng.next_f64()))
+        .collect();
+    let pairs = (0..N * N)
+        .filter(|&at| {
+            let (i, k) = (PrincipalId(at / N), PrincipalId(at % N));
+            levels.mand_share(i, k) + levels.opt_share(i, k) > 0.0
+        })
+        .count();
+    let n_vars = prepared.window_problem(&base).n_vars();
+    assert_eq!(n_vars, 1 + pairs, "the window LP must be numbered by agreement, not by n²");
     let cold_start = Instant::now();
     let plan = prepared.plan_with(&mut ws, &base);
     let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
@@ -68,8 +86,8 @@ fn main() {
         "expected ≥{WINDOWS} warm solves, got {stats:?}"
     );
     println!(
-        "lp smoke: n={N} cold {cold_ms:.2} ms, {WINDOWS} warm windows worst \
-         {worst_ms:.2} ms (budget {BUDGET_MS} ms), {} pivots total, \
+        "lp smoke: n={N} ({n_vars} variables) cold {cold_ms:.2} ms, {WINDOWS} warm windows \
+         worst {worst_ms:.2} ms (budget {BUDGET_MS} ms), {} pivots total, \
          {} refactorizations, 0 dense fallbacks",
         stats.pivots, stats.refactorizations
     );

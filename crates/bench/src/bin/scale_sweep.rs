@@ -61,5 +61,5 @@ fn main() {
         println!("{row}");
     }
     println!("\nfloor miss ≈ 0 at every size: guarantees hold as the community grows;");
-    println!("wall time grows with the LP (n²+1 variables), not with traffic volume.");
+    println!("wall time grows with the LP (one variable per agreement), not with traffic volume.");
 }

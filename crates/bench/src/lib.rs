@@ -39,7 +39,9 @@ pub fn random_graph(n: usize, density: f64, seed: u64) -> AgreementGraph {
 /// exact transitive-flow closure stays linear in the edge count —
 /// [`random_graph`]'s free-form topology makes path enumeration
 /// intractable past a few dozen principals, while the window LP it feeds
-/// keeps the same shape (n² + 1 variables, agreement-sparsified columns).
+/// keeps the same shape (`θ` plus one variable per agreement-backed pair —
+/// about two per principal here — over `3n` principal rows and `n` server
+/// rows).
 pub fn bipartite_graph(n: usize, seed: u64) -> AgreementGraph {
     let mut rng = SmallLcg::new(seed);
     let mut g = AgreementGraph::new();

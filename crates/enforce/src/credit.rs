@@ -25,15 +25,20 @@ pub enum Admission {
 }
 
 /// Per-principal credit state for one redirector.
+///
+/// The per-server state follows the installed plan's sparse rows — one
+/// slot per `(principal, server)` entry of the plan — so a verdict looks
+/// at the few servers the principal holds an agreement on, not at every
+/// server of the community.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CreditGate {
     /// Remaining admission credit per principal for this window.
     credit: Vec<f64>,
-    /// Remaining per-(principal, server) allocation for this window.
-    alloc: Vec<Vec<f64>>,
-    /// The plan rows as installed at the last roll (fallback server choice
-    /// for fractional carry-over admissions after allocations drain).
-    installed: Vec<Vec<f64>>,
+    /// The plan as installed at the last roll (fallback server choice for
+    /// fractional carry-over admissions after allocations drain).
+    installed: Plan,
+    /// Remaining allocation for this window, one per entry of `installed`.
+    alloc: Vec<f64>,
     /// Cap on accumulated credit, in multiples of the window quota.
     burst_windows: f64,
     /// Last installed per-principal quota (for the burst cap).
@@ -41,21 +46,14 @@ pub struct CreditGate {
 }
 
 impl CreditGate {
-    /// Creates a gate for `n` principals in the community setting, where
-    /// every principal doubles as a potential server (the plan is an `n × n`
-    /// matrix) — the shape every redirector in this codebase uses. Prefer
-    /// this over [`Self::new`] to avoid the easy-to-misread `new(n, n)`.
+    /// Creates a gate for `n` principals with the default burst cap of 2
+    /// windows' worth of credit. Which servers a principal may be sent to
+    /// comes with each window's plan.
     pub fn for_principals(n: usize) -> Self {
-        Self::new(n, n)
-    }
-
-    /// Creates a gate for `n` principals over `n_servers` servers with the
-    /// default burst cap of 2 windows' worth of credit.
-    pub fn new(n: usize, n_servers: usize) -> Self {
         CreditGate {
             credit: vec![0.0; n],
-            alloc: vec![vec![0.0; n_servers]; n],
-            installed: vec![vec![0.0; n_servers]; n],
+            installed: Plan::zero(n),
+            alloc: Vec::new(),
             burst_windows: 2.0,
             quota: vec![0.0; n],
         }
@@ -72,14 +70,16 @@ impl CreditGate {
     /// Installs the new window's plan: adds each principal's admitted quota
     /// to its credit (capped) and resets per-server allocations.
     pub fn roll_window(&mut self, plan: &Plan) {
-        for (i, row) in plan.assignments.iter().enumerate() {
-            let q: f64 = row.iter().sum();
+        assert_eq!(plan.n_principals(), self.credit.len(), "plan must cover the gate's principals");
+        for i in 0..self.credit.len() {
+            let q: f64 = plan.amounts()[plan.row_range(i)].iter().sum();
             self.quota[i] = q;
             let cap = q * self.burst_windows;
             self.credit[i] = (self.credit[i] + q).min(cap.max(q));
-            self.alloc[i].copy_from_slice(row);
-            self.installed[i].copy_from_slice(row);
         }
+        self.installed.clone_from(plan);
+        self.alloc.clear();
+        self.alloc.extend_from_slice(plan.amounts());
     }
 
     /// Remaining credit for principal `i`.
@@ -92,19 +92,20 @@ impl CreditGate {
     /// sharing agreements" (the paper's SSL-session consideration, §4.2).
     pub fn admit_with_preference(&mut self, req: &Request, preferred: Option<usize>) -> Admission {
         let i = req.principal.0;
-        if let Some(k) = preferred {
-            if k < self.alloc[i].len()
-                && self.alloc[i][k] + 1e-9 >= req.cost
-                && self.credit[i] + 1e-9 >= req.cost
-            {
-                self.alloc[i][k] -= req.cost;
+        // A server the principal holds no entry on has nothing allocated.
+        let entry = preferred.and_then(|k| {
+            self.installed.row_range(i).find(|&e| self.installed.servers()[e] as usize == k)
+        });
+        if let Some(e) = entry {
+            if self.alloc[e] + 1e-9 >= req.cost && self.credit[i] + 1e-9 >= req.cost {
+                self.alloc[e] -= req.cost;
                 self.credit[i] -= req.cost;
                 debug_assert!(
                     self.credit[i] >= -1e-9,
                     "principal {i} credit overdrawn: {}",
                     self.credit[i]
                 );
-                return Admission::Admit { server: k };
+                return Admission::Admit { server: self.installed.servers()[e] as usize };
             }
         }
         self.admit(req)
@@ -122,10 +123,19 @@ impl CreditGate {
         // (fractional carry-over), fall back to the server with the largest
         // installed quota this window — never to an arbitrary index, which
         // could be a zero-capacity principal.
-        let server = first_argmax_positive(&self.alloc[i])
-            .or_else(|| first_argmax_positive(&self.installed[i]))
-            .unwrap_or(0);
-        self.alloc[i][server] = (self.alloc[i][server] - req.cost).max(0.0);
+        let row = self.installed.row_range(i);
+        let entry = first_argmax_positive(&self.alloc[row.clone()])
+            .or_else(|| first_argmax_positive(&self.installed.amounts()[row.clone()]));
+        let server = match entry {
+            Some(e) => {
+                let e = row.start + e;
+                self.alloc[e] = (self.alloc[e] - req.cost).max(0.0);
+                self.installed.servers()[e] as usize
+            }
+            // Credit carried into a window whose plan gives the principal
+            // nothing: no entry to draw down.
+            None => 0,
+        };
         self.credit[i] -= req.cost;
         debug_assert!(
             self.credit[i] >= -1e-9,
@@ -137,8 +147,8 @@ impl CreditGate {
 }
 
 /// Index of the first maximum strictly-positive entry, or `None` if every
-/// entry is ≤ 0.
-fn first_argmax_positive(row: &[f64]) -> Option<usize> {
+/// entry is ≤ 0. Rows ascend by server, so "first" is the lowest server.
+pub(crate) fn first_argmax_positive(row: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (k, &v) in row.iter().enumerate() {
         if v > 0.0 && best.is_none_or(|(_, bv)| v > bv) {
@@ -157,12 +167,12 @@ mod tests {
     }
 
     fn plan(rows: Vec<Vec<f64>>) -> Plan {
-        Plan { assignments: rows, theta: None, income: None }
+        Plan::from_dense(&rows)
     }
 
     #[test]
     fn admits_up_to_quota_then_defers() {
-        let mut g = CreditGate::new(1, 1);
+        let mut g = CreditGate::for_principals(1);
         g.roll_window(&plan(vec![vec![3.0]]));
         for id in 0..3 {
             assert!(matches!(g.admit(&unit(id, 0)), Admission::Admit { .. }));
@@ -174,7 +184,7 @@ mod tests {
     fn fractional_carry_over_averages_out() {
         // Quota 1.5/window, 2 requests offered per window: admit counts
         // should alternate 1, 2, 1, 2, … averaging 1.5.
-        let mut g = CreditGate::new(1, 1);
+        let mut g = CreditGate::for_principals(1);
         let mut admitted_per_window = Vec::new();
         let mut id = 0;
         for _ in 0..6 {
@@ -194,7 +204,7 @@ mod tests {
 
     #[test]
     fn burst_cap_limits_idle_accumulation() {
-        let mut g = CreditGate::new(1, 1).with_burst_windows(2.0);
+        let mut g = CreditGate::for_principals(1).with_burst_windows(2.0);
         for _ in 0..10 {
             g.roll_window(&plan(vec![vec![5.0]]));
         }
@@ -211,7 +221,7 @@ mod tests {
 
     #[test]
     fn servers_chosen_by_remaining_allocation() {
-        let mut g = CreditGate::new(1, 2);
+        let mut g = CreditGate::for_principals(1);
         g.roll_window(&plan(vec![vec![1.0, 2.0]]));
         let mut to = vec![0, 0];
         for id in 0..3 {
@@ -224,7 +234,7 @@ mod tests {
 
     #[test]
     fn costly_request_needs_matching_credit() {
-        let mut g = CreditGate::new(1, 1);
+        let mut g = CreditGate::for_principals(1);
         g.roll_window(&plan(vec![vec![3.0]]));
         let big =
             Request { id: covenant_sched::RequestId(1), principal: PrincipalId(0), arrival: 0.0, cost: 4.0 };
@@ -235,7 +245,7 @@ mod tests {
 
     #[test]
     fn affinity_preference_honored_while_allocated() {
-        let mut g = CreditGate::new(1, 2);
+        let mut g = CreditGate::for_principals(1);
         g.roll_window(&plan(vec![vec![1.0, 2.0]]));
         // Prefer server 0 (the smaller allocation): honored while it lasts.
         assert_eq!(
@@ -256,7 +266,7 @@ mod tests {
 
     #[test]
     fn preference_out_of_range_falls_back() {
-        let mut g = CreditGate::new(1, 1);
+        let mut g = CreditGate::for_principals(1);
         g.roll_window(&plan(vec![vec![1.0]]));
         assert!(matches!(
             g.admit_with_preference(&unit(0, 0), Some(99)),
@@ -266,9 +276,122 @@ mod tests {
 
     #[test]
     fn principals_are_independent() {
-        let mut g = CreditGate::new(2, 1);
+        let mut g = CreditGate::for_principals(2);
         g.roll_window(&plan(vec![vec![1.0], vec![0.0]]));
         assert!(matches!(g.admit(&unit(0, 0)), Admission::Admit { .. }));
         assert_eq!(g.admit(&unit(1, 1)), Admission::Defer);
+    }
+
+    /// The gate as it was when every principal carried a dense row over
+    /// all servers: the oracle the sparse gate must match verdict for
+    /// verdict.
+    struct DenseGate {
+        credit: Vec<f64>,
+        alloc: Vec<Vec<f64>>,
+        installed: Vec<Vec<f64>>,
+        burst_windows: f64,
+    }
+
+    impl DenseGate {
+        fn new(n: usize, burst_windows: f64) -> Self {
+            let grid = vec![vec![0.0; n]; n];
+            DenseGate { credit: vec![0.0; n], alloc: grid.clone(), installed: grid, burst_windows }
+        }
+
+        fn roll_window(&mut self, rows: &[Vec<f64>]) {
+            for (i, row) in rows.iter().enumerate() {
+                let q: f64 = row.iter().sum();
+                let cap = q * self.burst_windows;
+                self.credit[i] = (self.credit[i] + q).min(cap.max(q));
+                self.alloc[i].copy_from_slice(row);
+                self.installed[i].copy_from_slice(row);
+            }
+        }
+
+        fn admit_with_preference(&mut self, req: &Request, preferred: Option<usize>) -> Admission {
+            let i = req.principal.0;
+            if let Some(k) = preferred {
+                if k < self.alloc[i].len()
+                    && self.alloc[i][k] + 1e-9 >= req.cost
+                    && self.credit[i] + 1e-9 >= req.cost
+                {
+                    self.alloc[i][k] -= req.cost;
+                    self.credit[i] -= req.cost;
+                    return Admission::Admit { server: k };
+                }
+            }
+            if self.credit[i] + 1e-9 < req.cost {
+                return Admission::Defer;
+            }
+            let server = first_argmax_positive(&self.alloc[i])
+                .or_else(|| first_argmax_positive(&self.installed[i]))
+                .unwrap_or(0);
+            self.alloc[i][server] = (self.alloc[i][server] - req.cost).max(0.0);
+            self.credit[i] -= req.cost;
+            Admission::Admit { server }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Same admit/defer sequence, same server per admission and same
+        /// remaining credit as the dense gate, over random sparse plans:
+        /// allocations draining into the fall-back to the installed row,
+        /// fractional quotas carrying over across rolls, idle windows
+        /// running into the burst cap, requests of several costs, and
+        /// preferences that name a server the principal has no agreement
+        /// with or that does not exist.
+        #[test]
+        fn sparse_gate_matches_dense_gate(
+            n in 1usize..6,
+            burst in 1.0..3.0f64,
+            cells in proptest::collection::vec((0.0..1.0f64, 0.0..6.0f64), 36 * 6),
+            steps in proptest::collection::vec((0usize..6, 0usize..8, 0usize..4), 0..240),
+        ) {
+            let mut sparse = CreditGate::for_principals(n).with_burst_windows(burst);
+            let mut dense = DenseGate::new(n, burst);
+            let mut window = 0;
+            // About a third of the cells carry an agreement this window.
+            let mut roll = |sparse: &mut CreditGate, dense: &mut DenseGate| {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|i| {
+                        (0..n)
+                            .map(|k| {
+                                let (dice, amount) = cells[(window * 36 + i * 6 + k) % cells.len()];
+                                if dice < 0.35 { amount } else { 0.0 }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                window += 1;
+                sparse.roll_window(&Plan::from_dense(&rows));
+                dense.roll_window(&rows);
+            };
+            roll(&mut sparse, &mut dense);
+            for (id, &(principal, prefer, kind)) in steps.iter().enumerate() {
+                // One step in twelve rolls the window instead.
+                if prefer == 7 && kind == 3 {
+                    roll(&mut sparse, &mut dense);
+                    continue;
+                }
+                let req = Request {
+                    id: covenant_sched::RequestId(id as u64),
+                    principal: PrincipalId(principal % n),
+                    arrival: 0.0,
+                    cost: [1.0, 1.0, 0.5, 2.5][kind],
+                };
+                // Servers 0..n exist; 6 never does; 7 means no preference.
+                let preferred = (prefer < 7).then_some(prefer);
+                let got = sparse.admit_with_preference(&req, preferred);
+                let want = dense.admit_with_preference(&req, preferred);
+                prop_assert_eq!(got, want, "step {} {:?} prefer {:?}", id, req, preferred);
+                for i in 0..n {
+                    prop_assert_eq!(sparse.credit(PrincipalId(i)), dense.credit[i]);
+                }
+            }
+        }
     }
 }

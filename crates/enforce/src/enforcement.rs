@@ -239,7 +239,7 @@ impl<V: CoordinationView> EnforcementCore<V> {
             arrivals_this_window: vec![0.0; n],
             demand_buf: Vec::with_capacity(n),
             coordination,
-            last_plan: Plan::zero(n, n),
+            last_plan: Plan::zero(n),
             admitted: 0,
             deferred: 0,
             #[cfg(debug_assertions)]

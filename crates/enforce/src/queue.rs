@@ -6,6 +6,7 @@
 //! it both as a baseline for that experiment and because the Layer-4
 //! redirector's kernel queues are exactly this structure.
 
+use crate::credit::first_argmax_positive;
 use covenant_agreements::PrincipalId;
 use covenant_sched::{Plan, Request};
 use std::collections::VecDeque;
@@ -82,8 +83,11 @@ impl PrincipalQueues {
     /// principal. Returns the dispatches in release order.
     pub fn release(&mut self, plan: &Plan) -> Vec<Dispatch> {
         let mut out = Vec::new();
-        for (i, row) in plan.assignments.iter().enumerate() {
-            let mut alloc = row.clone();
+        let mut alloc = plan.amounts().to_vec();
+        for i in 0..plan.n_principals() {
+            let range = plan.row_range(i);
+            let (row, servers) = (&plan.amounts()[range.clone()], &plan.servers()[range.clone()]);
+            let alloc = &mut alloc[range];
             let mut budget: f64 = row.iter().sum::<f64>() + self.carry[i];
             while self.queues[i].front().is_some_and(|front| front.cost <= budget + 1e-9) {
                 let Some(req) = self.queues[i].pop_front() else {
@@ -93,10 +97,11 @@ impl PrincipalQueues {
                 // allocation; when only carried-over budget remains, use
                 // the plan's largest installed allocation rather than an
                 // arbitrary index.
-                let server = first_argmax_positive(&alloc)
-                    .or_else(|| first_argmax_positive(row))
-                    .unwrap_or(0);
-                alloc[server] = (alloc[server] - req.cost).max(0.0);
+                let entry = first_argmax_positive(alloc).or_else(|| first_argmax_positive(row));
+                let server = entry.map_or(0, |e| {
+                    alloc[e] = (alloc[e] - req.cost).max(0.0);
+                    servers[e] as usize
+                });
                 budget -= req.cost;
                 out.push(Dispatch { request: req, server });
             }
@@ -149,18 +154,6 @@ impl crate::ParkedQueue<Request> for PrincipalQueues {
     }
 }
 
-/// Index of the first maximum strictly-positive entry, or `None` if every
-/// entry is ≤ 0.
-fn first_argmax_positive(row: &[f64]) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (k, &v) in row.iter().enumerate() {
-        if v > 0.0 && best.is_none_or(|(_, bv)| v > bv) {
-            best = Some((k, v));
-        }
-    }
-    best.map(|(k, _)| k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +181,7 @@ mod tests {
             q.push(req(id, 0, id as f64 * 0.01));
         }
         q.push(req(100, 1, 0.0));
-        let plan = Plan { assignments: vec![vec![2.0, 1.0], vec![0.0, 0.0]], theta: None, income: None };
+        let plan = Plan::from_dense(&[vec![2.0, 1.0], vec![0.0, 0.0]]);
         let dispatched = q.release(&plan);
         assert_eq!(dispatched.len(), 3);
         // FIFO: ids 0, 1, 2 released; principal 1 untouched.
@@ -209,7 +202,7 @@ mod tests {
         for id in 0..4 {
             q.push(req(id, 0, 0.0));
         }
-        let plan = Plan { assignments: vec![vec![2.7]], theta: None, income: None };
+        let plan = Plan::from_dense(&[vec![2.7]]);
         let dispatched = q.release(&plan);
         // Unit-cost requests: only 2 fit a 2.7 budget.
         assert_eq!(dispatched.len(), 2);
@@ -224,9 +217,9 @@ mod tests {
             arrival: 0.0,
             cost: 5.0,
         });
-        let small = Plan { assignments: vec![vec![3.0]], theta: None, income: None };
+        let small = Plan::from_dense(&[vec![3.0]]);
         assert!(q.release(&small).is_empty());
-        let big = Plan { assignments: vec![vec![5.0]], theta: None, income: None };
+        let big = Plan::from_dense(&[vec![5.0]]);
         assert_eq!(q.release(&big).len(), 1);
     }
 
@@ -236,7 +229,7 @@ mod tests {
         // releases go 2, 3, 2, 3, …
         let mut q = PrincipalQueues::new(1);
         let mut id = 0;
-        let plan = Plan { assignments: vec![vec![2.5]], theta: None, income: None };
+        let plan = Plan::from_dense(&[vec![2.5]]);
         let mut released = Vec::new();
         for _ in 0..4 {
             for _ in 0..5 {
@@ -252,7 +245,7 @@ mod tests {
     fn carry_resets_when_queue_drains() {
         let mut q = PrincipalQueues::new(1);
         q.push(req(0, 0, 0.0));
-        let plan = Plan { assignments: vec![vec![5.0]], theta: None, income: None };
+        let plan = Plan::from_dense(&[vec![5.0]]);
         assert_eq!(q.release(&plan).len(), 1);
         // Queue drained: the unused 4.0 must not accumulate.
         for _ in 0..3 {

@@ -18,15 +18,12 @@ proptest! {
         let windows = 8usize;
         let n = quotas.len();
         let mut gate = CreditGate::for_principals(n);
-        let plan = Plan {
-            assignments: quotas.iter().map(|&q| {
-                let mut row = vec![0.0; n];
-                row[0] = q;
-                row
-            }).collect(),
-            theta: None,
-            income: None,
-        };
+        let rows: Vec<Vec<f64>> = quotas.iter().map(|&q| {
+            let mut row = vec![0.0; n];
+            row[0] = q;
+            row
+        }).collect();
+        let plan = Plan::from_dense(&rows);
         let mut admitted = vec![0u64; n];
         let mut id = 0;
         for _ in 0..windows {
@@ -61,11 +58,7 @@ proptest! {
             q.push(Request::unit(id as u64, PrincipalId(p), 0.0));
         }
         let before = q.total_len();
-        let plan = Plan {
-            assignments: (0..n).map(|_| vec![budget / n as f64; n]).collect(),
-            theta: None,
-            income: None,
-        };
+        let plan = Plan::from_dense(&vec![vec![budget / n as f64; n]; n]);
         let released = q.release(&plan);
         prop_assert_eq!(released.len() + q.total_len(), before);
         // Per principal: released ≤ budget (unit costs).

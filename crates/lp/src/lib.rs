@@ -34,13 +34,14 @@
 //!   of principals where the tableau fits in cache;
 //! * the sparse revised simplex with a warm-started dual phase
 //!   ([`Problem::solve_warm`] through a persistent [`WarmBasis`]) — the
-//!   large-`n` path. The window LPs have `O(n²)` variables but only
-//!   `O(agreements)` nonzeros, and consecutive 100 ms windows differ only
-//!   in queue-derived rhs and bounds, so re-solving from the previous
-//!   window's basis takes a handful of dual pivots instead of a full
-//!   cold solve. On shape changes or numerical trouble the warm engine
-//!   reports [`WarmOutcome::Unsuitable`] and callers fall back to the
-//!   dense solver.
+//!   window path. The window LPs have `O(agreements)` variables over
+//!   `O(n)` rows, a few nonzeros each, and consecutive 100 ms windows
+//!   differ only in queue-derived rhs and bounds, so re-solving from the
+//!   previous window's basis takes some dual pivots — each costing the
+//!   nonzeros it touches — instead of a full cold solve. On shape changes
+//!   or numerical trouble the warm engine reports
+//!   [`WarmOutcome::Unsuitable`] and callers fall back to the dense
+//!   solver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -63,12 +63,31 @@ impl std::error::Error for LpError {}
 /// [`Problem::try_set_objective`]; the plain methods are convenience wrappers
 /// that panic on malformed input (appropriate for the schedulers, which
 /// construct programs from already-validated data).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     n_vars: usize,
     objective: Vec<f64>,
     constraints: Vec<Constraint>,
     upper_bounds: Vec<Option<f64>>,
+    /// Tie-break id per variable; empty means every variable is its own id.
+    tiebreak_ids: Vec<usize>,
+    /// Running hash of everything that fixes the constraint *pattern*
+    /// (variable count, relations, coefficient variable ids, tie-break
+    /// ids), folded as the problem is built so that
+    /// [`Self::pattern_fingerprint`] never has to walk the rows.
+    pattern: u64,
+}
+
+impl Default for Problem {
+    fn default() -> Self {
+        Problem::new(0)
+    }
+}
+
+/// One FNV-style step over a whole 64-bit word.
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x100000001b3)
 }
 
 impl Problem {
@@ -80,6 +99,8 @@ impl Problem {
             objective: vec![0.0; n_vars],
             constraints: Vec::new(),
             upper_bounds: vec![None; n_vars],
+            tiebreak_ids: Vec::new(),
+            pattern: fold(0xcbf29ce484222325, n_vars as u64),
         }
     }
 
@@ -143,8 +164,43 @@ impl Problem {
                 return Err(LpError::NonFinite);
             }
         }
+        let mut h = fold(self.pattern, rel as u64 + 1);
+        h = fold(h, coeffs.len() as u64);
+        for &(i, _) in &coeffs {
+            h = fold(h, i as u64);
+        }
+        self.pattern = h;
         self.constraints.push(Constraint { coeffs, rel, rhs });
         Ok(())
+    }
+
+    /// Fingerprint of the constraint pattern: equal for two problems built
+    /// by the same sequence of [`Self::add_constraint`] /
+    /// [`Self::set_tiebreak_id`] calls up to coefficient values, bounds,
+    /// right-hand sides and objective. Never 0.
+    #[inline]
+    pub fn pattern_fingerprint(&self) -> u64 {
+        self.pattern | 1
+    }
+
+    /// Gives `var` the id its canonicalization tie-break weight is derived
+    /// from (default: `var` itself). A problem that leaves out columns of a
+    /// larger formulation passes each kept column's original index here, so
+    /// that [`Self::solve_warm`] lands on the same canonical vertex the
+    /// larger problem would.
+    pub fn set_tiebreak_id(&mut self, var: usize, id: usize) {
+        assert!(var < self.n_vars, "variable {var} out of range");
+        if self.tiebreak_ids.is_empty() {
+            self.tiebreak_ids = (0..self.n_vars).collect();
+        }
+        self.tiebreak_ids[var] = id;
+        self.pattern = fold(fold(self.pattern, var as u64), id as u64);
+    }
+
+    /// The tie-break id of `var` (see [`Self::set_tiebreak_id`]).
+    #[inline]
+    pub fn tiebreak_id(&self, var: usize) -> usize {
+        self.tiebreak_ids.get(var).copied().unwrap_or(var)
     }
 
     /// Declares `x_var ≤ bound` (in addition to the implicit `x_var ≥ 0`).

@@ -9,10 +9,10 @@
 //! - **Implicit upper bounds**: variable bounds `x_j ≤ u_j` are handled by
 //!   the bounded-variable ratio test (nonbasic variables sit at either
 //!   bound; reaching the upper bound is a column flip, not a pivot) instead
-//!   of explicit rows. The window LPs bound every one of their `n²`
-//!   variables, so this shrinks the tableau by the dominant term — and
-//!   variables bounded to zero (no agreement between that principal pair)
-//!   drop out of pricing entirely.
+//!   of explicit rows. The window LPs bound every one of their
+//!   variables (one per agreement-backed pair of principals), so this
+//!   shrinks the tableau by the dominant term — and a variable bounded to
+//!   zero drops out of pricing entirely.
 //! - **Dantzig pricing with a Bland fallback**: the entering column is the
 //!   most positive reduced cost (fast in practice), and after
 //!   [`SimplexWorkspace::bland_after`] consecutive non-improving pivots the

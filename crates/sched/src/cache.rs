@@ -25,13 +25,11 @@
 use crate::Plan;
 use covenant_agreements::{AccessLevels, PrincipalId};
 
-/// Incremental FNV-1a over the raw bits of an `f64` sequence.
-fn fnv1a_f64(mut h: u64, values: impl IntoIterator<Item = f64>) -> u64 {
+/// FNV-style fold over the raw bits of an `f64` sequence, one whole word
+/// per step.
+fn fold_f64(mut h: u64, values: impl IntoIterator<Item = f64>) -> u64 {
     for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
     }
     h
 }
@@ -45,7 +43,7 @@ pub fn levels_fingerprint(levels: &AccessLevels) -> u64 {
     let mut h = 0xcbf29ce484222325u64 ^ (n as u64).wrapping_mul(0x9e3779b97f4a7c15);
     for i in 0..n {
         let pi = PrincipalId(i);
-        h = fnv1a_f64(
+        h = fold_f64(
             h,
             (0..n).flat_map(|j| {
                 let pj = PrincipalId(j);
@@ -53,7 +51,7 @@ pub fn levels_fingerprint(levels: &AccessLevels) -> u64 {
             }),
         );
     }
-    fnv1a_f64(h, levels.capacities().iter().copied())
+    fold_f64(h, levels.capacities().iter().copied())
 }
 
 /// One memoized window.
@@ -70,6 +68,8 @@ struct Entry {
 pub struct PlanCache {
     fingerprint: u64,
     entries: Vec<Entry>,
+    /// The quantized key of the lookup in progress (scratch).
+    probe: Vec<i64>,
     capacity: usize,
     clock: u64,
     hits: u64,
@@ -97,6 +97,7 @@ impl PlanCache {
         PlanCache {
             fingerprint,
             entries: Vec::new(),
+            probe: Vec::new(),
             capacity: capacity.max(1),
             clock: 0,
             hits: 0,
@@ -118,35 +119,22 @@ impl PlanCache {
         (q / Self::QUANTUM).round() as i64
     }
 
-    fn matches(key: &[i64], queues: &[f64]) -> bool {
-        key.len() == queues.len()
-            && queues.iter().zip(key).all(|(&q, &k)| Self::quantized(q) == k)
-    }
-
-    /// Returns the memoized plan if `queues` quantizes to a stored key.
-    /// Counts a hit or a miss either way; a hit refreshes the entry's LRU
-    /// position.
-    pub fn lookup(&mut self, queues: &[f64]) -> Option<Plan> {
+    /// The plan for `queues`: the memoized one if they quantize to a stored
+    /// key (a hit, which refreshes the entry's LRU position), otherwise
+    /// whatever `solve` returns (a miss), which is stored under the key the
+    /// lookup just quantized, evicting the least recently used entry when
+    /// the cache is full.
+    pub fn lookup_or_solve(&mut self, queues: &[f64], solve: impl FnOnce() -> Plan) -> Plan {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| Self::matches(&e.key, queues)) {
+        self.probe.clear();
+        self.probe.extend(queues.iter().map(|&q| Self::quantized(q)));
+        if let Some(e) = self.entries.iter_mut().find(|e| e.key == self.probe) {
             e.used = self.clock;
             self.hits += 1;
-            return Some(e.plan.clone());
+            return e.plan.clone();
         }
         self.misses += 1;
-        None
-    }
-
-    /// Stores the freshly solved plan for `queues`, evicting the least
-    /// recently used entry when the cache is full.
-    pub fn store(&mut self, queues: &[f64], plan: &Plan) {
-        self.clock += 1;
-        let key: Vec<i64> = queues.iter().map(|&q| Self::quantized(q)).collect();
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.plan = plan.clone();
-            e.used = self.clock;
-            return;
-        }
+        let plan = solve();
         if self.entries.len() >= self.capacity {
             if let Some(oldest) = self
                 .entries
@@ -159,7 +147,12 @@ impl PlanCache {
                 self.evictions += 1;
             }
         }
-        self.entries.push(Entry { key, plan: plan.clone(), used: self.clock });
+        self.entries.push(Entry {
+            key: std::mem::take(&mut self.probe),
+            plan: plan.clone(),
+            used: self.clock,
+        });
+        plan
     }
 
     /// The levels fingerprint this cache is bound to.
@@ -206,33 +199,42 @@ mod tests {
         g.access_levels()
     }
 
+    /// Looks `queues` up, storing a zero plan on a miss; true on a hit.
+    fn hit(c: &mut PlanCache, queues: &[f64]) -> bool {
+        let mut solved = false;
+        c.lookup_or_solve(queues, || {
+            solved = true;
+            Plan::zero(queues.len())
+        });
+        !solved
+    }
+
     #[test]
     fn identical_queues_hit() {
         let mut c = PlanCache::new(levels_fingerprint(&levels()));
-        let plan = Plan::zero(2, 2);
-        assert!(c.lookup(&[1.0, 2.0]).is_none());
-        c.store(&[1.0, 2.0], &plan);
-        assert_eq!(c.lookup(&[1.0, 2.0]), Some(plan));
+        let plan = Plan::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]);
+        assert_eq!(c.lookup_or_solve(&[1.0, 2.0], || plan.clone()), plan);
+        assert_eq!(c.lookup_or_solve(&[1.0, 2.0], || unreachable!("memoized")), plan);
         assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
     fn sub_quantum_differences_still_hit() {
         let mut c = PlanCache::new(0);
-        c.store(&[10.0], &Plan::zero(1, 1));
-        assert!(c.lookup(&[10.0 + 1e-9]).is_some());
-        assert!(c.lookup(&[10.0 + 1e-5]).is_none());
+        assert!(!hit(&mut c, &[10.0]));
+        assert!(hit(&mut c, &[10.0 + 1e-9]));
+        assert!(!hit(&mut c, &[10.0 + 1e-5]));
     }
 
     #[test]
     fn invalidation_clears_every_entry() {
         let mut c = PlanCache::new(1);
-        c.store(&[5.0], &Plan::zero(1, 1));
-        c.store(&[6.0], &Plan::zero(1, 1));
+        hit(&mut c, &[5.0]);
+        hit(&mut c, &[6.0]);
         c.invalidate(2);
         assert!(c.is_empty());
-        assert!(c.lookup(&[5.0]).is_none());
-        assert!(c.lookup(&[6.0]).is_none());
+        assert!(!hit(&mut c, &[5.0]));
+        assert!(!hit(&mut c, &[6.0]));
         assert_eq!(c.fingerprint(), 2);
     }
 
@@ -241,48 +243,39 @@ mod tests {
         // An alternating two-phase demand walk must hit on both vectors —
         // the single-entry design this replaces thrashed here.
         let mut c = PlanCache::new(0);
-        c.store(&[1.0], &Plan::zero(1, 1));
-        c.store(&[2.0], &Plan::zero(1, 1));
-        assert!(c.lookup(&[1.0]).is_some());
-        assert!(c.lookup(&[2.0]).is_some());
+        hit(&mut c, &[1.0]);
+        hit(&mut c, &[2.0]);
+        assert!(hit(&mut c, &[1.0]));
+        assert!(hit(&mut c, &[2.0]));
         assert_eq!(c.evictions(), 0);
     }
 
     #[test]
     fn lru_cap_evicts_oldest() {
         let mut c = PlanCache::with_capacity(0, 2);
-        c.store(&[1.0], &Plan::zero(1, 1));
-        c.store(&[2.0], &Plan::zero(1, 1));
+        hit(&mut c, &[1.0]);
+        hit(&mut c, &[2.0]);
         // Touch [1.0] so [2.0] becomes the LRU victim.
-        assert!(c.lookup(&[1.0]).is_some());
-        c.store(&[3.0], &Plan::zero(1, 1));
+        assert!(hit(&mut c, &[1.0]));
+        hit(&mut c, &[3.0]);
         assert_eq!(c.evictions(), 1);
         assert_eq!(c.len(), 2);
-        assert!(c.lookup(&[2.0]).is_none(), "LRU entry must be gone");
-        assert!(c.lookup(&[1.0]).is_some());
-        assert!(c.lookup(&[3.0]).is_some());
-    }
-
-    #[test]
-    fn restore_of_existing_key_does_not_evict() {
-        let mut c = PlanCache::with_capacity(0, 2);
-        c.store(&[1.0], &Plan::zero(1, 1));
-        c.store(&[1.0], &Plan::zero(1, 1));
-        c.store(&[2.0], &Plan::zero(1, 1));
-        assert_eq!((c.len(), c.evictions()), (2, 0));
+        assert!(hit(&mut c, &[1.0]));
+        assert!(hit(&mut c, &[3.0]));
+        assert!(!hit(&mut c, &[2.0]), "LRU entry must be gone");
     }
 
     #[test]
     fn churn_stays_bounded() {
         let mut c = PlanCache::with_capacity(0, 4);
         for i in 0..100 {
-            c.store(&[i as f64], &Plan::zero(1, 1));
+            hit(&mut c, &[i as f64]);
         }
         assert_eq!(c.len(), 4);
         assert_eq!(c.evictions(), 96);
         // The four most recent keys survive.
         for i in 96..100 {
-            assert!(c.lookup(&[i as f64]).is_some(), "key {i}");
+            assert!(hit(&mut c, &[i as f64]), "key {i}");
         }
     }
 

@@ -25,6 +25,12 @@
 //! would forbid by pinning 160 of `A`'s load onto `B`'s server). Any
 //! aggregate floor is always placeable because the per-server mandatory
 //! shares partition capacity (`Σ_i MI_ji ≤ V_j`).
+//!
+//! Only pairs `(i, k)` with a positive agreement upper bound can carry
+//! load, so only they get a variable: the program has `1 + pairs`
+//! variables and the solved [`Plan`] one entry per pair — both
+//! proportional to the agreement graph, not to `n²` (see
+//! [`PreparedCommunity`]).
 
 use crate::Plan;
 use covenant_agreements::{AccessLevels, PrincipalId};
@@ -73,33 +79,54 @@ impl CommunityScheduler {
     }
 }
 
+/// Appends the three rows every principal has in a community window LP,
+/// over `row` — its pair variables, coefficient 1 each: queue limit
+/// `Σ_k x_ik ≤ n_i`, θ coverage `Σ_k x_ik − θ·n_i ≥ 0` (θ, variable 0, at
+/// slot 0, its coefficient rewritten each window) and mandatory floor
+/// `Σ_k x_ik ≥ floor_i`. Right-hand sides are installed per window.
+pub(crate) fn add_principal_rows(p: &mut Problem, row: Vec<(usize, f64)>) {
+    p.add_constraint(row.clone(), Relation::Le, 0.0);
+    let mut cov = Vec::with_capacity(row.len() + 1);
+    cov.push((0, 0.0));
+    cov.extend_from_slice(&row);
+    p.add_constraint(cov, Relation::Ge, 0.0);
+    p.add_constraint(row, Relation::Ge, 0.0);
+}
+
 /// The community LP with its constraint matrix built once and reused.
+///
+/// Variables are numbered compactly: `θ` is variable 0, then one variable
+/// per `(principal, server)` pair whose agreement upper bound is positive,
+/// in row-major `(i, k)` order. A pair with no agreement can never carry
+/// load, so it gets no column at all: the problem has `1 + pairs`
+/// variables, `O(agreements)`, where the textbook formulation has
+/// `1 + n²`. Each kept column carries its textbook index `1 + i·n + k` as
+/// its tie-break id ([`Problem::set_tiebreak_id`]), so the canonical
+/// vertex — and with it every plan — is the one the full formulation
+/// yields.
 ///
 /// All rows exist for every window: principals with an empty queue keep a
 /// trivially-satisfied coverage row (θ-coefficient 0) and floor row
-/// (rhs 0), so the tableau shape is identical across windows and
-/// [`SimplexWorkspace`] reuse never reallocates. Per window only the
-/// right-hand sides and the queue-derived θ-coefficients are rewritten.
+/// (rhs 0), so the shape is identical across windows and the warm basis
+/// carries over. Per window only the right-hand sides and the
+/// queue-derived θ-coefficients are rewritten.
 ///
 /// Row layout: for principal `i`, rows `3i` (queue limit `≤ n_i`),
 /// `3i + 1` (θ coverage `≥ 0`), `3i + 2` (mandatory floor `≥ floor_i`);
 /// then one capacity row per server (each followed by its locality row
-/// when caps are configured).
-///
-/// Rows carry only the `x_ik` whose agreement upper bound is positive —
-/// pairs with no agreement are zero-bounded and structurally absent — so
-/// the matrix has `O(agreements)` nonzeros, not `O(n²)`. The θ coefficient
-/// sits at slot 0 of every coverage row (the one per-window coefficient
-/// rewrite). A principal with no agreements at all keeps an empty queue/
-/// floor row and a coverage row of just `−θ·n_i ≥ 0`, which forces `θ = 0`
-/// whenever it has demand — exactly what the dense formulation did via its
-/// zero-bounded columns.
+/// when caps are configured). The θ coefficient sits at slot 0 of every
+/// coverage row (the one per-window coefficient rewrite). A principal with
+/// no agreements at all keeps an empty queue/floor row and a coverage row
+/// of just `−θ·n_i ≥ 0`, which forces `θ = 0` whenever it has demand.
 #[derive(Debug, Clone)]
 pub struct PreparedCommunity {
     n: usize,
     base: Problem,
     /// Window-scaled mandatory level `MC_i` per principal.
     mandatory: Vec<f64>,
+    /// The all-zero plan over the agreement-backed pairs: entry `p` is LP
+    /// variable `1 + p`. Every solved plan is this with amounts filled in.
+    pairs: Plan,
     /// Persistent basis for the warm-started revised solver.
     warm: WarmBasis,
     /// Windows the warm engine refused and the dense tableau solved.
@@ -111,57 +138,57 @@ impl PreparedCommunity {
     pub fn new(levels: &AccessLevels, locality: Option<LocalityCaps>) -> Self {
         let n = levels.len();
         let caps = levels.capacities();
-        // Variable layout: 0 = θ, then x_{ik} at 1 + i·n + k.
-        let xv = |i: usize, k: usize| 1 + i * n + k;
-        let mut p = Problem::new(1 + n * n);
+        // Agreement upper bounds of the pairs that exist at all, row-major.
+        let mut pairs = Plan::zero(0);
+        let mut ubs = Vec::new();
+        for i in 0..n {
+            let pi = PrincipalId(i);
+            pairs.push_row((0..n).filter_map(|k| {
+                let pk = PrincipalId(k);
+                let ub = levels.mand_share(pi, pk) + levels.opt_share(pi, pk);
+                (ub > 0.0).then(|| {
+                    ubs.push(ub);
+                    (k, 0.0)
+                })
+            }));
+        }
+        // Variable layout: 0 = θ, then pair p at 1 + p.
+        let mut p = Problem::new(1 + ubs.len());
         p.set_objective_coeff(0, 1.0);
         if n > 0 {
             p.set_upper_bound(0, 1.0); // θ ≤ 1: cannot serve more than the queue
         }
-        // Agreement upper bounds, and which pairs exist at all.
-        let mut ub = vec![0.0f64; n * n];
-        for i in 0..n {
-            let pi = PrincipalId(i);
-            for k in 0..n {
-                let pk = PrincipalId(k);
-                let upper = levels.mand_share(pi, pk) + levels.opt_share(pi, pk);
-                ub[i * n + k] = upper.max(0.0);
-            }
-        }
+        // Columns of each server's pairs, for the capacity rows.
+        let mut by_server: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         let mut mandatory = Vec::with_capacity(n);
         for i in 0..n {
-            // Only agreement-backed pairs appear in the rows.
-            let row: Vec<(usize, f64)> = (0..n)
-                .filter(|&k| ub[i * n + k] > 0.0)
-                .map(|k| (xv(i, k), 1.0))
-                .collect();
-            // Queue limit: Σ_k x_ik ≤ n_i.
-            p.add_constraint(row.clone(), Relation::Le, 0.0);
-            // θ coverage: Σ_k x_ik − θ n_i ≥ 0. The θ coefficient (slot 0)
-            // is rewritten each window.
-            let mut cov = Vec::with_capacity(row.len() + 1);
-            cov.push((0, 0.0));
-            cov.extend_from_slice(&row);
-            p.add_constraint(cov, Relation::Ge, 0.0);
-            // Mandatory guarantee: demand up to MC_i is always served.
-            p.add_constraint(row, Relation::Ge, 0.0);
-            for k in 0..n {
-                p.set_upper_bound(xv(i, k), ub[i * n + k]);
+            let row: Vec<(usize, f64)> = pairs.row_range(i).map(|e| (1 + e, 1.0)).collect();
+            for e in pairs.row_range(i) {
+                let k = pairs.servers()[e] as usize;
+                p.set_upper_bound(1 + e, ubs[e]);
+                p.set_tiebreak_id(1 + e, 1 + i * n + k);
+                by_server[k].push((1 + e, 1.0));
             }
+            add_principal_rows(&mut p, row);
             mandatory.push(levels.mandatory(PrincipalId(i)));
         }
         // Server capacities: Σ_i x_ik ≤ V_k, plus locality caps.
-        for k in 0..n {
-            let row: Vec<(usize, f64)> = (0..n)
-                .filter(|&i| ub[i * n + k] > 0.0)
-                .map(|i| (xv(i, k), 1.0))
-                .collect();
-            p.add_constraint(row.clone(), Relation::Le, caps[k].max(0.0));
+        for (k, row) in by_server.into_iter().enumerate() {
             if let Some(LocalityCaps(c)) = &locality {
+                p.add_constraint(row.clone(), Relation::Le, caps[k].max(0.0));
                 p.add_constraint(row, Relation::Le, c[k].max(0.0));
+            } else {
+                p.add_constraint(row, Relation::Le, caps[k].max(0.0));
             }
         }
-        PreparedCommunity { n, base: p, mandatory, warm: WarmBasis::new(), dense_fallbacks: 0 }
+        PreparedCommunity {
+            n,
+            base: p,
+            mandatory,
+            pairs,
+            warm: WarmBasis::new(),
+            dense_fallbacks: 0,
+        }
     }
 
     /// Number of principals the skeleton was built for.
@@ -194,11 +221,7 @@ impl PreparedCommunity {
     }
 
     fn extract(&self, x: &[f64]) -> Plan {
-        let n = self.n;
-        let assignments = (0..n)
-            .map(|i| (0..n).map(|k| x[1 + i * n + k].max(0.0)).collect())
-            .collect();
-        Plan { assignments, theta: x.first().copied(), income: None }
+        self.pairs.with_amounts(&x[1..], x.first().copied())
     }
 
     /// Warm solve with dense fallback; `None` means infeasible under both
@@ -227,7 +250,7 @@ impl PreparedCommunity {
         let n = self.n;
         assert_eq!(queues.len(), n, "queue vector length must match principal count");
         if n == 0 || queues.iter().all(|&q| q <= 0.0) {
-            return Plan::zero(n, n);
+            return Plan::zero(n);
         }
         self.update_queues(queues, true);
         if let Some(plan) = self.solve_window(ws) {
@@ -237,7 +260,7 @@ impl PreparedCommunity {
         if let Some(plan) = self.solve_window(ws) {
             return plan;
         }
-        Plan::zero(n, n)
+        Plan::zero(n)
     }
 
     /// Lifetime counters of the warm-started solver.

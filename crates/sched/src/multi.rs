@@ -6,6 +6,7 @@
 //! per resource kind; a principal's admission rate is limited by whichever
 //! kind binds first.
 
+use crate::community::add_principal_rows;
 use crate::Plan;
 use covenant_agreements::{MultiAccessLevels, PrincipalId, ResourceKind, ResourceVector};
 use covenant_lp::{LpStatus, Problem, Relation, SimplexWorkspace, WarmBasis, WarmOutcome, WarmStats};
@@ -43,11 +44,13 @@ impl MultiCommunityScheduler {
 
 /// The multi-resource community LP with its constraint matrix built once.
 ///
-/// Same row discipline as [`crate::community::PreparedCommunity`]: rows
-/// `3i` / `3i + 1` / `3i + 2` are principal `i`'s queue limit, θ coverage,
-/// and mandatory floor, followed by the static per-server per-kind
-/// capacity rows. Upper bounds are static except for zero-cost principals,
-/// whose only ceiling is their queue length.
+/// Same compact numbering and row discipline as
+/// [`crate::community::PreparedCommunity`]: `θ`, then one variable per
+/// pair that can ever carry load; rows `3i` / `3i + 1` / `3i + 2` are
+/// principal `i`'s queue limit, θ coverage, and mandatory floor, followed
+/// by the static per-server per-kind capacity rows. Upper bounds are static
+/// except for zero-cost principals, whose only ceiling is their queue
+/// length (and who therefore keep a variable for every server).
 #[derive(Debug, Clone)]
 pub struct PreparedMulti {
     n: usize,
@@ -56,6 +59,8 @@ pub struct PreparedMulti {
     floors: Vec<f64>,
     /// Principals whose cost vector has no positive entry (queue-bounded).
     zero_cost: Vec<bool>,
+    /// The all-zero plan over the pairs: entry `p` is LP variable `1 + p`.
+    pairs: Plan,
     /// Persistent basis for the warm-started revised solver.
     warm: WarmBasis,
     /// Windows the warm engine refused and the dense tableau solved.
@@ -72,20 +77,18 @@ impl PreparedMulti {
         for c in costs {
             assert_eq!(c.len(), kinds, "cost vector must cover every kind");
         }
-        let xv = |i: usize, k: usize| 1 + i * n + k;
-        let mut p = Problem::new(1 + n * n);
-        p.set_objective_coeff(0, 1.0);
-        if n > 0 {
-            p.set_upper_bound(0, 1.0);
-        }
+        // Only pairs that can ever carry load get a variable: a positive
+        // static ceiling (the binding kind per pair), or any pair of a
+        // zero-cost principal, whose ceiling is its queue, installed per
+        // window.
+        let mut pairs = Plan::zero(0);
+        let mut ubs = Vec::new();
         let mut floors = Vec::with_capacity(n);
         let mut zero_cost = Vec::with_capacity(n);
         for (i, cost) in costs.iter().enumerate() {
             let pi = PrincipalId(i);
             let is_zero_cost = cost.0.iter().all(|&c| c <= 0.0);
-            // Pairwise ceilings: binding kind per (i, server) pair.
-            let mut ubs = vec![0.0f64; n];
-            for (k, slot) in ubs.iter_mut().enumerate() {
+            pairs.push_row((0..n).filter_map(|k| {
                 let pk = PrincipalId(k);
                 let mut ub = f64::INFINITY;
                 for r in 0..kinds {
@@ -95,36 +98,41 @@ impl PreparedMulti {
                         ub = ub.min((lv.mand_share(pi, pk) + lv.opt_share(pi, pk)) / c);
                     }
                 }
-                // Zero-cost requests are only bounded by the queue; that
-                // bound is installed per window.
-                *slot = if ub.is_finite() { ub.max(0.0) } else { 0.0 };
-                p.set_upper_bound(xv(i, k), *slot);
-            }
-            // Only pairs that can ever carry load appear in the rows: a
-            // positive static ceiling, or any pair of a zero-cost principal
-            // (whose ceiling is its queue, installed per window).
-            let row: Vec<(usize, f64)> = (0..n)
-                .filter(|&k| is_zero_cost || ubs[k] > 0.0)
-                .map(|k| (xv(i, k), 1.0))
-                .collect();
-            p.add_constraint(row.clone(), Relation::Le, 0.0);
-            // θ coverage with the per-window θ coefficient at slot 0.
-            let mut cov = Vec::with_capacity(row.len() + 1);
-            cov.push((0, 0.0));
-            cov.extend_from_slice(&row);
-            p.add_constraint(cov, Relation::Ge, 0.0);
-            p.add_constraint(row, Relation::Ge, 0.0);
+                let ub = if ub.is_finite() { ub.max(0.0) } else { 0.0 };
+                (is_zero_cost || ub > 0.0).then(|| {
+                    ubs.push(ub);
+                    (k, 0.0)
+                })
+            }));
             zero_cost.push(is_zero_cost);
             // Mandatory guarantee at the binding-kind rate.
             let floor = levels.mandatory_rate(pi, cost);
             floors.push(if floor.is_finite() { floor } else { 0.0 });
         }
+        let mut p = Problem::new(1 + ubs.len());
+        p.set_objective_coeff(0, 1.0);
+        if n > 0 {
+            p.set_upper_bound(0, 1.0);
+        }
+        // Per server, the (principal, variable) of each of its pairs.
+        let mut by_server: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for i in 0..n {
+            let row: Vec<(usize, f64)> = pairs.row_range(i).map(|e| (1 + e, 1.0)).collect();
+            for e in pairs.row_range(i) {
+                let k = pairs.servers()[e] as usize;
+                p.set_upper_bound(1 + e, ubs[e]);
+                p.set_tiebreak_id(1 + e, 1 + i * n + k);
+                by_server[k].push((i, 1 + e));
+            }
+            add_principal_rows(&mut p, row);
+        }
         // Per-server, per-kind capacity.
-        for k in 0..n {
+        for (k, server_pairs) in by_server.iter().enumerate() {
             for r in 0..kinds {
                 let lv = levels.kind(ResourceKind(r));
-                let row: Vec<(usize, f64)> = (0..n)
-                    .map(|i| (xv(i, k), costs[i].0[r]))
+                let row: Vec<(usize, f64)> = server_pairs
+                    .iter()
+                    .map(|&(i, var)| (var, costs[i].0[r]))
                     // Exact-zero sparsity skip: drops structurally absent
                     // coefficients only, not a numeric tolerance test.
                     .filter(|(_, c)| *c != 0.0) // covenant: allow(float-eq)
@@ -139,6 +147,7 @@ impl PreparedMulti {
             base: p,
             floors,
             zero_cost,
+            pairs,
             warm: WarmBasis::new(),
             dense_fallbacks: 0,
         }
@@ -163,19 +172,15 @@ impl PreparedMulti {
             let floor = if floors { self.floors[i].min(ni).max(0.0) } else { 0.0 };
             self.base.set_constraint_rhs(3 * i + 2, floor);
             if self.zero_cost[i] {
-                for k in 0..n {
-                    self.base.set_upper_bound_exact(1 + i * n + k, ni);
+                for e in self.pairs.row_range(i) {
+                    self.base.set_upper_bound_exact(1 + e, ni);
                 }
             }
         }
     }
 
     fn extract(&self, x: &[f64]) -> Plan {
-        let n = self.n;
-        let assignments = (0..n)
-            .map(|i| (0..n).map(|k| x[1 + i * n + k].max(0.0)).collect())
-            .collect();
-        Plan { assignments, theta: x.first().copied(), income: None }
+        self.pairs.with_amounts(&x[1..], x.first().copied())
     }
 
     /// Warm solve with dense fallback; `None` means infeasible under both
@@ -203,7 +208,7 @@ impl PreparedMulti {
         let n = self.n;
         assert_eq!(queues.len(), n);
         if n == 0 || queues.iter().all(|&q| q <= 0.0) {
-            return Plan::zero(n, n);
+            return Plan::zero(n);
         }
         self.update_queues(queues, true);
         if let Some(plan) = self.solve_window(ws) {
@@ -213,7 +218,7 @@ impl PreparedMulti {
         if let Some(plan) = self.solve_window(ws) {
             return plan;
         }
-        Plan::zero(n, n)
+        Plan::zero(n)
     }
 
     /// Lifetime counters of the warm-started solver.
@@ -302,7 +307,7 @@ mod tests {
         let plan = sched.plan(&lv, &[0.0, 500.0, 500.0]);
         for r in 0..2 {
             let load: f64 = (0..3)
-                .map(|i| plan.assignments[i][0] * costs[i].0[r])
+                .map(|i| plan.amount(i, 0) * costs[i].0[r])
                 .sum();
             let cap = lv.kind(ResourceKind(r)).capacities()[0];
             assert!(load <= cap + 1e-6, "kind {r}: {load} > {cap}");

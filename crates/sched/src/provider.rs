@@ -111,7 +111,7 @@ impl PreparedProvider {
         let n = self.n;
         assert_eq!(queues.len(), n, "queue vector length must match principal count");
         if n == 0 || queues.iter().all(|&q| q <= 0.0) {
-            return Plan::zero(n, n);
+            return Plan::zero(n);
         }
         for (i, &q) in queues.iter().enumerate() {
             let ni = q.max(0.0);
@@ -122,11 +122,11 @@ impl PreparedProvider {
         // Warm-started revised solve; dense tableau only on refusal.
         let totals: &[f64] = match self.base.solve_warm(&mut self.warm) {
             WarmOutcome::Optimal => self.warm.x(),
-            WarmOutcome::Infeasible => return Plan::zero(n, n),
+            WarmOutcome::Infeasible => return Plan::zero(n),
             WarmOutcome::Unsuitable => {
                 self.dense_fallbacks += 1;
                 if self.base.solve_in_place(ws) != LpStatus::Optimal {
-                    return Plan::zero(n, n);
+                    return Plan::zero(n);
                 }
                 ws.x()
             }
@@ -134,24 +134,24 @@ impl PreparedProvider {
 
         // Greedy split across servers, never exceeding any single server.
         let mut remaining: Vec<f64> = self.caps.clone();
-        let mut assignments = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            let mut need = totals[i];
-            for k in 0..n {
-                if need <= 0.0 {
-                    break;
-                }
-                let take = need.min(remaining[k]);
-                assignments[i][k] = take;
-                remaining[k] -= take;
-                need -= take;
-            }
+        let mut plan = Plan::zero(0);
+        for &total in totals {
+            let mut need = total;
+            plan.push_row(remaining.iter_mut().enumerate().map_while(|(k, left)| {
+                (need > 0.0).then(|| {
+                    let take = need.min(*left);
+                    *left -= take;
+                    need -= take;
+                    (k, take)
+                })
+            }));
         }
 
         let income: f64 = (0..n)
             .map(|i| self.prices[i] * (totals[i] - self.mandatory[i].min(queues[i])))
             .sum();
-        Plan { assignments, theta: None, income: Some(income) }
+        plan.income = Some(income);
+        plan
     }
 
     /// Lifetime counters of the warm-started solver.

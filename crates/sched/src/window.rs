@@ -128,6 +128,11 @@ pub struct WindowScheduler {
     engine: Engine,
     lp_ws: SimplexWorkspace,
     cache: PlanCache,
+    /// `MC_i` per principal, and its split over the servers it is held on
+    /// as fractions of `MC_i`: the conservative plan is the split with
+    /// every row scaled by the principal's budget.
+    mandatory: Vec<f64>,
+    mandatory_split: Plan,
     /// Scratch for the global/local demand merge, reused across windows so
     /// steady-state planning allocates nothing.
     merged_buf: Vec<f64>,
@@ -150,7 +155,10 @@ impl WindowScheduler {
         let window_levels = levels.scaled(cfg.window_secs);
         let engine = Engine::build(&window_levels, &cfg.policy);
         let cache = PlanCache::new(levels_fingerprint(&window_levels));
+        let (mandatory, mandatory_split) = mandatory_split(&window_levels);
         WindowScheduler {
+            mandatory,
+            mandatory_split,
             window_levels,
             engine,
             lp_ws: SimplexWorkspace::new(),
@@ -185,6 +193,7 @@ impl WindowScheduler {
         self.dense_retired += self.engine.dense_fallbacks();
         self.window_levels = levels.scaled(self.cfg.window_secs);
         self.engine = Engine::build(&self.window_levels, &self.cfg.policy);
+        (self.mandatory, self.mandatory_split) = mandatory_split(&self.window_levels);
         self.cache.invalidate(levels_fingerprint(&self.window_levels));
     }
 
@@ -272,44 +281,45 @@ impl WindowScheduler {
     }
 
     fn solve(&mut self, queues: &[f64]) -> Plan {
-        if self.cfg.plan_cache {
-            if let Some(plan) = self.cache.lookup(queues) {
-                return plan;
-            }
-        }
-        let plan = match &mut self.engine {
-            Engine::Community(p) => p.plan_with(&mut self.lp_ws, queues),
-            Engine::Provider(p) => p.plan_with(&mut self.lp_ws, queues),
+        let (engine, ws) = (&mut self.engine, &mut self.lp_ws);
+        let mut solve = || match engine {
+            Engine::Community(p) => p.plan_with(ws, queues),
+            Engine::Provider(p) => p.plan_with(ws, queues),
         };
         if self.cfg.plan_cache {
-            self.cache.store(queues, &plan);
+            self.cache.lookup_or_solve(queues, solve)
+        } else {
+            solve()
         }
-        plan
     }
 
     /// Conservative fallback: admit `conservative_fraction` of each
     /// principal's mandatory share, capped by local demand, spread across
     /// servers proportionally to the mandatory entitlement.
     fn conservative_plan(&self, local_queues: &[f64]) -> Plan {
-        let n = self.window_levels.len();
-        let mut assignments = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            let pi = PrincipalId(i);
-            let mc = self.window_levels.mandatory(pi);
-            if mc <= 0.0 {
-                continue;
-            }
-            let budget = (mc * self.cfg.conservative_fraction).min(local_queues[i].max(0.0));
-            if budget <= 0.0 {
-                continue;
-            }
-            for (k, slot) in assignments[i].iter_mut().enumerate() {
-                let share = self.window_levels.mand_share(pi, PrincipalId(k)) / mc;
-                *slot = budget * share;
-            }
-        }
-        Plan { assignments, theta: None, income: None }
+        self.mandatory_split.with_rows_scaled(|i| {
+            (self.mandatory[i] * self.cfg.conservative_fraction).min(local_queues[i].max(0.0))
+        })
     }
+}
+
+/// `MC_i` per principal, and as row `i` of a plan `mand_share(i, k) / MC_i`
+/// for every server `k` principal `i` holds a mandatory share on (an empty
+/// row when `MC_i` is zero).
+fn mandatory_split(levels: &AccessLevels) -> (Vec<f64>, Plan) {
+    let n = levels.len();
+    let mut mandatory = Vec::with_capacity(n);
+    let mut split = Plan::zero(0);
+    for i in 0..n {
+        let pi = PrincipalId(i);
+        let mc = levels.mandatory(pi);
+        mandatory.push(mc);
+        split.push_row((0..n).filter_map(|k| {
+            let share = levels.mand_share(pi, PrincipalId(k));
+            (mc > 0.0 && share > 0.0).then(|| (k, share / mc))
+        }));
+    }
+    (mandatory, split)
 }
 
 #[cfg(test)]
@@ -437,10 +447,8 @@ mod tests {
         for q in &walks {
             let a = cached.plan_global(q);
             let b = uncached.plan_global(q);
-            for (ra, rb) in a.assignments.iter().zip(&b.assignments) {
-                for (va, vb) in ra.iter().zip(rb) {
-                    assert!((va - vb).abs() <= 1e-6, "queues {q:?}: {va} vs {vb}");
-                }
+            for (va, vb) in a.amounts().iter().zip(b.amounts()) {
+                assert!((va - vb).abs() <= 1e-6, "queues {q:?}: {va} vs {vb}");
             }
             assert!(
                 (a.theta.unwrap_or(0.0) - b.theta.unwrap_or(0.0)).abs() <= 1e-6,

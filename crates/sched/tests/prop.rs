@@ -60,7 +60,7 @@ proptest! {
                 "P{i} mandatory violated: {} < {}", plan.admitted(p), lv.mandatory(p).min(queues[i]));
             for k in 0..n {
                 let ub = lv.mand_share(p, PrincipalId(k)) + lv.opt_share(p, PrincipalId(k));
-                prop_assert!(plan.assignments[i][k] <= ub + 1e-6);
+                prop_assert!(plan.amount(i, k) <= ub + 1e-6);
             }
         }
         if let Some(theta) = plan.theta {
@@ -107,14 +107,14 @@ proptest! {
             let lp = plan.scale_for_local_queue(&local, &queues);
             for i in 0..n {
                 for k in 0..n {
-                    recon[i][k] += lp.assignments[i][k];
+                    recon[i][k] += lp.amount(i, k);
                 }
             }
         }
         for i in 0..n {
             for k in 0..n {
-                prop_assert!((recon[i][k] - plan.assignments[i][k]).abs() < 1e-6,
-                    "pair ({i},{k}): {} vs {}", recon[i][k], plan.assignments[i][k]);
+                prop_assert!((recon[i][k] - plan.amount(i, k)).abs() < 1e-6,
+                    "pair ({i},{k}): {} vs {}", recon[i][k], plan.amount(i, k));
             }
         }
     }
@@ -151,14 +151,10 @@ proptest! {
                     q, plan.theta, s.objective
                 );
                 // The plan must be feasible for the window problem it
-                // claims to solve (θ re-attached as variable 0).
-                let mut x = vec![0.0; 1 + n * n];
-                x[0] = plan.theta.unwrap_or(0.0);
-                for i in 0..n {
-                    for k in 0..n {
-                        x[1 + i * n + k] = plan.assignments[i][k];
-                    }
-                }
+                // claims to solve: variable 0 is θ, and the plan's entries
+                // are the remaining variables in order.
+                let mut x = vec![plan.theta.unwrap_or(0.0)];
+                x.extend_from_slice(plan.amounts());
                 prop_assert!(
                     prepared.window_problem(&q).is_feasible(&x, 1e-5),
                     "warm plan infeasible for its own window"

@@ -10,6 +10,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A timestamped single-producer pipeline with a fixed visibility lag.
+///
+/// Time runs forward across *both* publishes and reads: a read is expected
+/// at or after the newest publish. Publishing relies on that to drop what
+/// no later read could return, so the view holds the entries still inside
+/// the lag plus one, however rarely it is read. (A read that does arrive
+/// with an earlier clock — two threads a fraction of a window apart — is
+/// still answered, at worst with an entry that ripened within that
+/// fraction.)
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DelayedView<T> {
     lag: f64,
@@ -35,21 +43,29 @@ impl<T> DelayedView<T> {
         if let Some(&(last, _)) = self.pending.back() {
             assert!(now >= last, "publish timestamps must be non-decreasing");
         }
+        // What is ripe now — strictly before `now`, so that `read_before`
+        // agrees — is ripe for every read from here on, and a read returns
+        // the newest ripe entry: take that step here, so that a view nobody
+        // reads still lets go of what it has published.
+        self.ripen(now, true);
         self.pending.push_back((now, value));
+    }
+
+    /// Moves every entry published at or before `now − lag` (and, if asked,
+    /// strictly before `now`) out of the queue; the newest of them becomes
+    /// the visible value.
+    fn ripen(&mut self, now: f64, strictly_before: bool) {
+        let cutoff = now - self.lag;
+        while self.pending.front().is_some_and(|&(t, _)| t <= cutoff && !(strictly_before && t >= now)) {
+            self.visible = self.pending.pop_front();
+        }
     }
 
     /// Returns the newest value whose publish time is ≤ `now − lag`, or
     /// `None` if nothing has become visible yet. Values are retained so
     /// repeated reads at the same time agree.
     pub fn read(&mut self, now: f64) -> Option<&T> {
-        let cutoff = now - self.lag;
-        while let Some(&(t, _)) = self.pending.front() {
-            if t <= cutoff {
-                self.visible = self.pending.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.ripen(now, false);
         self.visible.as_ref().map(|(_, v)| v)
     }
 
@@ -62,14 +78,7 @@ impl<T> DelayedView<T> {
     /// aggregate-then-deliver ordering). Values are retained, so the view
     /// stays sticky like `read`.
     pub fn read_before(&mut self, now: f64) -> Option<&T> {
-        let cutoff = now - self.lag;
-        while let Some(&(t, _)) = self.pending.front() {
-            if t <= cutoff && t < now {
-                self.visible = self.pending.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.ripen(now, true);
         self.visible.as_ref().map(|(_, v)| v)
     }
 
@@ -141,6 +150,82 @@ mod tests {
         let mut v = DelayedView::new(1.0);
         v.publish(0.0, 5);
         assert_eq!(v.read_before(1.0), Some(&5));
+    }
+
+    #[test]
+    fn publishing_without_reading_stays_bounded() {
+        // The silent root of an in-process tree: one aggregate per window
+        // (an eighth of a second here) for ever, never read. Only the
+        // entries still inside the 1 s lag may stay.
+        let mut v = DelayedView::new(1.0);
+        for w in 0..10_000 {
+            v.publish(w as f64 * 0.125, w);
+            assert!(v.pending.len() <= 8, "window {w}: {} entries held", v.pending.len());
+        }
+        // …and the first read, whenever it comes, is answered as if
+        // everything had been kept: 1249.0 is the newest publish ≤ 1250 − 1.
+        assert_eq!(v.read(1250.0), Some(&9992));
+        let mut z = DelayedView::new(0.0);
+        for w in 0..10_000 {
+            z.publish(w as f64, w);
+            assert!(z.pending.len() <= 2, "a same-instant entry is not ripe for read_before");
+        }
+        assert_eq!(z.read_before(9_999.0), Some(&9_998));
+        assert_eq!(z.read(9_999.0), Some(&9_999));
+    }
+
+    /// The view before publishing trimmed anything: the oracle.
+    struct Untrimmed {
+        lag: f64,
+        pending: VecDeque<(f64, u32)>,
+        visible: Option<(f64, u32)>,
+    }
+
+    impl Untrimmed {
+        fn read(&mut self, now: f64, strictly_before: bool) -> Option<u32> {
+            while let Some(&(t, _)) = self.pending.front() {
+                if t <= now - self.lag && (!strictly_before || t < now) {
+                    self.visible = self.pending.pop_front();
+                } else {
+                    break;
+                }
+            }
+            self.visible.map(|(_, v)| v)
+        }
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of publishes, `read`s and `read_before`s in
+        /// forward-running time is answered exactly as when every entry was
+        /// kept until a read consumed it.
+        #[test]
+        fn trimming_on_publish_changes_no_answer(
+            lag in 0usize..4,
+            steps in proptest::collection::vec((0usize..4, 0.0..0.4f64), 1..200),
+        ) {
+            let lag = [0.0, 0.1, 0.35, 1.0][lag];
+            let mut view = DelayedView::new(lag);
+            let mut oracle = Untrimmed { lag, pending: VecDeque::new(), visible: None };
+            let mut now = 0.0;
+            for (id, &(kind, advance)) in steps.iter().enumerate() {
+                // Steps come three to an instant, the way a window boundary
+                // publishes and reads together.
+                if id % 3 == 0 {
+                    now += advance;
+                }
+                match kind {
+                    0 | 1 => {
+                        view.publish(now, id as u32);
+                        oracle.pending.push_back((now, id as u32));
+                    }
+                    2 => proptest::prop_assert_eq!(view.read(now).copied(), oracle.read(now, false)),
+                    _ => proptest::prop_assert_eq!(
+                        view.read_before(now).copied(),
+                        oracle.read(now, true)
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

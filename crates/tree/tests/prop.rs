@@ -64,12 +64,13 @@ proptest! {
     }
 
     /// DelayedView never reveals a value younger than the lag, and always
-    /// reveals the newest sufficiently-old value.
+    /// reveals the newest sufficiently-old value (to a read that, as the
+    /// view requires, does not precede the newest publish).
     #[test]
     fn delayed_view_respects_lag(
         lag in 0.0..5.0f64,
         times in proptest::collection::vec(0.0..10.0f64, 1..20),
-        probe in 0.0..20.0f64,
+        wait in 0.0..10.0f64,
     ) {
         let mut sorted = times.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -77,6 +78,7 @@ proptest! {
         for (i, &t) in sorted.iter().enumerate() {
             view.publish(t, i);
         }
+        let probe = sorted[sorted.len() - 1] + wait;
         let got = view.read(probe).copied();
         let expected = sorted
             .iter()

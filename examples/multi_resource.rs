@@ -57,7 +57,7 @@ fn main() {
     }
     for (kname, k) in [("cpu", 0usize), ("bandwidth", 1)] {
         let used: f64 = (0..3)
-            .map(|i| plan.assignments[i][0] * costs[i].0[k])
+            .map(|i| plan.amount(i, 0) * costs[i].0[k])
             .sum();
         let cap = levels.kind(ResourceKind(k)).capacities()[0];
         println!("  {kname:<9} used {used:>6.1} / {cap:.0}");

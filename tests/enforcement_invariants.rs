@@ -81,7 +81,7 @@ fn community_plans_respect_agreements_on_random_graphs() {
                 let pk = PrincipalId(k);
                 let ub = levels.mand_share(p, pk) + levels.opt_share(p, pk);
                 assert!(
-                    plan.assignments[i][k] <= ub + 1e-6,
+                    plan.amount(i, k) <= ub + 1e-6,
                     "case {case}: pair ({i},{k}) exceeds agreement upper bound"
                 );
             }
