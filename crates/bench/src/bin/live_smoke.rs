@@ -1,20 +1,17 @@
 //! Loopback smoke test for the live prototypes: the sharded L7 redirector
-//! and sharded L4 proxy (the thread-per-core epoll data planes), plus the
-//! legacy thread-per-connection L4 proxy for schema parity, must forward
-//! real requests end-to-end within a couple of seconds.
+//! and sharded L4 proxy (the thread-per-core epoll data planes) must
+//! forward real requests end-to-end within a couple of seconds.
 //!
-//! Run by `scripts/tier1.sh`: exits non-zero if any transport fails to
+//! Run by `scripts/tier1.sh`: exits non-zero if either transport fails to
 //! complete a request, and prints each data plane's counter snapshot as
-//! JSON (`live_counters_sharded_json` for the sharded planes,
-//! `live_counters_json` for the legacy proxy — the same keys either way,
-//! including `shed`) so CI logs show admission, plan-cache, LP, and
-//! shedding activity at a glance.
+//! JSON (`live_counters_sharded_json`) so CI logs show admission,
+//! plan-cache, LP, and shedding activity at a glance.
 
 use covenant_agreements::AgreementGraph;
-use covenant_coord::{AdmissionControl, Coordinator};
-use covenant_core::{live_counters_json, live_counters_sharded_json};
+use covenant_coord::Coordinator;
+use covenant_core::live_counters_sharded_json;
 use covenant_http::{HttpClient, OriginServer, StatusCode};
-use covenant_l4::{L4Config, L4Redirector, L4Service, ShardedL4};
+use covenant_l4::{L4Config, L4Service, ShardedL4};
 use covenant_l7::{L7Config, ShardedL7};
 use covenant_sched::SchedulerConfig;
 use covenant_tree::Topology;
@@ -89,7 +86,6 @@ fn main() {
             services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
             backends: HashMap::from([(0, origin.addr())]),
             park_limit: 256,
-            live_limit: 1024,
         },
         SHARDS,
         &levels,
@@ -108,38 +104,6 @@ fn main() {
         failed = true;
     }
 
-    // --- Legacy L4 (thread-per-connection): same JSON schema, `shed`
-    // carrying the live-thread-limit RST counter. ---
-    let legacy_ctrl = AdmissionControl::new(
-        0,
-        &levels,
-        SchedulerConfig::community_default(),
-        Coordinator::new(Topology::star(1, 0.0), 0.0),
-    );
-    let legacy = L4Redirector::start(
-        L4Config {
-            services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
-            backends: HashMap::from([(0, origin.addr())]),
-            park_limit: 256,
-            live_limit: 1024,
-        },
-        std::sync::Arc::clone(&legacy_ctrl),
-    )
-    .expect("legacy l4 redirector");
-    let legacy_done = drive(
-        &format!("http://{}/page", legacy.service_addr(a).expect("service addr")),
-        Instant::now() + Duration::from_millis(600),
-    );
-    println!("l4_legacy_completed: {legacy_done}");
-    println!(
-        "l4_legacy_counters: {}",
-        live_counters_json(&legacy_ctrl.counters_snapshot(), legacy.refused()).to_pretty()
-    );
-    if legacy_done == 0 {
-        eprintln!("FAIL: no request completed through the legacy L4 proxy");
-        failed = true;
-    }
-
     // The sharded planes must have actually rolled windows and admitted.
     for (name, snaps) in [("l7", l7.shard_snapshots()), ("l4", l4.shard_snapshots())] {
         let admitted: u64 = snaps.iter().map(|s| s.counters.admitted).sum();
@@ -148,14 +112,9 @@ fn main() {
             failed = true;
         }
     }
-    if legacy_ctrl.counters_snapshot().admitted == 0 {
-        eprintln!("FAIL: legacy l4 control plane admitted nothing");
-        failed = true;
-    }
 
     drop(l7);
     drop(l4);
-    drop(legacy);
     if failed {
         std::process::exit(1);
     }

@@ -3,8 +3,8 @@
 //! `Coordinator` is a thin, clonable handle over a [`CoordTransport`]: the
 //! in-process combining tree ([`InProcessTree`], the default), or a socket
 //! transport from `covenant-wire` where tree edges are real connections.
-//! Everything above it — [`TreeCoordination`], `AdmissionControl`,
-//! `ShardCore` — is transport-agnostic.
+//! Everything above it — [`TreeCoordination`], `ShardCore` — is
+//! transport-agnostic.
 
 use covenant_enforce::CoordinationView;
 use covenant_tree::{CoordTransport, InProcessTree, Topology};

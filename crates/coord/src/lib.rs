@@ -11,24 +11,16 @@
 //! * [`Coordinator`] — an in-process combining tree: each redirector
 //!   publishes its demand vector; aggregates become visible to node `i`
 //!   only after that node's tree lag (plus any injected extra lag);
-//! * [`AdmissionControl`] — the per-redirector state machine (credit gate,
-//!   demand estimator, window scheduler) with a thread-safe admission entry
-//!   point for the data plane;
-//! * [`WindowDaemon`] — the background ticker thread driving
-//!   [`AdmissionControl::roll_window`] on the configured cadence;
-//! * [`ShardCore`] — the single-owner, lock-free variant of
-//!   [`AdmissionControl`] that reactor shards run, one per event loop,
-//!   each joining the tree as its own leaf.
+//! * [`ShardCore`] — the per-redirector state machine (credit gate,
+//!   demand estimator, window scheduler) a reactor shard owns exclusively,
+//!   one per event loop, each joining the tree as its own leaf. The shard
+//!   loop rolls it at every window boundary; no daemon thread, no lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 mod coordinator;
-mod daemon;
 mod shard;
 
-pub use admission::AdmissionControl;
 pub use coordinator::{Coordinator, TreeCoordination};
-pub use daemon::{DaemonHooks, WindowDaemon};
 pub use shard::ShardCore;

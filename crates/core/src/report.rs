@@ -1,7 +1,7 @@
 //! Scenario result summarization and export.
 
 use covenant_agreements::PrincipalId;
-use covenant_enforce::{CountersReport, EnforcementCounters, EngineTotals, NetTotals, SolverTotals};
+use covenant_enforce::{CountersReport, EngineTotals, NetTotals, SolverTotals};
 use covenant_sim::SimReport;
 use serde::Serialize;
 
@@ -204,28 +204,17 @@ pub fn sim_counters_json(report: &SimReport) -> crate::json::Value {
     counters_report_json(&sim_counters(report))
 }
 
-/// Live-deployment counterpart of [`sim_counters_json`]: one enforcement
-/// core's counters (admission, parking, plan cache, LP work) as a JSON
-/// object, plus `shed` — connections refused with RST at a hard cap
-/// before they ever reached admission (the legacy L4 `live_limit` gate,
-/// the sharded planes' connection/relay caps). Feed it
-/// `AdmissionControl::counters_snapshot()` from a running redirector; the
-/// shared shape lets the same tooling watch either a simulation or a live
-/// control plane.
-pub fn live_counters_json(counters: &EnforcementCounters, shed: u64) -> crate::json::Value {
-    counters_report_json(&CountersReport::live(counters, shed))
-}
-
-/// Sharded-data-plane counterpart of [`live_counters_json`]: merges the
+/// Live-deployment counterpart of [`sim_counters_json`]: merges the
 /// per-shard snapshots of a reactor deployment into one payload. The
-/// top-level fields are the familiar [`live_counters_json`] keys *summed
-/// across shards* (so dashboards built for the single-core shape keep
-/// working), plus `shards` (the shard count), the aggregate reactor
-/// batching counters (`reactor_wakes`, `batched_verdicts`), and a
-/// `per_shard` array retaining each shard's admission and batching
-/// profile — the load-balance view the sum hides. `shed` is summed across
-/// shards like the rest, so this payload carries exactly the
-/// [`live_counters_json`] keys plus the sharding extras.
+/// top-level fields are the enforcement cores' counters (admission,
+/// parking, plan cache, LP work) *summed across shards*, plus `shed` —
+/// connections refused with RST at a hard cap before they ever reached
+/// admission (the planes' connection/relay caps) — then `shards` (the
+/// shard count), the aggregate reactor batching counters
+/// (`reactor_wakes`, `batched_verdicts`), and a `per_shard` array
+/// retaining each shard's admission and batching profile — the
+/// load-balance view the sum hides. The shared shape lets the same tooling
+/// watch either a simulation or a live control plane.
 pub fn live_counters_sharded_json(shards: &[covenant_enforce::ShardSnapshot]) -> crate::json::Value {
     counters_report_json(&CountersReport::sharded(shards))
 }
@@ -308,6 +297,7 @@ impl ScenarioOutcome {
 mod tests {
     use super::*;
     use covenant_agreements::AgreementGraph;
+    use covenant_enforce::EnforcementCounters;
     use covenant_sim::{SimConfig, Simulation};
     use covenant_workload::{ClientMachine, PhasedLoad};
 
@@ -373,6 +363,7 @@ mod tests {
 
     #[test]
     fn live_counters_json_roundtrips() {
+        use covenant_enforce::ShardSnapshot;
         let counters = EnforcementCounters {
             admitted: 42,
             deferred: 7,
@@ -385,8 +376,9 @@ mod tests {
             lp_warm_hits: 8,
             lp_cold_fallbacks: 2,
         };
+        let shard = ShardSnapshot { counters, shed: 5, ..Default::default() };
         let parsed =
-            crate::json::Value::parse(&live_counters_json(&counters, 5).to_pretty()).unwrap();
+            crate::json::Value::parse(&live_counters_sharded_json(&[shard]).to_pretty()).unwrap();
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 42.0);
         assert_eq!(parsed["deferred"].as_f64().unwrap(), 7.0);
         assert_eq!(parsed["parked"].as_f64().unwrap(), 3.0);
@@ -427,7 +419,7 @@ mod tests {
         ];
         let v = live_counters_sharded_json(&shards);
         let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
-        // Summed top level keeps the single-core payload shape.
+        // The top level is summed across shards.
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 160.0);
         assert_eq!(parsed["deferred"].as_f64().unwrap(), 40.0);
         assert_eq!(parsed["lp_solves"].as_f64().unwrap(), 10.0);
@@ -465,24 +457,20 @@ mod tests {
         use covenant_enforce::ShardSnapshot;
         let o = outcome();
         let sim = keys(&sim_counters_json(&o.report));
-        let live = keys(&live_counters_json(&EnforcementCounters::default(), 0));
-        let sharded = keys(&live_counters_sharded_json(&[ShardSnapshot::default()]));
+        let live = keys(&live_counters_sharded_json(&[ShardSnapshot::default()]));
         // The solver section appears verbatim — same keys, same order — in
         // every stack's payload (single encoder, schemas cannot drift).
-        for stack in [&sim, &live, &sharded] {
+        for stack in [&sim, &live] {
             let at = stack
                 .iter()
                 .position(|k| k == SOLVER_KEYS[0])
                 .expect("solver section present");
             assert_eq!(&stack[at..at + SOLVER_KEYS.len()], &SOLVER_KEYS);
         }
-        // The sharded payload is the live payload plus sharding extras.
-        assert_eq!(&sharded[..live.len()], &live[..]);
-        assert_eq!(&sharded[live.len()..], ["shards", "reactor_wakes", "batched_verdicts", "per_shard"]);
-        // Each wrapper still emits its exact legacy key set.
+        // Each wrapper still emits its exact key set.
         let mut want_live = vec!["admitted", "deferred", "parked"];
         want_live.extend(SOLVER_KEYS);
-        want_live.push("shed");
+        want_live.extend(["shed", "shards", "reactor_wakes", "batched_verdicts", "per_shard"]);
         assert_eq!(live, want_live);
         let mut want_sim = vec!["events_processed", "peak_event_queue", "events_per_sec"];
         want_sim.extend(SOLVER_KEYS);

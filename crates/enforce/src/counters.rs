@@ -1,7 +1,7 @@
 //! One counters schema for every stack.
 //!
-//! The simulator, the legacy single-core live redirectors, and the sharded
-//! reactor planes each accumulate overlapping-but-different counter sets.
+//! The simulator and the sharded reactor planes each accumulate
+//! overlapping-but-different counter sets.
 //! [`CountersReport`] is the union, organized into sections: a solver
 //! profile every stack has, plus optional admission, event-engine,
 //! network-link, and sharding sections that only some stacks populate.
@@ -9,7 +9,6 @@
 //! emitters there are thin wrappers that build one of these and encode it,
 //! so the schemas can never drift apart.
 
-use crate::enforcement::EnforcementCounters;
 use crate::shard::ShardSnapshot;
 
 /// LP / plan-cache work profile. Every stack runs the same windowed
@@ -31,21 +30,6 @@ pub struct SolverTotals {
     /// Windows the warm solver restarted cold or handed to the dense
     /// tableau.
     pub lp_cold_fallbacks: u64,
-}
-
-impl SolverTotals {
-    /// The solver slice of one enforcement core's counters.
-    pub fn from_counters(c: &EnforcementCounters) -> Self {
-        Self {
-            plan_cache_hits: c.plan_cache_hits,
-            plan_cache_misses: c.plan_cache_misses,
-            plan_cache_evictions: c.plan_cache_evictions,
-            lp_solves: c.lp_solves,
-            lp_pivots: c.lp_pivots,
-            lp_warm_hits: c.lp_warm_hits,
-            lp_cold_fallbacks: c.lp_cold_fallbacks,
-        }
-    }
 }
 
 /// Per-request admission outcomes (live stacks; the simulator reports
@@ -122,23 +106,6 @@ pub struct CountersReport {
 }
 
 impl CountersReport {
-    /// Report for one single-core live enforcement core plus the
-    /// transport's shed count.
-    pub fn live(counters: &EnforcementCounters, shed: u64) -> Self {
-        Self {
-            solver: SolverTotals::from_counters(counters),
-            admission: Some(AdmissionTotals {
-                admitted: counters.admitted,
-                deferred: counters.deferred,
-                parked: counters.parked,
-                shed,
-            }),
-            engine: None,
-            net: None,
-            sharding: None,
-        }
-    }
-
     /// Report for a sharded reactor deployment: per-shard snapshots are
     /// summed into the admission and solver sections and retained verbatim
     /// in the sharding section.
@@ -176,24 +143,7 @@ impl CountersReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn live_report_splits_admission_from_solver() {
-        let c = EnforcementCounters {
-            admitted: 10,
-            deferred: 2,
-            parked: 1,
-            lp_solves: 5,
-            lp_warm_hits: 4,
-            ..Default::default()
-        };
-        let r = CountersReport::live(&c, 3);
-        let adm = r.admission.unwrap();
-        assert_eq!(adm.admitted, 10);
-        assert_eq!(adm.shed, 3);
-        assert_eq!(r.solver.lp_solves, 5);
-        assert!(r.engine.is_none() && r.net.is_none() && r.sharding.is_none());
-    }
+    use crate::enforcement::EnforcementCounters;
 
     #[test]
     fn sharded_report_sums_and_retains_shards() {

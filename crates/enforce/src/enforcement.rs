@@ -33,7 +33,7 @@
 //! same scenario make *identical* per-window admission decisions.
 
 use crate::{reinject_fifo, Admission, CreditGate, PrincipalQueues, RateEstimator};
-use covenant_agreements::{AccessLevels, PrincipalId};
+use covenant_agreements::AccessLevels;
 use covenant_sched::{Plan, Request, SchedulerConfig, WindowScheduler};
 use covenant_tree::DelayedView;
 use serde::{Deserialize, Serialize};
@@ -149,8 +149,9 @@ impl CoordinationView for DelayedCoordination {
 }
 
 /// A point-in-time snapshot of one enforcement core's counters, shaped for
-/// the shared observability payload (`covenant_core::live_counters_json`
-/// mirrors `sim_counters_json` with these fields).
+/// the shared observability payload
+/// (`covenant_core::live_counters_sharded_json` mirrors `sim_counters_json`
+/// with these fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnforcementCounters {
     /// Requests admitted (forwarded to a server).
@@ -272,7 +273,7 @@ impl<V: CoordinationView> EnforcementCore<V> {
     #[cfg(debug_assertions)]
     fn audit_window_start(&mut self) {
         for (i, b) in self.audit.budget.iter_mut().enumerate() {
-            *b = self.gate.credit(PrincipalId(i));
+            *b = self.gate.credit(covenant_agreements::PrincipalId(i));
         }
     }
 
@@ -356,13 +357,6 @@ impl<V: CoordinationView> EnforcementCore<V> {
             lp_warm_hits,
             lp_cold_fallbacks,
         }
-    }
-
-    /// Records an arrival without consulting the gate — for transports
-    /// whose requests always park externally (the explicit L7 scheme),
-    /// where the per-window drain decides release.
-    pub fn note_arrival(&mut self, principal: PrincipalId, cost: f64) {
-        self.arrivals_this_window[principal.0] += cost;
     }
 
     /// Handles an arriving request.
@@ -519,7 +513,7 @@ impl<V: CoordinationView> EnforcementCore<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use covenant_agreements::AgreementGraph;
+    use covenant_agreements::{AgreementGraph, PrincipalId};
 
     /// Server 100 req/s, A [0.2,1], B [0.8,1] — 10 units per 100 ms window.
     fn levels() -> AccessLevels {

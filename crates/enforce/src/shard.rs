@@ -22,8 +22,8 @@ pub struct ShardStats {
     /// wake amortizes its syscalls over.
     batched_verdicts: AtomicU64,
     /// Connections shed with RST at a hard cap (connection table, relay
-    /// table, park overflow, legacy live-thread limit) — work refused
-    /// before it ever reached admission.
+    /// table, park overflow) — work refused before it ever reached
+    /// admission.
     shed: AtomicU64,
     admitted: AtomicU64,
     deferred: AtomicU64,

@@ -8,24 +8,16 @@
 //! SSL-style pairwise sessions survive.
 //!
 //! This crate is the user-space analogue with identical enforcement
-//! semantics: a [`L4Redirector`] accepts connections (one listening port
-//! per principal — the pure Layer-4 way to attribute traffic), consults the
-//! shared [`covenant_coord::AdmissionControl`] at accept time, and either
-//! splices the byte stream to the assigned backend or parks the connection
-//! for a later window. Only the packet-rewriting plumbing differs from the
+//! semantics: a [`ShardedL4`] accepts connections (one listening port per
+//! principal — the pure Layer-4 way to attribute traffic), consults its
+//! shard's [`covenant_coord::ShardCore`] at accept time, and either relays
+//! the byte stream to the assigned backend or parks the connection for a
+//! later window. Only the packet-rewriting plumbing differs from the
 //! kernel module, and that part the paper itself treats as substrate (LVS).
-
-//! Two data planes implement these semantics: the legacy blocking
-//! [`L4Redirector`] (accept threads + a bounded splice-thread pool) and
-//! the thread-per-core [`ShardedL4`] reactor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod proxy;
 mod reactor_proxy;
-mod splice;
 
-pub use proxy::{L4Config, L4Redirector, L4Service};
-pub use reactor_proxy::ShardedL4;
-pub use splice::splice_streams;
+pub use reactor_proxy::{L4Config, L4Service, ShardedL4};

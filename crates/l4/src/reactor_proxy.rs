@@ -1,18 +1,16 @@
 //! Thread-per-core L4 proxy on the readiness reactor.
 //!
-//! [`ShardedL4`] replaces the legacy accept-thread + splice-thread-pair
-//! data plane with N reactor shards. Each shard owns `SO_REUSEPORT`
+//! [`ShardedL4`] runs N reactor shards. Each shard owns `SO_REUSEPORT`
 //! listeners for every fronted service, an epoll instance, a lock-free
 //! [`ShardCore`] for admission, a private affinity map, and a private
 //! parking lot — one thread carries thousands of concurrent relays as
-//! nonblocking state machines instead of two blocking threads each.
+//! nonblocking state machines.
 //!
-//! Semantics match the legacy [`crate::L4Redirector`]: admission is
-//! charged at accept time to the service's principal, deferred
-//! connections park FIFO up to `park_limit` (shed with RST beyond it),
-//! and parked connections reinject through the shared
-//! [`reinject_fifo`] loop right after each window roll — here inside the
-//! shard's own event loop rather than a daemon thread.
+//! Admission is charged at accept time to the service's principal,
+//! deferred connections park FIFO up to `park_limit` (shed with RST beyond
+//! it), and parked connections reinject through the shared
+//! [`reinject_fifo`] loop right after each window roll, inside the shard's
+//! own event loop.
 
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
@@ -29,8 +27,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::L4Config;
-
 /// Epoll token of the shard's wake eventfd.
 const TOKEN_WAKE: u64 = 0;
 /// Service listener tokens start here (one per fronted service).
@@ -41,6 +37,42 @@ const TOKEN_SVC_BASE: u64 = 1;
 const HIGH_WATER: usize = 64 * 1024;
 /// Per-shard cap on live relays; accepts beyond it are shed with RST.
 const MAX_RELAYS: usize = 2048;
+/// Per-shard cap on remembered client IPs. Affinity is best-effort ("to
+/// the extent allowed by the agreements", §4.2), so at the cap the map is
+/// dropped and clients re-pin on their next connection.
+const MAX_AFFINITY: usize = 16 * 1024;
+
+/// One fronted service: connections to this listener are charged to
+/// `principal`.
+#[derive(Debug, Clone)]
+pub struct L4Service {
+    /// The principal whose agreements fund this service's traffic.
+    pub principal: PrincipalId,
+    /// Bind address for the service's virtual IP/port (use port 0 for an
+    /// ephemeral port).
+    pub bind: String,
+}
+
+/// Static configuration of one L4 redirector.
+#[derive(Debug, Clone)]
+pub struct L4Config {
+    /// Fronted services (one listener per principal).
+    pub services: Vec<L4Service>,
+    /// Backend server address per server index (principal id of owner).
+    pub backends: HashMap<usize, SocketAddr>,
+    /// Maximum parked connections per principal (the kernel queue bound);
+    /// connections beyond it are refused (RST analogue).
+    pub park_limit: usize,
+}
+
+/// Records `ip → server`, dropping the whole map first when it has
+/// reached [`MAX_AFFINITY`] distinct clients.
+fn pin_affinity(affinity: &mut HashMap<IpAddr, usize>, ip: IpAddr, server: usize) {
+    if affinity.len() >= MAX_AFFINITY && !affinity.contains_key(&ip) {
+        affinity.clear();
+    }
+    affinity.insert(ip, server);
+}
 
 /// One admitted connection being relayed: a client/backend socket pair
 /// and the pending bytes in each direction.
@@ -68,7 +100,7 @@ enum Pump {
     /// Both directions finished cleanly.
     Done,
     /// I/O error or failed connect: tear down silently (client sees RST
-    /// or EOF, same as the legacy splice path).
+    /// or EOF).
     Dead,
 }
 
@@ -132,6 +164,9 @@ struct ShardRuntime {
     affinity: HashMap<IpAddr, usize>,
     /// Parked client connections per principal, FIFO, shard-private.
     parked: Vec<VecDeque<(TcpStream, SocketAddr)>>,
+    /// Per-principal parked counts, refilled at each roll (the backlog
+    /// hint; reused so a window tick allocates nothing).
+    backlog: Vec<f64>,
     park_limit: usize,
     refused: Arc<AtomicU64>,
     spliced: Arc<AtomicU64>,
@@ -157,11 +192,10 @@ impl ShardRuntime {
             let ticked = match ticker.due(now) {
                 Some(boundary) => {
                     // Publish the parked backlog with the roll, then give
-                    // fresh credit to the FIFO head — the legacy daemon's
-                    // backlog/after_roll hooks, inlined.
-                    let counts: Vec<f64> =
-                        self.parked.iter().map(|q| q.len() as f64).collect();
-                    self.core.roll_window_at(Some(&counts), boundary);
+                    // fresh credit to the FIFO head.
+                    self.backlog.clear();
+                    self.backlog.extend(self.parked.iter().map(|q| q.len() as f64));
+                    self.core.roll_window_at(Some(&self.backlog), boundary);
                     self.drain_parked(boundary, &mut verdicts);
                     true
                 }
@@ -263,7 +297,7 @@ impl ShardRuntime {
             self.stats.record_shed();
             return;
         }
-        self.affinity.insert(peer.ip(), server);
+        pin_affinity(&mut self.affinity, peer.ip(), server);
         let Ok(backend) = connect_nonblocking(backend_addr) else {
             return;
         };
@@ -476,6 +510,7 @@ impl ShardedL4 {
                     backends: cfg.backends.clone(),
                     affinity: HashMap::new(),
                     parked: (0..n_principals).map(|_| VecDeque::new()).collect(),
+                    backlog: Vec::with_capacity(n_principals),
                     park_limit: cfg.park_limit,
                     refused: Arc::clone(&refused),
                     spliced: Arc::clone(&spliced),
@@ -548,7 +583,6 @@ impl Drop for ShardedL4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::L4Service;
     use covenant_agreements::AgreementGraph;
     use covenant_http::{HttpClient, OriginServer, StatusCode};
     use covenant_tree::Topology;
@@ -575,7 +609,6 @@ mod tests {
                 services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
                 backends: [(0, origin.addr())].into(),
                 park_limit: 1024,
-                live_limit: 1024,
             },
             2,
             &g.access_levels(),
@@ -620,7 +653,6 @@ mod tests {
                 ],
                 backends: [(0, origin.addr())].into(),
                 park_limit: 8,
-                live_limit: 1024,
             },
             2,
             &g.access_levels(),
@@ -667,6 +699,72 @@ mod tests {
     }
 
     #[test]
+    fn affinity_pins_client_to_one_backend() {
+        // Two origin servers both entitled to serve A's requests: a single
+        // client (one source IP) must stick to whichever backend it was
+        // first assigned, as long as allocations allow (§4.2's SSL-session
+        // consideration).
+        let mut g = AgreementGraph::new();
+        let s1 = g.add_principal("S1", 100.0);
+        let s2 = g.add_principal("S2", 100.0);
+        let a = g.add_principal("A", 0.0);
+        g.add_agreement(s1, a, 0.5, 1.0).unwrap();
+        g.add_agreement(s2, a, 0.5, 1.0).unwrap();
+
+        let o1 = OriginServer::bind("127.0.0.1:0", 1000.0, 16, Duration::from_secs(1)).unwrap();
+        let o2 = OriginServer::bind("127.0.0.1:0", 1000.0, 16, Duration::from_secs(1)).unwrap();
+        let proxy = ShardedL4::start(
+            L4Config {
+                services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
+                backends: [(0, o1.addr()), (1, o2.addr())].into(),
+                park_limit: 256,
+            },
+            1,
+            &g.access_levels(),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .unwrap();
+        let addr = proxy.service_addr(a).unwrap();
+
+        let client = HttpClient { timeout: Duration::from_millis(500), ..HttpClient::new() };
+        let deadline = Instant::now() + Duration::from_secs(3);
+        let mut completed = 0;
+        while completed < 40 && Instant::now() < deadline {
+            if let Ok(r) = client.get(&format!("http://{addr}/x")) {
+                if r.response.status == StatusCode::OK {
+                    completed += 1;
+                }
+            }
+        }
+        assert!(completed >= 40, "only {completed} completed");
+        let (s1_served, s2_served) = (o1.served(), o2.served());
+        let max = s1_served.max(s2_served);
+        let min = s1_served.min(s2_served);
+        assert!(
+            max >= 38 && min <= 2,
+            "affinity not sticky: backend split {s1_served}/{s2_served}"
+        );
+    }
+
+    #[test]
+    fn affinity_map_is_bounded() {
+        use std::net::Ipv4Addr;
+        let ip = |i: usize| IpAddr::V4(Ipv4Addr::from(i as u32));
+        let mut affinity = HashMap::new();
+        for i in 0..MAX_AFFINITY {
+            pin_affinity(&mut affinity, ip(i), 0);
+        }
+        // At the cap a known client re-pins in place…
+        pin_affinity(&mut affinity, ip(3), 1);
+        assert_eq!((affinity.len(), affinity[&ip(3)]), (MAX_AFFINITY, 1));
+        // …and a new one drops the map instead of growing it.
+        pin_affinity(&mut affinity, ip(MAX_AFFINITY), 0);
+        assert_eq!(affinity.len(), 1);
+        assert_eq!(affinity.get(&ip(MAX_AFFINITY)), Some(&0));
+    }
+
+    #[test]
     fn park_limit_sheds_overflow_per_shard() {
         // Zero-entitlement principal: every connection parks; beyond the
         // limit they are shed with RST.
@@ -678,7 +776,6 @@ mod tests {
                 services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
                 backends: HashMap::new(),
                 park_limit: 2,
-                live_limit: 1024,
             },
             1,
             &g.access_levels(),

@@ -2,7 +2,7 @@
 //!
 //! The redirector sits between clients and the clustered servers. Clients
 //! send every request to the redirector; for each one it consults the
-//! window-scheduled admission control ([`covenant_coord::AdmissionControl`])
+//! window-scheduled admission control ([`covenant_coord::ShardCore`])
 //! and answers with an HTTP `302 Found`:
 //!
 //! * **in quota** → `Location:` the assigned backend server, so the client
@@ -16,17 +16,13 @@
 //! mirroring the paper's "the request URL signifies the service being
 //! requested".
 //!
-//! Two data planes implement this surface: the legacy thread-per-connection
-//! [`L7Redirector`] and the thread-per-core [`ShardedL7`] reactor, which
-//! batches admission verdicts per readiness wake.
+//! One data plane implements this surface: the thread-per-core
+//! [`ShardedL7`] reactor, which batches admission verdicts per readiness
+//! wake.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod explicit;
-mod redirector;
 mod shard;
 
-pub use explicit::L7ExplicitRedirector;
-pub use redirector::{L7Config, L7Redirector};
-pub use shard::ShardedL7;
+pub use shard::{L7Config, ShardedL7};

@@ -1,24 +1,20 @@
 //! Thread-per-core L7 redirector on the readiness reactor.
 //!
-//! [`ShardedL7`] replaces the thread-per-connection [`crate::L7Redirector`]
-//! data plane with N shards, each a single thread owning one `SO_REUSEPORT`
-//! listener, one epoll instance, and one [`ShardCore`] — the enforcement
-//! state machine with no mutex, because nothing else can touch it. The
-//! kernel spreads connections across shards; admission verdicts for every
-//! connection harvested from one readiness wake run back-to-back through
-//! the shard's core (batched, zero locks, zero allocation on the hot path
-//! once buffers warm up). Shards meet only inside the shared
+//! [`ShardedL7`] runs N shards, each a single thread owning one
+//! `SO_REUSEPORT` listener, one epoll instance, and one [`ShardCore`] — the
+//! enforcement state machine with no mutex, because nothing else can touch
+//! it. The kernel spreads connections across shards; admission verdicts for
+//! every connection harvested from one readiness wake run back-to-back
+//! through the shard's core (batched, zero locks, zero allocation on the
+//! hot path once buffers warm up). Shards meet only inside the shared
 //! [`Coordinator`] tree, at window boundaries, exactly like the paper's
 //! distributed redirectors.
 //!
-//! The HTTP surface is deliberately the same as the legacy redirector —
-//! `/org/<name>/…` parsed zero-copy, `302` to a backend when admitted,
-//! `302` to self (implicit queuing) when deferred, `404` for unknown
-//! principals — but the transport is keep-alive HTTP/1.1 with pipelining,
-//! which is what lets a wake carry hundreds of verdicts.
+//! The HTTP surface is `/org/<name>/…` parsed zero-copy, `302` to a
+//! backend when admitted, `302` to self (implicit queuing) when deferred,
+//! `404` for unknown principals; the transport is keep-alive HTTP/1.1 with
+//! pipelining, which is what lets a wake carry hundreds of verdicts.
 
-use crate::redirector::parse_principal;
-use crate::L7Config;
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
 use covenant_enforce::{ShardSnapshot, ShardStats};
@@ -56,6 +52,24 @@ const MAX_CONNS: usize = 4096;
 const RESP_404: &[u8] = b"HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n";
 const RESP_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\ncontent-length: 0\r\n\r\n";
 const RESP_400: &[u8] = b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\nconnection: close\r\n\r\n";
+
+/// Static configuration of one L7 redirector instance.
+#[derive(Debug, Clone)]
+pub struct L7Config {
+    /// Principal names by id — requests for `/org/<name>/…` are charged to
+    /// the principal with that name.
+    pub principal_names: Vec<String>,
+    /// Backend server address per server index (principal id of the
+    /// owner). Servers without capacity need no entry.
+    pub backends: HashMap<usize, SocketAddr>,
+}
+
+/// Extracts the principal from an `/org/<name>/…` path.
+fn parse_principal(path: &str, names: &HashMap<String, usize>) -> Option<usize> {
+    let rest = path.strip_prefix("/org/")?;
+    let name = rest.split('/').next()?;
+    names.get(name).copied()
+}
 
 /// One accepted connection's state machine.
 struct L7Conn {
@@ -556,15 +570,25 @@ mod tests {
         g.access_levels()
     }
 
-    fn cfg(backend: Option<SocketAddr>) -> L7Config {
+    fn cfg(backend: SocketAddr) -> L7Config {
         L7Config {
             principal_names: vec!["S".into(), "A".into(), "B".into()],
-            backends: backend.map(|a| (0usize, a)).into_iter().collect(),
+            backends: [(0, backend)].into(),
         }
     }
 
-    /// The legacy end-to-end enforcement test, against two reactor shards:
-    /// each `get_no_follow` is a fresh connection, so the kernel spreads
+    #[test]
+    fn parse_principal_paths() {
+        let names: HashMap<String, usize> = [("A".into(), 1), ("B".into(), 2)].into();
+        assert_eq!(parse_principal("/org/A/page.html", &names), Some(1));
+        assert_eq!(parse_principal("/org/B/x/y", &names), Some(2));
+        assert_eq!(parse_principal("/org/C/x", &names), None);
+        assert_eq!(parse_principal("/other", &names), None);
+        assert_eq!(parse_principal("/org/A", &names), Some(1));
+    }
+
+    /// End-to-end enforcement against two reactor shards: each
+    /// `get_no_follow` is a fresh connection, so the kernel spreads
     /// the two flooding principals across both shards, and the aggregate
     /// admission ratio must still honor the 3:1 agreement.
     #[test]
@@ -574,7 +598,7 @@ mod tests {
         let backend: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let l7 = ShardedL7::start(
             "127.0.0.1:0",
-            cfg(Some(backend)),
+            cfg(backend),
             2,
             &levels,
             SchedulerConfig::community_default(),
@@ -650,7 +674,7 @@ mod tests {
         let backend: SocketAddr = "127.0.0.1:9".parse().unwrap();
         let l7 = ShardedL7::start(
             "127.0.0.1:0",
-            cfg(Some(backend)),
+            cfg(backend),
             1,
             &levels,
             SchedulerConfig::community_default(),
@@ -704,18 +728,21 @@ mod tests {
     }
 
     /// Framing violations (a body, a garbage request line) answer 400 and
-    /// close; unknown principals answer 404 but keep the connection alive.
+    /// close; unknown principals answer 404 but keep the connection alive;
+    /// a known principal with zero entitlement is implicitly queued — a
+    /// `302` back to the redirector's own address.
     #[test]
     fn protocol_errors_and_unknown_principals() {
-        let levels = shared_origin_levels(100.0, 0.5, 0.5);
-        let coordinator = Coordinator::new(Topology::star(1, 0.0), 0.0);
+        let mut g = AgreementGraph::new();
+        let _s = g.add_principal("S", 100.0);
+        let _a = g.add_principal("A", 0.0); // no agreement: zero entitlement
         let l7 = ShardedL7::start(
             "127.0.0.1:0",
-            cfg(None),
+            L7Config { principal_names: vec!["S".into(), "A".into()], backends: HashMap::new() },
             1,
-            &levels,
+            &g.access_levels(),
             SchedulerConfig::community_default(),
-            coordinator,
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
         )
         .unwrap();
 
@@ -728,6 +755,15 @@ mod tests {
             let n = sock.read(&mut buf).unwrap();
             assert!(buf[..n].starts_with(b"HTTP/1.1 404"), "{:?}", &buf[..n]);
         }
+
+        // Zero quota self-redirects, even after windows have rolled.
+        std::thread::sleep(Duration::from_millis(250));
+        let resp = HttpClient::new()
+            .get_no_follow(&format!("http://{}/org/A/x", l7.addr()))
+            .unwrap();
+        assert_eq!(resp.status, StatusCode::FOUND);
+        let loc = resp.header_value("location").unwrap();
+        assert_eq!(loc, format!("http://{}/org/A/x", l7.addr()), "must self-redirect");
 
         // A request with a body is rejected and the connection closed.
         let mut sock = TcpStream::connect(l7.addr()).unwrap();

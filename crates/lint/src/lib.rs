@@ -8,7 +8,7 @@
 //!
 //! - **R1 `wall-clock`** — no `Instant::now()` / `SystemTime::now()` in
 //!   data-plane crates (`enforce`, `sched`, `l7`, `l4`, `coord`, `http`,
-//!   `wire`, `cluster`, `verify`) outside the clock/daemon allowlist.
+//!   `wire`, `cluster`, `verify`) outside the clock allowlist.
 //!   Data-plane code takes injected time, or the sim/live differential
 //!   replay breaks. The wire transport's `WireClock` carries the only
 //!   sanctioned reads in its crate (per-line pragmas): RTT and
@@ -20,11 +20,6 @@
 //! - **R3 `float-eq`** — no `==` / `!=` with a float-literal operand,
 //!   workspace-wide. Credit and LP-tableau arithmetic must use epsilon
 //!   compares; exact compares belong behind an explicit pragma.
-//! - **R4 `lock-order`** — a static lock-order pass over `tree`, `coord`,
-//!   `l7`, and `l4`: every `.lock()` acquired while another guard is
-//!   lexically live adds an acquired-while-held edge; `// covenant:
-//!   lock-order(A < B)` annotations add the cross-crate edges the lexical
-//!   pass cannot see; any cycle in the combined graph fails the lint.
 //! - **R5 `reactor-blocking`** — no blocking syscall wrappers
 //!   (`.read_to_end(`, `set_nonblocking(false)`, `thread::sleep`) in
 //!   reactor callback paths (`crates/reactor/src/` and the reactor data
@@ -36,12 +31,10 @@
 
 mod diag;
 mod lexer;
-mod lockorder;
 mod rules;
 
 pub use diag::{to_json, Diag, RuleMeta, Severity};
 pub use lexer::{lex, Comment, Lexed, TokKind, Token};
-pub use lockorder::LockOrderAnalysis;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -56,8 +49,6 @@ pub enum Rule {
     NoPanic,
     /// R3: exact float equality.
     FloatEq,
-    /// R4: lock-order cycles.
-    LockOrder,
     /// R5: blocking syscall wrappers in reactor callback paths.
     ReactorBlocking,
 }
@@ -69,17 +60,15 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::NoPanic => "no-panic",
             Rule::FloatEq => "float-eq",
-            Rule::LockOrder => "lock-order",
             Rule::ReactorBlocking => "reactor-blocking",
         }
     }
 
     /// All rules.
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::WallClock,
         Rule::NoPanic,
         Rule::FloatEq,
-        Rule::LockOrder,
         Rule::ReactorBlocking,
     ];
 }
@@ -110,7 +99,6 @@ impl RuleMeta for Rule {
             Rule::WallClock => "wall-clock reads in data-plane code",
             Rule::NoPanic => "panic paths in admission code",
             Rule::FloatEq => "exact float equality",
-            Rule::LockOrder => "lock-order cycles",
             Rule::ReactorBlocking => "blocking calls in reactor callback paths",
         }
     }
@@ -123,19 +111,16 @@ pub type Diagnostic = Diag<Rule>;
 const R1_CRATES: &[&str] =
     &["enforce", "sched", "l7", "l4", "coord", "http", "reactor", "wire", "cluster", "verify"];
 
-/// The clock/daemon allowlist: the files that *are* the clock. The window
-/// daemon turns wall time into ticks; the http clock module anchors the
-/// default wall clock the origin's token bucket takes by injection.
-const R1_ALLOW_FILES: &[&str] = &["crates/coord/src/daemon.rs", "crates/http/src/clock.rs"];
+/// The clock allowlist: the files that *are* the clock. The http clock
+/// module anchors the default wall clock the origin's token bucket takes
+/// by injection.
+const R1_ALLOW_FILES: &[&str] = &["crates/http/src/clock.rs"];
 
 /// Crates on the admission path that must stay panic-free (R2). The
 /// verifier joins the list because `Cluster::launch` runs it on the
 /// admission-control startup path.
 const R2_CRATES: &[&str] =
     &["enforce", "sched", "l7", "l4", "coord", "reactor", "wire", "cluster", "verify"];
-
-/// Crates included in the lock-order pass (R4).
-const R4_CRATES: &[&str] = &["tree", "coord", "l7", "l4"];
 
 /// Reactor callback paths: everything in the reactor crate plus the
 /// shard data planes driven by its event loops (R5). One blocking call
@@ -150,7 +135,6 @@ fn r5_in_scope(rel_path: &str) -> bool {
 #[derive(Default)]
 pub struct Linter {
     diagnostics: Vec<Diagnostic>,
-    lock_order: LockOrderAnalysis,
 }
 
 /// Per-line pragma table for one file.
@@ -215,16 +199,10 @@ impl Linter {
         if r5_in_scope(rel_path) {
             rules::check_reactor_blocking(&lexed.tokens, &mut emit);
         }
-
-        if R4_CRATES.contains(&crate_name) {
-            self.lock_order.add_file(rel_path, &lexed, &skip, &allows);
-        }
     }
 
-    /// Finishes the run: closes the lock-order graph and returns every
-    /// diagnostic, sorted by path and line.
+    /// Finishes the run: returns every diagnostic, sorted by path and line.
     pub fn finish(mut self) -> Vec<Diagnostic> {
-        self.diagnostics.extend(self.lock_order.into_diagnostics());
         self.diagnostics
             .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         self.diagnostics

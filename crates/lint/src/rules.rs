@@ -26,30 +26,6 @@ pub(crate) fn parse_allow_pragma(comment: &str) -> Vec<String> {
         .collect()
 }
 
-/// Parses `covenant: lock-order(a < b < c)` annotations out of one
-/// comment, returning the declared acquired-before pairs (`a<b`, `b<c`).
-pub(crate) fn parse_lock_order_pragma(comment: &str) -> Vec<(String, String)> {
-    let Some(rest) = comment.split("covenant:").nth(1) else {
-        return Vec::new();
-    };
-    let rest = rest.trim_start();
-    let Some(args) = rest.strip_prefix("lock-order") else {
-        return Vec::new();
-    };
-    let (Some(open), Some(close)) = (args.find('('), args.find(')')) else {
-        return Vec::new();
-    };
-    if close < open {
-        return Vec::new();
-    }
-    let names: Vec<String> = args[open + 1..close]
-        .split('<')
-        .map(|n| n.trim().to_string())
-        .filter(|n| !n.is_empty())
-        .collect();
-    names.windows(2).map(|w| (w[0].clone(), w[1].clone())).collect()
-}
-
 /// Line ranges covered by `#[cfg(test)]`-gated items (the linter skips
 /// them). A `#![cfg(test)]` inner attribute marks the whole file.
 pub(crate) fn test_skip_ranges(tokens: &[Token<'_>]) -> Vec<(u32, u32)> {
@@ -327,17 +303,7 @@ mod tests {
             parse_allow_pragma("// covenant: allow(no-panic, float-eq): reason"),
             vec!["no-panic", "float-eq"]
         );
-        assert!(parse_allow_pragma("// covenant: lock-order(a < b)").is_empty());
         assert!(parse_allow_pragma("// plain comment").is_empty());
-    }
-
-    #[test]
-    fn lock_order_pragma_chains() {
-        assert_eq!(
-            parse_lock_order_pragma("// covenant: lock-order(a < b < c)"),
-            vec![("a".into(), "b".into()), ("b".into(), "c".into())]
-        );
-        assert!(parse_lock_order_pragma("// covenant: allow(lock-order)").is_empty());
     }
 
     #[test]

@@ -96,45 +96,6 @@ fn r3_float_eq_clean_incl_tuple_indices() {
 }
 
 #[test]
-fn r4_lock_order_cycle_fires() {
-    let diags = lint_as(
-        "crates/l4/src/fixture.rs",
-        include_str!("fixtures/r4_bad.rs"),
-    );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, Rule::LockOrder);
-    assert!(diags[0].message.contains('a') && diags[0].message.contains('b'), "{diags:?}");
-}
-
-#[test]
-fn r4_lock_order_consistent_is_clean() {
-    let diags = lint_as(
-        "crates/l4/src/fixture.rs",
-        include_str!("fixtures/r4_ok.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn r4_annotation_contradicting_code_fires() {
-    let diags = lint_as(
-        "crates/l4/src/fixture.rs",
-        include_str!("fixtures/r4_pragma_bad.rs"),
-    );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, Rule::LockOrder);
-}
-
-#[test]
-fn r4_out_of_scope_crate_is_exempt() {
-    let diags = lint_as(
-        "crates/http/src/fixture.rs",
-        include_str!("fixtures/r4_bad.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
 fn r5_reactor_blocking_fires() {
     // In the reactor crate itself and in the shard data planes.
     for rel in [
@@ -165,10 +126,10 @@ fn r5_nonblocking_idiom_is_clean() {
 
 #[test]
 fn r5_out_of_scope_file_is_exempt() {
-    // The same blocking calls in the legacy (thread-per-connection) data
-    // planes are their prerogative.
+    // The same blocking calls in the thread-per-connection test servers
+    // are their prerogative.
     let diags = lint_as(
-        "crates/l4/src/proxy.rs",
+        "crates/http/src/server.rs",
         include_str!("fixtures/r5_bad.rs"),
     );
     assert!(

@@ -21,7 +21,7 @@ proptest! {
     }
 
     /// The full rule pipeline survives arbitrary input too (pragma parsing,
-    /// test-skip scanning, lock-order analysis).
+    /// test-skip scanning, every token-level rule).
     #[test]
     fn linter_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let src = String::from_utf8_lossy(&bytes);

@@ -15,9 +15,9 @@
 //! * [`RecvBuf`] / [`SendBuf`] / [`Io`] — nonblocking buffers whose
 //!   partial-read/partial-write outcomes drive explicit per-connection
 //!   state machines;
-//! * [`WindowTicker`] — aligned `k·w` boundary arithmetic with the
-//!   `WindowDaemon`'s stall-skip semantics, so a shard rolls its
-//!   enforcement window on the same schedule the simulator replays;
+//! * [`WindowTicker`] — aligned `k·w` boundary arithmetic with
+//!   stall-skip semantics, so a shard rolls its enforcement window on the
+//!   same schedule the simulator replays;
 //! * [`reuseport_listener`] / [`connect_nonblocking`] /
 //!   [`set_rst_on_close`] — the three socket operations `std::net` cannot
 //!   express, which the sharded accept path needs (`SO_REUSEPORT` fan-in,

@@ -1,10 +1,9 @@
 //! Window-boundary bookkeeping for a reactor loop.
 
 /// Tracks aligned window boundaries `k·w` in the loop's (virtual or
-/// coordinator) clock, mirroring the wall-clock `WindowDaemon`'s stall
-/// recovery: a loop that falls behind skips to the latest elapsed
-/// boundary instead of firing a catch-up burst — quotas are per-window
-/// rates, so replaying missed windows would over-admit.
+/// coordinator) clock. A loop that falls behind skips to the latest
+/// elapsed boundary instead of firing a catch-up burst — quotas are
+/// per-window rates, so replaying missed windows would over-admit.
 #[derive(Debug, Clone)]
 pub struct WindowTicker {
     window: f64,

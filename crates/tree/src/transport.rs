@@ -3,8 +3,7 @@
 //! The enforcement stack talks to the combining tree through a narrow
 //! publish/read surface. [`CoordTransport`] is that surface as a trait, so
 //! the same `Coordinator` (and everything above it — `TreeCoordination`,
-//! `AdmissionControl`, `ShardCore`) runs over three interchangeable
-//! substrates:
+//! `ShardCore`) runs over three interchangeable substrates:
 //!
 //! * [`InProcessTree`] — the zero-cost path: one mutex-guarded state block
 //!   shared by every node's threads, aggregation computed synchronously on

@@ -654,7 +654,8 @@ impl Runtime {
                 if self.cfg.mode == StampMode::Live && !self.cfg.children.is_empty() {
                     // A round left incomplete at the next aligned window
                     // boundary is forced with last-good child values —
-                    // the same grid the WindowDaemon skips along.
+                    // the same grid the shard loops' `WindowTicker` skips
+                    // along.
                     let published_at = Duration::try_from_secs_f64(t.max(0.0))
                         .ok()
                         .map(|d| self.clock.epoch() + d)

@@ -7,7 +7,7 @@
 //! values — bounded staleness, never blocking.
 
 use covenant_agreements::AgreementGraph;
-use covenant_coord::{AdmissionControl, Coordinator};
+use covenant_coord::{Coordinator, ShardCore};
 use covenant_sched::SchedulerConfig;
 use covenant_tree::CoordTransport;
 use covenant_wire::{spawn_local, StampMode, WireNode, WireNodeConfig};
@@ -221,53 +221,45 @@ fn admission_over_the_wire_survives_a_dead_peer() {
     let levels = graph.access_levels();
     let a = covenant_agreements::PrincipalId(1);
 
-    // Two real admission controls, each over its own process-local wire
+    // Two real shard cores, each over its own process-local wire
     // transport — the coordinator adopts the transport's measurement
     // clock, so data-plane stamps and wire arrival stamps share a base.
-    let ctrls: Vec<_> = (0..2)
+    let mut cores: Vec<_> = (0..2)
         .map(|i| {
             let transport: Arc<dyn CoordTransport> = nodes[i].transport();
-            AdmissionControl::new(i, &levels, cfg.clone(), Coordinator::with_transport(transport, 0.0))
+            ShardCore::new(i, &levels, cfg.clone(), Coordinator::with_transport(transport, 0.0))
         })
         .collect();
+    let roll = |core: &mut ShardCore| core.roll_window_at(None, core.coordinator().now());
+    let offer = |core: &mut ShardCore| {
+        let now = core.coordinator().now();
+        (0..3).filter(|_| core.try_admit_at(a, None, now).is_some()).count()
+    };
 
-    let mut admitted_before = 0u64;
+    let mut admitted_before = 0;
     for _ in 0..4 {
-        for ctrl in &ctrls {
-            ctrl.roll_window(None);
-        }
+        cores.iter_mut().for_each(roll);
         std::thread::sleep(window);
-        for _ in 0..3 {
-            if ctrls[0].try_admit(a, None).is_some() {
-                admitted_before += 1;
-            }
-        }
+        admitted_before += offer(&mut cores[0]);
     }
     assert!(admitted_before > 0, "healthy cluster must admit");
     let t0 = nodes[0].transport();
     wait_for("coordinated rounds", Duration::from_secs(5), || t0.completed_rounds() >= 1);
 
-    // Kill the peer process outright (its admission control goes silent).
+    // Kill the peer process outright (its shard core goes silent).
     let dead = nodes.remove(1);
     drop(dead);
-    let ctrl0 = match ctrls.into_iter().next() {
-        Some(c) => c,
-        None => unreachable!(),
-    };
+    cores.truncate(1);
 
     // The survivor keeps rolling windows: rounds force at each boundary
     // with the dead peer's last-good demand, the view keeps advancing,
     // and admission keeps working — one window of staleness, no blocking.
     let completed_at_kill = t0.completed_rounds();
-    let mut admitted_after = 0u64;
+    let mut admitted_after = 0;
     for _ in 0..6 {
-        ctrl0.roll_window(None);
+        roll(&mut cores[0]);
         std::thread::sleep(window + Duration::from_millis(5));
-        for _ in 0..3 {
-            if ctrl0.try_admit(a, None).is_some() {
-                admitted_after += 1;
-            }
-        }
+        admitted_after += offer(&mut cores[0]);
     }
     assert!(admitted_after > 0, "survivor must keep admitting on last-good state");
     assert!(

@@ -13,9 +13,9 @@
 //! ```
 
 use covenant::agreements::{AgreementGraph, PrincipalId};
-use covenant::coord::{AdmissionControl, Coordinator};
+use covenant::coord::Coordinator;
 use covenant::http::{HttpClient, OriginServer, StatusCode};
-use covenant::l7::{L7Config, L7Redirector};
+use covenant::l7::{L7Config, ShardedL7};
 use covenant::sched::SchedulerConfig;
 use covenant::tree::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,19 +35,16 @@ fn main() {
     g.add_agreement(provider, gold, 0.7, 1.0).unwrap();
     g.add_agreement(provider, bronze, 0.1, 1.0).unwrap();
 
-    let ctrl = AdmissionControl::new(
-        0,
-        &g.access_levels(),
-        SchedulerConfig::community_default(),
-        Coordinator::new(Topology::star(1, 0.0), 0.0),
-    );
-    let redirector = L7Redirector::start(
+    let redirector = ShardedL7::start(
         "127.0.0.1:0",
         L7Config {
             principal_names: vec!["provider".into(), "gold".into(), "bronze".into()],
             backends: [(0, origin.addr())].into(),
         },
-        ctrl,
+        1,
+        &g.access_levels(),
+        SchedulerConfig::community_default(),
+        Coordinator::new(Topology::star(1, 0.0), 0.0),
     )
     .expect("start redirector");
     let raddr = redirector.addr();
@@ -84,7 +81,8 @@ fn main() {
 
     let g_done = counters[0].load(Ordering::Relaxed) as f64 / run_secs;
     let b_done = counters[1].load(Ordering::Relaxed) as f64 / run_secs;
-    let (admitted, deferred) = redirector.counters();
+    let counters = redirector.shard_snapshots()[0].counters;
+    let (admitted, deferred) = (counters.admitted, counters.deferred);
     println!("\n== measured over {run_secs:.0}s of overload ==");
     println!("  gold:   {g_done:>6.1} req/s completed  (SLA floor {:.0})", 0.7 * 300.0);
     println!("  bronze: {b_done:>6.1} req/s completed  (SLA floor {:.0})", 0.1 * 300.0);

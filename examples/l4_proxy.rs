@@ -12,9 +12,9 @@
 //! ```
 
 use covenant::agreements::AgreementGraph;
-use covenant::coord::{AdmissionControl, Coordinator};
+use covenant::coord::Coordinator;
 use covenant::http::{HttpClient, OriginServer, StatusCode};
-use covenant::l4::{L4Config, L4Redirector, L4Service};
+use covenant::l4::{L4Config, L4Service, ShardedL4};
 use covenant::sched::SchedulerConfig;
 use covenant::tree::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,13 +32,7 @@ fn main() {
     g.add_agreement(owner, heavy, 0.6, 1.0).unwrap();
     g.add_agreement(owner, light, 0.2, 1.0).unwrap();
 
-    let ctrl = AdmissionControl::new(
-        0,
-        &g.access_levels(),
-        SchedulerConfig::community_default(),
-        Coordinator::new(Topology::star(1, 0.0), 0.0),
-    );
-    let redirector = L4Redirector::start(
+    let redirector = ShardedL4::start(
         L4Config {
             services: vec![
                 L4Service { principal: heavy, bind: "127.0.0.1:0".into() },
@@ -46,9 +40,11 @@ fn main() {
             ],
             backends: [(0, origin.addr())].into(),
             park_limit: 64,
-            live_limit: 1024,
         },
-        ctrl,
+        1,
+        &g.access_levels(),
+        SchedulerConfig::community_default(),
+        Coordinator::new(Topology::star(1, 0.0), 0.0),
     )
     .expect("start L4 redirector");
 

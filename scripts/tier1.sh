@@ -11,13 +11,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test (root package, tier-1)"
-cargo test -q --offline
-
-echo "==> cargo test (workspace)"
+echo "==> cargo test (workspace, includes the root package's tier-1 tests)"
 cargo test -q --offline --workspace
 
-echo "==> covenant-lint --deny all (workspace invariants, R1-R5)"
+echo "==> covenant-lint --deny all (workspace invariants, R1-R3, R5)"
 cargo run -q --offline -p covenant-lint -- --deny all
 
 echo "==> covenant check (spec verifier gate over examples/specs)"

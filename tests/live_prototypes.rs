@@ -2,10 +2,10 @@
 //! agreement graph on loopback, driven through the public umbrella API.
 
 use covenant::agreements::AgreementGraph;
-use covenant::coord::{AdmissionControl, Coordinator};
+use covenant::coord::Coordinator;
 use covenant::http::{HttpClient, OriginServer, StatusCode};
-use covenant::l4::{L4Config, L4Redirector, L4Service};
-use covenant::l7::{L7Config, L7Redirector};
+use covenant::l4::{L4Config, L4Service, ShardedL4};
+use covenant::l7::{L7Config, ShardedL7};
 use covenant::sched::SchedulerConfig;
 use covenant::tree::Topology;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,32 +29,23 @@ fn l7_and_l4_enforce_the_same_agreements() {
     let levels = g.access_levels();
     let origin = OriginServer::bind("127.0.0.1:0", 2000.0, 64, Duration::from_secs(2)).unwrap();
 
-    // Shared coordinator: both redirectors are nodes of one combining tree,
-    // exactly the paper's deployment shape.
+    // Shared coordinator: both redirectors (one shard each) are nodes of
+    // one combining tree, exactly the paper's deployment shape.
     let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
-    let l7_ctrl = AdmissionControl::new(
-        0,
-        &levels,
-        SchedulerConfig::community_default(),
-        coordinator.clone(),
-    );
-    let l4_ctrl = AdmissionControl::new(
-        1,
-        &levels,
-        SchedulerConfig::community_default(),
-        coordinator.clone(),
-    );
-
-    let l7 = L7Redirector::start(
+    let l7 = ShardedL7::start_at(
         "127.0.0.1:0",
         L7Config {
             principal_names: vec!["S".into(), "A".into(), "B".into()],
             backends: [(0, origin.addr())].into(),
         },
-        l7_ctrl,
+        1,
+        &levels,
+        SchedulerConfig::community_default(),
+        coordinator.clone(),
+        0,
     )
     .unwrap();
-    let l4 = L4Redirector::start(
+    let l4 = ShardedL4::start_at(
         L4Config {
             services: vec![L4Service {
                 principal: covenant::agreements::PrincipalId(2),
@@ -62,9 +53,12 @@ fn l7_and_l4_enforce_the_same_agreements() {
             }],
             backends: [(0, origin.addr())].into(),
             park_limit: 256,
-            live_limit: 1024,
         },
-        l4_ctrl,
+        1,
+        &levels,
+        SchedulerConfig::community_default(),
+        coordinator.clone(),
+        1,
     )
     .unwrap();
 

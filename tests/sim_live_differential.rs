@@ -4,10 +4,11 @@
 //!
 //! The simulator runs a Figure-6-style two-redirector overload scenario
 //! with per-arrival decision recording on. The recorded arrival sequence is
-//! then replayed in virtual time against two live [`AdmissionControl`]
-//! instances sharing one [`Coordinator`] tree — the same topology, levels,
-//! and scheduler configuration. Every decision must match the recorded one
-//! exactly (admit/defer *and* assigned server), with tolerance zero.
+//! then replayed in virtual time against two live [`ShardCore`]s — the
+//! state machines the reactor shards own — joined to one [`Coordinator`]
+//! tree with the same topology, levels, and scheduler configuration. Every
+//! decision must match the recorded one exactly (admit/defer *and*
+//! assigned server), with tolerance zero.
 //!
 //! Replay ordering mirrors the engine's event tie-break (window ticks sort
 //! before same-time arrivals): before feeding an arrival at time `t`, every
@@ -17,7 +18,7 @@
 //! identically.
 
 use covenant::agreements::AgreementGraph;
-use covenant::coord::{AdmissionControl, Coordinator, ShardCore};
+use covenant::coord::{Coordinator, ShardCore};
 use covenant::sim::{ArrivalDecision, QueueMode, SimConfig, Simulation};
 use covenant::tree::Topology;
 use covenant::workload::{ClientMachine, PhasedLoad};
@@ -36,8 +37,9 @@ fn fig6_graph() -> AgreementGraph {
     g
 }
 
-/// Runs the simulator scenario and returns its recorded decision trace.
-fn simulate(duration: f64) -> Vec<ArrivalDecision> {
+/// Runs the simulator scenario — with `extra_lag` seconds of injected
+/// staleness on the tree — and returns its recorded decision trace.
+fn simulate(duration: f64, extra_lag: f64) -> Vec<ArrivalDecision> {
     let g = fig6_graph();
     let a = covenant::agreements::PrincipalId(1);
     let b = covenant::agreements::PrincipalId(2);
@@ -45,7 +47,7 @@ fn simulate(duration: f64) -> Vec<ArrivalDecision> {
     // after one second — demand shifts mid-run, so the replay exercises
     // cold start, conservative fallback, EWMA tracking, and contention.
     let cfg = SimConfig::new(g, duration)
-        .with_tree(Topology::star(2, 0.0), 0.0)
+        .with_tree(Topology::star(2, 0.0), extra_lag)
         .with_mode(QueueMode::CreditRetry { retry_delay: 0.05 })
         .client(ClientMachine::uniform(0, a, PhasedLoad::constant(90.0, duration)), 0)
         .client(
@@ -56,19 +58,26 @@ fn simulate(duration: f64) -> Vec<ArrivalDecision> {
     Simulation::new(cfg).run().decisions
 }
 
-/// Replays the trace against live admission controls in virtual time and
-/// returns, per decision, what the live control plane decided.
-fn replay(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
+/// Replays the trace in virtual time against two live [`ShardCore`]s —
+/// node `i` coordinating through `make_coordinator(i)` — and returns, per
+/// decision, what the live control plane decided. `settle(k)` runs after
+/// the `k`-th boundary has rolled on every node: transports that deliver
+/// asynchronously block there until the round has closed everywhere.
+fn replay(
+    decisions: &[ArrivalDecision],
+    duration: f64,
+    make_coordinator: impl Fn(usize) -> Coordinator,
+    mut settle: impl FnMut(u64),
+) -> Vec<Option<usize>> {
     let levels = fig6_graph().access_levels();
     let window = SchedulerConfig::community_default().window_secs;
-    let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
-    let ctrls: Vec<_> = (0..2)
+    let mut shards: Vec<_> = (0..2)
         .map(|node| {
-            AdmissionControl::new(
+            ShardCore::new(
                 node,
                 &levels,
                 SchedulerConfig::community_default(),
-                coordinator.clone(),
+                make_coordinator(node),
             )
         })
         .collect();
@@ -86,47 +95,11 @@ fn replay(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
             if t > d.time || t > duration {
                 break;
             }
-            for ctrl in &ctrls {
-                ctrl.roll_window_at(None, t);
-            }
-            boundary += 1;
-        }
-        assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
-        outcomes.push(ctrls[d.redirector].try_admit(d.principal, None));
-    }
-    outcomes
-}
-
-/// Replays the trace against reactor shard cores — the lock-free
-/// state machines the sharded epoll data planes own one-per-thread —
-/// joined to one coordinator tree exactly as the live shards are.
-fn replay_sharded(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
-    let levels = fig6_graph().access_levels();
-    let window = SchedulerConfig::community_default().window_secs;
-    let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
-    let mut shards: Vec<_> = (0..2)
-        .map(|node| {
-            ShardCore::new(
-                node,
-                &levels,
-                SchedulerConfig::community_default(),
-                coordinator.clone(),
-            )
-        })
-        .collect();
-
-    let mut boundary: u64 = 0;
-    let mut outcomes = Vec::with_capacity(decisions.len());
-    for d in decisions {
-        loop {
-            let t = boundary as f64 * window;
-            if t > d.time || t > duration {
-                break;
-            }
             for shard in shards.iter_mut() {
                 shard.roll_window_at(None, t);
             }
             boundary += 1;
+            settle(boundary);
         }
         assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
         outcomes.push(shards[d.redirector].try_admit_at(d.principal, None, d.time));
@@ -134,16 +107,20 @@ fn replay_sharded(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<us
     outcomes
 }
 
-/// The tentpole acceptance test: every recorded simulator decision —
-/// admit/defer and the assigned server — is reproduced by the live control
-/// plane, with tolerance zero.
-#[test]
-fn live_control_plane_reproduces_simulator_decisions_exactly() {
-    let duration = 3.0;
-    let decisions = simulate(duration);
+/// Replay over the in-process combining tree with `extra_lag` seconds of
+/// injected staleness: both shards share one [`Coordinator`].
+fn replay_in_process(
+    decisions: &[ArrivalDecision],
+    duration: f64,
+    extra_lag: f64,
+) -> Vec<Option<usize>> {
+    let coordinator = Coordinator::new(Topology::star(2, 0.0), extra_lag);
+    replay(decisions, duration, |_| coordinator.clone(), |_| {})
+}
 
-    // The trace must be substantial and actually exercise contention on
-    // both redirectors, otherwise the comparison proves nothing.
+/// Asserts the trace is substantial and exercises contention on both
+/// redirectors, otherwise a comparison against it proves nothing.
+fn assert_trace_exercises_contention(decisions: &[ArrivalDecision]) {
     assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
     for r in 0..2 {
         let on_r = decisions.iter().filter(|d| d.redirector == r);
@@ -157,11 +134,15 @@ fn live_control_plane_reproduces_simulator_decisions_exactly() {
             "redirector {r} deferred nothing (no contention exercised)"
         );
     }
+}
 
-    let live = replay(&decisions, duration);
+/// Asserts every recorded simulator decision — admit/defer and the
+/// assigned server — was reproduced by the live replay, with tolerance
+/// zero; prints the first few divergences otherwise.
+fn assert_no_mismatches(decisions: &[ArrivalDecision], live: &[Option<usize>], medium: &str) {
     assert_eq!(live.len(), decisions.len());
     let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
+    for (i, (d, got)) in decisions.iter().zip(live).enumerate() {
         let want = match d.outcome {
             ArrivalOutcome::Forward { server } => Some(server),
             ArrivalOutcome::Defer => None,
@@ -174,7 +155,7 @@ fn live_control_plane_reproduces_simulator_decisions_exactly() {
             if mismatches <= 5 {
                 eprintln!(
                     "decision {i} at t={:.4} (redirector {}, principal {:?}): \
-                     sim {:?}, live {:?}",
+                     sim {:?}, {medium} {:?}",
                     d.time, d.redirector, d.principal, want, got
                 );
             }
@@ -183,61 +164,51 @@ fn live_control_plane_reproduces_simulator_decisions_exactly() {
     assert_eq!(
         mismatches,
         0,
-        "{mismatches} of {} decisions diverged between sim and live",
+        "{mismatches} of {} decisions diverged between sim and {medium}",
         decisions.len()
     );
 }
 
-/// The sharded data plane's acceptance test: the same trace replayed
-/// through per-shard [`ShardCore`]s (no mutex, one tree leaf per shard)
-/// also reproduces every simulator decision with zero mismatches — the
-/// epoll refactor changed the transport, not the enforcement semantics.
+/// The tentpole acceptance test: the recorded trace replayed through
+/// per-shard [`ShardCore`]s (no mutex, one tree leaf per shard) over the
+/// in-process tree reproduces every simulator decision.
 #[test]
-fn sharded_cores_reproduce_simulator_decisions_exactly() {
+fn live_control_plane_reproduces_simulator_decisions_exactly() {
     let duration = 3.0;
-    let decisions = simulate(duration);
-    assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
-
-    let live = replay_sharded(&decisions, duration);
-    assert_eq!(live.len(), decisions.len());
-    let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
-        let want = match d.outcome {
-            ArrivalOutcome::Forward { server } => Some(server),
-            ArrivalOutcome::Defer => None,
-            ArrivalOutcome::Queued => {
-                panic!("credit-retry scenarios never queue internally: decision {i}")
-            }
-        };
-        if *got != want {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "decision {i} at t={:.4} (shard {}, principal {:?}): \
-                     sim {:?}, sharded {:?}",
-                    d.time, d.redirector, d.principal, want, got
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "{mismatches} of {} decisions diverged between sim and sharded cores",
-        decisions.len()
-    );
+    let decisions = simulate(duration, 0.0);
+    assert_trace_exercises_contention(&decisions);
+    let live = replay_in_process(&decisions, duration, 0.0);
+    assert_no_mismatches(&decisions, &live, "live");
 }
 
-/// Replays the trace through the *wire* transport: every node is a real
-/// socket endpoint with its own epoll runtime thread, connected over
-/// loopback TCP, and the admission controls coordinate through `Up`/`Down`
-/// frames instead of shared memory. Virtual stamping plus a per-boundary
-/// barrier on round completion keeps the replay deterministic: each
-/// boundary's global total is on every node before the next read.
-fn replay_wire(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize>> {
+/// The same scenario with one window of extra lag injected on the tree in
+/// both worlds: every plan is solved on a view two windows stale, and sim
+/// and live must still agree on what that view was.
+#[test]
+fn stale_view_reproduces_simulator_decisions_exactly() {
+    let duration = 3.0;
+    let extra_lag = SchedulerConfig::community_default().window_secs;
+    let decisions = simulate(duration, extra_lag);
+    assert_trace_exercises_contention(&decisions);
+    let live = replay_in_process(&decisions, duration, extra_lag);
+    assert_no_mismatches(&decisions, &live, "live (one window of extra lag)");
+}
+
+/// The wire transport's acceptance test: the same trace replayed over real
+/// loopback sockets — every node a socket endpoint with its own epoll
+/// runtime thread, coordinating through length-prefixed `Up`/`Down` frames
+/// instead of shared memory — still reproduces every simulator decision.
+/// Virtual stamping plus a per-boundary barrier on round completion keeps
+/// the replay deterministic: each boundary's global total is on every node
+/// before the next read. Only the medium changes.
+#[test]
+fn wire_transport_reproduces_simulator_decisions_exactly() {
     use std::time::{Duration, Instant};
 
-    let levels = fig6_graph().access_levels();
+    let duration = 3.0;
+    let decisions = simulate(duration, 0.0);
+    assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
+
     let window = SchedulerConfig::community_default().window_secs;
     let nodes = covenant::wire::spawn_local(
         &[None, Some(0)],
@@ -247,33 +218,13 @@ fn replay_wire(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize
     )
     .expect("spawn loopback wire tree");
     let transports: Vec<_> = nodes.iter().map(|n| n.transport()).collect();
-    let ctrls: Vec<_> = (0..2)
-        .map(|node| {
-            let transport: std::sync::Arc<dyn covenant::tree::CoordTransport> =
-                transports[node].clone();
-            AdmissionControl::new(
-                node,
-                &levels,
-                SchedulerConfig::community_default(),
-                Coordinator::with_transport(transport, 0.0),
-            )
-        })
-        .collect();
-
-    let mut boundary: u64 = 0;
-    let mut outcomes = Vec::with_capacity(decisions.len());
-    for d in decisions {
-        loop {
-            let t = boundary as f64 * window;
-            if t > d.time || t > duration {
-                break;
-            }
-            for ctrl in &ctrls {
-                ctrl.roll_window_at(None, t);
-            }
-            boundary += 1;
-            // Barrier: the round published at this boundary must close on
-            // every node (its Down must arrive) before anyone reads again.
+    let live = replay(
+        &decisions,
+        duration,
+        |node| Coordinator::with_transport(transports[node].clone(), 0.0),
+        // Barrier: the round published at this boundary must close on
+        // every node (its Down must arrive) before anyone reads again.
+        |boundary| {
             let deadline = Instant::now() + Duration::from_secs(10);
             for tp in &transports {
                 while tp.completed_rounds() < boundary {
@@ -281,52 +232,9 @@ fn replay_wire(decisions: &[ArrivalDecision], duration: f64) -> Vec<Option<usize
                     std::thread::yield_now();
                 }
             }
-        }
-        assert_eq!(d.cost, 1.0, "replay assumes unit-cost arrivals");
-        outcomes.push(ctrls[d.redirector].try_admit(d.principal, None));
-    }
-    outcomes
-}
-
-/// The wire transport's acceptance test: the same trace replayed over real
-/// loopback sockets — length-prefixed frames, per-node epoll runtimes —
-/// still reproduces every simulator decision with zero mismatches. All
-/// three transports (in-process, sharded cores, wire) are decision-
-/// equivalent; only the medium changes.
-#[test]
-fn wire_transport_reproduces_simulator_decisions_exactly() {
-    let duration = 3.0;
-    let decisions = simulate(duration);
-    assert!(decisions.len() > 300, "thin trace: {}", decisions.len());
-
-    let live = replay_wire(&decisions, duration);
-    assert_eq!(live.len(), decisions.len());
-    let mut mismatches = 0;
-    for (i, (d, got)) in decisions.iter().zip(&live).enumerate() {
-        let want = match d.outcome {
-            ArrivalOutcome::Forward { server } => Some(server),
-            ArrivalOutcome::Defer => None,
-            ArrivalOutcome::Queued => {
-                panic!("credit-retry scenarios never queue internally: decision {i}")
-            }
-        };
-        if *got != want {
-            mismatches += 1;
-            if mismatches <= 5 {
-                eprintln!(
-                    "decision {i} at t={:.4} (node {}, principal {:?}): \
-                     sim {:?}, wire {:?}",
-                    d.time, d.redirector, d.principal, want, got
-                );
-            }
-        }
-    }
-    assert_eq!(
-        mismatches,
-        0,
-        "{mismatches} of {} decisions diverged between sim and the wire transport",
-        decisions.len()
+        },
     );
+    assert_no_mismatches(&decisions, &live, "the wire transport");
 }
 
 /// The replay itself is deterministic: running it twice against fresh live
@@ -335,7 +243,10 @@ fn wire_transport_reproduces_simulator_decisions_exactly() {
 #[test]
 fn live_replay_is_deterministic() {
     let duration = 1.5;
-    let decisions = simulate(duration);
+    let decisions = simulate(duration, 0.0);
     assert!(!decisions.is_empty());
-    assert_eq!(replay(&decisions, duration), replay(&decisions, duration));
+    assert_eq!(
+        replay_in_process(&decisions, duration, 0.0),
+        replay_in_process(&decisions, duration, 0.0)
+    );
 }
