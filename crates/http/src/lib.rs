@@ -30,8 +30,8 @@ pub use client::{FetchResult, HttpClient};
 pub use clock::{wall_clock, ClockFn};
 pub use error::HttpError;
 pub use message::{
-    header_block_end, parse_request_head, HttpRequest, HttpResponse, Method, RequestHead,
-    StatusCode,
+    header_block_end, parse_request_head, scan_request_head, HttpRequest, HttpResponse, Method,
+    RequestHead, StatusCode,
 };
 pub use origin::{OriginServer, TokenBucket};
 pub use server::{handler, Handler, HttpServer};

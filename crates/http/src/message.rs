@@ -29,11 +29,11 @@ impl Method {
         }
     }
 
-    fn parse(s: &str) -> Result<Self, HttpError> {
+    fn parse(s: &[u8]) -> Result<Self, HttpError> {
         match s {
-            "GET" => Ok(Method::Get),
-            "HEAD" => Ok(Method::Head),
-            "POST" => Ok(Method::Post),
+            b"GET" => Ok(Method::Get),
+            b"HEAD" => Ok(Method::Head),
+            b"POST" => Ok(Method::Post),
             _ => Err(HttpError::Malformed("unsupported method")),
         }
     }
@@ -111,7 +111,8 @@ impl HttpRequest {
     pub fn read_from<R: BufRead>(r: &mut R) -> Result<Self, HttpError> {
         let start = read_line(r)?;
         let mut parts = start.split_whitespace();
-        let method = Method::parse(parts.next().ok_or(HttpError::Malformed("empty request line"))?)?;
+        let method = parts.next().ok_or(HttpError::Malformed("empty request line"))?;
+        let method = Method::parse(method.as_bytes())?;
         let path = parts
             .next()
             .ok_or(HttpError::Malformed("missing request target"))?
@@ -239,6 +240,73 @@ pub struct RequestHead<'a> {
     pub close: bool,
     /// Declared `Content-Length` (0 when absent).
     pub content_length: usize,
+    /// A `Transfer-Encoding` header is present: a body follows whose extent
+    /// `content_length` does not give.
+    pub transfer_encoding: bool,
+}
+
+impl RequestHead<'_> {
+    /// The bytes after the head belong to this request, not to the next.
+    pub fn has_body(&self) -> bool {
+        self.content_length != 0 || self.transfer_encoding
+    }
+}
+
+const LOW: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The positions, from `from` on and in order, of the bytes of `buf` that
+/// are `wanted`, eight bytes at a time: `flag` sets the high bit of the
+/// lane of every byte that may be.
+#[inline]
+fn positions<'a>(
+    buf: &'a [u8],
+    from: usize,
+    flag: impl Fn(u64) -> u64 + 'a,
+    wanted: impl Fn(u8) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    // `at` is where the next word starts; `marks` are those of the word
+    // before it that have not been looked at yet.
+    let (mut at, mut marks) = (from, 0u64);
+    std::iter::from_fn(move || loop {
+        while marks != 0 {
+            let i = at - 8 + (marks.trailing_zeros() / 8) as usize;
+            marks &= marks - 1;
+            if buf.get(i).is_some_and(|&b| wanted(b)) {
+                return Some(i);
+            }
+        }
+        let rest = buf.get(at..).filter(|rest| !rest.is_empty())?;
+        marks = flag(match rest.first_chunk::<8>() {
+            Some(word) => u64::from_le_bytes(*word),
+            // The last few bytes, under lanes of a byte nobody looks for.
+            None => rest.iter().rev().fold(!0, |word, &b| word << 8 | b as u64),
+        });
+        at += 8;
+    })
+}
+
+/// Positions of `\r`.
+#[inline]
+fn carriage_returns(buf: &[u8], from: usize) -> impl Iterator<Item = usize> + '_ {
+    // Zero-byte test on `word ^ "\r\r…"`.
+    let flag = |word: u64| {
+        let x = word ^ (LOW * b'\r' as u64);
+        x.wrapping_sub(LOW) & !x & HIGH
+    };
+    positions(buf, from, flag, |b| b == b'\r')
+}
+
+/// What `str::split_whitespace` splits on, within ASCII.
+fn is_space(b: u8) -> bool {
+    b == b' ' || (9..=13).contains(&b)
+}
+
+/// Positions of whitespace.
+#[inline]
+fn spaces(buf: &[u8], from: usize) -> impl Iterator<Item = usize> + '_ {
+    // Bytes up to the space: whitespace and the other control bytes.
+    positions(buf, from, |word| word.wrapping_sub(LOW * 0x21) & !word & HIGH, is_space)
 }
 
 /// Finds the end of the first complete header block (one past the
@@ -247,52 +315,146 @@ pub struct RequestHead<'a> {
 /// Rescans up to 3 bytes before `from` to catch a terminator split across
 /// fills.
 pub fn header_block_end(buf: &[u8], from: usize) -> Option<usize> {
-    let start = from.saturating_sub(3);
-    buf.get(start..)?
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|pos| start + pos + 4)
+    carriage_returns(buf, from.saturating_sub(3))
+        .find(|&at| buf.get(at..).is_some_and(|rest| rest.starts_with(b"\r\n\r\n")))
+        .map(|at| at + 4)
 }
 
-/// Parses one complete header block (through its `\r\n\r\n`) without
-/// copying. Malformed heads are errors — a reactor shard answers 400 and
-/// closes rather than guessing.
-pub fn parse_request_head(head: &[u8]) -> Result<RequestHead<'_>, HttpError> {
-    if head.len() > MAX_HEADER_BYTES {
-        return Err(HttpError::TooLarge);
+/// A request line's first three whitespace-delimited tokens; an absent one
+/// is empty.
+fn parse_request_line<'a>(
+    [method, target, version]: [&'a [u8]; 3],
+) -> Result<RequestHead<'a>, HttpError> {
+    if method.is_empty() {
+        return Err(HttpError::Malformed("empty request line"));
     }
-    let text = std::str::from_utf8(head).map_err(|_| HttpError::Malformed("non-UTF8 head"))?;
-    let mut lines = text.split("\r\n");
-    let start = lines.next().ok_or(HttpError::Malformed("empty head"))?;
-    let mut parts = start.split_whitespace();
-    let method = Method::parse(parts.next().ok_or(HttpError::Malformed("empty request line"))?)?;
-    let path = parts.next().ok_or(HttpError::Malformed("missing request target"))?;
-    let version = parts.next().ok_or(HttpError::Malformed("missing version"))?;
-    if !version.starts_with("HTTP/1.") {
+    let method = Method::parse(method)?;
+    if target.is_empty() {
+        return Err(HttpError::Malformed("missing request target"));
+    }
+    if version.first_chunk() != Some(b"HTTP/1.") {
         return Err(HttpError::Malformed("unsupported HTTP version"));
     }
-    let mut close = version == "HTTP/1.0";
-    let mut content_length = 0usize;
-    for line in lines {
+    let path = std::str::from_utf8(target).map_err(|_| HttpError::Malformed("non-UTF8 target"))?;
+    Ok(RequestHead {
+        method,
+        path,
+        close: version == b"HTTP/1.0",
+        content_length: 0,
+        transfer_encoding: false,
+    })
+}
+
+/// Folds one header line into `head`; `declared` is the `Content-Length`
+/// seen so far.
+fn parse_header(
+    line: &[u8],
+    head: &mut RequestHead<'_>,
+    declared: &mut Option<usize>,
+) -> Result<(), HttpError> {
+    let colon = line.iter().position(|&b| b == b':');
+    let Some((name, value)) = colon.and_then(|at| Some((line.get(..at)?, line.get(at + 1..)?)))
+    else {
+        return Err(HttpError::Malformed("header without colon"));
+    };
+    let value = || std::str::from_utf8(value).unwrap_or("").trim();
+    if name.eq_ignore_ascii_case(b"connection") {
+        head.close = value().eq_ignore_ascii_case("close");
+    } else if name.eq_ignore_ascii_case(b"content-length") {
+        let n = value().parse().map_err(|_| HttpError::Malformed("bad content-length"))?;
+        // Two lengths that disagree are two framings of one stream.
+        if declared.replace(n).is_some_and(|earlier| earlier != n) {
+            return Err(HttpError::Malformed("conflicting content-length"));
+        }
+        head.content_length = n;
+    } else if name.eq_ignore_ascii_case(b"transfer-encoding") {
+        head.transfer_encoding = true;
+    }
+    Ok(())
+}
+
+/// One pass over the front of `buf`: request line, then header lines
+/// through the blank one. The head and its length, or `Ok(None)` when the
+/// buffer ends first.
+fn parse_lines(buf: &[u8]) -> Result<Option<(RequestHead<'_>, usize)>, HttpError> {
+    // The request line's tokens lie between its whitespace, up to the first
+    // `\r\n` (a bare `\r` is whitespace like any other).
+    let mut tokens = [&[][..]; 3];
+    let (mut found, mut start, mut pos) = (0, 0, None);
+    for at in spaces(buf, 0) {
+        if at > start {
+            if let Some(slot) = tokens.get_mut(found) {
+                *slot = buf.get(start..at).unwrap_or(&[]);
+            }
+            found += 1;
+        }
+        start = at + 1;
+        if buf.get(at..).is_some_and(|rest| rest.starts_with(b"\r\n")) {
+            pos = Some(at + 2);
+            break;
+        }
+    }
+    let Some(mut pos) = pos else { return Ok(None) };
+    let mut head = parse_request_line(tokens)?;
+    let mut declared = None;
+    // Header lines end at a `\r\n`; a bare `\r` stays inside its line.
+    let mut ends = carriage_returns(buf, pos).filter(|&at| buf.get(at + 1) == Some(&b'\n'));
+    loop {
+        let Some(end) = ends.next() else { return Ok(None) };
+        let line = buf.get(pos..end).unwrap_or(&[]);
+        pos = end + 2;
         if line.is_empty() {
             break;
         }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::Malformed("header without colon"));
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("connection") {
-            close = value.eq_ignore_ascii_case("close");
-        } else if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::Malformed("bad content-length"))?;
-        }
+        parse_header(line, &mut head, &mut declared)?;
     }
-    if content_length > MAX_BODY_BYTES {
+    if head.content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge);
     }
-    Ok(RequestHead { method, path, close, content_length })
+    Ok(Some((head, pos)))
+}
+
+/// Scans the front of a receive buffer for one request head in a single
+/// pass: method, target, `HTTP/1.x`, the three headers a redirector acts
+/// on (`connection`, `content-length`, `transfer-encoding`) and the blank
+/// line. Returns the head and its length through the `\r\n\r\n`, or
+/// `Ok(None)` while the head is incomplete; `from` is the caller's resume
+/// cursor, as for [`header_block_end`]. Only the target is decoded, so
+/// other bytes need not be UTF-8. Malformed heads are errors — a reactor
+/// shard answers 400 and closes rather than guessing — but only once
+/// complete, so the answer does not depend on how reads split the bytes.
+pub fn scan_request_head(
+    buf: &[u8],
+    from: usize,
+) -> Result<Option<(RequestHead<'_>, usize)>, HttpError> {
+    // New bytes without a terminator cannot complete the head: one that
+    // dribbles in is walked once, not once per fill.
+    if from > 0 && header_block_end(buf, from).is_none() {
+        return Ok(None);
+    }
+    let parsed = parse_lines(buf);
+    let end = match parsed {
+        Ok(Some((_, end))) => end,
+        Ok(None) => return Ok(None),
+        Err(_) => match header_block_end(buf, 0) {
+            Some(end) => end,
+            None => return Ok(None),
+        },
+    };
+    if end > MAX_HEADER_BYTES {
+        return Err(HttpError::TooLarge);
+    }
+    parsed
+}
+
+/// Parses one complete header block (through its `\r\n\r\n`) without
+/// copying: [`scan_request_head`] for a caller that already knows where
+/// the block ends.
+pub fn parse_request_head(head: &[u8]) -> Result<RequestHead<'_>, HttpError> {
+    match scan_request_head(head, 0)? {
+        Some((head, _)) => Ok(head),
+        None => Err(HttpError::Malformed("unterminated head")),
+    }
 }
 
 fn read_line<R: BufRead>(r: &mut R) -> Result<String, HttpError> {

@@ -12,13 +12,14 @@
 //!
 //! The HTTP surface is `/org/<name>/…` parsed zero-copy, `302` to a
 //! backend when admitted, `302` to self (implicit queuing) when deferred,
-//! `404` for unknown principals; the transport is keep-alive HTTP/1.1 with
+//! `404` for unknown principals, `400` and close for a request with a body
+//! or a head it cannot frame; the transport is keep-alive HTTP/1.1 with
 //! pipelining, which is what lets a wake carry hundreds of verdicts.
 
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
 use covenant_enforce::{ShardSnapshot, ShardStats};
-use covenant_http::{header_block_end, parse_request_head};
+use covenant_http::scan_request_head;
 use covenant_reactor::{
     reuseport_listener, set_rst_on_close, Epoll, Event, Interest, Io, RecvBuf, SendBuf, Slab,
     WakeFd, WakeHandle, WindowTicker,
@@ -52,6 +53,8 @@ const MAX_CONNS: usize = 4096;
 const RESP_404: &[u8] = b"HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n";
 const RESP_503: &[u8] = b"HTTP/1.1 503 Service Unavailable\r\ncontent-length: 0\r\n\r\n";
 const RESP_400: &[u8] = b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\nconnection: close\r\n\r\n";
+/// What follows the echoed request target in a `302`.
+const REDIRECT_TAIL: &[u8] = b"\r\ncontent-length: 0\r\n\r\n";
 
 /// Static configuration of one L7 redirector instance.
 #[derive(Debug, Clone)]
@@ -64,11 +67,36 @@ pub struct L7Config {
     pub backends: HashMap<usize, SocketAddr>,
 }
 
-/// Extracts the principal from an `/org/<name>/…` path.
-fn parse_principal(path: &str, names: &HashMap<String, usize>) -> Option<usize> {
-    let rest = path.strip_prefix("/org/")?;
-    let name = rest.split('/').next()?;
-    names.get(name).copied()
+/// Principal ids by name: the names as bytes, sorted, so a request's
+/// `/org/<name>/…` resolves by binary search straight off the receive
+/// buffer.
+#[derive(Clone)]
+struct NameTable(Vec<(Box<[u8]>, usize)>);
+
+impl NameTable {
+    /// Rejects names no request can carry as exactly one path segment
+    /// (empty, or containing `/`) and names that occur twice.
+    fn new(names: &[String]) -> io::Result<NameTable> {
+        let mut table: Vec<(Box<[u8]>, usize)> =
+            names.iter().enumerate().map(|(id, name)| (name.as_bytes().into(), id)).collect();
+        table.sort();
+        let bad = table.iter().any(|(name, _)| name.is_empty() || name.contains(&b'/'))
+            || table.windows(2).any(|pair| matches!(pair, [a, b] if a.0 == b.0));
+        if bad {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "principal names must be distinct, non-empty and free of '/'",
+            ));
+        }
+        Ok(NameTable(table))
+    }
+
+    /// The principal an `/org/<name>/…` path is charged to.
+    fn principal_of(&self, path: &[u8]) -> Option<usize> {
+        let name = path.strip_prefix(b"/org/")?.split(|&b| b == b'/').next()?;
+        let at = self.0.binary_search_by(|(known, _)| (**known).cmp(name)).ok()?;
+        self.0.get(at).map(|&(_, id)| id)
+    }
 }
 
 /// One accepted connection's state machine.
@@ -98,37 +126,13 @@ struct ShardRuntime {
     stats: Arc<ShardStats>,
     shed: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
-    names: HashMap<String, usize>,
-    /// `302` response prefix (through `location: http://<addr>`) per
-    /// backend server index; the request path and a fixed suffix complete
-    /// the response without formatting machinery.
-    backend_prefix: HashMap<usize, Vec<u8>>,
+    names: NameTable,
+    /// `302` response prefix (through `location: http://<addr>`) by
+    /// backend server index; the request target and [`REDIRECT_TAIL`]
+    /// complete the response without formatting machinery.
+    backend_prefix: Vec<Option<Box<[u8]>>>,
     /// `302` prefix redirecting to this instance (implicit queuing).
-    self_prefix: Vec<u8>,
-    /// Response under construction (reused; avoids per-request allocs).
-    scratch: Vec<u8>,
-}
-
-/// Outcome of inspecting the receive buffer for one request.
-enum Parse {
-    /// No complete head yet (or the connection is already closing).
-    Wait,
-    /// Head overflowed `RECV_LIMIT` without terminating: `400` + close.
-    Overflow,
-    /// A response for one parsed request is staged in `scratch`.
-    Respond { consumed: usize, close: bool },
-}
-
-fn fill_redirect(scratch: &mut Vec<u8>, prefix: &[u8], path: &[u8]) {
-    scratch.clear();
-    scratch.extend_from_slice(prefix);
-    scratch.extend_from_slice(path);
-    scratch.extend_from_slice(b"\r\ncontent-length: 0\r\n\r\n");
-}
-
-fn fill_static(scratch: &mut Vec<u8>, resp: &[u8]) {
-    scratch.clear();
-    scratch.extend_from_slice(resp);
+    self_prefix: Box<[u8]>,
 }
 
 impl ShardRuntime {
@@ -227,169 +231,112 @@ impl ShardRuntime {
             self.teardown(key);
             return;
         }
-        if ev.readable || ev.closed {
-            let mut eof = false;
-            let mut dead = false;
-            match self.conns.get_mut(key) {
-                Some(conn) => {
-                    while !(conn.close_after_flush || conn.read_closed) {
-                        match conn.recv.fill_from(&mut conn.stream) {
-                            Ok(Io::Progress(_)) => {}
-                            Ok(Io::WouldBlock) => break,
-                            Ok(Io::Eof) => {
-                                eof = true;
-                                break;
-                            }
-                            Err(_) => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                        if conn.recv.is_full() {
-                            break;
-                        }
-                    }
-                }
-                None => return,
-            }
-            if dead {
-                self.teardown(key);
-                return;
-            }
-            self.process_requests(key, now, verdicts);
-            if eof {
-                if let Some(conn) = self.conns.get_mut(key) {
-                    conn.read_closed = true;
+        let Some(conn) = self.conns.get_mut(key) else { return };
+        if (ev.readable || ev.closed) && !(conn.close_after_flush || conn.read_closed) {
+            match conn.recv.drain_from(&mut conn.stream) {
+                Ok(Io::Eof) => conn.read_closed = true,
+                Ok(Io::Progress(_) | Io::WouldBlock) => {}
+                Err(_) => {
+                    self.teardown(key);
+                    return;
                 }
             }
         }
-        self.flush_and_update(key);
+        // Answer, flush — and answer again whenever the flush takes a
+        // connection that stopped at the watermark back under it: its
+        // remaining requests are already buffered, so no readable event
+        // will come for them.
+        while self.process_requests(key, now, verdicts) && self.flush_and_update(key) {}
     }
 
     /// Parses and answers every complete pipelined request currently
-    /// buffered — the per-wake verdict batch.
-    fn process_requests(&mut self, key: usize, now: f64, verdicts: &mut u64) {
-        loop {
-            let step = {
-                let Some(conn) = self.conns.get(key) else { return };
-                if conn.close_after_flush {
-                    Parse::Wait
-                } else {
-                    let data = conn.recv.data();
-                    match header_block_end(data, conn.scan) {
-                        None if conn.recv.is_full() => Parse::Overflow,
-                        None => Parse::Wait,
-                        Some(end) => match data.get(..end).map(parse_request_head) {
-                            Some(Ok(head)) if head.content_length == 0 => {
-                                match parse_principal(head.path, &self.names) {
-                                    None => fill_static(&mut self.scratch, RESP_404),
-                                    Some(p) => {
-                                        *verdicts += 1;
-                                        match self.core.try_admit_at(PrincipalId(p), None, now) {
-                                            Some(server) => match self.backend_prefix.get(&server)
-                                            {
-                                                Some(prefix) => fill_redirect(
-                                                    &mut self.scratch,
-                                                    prefix,
-                                                    head.path.as_bytes(),
-                                                ),
-                                                None => fill_static(&mut self.scratch, RESP_503),
-                                            },
-                                            None => fill_redirect(
-                                                &mut self.scratch,
-                                                &self.self_prefix,
-                                                head.path.as_bytes(),
-                                            ),
-                                        }
-                                    }
-                                }
-                                Parse::Respond { consumed: end, close: head.close }
-                            }
-                            // Bodies are outside the redirector's protocol;
-                            // parse failures poison framing. Both close.
-                            Some(_) | None => Parse::Overflow,
+    /// buffered — the per-wake verdict batch — into the send queue, up to
+    /// the high-watermark (pipelining backpressure). False when the
+    /// connection is gone.
+    fn process_requests(&mut self, key: usize, now: f64, verdicts: &mut u64) -> bool {
+        let Some(conn) = self.conns.get_mut(key) else { return false };
+        // A `302` echoes its request's target, so a batch's responses are
+        // about as long as its requests: grow once, not once per doubling.
+        conn.send.reserve(conn.recv.len());
+        while !conn.close_after_flush && conn.send.len() < HIGH_WATER {
+            let data = conn.recv.data();
+            let (head, end) = match scan_request_head(data, conn.scan) {
+                Ok(Some((head, end))) if !head.has_body() => (head, end),
+                Ok(None) if !conn.recv.is_full() => {
+                    conn.scan = data.len();
+                    break;
+                }
+                // A head that fills the buffer unterminated, a body (outside
+                // the redirector's protocol), a parse failure: framing is
+                // no longer trustworthy.
+                _ => {
+                    conn.send.push(RESP_400);
+                    conn.close_after_flush = true;
+                    break;
+                }
+            };
+            let path = head.path.as_bytes();
+            let prefix = match self.names.principal_of(path) {
+                None => Err(RESP_404),
+                Some(p) => {
+                    *verdicts += 1;
+                    match self.core.try_admit_at(PrincipalId(p), None, now) {
+                        Some(server) => match self.backend_prefix.get(server) {
+                            Some(Some(prefix)) => Ok(&**prefix),
+                            _ => Err(RESP_503),
                         },
+                        None => Ok(&*self.self_prefix),
                     }
                 }
             };
-            match step {
-                Parse::Wait => {
-                    if let Some(conn) = self.conns.get_mut(key) {
-                        conn.scan = conn.recv.len();
-                    }
-                    return;
+            match prefix {
+                Ok(prefix) => {
+                    conn.send.push(prefix);
+                    conn.send.push(path);
+                    conn.send.push(REDIRECT_TAIL);
                 }
-                Parse::Overflow => {
-                    if let Some(conn) = self.conns.get_mut(key) {
-                        conn.send.push(RESP_400);
-                        conn.close_after_flush = true;
-                    }
-                    return;
-                }
-                Parse::Respond { consumed, close } => {
-                    let Some(conn) = self.conns.get_mut(key) else { return };
-                    conn.send.push(&self.scratch);
-                    conn.recv.consume(consumed);
-                    conn.scan = 0;
-                    if close {
-                        conn.close_after_flush = true;
-                        return;
-                    }
-                    // Backpressure: past the high-watermark stop answering
-                    // until the peer drains responses.
-                    if conn.send.len() >= HIGH_WATER {
-                        return;
-                    }
-                }
+                Err(canned) => conn.send.push(canned),
             }
+            conn.close_after_flush = head.close;
+            conn.recv.consume(end);
+            conn.scan = 0;
         }
+        true
     }
 
     /// Flushes opportunistically, then reconciles epoll interest with the
     /// connection's state; tears down once a closing connection drains.
-    fn flush_and_update(&mut self, key: usize) {
-        let mut gone = false;
-        let mut want = Interest::NONE;
-        let mut cur = Interest::NONE;
-        match self.conns.get_mut(key) {
-            None => return,
-            Some(conn) => {
-                if !conn.send.is_empty() && conn.send.flush_into(&mut conn.stream).is_err() {
-                    gone = true;
-                }
-                if !gone {
-                    let drained = conn.send.is_empty();
-                    if (conn.close_after_flush || conn.read_closed) && drained {
-                        gone = true;
-                    } else {
-                        let paused = conn.send.len() >= HIGH_WATER;
-                        if !(conn.close_after_flush || conn.read_closed || paused) {
-                            want = want | Interest::READ;
-                        }
-                        if !drained {
-                            want = want | Interest::WRITE;
-                        }
-                        cur = conn.interest;
-                    }
-                }
+    /// True when the connection lives on with requests it has not answered
+    /// for want of room in the send queue, and now has that room.
+    fn flush_and_update(&mut self, key: usize) -> bool {
+        let Some(conn) = self.conns.get_mut(key) else { return false };
+        let was_paused = conn.send.len() >= HIGH_WATER;
+        let mut gone = !conn.send.is_empty() && conn.send.flush_into(&mut conn.stream).is_err();
+        let drained = conn.send.is_empty();
+        let paused = conn.send.len() >= HIGH_WATER;
+        let closing = conn.close_after_flush || conn.read_closed;
+        let resume = was_paused && !paused;
+        gone |= closing && drained && !resume;
+        if !gone {
+            let mut want = Interest::NONE;
+            if !(closing || paused) {
+                want = want | Interest::READ;
             }
-        }
-        if gone {
-            self.teardown(key);
-            return;
-        }
-        if want != cur {
-            if let Some(conn) = self.conns.get_mut(key) {
+            if !drained {
+                want = want | Interest::WRITE;
+            }
+            if want != conn.interest {
                 if self.epoll.modify(&conn.stream, key as u64 + TOKEN_CONN_BASE, want).is_ok() {
                     conn.interest = want;
                 } else {
                     gone = true;
                 }
             }
-            if gone {
-                self.teardown(key);
-            }
         }
+        if gone {
+            self.teardown(key);
+        }
+        !gone && resume
     }
 
     fn teardown(&mut self, key: usize) {
@@ -442,6 +389,7 @@ impl ShardedL7 {
         base_node: usize,
     ) -> io::Result<ShardedL7> {
         let shards = shards.max(1);
+        let names = NameTable::new(&cfg.principal_names)?;
         let requested: SocketAddr = bind
             .parse()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
@@ -453,20 +401,18 @@ impl ShardedL7 {
             listeners.push(reuseport_listener(addr)?);
         }
 
-        let names: HashMap<String, usize> = cfg
-            .principal_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
-        let backend_prefix: HashMap<usize, Vec<u8>> = cfg
-            .backends
-            .iter()
-            .map(|(&server, baddr)| {
-                (server, format!("HTTP/1.1 302 Found\r\nlocation: http://{baddr}").into_bytes())
-            })
-            .collect();
-        let self_prefix = format!("HTTP/1.1 302 Found\r\nlocation: http://{addr}").into_bytes();
+        // Servers are principal ids, so an entry past the community can
+        // never be admitted to.
+        let redirect_to = |to: &SocketAddr| -> Box<[u8]> {
+            format!("HTTP/1.1 302 Found\r\nlocation: http://{to}").into_bytes().into()
+        };
+        let mut backend_prefix: Vec<Option<Box<[u8]>>> = vec![None; levels.len()];
+        for (&server, backend) in &cfg.backends {
+            if let Some(slot) = backend_prefix.get_mut(server) {
+                *slot = Some(redirect_to(backend));
+            }
+        }
+        let self_prefix = redirect_to(&addr);
 
         let stop = Arc::new(AtomicBool::new(false));
         let shed = Arc::new(AtomicU64::new(0));
@@ -492,7 +438,6 @@ impl ShardedL7 {
                     names: names.clone(),
                     backend_prefix: backend_prefix.clone(),
                     self_prefix: self_prefix.clone(),
-                    scratch: Vec::new(),
                 };
                 let joiner = std::thread::Builder::new()
                     .name(format!("l7-shard-{node}"))
@@ -523,7 +468,7 @@ impl ShardedL7 {
 
     /// Point-in-time per-shard snapshots (counters plus wake/batch
     /// telemetry), ordered by shard index — feed these to
-    /// `live_counters_sharded_json`.
+    /// `covenant_core::live_counters_sharded_json`.
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         self.stats.iter().map(|s| s.snapshot()).collect()
     }
@@ -578,13 +523,40 @@ mod tests {
     }
 
     #[test]
-    fn parse_principal_paths() {
-        let names: HashMap<String, usize> = [("A".into(), 1), ("B".into(), 2)].into();
-        assert_eq!(parse_principal("/org/A/page.html", &names), Some(1));
-        assert_eq!(parse_principal("/org/B/x/y", &names), Some(2));
-        assert_eq!(parse_principal("/org/C/x", &names), None);
-        assert_eq!(parse_principal("/other", &names), None);
-        assert_eq!(parse_principal("/org/A", &names), Some(1));
+    fn name_table_resolves_org_paths() {
+        let names: Vec<String> = ["S", "B", "A", "AB"].map(String::from).into();
+        let table = NameTable::new(&names).unwrap();
+        assert_eq!(table.principal_of(b"/org/A/page.html"), Some(2));
+        assert_eq!(table.principal_of(b"/org/B/x/y"), Some(1));
+        assert_eq!(table.principal_of(b"/org/AB/"), Some(3));
+        assert_eq!(table.principal_of(b"/org/A"), Some(2));
+        assert_eq!(table.principal_of(b"/org/C/x"), None);
+        assert_eq!(table.principal_of(b"/org//x"), None);
+        assert_eq!(table.principal_of(b"/org/\xff/x"), None);
+        assert_eq!(table.principal_of(b"/other"), None);
+    }
+
+    /// Names a request can never select, or that two principals share,
+    /// are a configuration error, not a silent last-one-wins.
+    #[test]
+    fn start_rejects_unusable_principal_names() {
+        let levels = shared_origin_levels(100.0, 0.5, 0.5);
+        for names in [["S", "A", "A"], ["S", "", "B"], ["S", "A/x", "B"]] {
+            let err = ShardedL7::start(
+                "127.0.0.1:0",
+                L7Config {
+                    principal_names: names.map(String::from).into(),
+                    backends: HashMap::new(),
+                },
+                1,
+                &levels,
+                SchedulerConfig::community_default(),
+                Coordinator::new(Topology::star(1, 0.0), 0.0),
+            )
+            .err()
+            .map(|e| e.kind());
+            assert_eq!(err, Some(io::ErrorKind::InvalidInput), "{names:?}");
+        }
     }
 
     /// End-to-end enforcement against two reactor shards: each
@@ -727,7 +699,79 @@ mod tests {
         );
     }
 
-    /// Framing violations (a body, a garbage request line) answer 400 and
+    /// A peer that pipelines until the shard stops answering — responses
+    /// past what the socket buffers and the send watermark hold — and only
+    /// then starts to read. The shard stopped with complete requests in its
+    /// receive buffer and nothing left in the kernel's, so no readable
+    /// event will come for them: the flush that makes room has to resume
+    /// them.
+    #[test]
+    fn requests_buffered_at_the_watermark_are_answered_after_the_flush() {
+        let levels = shared_origin_levels(1000.0, 0.5, 0.5);
+        let l7 = ShardedL7::start(
+            "127.0.0.1:0",
+            cfg("127.0.0.1:9".parse().unwrap()),
+            1,
+            &levels,
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .unwrap();
+        let mut sock = TcpStream::connect(l7.addr()).unwrap();
+        // A fixed, small receive buffer: what the kernel holds for a peer
+        // that does not read is then the shard's send buffer and little more.
+        covenant_reactor::set_recv_buffer(&sock, 64 * 1024).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+        // Batches the shard takes in with one drain of the socket (32 KB,
+        // under its receive cap), each sent once the last is fully answered:
+        // when the answers stop short, the rest of the batch sits in the
+        // shard's buffer and the kernel's is empty.
+        let batch = b"GET /org/A/ HTTP/1.1\r\n\r\n".repeat(1365);
+        let answered = || l7.shard_snapshots().iter().map(|s| s.batched_verdicts).sum::<u64>();
+        let mut sent = 0u64;
+        loop {
+            assert!(sent < 1_000_000, "80 MB of answers and the watermark never held");
+            sock.write_all(&batch).unwrap();
+            sent += 1365;
+            let mut seen = (answered(), Instant::now());
+            while seen.0 < sent && seen.1.elapsed() < Duration::from_millis(300) {
+                std::thread::sleep(Duration::from_millis(1));
+                let now = answered();
+                if now != seen.0 {
+                    seen = (now, Instant::now());
+                }
+            }
+            if seen.0 < sent {
+                break;
+            }
+        }
+
+        let mut answers = 0u64;
+        let mut carry: Vec<u8> = Vec::new();
+        let mut buf = [0u8; 64 * 1024];
+        while answers < sent {
+            let n = match sock.read(&mut buf) {
+                Ok(n) => n,
+                Err(e) => panic!("stalled after {answers} of {sent} answers: {e}"),
+            };
+            assert!(n > 0, "server closed after {answers} answers");
+            carry.extend_from_slice(&buf[..n]);
+            let mut at = 0;
+            while let Some(end) = covenant_http::header_block_end(&carry[at..], 0) {
+                assert!(carry[at..].starts_with(b"HTTP/1.1 302 Found\r\n"), "not a 302");
+                at += end;
+                answers += 1;
+            }
+            carry.drain(..at);
+        }
+        assert!(carry.is_empty(), "bytes after the last answer: {carry:?}");
+        // Nothing more may come: one answer per request, exactly.
+        sock.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+        assert!(sock.read(&mut buf).is_err(), "an answer too many");
+    }
+
+    /// Framing violations (a body however declared) answer 400 and
     /// close; unknown principals answer 404 but keep the connection alive;
     /// a known principal with zero entitlement is implicitly queued — a
     /// `302` back to the redirector's own address.
@@ -765,13 +809,23 @@ mod tests {
         let loc = resp.header_value("location").unwrap();
         assert_eq!(loc, format!("http://{}/org/A/x", l7.addr()), "must self-redirect");
 
-        // A request with a body is rejected and the connection closed.
-        let mut sock = TcpStream::connect(l7.addr()).unwrap();
-        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        sock.write_all(b"POST /org/A/x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc")
-            .unwrap();
-        let mut resp = Vec::new();
-        sock.read_to_end(&mut resp).unwrap(); // EOF proves the close.
-        assert!(resp.starts_with(b"HTTP/1.1 400"), "{resp:?}");
+        // A request with a body — declared by length, by `Transfer-Encoding`
+        // (whose chunks must not be taken for the next pipelined request),
+        // or by two lengths that disagree — is rejected and the connection
+        // closed.
+        for bad in [
+            &b"POST /org/A/x HTTP/1.1\r\ncontent-length: 3\r\n\r\nabc"[..],
+            b"POST /org/A/x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              1c\r\nGET /org/A/y HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+            b"GET /org/A/x HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 28\r\n\r\n",
+        ] {
+            let mut sock = TcpStream::connect(l7.addr()).unwrap();
+            sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            sock.write_all(bad).unwrap();
+            let mut resp = Vec::new();
+            sock.read_to_end(&mut resp).unwrap(); // EOF proves the close.
+            assert!(resp.starts_with(b"HTTP/1.1 400"), "{resp:?}");
+            assert_eq!(resp.windows(4).filter(|w| w == b"\r\n\r\n").count(), 1, "{resp:?}");
+        }
     }
 }

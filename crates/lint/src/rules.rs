@@ -227,7 +227,7 @@ pub(crate) fn check_reactor_blocking(
                 emit(
                     Rule::ReactorBlocking,
                     t.line,
-                    ".read_to_end() blocks until EOF; use RecvBuf::fill_from and resume on readiness"
+                    ".read_to_end() blocks until EOF; use RecvBuf::drain_from and resume on readiness"
                         .into(),
                 );
             }

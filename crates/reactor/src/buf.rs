@@ -19,6 +19,16 @@ pub enum Io {
 /// Read granularity per syscall.
 const CHUNK: usize = 16 * 1024;
 
+/// One `read` onto the end of `data`, for at most `want` bytes; `data`
+/// keeps only what arrived.
+fn read_onto(data: &mut Vec<u8>, want: usize, src: &mut impl Read) -> io::Result<usize> {
+    let old = data.len();
+    data.resize(old + want, 0);
+    let got = src.read(data.get_mut(old..).unwrap_or(&mut []));
+    data.truncate(old + got.as_ref().map_or(0, |&n| n));
+    got
+}
+
 /// Accumulates bytes read from a nonblocking stream until a parser can
 /// consume them. `consume` trims from the front lazily (an offset, with
 /// periodic compaction) so pipelined protocol parsing is O(bytes), not
@@ -69,33 +79,35 @@ impl RecvBuf {
         }
     }
 
-    /// Reads once from `stream` (up to one chunk, bounded by the capacity
-    /// limit). Returns [`Io::Progress`] with the bytes appended.
-    pub fn fill_from(&mut self, stream: &mut TcpStream) -> io::Result<Io> {
-        let room = self.cap.saturating_sub(self.len());
-        if room == 0 {
-            return Ok(Io::WouldBlock);
-        }
-        let old = self.data.len();
-        self.data.resize(old + room.min(CHUNK), 0);
-        let tail = self.data.get_mut(old..).unwrap_or(&mut []);
-        match stream.read(tail) {
-            Ok(0) => {
-                self.data.truncate(old);
-                Ok(Io::Eof)
+    /// Reads what the socket holds now: chunk after chunk until a read
+    /// comes back short, the socket would block, or the capacity limit is
+    /// reached. A short read means the kernel's queue is empty, so the
+    /// `read` that would only return `EAGAIN` is not made; level-triggered
+    /// epoll reports whatever arrives later, an EOF behind the data
+    /// included. Returns [`Io::Progress`] with the bytes appended when
+    /// there were any, else [`Io::WouldBlock`] or [`Io::Eof`].
+    pub fn drain_from(&mut self, stream: &mut impl Read) -> io::Result<Io> {
+        let mut total = 0;
+        loop {
+            let want = self.cap.saturating_sub(self.len()).min(CHUNK);
+            if want == 0 {
+                break;
             }
-            Ok(n) => {
-                self.data.truncate(old + n);
-                Ok(Io::Progress(n))
-            }
-            Err(e) => {
-                self.data.truncate(old);
-                match e.kind() {
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(Io::WouldBlock),
-                    _ => Err(e),
+            match read_onto(&mut self.data, want, stream) {
+                Ok(0) if total == 0 => return Ok(Io::Eof),
+                Ok(n) => {
+                    total += n;
+                    if n < want {
+                        break;
+                    }
                 }
+                Err(e) => match e.kind() {
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => break,
+                    _ => return Err(e),
+                },
             }
         }
+        Ok(if total > 0 { Io::Progress(total) } else { Io::WouldBlock })
     }
 }
 
@@ -117,6 +129,11 @@ impl SendBuf {
     /// Queues bytes for transmission.
     pub fn push(&mut self, bytes: &[u8]) {
         self.data.extend_from_slice(bytes);
+    }
+
+    /// Makes room for `additional` more bytes in one growth.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
     }
 
     /// Bytes still unsent.
@@ -159,25 +176,94 @@ impl SendBuf {
         if room == 0 {
             return Ok(Io::WouldBlock);
         }
-        let old = self.data.len();
-        self.data.resize(old + room.min(CHUNK), 0);
-        let tail = self.data.get_mut(old..).unwrap_or(&mut []);
-        match src.read(tail) {
-            Ok(0) => {
-                self.data.truncate(old);
-                Ok(Io::Eof)
-            }
-            Ok(n) => {
-                self.data.truncate(old + n);
-                Ok(Io::Progress(n))
-            }
-            Err(e) => {
-                self.data.truncate(old);
-                match e.kind() {
-                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(Io::WouldBlock),
-                    _ => Err(e),
-                }
-            }
+        match read_onto(&mut self.data, room.min(CHUNK), src) {
+            Ok(0) => Ok(Io::Eof),
+            Ok(n) => Ok(Io::Progress(n)),
+            Err(e) => match e.kind() {
+                io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(Io::WouldBlock),
+                _ => Err(e),
+            },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// Counts the `read` calls `drain_from` makes on a loopback socket.
+    struct Counted {
+        stream: TcpStream,
+        reads: usize,
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.stream.read(buf)
+        }
+    }
+
+    /// A connected pair whose reading end already holds `sent` (and, with
+    /// `fin`, the writer's close behind it).
+    fn pair_holding(sent: &[u8], fin: bool) -> (Option<TcpStream>, Counted) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        tx.write_all(sent).unwrap();
+        let tx = if fin { None } else { Some(tx) };
+        let mut seen = vec![0u8; sent.len() + 1];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rx.peek(&mut seen).unwrap() < sent.len() {
+            assert!(Instant::now() < deadline, "loopback never delivered");
+            std::thread::yield_now();
+        }
+        rx.set_nonblocking(true).unwrap();
+        (tx, Counted { stream: rx, reads: 0 })
+    }
+
+    #[test]
+    fn short_read_ends_the_drain_without_a_second_read() {
+        let (_tx, mut rx) = pair_holding(&[7u8; 100], false);
+        let mut recv = RecvBuf::with_capacity_limit(64 * 1024);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Progress(100));
+        assert_eq!(rx.reads, 1, "a short read must not be followed by an EAGAIN read");
+        assert_eq!(recv.data(), &[7u8; 100][..]);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::WouldBlock);
+    }
+
+    #[test]
+    fn full_chunk_keeps_reading() {
+        let sent: Vec<u8> = (0..CHUNK + 10).map(|i| (i % 251) as u8).collect();
+        let (_tx, mut rx) = pair_holding(&sent, false);
+        let mut recv = RecvBuf::with_capacity_limit(64 * 1024);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Progress(CHUNK + 10));
+        assert_eq!(rx.reads, 2, "one full chunk, one short read");
+        assert_eq!(recv.data(), &sent[..]);
+    }
+
+    #[test]
+    fn eof_behind_data_surfaces_on_the_next_drain() {
+        let (_closed, mut rx) = pair_holding(b"last words", true);
+        let mut recv = RecvBuf::with_capacity_limit(64 * 1024);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Progress(10));
+        assert_eq!(rx.reads, 1);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Eof);
+        assert_eq!(recv.data(), b"last words");
+    }
+
+    #[test]
+    fn capacity_limit_holds() {
+        let (_tx, mut rx) = pair_holding(&[1u8; 5000], false);
+        let mut recv = RecvBuf::with_capacity_limit(1000);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Progress(1000));
+        assert!(recv.is_full());
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::WouldBlock);
+        assert_eq!(rx.reads, 1, "a full buffer must not read");
+        recv.consume(400);
+        assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Progress(400));
+        assert_eq!(recv.len(), 1000);
     }
 }

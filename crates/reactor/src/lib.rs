@@ -102,7 +102,7 @@ mod tests {
                 Ok(Io::Progress(_)) => {}
                 other => panic!("flush: {other:?}"),
             }
-            match recv.fill_from(&mut rx) {
+            match recv.drain_from(&mut rx) {
                 Ok(Io::Progress(_)) => {
                     read_progress += 1;
                     got.extend_from_slice(recv.data());
@@ -124,7 +124,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             assert!(Instant::now() < deadline, "EOF never surfaced");
-            match recv.fill_from(&mut rx).unwrap() {
+            match recv.drain_from(&mut rx).unwrap() {
                 Io::Eof => break,
                 _ => std::thread::yield_now(),
             }

@@ -356,20 +356,14 @@ impl Runtime {
 
     /// Reads and dispatches parent frames; false means drop the connection.
     fn read_parent_frames(&mut self) -> bool {
-        loop {
-            let Some(conn) = self.parent.as_mut() else { return true };
-            match conn.recv.fill_from(&mut conn.stream) {
-                Ok(Io::Progress(_)) => {
-                    if !self.dispatch_parent_buffer() {
-                        return false;
-                    }
-                }
-                Ok(Io::WouldBlock) => return true,
-                Ok(Io::Eof) | Err(_) => {
-                    // Drain whatever parsed frames arrived before the close.
-                    let _ = self.dispatch_parent_buffer();
-                    return false;
-                }
+        let Some(conn) = self.parent.as_mut() else { return true };
+        match conn.recv.drain_from(&mut conn.stream) {
+            Ok(Io::Progress(_)) => self.dispatch_parent_buffer(),
+            Ok(Io::WouldBlock) => true,
+            Ok(Io::Eof) | Err(_) => {
+                // Drain whatever parsed frames arrived before the close.
+                let _ = self.dispatch_parent_buffer();
+                false
             }
         }
     }
@@ -505,19 +499,13 @@ impl Runtime {
 
     /// Reads and dispatches child frames; false means drop the connection.
     fn read_child_frames(&mut self, key: usize) -> bool {
-        loop {
-            let Some(conn) = self.children.get_mut(key) else { return true };
-            match conn.recv.fill_from(&mut conn.stream) {
-                Ok(Io::Progress(_)) => {
-                    if !self.dispatch_child_buffer(key) {
-                        return false;
-                    }
-                }
-                Ok(Io::WouldBlock) => return true,
-                Ok(Io::Eof) | Err(_) => {
-                    let _ = self.dispatch_child_buffer(key);
-                    return false;
-                }
+        let Some(conn) = self.children.get_mut(key) else { return true };
+        match conn.recv.drain_from(&mut conn.stream) {
+            Ok(Io::Progress(_)) => self.dispatch_child_buffer(key),
+            Ok(Io::WouldBlock) => true,
+            Ok(Io::Eof) | Err(_) => {
+                let _ = self.dispatch_child_buffer(key);
+                false
             }
         }
     }
