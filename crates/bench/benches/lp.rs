@@ -17,6 +17,11 @@
 //! The run ends by writing its means — plus the steady-state plan-cache hit
 //! rate — into the repo-root `BENCH_lp.json` so the perf trajectory is
 //! tracked across PRs.
+//!
+//! Stays beside `benchmark/` because its `solve_ns` rows at n ∈ {4 … 32}
+//! are the dense-against-revised crossover the solver consolidation
+//! (ROADMAP item 2) decides on; the benchmark's `tick_small` and
+//! `tick_large` are one operating point each.
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::{bipartite_graph, emit_bench_section, random_graph};

@@ -6,7 +6,9 @@
 //! microseconds, making 100 ms windows essentially free. The plan benches
 //! disable the plan cache so they time actual solving; the `_cached`
 //! variant shows the steady-state replay cost. The run appends its means
-//! to the repo-root `BENCH_lp.json`.
+//! to the repo-root `BENCH_lp.json` — the small-n planning numbers ROADMAP
+//! item 2 compares the solvers on, which is why it stays beside
+//! `benchmark/`.
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::emit_bench_section;

@@ -9,6 +9,10 @@
 //!
 //! Run by `scripts/tier1.sh`; exits non-zero on any failure. Pass a load
 //! duration in seconds to soak longer (default 4).
+//!
+//! Stays beside `benchmark/` as the only launcher of the multi-process
+//! cluster outside it: the `/metrics` families are checked nowhere else,
+//! and the process-chaos runs of ROADMAP item 8b build on this file.
 
 use covenant_cluster::{maybe_run_node, Cluster};
 use covenant_core::DeploymentSpec;

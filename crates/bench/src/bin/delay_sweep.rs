@@ -8,8 +8,7 @@
 //! longer than network delays".
 //!
 //! Each lag is an independent 120 s simulated run, so the sweep fans out
-//! across worker threads (`COVENANT_SWEEP_THREADS` overrides the count)
-//! and prints rows in sweep order.
+//! across worker threads and prints rows in sweep order.
 
 use covenant_agreements::PrincipalId;
 use covenant_bench::run_sweep;

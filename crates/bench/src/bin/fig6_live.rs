@@ -1,7 +1,7 @@
 //! Figure 6 over real sockets: the sharded L7 prototype on loopback.
 //!
-//! The simulator version (`fig6_l7_agreements`) reproduces the exact rate
-//! levels; this binary runs the same experiment through the actual HTTP
+//! The simulator version (`covenant figures`, Figure 6) reproduces the exact
+//! rate levels; this binary runs the same experiment through the actual HTTP
 //! redirector stack — origin server, two coordinated *sharded* L7
 //! redirectors (each a thread-per-core epoll data plane; shard *i* of
 //! redirector *k* publishes as tree leaf `k·shards + i`), and rate-capped

@@ -5,9 +5,9 @@
 //! tight caps keep traffic local (cheap forwarding) at the price of unused
 //! remote capacity; loose caps recover full utilization.
 //!
-//! Points fan out across worker threads like the other sweeps
-//! (`COVENANT_SWEEP_THREADS` overrides the count) — each point is one LP
-//! solve, so this mostly demonstrates the harness on cheap work.
+//! Points fan out across worker threads like the other sweeps — each
+//! point is one LP solve, so this mostly demonstrates the harness on cheap
+//! work.
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::run_sweep;

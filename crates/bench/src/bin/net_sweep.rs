@@ -12,6 +12,10 @@
 //!
 //! Sweep points are independent scenario runs with fixed seeds, fanned
 //! across worker threads; results are identical for any worker count.
+//!
+//! Stays beside `benchmark/` because these simulated link means are the
+//! numbers the closed-form queueing oracles of ROADMAP item 6 must
+//! explain; `sim_replay` runs links at one rate each.
 
 use covenant_bench::{emit_net_bench_section, run_sweep};
 use covenant_core::{sim_counters, ScenarioSpec};

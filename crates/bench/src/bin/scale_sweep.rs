@@ -7,10 +7,9 @@
 //! wall-clock cost of the whole simulated run (dominated by per-window LP
 //! solves).
 //!
-//! Sweep points run in parallel across worker threads
-//! (`COVENANT_SWEEP_THREADS` overrides the count) and print in sweep
-//! order; note the per-point wall-clock column measures a possibly-shared
-//! core when workers > 1.
+//! Sweep points run in parallel, one worker thread per available core,
+//! and print in sweep order; note the per-point wall-clock column measures
+//! a possibly-shared core when workers > 1.
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::run_sweep;

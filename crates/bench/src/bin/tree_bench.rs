@@ -11,7 +11,10 @@
 //!   wall time through the full tree depth, mean / p50 / p99;
 //! - a leaf's measured Up→Down RTT from the runtime's own stats.
 //!
-//! Pass `--quick` to run 50 rounds per tree instead of 300.
+//! Stays beside `benchmark/` because no workload there varies tree depth
+//! (`cluster_contended` is one root and two leaves), which is the axis of
+//! `BENCH_tree.json`. Not a tier-1 step: the frame economy is a `cargo
+//! test` (`covenant-wire`'s `wire_tree.rs`).
 
 use covenant_core::json::Value;
 use covenant_tree::CoordTransport;
@@ -32,8 +35,7 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let rounds: u64 = if quick { 50 } else { 300 };
+    let rounds: u64 = 300;
     let window = Duration::from_millis(10);
     let window_secs = window.as_secs_f64();
 
@@ -125,10 +127,8 @@ fn main() {
         ("window_ms".into(), (window.as_millis() as f64).into()),
         ("trees".into(), Value::Arr(trees)),
     ]);
-    if !quick {
-        std::fs::write("BENCH_tree.json", doc.to_pretty()).expect("write BENCH_tree.json");
-        println!("wrote BENCH_tree.json");
-    }
+    std::fs::write("BENCH_tree.json", doc.to_pretty()).expect("write BENCH_tree.json");
+    println!("wrote BENCH_tree.json");
     if failed {
         std::process::exit(1);
     }

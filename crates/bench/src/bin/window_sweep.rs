@@ -8,8 +8,7 @@
 //! coordination cost (more LP solves and tree rounds per second).
 //!
 //! Sweep points are independent runs, so they fan out across worker
-//! threads (`COVENANT_SWEEP_THREADS` overrides the count); rows print in
-//! sweep order regardless of completion order.
+//! threads; rows print in sweep order regardless of completion order.
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::run_sweep;

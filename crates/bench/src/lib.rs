@@ -72,7 +72,7 @@ pub fn bipartite_graph(n: usize, seed: u64) -> AgreementGraph {
 }
 
 /// A tiny self-contained LCG so the bench *library* stays free of external
-/// dependencies (criterion and rand are dev-dependencies only).
+/// dependencies (criterion is a dev-dependency only).
 mod rand_free {
     /// Deterministic 64-bit LCG.
     pub struct SmallLcg(u64);
@@ -99,22 +99,7 @@ pub use rand_free::SmallLcg;
 mod perfjson {
     use std::fs;
     use std::io;
-    use std::path::PathBuf;
-
-    /// Repo-root path of the machine-readable LP/scheduler perf log.
-    pub fn bench_json_path() -> PathBuf {
-        repo_root_file("BENCH_lp.json")
-    }
-
-    /// Repo-root path of the machine-readable simulation perf log.
-    pub fn sim_bench_json_path() -> PathBuf {
-        repo_root_file("BENCH_sim.json")
-    }
-
-    /// Repo-root path of the machine-readable link-model perf log.
-    pub fn net_bench_json_path() -> PathBuf {
-        repo_root_file("BENCH_net.json")
-    }
+    use std::path::{Path, PathBuf};
 
     fn repo_root_file(name: &str) -> PathBuf {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(name)
@@ -127,26 +112,16 @@ mod perfjson {
     /// `sched` benches can update their own sections independently.
     /// `body_json` must be a JSON value serialized on a single line.
     pub fn emit_bench_section(section: &str, body_json: &str) -> io::Result<()> {
-        emit_section_at(&bench_json_path(), section, body_json)
-    }
-
-    /// Writes or replaces one top-level section of `BENCH_sim.json` (same
-    /// one-section-per-line format as [`emit_bench_section`]).
-    pub fn emit_sim_bench_section(section: &str, body_json: &str) -> io::Result<()> {
-        emit_section_at(&sim_bench_json_path(), section, body_json)
+        emit_section_at(&repo_root_file("BENCH_lp.json"), section, body_json)
     }
 
     /// Writes or replaces one top-level section of `BENCH_net.json` (same
     /// one-section-per-line format as [`emit_bench_section`]).
     pub fn emit_net_bench_section(section: &str, body_json: &str) -> io::Result<()> {
-        emit_section_at(&net_bench_json_path(), section, body_json)
+        emit_section_at(&repo_root_file("BENCH_net.json"), section, body_json)
     }
 
-    pub(super) fn emit_section_at(
-        path: &std::path::Path,
-        section: &str,
-        body_json: &str,
-    ) -> io::Result<()> {
+    pub(super) fn emit_section_at(path: &Path, section: &str, body_json: &str) -> io::Result<()> {
         assert!(!body_json.contains('\n'), "section body must be one line");
         let mut sections: Vec<(String, String)> = Vec::new();
         if let Ok(existing) = fs::read_to_string(path) {
@@ -172,10 +147,7 @@ mod perfjson {
     }
 }
 
-pub use perfjson::{
-    bench_json_path, emit_bench_section, emit_net_bench_section, emit_sim_bench_section,
-    net_bench_json_path, sim_bench_json_path,
-};
+pub use perfjson::{emit_bench_section, emit_net_bench_section};
 
 mod sweep {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -194,23 +166,9 @@ mod sweep {
         z ^ (z >> 31)
     }
 
-    /// Worker-thread count for a sweep of `points` points: the
-    /// `COVENANT_SWEEP_THREADS` environment variable if set (≥ 1), else the
-    /// machine's available parallelism, never more than `points`.
-    pub fn sweep_threads(points: usize) -> usize {
-        let requested = std::env::var("COVENANT_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            });
-        requested.min(points.max(1))
-    }
-
     /// Runs `f(index, &point)` for every point, fanning the points across
-    /// [`sweep_threads`] scoped worker threads, and returns the results in
-    /// input order. Points are claimed from a shared counter (work
+    /// one scoped worker thread per available core, and returns the results
+    /// in input order. Points are claimed from a shared counter (work
     /// stealing), so uneven point costs still keep all workers busy.
     ///
     /// Determinism contract: `f` must derive any randomness from its
@@ -222,7 +180,7 @@ mod sweep {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let workers = sweep_threads(points.len());
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         run_sweep_with(points, workers, f)
     }
 
@@ -266,7 +224,7 @@ mod sweep {
     }
 }
 
-pub use sweep::{point_seed, run_sweep, run_sweep_with, sweep_threads};
+pub use sweep::{point_seed, run_sweep, run_sweep_with};
 
 #[cfg(test)]
 mod tests {

@@ -135,7 +135,7 @@ fn run_node(args: &[String]) -> Result<Never, String> {
         sched.window_secs = spec.window_secs;
         let coord_transport: Arc<dyn CoordTransport> =
             Arc::clone(&transport) as Arc<dyn CoordTransport>;
-        let coordinator = Coordinator::with_transport(coord_transport, spec.extra_tree_lag);
+        let coordinator = Coordinator::with_transport(coord_transport);
         let l7 = ShardedL7::start_at(
             "127.0.0.1:0",
             L7Config {

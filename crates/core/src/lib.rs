@@ -24,8 +24,7 @@ pub mod scenarios;
 pub mod spec;
 
 pub use report::{
-    counters_report_json, live_counters_sharded_json, run_report_json, sim_counters,
-    sim_counters_json, PhaseRates, ScenarioOutcome,
+    counters_report_json, run_report_json, sim_counters, PhaseRates, ScenarioOutcome,
 };
 pub use scenario::{LinkSpec, NetSpec, ScenarioSpec, TimelineEvent};
 pub use scenarios::FigureScenario;

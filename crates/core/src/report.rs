@@ -193,32 +193,6 @@ pub fn run_report_json(
     ])
 }
 
-/// Engine and coordination counters of a simulator report as a JSON
-/// object: event-loop performance profile (`events_processed`,
-/// `peak_event_queue`, wall-clock `events_per_sec`), plan-cache
-/// effectiveness, LP solver work (warm-basis reuse vs cold restarts,
-/// pivot counts), message/drop accounting, and — when the run modeled
-/// shared links — the `net_*` transfer profile. Shared by the CLI's
-/// `run --json` output and any tooling that tracks engine health.
-pub fn sim_counters_json(report: &SimReport) -> crate::json::Value {
-    counters_report_json(&sim_counters(report))
-}
-
-/// Live-deployment counterpart of [`sim_counters_json`]: merges the
-/// per-shard snapshots of a reactor deployment into one payload. The
-/// top-level fields are the enforcement cores' counters (admission,
-/// parking, plan cache, LP work) *summed across shards*, plus `shed` —
-/// connections refused with RST at a hard cap before they ever reached
-/// admission (the planes' connection/relay caps) — then `shards` (the
-/// shard count), the aggregate reactor batching counters
-/// (`reactor_wakes`, `batched_verdicts`), and a `per_shard` array
-/// retaining each shard's admission and batching profile — the
-/// load-balance view the sum hides. The shared shape lets the same tooling
-/// watch either a simulation or a live control plane.
-pub fn live_counters_sharded_json(shards: &[covenant_enforce::ShardSnapshot]) -> crate::json::Value {
-    counters_report_json(&CountersReport::sharded(shards))
-}
-
 /// The outcome of one figure scenario.
 pub struct ScenarioOutcome {
     /// Scenario identifier ("fig6", …).
@@ -377,8 +351,8 @@ mod tests {
             lp_cold_fallbacks: 2,
         };
         let shard = ShardSnapshot { counters, shed: 5, ..Default::default() };
-        let parsed =
-            crate::json::Value::parse(&live_counters_sharded_json(&[shard]).to_pretty()).unwrap();
+        let v = counters_report_json(&CountersReport::sharded(&[shard]));
+        let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 42.0);
         assert_eq!(parsed["deferred"].as_f64().unwrap(), 7.0);
         assert_eq!(parsed["parked"].as_f64().unwrap(), 3.0);
@@ -417,7 +391,7 @@ mod tests {
                 shed: 1,
             },
         ];
-        let v = live_counters_sharded_json(&shards);
+        let v = counters_report_json(&CountersReport::sharded(&shards));
         let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
         // The top level is summed across shards.
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 160.0);
@@ -456,8 +430,9 @@ mod tests {
     fn counters_schemas_agree_across_stacks() {
         use covenant_enforce::ShardSnapshot;
         let o = outcome();
-        let sim = keys(&sim_counters_json(&o.report));
-        let live = keys(&live_counters_sharded_json(&[ShardSnapshot::default()]));
+        let sim = keys(&counters_report_json(&sim_counters(&o.report)));
+        let live =
+            keys(&counters_report_json(&CountersReport::sharded(&[ShardSnapshot::default()])));
         // The solver section appears verbatim — same keys, same order — in
         // every stack's payload (single encoder, schemas cannot drift).
         for stack in [&sim, &live] {
@@ -467,7 +442,7 @@ mod tests {
                 .expect("solver section present");
             assert_eq!(&stack[at..at + SOLVER_KEYS.len()], &SOLVER_KEYS);
         }
-        // Each wrapper still emits its exact key set.
+        // Each stack still emits its exact key set.
         let mut want_live = vec!["admitted", "deferred", "parked"];
         want_live.extend(SOLVER_KEYS);
         want_live.extend(["shed", "shards", "reactor_wakes", "batched_verdicts", "per_shard"]);
@@ -489,7 +464,7 @@ mod tests {
             .client(ClientMachine::uniform(0, a, PhasedLoad::constant(30.0, 5.0)), 0)
             .with_net(NetModelCfg::uniform(1, 1.0e6, LinkDiscipline::Fifo));
         let report = Simulation::new(cfg).run();
-        let v = sim_counters_json(&report);
+        let v = counters_report_json(&sim_counters(&report));
         let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
         assert!(parsed["net_transfers"].as_f64().unwrap() > 0.0);
         assert!(parsed["net_bytes"].as_f64().unwrap() > 0.0);
@@ -506,9 +481,9 @@ mod tests {
     }
 
     #[test]
-    fn sim_counters_json_roundtrips() {
+    fn sim_counters_roundtrip_through_json() {
         let o = outcome();
-        let v = sim_counters_json(&o.report);
+        let v = counters_report_json(&sim_counters(&o.report));
         let parsed = crate::json::Value::parse(&v.to_pretty()).unwrap();
         assert!(parsed["events_processed"].as_f64().unwrap() > 100.0);
         assert!(parsed["peak_event_queue"].as_usize().unwrap() > 0);

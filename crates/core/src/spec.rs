@@ -28,6 +28,9 @@ pub struct DeploymentSpec {
     #[serde(default)]
     pub tree_edge_delay: f64,
     /// Extra information lag injected on top of propagation, seconds.
+    /// The simulator and the in-process tree apply it; it has no effect
+    /// over the wire transport (`covenant cluster`), whose lag is what the
+    /// sockets impose.
     #[serde(default)]
     pub extra_tree_lag: f64,
     /// Scheduling policy.

@@ -149,9 +149,9 @@ impl CoordinationView for DelayedCoordination {
 }
 
 /// A point-in-time snapshot of one enforcement core's counters, shaped for
-/// the shared observability payload
-/// (`covenant_core::live_counters_sharded_json` mirrors `sim_counters_json`
-/// with these fields).
+/// the shared observability payload ([`crate::CountersReport`], which
+/// `covenant_core::counters_report_json` encodes for the simulator and the
+/// live planes alike).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EnforcementCounters {
     /// Requests admitted (forwarded to a server).

@@ -443,6 +443,8 @@ impl ShardedL4 {
     /// Like [`Self::start`], but shard *i* publishes as tree node
     /// `base_node + i` — multiple proxy instances (or cluster processes)
     /// can share one coordination tree without colliding on leaf ids.
+    /// `InvalidInput` when the tree has fewer than `base_node + shards`
+    /// nodes.
     pub fn start_at(
         cfg: L4Config,
         shards: usize,
@@ -452,6 +454,13 @@ impl ShardedL4 {
         base_node: usize,
     ) -> io::Result<ShardedL4> {
         let shards = shards.max(1);
+        // A shard past the tree would publish into nothing and read `None`
+        // for ever: the half-mandatory fallback, silently.
+        let nodes = coordinator.nodes();
+        if base_node + shards > nodes {
+            let msg = format!("{shards} shards from tree node {base_node}: the tree has {nodes} nodes");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         let n_principals = cfg
             .services
             .iter()
@@ -597,6 +606,27 @@ mod tests {
         g.add_agreement(s, a, 0.25, 1.0).unwrap();
         g.add_agreement(s, b, 0.75, 1.0).unwrap();
         (g, a, b)
+    }
+
+    /// A shard needs a tree node of its own: two shards on a one-node tree
+    /// are refused, not left on the half-mandatory fallback for ever.
+    #[test]
+    fn start_rejects_more_shards_than_tree_nodes() {
+        let (g, a, _b) = system();
+        let err = ShardedL4::start(
+            L4Config {
+                services: vec![L4Service { principal: a, bind: "127.0.0.1:0".into() }],
+                backends: HashMap::new(),
+                park_limit: 16,
+            },
+            2,
+            &g.access_levels(),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .err()
+        .map(|e| e.kind());
+        assert_eq!(err, Some(io::ErrorKind::InvalidInput));
     }
 
     #[test]

@@ -377,7 +377,8 @@ impl ShardedL7 {
     /// Like [`Self::start`], but shard *i* publishes as tree node
     /// `base_node + i` — multiple redirector instances (or cluster
     /// processes) can share one coordination tree without colliding on
-    /// leaf ids.
+    /// leaf ids. `InvalidInput` when the tree has fewer than
+    /// `base_node + shards` nodes.
     #[allow(clippy::too_many_arguments)]
     pub fn start_at(
         bind: &str,
@@ -389,6 +390,13 @@ impl ShardedL7 {
         base_node: usize,
     ) -> io::Result<ShardedL7> {
         let shards = shards.max(1);
+        // A shard past the tree would publish into nothing and read `None`
+        // for ever: the half-mandatory fallback, silently.
+        let nodes = coordinator.nodes();
+        if base_node + shards > nodes {
+            let msg = format!("{shards} shards from tree node {base_node}: the tree has {nodes} nodes");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         let names = NameTable::new(&cfg.principal_names)?;
         let requested: SocketAddr = bind
             .parse()
@@ -468,7 +476,7 @@ impl ShardedL7 {
 
     /// Point-in-time per-shard snapshots (counters plus wake/batch
     /// telemetry), ordered by shard index — feed these to
-    /// `covenant_core::live_counters_sharded_json`.
+    /// `covenant_enforce::CountersReport::sharded`.
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
         self.stats.iter().map(|s| s.snapshot()).collect()
     }
@@ -557,6 +565,23 @@ mod tests {
             .map(|e| e.kind());
             assert_eq!(err, Some(io::ErrorKind::InvalidInput), "{names:?}");
         }
+    }
+
+    /// A shard needs a tree node of its own: two shards on a one-node tree
+    /// are refused, not left on the half-mandatory fallback for ever.
+    #[test]
+    fn start_rejects_more_shards_than_tree_nodes() {
+        let err = ShardedL7::start(
+            "127.0.0.1:0",
+            cfg("127.0.0.1:9".parse().unwrap()),
+            2,
+            &shared_origin_levels(100.0, 0.5, 0.5),
+            SchedulerConfig::community_default(),
+            Coordinator::new(Topology::star(1, 0.0), 0.0),
+        )
+        .err()
+        .map(|e| e.kind());
+        assert_eq!(err, Some(io::ErrorKind::InvalidInput));
     }
 
     /// End-to-end enforcement against two reactor shards: each

@@ -8,8 +8,8 @@
 //!   so memory is bounded by concurrency, not run length. Per-request
 //!   metadata lives in a dense free-list slab keyed by the sequential
 //!   [`RequestId`]s the engine itself assigns.
-//! * [`Simulation::run_reference`] — the pre-optimization engine, retained
-//!   as a correctness oracle and benchmark baseline (the same role
+//! * `Simulation::run_reference` — the pre-optimization engine, compiled
+//!   for tests only, as their correctness oracle (the role
 //!   `solve_reference` plays for the LP). It materializes every arrival up
 //!   front, pushes all of them into the heap before the clock starts, and
 //!   tracks metadata in a `HashMap` — the seed's O(total requests) cost
@@ -33,6 +33,7 @@ use covenant_workload::ArrivalStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -747,10 +748,9 @@ impl Simulation {
     /// in a `HashMap` — the seed engine's O(total requests) memory and
     /// cost profile.
     ///
-    /// Retained as (a) the oracle the determinism tests compare
-    /// [`Simulation::run`] against, and (b) the baseline `benches/sim.rs`
-    /// measures speedups over. Not for production use.
-    #[doc(hidden)]
+    /// The oracle the `streaming_matches_reference_*` tests compare
+    /// [`Simulation::run`] against.
+    #[cfg(test)]
     pub fn run_reference(self) -> SimReport {
         let start = Instant::now();
         let cfg = self.cfg;

@@ -22,7 +22,7 @@
 //! ties by event class (window ticks, then original arrivals, then runtime
 //! events FIFO — see [`events`]), so runs are fully deterministic for a
 //! given seed whether arrivals are streamed lazily ([`Simulation::run`]) or
-//! materialized up front ([`Simulation::run_reference`]).
+//! materialized up front (the tests' reference engine).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -227,7 +227,7 @@ fn admission_over_the_wire_survives_a_dead_peer() {
     let mut cores: Vec<_> = (0..2)
         .map(|i| {
             let transport: Arc<dyn CoordTransport> = nodes[i].transport();
-            ShardCore::new(i, &levels, cfg.clone(), Coordinator::with_transport(transport, 0.0))
+            ShardCore::new(i, &levels, cfg.clone(), Coordinator::with_transport(transport))
         })
         .collect();
     let roll = |core: &mut ShardCore| core.roll_window_at(None, core.coordinator().now());

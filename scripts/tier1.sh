@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the one entry point builders run before pushing.
 #
-#   build (release) + full test suite + covenant-lint + clippy -D warnings
-#   across the whole workspace.
+#   release build + workspace tests + covenant-lint + spec and scenario
+#   gates + clippy -D warnings + `cargo bench --no-run` + cluster_soak +
+#   the gate rule on canned samples (scripts/test_bench_gate.sh) + the gate:
+#   three quick alternating pairs of every benchmark workload, output checks
+#   included, against the parent commit (scripts/bench_pairs.sh).
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
@@ -36,12 +39,13 @@ echo "==> scenario library gate (check --deny all + replay determinism)"
 for scenario in examples/scenarios/*.json; do
   $COVENANT check "$scenario" --deny all
 done
-$COVENANT sim examples/scenarios/flash_crowd.json --json > /tmp/covenant_det_a.json
-$COVENANT sim examples/scenarios/flash_crowd.json --json > /tmp/covenant_det_b.json
-if ! cmp -s /tmp/covenant_det_a.json /tmp/covenant_det_b.json; then
+det_a="$(mktemp)"; det_b="$(mktemp)"
+trap 'rm -f "$det_a" "$det_b"' EXIT
+$COVENANT sim examples/scenarios/flash_crowd.json --json > "$det_a"
+$COVENANT sim examples/scenarios/flash_crowd.json --json > "$det_b"
+if ! cmp -s "$det_a" "$det_b"; then
   echo "determinism gate: flash_crowd.json --json output differs between replays"; exit 1
 fi
-rm -f /tmp/covenant_det_a.json /tmp/covenant_det_b.json
 
 echo "==> cargo clippy -D warnings (workspace)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -49,25 +53,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo bench --no-run (benchmarks must compile)"
 cargo bench --no-run --offline -p covenant-bench
 
-echo "==> sim smoke (release engine throughput + heap bound)"
-cargo run -q --offline --release -p covenant-bench --bin sim_smoke
-
-echo "==> net smoke (shared-link scenario: replay determinism + bounded heap)"
-cargo run -q --offline --release -p covenant-bench --bin net_smoke
-
-echo "==> live smoke (loopback L7 + L4 control plane end-to-end)"
-cargo run -q --offline --release -p covenant-bench --bin live_smoke
-
 echo "==> cluster soak (multi-process combining tree + /metrics scrape)"
 cargo run -q --offline --release -p covenant-bench --bin cluster_soak -- 3
 
-echo "==> tree bench smoke (wire frame economy: 2(n-1) frames per round)"
-cargo run -q --offline --release -p covenant-bench --bin tree_bench -- --quick
+echo "==> bench gate rule (scripts/bench_summary.sh on canned samples)"
+scripts/test_bench_gate.sh
 
-echo "==> lp smoke (warm-started revised simplex inside the window budget)"
-cargo run -q --offline --release -p covenant-bench --bin lp_smoke
-
-echo "==> live throughput smoke (sharded epoll reactor admissions/s floor)"
-cargo run -q --offline --release -p covenant-bench --bin live_throughput
+if [[ -n "$(git status --porcelain)" ]]; then parent=HEAD; else parent=HEAD~1; fi
+echo "==> benchmark gate (3 quick pairs of every workload against $parent)"
+scripts/bench_pairs.sh "$parent" --pairs 3 -- --quick
 
 echo "tier-1: OK"

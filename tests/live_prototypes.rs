@@ -111,5 +111,5 @@ fn l7_and_l4_enforce_the_same_agreements() {
     assert!(b_rate > a_rate, "B ({b_rate}) must outpace A ({a_rate})");
     assert!(a_rate + b_rate <= 170.0, "pool overrun: {}", a_rate + b_rate);
     // Coordination actually happened over the shared tree.
-    assert!(coordinator.messages() > 0);
+    assert!(coordinator.read_at(0, coordinator.now()).is_some());
 }

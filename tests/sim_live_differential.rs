@@ -221,7 +221,7 @@ fn wire_transport_reproduces_simulator_decisions_exactly() {
     let live = replay(
         &decisions,
         duration,
-        |node| Coordinator::with_transport(transports[node].clone(), 0.0),
+        |node| Coordinator::with_transport(transports[node].clone()),
         // Barrier: the round published at this boundary must close on
         // every node (its Down must arrive) before anyone reads again.
         |boundary| {
