@@ -9,7 +9,9 @@
 //!   (one Up and one Down per tree edge — Hello frames excluded);
 //! - round-close latency: publish-everywhere to total-delivered-everywhere
 //!   wall time through the full tree depth, mean / p50 / p99;
-//! - a leaf's measured Up→Down RTT from the runtime's own stats.
+//! - a leaf's measured Up→Down RTT from the runtime's own stats;
+//!
+//! under a `commit`/`date` header saying which tree was measured.
 //!
 //! Stays beside `benchmark/` because no workload there varies tree depth
 //! (`cluster_contended` is one root and two leaves), which is the axis of
@@ -32,6 +34,13 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
     sorted_us[idx.min(sorted_us.len() - 1)]
+}
+
+/// First line of `cmd`'s output, or "unknown" where it cannot run.
+fn first_line(cmd: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(cmd).args(args).output().ok();
+    let text = out.and_then(|o| String::from_utf8(o.stdout).ok());
+    text.and_then(|t| t.lines().next().map(str::to_owned)).unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {
@@ -122,6 +131,10 @@ fn main() {
 
     let doc = Value::Obj(vec![
         ("bench".into(), "wire_combining_tree".into()),
+        // Which tree the numbers are of: the commit built (`-dirty` when
+        // the working tree had uncommitted changes) and the day it ran.
+        ("commit".into(), first_line("git", &["describe", "--always", "--dirty"]).into()),
+        ("date".into(), first_line("date", &["-u", "+%Y-%m-%d"]).into()),
         ("transport".into(), "length-prefixed frames over loopback TCP (epoll)".into()),
         ("stamp_mode".into(), "virtual".into()),
         ("window_ms".into(), (window.as_millis() as f64).into()),

@@ -113,6 +113,7 @@ fn run_node(args: &[String]) -> Result<Never, String> {
         epoch,
         mode: StampMode::Live,
         window,
+        extra_lag: spec.extra_tree_lag,
         bind,
     })
     .map_err(|e| format!("wire runtime: {e}"))?;

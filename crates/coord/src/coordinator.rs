@@ -1,10 +1,10 @@
-//! Coordination endpoint shared by redirector threads.
+//! The live planes' coordination endpoint.
 //!
-//! `Coordinator` is a thin, clonable handle over a [`CoordTransport`]: the
-//! in-process combining tree ([`InProcessTree`], the default), or a socket
-//! transport from `covenant-wire` where tree edges are real connections.
-//! Everything above it — [`TreeCoordination`], `ShardCore` — is
-//! transport-agnostic.
+//! `Coordinator` is a thin, clonable handle over a [`CoordTransport`] — a
+//! driver of the one combining-tree node (`covenant_tree::TreeNode`): the
+//! in-process tree ([`InProcessTree`], the default), or `covenant-wire`'s
+//! socket driver where tree edges are real connections. Each `ShardCore`
+//! holds one, on its own event loop, and cannot tell which driver it is.
 
 use covenant_enforce::CoordinationView;
 use covenant_tree::{CoordTransport, InProcessTree, Topology};
@@ -16,11 +16,11 @@ use std::time::Instant;
 /// deployment's shared clock.
 ///
 /// Over the default in-process transport, every [`Coordinator::publish_at`]
-/// triggers one aggregation round (the tree combines whatever each node
+/// closes one aggregation round (the tree combines whatever each node
 /// last reported — exactly the estimate-lag semantics of the paper's
 /// periodic exchange), and the result becomes visible to each node once
-/// its tree lag has elapsed. Over a wire transport the same calls enqueue
-/// frames to real peers and read whatever aggregates have arrived.
+/// its tree lag has elapsed. Over the wire transport the same calls feed
+/// this process's node and read whatever totals real peers have delivered.
 #[derive(Clone)]
 pub struct Coordinator {
     transport: Arc<dyn CoordTransport>,
@@ -81,13 +81,13 @@ impl Coordinator {
 }
 
 /// One node's [`CoordinationView`] onto the shared [`Coordinator`] tree —
-/// the live counterpart of the simulator's `DelayedCoordination`.
+/// the live counterpart of the simulator's `LocalCoordination`.
 ///
 /// `read` uses [`Coordinator::read_at`]'s strictly-before semantics, so the
 /// enforcement core's read-before-publish tick order sees at best the
 /// *previous* round's aggregate — one window stale, exactly like the
 /// simulator — even when several nodes roll at the same boundary time.
-pub struct TreeCoordination {
+pub(crate) struct TreeCoordination {
     coordinator: Coordinator,
     node: usize,
     /// Owned copy of the last read aggregate (the trait hands out a slice).
@@ -96,7 +96,7 @@ pub struct TreeCoordination {
 
 impl TreeCoordination {
     /// A view for tree node `node`.
-    pub fn new(coordinator: Coordinator, node: usize) -> Self {
+    pub(crate) fn new(coordinator: Coordinator, node: usize) -> Self {
         TreeCoordination { coordinator, node, read_buf: None }
     }
 }

@@ -8,9 +8,10 @@
 //! data plane. This crate is that control plane, shared by the Layer-7 and
 //! Layer-4 prototypes:
 //!
-//! * [`Coordinator`] — an in-process combining tree: each redirector
-//!   publishes its demand vector; aggregates become visible to node `i`
-//!   only after that node's tree lag (plus any injected extra lag);
+//! * [`Coordinator`] — the handle onto the combining tree, whichever
+//!   driver runs it (`covenant-tree`'s in-process tree or `covenant-wire`'s
+//!   sockets): each redirector publishes its demand vector; totals become
+//!   visible to node `i` only after that node's lag;
 //! * [`ShardCore`] — the per-redirector state machine (credit gate,
 //!   demand estimator, window scheduler) a reactor shard owns exclusively,
 //!   one per event loop, each joining the tree as its own leaf. The shard
@@ -22,5 +23,5 @@
 mod coordinator;
 mod shard;
 
-pub use coordinator::{Coordinator, TreeCoordination};
+pub use coordinator::Coordinator;
 pub use shard::ShardCore;

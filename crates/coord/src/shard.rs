@@ -1,6 +1,6 @@
 //! Single-owner per-shard admission state for reactor data planes.
 
-use crate::{Coordinator, TreeCoordination};
+use crate::coordinator::{Coordinator, TreeCoordination};
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_enforce::{ArrivalOutcome, EnforcementCore, EnforcementCounters, QueueMode};
 use covenant_sched::{Request, SchedulerConfig};

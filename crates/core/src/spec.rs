@@ -27,10 +27,10 @@ pub struct DeploymentSpec {
     /// Uniform edge delay in the tree, seconds.
     #[serde(default)]
     pub tree_edge_delay: f64,
-    /// Extra information lag injected on top of propagation, seconds.
-    /// The simulator and the in-process tree apply it; it has no effect
-    /// over the wire transport (`covenant cluster`), whose lag is what the
-    /// sockets impose.
+    /// Extra information lag injected on top of propagation, seconds:
+    /// every substrate holds a delivered total back this long before reads
+    /// see it (over `covenant cluster`'s sockets, on top of the measured
+    /// propagation).
     #[serde(default)]
     pub extra_tree_lag: f64,
     /// Scheduling policy.

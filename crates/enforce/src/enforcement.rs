@@ -35,8 +35,9 @@
 use crate::{reinject_fifo, Admission, CreditGate, PrincipalQueues, RateEstimator};
 use covenant_agreements::AccessLevels;
 use covenant_sched::{Plan, Request, SchedulerConfig, WindowScheduler};
-use covenant_tree::DelayedView;
+use covenant_tree::LocalTree;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// EWMA smoothing factor for demand estimation: the paper's prototypes
@@ -85,9 +86,9 @@ pub enum ArrivalOutcome {
 /// aggregated global demand back from.
 ///
 /// Implementations abstract the two deployments: the simulator's
-/// [`DelayedCoordination`] (centralized once-per-tick aggregation delivered
-/// through a [`DelayedView`]) and the live coordinator tree (see
-/// `covenant_coord`). The contract both must satisfy: a [`read`] at time
+/// [`LocalCoordination`] (one round closed per tick on a single-threaded
+/// tree) and the live coordinator tree (see `covenant_coord`). The
+/// contract both must satisfy: a [`read`] at time
 /// `now` never observes a [`publish`] from the same `now` — publications
 /// become visible strictly later, so every node plans on equally-stale
 /// information regardless of roll order within a window.
@@ -102,49 +103,39 @@ pub trait CoordinationView {
     fn publish(&mut self, now: f64, demand: &[f64]);
 }
 
-/// The simulator's coordination view: a lagged [`DelayedView`] of the
-/// centrally-aggregated demand, plus an outbox the engine collects after
-/// each tick.
+/// One node's view onto a single-threaded [`LocalTree`]: the simulator's
+/// coordination.
 ///
-/// The simulation aggregates once per window boundary — every node ticks,
-/// then the engine sums the outboxes over the combining tree and delivers
-/// one shared aggregate (`Rc`) into every node's view. `publish` therefore
-/// only records the demand locally; delivery happens via
-/// [`DelayedCoordination::deliver`].
+/// `publish` records this node's demand in the tree; the owner of the tree
+/// closes one round per window boundary, after every node has ticked
+/// ([`LocalTree::close_round`]), so a `read` at a boundary sees at best
+/// the previous boundary's total.
 #[derive(Debug)]
-pub struct DelayedCoordination {
-    view: DelayedView<Rc<Vec<f64>>>,
-    outbox: Vec<f64>,
+pub struct LocalCoordination {
+    tree: Rc<RefCell<LocalTree>>,
+    node: usize,
+    /// Owned copy of the last read aggregate (the trait hands out a slice).
+    read_buf: Vec<f64>,
 }
 
-impl DelayedCoordination {
-    /// A view whose delivered aggregates become visible `lag` seconds
-    /// after delivery.
-    pub fn new(lag: f64) -> Self {
-        DelayedCoordination { view: DelayedView::new(lag), outbox: Vec::new() }
-    }
-
-    /// The demand published at the last tick (the combining tree's input
-    /// for this node).
-    pub fn outbox(&self) -> &[f64] {
-        &self.outbox
-    }
-
-    /// Delivers the centrally-computed aggregate at time `now`; it becomes
-    /// readable after this view's lag.
-    pub fn deliver(&mut self, now: f64, aggregate: Rc<Vec<f64>>) {
-        self.view.publish(now, aggregate);
+impl LocalCoordination {
+    /// A view for tree node `node`.
+    pub fn new(tree: Rc<RefCell<LocalTree>>, node: usize) -> Self {
+        LocalCoordination { tree, node, read_buf: Vec::new() }
     }
 }
 
-impl CoordinationView for DelayedCoordination {
+impl CoordinationView for LocalCoordination {
     fn read(&mut self, now: f64) -> Option<&[f64]> {
-        self.view.read(now).map(|v| v.as_slice())
+        let mut tree = self.tree.borrow_mut();
+        let total = tree.view(self.node)?.read(now)?;
+        self.read_buf.clear();
+        self.read_buf.extend_from_slice(total);
+        Some(&self.read_buf)
     }
 
     fn publish(&mut self, _now: f64, demand: &[f64]) {
-        self.outbox.clear();
-        self.outbox.extend_from_slice(demand);
+        self.tree.borrow_mut().publish(self.node, demand);
     }
 }
 
@@ -514,6 +505,7 @@ impl<V: CoordinationView> EnforcementCore<V> {
 mod tests {
     use super::*;
     use covenant_agreements::{AgreementGraph, PrincipalId};
+    use covenant_tree::Topology;
 
     /// Server 100 req/s, A [0.2,1], B [0.8,1] — 10 units per 100 ms window.
     fn levels() -> AccessLevels {
@@ -526,29 +518,35 @@ mod tests {
         g.access_levels()
     }
 
-    fn core(mode: QueueMode) -> EnforcementCore<DelayedCoordination> {
-        EnforcementCore::new(
-            &levels(),
-            SchedulerConfig::community_default(),
-            mode,
-            DelayedCoordination::new(0.0),
-        )
+    /// A core on a one-node tree of its own.
+    fn core_for(levels: &AccessLevels, mode: QueueMode) -> EnforcementCore<LocalCoordination> {
+        let tree = Rc::new(RefCell::new(LocalTree::new(&Topology::star(1, 0.0), 0.0)));
+        let view = LocalCoordination::new(tree, 0);
+        EnforcementCore::new(levels, SchedulerConfig::community_default(), mode, view)
+    }
+
+    fn core(mode: QueueMode) -> EnforcementCore<LocalCoordination> {
+        core_for(&levels(), mode)
+    }
+
+    /// The demand the core published at its last tick.
+    fn published(c: &mut EnforcementCore<LocalCoordination>) -> Vec<f64> {
+        c.coordination_mut().tree.borrow().demands()[0].clone()
     }
 
     const A: PrincipalId = PrincipalId(1);
     const B: PrincipalId = PrincipalId(2);
 
-    fn arrive(c: &mut EnforcementCore<DelayedCoordination>, id: u64, p: PrincipalId) -> ArrivalOutcome {
+    fn arrive(c: &mut EnforcementCore<LocalCoordination>, id: u64, p: PrincipalId) -> ArrivalOutcome {
         c.on_arrival(Request::unit(id, p, 0.0))
     }
 
-    /// Ticks at `now` and delivers the aggregate (single-node loopback),
+    /// Ticks at `now` and closes the tree's round (single-node loopback),
     /// returning the released requests.
-    fn tick(c: &mut EnforcementCore<DelayedCoordination>, now: f64) -> Vec<(Request, usize)> {
+    fn tick(c: &mut EnforcementCore<LocalCoordination>, now: f64) -> Vec<(Request, usize)> {
         let mut released = Vec::new();
         c.on_window_tick(now, None, &mut released);
-        let agg = Rc::new(c.coordination_mut().outbox().to_vec());
-        c.coordination_mut().deliver(now, agg);
+        c.coordination_mut().tree.borrow_mut().close_round(now);
         released
     }
 
@@ -618,7 +616,7 @@ mod tests {
         let mut released = Vec::new();
         // No arrivals, but an externally-parked backlog of 5 for B.
         c.on_window_tick(0.1, Some(&[0.0, 0.0, 5.0]), &mut released);
-        assert_eq!(c.coordination_mut().outbox(), &[0.0, 0.0, 5.0]);
+        assert_eq!(published(&mut c), &[0.0, 0.0, 5.0]);
         // Conservative window still caps at half of B's mandatory 8 = 4.
         let quota = c.last_plan().admitted(B);
         assert!((quota - 4.0).abs() < 1e-6, "quota {quota}");
@@ -632,12 +630,7 @@ mod tests {
         let a = g.add_principal("A", 0.0);
         g.add_agreement(s1, a, 0.5, 1.0).unwrap();
         g.add_agreement(s2, a, 0.5, 1.0).unwrap();
-        let mut c = EnforcementCore::new(
-            &g.access_levels(),
-            SchedulerConfig::community_default(),
-            QueueMode::CreditRetry { retry_delay: 0.05 },
-            DelayedCoordination::new(0.0),
-        );
+        let mut c = core_for(&g.access_levels(), QueueMode::CreditRetry { retry_delay: 0.05 });
         let p = PrincipalId(2);
         for id in 0..40 {
             c.on_arrival(Request::unit(id, p, 0.0));
@@ -663,7 +656,7 @@ mod tests {
         // estimate only reflects genuine arrivals (4, then 0 → EWMA 2… but
         // readmit added nothing on top).
         tick(&mut c, 0.2);
-        assert!((c.coordination_mut().outbox()[B.0] - 2.0).abs() < 1e-9);
+        assert!((published(&mut c)[B.0] - 2.0).abs() < 1e-9);
     }
 
     #[test]

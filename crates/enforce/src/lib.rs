@@ -38,7 +38,7 @@ pub use counters::{
 };
 pub use credit::{Admission, CreditGate};
 pub use enforcement::{
-    ArrivalOutcome, CoordinationView, DelayedCoordination, EnforcementCore, EnforcementCounters,
+    ArrivalOutcome, CoordinationView, EnforcementCore, EnforcementCounters, LocalCoordination,
     QueueMode,
 };
 pub use estimator::RateEstimator;

@@ -8,14 +8,14 @@
 //!
 //! - **R1 `wall-clock`** — no `Instant::now()` / `SystemTime::now()` in
 //!   data-plane crates (`enforce`, `sched`, `l7`, `l4`, `coord`, `http`,
-//!   `wire`, `cluster`, `verify`) outside the clock allowlist.
+//!   `tree`, `wire`, `cluster`, `verify`) outside the clock allowlist.
 //!   Data-plane code takes injected time, or the sim/live differential
 //!   replay breaks. The wire transport's `WireClock` carries the only
 //!   sanctioned reads in its crate (per-line pragmas): RTT and
 //!   propagation delay are *measured* quantities there.
 //! - **R2 `no-panic`** — no `unwrap()` / `expect(` / `panic!` /
 //!   indexing-by-integer-literal in admission-path crates (`enforce`,
-//!   `sched`, `l7`, `l4`, `coord`, `wire`, `cluster`, `verify`). A
+//!   `sched`, `l7`, `l4`, `coord`, `tree`, `wire`, `cluster`, `verify`). A
 //!   panicked redirector thread silently stops enforcing its agreements.
 //! - **R3 `float-eq`** — no `==` / `!=` with a float-literal operand,
 //!   workspace-wide. Credit and LP-tableau arithmetic must use epsilon
@@ -108,8 +108,9 @@ impl RuleMeta for Rule {
 pub type Diagnostic = Diag<Rule>;
 
 /// Crates whose data plane must take injected time (R1).
-const R1_CRATES: &[&str] =
-    &["enforce", "sched", "l7", "l4", "coord", "http", "reactor", "wire", "cluster", "verify"];
+const R1_CRATES: &[&str] = &[
+    "enforce", "sched", "l7", "l4", "coord", "http", "reactor", "tree", "wire", "cluster", "verify",
+];
 
 /// The clock allowlist: the files that *are* the clock. The http clock
 /// module anchors the default wall clock the origin's token bucket takes
@@ -120,7 +121,7 @@ const R1_ALLOW_FILES: &[&str] = &["crates/http/src/clock.rs"];
 /// verifier joins the list because `Cluster::launch` runs it on the
 /// admission-control startup path.
 const R2_CRATES: &[&str] =
-    &["enforce", "sched", "l7", "l4", "coord", "reactor", "wire", "cluster", "verify"];
+    &["enforce", "sched", "l7", "l4", "coord", "reactor", "tree", "wire", "cluster", "verify"];
 
 /// Reactor callback paths: everything in the reactor crate plus the
 /// shard data planes driven by its event loops (R5). One blocking call

@@ -249,7 +249,7 @@ impl WindowScheduler {
 
     /// [`WindowScheduler::plan_window`] over borrowed global data: `None`
     /// means the tree has delivered nothing yet. Callers holding the
-    /// aggregate behind a shared pointer (the simulator's `DelayedView`)
+    /// aggregate in a buffer of their own (a `CoordinationView`'s read)
     /// plan without materializing a `GlobalView`, and the global/local
     /// merge reuses an internal scratch buffer instead of allocating.
     pub fn plan_window_shared(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> Plan {

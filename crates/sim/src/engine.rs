@@ -13,7 +13,9 @@
 //!   `solve_reference` plays for the LP). It materializes every arrival up
 //!   front, pushes all of them into the heap before the clock starts, and
 //!   tracks metadata in a `HashMap` — the seed's O(total requests) cost
-//!   profile.
+//!   profile. Its coordination is an oracle too: where `run` closes a
+//!   round of tree nodes each tick, it sums the published demands with
+//!   `Topology::aggregate` and stamps the views itself.
 //!
 //! The [`EventQueue`](crate::events::EventQueue)'s class-keyed ordering
 //! guarantees both paths pop the identical event sequence, so their
@@ -29,12 +31,14 @@ use crate::redirector::{ArrivalOutcome, SimRedirector};
 use crate::server::{Accept, Server};
 use covenant_agreements::PrincipalId;
 use covenant_sched::{Request, RequestId, SchedulerConfig};
+use covenant_tree::LocalTree;
 use covenant_workload::ArrivalStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 #[cfg(test)]
 use std::collections::HashMap;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -305,6 +309,8 @@ pub struct Simulation {
 
 /// Shared per-run state that is identical between the two execution paths.
 struct RunState {
+    /// The combining tree every redirector publishes into and reads from.
+    tree: Rc<RefCell<LocalTree>>,
     redirectors: Vec<SimRedirector>,
     servers: Vec<Server>,
     /// Capacity changes sorted by time; consumed via `change_cursor`.
@@ -334,7 +340,6 @@ struct RunState {
     dropped_server: u64,
     abandoned: u64,
     skipped: u64,
-    tree_messages: u64,
     outstanding: Vec<usize>,
     client_limit: Vec<Option<usize>>,
     retry_delay: f64,
@@ -372,10 +377,11 @@ impl Simulation {
         let n = cfg.graph.len();
         let n_redirectors = cfg.n_redirectors();
         let levels = cfg.graph.access_levels();
+        let tree = Rc::new(RefCell::new(LocalTree::new(&cfg.tree, cfg.extra_tree_lag)));
         let redirectors: Vec<SimRedirector> = (0..n_redirectors)
             .map(|id| {
-                let lag = cfg.tree.information_lag(id) + cfg.extra_tree_lag;
-                SimRedirector::new(id, &levels, Self::sched_cfg_for(cfg, id), cfg.mode.clone(), lag)
+                let sched = Self::sched_cfg_for(cfg, id);
+                SimRedirector::new(id, &levels, sched, cfg.mode.clone(), Rc::clone(&tree))
             })
             .collect();
         let servers: Vec<Server> = cfg
@@ -412,6 +418,7 @@ impl Simulation {
         };
 
         RunState {
+            tree,
             redirectors,
             servers,
             changes,
@@ -433,7 +440,6 @@ impl Simulation {
             dropped_server: 0,
             abandoned: 0,
             skipped: 0,
-            tree_messages: 0,
             outstanding: vec![0; cfg.clients.len()],
             client_limit: cfg.clients.iter().map(|c| c.max_outstanding).collect(),
             retry_delay,
@@ -475,17 +481,18 @@ impl Simulation {
         }
         // Crash-and-restart injection: replace the redirector with a fresh
         // instance; queued/parked requests and all learned state are lost,
-        // exactly like a process crash.
+        // exactly like a process crash — its tree node and view included,
+        // which the neighbours see as a dropped and returning edge.
         while st.restart_cursor < st.restarts.len() && st.restarts[st.restart_cursor].0 <= now {
             let (_, id) = st.restarts[st.restart_cursor];
             st.restart_cursor += 1;
-            let lag = cfg.tree.information_lag(id) + cfg.extra_tree_lag;
+            st.tree.borrow_mut().restart(id);
             st.redirectors[id] = SimRedirector::new(
                 id,
                 &st.live_graph.access_levels(),
                 Self::sched_cfg_for(cfg, id),
                 cfg.mode.clone(),
-                lag,
+                Rc::clone(&st.tree),
             );
         }
     }
@@ -512,7 +519,7 @@ impl Simulation {
                 .iter()
                 .map(|s| s.utilization(cfg.duration))
                 .collect(),
-            tree_messages: st.tree_messages,
+            tree_messages: st.tree.borrow().messages(),
             pairwise_messages_equivalent: windows * cfg.tree.pairwise_messages() as u64,
             plan_cache_hits: st.redirectors.iter().map(|r| r.cache_stats().0).sum(),
             plan_cache_misses: st.redirectors.iter().map(|r| r.cache_stats().1).sum(),
@@ -536,7 +543,6 @@ impl Simulation {
         let start = Instant::now();
         let cfg = self.cfg;
         let n_redirectors = cfg.n_redirectors();
-        let n = cfg.graph.len();
         let mut st = Self::init_state(&cfg);
 
         let mut events = EventQueue::new();
@@ -561,9 +567,7 @@ impl Simulation {
         }
 
         let mut meta = MetaSlab::default();
-        // Reused per-tick buffers: one demand vector per redirector (also
-        // the combining tree's input layout) and one release list.
-        let mut demand_bufs: Vec<Vec<f64>> = vec![vec![0.0; n]; n_redirectors];
+        // Reused per-tick release list.
         let mut released: Vec<(Request, usize)> = Vec::new();
         let mut events_processed: u64 = 0;
 
@@ -657,11 +661,11 @@ impl Simulation {
                         events.push_tick(next_t, tick_index, Event::WindowTick { redirector: 0 });
                     }
                     Self::apply_boundary_schedules(&cfg, &mut st, now);
-                    // Every redirector rolls its window; collect published
-                    // demand vectors, aggregate over the tree, and deliver
-                    // (with per-node lag) via each node's DelayedView.
-                    for (ri, demand) in demand_bufs.iter_mut().enumerate() {
-                        st.redirectors[ri].on_window_tick(now, &mut released, demand);
+                    // Every redirector rolls its window, publishing its
+                    // demand into its tree node; then the round closes and
+                    // each node's view holds the total (with per-node lag).
+                    for ri in 0..n_redirectors {
+                        st.redirectors[ri].on_window_tick(now, &mut released);
                         for (req, server) in released.drain(..) {
                             st.admitted[req.principal.0] += 1;
                             match st.servers[server].offer(now + st.hop, req) {
@@ -678,14 +682,7 @@ impl Simulation {
                             }
                         }
                     }
-                    let round = cfg.tree.aggregate(&demand_bufs);
-                    st.tree_messages += round.messages() as u64;
-                    // One shared aggregate; each node's DelayedView holds a
-                    // cheap reference instead of its own copy.
-                    let total = Rc::new(round.total);
-                    for r in st.redirectors.iter_mut() {
-                        r.deliver_aggregate(now, Rc::clone(&total));
-                    }
+                    st.tree.borrow_mut().close_round(now);
                 }
                 Event::Completion { server } => {
                     let req = st.servers[server].complete();
@@ -754,9 +751,9 @@ impl Simulation {
     pub fn run_reference(self) -> SimReport {
         let start = Instant::now();
         let cfg = self.cfg;
-        let n = cfg.graph.len();
         let n_redirectors = cfg.n_redirectors();
         let mut st = Self::init_state(&cfg);
+        let mut tree_messages: u64 = 0;
 
         let mut events = EventQueue::new();
         // All window ticks up front (same drift-free boundary times as the
@@ -888,12 +885,9 @@ impl Simulation {
                 Event::WindowTick { .. } => {
                     Self::apply_boundary_schedules(&cfg, &mut st, now);
                     // Fresh per-tick allocations, as the seed engine made.
-                    let mut demands: Vec<Vec<f64>> = Vec::with_capacity(n_redirectors);
                     for ri in 0..n_redirectors {
                         let mut released = Vec::new();
-                        let mut demand = vec![0.0; n];
-                        st.redirectors[ri].on_window_tick(now, &mut released, &mut demand);
-                        demands.push(demand);
+                        st.redirectors[ri].on_window_tick(now, &mut released);
                         for (req, server) in released {
                             st.admitted[req.principal.0] += 1;
                             match st.servers[server].offer(now + st.hop, req) {
@@ -910,10 +904,15 @@ impl Simulation {
                             }
                         }
                     }
-                    let round = cfg.tree.aggregate(&demands);
-                    st.tree_messages += round.messages() as u64;
-                    for r in st.redirectors.iter_mut() {
-                        r.deliver_aggregate(now, Rc::new(round.total.clone()));
+                    // The oracle's coordination: the published demands
+                    // summed centrally and stamped straight into each view,
+                    // no tree node involved.
+                    let mut tree = st.tree.borrow_mut();
+                    let round = cfg.tree.aggregate(tree.demands());
+                    tree_messages += round.messages() as u64;
+                    for id in 0..n_redirectors {
+                        let view = tree.view(id).expect("one view per redirector");
+                        view.publish(now, round.total.clone());
                     }
                 }
                 Event::Completion { server } => {
@@ -964,7 +963,9 @@ impl Simulation {
 
         let peak = events.peak_len();
         let wall = start.elapsed().as_secs_f64();
-        Self::finish(&cfg, st, events_processed, peak, wall)
+        let mut report = Self::finish(&cfg, st, events_processed, peak, wall);
+        report.tree_messages = tree_messages;
+        report
     }
 }
 #[cfg(test)]

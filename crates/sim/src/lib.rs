@@ -10,8 +10,10 @@
 //!   three queuing modes (explicit queues, credit + client retry — the L7
 //!   self-redirect scheme — or credit + parking — the L4 kernel-queue
 //!   scheme),
-//! * a [`covenant_tree`] combining tree with per-node information lag (plus
-//!   an optional extra lag, reproducing Figure 8's deliberate 10 s delay),
+//! * a [`covenant_tree`] combining tree — the same `TreeNode` round engine
+//!   the live planes run, stepped by direct calls once per window — with
+//!   per-node information lag (plus an optional extra lag, reproducing
+//!   Figure 8's deliberate 10 s delay),
 //! * capacity-limited servers with finite accept backlogs.
 //!
 //! The output is a per-principal, per-second processing-rate series — the

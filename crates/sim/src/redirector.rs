@@ -3,16 +3,17 @@
 //!
 //! All admission/window logic lives in `covenant-enforce` — the same state
 //! machine the live L7/L4 prototypes run. This wrapper only adapts the
-//! engine's calling convention: it exposes the published demand vector for
-//! the engine's centralized once-per-tick tree aggregation, and accepts
-//! the delivered aggregate back into the core's [`DelayedCoordination`]
-//! view.
+//! engine's calling convention; the core publishes into and reads from its
+//! position in the engine's [`LocalTree`], whose round the engine closes
+//! once per tick.
 
 use crate::config::QueueMode;
 use covenant_agreements::AccessLevels;
 pub use covenant_enforce::ArrivalOutcome;
-use covenant_enforce::{DelayedCoordination, EnforcementCore};
+use covenant_enforce::{EnforcementCore, LocalCoordination};
 use covenant_sched::{Request, SchedulerConfig};
+use covenant_tree::LocalTree;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 /// One simulated redirector node.
@@ -20,23 +21,21 @@ use std::rc::Rc;
 pub struct SimRedirector {
     /// Node index in the combining tree.
     pub id: usize,
-    core: EnforcementCore<DelayedCoordination>,
+    core: EnforcementCore<LocalCoordination>,
 }
 
 impl SimRedirector {
-    /// Builds a redirector for the principals in `levels`, with a
-    /// `view_lag`-second delayed view of the aggregated demand.
+    /// Builds a redirector for the principals in `levels`, coordinating as
+    /// node `id` of `tree`.
     pub fn new(
         id: usize,
         levels: &AccessLevels,
         sched_cfg: SchedulerConfig,
         mode: QueueMode,
-        view_lag: f64,
+        tree: Rc<RefCell<LocalTree>>,
     ) -> Self {
-        SimRedirector {
-            id,
-            core: EnforcementCore::new(levels, sched_cfg, mode, DelayedCoordination::new(view_lag)),
-        }
+        let view = LocalCoordination::new(tree, id);
+        SimRedirector { id, core: EnforcementCore::new(levels, sched_cfg, mode, view) }
     }
 
     /// Installs new access levels after a capacity or agreement change
@@ -80,25 +79,12 @@ impl SimRedirector {
         self.core.on_arrival(req)
     }
 
-    /// Rolls the scheduling window at time `now`. Fills `released` with the
-    /// requests released from queues (with their target servers) and
-    /// `demand` with the vector this node publishes into the combining
-    /// tree; both buffers are cleared first and may be reused across ticks
-    /// (steady state allocates nothing).
-    pub fn on_window_tick(
-        &mut self,
-        now: f64,
-        released: &mut Vec<(Request, usize)>,
-        demand: &mut Vec<f64>,
-    ) {
+    /// Rolls the scheduling window at time `now`, publishing this node's
+    /// demand into the tree. Fills `released` with the requests released
+    /// from queues (with their target servers); the buffer is cleared
+    /// first and may be reused across ticks (steady state allocates
+    /// nothing).
+    pub fn on_window_tick(&mut self, now: f64, released: &mut Vec<(Request, usize)>) {
         self.core.on_window_tick(now, None, released);
-        demand.clear();
-        demand.extend_from_slice(self.core.coordination_mut().outbox());
-    }
-
-    /// Delivers the centrally-aggregated demand into this node's delayed
-    /// view (visible after the node's information lag).
-    pub fn deliver_aggregate(&mut self, now: f64, aggregate: Rc<Vec<f64>>) {
-        self.core.coordination_mut().deliver(now, aggregate);
     }
 }

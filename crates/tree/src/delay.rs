@@ -37,17 +37,22 @@ impl<T> DelayedView<T> {
         self.lag
     }
 
-    /// Publishes a value observed at `now`. Timestamps must be
-    /// non-decreasing across calls.
+    /// Publishes a value observed at `now`. A timestamp earlier than the
+    /// newest pending one (or NaN) is clamped forward to it: stamps carried
+    /// in frames from a peer must not be able to disorder the view.
     pub fn publish(&mut self, now: f64, value: T) {
-        if let Some(&(last, _)) = self.pending.back() {
-            assert!(now >= last, "publish timestamps must be non-decreasing");
-        }
+        let last = self.pending.back().map_or(f64::NEG_INFINITY, |&(t, _)| t);
+        let now = if now > last { now } else { last };
         // What is ripe now — strictly before `now`, so that `read_before`
         // agrees — is ripe for every read from here on, and a read returns
         // the newest ripe entry: take that step here, so that a view nobody
         // reads still lets go of what it has published.
         self.ripen(now, true);
+        // Entries of one instant ripen together and the newest wins, so a
+        // same-instant publish replaces its predecessor.
+        if last >= now {
+            self.pending.pop_back();
+        }
         self.pending.push_back((now, value));
     }
 
@@ -80,11 +85,6 @@ impl<T> DelayedView<T> {
     pub fn read_before(&mut self, now: f64) -> Option<&T> {
         self.ripen(now, true);
         self.visible.as_ref().map(|(_, v)| v)
-    }
-
-    /// Age of the currently visible value at `now`, if any.
-    pub fn visible_age(&self, now: f64) -> Option<f64> {
-        self.visible.as_ref().map(|(t, _)| now - t)
     }
 }
 
@@ -125,7 +125,6 @@ mod tests {
         assert_eq!(v.read(2.0), Some(&7));
         // No new publishes: later reads still return the last visible value.
         assert_eq!(v.read(100.0), Some(&7));
-        assert_eq!(v.visible_age(100.0), Some(100.0));
     }
 
     #[test]
@@ -229,10 +228,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn rejects_time_travel() {
-        let mut v = DelayedView::new(1.0);
-        v.publish(5.0, 1);
-        v.publish(4.0, 2);
+    fn non_monotone_stamps_clamp_forward() {
+        let mut v = DelayedView::new(0.0);
+        v.publish(0.5, 1);
+        v.publish(0.3, 2); // clamped to 0.5
+        v.publish(f64::NAN, 3); // clamped to 0.5
+        assert_eq!(v.read_before(0.5), None);
+        assert_eq!(v.read(0.5), Some(&3));
+    }
+
+    #[test]
+    fn same_instant_publishes_hold_one_entry() {
+        // A peer that stamps every frame alike must not grow the view.
+        let mut v = DelayedView::new(0.0);
+        for i in 0..1000 {
+            v.publish(1.0, i);
+        }
+        assert_eq!(v.pending.len(), 1);
+        assert_eq!(v.read(1.0), Some(&999));
     }
 }

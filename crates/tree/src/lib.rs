@@ -14,29 +14,36 @@
 //! * [`Topology`] — validated tree shapes (explicit parent arrays, or the
 //!   [`Topology::balanced`] / [`Topology::star`] / [`Topology::chain`]
 //!   constructors) with per-edge delays;
-//! * [`Topology::aggregate`] — one up/down round over per-node vectors,
-//!   reporting the global sum, the exact message count, and the end-to-end
-//!   latency implied by the edge delays;
+//! * [`TreeNode`] — the protocol itself, once: one tree position's round
+//!   engine as a pure state machine (`apply(NodeCmd) -> Effect`s; no
+//!   socket, no clock, no lock), including forced rounds on last-good
+//!   child values and the rebase of a restarted child or parent. Every
+//!   substrate is a driver that only moves its messages;
+//! * [`DelayedView`] — the one stamped view every driver delivers totals
+//!   into: what a redirector actually *sees*, the newest aggregate older
+//!   than its lag;
+//! * [`LocalTree`] — the direct-call driver: a whole tree of nodes and
+//!   views in one address space (the simulator's coordination), and
+//!   [`InProcessTree`], the same behind a mutex as a [`CoordTransport`] —
+//!   the publish/read seam the live planes run over (the socket driver
+//!   lives in `covenant-wire`);
+//! * [`Topology::aggregate`] — one up/down round computed centrally: the
+//!   oracle the node is checked against, with the exact message count and
+//!   the latency implied by the edge delays;
 //! * [`QueueStats`] — the richer aggregate the paper mentions (max, min,
-//!   average, variance) combined in the same single round;
-//! * [`DelayedView`] — a timestamped pipeline that models what a redirector
-//!   actually *sees*: the newest aggregate older than the propagation lag;
-//! * [`CoordTransport`] / [`InProcessTree`] — the publish/read transport
-//!   surface the coordination plane runs over, with the synchronous
-//!   in-process tree as the zero-cost implementation (socket transports
-//!   live in `covenant-wire`).
+//!   average, variance) combined in the same single round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod delay;
-mod overlay;
+mod node;
 mod stats;
 mod topology;
 mod transport;
 
 pub use delay::DelayedView;
-pub use overlay::{best_root, build_overlay};
+pub use node::{Effect, NodeCmd, RoundMsg, TreeNode};
 pub use stats::QueueStats;
 pub use topology::{AggregationRound, Topology, TreeError};
-pub use transport::{CoordTransport, InProcessTree};
+pub use transport::{CoordTransport, InProcessTree, LocalTree};

@@ -89,10 +89,9 @@ impl Topology {
             }
         }
         let roots: Vec<usize> = (0..n).filter(|&i| parents[i].is_none()).collect();
-        if roots.len() != 1 {
+        let [root] = roots[..] else {
             return Err(TreeError::RootCount(roots.len()));
-        }
-        let root = roots[0];
+        };
         let mut children = vec![Vec::new(); n];
         for (i, parent) in parents.iter().enumerate() {
             if let Some(p) = *parent {
@@ -129,30 +128,32 @@ impl Topology {
         })
     }
 
+    /// A shape whose parent pointers form a rooted tree by construction,
+    /// with one delay on every edge.
+    fn uniform(parents: Vec<Option<usize>>, edge_delay: f64) -> Self {
+        // Only the delay can be refused: a configuration-time panic on a
+        // caller's bad argument, like the constructors' `assert!`s on `n`.
+        Self::from_parents(&parents, &vec![edge_delay; parents.len()])
+            .expect("edge delay must be finite and >= 0") // covenant: allow(no-panic)
+    }
+
     /// A balanced tree of `n` nodes with fan-out `arity` and uniform edge
     /// delay (node 0 is the root; node `i`'s parent is `(i−1)/arity`).
     pub fn balanced(n: usize, arity: usize, edge_delay: f64) -> Self {
         assert!(n >= 1 && arity >= 1);
-        let parents: Vec<Option<usize>> = (0..n)
-            .map(|i| if i == 0 { None } else { Some((i - 1) / arity) })
-            .collect();
-        Self::from_parents(&parents, &vec![edge_delay; n]).expect("balanced tree is valid")
+        Self::uniform((0..n).map(|i| (i > 0).then(|| (i - 1) / arity)).collect(), edge_delay)
     }
 
     /// A star: node 0 is the root, all others its direct children.
     pub fn star(n: usize, edge_delay: f64) -> Self {
         assert!(n >= 1);
-        let parents: Vec<Option<usize>> =
-            (0..n).map(|i| if i == 0 { None } else { Some(0) }).collect();
-        Self::from_parents(&parents, &vec![edge_delay; n]).expect("star is valid")
+        Self::uniform((0..n).map(|i| (i > 0).then_some(0)).collect(), edge_delay)
     }
 
     /// A chain rooted at node 0 (worst-case depth).
     pub fn chain(n: usize, edge_delay: f64) -> Self {
         assert!(n >= 1);
-        let parents: Vec<Option<usize>> =
-            (0..n).map(|i| if i == 0 { None } else { Some(i - 1) }).collect();
-        Self::from_parents(&parents, &vec![edge_delay; n]).expect("chain is valid")
+        Self::uniform((0..n).map(|i| i.checked_sub(1)).collect(), edge_delay)
     }
 
     /// Number of nodes.

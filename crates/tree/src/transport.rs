@@ -1,25 +1,16 @@
-//! Transport abstraction beneath the coordination plane.
-//!
-//! The enforcement stack talks to the combining tree through a narrow
-//! publish/read surface. [`CoordTransport`] is that surface as a trait, so
-//! the same `Coordinator` (and everything above it — `TreeCoordination`,
-//! `ShardCore`) runs over three interchangeable substrates:
-//!
-//! * [`InProcessTree`] — the zero-cost path: one mutex-guarded state block
-//!   shared by every node's threads, aggregation computed synchronously on
-//!   each publish (this module);
-//! * the sharded live planes — the same [`InProcessTree`], with each
-//!   reactor shard joined as one tree leaf;
-//! * `covenant-wire`'s socket transport — real processes exchanging
-//!   length-prefixed frames along tree edges, where propagation delay and
-//!   message counts are *measured* rather than injected.
+//! The direct-call driver of [`TreeNode`] ([`LocalTree`], which the
+//! simulator owns, and [`InProcessTree`], the same behind a mutex for the
+//! sharded live planes), and [`CoordTransport`], the seam it shares with
+//! `covenant-wire`'s socket driver so that everything above (`Coordinator`,
+//! `ShardCore`) is substrate-agnostic.
 //!
 //! Timestamps are plain `f64` seconds so the same implementations serve
 //! wall-clock deployments and virtual-time differential replays.
 
+use crate::node::{Effect, NodeCmd, TreeNode};
 use crate::{DelayedView, Topology};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Publish/read access to the combining tree for one deployment.
@@ -43,18 +34,8 @@ pub trait CoordTransport: Send + Sync {
     /// aggregation round.
     fn publish_at(&self, node: usize, demand: Vec<f64>, t: f64);
 
-    /// The newest aggregate visible to `node` at `t`, including rounds
-    /// published exactly at `t` (once their propagation lag has elapsed).
-    fn read_at(&self, node: usize, t: f64) -> Option<Vec<f64>>;
-
     /// The newest aggregate visible to `node` strictly before `t`.
     fn read_before(&self, node: usize, t: f64) -> Option<Vec<f64>>;
-
-    /// Total tree messages exchanged so far, as observable from this
-    /// endpoint. The in-process tree counts every edge of every round;
-    /// a socket transport counts the frames it has actually sent and
-    /// received.
-    fn messages(&self) -> u64;
 
     /// The clock epoch this transport stamps message arrivals with, if it
     /// owns a physical clock. A `Coordinator` built over the transport
@@ -65,95 +46,171 @@ pub trait CoordTransport: Send + Sync {
     }
 }
 
-struct InProcessState {
-    /// Latest demand vector published by each node.
-    demands: Vec<Option<Vec<f64>>>,
-    /// Per-node delayed views of the global aggregate.
-    views: Vec<DelayedView<Vec<f64>>>,
-    /// Total tree messages "sent" (2(n−1) per aggregation).
-    messages: u64,
-    /// Timestamp of the newest aggregation round, used to clamp explicit
-    /// publish times so the per-node views stay monotone even when the
-    /// caller's clock jitters.
-    last_publish_t: f64,
-}
-
-/// The in-process combining tree: the zero-cost [`CoordTransport`] every
-/// single-process deployment (simulator replays, sharded live planes,
-/// unit tests) runs over.
+/// A combining tree in one address space: every position's [`TreeNode`]
+/// and stamped view, with messages routed between them by direct calls.
 ///
-/// Every publish triggers one synchronous aggregation round — the tree
-/// combines whatever each node last reported, exactly the estimate-lag
-/// semantics of the paper's periodic exchange — and the result becomes
-/// visible to each node once its tree propagation lag (plus any injected
-/// extra lag) has elapsed.
-pub struct InProcessTree {
-    topology: Arc<Topology>,
-    state: Mutex<InProcessState>,
+/// Publishing is two steps. [`LocalTree::publish`] records a node's newest
+/// demand; [`LocalTree::close_round`] has every node publish its newest
+/// demand into its round engine and routes the resulting `Up`s and `Down`s
+/// until the global total sits in every view, stamped with the round's
+/// time and visible once the view's lag — the node's tree propagation lag
+/// plus any injected extra — has elapsed.
+#[derive(Debug)]
+pub struct LocalTree {
+    topology: Topology,
+    nodes: Vec<TreeNode>,
+    views: Vec<DelayedView<Vec<f64>>>,
+    /// Newest demand published by each node (empty until its first).
+    demands: Vec<Vec<f64>>,
+    /// Tree messages routed so far: 2(n−1) per closed round.
+    messages: u64,
+    /// Routing worklist and effect buffer, reused across rounds.
+    inbox: VecDeque<(usize, NodeCmd)>,
+    effects: Vec<Effect>,
 }
 
-impl InProcessTree {
+impl LocalTree {
     /// A tree over `topology` with `extra_lag` seconds added to every
     /// node's visibility delay (Figure 8's injected 10 s).
-    pub fn new(topology: Topology, extra_lag: f64) -> Self {
+    pub fn new(topology: &Topology, extra_lag: f64) -> Self {
         let n = topology.len();
-        let views = (0..n)
-            .map(|i| DelayedView::new(topology.information_lag(i) + extra_lag))
-            .collect();
-        InProcessTree {
-            topology: Arc::new(topology),
-            state: Mutex::new(InProcessState {
-                demands: vec![None; n],
-                views,
-                messages: 0,
-                last_publish_t: 0.0,
-            }),
+        let lag = |i| topology.information_lag(i) + extra_lag;
+        let mut tree = LocalTree {
+            nodes: (0..n).map(|i| Self::node(topology, i)).collect(),
+            views: (0..n).map(|i| DelayedView::new(lag(i))).collect(),
+            demands: vec![Vec::new(); n],
+            messages: 0,
+            inbox: VecDeque::new(),
+            effects: Vec::new(),
+            topology: topology.clone(),
+        };
+        (0..n).for_each(|i| tree.connect(i));
+        tree.route();
+        tree
+    }
+
+    fn node(topology: &Topology, i: usize) -> TreeNode {
+        TreeNode::new(topology.parent(i).is_none(), topology.children(i), None)
+    }
+
+    /// Queues the edge-up commands for node `i` and its parent.
+    fn connect(&mut self, i: usize) {
+        if let Some(p) = self.topology.parent(i) {
+            self.inbox.push_back((p, NodeCmd::ChildConnected(i)));
+            self.inbox.push_back((i, NodeCmd::ParentConnected));
         }
     }
 
-    /// The tree shape this transport aggregates over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// Records `demand` as node `node`'s newest; the next
+    /// [`LocalTree::close_round`] combines it. Out-of-range nodes are
+    /// ignored.
+    pub fn publish(&mut self, node: usize, demand: &[f64]) {
+        if let Some(slot) = self.demands.get_mut(node) {
+            slot.clear();
+            slot.extend_from_slice(demand);
+        }
+    }
+
+    /// Runs one aggregation round at time `t` over every node's newest
+    /// demand.
+    pub fn close_round(&mut self, t: f64) {
+        for (i, demand) in self.demands.iter().enumerate() {
+            self.inbox.push_back((i, NodeCmd::Publish { demand: demand.clone(), t }));
+        }
+        self.route();
+    }
+
+    /// Applies queued commands, turning each node's effects into its
+    /// neighbours' commands, until the tree is quiet.
+    fn route(&mut self) {
+        while let Some((i, cmd)) = self.inbox.pop_front() {
+            let (Some(node), Some(view)) = (self.nodes.get_mut(i), self.views.get_mut(i)) else {
+                continue;
+            };
+            node.apply(cmd, &mut self.effects);
+            for effect in self.effects.drain(..) {
+                let to = match effect {
+                    Effect::ToParent(msg) => self.topology.parent(i).map(|p| (p, NodeCmd::FromChild(i, msg))),
+                    Effect::ToChild(k, msg) => Some((k, NodeCmd::FromParent(msg))),
+                    Effect::Deliver(msg) => {
+                        view.publish(msg.t, msg.values);
+                        None
+                    }
+                };
+                self.messages += to.is_some() as u64;
+                self.inbox.extend(to);
+            }
+        }
+    }
+
+    /// Node `node`'s stamped view of the global total.
+    pub fn view(&mut self, node: usize) -> Option<&mut DelayedView<Vec<f64>>> {
+        self.views.get_mut(node)
+    }
+
+    /// The newest demand each node has published, one entry per node.
+    pub fn demands(&self) -> &[Vec<f64>] {
+        &self.demands
+    }
+
+    /// Total tree messages routed so far.
+    pub fn messages(&self) -> u64 {
+        self.messages
+    }
+
+    /// Crashes and restarts node `node`: its round engine, view and
+    /// published demand start over, and its neighbours see the edge drop
+    /// and return — what a respawned process looks like to the tree.
+    pub fn restart(&mut self, node: usize) {
+        if node >= self.nodes.len() {
+            return;
+        }
+        self.nodes[node] = Self::node(&self.topology, node);
+        self.views[node] = DelayedView::new(self.views[node].lag());
+        self.demands[node].clear();
+        let children = self.topology.children(node).to_vec();
+        if let Some(p) = self.topology.parent(node) {
+            self.inbox.push_back((p, NodeCmd::ChildLost(node)));
+        }
+        self.connect(node);
+        for c in children {
+            self.inbox.push_back((c, NodeCmd::ParentLost));
+            self.connect(c);
+        }
+        self.route();
+    }
+}
+
+/// The in-process [`CoordTransport`] every single-process live deployment
+/// (sharded planes, differential replays, unit tests) runs over: a
+/// [`LocalTree`] behind a mutex.
+///
+/// Every publish closes one aggregation round — the tree combines whatever
+/// each node last reported, exactly the estimate-lag semantics of the
+/// paper's periodic exchange.
+pub struct InProcessTree(Mutex<LocalTree>);
+
+impl InProcessTree {
+    /// A tree over `topology` with `extra_lag` seconds added to every
+    /// node's visibility delay.
+    pub fn new(topology: Topology, extra_lag: f64) -> Self {
+        InProcessTree(Mutex::new(LocalTree::new(&topology, extra_lag)))
     }
 }
 
 impl CoordTransport for InProcessTree {
     fn nodes(&self) -> usize {
-        self.topology.len()
+        self.0.lock().demands().len()
     }
 
     fn publish_at(&self, node: usize, demand: Vec<f64>, t: f64) {
-        let mut st = self.state.lock();
-        let t = t.max(st.last_publish_t);
-        st.last_publish_t = t;
-        let width = demand.len();
-        if let Some(slot) = st.demands.get_mut(node) {
-            *slot = Some(demand);
-        }
-        let locals: Vec<Vec<f64>> = st
-            .demands
-            .iter()
-            .map(|d| d.clone().unwrap_or_else(|| vec![0.0; width]))
-            .collect();
-        let round = self.topology.aggregate(&locals);
-        st.messages += round.messages() as u64;
-        for v in &mut st.views {
-            v.publish(t, round.total.clone());
-        }
-    }
-
-    fn read_at(&self, node: usize, t: f64) -> Option<Vec<f64>> {
-        let mut st = self.state.lock();
-        st.views.get_mut(node)?.read(t).cloned()
+        let mut tree = self.0.lock();
+        tree.publish(node, &demand);
+        tree.close_round(t);
     }
 
     fn read_before(&self, node: usize, t: f64) -> Option<Vec<f64>> {
-        let mut st = self.state.lock();
-        st.views.get_mut(node)?.read_before(t).cloned()
-    }
-
-    fn messages(&self) -> u64 {
-        self.state.lock().messages
+        self.0.lock().view(node)?.read_before(t).cloned()
     }
 }
 
@@ -161,21 +218,25 @@ impl CoordTransport for InProcessTree {
 mod tests {
     use super::*;
 
+    /// The newest total visible to `node` just after `t`.
+    fn read(tree: &InProcessTree, node: usize, t: f64) -> Option<Vec<f64>> {
+        tree.read_before(node, t + 1e-9)
+    }
+
     #[test]
     fn aggregates_across_publishers() {
         let t = InProcessTree::new(Topology::star(2, 0.0), 0.0);
         t.publish_at(0, vec![10.0, 0.0], 0.0);
         t.publish_at(1, vec![5.0, 7.0], 0.0);
-        let agg = t.read_at(0, 0.0).expect("visible with zero lag");
-        assert_eq!(agg, vec![15.0, 7.0]);
-        assert_eq!(t.read_at(1, 0.0).unwrap(), vec![15.0, 7.0]);
+        assert_eq!(read(&t, 0, 0.0), Some(vec![15.0, 7.0]));
+        assert_eq!(read(&t, 1, 0.0), Some(vec![15.0, 7.0]));
     }
 
     #[test]
     fn missing_publishers_count_as_zero() {
         let t = InProcessTree::new(Topology::star(3, 0.0), 0.0);
         t.publish_at(1, vec![4.0], 0.0);
-        assert_eq!(t.read_at(1, 0.0).unwrap(), vec![4.0]);
+        assert_eq!(read(&t, 1, 0.0), Some(vec![4.0]));
     }
 
     #[test]
@@ -183,17 +244,20 @@ mod tests {
         let t = InProcessTree::new(Topology::star(2, 0.0), 30.0);
         t.publish_at(0, vec![1.0], 1.0);
         // 30 s of lag have not elapsed at t = 2.
-        assert_eq!(t.read_at(0, 2.0), None);
-        assert_eq!(t.read_at(1, 2.0), None);
+        assert_eq!(read(&t, 0, 2.0), None);
+        assert_eq!(read(&t, 1, 2.0), None);
+        assert_eq!(read(&t, 1, 31.0), Some(vec![1.0]));
     }
 
     #[test]
     fn message_count_grows_per_round() {
-        let t = InProcessTree::new(Topology::star(4, 0.0), 0.0);
+        let mut t = LocalTree::new(&Topology::star(4, 0.0), 0.0);
         assert_eq!(t.messages(), 0);
-        t.publish_at(0, vec![1.0], 0.0);
+        t.publish(0, &[1.0]);
+        t.close_round(0.0);
         assert_eq!(t.messages(), 6); // 2(n-1) = 6
-        t.publish_at(1, vec![1.0], 0.0);
+        t.publish(1, &[1.0]);
+        t.close_round(0.0);
         assert_eq!(t.messages(), 12);
     }
 
@@ -211,6 +275,49 @@ mod tests {
         t.publish_at(0, vec![1.0], 5.0);
         // An earlier timestamp from a lagging caller clamps forward.
         t.publish_at(1, vec![2.0], 4.0);
+        assert_eq!(t.read_before(0, 5.0), None);
         assert_eq!(t.read_before(0, 5.5).unwrap(), vec![3.0]);
+    }
+
+    #[test]
+    fn every_shape_sums_like_the_topology_oracle() {
+        for topology in
+            [Topology::balanced(10, 3, 0.1), Topology::star(10, 0.1), Topology::chain(10, 0.1)]
+        {
+            let local: Vec<Vec<f64>> = (0..10).map(|i| vec![0.1 * (i * i) as f64, 1.0]).collect();
+            let mut tree = LocalTree::new(&topology, 0.0);
+            for (i, d) in local.iter().enumerate() {
+                tree.publish(i, d);
+            }
+            tree.close_round(1.0);
+            let want = topology.aggregate(&local);
+            assert_eq!(tree.messages(), want.messages() as u64);
+            for i in 0..10 {
+                // Bit-for-bit: the node folds children in the oracle's order.
+                assert_eq!(tree.view(i).and_then(|v| v.read(10.0)), Some(&want.total), "node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn restarted_leaf_is_rebased_and_starts_with_an_empty_view() {
+        let mut tree = LocalTree::new(&Topology::star(3, 0.0), 0.0);
+        for r in 0..5 {
+            for i in 0..3 {
+                tree.publish(i, &[(i + 1) as f64]);
+            }
+            tree.close_round(r as f64);
+        }
+        tree.restart(1);
+        assert_eq!(tree.view(1).and_then(|v| v.read(100.0)), None);
+        let before = tree.messages();
+        tree.publish(0, &[1.0]);
+        tree.publish(1, &[20.0]);
+        tree.publish(2, &[3.0]);
+        tree.close_round(5.0);
+        // The leaf's round 1 counts at once, and the round still costs 2(n−1).
+        assert_eq!(tree.view(0).and_then(|v| v.read(5.0)), Some(&vec![24.0]));
+        assert_eq!(tree.view(1).and_then(|v| v.read(5.0)), Some(&vec![24.0]));
+        assert_eq!(tree.messages() - before, 4);
     }
 }

@@ -19,8 +19,8 @@ pub struct WireStats {
     /// Rounds closed with last-good child values because the round
     /// timed out at the next window boundary.
     rounds_forced: AtomicU64,
-    /// Parent-connection re-establishments after the initial connect.
-    reconnects: AtomicU64,
+    /// Parent connections established, the initial one included.
+    parent_connects: AtomicU64,
     /// Microseconds from the last `Up` send to its round's `Down`
     /// arrival — the measured up-and-down tree propagation time.
     last_rtt_us: AtomicU64,
@@ -40,21 +40,17 @@ impl WireStats {
         self.frames_received.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn round_completed(&self, round: u64) {
-        // Rounds close in order; store the highest seen.
-        self.rounds_completed.fetch_max(round, Ordering::Relaxed);
+    pub(crate) fn parent_connected(&self) {
+        self.parent_connects.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn round_forced(&self) {
-        self.rounds_forced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rtt_us(&self, us: u64) {
-        self.last_rtt_us.store(us, Ordering::Relaxed);
+    /// Mirrors the tree node's own counters after the driver stepped it.
+    pub(crate) fn record_node(&self, completed: u64, forced: u64, rtt_secs: Option<f64>) {
+        self.rounds_completed.store(completed, Ordering::Relaxed);
+        self.rounds_forced.store(forced, Ordering::Relaxed);
+        if let Some(rtt) = rtt_secs {
+            self.last_rtt_us.store((rtt * 1e6) as u64, Ordering::Relaxed);
+        }
     }
 
     /// Data frames written to peers.
@@ -79,7 +75,7 @@ impl WireStats {
 
     /// Parent-connection re-establishments.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
+        self.parent_connects.load(Ordering::Relaxed).saturating_sub(1)
     }
 
     /// Most recent measured up-and-down propagation time, microseconds.
@@ -93,17 +89,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_rtt_overwrites() {
+    fn counters_accumulate_and_node_values_mirror() {
         let s = WireStats::new();
         s.frame_sent();
         s.frame_sent();
         s.frame_received();
-        s.round_completed(3);
-        s.round_completed(2); // out-of-order store keeps the max
-        s.round_forced();
-        s.reconnect();
-        s.record_rtt_us(120);
-        s.record_rtt_us(80);
+        s.parent_connected();
+        s.parent_connected();
+        s.record_node(2, 0, Some(120e-6));
+        s.record_node(3, 1, None); // no fresh measurement keeps the last
+        s.record_node(3, 1, Some(80e-6));
         assert_eq!(s.frames_sent(), 2);
         assert_eq!(s.frames_received(), 1);
         assert_eq!(s.rounds_completed(), 3);

@@ -2,20 +2,22 @@
 //!
 //! One `WireTransport` lives in each process (or, in loopback tests, each
 //! runtime thread) and represents exactly one tree node. Publishes are
-//! queued to the node's wire runtime and become `Up` frames; reads scan a
-//! small local view of the `Down` totals the runtime has delivered. The
-//! staleness contract is structural: a round's total is only ever stamped
-//! *at or after* the boundary that round was published at, so the
-//! enforcement core's strictly-before reads observe at best the previous
-//! round — one window stale, exactly like the in-process tree.
+//! queued to the node's wire runtime and become `Up` frames; reads consult
+//! the same stamped [`DelayedView`] the in-process tree and the simulator
+//! use, into which the runtime delivers the `Down` totals. The staleness
+//! contract is structural: a round's total is only ever stamped *at or
+//! after* the boundary that round was published at, so the enforcement
+//! core's strictly-before reads observe at best the previous round — one
+//! window stale, exactly like the in-process tree.
 
 use crate::clock::WireClock;
+use crate::node::WireNodeConfig;
 use crate::stats::WireStats;
 use covenant_reactor::WakeHandle;
-use covenant_tree::CoordTransport;
+use covenant_tree::{CoordTransport, DelayedView};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,67 +35,57 @@ pub enum StampMode {
     Live,
 }
 
-/// Aggregates the local view retains; old rounds beyond this are dropped.
-const VIEW_CAP: usize = 128;
-
-/// One queued own-publish: (round, demand, boundary time).
-pub(crate) type OwnPublish = (u64, Vec<f64>, f64);
-
-pub(crate) struct ViewState {
-    /// `(stamp, total)` in monotone stamp order, capped at [`VIEW_CAP`].
-    entries: VecDeque<(f64, Vec<f64>)>,
-}
-
-pub(crate) struct SharedState {
-    /// Own publishes awaiting the runtime (drained on wake).
-    pub(crate) outbox: Mutex<VecDeque<OwnPublish>>,
-    /// Round counter: one per publish.
-    pub(crate) rounds_published: AtomicU64,
-    /// Highest round whose global total reached this node.
-    pub(crate) rounds_completed: AtomicU64,
-    /// Delivered global totals, visible to reads.
-    pub(crate) view: Mutex<ViewState>,
-}
-
-impl SharedState {
-    pub(crate) fn new() -> SharedState {
-        SharedState {
-            outbox: Mutex::new(VecDeque::new()),
-            rounds_published: AtomicU64::new(0),
-            rounds_completed: AtomicU64::new(0),
-            view: Mutex::new(ViewState { entries: VecDeque::new() }),
-        }
-    }
-
-    /// Runtime-side delivery of a round's global total.
-    pub(crate) fn deliver(&self, round: u64, stamp: f64, total: Vec<f64>) {
-        let mut view = self.view.lock();
-        // Clamp non-monotone (or NaN) stamps forward so reads stay sane.
-        let last = view.entries.back().map(|(s, _)| *s).unwrap_or(f64::NEG_INFINITY);
-        let stamp = if stamp > last { stamp } else { last };
-        view.entries.push_back((stamp, total));
-        while view.entries.len() > VIEW_CAP {
-            view.entries.pop_front();
-        }
-        drop(view);
-        self.rounds_completed.fetch_max(round, Ordering::Release);
-    }
-}
-
 /// The per-node [`CoordTransport`] over the wire runtime (see module docs).
 pub struct WireTransport {
-    pub(crate) shared: Arc<SharedState>,
+    /// Own publishes `(demand, boundary time)` awaiting the runtime
+    /// (drained on wake).
+    pub(crate) outbox: Mutex<VecDeque<(Vec<f64>, f64)>>,
+    /// Highest round whose global total reached this node.
+    rounds_completed: AtomicU64,
+    /// Delivered global totals, visible to reads once the configured extra
+    /// lag has elapsed.
+    view: Mutex<DelayedView<Vec<f64>>>,
     pub(crate) stats: Arc<WireStats>,
     pub(crate) clock: WireClock,
     pub(crate) mode: StampMode,
-    pub(crate) wake: WakeHandle,
+    wake: WakeHandle,
+    /// Set to end the runtime thread.
+    pub(crate) stop: AtomicBool,
     /// Tree size, for `CoordTransport::nodes`.
-    pub(crate) n_nodes: usize,
+    n_nodes: usize,
     /// This endpoint's tree node id (publish/read `node` args must match).
-    pub(crate) node: usize,
+    node: usize,
 }
 
 impl WireTransport {
+    /// The transport of the node `cfg` describes.
+    pub(crate) fn new(cfg: &WireNodeConfig, wake: WakeHandle) -> Self {
+        WireTransport {
+            outbox: Mutex::new(VecDeque::new()),
+            rounds_completed: AtomicU64::new(0),
+            view: Mutex::new(DelayedView::new(cfg.extra_lag)),
+            stats: Arc::new(WireStats::new()),
+            clock: WireClock::new(),
+            mode: cfg.mode,
+            wake,
+            stop: AtomicBool::new(false),
+            n_nodes: cfg.nodes,
+            node: cfg.node,
+        }
+    }
+
+    /// Tells the runtime thread to finish and wakes it.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.wake.wake();
+    }
+
+    /// Runtime-side delivery of round `round`'s global total.
+    pub(crate) fn deliver(&self, round: u64, stamp: f64, total: Vec<f64>) {
+        self.view.lock().publish(stamp, total);
+        self.rounds_completed.fetch_max(round, Ordering::Release);
+    }
+
     /// This endpoint's tree node id.
     pub fn node(&self) -> usize {
         self.node
@@ -112,12 +104,7 @@ impl WireTransport {
     /// Highest round whose global total has reached this node — the
     /// barrier virtual-time replays wait on between boundaries.
     pub fn completed_rounds(&self) -> u64 {
-        self.shared.rounds_completed.load(Ordering::Acquire)
-    }
-
-    /// Rounds this node has published so far.
-    pub fn published_rounds(&self) -> u64 {
-        self.shared.rounds_published.load(Ordering::Acquire)
+        self.rounds_completed.load(Ordering::Acquire)
     }
 }
 
@@ -128,25 +115,13 @@ impl CoordTransport for WireTransport {
 
     fn publish_at(&self, node: usize, demand: Vec<f64>, t: f64) {
         debug_assert_eq!(node, self.node, "wire transport is bound to one node");
-        let round = self.shared.rounds_published.fetch_add(1, Ordering::AcqRel) + 1;
-        self.shared.outbox.lock().push_back((round, demand, t));
+        self.outbox.lock().push_back((demand, t));
         self.wake.wake();
-    }
-
-    fn read_at(&self, node: usize, t: f64) -> Option<Vec<f64>> {
-        debug_assert_eq!(node, self.node, "wire transport is bound to one node");
-        let view = self.shared.view.lock();
-        view.entries.iter().rev().find(|(s, _)| *s <= t).map(|(_, v)| v.clone())
     }
 
     fn read_before(&self, node: usize, t: f64) -> Option<Vec<f64>> {
         debug_assert_eq!(node, self.node, "wire transport is bound to one node");
-        let view = self.shared.view.lock();
-        view.entries.iter().rev().find(|(s, _)| *s < t).map(|(_, v)| v.clone())
-    }
-
-    fn messages(&self) -> u64 {
-        self.stats.frames_sent() + self.stats.frames_received()
+        self.view.lock().read_before(t).cloned()
     }
 
     fn clock_epoch(&self) -> Option<Instant> {
@@ -162,60 +137,45 @@ mod tests {
     use super::*;
     use covenant_reactor::WakeFd;
 
-    fn transport() -> WireTransport {
+    fn transport(extra_lag: f64) -> WireTransport {
         let (_fd, wake) = WakeFd::new().expect("eventfd");
-        WireTransport {
-            shared: Arc::new(SharedState::new()),
-            stats: Arc::new(WireStats::new()),
-            clock: WireClock::new(),
-            mode: StampMode::Virtual,
-            wake,
-            n_nodes: 3,
+        let cfg = WireNodeConfig {
             node: 1,
-        }
+            nodes: 3,
+            parent: None,
+            children: Vec::new(),
+            epoch: 1,
+            mode: StampMode::Virtual,
+            window: std::time::Duration::from_millis(100),
+            extra_lag,
+            bind: "127.0.0.1:0".parse().expect("loopback bind"),
+        };
+        WireTransport::new(&cfg, wake)
     }
 
     #[test]
-    fn publishes_queue_rounds_in_order() {
-        let t = transport();
+    fn publishes_queue_in_order() {
+        let t = transport(0.0);
         t.publish_at(1, vec![1.0], 0.1);
         t.publish_at(1, vec![2.0], 0.2);
-        assert_eq!(t.published_rounds(), 2);
-        let outbox = t.shared.outbox.lock();
-        let rounds: Vec<u64> = outbox.iter().map(|(r, _, _)| *r).collect();
-        assert_eq!(rounds, vec![1, 2]);
+        let outbox = t.outbox.lock();
+        let times: Vec<f64> = outbox.iter().map(|(_, at)| *at).collect();
+        assert_eq!(times, vec![0.1, 0.2]);
     }
 
     #[test]
-    fn reads_honor_strict_and_inclusive_cutoffs() {
-        let t = transport();
-        t.shared.deliver(1, 0.1, vec![5.0]);
-        t.shared.deliver(2, 0.2, vec![7.0]);
-        assert_eq!(t.read_at(1, 0.2), Some(vec![7.0]));
-        assert_eq!(t.read_before(1, 0.2), Some(vec![5.0]));
+    fn reads_are_strictly_before_and_wait_out_the_extra_lag() {
+        let t = transport(0.0);
+        t.deliver(1, 0.1, vec![5.0]);
         assert_eq!(t.read_before(1, 0.1), None);
+        t.deliver(2, 0.2, vec![7.0]);
+        assert_eq!(t.read_before(1, 0.2), Some(vec![5.0]));
+        assert_eq!(t.read_before(1, 0.3), Some(vec![7.0]));
         assert_eq!(t.completed_rounds(), 2);
-    }
 
-    #[test]
-    fn non_monotone_stamps_clamp_forward() {
-        let t = transport();
-        t.shared.deliver(1, 0.5, vec![1.0]);
-        t.shared.deliver(2, 0.3, vec![2.0]); // clamped to 0.5
-        t.shared.deliver(3, f64::NAN, vec![3.0]); // clamped to 0.5
-        assert_eq!(t.read_at(1, 0.5), Some(vec![3.0]));
-        assert_eq!(t.read_before(1, 0.5), None);
-    }
-
-    #[test]
-    fn view_is_bounded() {
-        let t = transport();
-        for i in 0..(VIEW_CAP as u64 + 50) {
-            t.shared.deliver(i + 1, i as f64, vec![i as f64]);
-        }
-        assert_eq!(t.shared.view.lock().entries.len(), VIEW_CAP);
-        // The newest entries survive.
-        let newest = (VIEW_CAP as u64 + 49) as f64;
-        assert_eq!(t.read_at(1, 1e18), Some(vec![newest]));
+        let lagged = transport(0.25);
+        lagged.deliver(1, 0.1, vec![5.0]);
+        assert_eq!(lagged.read_before(1, 0.3), None);
+        assert_eq!(lagged.read_before(1, 0.4), Some(vec![5.0]));
     }
 }
