@@ -8,16 +8,18 @@
 //! SSL-style pairwise sessions survive.
 //!
 //! This crate is the user-space analogue with identical enforcement
-//! semantics: a [`ShardedL4`] accepts connections (one listening port per
-//! principal — the pure Layer-4 way to attribute traffic), consults its
-//! shard's [`covenant_coord::ShardCore`] at accept time, and either relays
-//! the byte stream to the assigned backend or parks the connection for a
-//! later window. Only the packet-rewriting plumbing differs from the
-//! kernel module, and that part the paper itself treats as substrate (LVS).
+//! semantics: the sans-IO [`L4Machine`] charges each connection to its
+//! principal ([`covenant_coord::ShardCore`]) and relays, parks or sheds it;
+//! [`ShardedL4`] runs it on the reactor's shards with one listening port per
+//! principal, the pure Layer-4 way to attribute traffic. Only the packet
+//! plumbing differs from the kernel module, which the paper treats as
+//! substrate (LVS).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod reactor_proxy;
+mod machine;
+mod shard;
 
-pub use reactor_proxy::{L4Config, L4Service, ShardedL4};
+pub use machine::{Admit, L4Machine};
+pub use shard::{L4Config, L4Service, ShardedL4};

@@ -16,13 +16,14 @@
 //! mirroring the paper's "the request URL signifies the service being
 //! requested".
 //!
-//! One data plane implements this surface: the thread-per-core
-//! [`ShardedL7`] reactor, which batches admission verdicts per readiness
-//! wake.
+//! The protocol is the sans-IO [`L7Machine`]; [`ShardedL7`] runs it on the
+//! reactor's thread-per-core shards, batching admission verdicts per wake.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod machine;
 mod shard;
 
-pub use shard::{L7Config, ShardedL7};
+pub use machine::{L7Config, L7Machine, HIGH_WATER, MAX_CONNS, RECV_LIMIT};
+pub use shard::ShardedL7;

@@ -22,8 +22,10 @@
 //!   compares; exact compares belong behind an explicit pragma.
 //! - **R5 `reactor-blocking`** — no blocking syscall wrappers
 //!   (`.read_to_end(`, `set_nonblocking(false)`, `thread::sleep`) in
-//!   reactor callback paths (`crates/reactor/src/` and the reactor data
-//!   planes). One blocking call stalls every connection on that shard.
+//!   reactor callback paths: `crates/reactor/src/` and every source file
+//!   that uses `covenant_reactor` — both planes' shard drivers, the L7
+//!   machine and the wire runtime, wherever they live. One blocking call
+//!   stalls every connection on that shard.
 //!
 //! Escape hatch: `// covenant: allow(<rule>)` on the offending line, or on
 //! its own line directly above, suppresses that rule there. Test code
@@ -123,13 +125,13 @@ const R1_ALLOW_FILES: &[&str] = &["crates/http/src/clock.rs"];
 const R2_CRATES: &[&str] =
     &["enforce", "sched", "l7", "l4", "coord", "reactor", "tree", "wire", "cluster", "verify"];
 
-/// Reactor callback paths: everything in the reactor crate plus the
-/// shard data planes driven by its event loops (R5). One blocking call
-/// here stalls every connection on the shard.
-fn r5_in_scope(rel_path: &str) -> bool {
+/// Reactor callback paths (R5): everything in the reactor crate, and every
+/// file that names `covenant_reactor` — its shard loop runs their code, so
+/// the rule follows a driver or a machine to whatever file it moves to.
+/// One blocking call there stalls every connection on the shard.
+fn r5_in_scope(rel_path: &str, tokens: &[Token<'_>]) -> bool {
     rel_path.starts_with("crates/reactor/src/")
-        || rel_path == "crates/l7/src/shard.rs"
-        || rel_path == "crates/l4/src/reactor_proxy.rs"
+        || tokens.iter().any(|t| t.kind == TokKind::Ident && t.text == "covenant_reactor")
 }
 
 /// The linter: feed it files, then [`Linter::finish`].
@@ -197,7 +199,7 @@ impl Linter {
             rules::check_no_panic(&lexed.tokens, &mut emit);
         }
         rules::check_float_eq(&lexed.tokens, &mut emit);
-        if r5_in_scope(rel_path) {
+        if r5_in_scope(rel_path, &lexed.tokens) {
             rules::check_reactor_blocking(&lexed.tokens, &mut emit);
         }
     }

@@ -97,21 +97,36 @@ fn r3_float_eq_clean_incl_tuple_indices() {
 
 #[test]
 fn r5_reactor_blocking_fires() {
-    // In the reactor crate itself and in the shard data planes.
-    for rel in [
-        "crates/reactor/src/fixture.rs",
-        "crates/l7/src/shard.rs",
-        "crates/l4/src/reactor_proxy.rs",
+    // In the reactor crate itself, and in any file that uses it: the same
+    // fixture behind a `use covenant_reactor` line (which shifts it by one).
+    let uses_reactor = format!("use covenant_reactor::Shard;\n{}", include_str!("fixtures/r5_bad.rs"));
+    for (rel, src, shift) in [
+        ("crates/reactor/src/fixture.rs", include_str!("fixtures/r5_bad.rs"), 0),
+        ("crates/wire/src/fixture.rs", uses_reactor.as_str(), 1),
     ] {
-        let diags = lint_as(rel, include_str!("fixtures/r5_bad.rs"));
-        let r5: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == Rule::ReactorBlocking)
-            .collect();
-        assert_eq!(r5.len(), 3, "{rel}: {diags:?}");
-        assert_eq!(r5[0].line, 8, "{rel}: {diags:?}");
-        assert_eq!(r5[1].line, 13, "{rel}: {diags:?}");
-        assert_eq!(r5[2].line, 17, "{rel}: {diags:?}");
+        let diags = lint_as(rel, src);
+        let r5: Vec<_> = diags.iter().filter(|d| d.rule == Rule::ReactorBlocking).collect();
+        let lines: Vec<u32> = r5.iter().map(|d| d.line - shift).collect();
+        assert_eq!(lines, [8, 13, 17], "{rel}: {diags:?}");
+    }
+}
+
+/// R5 follows the shard drivers by what they use, not by their paths: a
+/// blocking call added to either plane's driver, as it ships, is flagged,
+/// and the driver itself is clean.
+#[test]
+fn r5_follows_the_shard_drivers() {
+    let stall = "\nfn stall() {\n    std::thread::sleep(std::time::Duration::from_millis(1));\n}\n";
+    for (rel, src) in [
+        ("crates/l7/src/shard.rs", include_str!("../../l7/src/shard.rs")),
+        ("crates/l4/src/shard.rs", include_str!("../../l4/src/shard.rs")),
+        ("crates/l7/src/machine.rs", include_str!("../../l7/src/machine.rs")),
+    ] {
+        assert!(lint_as(rel, src).is_empty(), "{rel} as shipped");
+        let diags = lint_as(rel, &format!("{src}{stall}"));
+        let sleep_line = src.lines().count() as u32 + 3;
+        assert_eq!(rules_fired(&diags), [Rule::ReactorBlocking], "{rel}: {diags:?}");
+        assert_eq!(diags[0].line, sleep_line, "{rel}: {diags:?}");
     }
 }
 
@@ -127,7 +142,7 @@ fn r5_nonblocking_idiom_is_clean() {
 #[test]
 fn r5_out_of_scope_file_is_exempt() {
     // The same blocking calls in the thread-per-connection test servers
-    // are their prerogative.
+    // are their prerogative: they do not use the reactor.
     let diags = lint_as(
         "crates/http/src/server.rs",
         include_str!("fixtures/r5_bad.rs"),

@@ -3,7 +3,6 @@
 //! so connection state machines stay explicit.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Outcome of one nonblocking I/O attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,10 +145,10 @@ impl SendBuf {
         self.len() == 0
     }
 
-    /// Writes as much pending data as the socket accepts. Returns
+    /// Writes as much pending data as the stream accepts. Returns
     /// [`Io::Progress`] when the queue fully drained, [`Io::WouldBlock`]
     /// when bytes remain.
-    pub fn flush_into(&mut self, stream: &mut TcpStream) -> io::Result<Io> {
+    pub fn flush_into(&mut self, stream: &mut impl Write) -> io::Result<Io> {
         while self.written < self.data.len() {
             let pending = self.data.get(self.written..).unwrap_or(&[]);
             match stream.write(pending) {
@@ -171,7 +170,7 @@ impl SendBuf {
     /// Reads once from `src`, appending to the queue, but never beyond
     /// `limit` pending bytes (relay backpressure: past the high-watermark
     /// the caller must drop read interest on `src` until a flush).
-    pub fn read_from(&mut self, src: &mut TcpStream, limit: usize) -> io::Result<Io> {
+    pub fn read_from(&mut self, src: &mut impl Read, limit: usize) -> io::Result<Io> {
         let room = limit.saturating_sub(self.len());
         if room == 0 {
             return Ok(Io::WouldBlock);
@@ -190,7 +189,7 @@ impl SendBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
     /// Counts the `read` calls `drain_from` makes on a loopback socket.
@@ -252,6 +251,22 @@ mod tests {
         assert_eq!(rx.reads, 1);
         assert_eq!(recv.drain_from(&mut rx).unwrap(), Io::Eof);
         assert_eq!(recv.data(), b"last words");
+    }
+
+    /// The queue moves bytes between any reader and writer: a slice in, a
+    /// vector out, as the protocol scripts drive it.
+    #[test]
+    fn send_buf_relays_between_slices_and_vectors() {
+        let mut src: &[u8] = b"hello, relay";
+        let mut q = SendBuf::new();
+        assert_eq!(q.read_from(&mut src, 5).unwrap(), Io::Progress(5));
+        assert_eq!(q.read_from(&mut src, 5).unwrap(), Io::WouldBlock, "at the limit");
+        let mut out = Vec::new();
+        assert_eq!(q.flush_into(&mut out).unwrap(), Io::Progress(5));
+        assert_eq!(q.read_from(&mut src, 64).unwrap(), Io::Progress(7));
+        assert_eq!(q.read_from(&mut src, 64).unwrap(), Io::Eof);
+        q.flush_into(&mut out).unwrap();
+        assert_eq!(out, b"hello, relay");
     }
 
     #[test]

@@ -18,6 +18,12 @@ impl Interest {
     /// No direction — error/hangup only (always reported by epoll).
     pub const NONE: Interest = Interest(0);
 
+    /// [`Interest::READ`] when `read`, plus [`Interest::WRITE`] when `write`.
+    pub fn of(read: bool, write: bool) -> Interest {
+        let pick = |on: bool, i: Interest| if on { i.0 } else { 0 };
+        Interest(pick(read, Interest::READ) | pick(write, Interest::WRITE))
+    }
+
     /// True if this interest includes `other`'s bits.
     pub fn contains(self, other: Interest) -> bool {
         self.0 & other.0 == other.0

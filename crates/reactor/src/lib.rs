@@ -18,6 +18,13 @@
 //! * [`WindowTicker`] — aligned `k·w` boundary arithmetic with
 //!   stall-skip semantics, so a shard rolls its enforcement window on the
 //!   same schedule the simulator replays;
+//! * [`Shards`] / [`Shard`] / [`step`] — the thread-per-shard runtime,
+//!   written once for both data planes: N named threads, each looping
+//!   wait → one clock sample → roll a due boundary → the wake's events →
+//!   end of wake over one [`Shard`] (the plane's sockets around its
+//!   sans-IO protocol machine), with an idempotent shutdown; tests call
+//!   [`step`] directly to run a wake without a socket. [`accept_ready`]
+//!   drains a listener's backlog for either plane;
 //! * [`reuseport_listener`] / [`connect_nonblocking`] /
 //!   [`set_rst_on_close`] — the three socket operations `std::net` cannot
 //!   express, which the sharded accept path needs (`SO_REUSEPORT` fan-in,
@@ -31,6 +38,7 @@
 
 mod buf;
 mod epoll;
+mod shard;
 mod slab;
 mod sys;
 mod ticker;
@@ -38,6 +46,7 @@ mod wake;
 
 pub use buf::{Io, RecvBuf, SendBuf};
 pub use epoll::{Epoll, Event, Interest};
+pub use shard::{accept_ready, step, Shard, Shards};
 pub use slab::Slab;
 pub use sys::{
     connect_nonblocking, reuseport_listener, set_recv_buffer, set_rst_on_close, set_send_buffer,

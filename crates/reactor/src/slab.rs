@@ -59,6 +59,17 @@ impl<T> Slab<T> {
         value
     }
 
+    /// Removes, and drops, every entry `keep` says no to.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        for (key, slot) in self.slots.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|v| !keep(v)) {
+                *slot = None;
+                self.len -= 1;
+                self.free.push(key);
+            }
+        }
+    }
+
     /// Live entries.
     pub fn len(&self) -> usize {
         self.len
@@ -95,5 +106,8 @@ mod tests {
         assert_eq!(slab.get(b), Some(&"b"));
         assert_eq!(slab.get(c), Some(&"c"));
         assert_eq!(slab.iter().count(), 2);
+        slab.retain(|v| *v != "b");
+        assert_eq!((slab.len(), slab.get(b)), (1, None));
+        assert_eq!(slab.insert("d"), b, "a key retain freed is reused");
     }
 }
