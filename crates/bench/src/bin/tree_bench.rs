@@ -18,6 +18,7 @@
 //! `BENCH_tree.json`. Not a tier-1 step: the frame economy is a `cargo
 //! test` (`covenant-wire`'s `wire_tree.rs`).
 
+use covenant_bench::first_line;
 use covenant_core::json::Value;
 use covenant_tree::CoordTransport;
 use covenant_wire::{spawn_local, StampMode};
@@ -34,13 +35,6 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
     sorted_us[idx.min(sorted_us.len() - 1)]
-}
-
-/// First line of `cmd`'s output, or "unknown" where it cannot run.
-fn first_line(cmd: &str, args: &[&str]) -> String {
-    let out = std::process::Command::new(cmd).args(args).output().ok();
-    let text = out.and_then(|o| String::from_utf8(o.stdout).ok());
-    text.and_then(|t| t.lines().next().map(str::to_owned)).unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {

@@ -110,7 +110,9 @@ mod perfjson {
     /// The file is a JSON object with one section per line (`"name": {…},`),
     /// a format this emitter both writes and re-reads so the `lp` and
     /// `sched` benches can update their own sections independently.
-    /// `body_json` must be a JSON value serialized on a single line.
+    /// `body_json` must be a JSON value serialized on a single line. Every
+    /// write also stamps the `commit` and `date` lines with the tree and
+    /// day of this run, as `BENCH_tree.json` carries them.
     pub fn emit_bench_section(section: &str, body_json: &str) -> io::Result<()> {
         emit_section_at(&repo_root_file("BENCH_lp.json"), section, body_json)
     }
@@ -134,8 +136,14 @@ mod perfjson {
                 }
             }
         }
-        sections.retain(|(name, _)| name != section);
+        sections.retain(|(name, _)| ![section, "commit", "date"].contains(&name.as_str()));
         sections.push((section.to_string(), body_json.to_string()));
+        // Which tree the numbers are of: the commit built (`-dirty` when
+        // the working tree had uncommitted changes) and the day it ran.
+        let commit = crate::first_line("git", &["describe", "--always", "--dirty"]);
+        let date = crate::first_line("date", &["-u", "+%Y-%m-%d"]);
+        sections.push(("commit".into(), format!("\"{commit}\"")));
+        sections.push(("date".into(), format!("\"{date}\"")));
         sections.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::from("{\n");
         for (i, (name, body)) in sections.iter().enumerate() {
@@ -148,6 +156,13 @@ mod perfjson {
 }
 
 pub use perfjson::{emit_bench_section, emit_net_bench_section};
+
+/// First line of `cmd`'s output, or "unknown" where it cannot run.
+pub fn first_line(cmd: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(cmd).args(args).output().ok();
+    let text = out.and_then(|o| String::from_utf8(o.stdout).ok());
+    text.and_then(|t| t.lines().next().map(str::to_owned)).unwrap_or_else(|| "unknown".into())
+}
 
 mod sweep {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -312,7 +327,10 @@ mod tests {
         crate::perfjson::emit_section_at(&path, "sched", r#"{"b": 2}"#).unwrap();
         crate::perfjson::emit_section_at(&path, "lp", r#"{"a": 3}"#).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\n\"lp\": {\"a\": 3},\n\"sched\": {\"b\": 2}\n}\n");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "{text}");
+        assert!(lines[1].starts_with("\"commit\": \"") && lines[2].starts_with("\"date\": \""));
+        assert_eq!(lines[3..], ["\"lp\": {\"a\": 3},", "\"sched\": {\"b\": 2}", "}"]);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -7,7 +7,7 @@
 //! core, LP warm/cold activity, and the wire runtime's frame/round/RTT
 //! counters, all labelled with the node's tree id.
 
-use covenant_enforce::ShardSnapshot;
+use covenant_enforce::{CountersReport, ShardSnapshot};
 use covenant_wire::WireStats;
 use std::fmt::Write as _;
 
@@ -48,35 +48,20 @@ pub fn render_metrics(
     sample(&mut out, "covenant_tree_rtt_us", "gauge", node, role, wire.last_rtt_us());
 
     if let Some(snaps) = shards {
-        let mut admitted = 0u64;
-        let mut deferred = 0u64;
-        let mut parked = 0u64;
-        let mut lp_solves = 0u64;
-        let mut lp_warm_hits = 0u64;
-        let mut lp_cold_fallbacks = 0u64;
-        let mut shed = 0u64;
-        let mut reactor_wakes = 0u64;
-        let mut batched_verdicts = 0u64;
-        for s in snaps {
-            admitted += s.counters.admitted;
-            deferred += s.counters.deferred;
-            parked += s.counters.parked;
-            lp_solves += s.counters.lp_solves;
-            lp_warm_hits += s.counters.lp_warm_hits;
-            lp_cold_fallbacks += s.counters.lp_cold_fallbacks;
-            shed += s.shed;
-            reactor_wakes += s.reactor_wakes;
-            batched_verdicts += s.batched_verdicts;
-        }
-        sample(&mut out, "covenant_admitted", "counter", node, role, admitted);
-        sample(&mut out, "covenant_deferred", "counter", node, role, deferred);
-        sample(&mut out, "covenant_parked", "gauge", node, role, parked);
-        sample(&mut out, "covenant_lp_solves", "counter", node, role, lp_solves);
-        sample(&mut out, "covenant_lp_warm_hits", "counter", node, role, lp_warm_hits);
-        sample(&mut out, "covenant_lp_cold_fallbacks", "counter", node, role, lp_cold_fallbacks);
-        sample(&mut out, "covenant_shed", "counter", node, role, shed);
-        sample(&mut out, "covenant_reactor_wakes", "counter", node, role, reactor_wakes);
-        sample(&mut out, "covenant_batched_verdicts", "counter", node, role, batched_verdicts);
+        let report = CountersReport::sharded(snaps);
+        let (solver, adm) = (report.solver, report.admission.unwrap_or_default());
+        let sharding = report.sharding.unwrap_or_default();
+        sample(&mut out, "covenant_admitted", "counter", node, role, adm.admitted);
+        sample(&mut out, "covenant_deferred", "counter", node, role, adm.deferred);
+        sample(&mut out, "covenant_parked", "gauge", node, role, adm.parked);
+        sample(&mut out, "covenant_lp_solves", "counter", node, role, solver.lp_solves);
+        sample(&mut out, "covenant_lp_warm_hits", "counter", node, role, solver.lp_warm_hits);
+        let cold = solver.lp_cold_fallbacks;
+        sample(&mut out, "covenant_lp_cold_fallbacks", "counter", node, role, cold);
+        sample(&mut out, "covenant_shed", "counter", node, role, adm.shed);
+        sample(&mut out, "covenant_reactor_wakes", "counter", node, role, sharding.reactor_wakes);
+        let batched = sharding.batched_verdicts;
+        sample(&mut out, "covenant_batched_verdicts", "counter", node, role, batched);
     }
     out
 }
@@ -97,17 +82,47 @@ mod tests {
 
     #[test]
     fn redirector_nodes_sum_shards_into_enforcement_counters() {
-        let wire = WireStats::new();
-        let snap = |admitted| ShardSnapshot {
-            counters: EnforcementCounters { admitted, deferred: 1, ..Default::default() },
-            reactor_wakes: 2,
-            batched_verdicts: 3,
-            shed: 1,
+        // The exposition text is pinned (`cluster_contended` scrapes it),
+        // with every shard field distinct, so a wrong sum or a swapped name
+        // shows.
+        let snap = |k: u64| ShardSnapshot {
+            counters: EnforcementCounters {
+                admitted: 10 * k + 1,
+                deferred: 10 * k + 2,
+                parked: 10 * k + 3,
+                plan_cache_hits: 10 * k + 4,
+                plan_cache_misses: 10 * k + 5,
+                plan_cache_evictions: 10 * k + 6,
+                lp_solves: 10 * k + 7,
+                lp_pivots: 10 * k + 8,
+                lp_warm_hits: 10 * k + 9,
+                lp_cold_fallbacks: 100 * k,
+            },
+            reactor_wakes: 1000 * k + 1,
+            batched_verdicts: 1000 * k + 2,
+            shed: 1000 * k + 3,
         };
-        let body = render_metrics(2, "redirector", &wire, Some(&[snap(5), snap(7)]));
-        assert!(body.contains("covenant_admitted{node=\"2\",role=\"redirector\"} 12"));
-        assert!(body.contains("covenant_deferred{node=\"2\",role=\"redirector\"} 2"));
-        assert!(body.contains("covenant_shed{node=\"2\",role=\"redirector\"} 2"));
-        assert!(body.contains("covenant_reactor_wakes{node=\"2\",role=\"redirector\"} 4"));
+        let body = render_metrics(2, "r", &WireStats::new(), Some(&[snap(1), snap(2)]));
+        let want = "\
+# TYPE covenant_admitted counter
+covenant_admitted{node=\"2\",role=\"r\"} 32
+# TYPE covenant_deferred counter
+covenant_deferred{node=\"2\",role=\"r\"} 34
+# TYPE covenant_parked gauge
+covenant_parked{node=\"2\",role=\"r\"} 36
+# TYPE covenant_lp_solves counter
+covenant_lp_solves{node=\"2\",role=\"r\"} 44
+# TYPE covenant_lp_warm_hits counter
+covenant_lp_warm_hits{node=\"2\",role=\"r\"} 48
+# TYPE covenant_lp_cold_fallbacks counter
+covenant_lp_cold_fallbacks{node=\"2\",role=\"r\"} 300
+# TYPE covenant_shed counter
+covenant_shed{node=\"2\",role=\"r\"} 3006
+# TYPE covenant_reactor_wakes counter
+covenant_reactor_wakes{node=\"2\",role=\"r\"} 3002
+# TYPE covenant_batched_verdicts counter
+covenant_batched_verdicts{node=\"2\",role=\"r\"} 3004
+";
+        assert!(body.ends_with(want), "{body}");
     }
 }

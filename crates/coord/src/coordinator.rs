@@ -6,7 +6,6 @@
 //! socket driver where tree edges are real connections. Each `ShardCore`
 //! holds one, on its own event loop, and cannot tell which driver it is.
 
-use covenant_enforce::CoordinationView;
 use covenant_tree::{CoordTransport, InProcessTree, Topology};
 use std::sync::Arc;
 use std::time::Instant;
@@ -72,43 +71,11 @@ impl Coordinator {
     /// Reads the aggregate visible to `node` at time `t`, excluding
     /// same-instant publishes ([`covenant_tree::DelayedView::read_before`]):
     /// inside a window-roll round, where every node publishes at the same
-    /// boundary time, no node observes this round's publications. This is
-    /// the read the enforcement core's read-before-publish tick order
-    /// relies on.
+    /// boundary time, no node observes this round's publications, so each
+    /// shard's roll (read, tick, publish) plans on the *previous* round's
+    /// aggregate — one window stale, exactly like the simulator.
     pub fn read_at(&self, node: usize, t: f64) -> Option<Vec<f64>> {
         self.transport.read_before(node, t)
-    }
-}
-
-/// One node's [`CoordinationView`] onto the shared [`Coordinator`] tree —
-/// the live counterpart of the simulator's `LocalCoordination`.
-///
-/// `read` uses [`Coordinator::read_at`]'s strictly-before semantics, so the
-/// enforcement core's read-before-publish tick order sees at best the
-/// *previous* round's aggregate — one window stale, exactly like the
-/// simulator — even when several nodes roll at the same boundary time.
-pub(crate) struct TreeCoordination {
-    coordinator: Coordinator,
-    node: usize,
-    /// Owned copy of the last read aggregate (the trait hands out a slice).
-    read_buf: Option<Vec<f64>>,
-}
-
-impl TreeCoordination {
-    /// A view for tree node `node`.
-    pub(crate) fn new(coordinator: Coordinator, node: usize) -> Self {
-        TreeCoordination { coordinator, node, read_buf: None }
-    }
-}
-
-impl CoordinationView for TreeCoordination {
-    fn read(&mut self, now: f64) -> Option<&[f64]> {
-        self.read_buf = self.coordinator.read_at(self.node, now);
-        self.read_buf.as_deref()
-    }
-
-    fn publish(&mut self, now: f64, demand: &[f64]) {
-        self.coordinator.publish_at(self.node, demand.to_vec(), now);
     }
 }
 

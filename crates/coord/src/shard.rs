@@ -1,6 +1,6 @@
 //! Single-owner per-shard admission state for reactor data planes.
 
-use crate::coordinator::{Coordinator, TreeCoordination};
+use crate::coordinator::Coordinator;
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_enforce::{ArrivalOutcome, EnforcementCore, EnforcementCounters, QueueMode};
 use covenant_sched::{Request, SchedulerConfig};
@@ -8,7 +8,7 @@ use covenant_sched::{Request, SchedulerConfig};
 /// The admission state machine one reactor shard owns *exclusively*.
 ///
 /// A thin shell around the shared [`EnforcementCore`] — the same state
-/// machine the simulator runs — coordinating through the live
+/// machine the simulator runs — that does the core's I/O on the live
 /// [`Coordinator`] tree. A shard's event loop is single-threaded, so its
 /// verdict path takes no locks at all — the entire batch of arrivals
 /// harvested from one readiness wake runs straight through the
@@ -29,7 +29,7 @@ pub struct ShardCore {
     node: usize,
     coordinator: Coordinator,
     next_request_id: u64,
-    core: EnforcementCore<TreeCoordination>,
+    core: EnforcementCore,
     released: Vec<(Request, usize)>,
 }
 
@@ -48,7 +48,6 @@ impl ShardCore {
             // (self-redirect, external parking) — the core never holds
             // requests internally.
             QueueMode::CreditRetry { retry_delay: 0.0 },
-            TreeCoordination::new(coordinator.clone(), node),
         );
         ShardCore { node, coordinator, next_request_id: 0, core, released: Vec::new() }
     }
@@ -102,17 +101,19 @@ impl ShardCore {
     }
 
     /// Rolls one scheduling window at time `now` — the shard loop calls
-    /// this at each elapsed `k·w` boundary: folds the arrivals just
-    /// observed into the demand estimator, *reads* the lagged global view,
-    /// solves the LP, *publishes* local demand (estimates plus any
-    /// data-plane backlog, e.g. L4 parked connections) into the tree, and
-    /// installs fresh credits. Read-before-publish makes the view one
-    /// window stale — identical to the simulator's staleness, which is
-    /// what the sim-vs-live differential tests rely on.
+    /// this at each elapsed `k·w` boundary: *reads* the lagged global view
+    /// from the tree, ticks the core on it (fold the arrivals just observed
+    /// into the demand estimator, solve the LP, install fresh credits), and
+    /// *publishes* the local demand the tick returns (estimates plus any
+    /// data-plane backlog, e.g. L4 parked connections) into the tree.
+    /// Read-before-publish makes the view one window stale — identical to
+    /// the simulator's staleness, which is what the sim-vs-live
+    /// differential tests rely on.
     pub fn roll_window_at(&mut self, backlog: Option<&[f64]>, now: f64) {
-        self.released.clear();
-        self.core.on_window_tick(now, backlog, &mut self.released);
+        let view = self.coordinator.read_at(self.node, now);
+        let demand = self.core.on_window_tick(view.as_deref(), backlog, &mut self.released);
         debug_assert!(self.released.is_empty(), "credit mode never holds requests");
+        self.coordinator.publish_at(self.node, demand.to_vec(), now);
     }
 
     /// A full counter snapshot for the sharded observability payload.
@@ -235,6 +236,39 @@ mod tests {
         // jumping straight to steady state.
         assert!(first[0] == 0, "cold window admitted {first:?}");
         assert!(first.last().copied().unwrap() > 0, "never admitted {first:?}");
+    }
+
+    /// Node 0 of a two-node in-process tree runs three sound windows of A
+    /// at 2 requests each; then its peer publishes `poison`, and node 0's
+    /// next roll reads a total made from it. Returns what node 0 admits of
+    /// 2 offered in the window after that roll.
+    fn admits_after_peer_publishes(poison: Vec<f64>) -> usize {
+        let coordinator = Coordinator::new(Topology::star(2, 0.0), 0.0);
+        let mut core =
+            ShardCore::new(0, &levels(), SchedulerConfig::community_default(), coordinator.clone());
+        for w in 1..=3u32 {
+            let t = f64::from(w) * 0.1;
+            offer(&mut core, A, 2, t - 0.05);
+            core.roll_window_at(None, t);
+        }
+        coordinator.publish_at(1, poison, 0.3);
+        offer(&mut core, A, 2, 0.35);
+        core.roll_window_at(None, 0.4);
+        offer(&mut core, A, 2, 0.45)
+    }
+
+    #[test]
+    fn a_peer_publishing_one_value_too_many_leaves_the_shard_conservative() {
+        // The tree widens its sum to the widest vector; the core treats a
+        // total of the wrong width as no view: half of A's mandatory 2.
+        assert_eq!(admits_after_peer_publishes(vec![0.0, 1.0, 1.0, 5.0]), 1);
+        // A sound peer leaves the informed plan in place: both admitted.
+        assert_eq!(admits_after_peer_publishes(vec![0.0; 3]), 2);
+    }
+
+    #[test]
+    fn a_peer_publishing_inf_leaves_the_shard_conservative() {
+        assert_eq!(admits_after_peer_publishes(vec![0.0, f64::INFINITY, 1.0]), 1);
     }
 
     #[test]

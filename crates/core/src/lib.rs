@@ -11,7 +11,7 @@
 //!
 //! let scenario = scenarios::fig6(50.0);
 //! let outcome = scenario.run();
-//! println!("{}", outcome.to_csv());
+//! println!("{}", outcome.phase_table());
 //! ```
 
 #![forbid(unsafe_code)]

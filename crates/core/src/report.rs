@@ -206,18 +206,6 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// The full per-second time series as CSV (`time,<name>,rate` rows) —
-    /// the data behind the paper's figure plot.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("time_s,principal,rate_req_s\n");
-        for (name, p) in &self.tracked {
-            for (t, r) in self.report.rates.series(*p) {
-                out.push_str(&format!("{t},{name},{r}\n"));
-            }
-        }
-        out
-    }
-
     /// Per-phase summary as an aligned text table.
     pub fn phase_table(&self) -> String {
         let mut out = format!("{:<26}{:>12}", "phase", "window");
@@ -295,18 +283,6 @@ mod tests {
             report,
             tracked: vec![("A".into(), a)],
         }
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let o = outcome();
-        let csv = o.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("time_s,principal,rate_req_s"));
-        let rows: Vec<&str> = lines.collect();
-        assert!(rows.len() >= 4, "rows: {rows:?}");
-        assert!(rows.iter().all(|r| r.split(',').count() == 3));
-        assert!(rows.iter().all(|r| r.contains(",A,")));
     }
 
     #[test]

@@ -5,40 +5,39 @@
 //! redirector, an L4 proxy, or a simulator. [`EnforcementCore`] is that
 //! algorithm, written once: a [`WindowScheduler`] plus the mode-specific
 //! queuing state ([`CreditGate`] / [`PrincipalQueues`]), demand estimation,
-//! and admitted/deferred accounting. Transports differ only in the
-//! [`CoordinationView`] they plug in (the simulator's delayed combining
-//! tree vs. the live coordinator) and in how they carry the two entry
+//! and admitted/deferred accounting. It is sans-IO: it holds no tree, no
+//! socket and no clock. Transports differ only in where they read the
+//! global aggregate from and publish local demand to (the simulator's
+//! in-process tree, the live coordinator) and in how they carry the two entry
 //! points' verdicts back to clients: [`EnforcementCore::on_arrival`] on the
 //! request path and [`EnforcementCore::on_window_tick`] at each window
 //! boundary.
 //!
 //! # Window tick order
 //!
-//! Every tick runs the same sequence on every transport:
+//! Every boundary runs the same sequence on every transport:
 //!
-//! 1. fold the finished window's arrivals into the EWMA estimator;
-//! 2. compute local demand for the coming window (mode-specific, plus any
-//!    externally-parked backlog hint);
-//! 3. **read** the coordination view (the freshest *previously published*
-//!    global aggregate — never this round's own publication);
-//! 4. solve the window plan (conservative fallback while the view is
-//!    still empty);
-//! 5. **publish** local demand into the coordination view;
-//! 6. install the plan: release queued work (explicit), refresh credits
-//!    (credit modes), and FIFO-reinject parked work (park mode).
+//! 1. the driver **reads** its view of the global aggregate (the freshest
+//!    *previously published* total — never this round's own publication);
+//! 2. the core folds the finished window's arrivals into the EWMA
+//!    estimator, computes local demand for the coming window
+//!    (mode-specific, plus any externally-parked backlog hint), solves the
+//!    window plan on the view (the conservative fallback while there is no
+//!    usable view), installs it — release queued work (explicit), refresh
+//!    credits (credit modes), FIFO-reinject parked work (park mode) — and
+//!    returns the demand;
+//! 3. the driver **publishes** that demand into the tree.
 //!
-//! Read-before-publish makes the live tree exactly one window stale — the
-//! same staleness the simulator's centralized once-per-tick aggregation
-//! produces — which is what lets a live deployment and a simulation of the
+//! Read-before-publish follows from the signature — the view goes in
+//! before the demand comes out — and makes the live tree exactly one
+//! window stale, the same staleness the simulator's once-per-tick round
+//! produces, which is what lets a live deployment and a simulation of the
 //! same scenario make *identical* per-window admission decisions.
 
 use crate::{reinject_fifo, Admission, CreditGate, PrincipalQueues, RateEstimator};
 use covenant_agreements::AccessLevels;
 use covenant_sched::{Plan, Request, SchedulerConfig, WindowScheduler};
-use covenant_tree::LocalTree;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// EWMA smoothing factor for demand estimation: the paper's prototypes
 /// react within a couple of 100 ms windows, so weigh the latest window
@@ -82,63 +81,6 @@ pub enum ArrivalOutcome {
     Queued,
 }
 
-/// The coordination substrate a redirector publishes demand into and reads
-/// aggregated global demand back from.
-///
-/// Implementations abstract the two deployments: the simulator's
-/// [`LocalCoordination`] (one round closed per tick on a single-threaded
-/// tree) and the live coordinator tree (see `covenant_coord`). The
-/// contract both must satisfy: a [`read`] at time
-/// `now` never observes a [`publish`] from the same `now` — publications
-/// become visible strictly later, so every node plans on equally-stale
-/// information regardless of roll order within a window.
-///
-/// [`read`]: CoordinationView::read
-/// [`publish`]: CoordinationView::publish
-pub trait CoordinationView {
-    /// The freshest globally-aggregated demand visible at `now`, if any
-    /// has arrived yet.
-    fn read(&mut self, now: f64) -> Option<&[f64]>;
-    /// Publishes this node's local demand for the coming window at `now`.
-    fn publish(&mut self, now: f64, demand: &[f64]);
-}
-
-/// One node's view onto a single-threaded [`LocalTree`]: the simulator's
-/// coordination.
-///
-/// `publish` records this node's demand in the tree; the owner of the tree
-/// closes one round per window boundary, after every node has ticked
-/// ([`LocalTree::close_round`]), so a `read` at a boundary sees at best
-/// the previous boundary's total.
-#[derive(Debug)]
-pub struct LocalCoordination {
-    tree: Rc<RefCell<LocalTree>>,
-    node: usize,
-    /// Owned copy of the last read aggregate (the trait hands out a slice).
-    read_buf: Vec<f64>,
-}
-
-impl LocalCoordination {
-    /// A view for tree node `node`.
-    pub fn new(tree: Rc<RefCell<LocalTree>>, node: usize) -> Self {
-        LocalCoordination { tree, node, read_buf: Vec::new() }
-    }
-}
-
-impl CoordinationView for LocalCoordination {
-    fn read(&mut self, now: f64) -> Option<&[f64]> {
-        let mut tree = self.tree.borrow_mut();
-        let total = tree.view(self.node)?.read(now)?;
-        self.read_buf.clear();
-        self.read_buf.extend_from_slice(total);
-        Some(&self.read_buf)
-    }
-
-    fn publish(&mut self, _now: f64, demand: &[f64]) {
-        self.tree.borrow_mut().publish(self.node, demand);
-    }
-}
-
 /// A point-in-time snapshot of one enforcement core's counters, shaped for
 /// the shared observability payload ([`crate::CountersReport`], which
 /// `covenant_core::counters_report_json` encodes for the simulator and the
@@ -175,14 +117,15 @@ pub struct EnforcementCounters {
 /// One instance enforces the sharing agreements at one redirector. The
 /// data plane calls [`on_arrival`] (or [`readmit`] for parked work) per
 /// request; the control plane calls [`on_window_tick`] every scheduling
-/// window. Everything else — LP planning, credits, queues, estimation,
+/// window with the view its driver read, and publishes the demand the tick
+/// returns. Everything else — LP planning, credits, queues, estimation,
 /// counters — is internal.
 ///
 /// [`on_arrival`]: Self::on_arrival
 /// [`readmit`]: Self::readmit
 /// [`on_window_tick`]: Self::on_window_tick
 #[derive(Debug)]
-pub struct EnforcementCore<V> {
+pub struct EnforcementCore {
     scheduler: WindowScheduler,
     mode: QueueMode,
     /// Explicit / parking queues (unused in pure credit-retry mode).
@@ -194,8 +137,6 @@ pub struct EnforcementCore<V> {
     arrivals_this_window: Vec<f64>,
     /// Reused demand buffer (steady state allocates nothing).
     demand_buf: Vec<f64>,
-    coordination: V,
-    last_plan: Plan,
     admitted: u64,
     deferred: u64,
     /// Debug-build conservation audit (see [`ConservationAudit`]).
@@ -217,10 +158,10 @@ struct ConservationAudit {
     admitted_cost: Vec<f64>,
 }
 
-impl<V: CoordinationView> EnforcementCore<V> {
+impl EnforcementCore {
     /// Builds the enforcement state machine for the principals in
-    /// `levels`, coordinating through `coordination`.
-    pub fn new(levels: &AccessLevels, cfg: SchedulerConfig, mode: QueueMode, coordination: V) -> Self {
+    /// `levels`.
+    pub fn new(levels: &AccessLevels, cfg: SchedulerConfig, mode: QueueMode) -> Self {
         let n = levels.len();
         EnforcementCore {
             scheduler: WindowScheduler::new(levels, cfg),
@@ -230,8 +171,6 @@ impl<V: CoordinationView> EnforcementCore<V> {
             estimator: RateEstimator::new(n, DEMAND_EWMA_ALPHA),
             arrivals_this_window: vec![0.0; n],
             demand_buf: Vec::with_capacity(n),
-            coordination,
-            last_plan: Plan::zero(n),
             admitted: 0,
             deferred: 0,
             #[cfg(debug_assertions)]
@@ -279,63 +218,19 @@ impl<V: CoordinationView> EnforcementCore<V> {
         self.scheduler.config().window_secs
     }
 
-    /// The coordination view (e.g. for the simulator to deliver the
-    /// aggregated demand).
-    pub fn coordination_mut(&mut self) -> &mut V {
-        &mut self.coordination
-    }
-
     /// Installs new access levels after a capacity or agreement change
     /// (agreements are interpreted dynamically, §2.2).
     pub fn update_levels(&mut self, levels: &AccessLevels) {
         self.scheduler.update_levels(levels);
     }
 
-    /// `(hits, misses)` of the scheduler's plan cache since construction.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.scheduler.cache_stats()
-    }
-
-    /// Plan-cache entries pushed out by the LRU cap since construction.
-    pub fn cache_evictions(&self) -> u64 {
-        self.scheduler.cache_evictions()
-    }
-
-    /// `(solves, pivots)` across the scheduler's LP engines since
-    /// construction.
-    pub fn lp_stats(&self) -> (u64, u64) {
-        self.scheduler.lp_stats()
-    }
-
-    /// `(warm_hits, cold_fallbacks)` of the warm-started revised solver:
-    /// windows that reused the previous basis vs. windows that restarted
-    /// cold or fell back to the dense tableau.
-    pub fn warm_stats(&self) -> (u64, u64) {
-        let warm = self.scheduler.warm_stats();
-        (warm.warm_solves, warm.cold_starts + self.scheduler.dense_fallbacks())
-    }
-
-    /// The most recent installed plan (per-window request budgets).
-    pub fn last_plan(&self) -> &Plan {
-        &self.last_plan
-    }
-
-    /// Requests admitted (forwarded) since construction.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Requests deferred (self-redirected) since construction.
-    pub fn deferred(&self) -> u64 {
-        self.deferred
-    }
-
-    /// A snapshot of every counter the shared observability payload
-    /// reports.
+    /// A snapshot of every counter: the one read of the core's
+    /// accounting, for the shared observability payload and the
+    /// simulator's report alike.
     pub fn counters(&self) -> EnforcementCounters {
         let (plan_cache_hits, plan_cache_misses) = self.scheduler.cache_stats();
         let (lp_solves, lp_pivots) = self.scheduler.lp_stats();
-        let (lp_warm_hits, lp_cold_fallbacks) = self.warm_stats();
+        let warm = self.scheduler.warm_stats();
         EnforcementCounters {
             admitted: self.admitted,
             deferred: self.deferred,
@@ -345,8 +240,8 @@ impl<V: CoordinationView> EnforcementCore<V> {
             plan_cache_evictions: self.scheduler.cache_evictions(),
             lp_solves,
             lp_pivots,
-            lp_warm_hits,
-            lp_cold_fallbacks,
+            lp_warm_hits: warm.warm_solves,
+            lp_cold_fallbacks: warm.cold_starts + self.scheduler.dense_fallbacks(),
         }
     }
 
@@ -409,17 +304,22 @@ impl<V: CoordinationView> EnforcementCore<V> {
         }
     }
 
-    /// Rolls the scheduling window at time `now` (see the module docs for
-    /// the exact sequence). `backlog` is the externally-parked work per
-    /// principal (cost-weighted), added to the published demand; `released`
-    /// is cleared and filled with the requests released from the internal
-    /// queues, with their target servers.
+    /// Rolls the scheduling window (see the module docs for the exact
+    /// sequence) and returns the local demand the driver must publish.
+    /// `view` is the global aggregate the driver read before this call;
+    /// one that is not a finite, non-negative value per principal — a peer
+    /// that published the wrong width, a frame carrying `inf` or `NaN` —
+    /// counts as no view, so the window takes the conservative plan.
+    /// `backlog` is the externally-parked work per principal
+    /// (cost-weighted), added to the demand; `released` is cleared and
+    /// filled with the requests released from the internal queues, with
+    /// their target servers.
     pub fn on_window_tick(
         &mut self,
-        now: f64,
+        view: Option<&[f64]>,
         backlog: Option<&[f64]>,
         released: &mut Vec<(Request, usize)>,
-    ) {
+    ) -> &[f64] {
         released.clear();
         // Fold the finished window's arrivals into the estimator.
         self.estimator.observe(&self.arrivals_this_window);
@@ -448,11 +348,9 @@ impl<V: CoordinationView> EnforcementCore<V> {
             }
         }
 
-        // Read strictly before publishing: the plan uses the freshest
-        // *previous* aggregate, never this round's own demand.
-        let view = self.coordination.read(now);
+        let n = self.n_principals();
+        let view = view.filter(|v| v.len() == n && v.iter().all(|x| x.is_finite() && *x >= 0.0));
         let plan: Plan = self.scheduler.plan_window_shared(view, &self.demand_buf);
-        self.coordination.publish(now, &self.demand_buf);
 
         match self.mode {
             QueueMode::Explicit => {
@@ -497,7 +395,7 @@ impl<V: CoordinationView> EnforcementCore<V> {
                 );
             }
         }
-        self.last_plan = plan;
+        &self.demand_buf
     }
 }
 
@@ -505,7 +403,6 @@ impl<V: CoordinationView> EnforcementCore<V> {
 mod tests {
     use super::*;
     use covenant_agreements::{AgreementGraph, PrincipalId};
-    use covenant_tree::Topology;
 
     /// Server 100 req/s, A [0.2,1], B [0.8,1] — 10 units per 100 ms window.
     fn levels() -> AccessLevels {
@@ -518,74 +415,85 @@ mod tests {
         g.access_levels()
     }
 
-    /// A core on a one-node tree of its own.
-    fn core_for(levels: &AccessLevels, mode: QueueMode) -> EnforcementCore<LocalCoordination> {
-        let tree = Rc::new(RefCell::new(LocalTree::new(&Topology::star(1, 0.0), 0.0)));
-        let view = LocalCoordination::new(tree, 0);
-        EnforcementCore::new(levels, SchedulerConfig::community_default(), mode, view)
-    }
-
-    fn core(mode: QueueMode) -> EnforcementCore<LocalCoordination> {
-        core_for(&levels(), mode)
-    }
-
-    /// The demand the core published at its last tick.
-    fn published(c: &mut EnforcementCore<LocalCoordination>) -> Vec<f64> {
-        c.coordination_mut().tree.borrow().demands()[0].clone()
-    }
-
     const A: PrincipalId = PrincipalId(1);
     const B: PrincipalId = PrincipalId(2);
 
-    fn arrive(c: &mut EnforcementCore<LocalCoordination>, id: u64, p: PrincipalId) -> ArrivalOutcome {
-        c.on_arrival(Request::unit(id, p, 0.0))
+    /// A lone redirector: the view it plans on is the demand it published
+    /// at the previous boundary, as on a one-node tree.
+    struct Solo {
+        core: EnforcementCore,
+        published: Option<Vec<f64>>,
     }
 
-    /// Ticks at `now` and closes the tree's round (single-node loopback),
-    /// returning the released requests.
-    fn tick(c: &mut EnforcementCore<LocalCoordination>, now: f64) -> Vec<(Request, usize)> {
-        let mut released = Vec::new();
-        c.on_window_tick(now, None, &mut released);
-        c.coordination_mut().tree.borrow_mut().close_round(now);
-        released
+    impl Solo {
+        fn with_levels(levels: &AccessLevels, mode: QueueMode) -> Solo {
+            let core = EnforcementCore::new(levels, SchedulerConfig::community_default(), mode);
+            Solo { core, published: None }
+        }
+
+        fn new(mode: QueueMode) -> Solo {
+            Solo::with_levels(&levels(), mode)
+        }
+
+        fn arrive(&mut self, id: u64, p: PrincipalId) -> ArrivalOutcome {
+            self.core.on_arrival(Request::unit(id, p, 0.0))
+        }
+
+        /// Rolls one window on the last published demand and publishes the
+        /// new one, returning the released requests.
+        fn tick_with(&mut self, backlog: Option<&[f64]>) -> Vec<(Request, usize)> {
+            let mut released = Vec::new();
+            let view = self.published.as_deref();
+            let demand = self.core.on_window_tick(view, backlog, &mut released).to_vec();
+            self.published = Some(demand);
+            released
+        }
+
+        fn tick(&mut self) -> Vec<(Request, usize)> {
+            self.tick_with(None)
+        }
+
+        fn admitted(&self) -> u64 {
+            self.core.counters().admitted
+        }
     }
 
     #[test]
     fn explicit_mode_queues_then_releases_within_plan() {
-        let mut c = core(QueueMode::Explicit);
+        let mut c = Solo::new(QueueMode::Explicit);
         for id in 0..20 {
-            assert_eq!(arrive(&mut c, id, B), ArrivalOutcome::Queued);
+            assert_eq!(c.arrive(id, B), ArrivalOutcome::Queued);
         }
         // First tick plans conservatively (no view yet): half of B's
         // mandatory 8/window = 4 released.
-        let first = tick(&mut c, 0.1);
+        let first = c.tick();
         assert_eq!(first.len(), 4);
         // With the view delivered (20 demand published at the first tick),
         // the informed global plan admits the full capacity 10, scaled to
         // the local queue fraction 16/20 → 8 released.
-        let second = tick(&mut c, 0.2);
+        let second = c.tick();
         assert_eq!(second.len(), 8);
         // FIFO order by request id.
         let ids: Vec<u64> = second.iter().map(|(r, _)| r.id.0).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(c.admitted(), (first.len() + second.len()) as u64);
-        assert_eq!(c.counters().parked, 20 - c.admitted());
+        assert_eq!(c.core.counters().parked, 20 - c.admitted());
     }
 
     #[test]
     fn credit_retry_defers_until_window_rolls() {
-        let mut c = core(QueueMode::CreditRetry { retry_delay: 0.05 });
-        assert_eq!(arrive(&mut c, 0, A), ArrivalOutcome::Defer);
-        assert_eq!(arrive(&mut c, 1, A), ArrivalOutcome::Defer);
+        let mut c = Solo::new(QueueMode::CreditRetry { retry_delay: 0.05 });
+        assert_eq!(c.arrive(0, A), ArrivalOutcome::Defer);
+        assert_eq!(c.arrive(1, A), ArrivalOutcome::Defer);
         // Conservative window: A's mandatory is 2/window, so half = 1.
-        tick(&mut c, 0.1);
-        assert_eq!(arrive(&mut c, 2, A), ArrivalOutcome::Forward { server: 0 });
-        assert_eq!(arrive(&mut c, 3, A), ArrivalOutcome::Defer);
+        c.tick();
+        assert_eq!(c.arrive(2, A), ArrivalOutcome::Forward { server: 0 });
+        assert_eq!(c.arrive(3, A), ArrivalOutcome::Defer);
         // Informed window: demand ~2/window is fully within A's reach.
-        tick(&mut c, 0.2);
-        assert!(matches!(arrive(&mut c, 4, A), ArrivalOutcome::Forward { .. }));
-        assert!(matches!(arrive(&mut c, 5, A), ArrivalOutcome::Forward { .. }));
-        let counters = c.counters();
+        c.tick();
+        assert!(matches!(c.arrive(4, A), ArrivalOutcome::Forward { .. }));
+        assert!(matches!(c.arrive(5, A), ArrivalOutcome::Forward { .. }));
+        let counters = c.core.counters();
         assert_eq!(counters.admitted, 3);
         assert_eq!(counters.deferred, 3);
         assert_eq!(counters.parked, 0);
@@ -593,33 +501,32 @@ mod tests {
 
     #[test]
     fn credit_park_parks_then_reinjects_fifo() {
-        let mut c = core(QueueMode::CreditPark);
+        let mut c = Solo::new(QueueMode::CreditPark);
         for id in 0..12 {
-            let out = arrive(&mut c, id, B);
+            let out = c.arrive(id, B);
             assert_eq!(out, ArrivalOutcome::Queued, "request {id}: {out:?}");
         }
-        let first = tick(&mut c, 0.1); // conservative: half of B's 8
+        let first = c.tick(); // conservative: half of B's 8
         assert_eq!(first.len(), 4);
-        let second = tick(&mut c, 0.2);
+        let second = c.tick();
         // FIFO across the whole parked backlog.
         let ids: Vec<u64> = first.iter().chain(&second).map(|(r, _)| r.id.0).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids {ids:?}");
         assert_eq!(c.admitted() as usize, first.len() + second.len());
         // Fresh in-quota arrivals now forward immediately.
-        tick(&mut c, 0.3);
-        assert!(matches!(arrive(&mut c, 100, B), ArrivalOutcome::Forward { .. }));
+        c.tick();
+        assert!(matches!(c.arrive(100, B), ArrivalOutcome::Forward { .. }));
     }
 
     #[test]
     fn backlog_hint_raises_published_demand() {
-        let mut c = core(QueueMode::CreditRetry { retry_delay: 0.05 });
-        let mut released = Vec::new();
+        let mut c = Solo::new(QueueMode::CreditRetry { retry_delay: 0.05 });
         // No arrivals, but an externally-parked backlog of 5 for B.
-        c.on_window_tick(0.1, Some(&[0.0, 0.0, 5.0]), &mut released);
-        assert_eq!(published(&mut c), &[0.0, 0.0, 5.0]);
+        c.tick_with(Some(&[0.0, 0.0, 5.0]));
+        assert_eq!(c.published.as_deref(), Some(&[0.0, 0.0, 5.0][..]));
         // Conservative window still caps at half of B's mandatory 8 = 4.
-        let quota = c.last_plan().admitted(B);
-        assert!((quota - 4.0).abs() < 1e-6, "quota {quota}");
+        let parked = (0..5).map(|id| Request::unit(id, B, 0.1));
+        assert_eq!(parked.filter(|req| c.core.readmit(req, None).is_some()).count(), 4);
     }
 
     #[test]
@@ -630,33 +537,34 @@ mod tests {
         let a = g.add_principal("A", 0.0);
         g.add_agreement(s1, a, 0.5, 1.0).unwrap();
         g.add_agreement(s2, a, 0.5, 1.0).unwrap();
-        let mut c = core_for(&g.access_levels(), QueueMode::CreditRetry { retry_delay: 0.05 });
+        let mut c =
+            Solo::with_levels(&g.access_levels(), QueueMode::CreditRetry { retry_delay: 0.05 });
         let p = PrincipalId(2);
         for id in 0..40 {
-            c.on_arrival(Request::unit(id, p, 0.0));
+            c.arrive(id, p);
         }
-        tick(&mut c, 0.1);
-        tick(&mut c, 0.2);
-        let out = c.on_arrival_preferring(Request::unit(99, p, 0.2), Some(1));
+        c.tick();
+        c.tick();
+        let out = c.core.on_arrival_preferring(Request::unit(99, p, 0.2), Some(1));
         assert_eq!(out, ArrivalOutcome::Forward { server: 1 });
     }
 
     #[test]
     fn readmit_counts_admissions_but_not_arrivals() {
-        let mut c = core(QueueMode::CreditRetry { retry_delay: 0.05 });
+        let mut c = Solo::new(QueueMode::CreditRetry { retry_delay: 0.05 });
         for id in 0..4 {
-            arrive(&mut c, id, B);
+            c.arrive(id, B);
         }
-        tick(&mut c, 0.1);
+        c.tick();
         let before = c.admitted();
         let req = Request::unit(50, B, 0.15);
-        assert!(c.readmit(&req, None).is_some());
+        assert!(c.core.readmit(&req, None).is_some());
         assert_eq!(c.admitted(), before + 1);
         // The readmission did not count as demand: the next window's
         // estimate only reflects genuine arrivals (4, then 0 → EWMA 2… but
         // readmit added nothing on top).
-        tick(&mut c, 0.2);
-        assert!((published(&mut c)[B.0] - 2.0).abs() < 1e-9);
+        c.tick();
+        assert!((c.published.as_ref().unwrap()[B.0] - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -666,24 +574,54 @@ mod tests {
         // budget; credits never negative) across fresh arrivals,
         // readmissions, and park reinjection. Any overdraw panics here.
         for mode in [QueueMode::CreditRetry { retry_delay: 0.05 }, QueueMode::CreditPark] {
-            let mut c = core(mode);
+            let mut c = Solo::new(mode);
             let mut id = 0;
             for w in 1..=20u32 {
                 for _ in 0..25 {
-                    let _ = arrive(&mut c, id, A);
-                    let _ = arrive(&mut c, id + 1, B);
+                    let _ = c.arrive(id, A);
+                    let _ = c.arrive(id + 1, B);
                     id += 2;
                 }
-                let _ = c.readmit(&Request::unit(1_000_000 + u64::from(w), B, 0.0), None);
-                tick(&mut c, f64::from(w) * 0.1);
+                let _ = c.core.readmit(&Request::unit(1_000_000 + u64::from(w), B, 0.0), None);
+                c.tick();
             }
             assert!(c.admitted() > 0);
         }
     }
 
     #[test]
+    fn unusable_views_plan_like_no_view() {
+        // A view of the wrong width, or with a non-finite or negative
+        // entry, is no view: the window releases exactly what the
+        // conservative plan releases, and still returns its demand.
+        let run = |view: Option<&[f64]>| {
+            let mut c = Solo::new(QueueMode::Explicit);
+            for id in 0..20 {
+                c.arrive(id, B);
+            }
+            let mut released = Vec::new();
+            let demand = c.core.on_window_tick(view, None, &mut released).to_vec();
+            (released.len(), demand)
+        };
+        let conservative = run(None);
+        assert_eq!(conservative, (4, vec![0.0, 0.0, 20.0]));
+        let informed = run(Some(&[0.0, 0.0, 20.0]));
+        assert_eq!(informed.0, 10, "a sound view plans on it");
+        for bad in [
+            &[0.0, 20.0][..],
+            &[0.0, 0.0, 20.0, 5.0],
+            &[0.0, f64::INFINITY, 20.0],
+            &[0.0, 0.0, f64::NAN],
+            &[f64::NEG_INFINITY, 0.0, 20.0],
+            &[0.0, -1.0, 20.0],
+        ] {
+            assert_eq!(run(Some(bad)), conservative, "view {bad:?}");
+        }
+    }
+
+    #[test]
     fn window_secs_comes_from_scheduler_config() {
-        let c = core(QueueMode::CreditPark);
-        assert!((c.window_secs() - 0.1).abs() < 1e-12);
+        let c = Solo::new(QueueMode::CreditPark);
+        assert!((c.core.window_secs() - 0.1).abs() < 1e-12);
     }
 }

@@ -7,9 +7,10 @@
 //! * [`EnforcementCore`] — the full per-redirector state machine
 //!   (scheduler + credits + queues + estimation + counters), with
 //!   [`EnforcementCore::on_arrival`] and
-//!   [`EnforcementCore::on_window_tick`] as the only entry points and a
-//!   [`CoordinationView`] trait abstracting the demand-aggregation
-//!   substrate.
+//!   [`EnforcementCore::on_window_tick`] as the only entry points. It does
+//!   no I/O: at each boundary the driver reads the tree's view, the tick
+//!   plans on it and returns the local demand, and the driver publishes
+//!   that demand.
 //! * [`CreditGate`] — implicit queuing via per-window admission credits
 //!   with fractional carry-over (§4.1, the paper's final design).
 //! * [`PrincipalQueues`] — explicit per-principal FIFO queues (the first
@@ -37,10 +38,7 @@ pub use counters::{
     AdmissionTotals, CountersReport, EngineTotals, NetTotals, ShardingTotals, SolverTotals,
 };
 pub use credit::{Admission, CreditGate};
-pub use enforcement::{
-    ArrivalOutcome, CoordinationView, EnforcementCore, EnforcementCounters, LocalCoordination,
-    QueueMode,
-};
+pub use enforcement::{ArrivalOutcome, EnforcementCore, EnforcementCounters, QueueMode};
 pub use estimator::RateEstimator;
 pub use queue::{Dispatch, PrincipalQueues};
 pub use reinject::{reinject_fifo, ParkedQueue};

@@ -249,9 +249,12 @@ impl WindowScheduler {
 
     /// [`WindowScheduler::plan_window`] over borrowed global data: `None`
     /// means the tree has delivered nothing yet. Callers holding the
-    /// aggregate in a buffer of their own (a `CoordinationView`'s read)
-    /// plan without materializing a `GlobalView`, and the global/local
-    /// merge reuses an internal scratch buffer instead of allocating.
+    /// aggregate in a buffer of their own (the view a driver read from its
+    /// tree and handed to the enforcement core's tick) plan without
+    /// materializing a `GlobalView`, and the global/local merge reuses an
+    /// internal scratch buffer instead of allocating. `global` must hold
+    /// one value per principal; the enforcement core passes `None` for a
+    /// view that does not.
     pub fn plan_window_shared(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> Plan {
         let n = self.window_levels.len();
         assert_eq!(local_queues.len(), n);

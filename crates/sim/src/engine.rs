@@ -27,9 +27,9 @@ use crate::config::{QueueMode, RequestCost, SimConfig};
 use crate::events::{Event, EventQueue};
 use crate::link::{Link, LinkStart};
 use crate::metrics::{RateSeries, ResponseStats};
-use crate::redirector::{ArrivalOutcome, SimRedirector};
 use crate::server::{Accept, Server};
 use covenant_agreements::PrincipalId;
+use covenant_enforce::{ArrivalOutcome, EnforcementCore, EnforcementCounters};
 use covenant_sched::{Request, RequestId, SchedulerConfig};
 use covenant_tree::LocalTree;
 use covenant_workload::ArrivalStream;
@@ -38,8 +38,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 #[cfg(test)]
 use std::collections::HashMap;
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Per-request bookkeeping for response times and closed-loop accounting.
@@ -310,8 +308,9 @@ pub struct Simulation {
 /// Shared per-run state that is identical between the two execution paths.
 struct RunState {
     /// The combining tree every redirector publishes into and reads from.
-    tree: Rc<RefCell<LocalTree>>,
-    redirectors: Vec<SimRedirector>,
+    tree: LocalTree,
+    /// One enforcement core per redirector, indexed by tree node.
+    cores: Vec<EnforcementCore>,
     servers: Vec<Server>,
     /// Capacity changes sorted by time; consumed via `change_cursor`.
     changes: Vec<crate::config::CapacityChange>,
@@ -348,6 +347,17 @@ struct RunState {
     decisions: Option<Vec<ArrivalDecision>>,
 }
 
+impl RunState {
+    /// Rolls redirector `ri`'s window at `now`: read its view of the
+    /// tree's total, tick its core on it, publish the demand the tick
+    /// returns. The round closes once every redirector has rolled.
+    fn roll(&mut self, ri: usize, now: f64, released: &mut Vec<(Request, usize)>) {
+        let view = self.tree.view(ri).and_then(|v| v.read(now)).map(Vec::as_slice);
+        let demand = self.cores[ri].on_window_tick(view, None, released);
+        self.tree.publish(ri, demand);
+    }
+}
+
 impl Simulation {
     /// Wraps a configuration.
     pub fn new(cfg: SimConfig) -> Self {
@@ -377,12 +387,8 @@ impl Simulation {
         let n = cfg.graph.len();
         let n_redirectors = cfg.n_redirectors();
         let levels = cfg.graph.access_levels();
-        let tree = Rc::new(RefCell::new(LocalTree::new(&cfg.tree, cfg.extra_tree_lag)));
-        let redirectors: Vec<SimRedirector> = (0..n_redirectors)
-            .map(|id| {
-                let sched = Self::sched_cfg_for(cfg, id);
-                SimRedirector::new(id, &levels, sched, cfg.mode.clone(), Rc::clone(&tree))
-            })
+        let cores = (0..n_redirectors)
+            .map(|id| EnforcementCore::new(&levels, Self::sched_cfg_for(cfg, id), cfg.mode.clone()))
             .collect();
         let servers: Vec<Server> = cfg
             .graph
@@ -418,8 +424,8 @@ impl Simulation {
         };
 
         RunState {
-            tree,
-            redirectors,
+            tree: LocalTree::new(&cfg.tree, cfg.extra_tree_lag),
+            cores,
             servers,
             changes,
             change_cursor: 0,
@@ -475,25 +481,20 @@ impl Simulation {
         }
         if changed {
             let fresh = st.live_graph.access_levels();
-            for r in st.redirectors.iter_mut() {
-                r.update_levels(&fresh);
+            for core in st.cores.iter_mut() {
+                core.update_levels(&fresh);
             }
         }
-        // Crash-and-restart injection: replace the redirector with a fresh
-        // instance; queued/parked requests and all learned state are lost,
+        // Crash-and-restart injection: replace the redirector's core with a
+        // fresh one; queued/parked requests and all learned state are lost,
         // exactly like a process crash — its tree node and view included,
         // which the neighbours see as a dropped and returning edge.
         while st.restart_cursor < st.restarts.len() && st.restarts[st.restart_cursor].0 <= now {
             let (_, id) = st.restarts[st.restart_cursor];
             st.restart_cursor += 1;
-            st.tree.borrow_mut().restart(id);
-            st.redirectors[id] = SimRedirector::new(
-                id,
-                &st.live_graph.access_levels(),
-                Self::sched_cfg_for(cfg, id),
-                cfg.mode.clone(),
-                Rc::clone(&st.tree),
-            );
+            st.tree.restart(id);
+            let (levels, sched) = (st.live_graph.access_levels(), Self::sched_cfg_for(cfg, id));
+            st.cores[id] = EnforcementCore::new(&levels, sched, cfg.mode.clone());
         }
     }
 
@@ -505,6 +506,9 @@ impl Simulation {
         wall_secs: f64,
     ) -> SimReport {
         let windows = (cfg.duration / cfg.window_secs).ceil() as u64 + 1;
+        let counters: Vec<EnforcementCounters> =
+            st.cores.iter().map(EnforcementCore::counters).collect();
+        let sum = |f: fn(&EnforcementCounters) -> u64| counters.iter().map(f).sum();
         SimReport {
             rates: st.rates,
             response: st.response,
@@ -519,15 +523,15 @@ impl Simulation {
                 .iter()
                 .map(|s| s.utilization(cfg.duration))
                 .collect(),
-            tree_messages: st.tree.borrow().messages(),
+            tree_messages: st.tree.messages(),
             pairwise_messages_equivalent: windows * cfg.tree.pairwise_messages() as u64,
-            plan_cache_hits: st.redirectors.iter().map(|r| r.cache_stats().0).sum(),
-            plan_cache_misses: st.redirectors.iter().map(|r| r.cache_stats().1).sum(),
-            plan_cache_evictions: st.redirectors.iter().map(|r| r.cache_evictions()).sum(),
-            lp_solves: st.redirectors.iter().map(|r| r.lp_stats().0).sum(),
-            lp_pivots: st.redirectors.iter().map(|r| r.lp_stats().1).sum(),
-            lp_warm_hits: st.redirectors.iter().map(|r| r.warm_stats().0).sum(),
-            lp_cold_fallbacks: st.redirectors.iter().map(|r| r.warm_stats().1).sum(),
+            plan_cache_hits: sum(|c| c.plan_cache_hits),
+            plan_cache_misses: sum(|c| c.plan_cache_misses),
+            plan_cache_evictions: sum(|c| c.plan_cache_evictions),
+            lp_solves: sum(|c| c.lp_solves),
+            lp_pivots: sum(|c| c.lp_pivots),
+            lp_warm_hits: sum(|c| c.lp_warm_hits),
+            lp_cold_fallbacks: sum(|c| c.lp_cold_fallbacks),
             transfer: st.transfer,
             link_bytes: st.links.iter().map(|l| l.bytes).collect(),
             link_active_peak: st.links.iter().map(|l| l.active_peak).collect(),
@@ -552,7 +556,7 @@ impl Simulation {
         // `i`. One event per boundary drives every redirector in lock-step
         // (the paper's redirectors share the 100 ms cadence).
         let mut tick_index: u64 = 0;
-        events.push_tick(0.0, 0, Event::WindowTick { redirector: 0 });
+        events.push_tick(0.0, 0, Event::WindowTick);
 
         // One lazy arrival source per client; the heap holds at most one
         // pending original arrival per client at any time.
@@ -604,7 +608,7 @@ impl Simulation {
                             bytes,
                         }));
                     }
-                    let outcome = st.redirectors[redirector].on_arrival(request);
+                    let outcome = st.cores[redirector].on_arrival(request);
                     if let Some(trace) = st.decisions.as_mut() {
                         trace.push(ArrivalDecision {
                             time: now,
@@ -654,18 +658,18 @@ impl Simulation {
                         ArrivalOutcome::Queued => {}
                     }
                 }
-                Event::WindowTick { .. } => {
+                Event::WindowTick => {
                     tick_index += 1;
                     let next_t = tick_index as f64 * cfg.window_secs;
                     if next_t <= cfg.duration {
-                        events.push_tick(next_t, tick_index, Event::WindowTick { redirector: 0 });
+                        events.push_tick(next_t, tick_index, Event::WindowTick);
                     }
                     Self::apply_boundary_schedules(&cfg, &mut st, now);
                     // Every redirector rolls its window, publishing its
                     // demand into its tree node; then the round closes and
                     // each node's view holds the total (with per-node lag).
                     for ri in 0..n_redirectors {
-                        st.redirectors[ri].on_window_tick(now, &mut released);
+                        st.roll(ri, now, &mut released);
                         for (req, server) in released.drain(..) {
                             st.admitted[req.principal.0] += 1;
                             match st.servers[server].offer(now + st.hop, req) {
@@ -682,7 +686,7 @@ impl Simulation {
                             }
                         }
                     }
-                    st.tree.borrow_mut().close_round(now);
+                    st.tree.close_round(now);
                 }
                 Event::Completion { server } => {
                     let req = st.servers[server].complete();
@@ -764,7 +768,7 @@ impl Simulation {
             if t > cfg.duration {
                 break;
             }
-            events.push(t, Event::WindowTick { redirector: 0 });
+            events.push(t, Event::WindowTick);
             i += 1;
         }
 
@@ -832,7 +836,7 @@ impl Simulation {
                             RequestMeta { client, first_arrival: request.arrival, bytes },
                         );
                     }
-                    let outcome = st.redirectors[redirector].on_arrival(request);
+                    let outcome = st.cores[redirector].on_arrival(request);
                     if let Some(trace) = st.decisions.as_mut() {
                         trace.push(ArrivalDecision {
                             time: now,
@@ -882,12 +886,12 @@ impl Simulation {
                         ArrivalOutcome::Queued => {}
                     }
                 }
-                Event::WindowTick { .. } => {
+                Event::WindowTick => {
                     Self::apply_boundary_schedules(&cfg, &mut st, now);
                     // Fresh per-tick allocations, as the seed engine made.
                     for ri in 0..n_redirectors {
                         let mut released = Vec::new();
-                        st.redirectors[ri].on_window_tick(now, &mut released);
+                        st.roll(ri, now, &mut released);
                         for (req, server) in released {
                             st.admitted[req.principal.0] += 1;
                             match st.servers[server].offer(now + st.hop, req) {
@@ -907,11 +911,10 @@ impl Simulation {
                     // The oracle's coordination: the published demands
                     // summed centrally and stamped straight into each view,
                     // no tree node involved.
-                    let mut tree = st.tree.borrow_mut();
-                    let round = cfg.tree.aggregate(tree.demands());
+                    let round = cfg.tree.aggregate(st.tree.demands());
                     tree_messages += round.messages() as u64;
                     for id in 0..n_redirectors {
-                        let view = tree.view(id).expect("one view per redirector");
+                        let view = st.tree.view(id).expect("one view per redirector");
                         view.publish(now, round.total.clone());
                     }
                 }

@@ -40,11 +40,8 @@ pub enum Event {
         /// network model).
         bytes: f64,
     },
-    /// A redirector's scheduling window rolls over.
-    WindowTick {
-        /// The redirector whose window ticks.
-        redirector: usize,
-    },
+    /// Every redirector's scheduling window rolls over.
+    WindowTick,
     /// A server finishes one request.
     Completion {
         /// Server index (principal id of the owner).
@@ -190,9 +187,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(3.0, Event::WindowTick { redirector: 3 });
-        q.push(1.0, Event::WindowTick { redirector: 1 });
-        q.push(2.0, Event::WindowTick { redirector: 2 });
+        q.push(3.0, Event::Completion { server: 3 });
+        q.push(1.0, Event::Completion { server: 1 });
+        q.push(2.0, Event::Completion { server: 2 });
         let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
@@ -201,11 +198,11 @@ mod tests {
     fn equal_times_pop_fifo() {
         let mut q = EventQueue::new();
         for r in 0..5 {
-            q.push(1.0, Event::WindowTick { redirector: r });
+            q.push(1.0, Event::Completion { server: r });
         }
         let order: Vec<usize> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::WindowTick { redirector } => redirector,
+                Event::Completion { server } => server,
                 _ => unreachable!(),
             })
             .collect();
@@ -230,7 +227,7 @@ mod tests {
                 bytes: 0.0,
             },
         );
-        q.push_tick(1.0, 5, Event::WindowTick { redirector: 0 });
+        q.push_tick(1.0, 5, Event::WindowTick);
         q.push_arrival(
             1.0,
             1,
@@ -245,7 +242,7 @@ mod tests {
         );
         let order: Vec<&'static str> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::WindowTick { .. } => "tick",
+                Event::WindowTick => "tick",
                 Event::Arrival { client: 1, .. } => "arrival-c1",
                 Event::Arrival { .. } => "arrival-c2",
                 _ => "runtime",

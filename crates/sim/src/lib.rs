@@ -6,14 +6,16 @@
 //!
 //! * [`covenant_workload`] client machines (phased loads, rate caps,
 //!   optional closed-loop outstanding-request limits),
-//! * redirectors running the [`covenant_sched`] window schedulers in any of
-//!   three queuing modes (explicit queues, credit + client retry — the L7
-//!   self-redirect scheme — or credit + parking — the L4 kernel-queue
-//!   scheme),
+//! * redirectors, each one [`covenant_enforce::EnforcementCore`] — the
+//!   state machine the live planes run — in any of three queuing modes
+//!   (explicit queues, credit + client retry — the L7 self-redirect scheme
+//!   — or credit + parking — the L4 kernel-queue scheme),
 //! * a [`covenant_tree`] combining tree — the same `TreeNode` round engine
 //!   the live planes run, stepped by direct calls once per window — with
 //!   per-node information lag (plus an optional extra lag, reproducing
-//!   Figure 8's deliberate 10 s delay),
+//!   Figure 8's deliberate 10 s delay). At each boundary the engine reads
+//!   every redirector's view from it, ticks the core on that view, and
+//!   publishes the demand the tick returns before closing the round,
 //! * capacity-limited servers with finite accept backlogs.
 //!
 //! The output is a per-principal, per-second processing-rate series — the
@@ -34,7 +36,6 @@ mod engine;
 pub mod events;
 mod link;
 mod metrics;
-mod redirector;
 mod server;
 
 pub use config::{AgreementChange, CapacityChange, QueueMode, RequestCost, SimClient, SimConfig};
@@ -42,5 +43,4 @@ pub use events::{Event, EventQueue};
 pub use engine::{ArrivalDecision, SimReport, Simulation};
 pub use link::{LinkCfg, LinkDiscipline, NetModelCfg};
 pub use metrics::{RateSeries, ResponseStats};
-pub use redirector::{ArrivalOutcome, SimRedirector};
 pub use server::Server;

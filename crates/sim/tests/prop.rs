@@ -79,7 +79,7 @@ proptest! {
         use covenant_sched::{Request, RequestId};
         let mut q = EventQueue::new();
         for (i, &t) in ticks.iter().enumerate() {
-            q.push_tick(t as f64, i as u64, Event::WindowTick { redirector: 0 });
+            q.push_tick(t as f64, i as u64, Event::WindowTick);
         }
         for (i, &(t, client)) in arrivals.iter().enumerate() {
             let req = Request {
@@ -108,7 +108,7 @@ proptest! {
         let mut popped = Vec::new();
         while let Some((time, e)) = q.pop() {
             let class = match e {
-                Event::WindowTick { .. } => 0,
+                Event::WindowTick => 0,
                 Event::Arrival { .. } => 1,
                 _ => 2,
             };

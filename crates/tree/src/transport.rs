@@ -1,8 +1,11 @@
 //! The direct-call driver of [`TreeNode`] ([`LocalTree`], which the
-//! simulator owns, and [`InProcessTree`], the same behind a mutex for the
-//! sharded live planes), and [`CoordTransport`], the seam it shares with
+//! simulator's engine owns by value and reads and publishes through at each
+//! boundary, and [`InProcessTree`], the same behind a mutex for the sharded
+//! live planes), and [`CoordTransport`], the seam it shares with
 //! `covenant-wire`'s socket driver so that everything above (`Coordinator`,
-//! `ShardCore`) is substrate-agnostic.
+//! `ShardCore`) is substrate-agnostic. The enforcement core itself touches
+//! none of them: its driver reads a view here, ticks the core on it and
+//! publishes the demand the tick returns.
 //!
 //! Timestamps are plain `f64` seconds so the same implementations serve
 //! wall-clock deployments and virtual-time differential replays.
@@ -15,8 +18,8 @@ use std::time::Instant;
 
 /// Publish/read access to the combining tree for one deployment.
 ///
-/// Implementations must preserve the two properties the enforcement core's
-/// read-before-publish tick order relies on:
+/// Implementations must preserve the two properties a shard's
+/// read-tick-publish roll relies on:
 ///
 /// 1. **Strict-before reads**: [`CoordTransport::read_before`] never
 ///    returns an aggregate that includes a publish at time `t >= now` —
