@@ -318,10 +318,12 @@ impl ScenarioSpec {
                 .map(PrincipalId)
                 .ok_or_else(|| SpecError::UnknownPrincipal(name.to_string()))
         };
-        for ev in &self.timeline {
+        let mut renegotiations = Vec::new();
+        for (ei, ev) in self.timeline.iter().enumerate() {
             match ev {
                 TimelineEvent::Renegotiate { at, issuer, holder, lb, ub } => {
                     cfg = cfg.with_agreement_change(*at, lookup(issuer)?, lookup(holder)?, *lb, *ub);
+                    renegotiations.push(ei);
                 }
                 TimelineEvent::ServerFail { at, principal } => {
                     cfg = cfg.with_capacity_change(*at, lookup(principal)?, 0.0);
@@ -339,6 +341,16 @@ impl ScenarioSpec {
                 }
                 _ => {}
             }
+        }
+        // Replay the renegotiations in the order the run applies them, so
+        // one the graph rejects fails here instead of panicking mid-run.
+        let mut graph = cfg.graph.clone();
+        let mut replay: Vec<_> = renegotiations.into_iter().zip(&cfg.agreement_changes).collect();
+        replay.sort_by(|a, b| a.1.at.total_cmp(&b.1.at));
+        for (ei, c) in replay {
+            graph.set_agreement(c.issuer, c.holder, c.lb, c.ub).map_err(|e| {
+                scenario_err(format!("timeline[{ei}] (renegotiate) cannot apply: {e}"))
+            })?;
         }
         Ok(cfg)
     }
@@ -679,6 +691,31 @@ mod tests {
         let bad = SCENARIO.replace("\"client\": 0", "\"client\": 9");
         let sc = ScenarioSpec::from_json(&bad).unwrap();
         assert!(matches!(sc.build_sim(), Err(SpecError::Scenario(_))));
+    }
+
+    /// A renegotiation the graph would reject — an undeclared pair, an
+    /// upper bound past 1, a floor that over-commits its issuer — is a
+    /// build error naming its timeline entry, not a panic mid-run. The
+    /// replay runs in time order, as the run does.
+    #[test]
+    fn invalid_renegotiation_rejected() {
+        let renegotiate = r#"{"kind": "renegotiate", "at": 20.0, "issuer": "S", "holder": "B", "lb": 0.4, "ub": 1.0}"#;
+        for bad in [
+            r#"{"kind": "renegotiate", "at": 20.0, "issuer": "A", "holder": "B", "lb": 0.4, "ub": 1.0}"#,
+            r#"{"kind": "renegotiate", "at": 20.0, "issuer": "S", "holder": "B", "lb": 0.4, "ub": 1.5}"#,
+            r#"{"kind": "renegotiate", "at": 20.0, "issuer": "S", "holder": "A", "lb": 0.5, "ub": 1.0}"#,
+        ] {
+            let sc = ScenarioSpec::from_json(&SCENARIO.replace(renegotiate, bad)).unwrap();
+            match sc.build_sim() {
+                Err(SpecError::Scenario(m)) => assert!(m.starts_with("timeline[1]"), "{bad}: {m}"),
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+        // A's raise over-commits S only if it lands before B's cut.
+        let in_time = r#"{"kind": "renegotiate", "at": 25.0, "issuer": "S", "holder": "A", "lb": 0.7, "ub": 1.0},
+                         {"kind": "renegotiate", "at": 20.0, "issuer": "S", "holder": "B", "lb": 0.2, "ub": 1.0}"#;
+        let sc = ScenarioSpec::from_json(&SCENARIO.replace(renegotiate, in_time)).unwrap();
+        assert!(sc.build_sim().is_ok());
     }
 
     #[test]

@@ -245,6 +245,16 @@ impl EnforcementCore {
         }
     }
 
+    /// Consumes the core, returning the requests it still held — explicit
+    /// queues or parked work — FIFO per principal: what a crash loses.
+    pub fn into_held(mut self) -> Vec<Request> {
+        let mut held = Vec::new();
+        for i in 0..self.queues.n_principals() {
+            held.extend(std::iter::from_fn(|| self.queues.release_one(i)));
+        }
+        held
+    }
+
     /// Handles an arriving request.
     pub fn on_arrival(&mut self, req: Request) -> ArrivalOutcome {
         self.on_arrival_preferring(req, None)

@@ -175,51 +175,43 @@ impl SimConfig {
     }
 
     /// Adds a client machine.
-    pub fn client(mut self, machine: ClientMachine, redirector: usize) -> Self {
-        assert!(redirector < self.n_redirectors(), "redirector index out of range");
-        self.clients.push(SimClient {
-            machine,
-            redirector,
-            max_outstanding: None,
-            cost: RequestCost::Unit,
-        });
-        self
+    pub fn client(self, machine: ClientMachine, redirector: usize) -> Self {
+        self.add_client(machine, redirector, None, RequestCost::Unit)
     }
 
     /// Adds a closed-loop client machine with an outstanding-request limit.
     pub fn closed_loop_client(
-        mut self,
+        self,
         machine: ClientMachine,
         redirector: usize,
         max_outstanding: usize,
     ) -> Self {
-        assert!(redirector < self.n_redirectors(), "redirector index out of range");
-        self.clients.push(SimClient {
-            machine,
-            redirector,
-            max_outstanding: Some(max_outstanding),
-            cost: RequestCost::Unit,
-        });
-        self
+        self.add_client(machine, redirector, Some(max_outstanding), RequestCost::Unit)
     }
 
     /// Adds a client whose requests carry WebBench-style size-distributed
     /// costs.
     pub fn sized_client(
-        mut self,
+        self,
         machine: ClientMachine,
         redirector: usize,
         sizes: ReplySizes,
         mean_bytes: f64,
         seed: u64,
     ) -> Self {
+        let cost = RequestCost::SizeDistributed { sizes, mean_bytes, seed };
+        self.add_client(machine, redirector, None, cost)
+    }
+
+    fn add_client(
+        mut self,
+        machine: ClientMachine,
+        redirector: usize,
+        max_outstanding: Option<usize>,
+        cost: RequestCost,
+    ) -> Self {
         assert!(redirector < self.n_redirectors(), "redirector index out of range");
-        self.clients.push(SimClient {
-            machine,
-            redirector,
-            max_outstanding: None,
-            cost: RequestCost::SizeDistributed { sizes, mean_bytes, seed },
-        });
+        self.clients.push(SimClient { machine, redirector, max_outstanding, cost });
         self
     }
 

@@ -1,38 +1,40 @@
-//! The simulation main loop.
+//! The simulation main loop: one world, run two ways.
 //!
-//! Two execution paths share the same event semantics:
+//! A `World` holds a run's state grouped by owner — clients, redirectors,
+//! servers, links and the timeline schedules — and `World::apply` is the
+//! one handler of every [`Event`]. Two entry points run it:
 //!
-//! * [`Simulation::run`] — the production engine. Client arrivals are
-//!   *streamed*: the event heap holds at most one pending arrival per
-//!   client (plus in-flight completions/retries and the next window tick),
-//!   so memory is bounded by concurrency, not run length. Per-request
-//!   metadata lives in a dense free-list slab keyed by the sequential
-//!   [`RequestId`]s the engine itself assigns.
-//! * `Simulation::run_reference` — the pre-optimization engine, compiled
-//!   for tests only, as their correctness oracle (the role
-//!   `solve_reference` plays for the LP). It materializes every arrival up
-//!   front, pushes all of them into the heap before the clock starts, and
-//!   tracks metadata in a `HashMap` — the seed's O(total requests) cost
-//!   profile. Its coordination is an oracle too: where `run` closes a
-//!   round of tree nodes each tick, it sums the published demands with
-//!   `Topology::aggregate` and stamps the views itself.
+//! * [`Simulation::run`] — the production engine. Client arrivals and
+//!   window ticks are *streamed*: the event heap holds at most one pending
+//!   arrival per client (plus in-flight completions/retries and the next
+//!   tick), so memory is bounded by concurrency, not run length. Request
+//!   metadata lives in a dense free-list slab keyed by the [`RequestId`]s
+//!   it hands out, and each window's round closes through the `TreeNode`s
+//!   of the world's `LocalTree`.
+//! * `Simulation::run_reference` — the tests' correctness oracle (the role
+//!   `solve_reference` plays for the LP), compiled for tests only. It
+//!   materializes every arrival and tick up front, keeps metadata in a
+//!   `HashMap`, and closes each round centrally with `Topology::aggregate`,
+//!   stamping the views itself. What it checks — streaming, the slab, tree
+//!   rounds — is thereby independent of the path under test.
 //!
-//! The [`EventQueue`](crate::events::EventQueue)'s class-keyed ordering
-//! guarantees both paths pop the identical event sequence, so their
-//! reports agree on every behavioral observable (see
-//! [`SimReport::outcome_eq`] and the `streaming_matches_reference_*`
-//! tests).
+//! The [`EventQueue`]'s class-keyed ordering guarantees both paths pop
+//! the identical event sequence, so their reports agree on every
+//! behavioral observable (see [`SimReport::outcome_eq`] and the
+//! `streaming_matches_reference_*` tests).
 
-use crate::config::{QueueMode, RequestCost, SimConfig};
+use crate::config::{
+    AgreementChange, CapacityChange, QueueMode, RequestCost, SimClient, SimConfig,
+};
 use crate::events::{Event, EventQueue};
 use crate::link::{Link, LinkStart};
 use crate::metrics::{RateSeries, ResponseStats};
 use crate::server::{Accept, Server};
-use covenant_agreements::PrincipalId;
+use covenant_agreements::{AccessLevels, AgreementGraph, PrincipalId};
 use covenant_enforce::{ArrivalOutcome, EnforcementCore, EnforcementCounters};
 use covenant_sched::{Request, RequestId, SchedulerConfig};
 use covenant_tree::LocalTree;
-use covenant_workload::ArrivalStream;
+use covenant_workload::{Arrival, ArrivalStream};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -50,6 +52,18 @@ struct RequestMeta {
     bytes: f64,
 }
 
+/// Where a run keeps the metadata of the requests in the system: a
+/// [`MetaSlab`] in [`Simulation::run`], a `HashMap` in the oracle.
+trait MetaStore {
+    /// Stores `meta` for a request entering the system with id `id` and
+    /// returns the id it is known by from now on.
+    fn insert(&mut self, id: u64, meta: RequestMeta) -> u64;
+    /// Takes a request's metadata out.
+    fn remove(&mut self, id: u64) -> Option<RequestMeta>;
+    /// A request's metadata.
+    fn get(&self, id: u64) -> Option<RequestMeta>;
+}
+
 /// Dense free-list slab for in-flight request metadata.
 ///
 /// Request IDs are slot indices: allocated when the engine first sees a
@@ -62,8 +76,9 @@ struct MetaSlab {
     free: Vec<usize>,
 }
 
-impl MetaSlab {
-    fn insert(&mut self, meta: RequestMeta) -> u64 {
+impl MetaStore for MetaSlab {
+    /// The slab ignores `id` and hands out a free slot.
+    fn insert(&mut self, _id: u64, meta: RequestMeta) -> u64 {
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot].is_none());
@@ -91,10 +106,34 @@ impl MetaSlab {
     }
 }
 
-/// One client's lazy request source: the arrival stream plus the cost
-/// model, consumed in generation order so sampled costs match a
-/// pre-materialized trace exactly.
+/// How a window's round closes once every redirector has published into
+/// the tree: through its `TreeNode`s in [`Simulation::run`], centrally in
+/// the oracle.
+trait RoundClose {
+    /// Closes the round at `now`.
+    fn close(&mut self, tree: &mut LocalTree, now: f64);
+    /// Tree messages the rounds have cost so far.
+    fn messages(&self, tree: &LocalTree) -> u64;
+}
+
+/// Rounds closed by the tree's own `TreeNode`s.
+struct TreeRounds;
+
+impl RoundClose for TreeRounds {
+    fn close(&mut self, tree: &mut LocalTree, now: f64) {
+        tree.close_round(now);
+    }
+
+    fn messages(&self, tree: &LocalTree) -> u64 {
+        tree.messages()
+    }
+}
+
+/// One client's request source: its cost model, consumed in generation
+/// order so sampled costs match a pre-materialized trace exactly, and the
+/// lazy arrival stream a streamed run refills from.
 struct ClientGen {
+    client: usize,
     stream: ArrivalStream,
     cost: RequestCost,
     size_rng: Option<StdRng>,
@@ -102,73 +141,58 @@ struct ClientGen {
     next_index: u64,
     /// Target redirector (cached from the config).
     redirector: usize,
-    done: bool,
 }
 
 impl ClientGen {
-    fn new(ci: usize, client: &crate::config::SimClient) -> Self {
-        let size_rng = match &client.cost {
+    fn new(client: usize, cfg: &SimClient) -> Self {
+        let size_rng = match &cfg.cost {
             RequestCost::SizeDistributed { seed, .. } => {
-                Some(StdRng::seed_from_u64(*seed ^ ci as u64))
+                Some(StdRng::seed_from_u64(*seed ^ client as u64))
             }
             _ => None,
         };
         ClientGen {
-            stream: client.machine.stream(),
-            cost: client.cost.clone(),
+            client,
+            stream: cfg.machine.stream(),
+            cost: cfg.cost.clone(),
             size_rng,
             next_index: 0,
-            redirector: client.redirector,
-            done: false,
+            redirector: cfg.redirector,
         }
+    }
+
+    /// Costs arrival `a` and returns it as an original-arrival event with
+    /// request id `id`, timed one network hop later — when it reaches the
+    /// redirector.
+    fn arrival(&mut self, a: Arrival, id: u64, hop: f64) -> (f64, Event) {
+        // Sized clients carry their sampled reply bytes so the link model
+        // transfers the exact 200 B–500 KB draw, not the unit-floored cost;
+        // other cost models leave 0.0 and the clients derive bytes from
+        // cost × unit_bytes.
+        let (cost, bytes) = match &self.cost {
+            RequestCost::Unit => (1.0, 0.0),
+            RequestCost::Fixed(x) => (*x, 0.0),
+            RequestCost::SizeDistributed { sizes, mean_bytes, .. } => {
+                let rng = self.size_rng.as_mut().expect("rng for sized client");
+                let bytes = sizes.sample(rng);
+                (sizes.cost_units(bytes, *mean_bytes), bytes as f64)
+            }
+        };
+        let request = Request { id: RequestId(id), principal: a.principal, arrival: a.time, cost };
+        let (redirector, client) = (self.redirector, self.client);
+        (a.time + hop, Event::Arrival { request, redirector, client, retries: 0, bytes })
     }
 
     /// Pushes this client's next arrival (if any remains within the run)
     /// into the event queue. Arrival times are monotone per client, so the
-    /// first one past `duration` ends the stream.
-    fn refill(&mut self, ci: usize, duration: f64, latency: f64, events: &mut EventQueue) {
-        if self.done {
-            return;
-        }
-        match self.stream.next() {
-            Some(a) if a.time <= duration => {
-                // Sized clients carry their sampled reply bytes so the
-                // link model transfers the exact 200 B–500 KB draw, not
-                // the unit-floored cost; other cost models leave 0.0 and
-                // the engine derives bytes from cost × unit_bytes.
-                let (cost, bytes) = match &self.cost {
-                    RequestCost::Unit => (1.0, 0.0),
-                    RequestCost::Fixed(x) => (*x, 0.0),
-                    RequestCost::SizeDistributed { sizes, mean_bytes, .. } => {
-                        let rng = self.size_rng.as_mut().expect("rng for sized client");
-                        let bytes = sizes.sample(rng);
-                        (sizes.cost_units(bytes, *mean_bytes), bytes as f64)
-                    }
-                };
-                // The id is assigned from the slab when the event pops.
-                let req = Request {
-                    id: RequestId(u64::MAX),
-                    principal: a.principal,
-                    arrival: a.time,
-                    cost,
-                };
-                let index = self.next_index;
-                self.next_index += 1;
-                // The request reaches the redirector one hop later.
-                events.push_arrival(
-                    a.time + latency,
-                    ci,
-                    index,
-                    Event::Arrival {
-                        request: req,
-                        redirector: self.redirector,
-                        client: ci,
-                        retries: 0,
-                        bytes,
-                    },
-                );
-            }
-            _ => self.done = true,
+    /// first one past `duration` ends the stream: nothing is pushed, so no
+    /// later pop refills this client again.
+    fn refill(&mut self, duration: f64, hop: f64, events: &mut EventQueue) {
+        if let Some(a) = self.stream.next().filter(|a| a.time <= duration) {
+            // The id is assigned from the slab when the event pops.
+            let (at, event) = self.arrival(a, u64::MAX, hop);
+            events.push_arrival(at, self.client, self.next_index, event);
+            self.next_index += 1;
         }
     }
 }
@@ -206,7 +230,9 @@ pub struct SimReport {
     pub deferred: Vec<u64>,
     /// Requests dropped at server backlogs.
     pub dropped_server: u64,
-    /// Deferred requests abandoned after exhausting retries.
+    /// Requests their clients gave up on: deferred ones that exhausted
+    /// their retries, and the queued or parked ones a restarting
+    /// redirector lost.
     pub abandoned: u64,
     /// Scheduled sends skipped because a closed-loop client was at its
     /// outstanding limit.
@@ -305,49 +331,87 @@ pub struct Simulation {
     cfg: SimConfig,
 }
 
-/// Shared per-run state that is identical between the two execution paths.
-struct RunState {
-    /// The combining tree every redirector publishes into and reads from.
-    tree: LocalTree,
-    /// One enforcement core per redirector, indexed by tree node.
-    cores: Vec<EnforcementCore>,
-    servers: Vec<Server>,
-    /// Capacity changes sorted by time; consumed via `change_cursor`.
-    changes: Vec<crate::config::CapacityChange>,
-    change_cursor: usize,
-    /// Redirector restarts sorted by time; consumed via `restart_cursor`.
-    restarts: Vec<(f64, usize)>,
-    restart_cursor: usize,
-    /// Agreement renegotiations sorted by time; consumed via `agmt_cursor`.
-    agmt_changes: Vec<crate::config::AgreementChange>,
-    agmt_cursor: usize,
-    /// Reply-path links, one per redirector; empty without a net model.
-    links: Vec<Link>,
+/// The client side: arrival sources, closed-loop slots and the metadata of
+/// every request in the system — the one place a request is retired.
+struct Clients<M> {
+    /// One lazy source per client when arrivals are streamed; empty when
+    /// every arrival was pushed up front.
+    sources: Vec<ClientGen>,
+    limit: Vec<Option<usize>>,
+    outstanding: Vec<usize>,
+    meta: M,
     /// Bytes one cost unit puts on a link when the request carries no
     /// sampled size.
     unit_bytes: f64,
-    /// Per-link transfer-time stats.
-    transfer: Vec<ResponseStats>,
-    /// Reused fair-share delivery buffer.
-    wake_buf: Vec<(Request, f64)>,
-    live_graph: covenant_agreements::AgreementGraph,
-    rates: RateSeries,
-    response: Vec<ResponseStats>,
     offered: Vec<u64>,
-    admitted: Vec<u64>,
-    deferred: Vec<u64>,
-    dropped_server: u64,
-    abandoned: u64,
     skipped: u64,
-    outstanding: Vec<usize>,
-    client_limit: Vec<Option<usize>>,
-    retry_delay: f64,
-    hop: f64,
-    /// `Some` when the config asked for a per-arrival decision trace.
-    decisions: Option<Vec<ArrivalDecision>>,
+    response: Vec<ResponseStats>,
 }
 
-impl RunState {
+impl<M: MetaStore> Clients<M> {
+    /// Lets `client`'s original send `req` into the system unless the
+    /// client is at its outstanding limit, returning the id the request is
+    /// known by from now on.
+    fn enter(&mut self, req: &Request, client: usize, bytes: f64) -> Option<RequestId> {
+        if self.limit[client].is_some_and(|limit| self.outstanding[client] >= limit) {
+            self.skipped += 1;
+            return None;
+        }
+        self.offered[req.principal.0] += 1;
+        self.outstanding[client] += 1;
+        let bytes = if bytes > 0.0 { bytes } else { req.cost * self.unit_bytes };
+        let meta = RequestMeta { client, first_arrival: req.arrival, bytes };
+        Some(RequestId(self.meta.insert(req.id.0, meta)))
+    }
+
+    /// A request leaves the system: its metadata goes and its client's
+    /// closed-loop slot frees.
+    fn retire(&mut self, id: RequestId) -> Option<RequestMeta> {
+        let m = self.meta.remove(id.0)?;
+        self.outstanding[m.client] = self.outstanding[m.client].saturating_sub(1);
+        Some(m)
+    }
+
+    /// `req`'s reply reaches its client: the request retires, and its
+    /// response time counts the two hops back from `now`.
+    fn deliver(&mut self, req: &Request, now: f64, hop: f64) {
+        if let Some(m) = self.retire(req.id) {
+            self.response[req.principal.0].record(now + 2.0 * hop - m.first_arrival);
+        }
+    }
+}
+
+/// The redirector side: one enforcement core per tree node, the combining
+/// tree they coordinate through, and the decision trace.
+struct Redirectors<R> {
+    cores: Vec<EnforcementCore>,
+    tree: LocalTree,
+    rounds: R,
+    /// `Some` when the config asked for a per-arrival decision trace.
+    decisions: Option<Vec<ArrivalDecision>>,
+    /// Reused per-tick release list.
+    released: Vec<(Request, usize)>,
+    /// A self-redirect costs the client one full round trip on top of its
+    /// think/retry delay.
+    retry_delay: f64,
+    admitted: Vec<u64>,
+    deferred: Vec<u64>,
+    abandoned: u64,
+}
+
+impl<R> Redirectors<R> {
+    /// Redirector `ri` decides the arriving `request` at `now` (a deferral
+    /// counts as one self-redirect issued).
+    fn decide(&mut self, now: f64, ri: usize, request: Request) -> ArrivalOutcome {
+        let outcome = self.cores[ri].on_arrival(request);
+        if let Some(trace) = self.decisions.as_mut() {
+            let (principal, cost) = (request.principal, request.cost);
+            trace.push(ArrivalDecision { time: now, redirector: ri, principal, cost, outcome });
+        }
+        self.deferred[request.principal.0] += u64::from(outcome == ArrivalOutcome::Defer);
+        outcome
+    }
+
     /// Rolls redirector `ri`'s window at `now`: read its view of the
     /// tree's total, tick its core on it, publish the demand the tick
     /// returns. The round closes once every redirector has rolled.
@@ -358,172 +422,308 @@ impl RunState {
     }
 }
 
-impl Simulation {
-    /// Wraps a configuration.
-    pub fn new(cfg: SimConfig) -> Self {
-        Simulation { cfg }
-    }
+/// The servers, with the completion series.
+struct Servers {
+    list: Vec<Server>,
+    rates: RateSeries,
+}
 
-    fn sched_cfg_for(cfg: &SimConfig, id: usize) -> SchedulerConfig {
-        // Per-redirector scheduler configuration: the policy is shared,
-        // but locality caps (forwarding-cost limits) are per node.
-        let mut policy = cfg.policy.clone();
-        if let (covenant_sched::Policy::Community { locality }, Some(table)) =
-            (&mut policy, &cfg.redirector_locality)
-        {
-            if let Some(caps) = table.get(id).and_then(|c| c.clone()) {
-                *locality = Some(caps);
-            }
-        }
-        SchedulerConfig {
-            window_secs: cfg.window_secs,
-            policy,
-            conservative_fraction: cfg.conservative_fraction,
-            plan_cache: cfg.plan_cache,
+/// The reply-path links (none without a network model) and their
+/// transfer-time stats.
+struct Links {
+    list: Vec<Link>,
+    transfer: Vec<ResponseStats>,
+    /// Reused fair-share delivery buffer.
+    wake_buf: Vec<(Request, f64)>,
+}
+
+/// The timeline: capacity changes, renegotiations and restarts, each a
+/// stack popping in time order at window boundaries, the live graph they
+/// rewrite, and the tick stream.
+struct Schedules {
+    capacity: Vec<CapacityChange>,
+    agreements: Vec<AgreementChange>,
+    restarts: Vec<(f64, usize)>,
+    graph: AgreementGraph,
+    /// Index of the last streamed window tick; `None` when every tick was
+    /// pushed up front.
+    tick: Option<u64>,
+}
+
+/// Redirector `id`'s enforcement core on `levels`: the policy is shared,
+/// but locality caps (forwarding-cost limits) are per node.
+fn core_for(cfg: &SimConfig, id: usize, levels: &AccessLevels) -> EnforcementCore {
+    let mut policy = cfg.policy.clone();
+    if let (covenant_sched::Policy::Community { locality }, Some(table)) =
+        (&mut policy, &cfg.redirector_locality)
+    {
+        if let Some(caps) = table.get(id).and_then(|c| c.clone()) {
+            *locality = Some(caps);
         }
     }
+    let sched = SchedulerConfig {
+        window_secs: cfg.window_secs,
+        policy,
+        conservative_fraction: cfg.conservative_fraction,
+        plan_cache: cfg.plan_cache,
+    };
+    EnforcementCore::new(levels, sched, cfg.mode.clone())
+}
 
-    fn init_state(cfg: &SimConfig) -> RunState {
+/// `items` as a stack that pops in time order, ties in config order.
+fn timeline<T: Clone>(items: &[T], at: impl Fn(&T) -> f64) -> Vec<T> {
+    let mut stack = items.to_vec();
+    stack.sort_by(|a, b| at(a).partial_cmp(&at(b)).expect("finite times"));
+    stack.reverse();
+    stack
+}
+
+/// A run's state, grouped by owner, and the one handler of its events.
+struct World<'a, M, R> {
+    cfg: &'a SimConfig,
+    clients: Clients<M>,
+    redirectors: Redirectors<R>,
+    servers: Servers,
+    links: Links,
+    schedules: Schedules,
+    events_processed: u64,
+}
+
+impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
+    /// A world at the start of the run. `sources` are the clients' lazy
+    /// arrival sources when arrivals and ticks are streamed; `None` when
+    /// every arrival and tick was pushed up front.
+    fn new(cfg: &'a SimConfig, sources: Option<Vec<ClientGen>>, meta: M, rounds: R) -> Self {
         let n = cfg.graph.len();
-        let n_redirectors = cfg.n_redirectors();
+        let tick = sources.is_some().then_some(0);
         let levels = cfg.graph.access_levels();
-        let cores = (0..n_redirectors)
-            .map(|id| EnforcementCore::new(&levels, Self::sched_cfg_for(cfg, id), cfg.mode.clone()))
-            .collect();
-        let servers: Vec<Server> = cfg
-            .graph
-            .capacities()
-            .iter()
-            .map(|&c| Server::new(c, cfg.server_backlog))
-            .collect();
-
-        // Capacity-change / restart schedules, applied at window boundaries
-        // by advancing a cursor over the pre-sorted lists.
-        let mut changes = cfg.capacity_changes.clone();
-        changes.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite times"));
-        let mut restarts = cfg.redirector_restarts.clone();
-        restarts.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-        let mut agmt_changes = cfg.agreement_changes.clone();
-        agmt_changes.sort_by(|a, b| a.at.partial_cmp(&b.at).expect("finite times"));
-
-        let (links, unit_bytes) = match &cfg.net {
+        let capacities = cfg.graph.capacities();
+        let servers = capacities.iter().map(|&c| Server::new(c, cfg.server_backlog)).collect();
+        let links: Vec<Link> = match &cfg.net {
             Some(net) => {
-                assert_eq!(net.links.len(), n_redirectors, "one link per redirector");
+                assert_eq!(net.links.len(), cfg.n_redirectors(), "one link per redirector");
                 assert!(net.unit_bytes.is_finite() && net.unit_bytes > 0.0);
-                (net.links.iter().map(Link::new).collect(), net.unit_bytes)
+                net.links.iter().map(Link::new).collect()
             }
-            None => (Vec::new(), 0.0),
+            None => Vec::new(),
         };
-        let n_links = links.len();
-
-        // A self-redirect costs the client one full round trip on top of
-        // its think/retry delay.
+        let transfer = vec![ResponseStats::default(); links.len()];
         let retry_delay = match cfg.mode {
             QueueMode::CreditRetry { retry_delay } => retry_delay + 2.0 * cfg.network_latency,
             _ => 0.0,
         };
-
-        RunState {
-            tree: LocalTree::new(&cfg.tree, cfg.extra_tree_lag),
-            cores,
-            servers,
-            changes,
-            change_cursor: 0,
-            restarts,
-            restart_cursor: 0,
-            agmt_changes,
-            agmt_cursor: 0,
-            links,
-            unit_bytes,
-            transfer: vec![ResponseStats::default(); n_links],
-            wake_buf: Vec::new(),
-            live_graph: cfg.graph.clone(),
-            rates: RateSeries::new(n, cfg.bucket_secs),
-            response: vec![ResponseStats::default(); n],
-            offered: vec![0u64; n],
-            admitted: vec![0u64; n],
-            deferred: vec![0u64; n],
-            dropped_server: 0,
-            abandoned: 0,
-            skipped: 0,
-            outstanding: vec![0; cfg.clients.len()],
-            client_limit: cfg.clients.iter().map(|c| c.max_outstanding).collect(),
-            retry_delay,
-            hop: cfg.network_latency,
-            decisions: cfg.record_decisions.then(Vec::new),
+        World {
+            cfg,
+            clients: Clients {
+                sources: sources.unwrap_or_default(),
+                limit: cfg.clients.iter().map(|c| c.max_outstanding).collect(),
+                outstanding: vec![0; cfg.clients.len()],
+                meta,
+                unit_bytes: cfg.net.as_ref().map_or(0.0, |net| net.unit_bytes),
+                offered: vec![0; n],
+                skipped: 0,
+                response: vec![ResponseStats::default(); n],
+            },
+            redirectors: Redirectors {
+                cores: (0..cfg.n_redirectors()).map(|id| core_for(cfg, id, &levels)).collect(),
+                tree: LocalTree::new(&cfg.tree, cfg.extra_tree_lag),
+                rounds,
+                decisions: cfg.record_decisions.then(Vec::new),
+                released: Vec::new(),
+                retry_delay,
+                admitted: vec![0; n],
+                deferred: vec![0; n],
+                abandoned: 0,
+            },
+            servers: Servers { list: servers, rates: RateSeries::new(n, cfg.bucket_secs) },
+            links: Links { list: links, transfer, wake_buf: Vec::new() },
+            schedules: Schedules {
+                capacity: timeline(&cfg.capacity_changes, |c| c.at),
+                agreements: timeline(&cfg.agreement_changes, |c| c.at),
+                restarts: timeline(&cfg.redirector_restarts, |r| r.0),
+                graph: cfg.graph.clone(),
+                tick,
+            },
+            events_processed: 0,
         }
     }
 
-    /// Applies any due capacity changes and redirector restarts at a window
-    /// boundary (cursor walk over the pre-sorted schedules).
-    fn apply_boundary_schedules(cfg: &SimConfig, st: &mut RunState, now: f64) {
-        // Apply any due capacity changes: re-flow the agreement graph and
-        // install fresh levels everywhere.
+    /// Pops and applies events until the queue runs dry or passes the end
+    /// of the run, then reports.
+    fn run(mut self, mut events: EventQueue, start: Instant) -> SimReport {
+        while let Some((now, event)) = events.pop() {
+            if now > self.cfg.duration + 1e-9 {
+                break;
+            }
+            self.apply(now, event, &mut events);
+        }
+        self.finish(events.peak_len(), start.elapsed().as_secs_f64())
+    }
+
+    /// Handles one event at `now`, scheduling what follows from it.
+    fn apply(&mut self, now: f64, event: Event, events: &mut EventQueue) {
+        self.events_processed += 1;
+        let hop = self.cfg.network_latency;
+        match event {
+            Event::Arrival { mut request, redirector, client, retries, bytes } => {
+                if retries == 0 {
+                    // This client's next arrival takes the vacated pending
+                    // slot (before the closed-loop gate can turn this away).
+                    if let Some(source) = self.clients.sources.get_mut(client) {
+                        source.refill(self.cfg.duration, hop, events);
+                    }
+                    let Some(id) = self.clients.enter(&request, client, bytes) else {
+                        return;
+                    };
+                    request.id = id;
+                }
+                match self.redirectors.decide(now, redirector, request) {
+                    ArrivalOutcome::Forward { server } => {
+                        self.forward(now, request, server, events)
+                    }
+                    ArrivalOutcome::Defer if retries < self.cfg.max_retries => {
+                        let retries = retries + 1;
+                        let retry = Event::Arrival { request, redirector, client, retries, bytes };
+                        events.push(now + self.redirectors.retry_delay, retry);
+                    }
+                    ArrivalOutcome::Defer => {
+                        self.redirectors.abandoned += 1;
+                        self.clients.retire(request.id);
+                    }
+                    ArrivalOutcome::Queued => {}
+                }
+            }
+            Event::WindowTick => {
+                // Ticks stream one at a time: tick `i` lands exactly at
+                // `i * window_secs` (no float-drift accumulation). One
+                // event per boundary drives every redirector in lock-step.
+                if let Some(i) = self.schedules.tick.as_mut() {
+                    *i += 1;
+                    let next = *i as f64 * self.cfg.window_secs;
+                    if next <= self.cfg.duration {
+                        events.push_tick(next, *i, Event::WindowTick);
+                    }
+                }
+                self.apply_schedules(now);
+                let mut released = std::mem::take(&mut self.redirectors.released);
+                for ri in 0..self.redirectors.cores.len() {
+                    self.redirectors.roll(ri, now, &mut released);
+                    for (req, server) in released.drain(..) {
+                        self.forward(now, req, server, events);
+                    }
+                }
+                self.redirectors.released = released;
+                let Redirectors { tree, rounds, .. } = &mut self.redirectors;
+                rounds.close(tree, now);
+            }
+            Event::Completion { server } => {
+                let request = self.servers.list[server].complete();
+                self.servers.rates.record(request.principal, now, request.cost);
+                if self.links.list.is_empty() {
+                    self.clients.deliver(&request, now, hop);
+                } else if let Some(m) = self.clients.meta.get(request.id.0) {
+                    // The reply now contends for the client's redirector
+                    // link; the request stays in the system until the
+                    // transfer delivers.
+                    let link = self.cfg.clients[m.client].redirector;
+                    match self.links.list[link].start(now, m.bytes, request) {
+                        LinkStart::Deliver(at) => {
+                            events.push(at, Event::ReplyDelivered { request, link, entered: now })
+                        }
+                        LinkStart::Wake(at, version) => {
+                            events.push(at, Event::LinkWake { link, version })
+                        }
+                    }
+                }
+            }
+            Event::ReplyDelivered { request, link, entered } => {
+                self.links.transfer[link].record(now - entered);
+                self.links.list[link].note_delivered();
+                self.clients.deliver(&request, now, hop);
+            }
+            Event::LinkWake { link, version } => {
+                let mut buf = std::mem::take(&mut self.links.wake_buf);
+                if let Some((at, v)) = self.links.list[link].on_wake(now, version, &mut buf) {
+                    events.push(at, Event::LinkWake { link, version: v });
+                }
+                for (req, entered) in buf.drain(..) {
+                    self.links.transfer[link].record(now - entered);
+                    self.clients.deliver(&req, now, hop);
+                }
+                self.links.wake_buf = buf;
+            }
+        }
+    }
+
+    /// Forwards an admitted request to `server`, which sees it one hop
+    /// after `now`.
+    fn forward(&mut self, now: f64, req: Request, server: usize, events: &mut EventQueue) {
+        self.redirectors.admitted[req.principal.0] += 1;
+        match self.servers.list[server].offer(now + self.cfg.network_latency, req) {
+            Accept::CompletesAt(done) => events.push(done, Event::Completion { server }),
+            Accept::Dropped => {
+                self.clients.retire(req.id);
+            }
+        }
+    }
+
+    /// Applies the capacity changes, agreement renegotiations and
+    /// redirector restarts due by the window boundary `now`.
+    fn apply_schedules(&mut self, now: f64) {
+        let s = &mut self.schedules;
+        // Capacity changes and renegotiations rewrite the live graph, which
+        // then re-flows once into fresh levels everywhere (§2.2).
         let mut changed = false;
-        while st.change_cursor < st.changes.len() && st.changes[st.change_cursor].at <= now {
-            let c = &st.changes[st.change_cursor];
-            st.change_cursor += 1;
-            st.live_graph
-                .set_capacity(c.principal, c.capacity)
-                .expect("valid capacity change");
-            st.servers[c.principal.0].set_capacity(c.capacity);
+        while let Some(c) = s.capacity.pop_if(|c| c.at <= now) {
+            s.graph.set_capacity(c.principal, c.capacity).expect("valid capacity change");
+            self.servers.list[c.principal.0].set_capacity(c.capacity);
             changed = true;
         }
-        // Agreement renegotiations ride the same dynamic-reinterpretation
-        // hook: rewrite the live graph's bounds, then re-flow once below.
-        while st.agmt_cursor < st.agmt_changes.len() && st.agmt_changes[st.agmt_cursor].at <= now {
-            let c = &st.agmt_changes[st.agmt_cursor];
-            st.agmt_cursor += 1;
-            st.live_graph
+        while let Some(c) = s.agreements.pop_if(|c| c.at <= now) {
+            s.graph
                 .set_agreement(c.issuer, c.holder, c.lb, c.ub)
                 .expect("valid agreement renegotiation");
             changed = true;
         }
         if changed {
-            let fresh = st.live_graph.access_levels();
-            for core in st.cores.iter_mut() {
+            let fresh = s.graph.access_levels();
+            for core in &mut self.redirectors.cores {
                 core.update_levels(&fresh);
             }
         }
-        // Crash-and-restart injection: replace the redirector's core with a
-        // fresh one; queued/parked requests and all learned state are lost,
-        // exactly like a process crash — its tree node and view included,
-        // which the neighbours see as a dropped and returning edge.
-        while st.restart_cursor < st.restarts.len() && st.restarts[st.restart_cursor].0 <= now {
-            let (_, id) = st.restarts[st.restart_cursor];
-            st.restart_cursor += 1;
-            st.tree.restart(id);
-            let (levels, sched) = (st.live_graph.access_levels(), Self::sched_cfg_for(cfg, id));
-            st.cores[id] = EnforcementCore::new(&levels, sched, cfg.mode.clone());
+        // Crash-and-restart injection: a fresh core replaces the old one,
+        // and all learned state is lost, exactly like a process crash — its
+        // tree node and view included, which the neighbours see as a
+        // dropped and returning edge. The requests the old core held are
+        // lost with it: their clients give up on them.
+        while let Some((_, id)) = s.restarts.pop_if(|r| r.0 <= now) {
+            self.redirectors.tree.restart(id);
+            let fresh = core_for(self.cfg, id, &s.graph.access_levels());
+            for req in std::mem::replace(&mut self.redirectors.cores[id], fresh).into_held() {
+                self.redirectors.abandoned += 1;
+                self.clients.retire(req.id);
+            }
         }
     }
 
-    fn finish(
-        cfg: &SimConfig,
-        st: RunState,
-        events_processed: u64,
-        peak_event_queue: usize,
-        wall_secs: f64,
-    ) -> SimReport {
+    fn finish(self, peak_event_queue: usize, wall_secs: f64) -> SimReport {
+        let cfg = self.cfg;
         let windows = (cfg.duration / cfg.window_secs).ceil() as u64 + 1;
         let counters: Vec<EnforcementCounters> =
-            st.cores.iter().map(EnforcementCore::counters).collect();
+            self.redirectors.cores.iter().map(EnforcementCore::counters).collect();
         let sum = |f: fn(&EnforcementCounters) -> u64| counters.iter().map(f).sum();
+        let servers = &self.servers.list;
         SimReport {
-            rates: st.rates,
-            response: st.response,
-            offered: st.offered,
-            admitted: st.admitted,
-            deferred: st.deferred,
-            dropped_server: st.dropped_server,
-            abandoned: st.abandoned,
-            skipped_closed_loop: st.skipped,
-            server_utilization: st
-                .servers
-                .iter()
-                .map(|s| s.utilization(cfg.duration))
-                .collect(),
-            tree_messages: st.tree.messages(),
+            rates: self.servers.rates,
+            response: self.clients.response,
+            offered: self.clients.offered,
+            admitted: self.redirectors.admitted,
+            deferred: self.redirectors.deferred,
+            dropped_server: servers.iter().map(|s| s.dropped).sum(),
+            abandoned: self.redirectors.abandoned,
+            skipped_closed_loop: self.clients.skipped,
+            server_utilization: servers.iter().map(|s| s.utilization(cfg.duration)).collect(),
+            tree_messages: self.redirectors.rounds.messages(&self.redirectors.tree),
             pairwise_messages_equivalent: windows * cfg.tree.pairwise_messages() as u64,
             plan_cache_hits: sum(|c| c.plan_cache_hits),
             plan_cache_misses: sum(|c| c.plan_cache_misses),
@@ -532,443 +732,105 @@ impl Simulation {
             lp_pivots: sum(|c| c.lp_pivots),
             lp_warm_hits: sum(|c| c.lp_warm_hits),
             lp_cold_fallbacks: sum(|c| c.lp_cold_fallbacks),
-            transfer: st.transfer,
-            link_bytes: st.links.iter().map(|l| l.bytes).collect(),
-            link_active_peak: st.links.iter().map(|l| l.active_peak).collect(),
-            events_processed,
+            transfer: self.links.transfer,
+            link_bytes: self.links.list.iter().map(|l| l.bytes).collect(),
+            link_active_peak: self.links.list.iter().map(|l| l.active_peak).collect(),
+            events_processed: self.events_processed,
             peak_event_queue,
             wall_secs,
-            decisions: st.decisions.unwrap_or_default(),
+            decisions: self.redirectors.decisions.unwrap_or_default(),
         }
+    }
+}
+
+impl Simulation {
+    /// Wraps a configuration.
+    pub fn new(cfg: SimConfig) -> Self {
+        Simulation { cfg }
     }
 
     /// Runs to completion and reports (streaming engine).
     pub fn run(self) -> SimReport {
         let start = Instant::now();
-        let cfg = self.cfg;
-        let n_redirectors = cfg.n_redirectors();
-        let mut st = Self::init_state(&cfg);
-
+        let cfg = &self.cfg;
         let mut events = EventQueue::new();
-        // Window ticks stream one at a time: tick `i` lands exactly at
-        // `i * window_secs` (integer-index multiplication — no float-drift
-        // accumulation), and pushing tick `i+1` is part of handling tick
-        // `i`. One event per boundary drives every redirector in lock-step
-        // (the paper's redirectors share the 100 ms cadence).
-        let mut tick_index: u64 = 0;
         events.push_tick(0.0, 0, Event::WindowTick);
-
-        // One lazy arrival source per client; the heap holds at most one
-        // pending original arrival per client at any time.
-        let mut clients: Vec<ClientGen> = cfg
-            .clients
-            .iter()
-            .enumerate()
-            .map(|(ci, c)| ClientGen::new(ci, c))
-            .collect();
-        for (ci, c) in clients.iter_mut().enumerate() {
-            c.refill(ci, cfg.duration, cfg.network_latency, &mut events);
+        let mut sources: Vec<ClientGen> =
+            cfg.clients.iter().enumerate().map(|(ci, c)| ClientGen::new(ci, c)).collect();
+        for source in &mut sources {
+            source.refill(cfg.duration, cfg.network_latency, &mut events);
         }
-
-        let mut meta = MetaSlab::default();
-        // Reused per-tick release list.
-        let mut released: Vec<(Request, usize)> = Vec::new();
-        let mut events_processed: u64 = 0;
-
-        while let Some((now, event)) = events.pop() {
-            if now > cfg.duration + 1e-9 {
-                break;
-            }
-            events_processed += 1;
-            match event {
-                Event::Arrival { mut request, redirector, client, retries, bytes } => {
-                    if retries == 0 {
-                        // This client's next arrival takes the vacated
-                        // pending slot (before any early-out below).
-                        clients[client].refill(
-                            client,
-                            cfg.duration,
-                            cfg.network_latency,
-                            &mut events,
-                        );
-                        // Closed-loop gate on original sends only.
-                        if let Some(limit) = st.client_limit[client] {
-                            if st.outstanding[client] >= limit {
-                                st.skipped += 1;
-                                continue;
-                            }
-                        }
-                        st.offered[request.principal.0] += 1;
-                        st.outstanding[client] += 1;
-                        let bytes =
-                            if bytes > 0.0 { bytes } else { request.cost * st.unit_bytes };
-                        request.id = RequestId(meta.insert(RequestMeta {
-                            client,
-                            first_arrival: request.arrival,
-                            bytes,
-                        }));
-                    }
-                    let outcome = st.cores[redirector].on_arrival(request);
-                    if let Some(trace) = st.decisions.as_mut() {
-                        trace.push(ArrivalDecision {
-                            time: now,
-                            redirector,
-                            principal: request.principal,
-                            cost: request.cost,
-                            outcome,
-                        });
-                    }
-                    match outcome {
-                        ArrivalOutcome::Forward { server } => {
-                            st.admitted[request.principal.0] += 1;
-                            match st.servers[server].offer(now + st.hop, request) {
-                                Accept::CompletesAt(done) => {
-                                    events.push(done, Event::Completion { server });
-                                }
-                                Accept::Dropped => {
-                                    st.dropped_server += 1;
-                                    if let Some(m) = meta.remove(request.id.0) {
-                                        st.outstanding[m.client] =
-                                            st.outstanding[m.client].saturating_sub(1);
-                                    }
-                                }
-                            }
-                        }
-                        ArrivalOutcome::Defer => {
-                            st.deferred[request.principal.0] += 1;
-                            if retries < cfg.max_retries {
-                                events.push(
-                                    now + st.retry_delay,
-                                    Event::Arrival {
-                                        request,
-                                        redirector,
-                                        client,
-                                        retries: retries + 1,
-                                        bytes,
-                                    },
-                                );
-                            } else {
-                                st.abandoned += 1;
-                                if let Some(m) = meta.remove(request.id.0) {
-                                    st.outstanding[m.client] =
-                                        st.outstanding[m.client].saturating_sub(1);
-                                }
-                            }
-                        }
-                        ArrivalOutcome::Queued => {}
-                    }
-                }
-                Event::WindowTick => {
-                    tick_index += 1;
-                    let next_t = tick_index as f64 * cfg.window_secs;
-                    if next_t <= cfg.duration {
-                        events.push_tick(next_t, tick_index, Event::WindowTick);
-                    }
-                    Self::apply_boundary_schedules(&cfg, &mut st, now);
-                    // Every redirector rolls its window, publishing its
-                    // demand into its tree node; then the round closes and
-                    // each node's view holds the total (with per-node lag).
-                    for ri in 0..n_redirectors {
-                        st.roll(ri, now, &mut released);
-                        for (req, server) in released.drain(..) {
-                            st.admitted[req.principal.0] += 1;
-                            match st.servers[server].offer(now + st.hop, req) {
-                                Accept::CompletesAt(done) => {
-                                    events.push(done, Event::Completion { server });
-                                }
-                                Accept::Dropped => {
-                                    st.dropped_server += 1;
-                                    if let Some(m) = meta.remove(req.id.0) {
-                                        st.outstanding[m.client] =
-                                            st.outstanding[m.client].saturating_sub(1);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    st.tree.close_round(now);
-                }
-                Event::Completion { server } => {
-                    let req = st.servers[server].complete();
-                    st.rates.record(req.principal, now, req.cost);
-                    if st.links.is_empty() {
-                        if let Some(m) = meta.remove(req.id.0) {
-                            // The response crosses two hops back to the client.
-                            st.response[req.principal.0]
-                                .record(now + 2.0 * st.hop - m.first_arrival);
-                            st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                        }
-                    } else if let Some(m) = meta.get(req.id.0) {
-                        // The reply now contends for the client's
-                        // redirector link; metadata is retained until the
-                        // transfer delivers.
-                        let link = cfg.clients[m.client].redirector;
-                        match st.links[link].start(now, m.bytes, req) {
-                            LinkStart::Deliver(at) => events
-                                .push(at, Event::ReplyDelivered { request: req, link, entered: now }),
-                            LinkStart::Wake(at, version) => {
-                                events.push(at, Event::LinkWake { link, version });
-                            }
-                        }
-                    }
-                }
-                Event::ReplyDelivered { request, link, entered } => {
-                    st.transfer[link].record(now - entered);
-                    st.links[link].note_delivered();
-                    if let Some(m) = meta.remove(request.id.0) {
-                        st.response[request.principal.0]
-                            .record(now + 2.0 * st.hop - m.first_arrival);
-                        st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                    }
-                }
-                Event::LinkWake { link, version } => {
-                    let mut buf = std::mem::take(&mut st.wake_buf);
-                    if let Some((at, v)) = st.links[link].on_wake(now, version, &mut buf) {
-                        events.push(at, Event::LinkWake { link, version: v });
-                    }
-                    for (req, entered) in buf.drain(..) {
-                        st.transfer[link].record(now - entered);
-                        if let Some(m) = meta.remove(req.id.0) {
-                            st.response[req.principal.0]
-                                .record(now + 2.0 * st.hop - m.first_arrival);
-                            st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                        }
-                    }
-                    st.wake_buf = buf;
-                }
-            }
-        }
-
-        let peak = events.peak_len();
-        let wall = start.elapsed().as_secs_f64();
-        Self::finish(&cfg, st, events_processed, peak, wall)
+        World::new(cfg, Some(sources), MetaSlab::default(), TreeRounds).run(events, start)
     }
 
-    /// Runs to completion on the pre-optimization path: every arrival is
-    /// materialized and heap-scheduled up front and request metadata lives
-    /// in a `HashMap` — the seed engine's O(total requests) memory and
-    /// cost profile.
+    /// Runs to completion on the pre-optimization path: every arrival and
+    /// tick is materialized and heap-scheduled up front, request metadata
+    /// lives in a `HashMap`, and rounds close centrally — the seed engine's
+    /// O(total requests) memory and cost profile.
     ///
     /// The oracle the `streaming_matches_reference_*` tests compare
     /// [`Simulation::run`] against.
     #[cfg(test)]
     pub fn run_reference(self) -> SimReport {
         let start = Instant::now();
-        let cfg = self.cfg;
-        let n_redirectors = cfg.n_redirectors();
-        let mut st = Self::init_state(&cfg);
-        let mut tree_messages: u64 = 0;
-
+        let cfg = &self.cfg;
         let mut events = EventQueue::new();
-        // All window ticks up front (same drift-free boundary times as the
-        // streaming path: tick i at exactly i * window_secs).
-        let mut i: u64 = 0;
-        loop {
-            let t = i as f64 * cfg.window_secs;
-            if t > cfg.duration {
-                break;
-            }
+        let ticks = (0u64..).map(|i| i as f64 * cfg.window_secs).take_while(|&t| t <= cfg.duration);
+        for t in ticks {
             events.push(t, Event::WindowTick);
-            i += 1;
         }
-
-        // Client arrivals, fully materialized with per-client cost models.
-        let mut next_id: u64 = 0;
+        let mut next_id = 0;
         for (ci, c) in cfg.clients.iter().enumerate() {
-            let mut size_rng = match &c.cost {
-                RequestCost::SizeDistributed { seed, .. } => {
-                    Some(StdRng::seed_from_u64(*seed ^ ci as u64))
-                }
-                _ => None,
-            };
-            for a in c.machine.arrivals() {
-                if a.time > cfg.duration {
-                    continue;
-                }
-                let (cost, bytes) = match &c.cost {
-                    RequestCost::Unit => (1.0, 0.0),
-                    RequestCost::Fixed(x) => (*x, 0.0),
-                    RequestCost::SizeDistributed { sizes, mean_bytes, .. } => {
-                        let rng = size_rng.as_mut().expect("rng for sized client");
-                        let bytes = sizes.sample(rng);
-                        (sizes.cost_units(bytes, *mean_bytes), bytes as f64)
-                    }
-                };
-                let req =
-                    Request { id: RequestId(next_id), principal: a.principal, arrival: a.time, cost };
+            let mut source = ClientGen::new(ci, c);
+            for a in c.machine.arrivals().into_iter().filter(|a| a.time <= cfg.duration) {
+                let (at, event) = source.arrival(a, next_id, cfg.network_latency);
+                events.push(at, event);
                 next_id += 1;
-                events.push(
-                    a.time + cfg.network_latency,
-                    Event::Arrival {
-                        request: req,
-                        redirector: c.redirector,
-                        client: ci,
-                        retries: 0,
-                        bytes,
-                    },
-                );
             }
         }
+        let rounds = CentralRounds { topology: cfg.tree.clone(), messages: 0 };
+        World::new(cfg, None, HashMap::new(), rounds).run(events, start)
+    }
+}
 
-        let mut meta: HashMap<u64, RequestMeta> = HashMap::new();
-        let mut events_processed: u64 = 0;
+#[cfg(test)]
+impl MetaStore for HashMap<u64, RequestMeta> {
+    /// The map keys by the id the request was materialized with.
+    fn insert(&mut self, id: u64, meta: RequestMeta) -> u64 {
+        HashMap::insert(self, id, meta);
+        id
+    }
 
-        while let Some((now, event)) = events.pop() {
-            if now > cfg.duration + 1e-9 {
-                break;
-            }
-            events_processed += 1;
-            match event {
-                Event::Arrival { request, redirector, client, retries, bytes } => {
-                    if retries == 0 {
-                        if let Some(limit) = st.client_limit[client] {
-                            if st.outstanding[client] >= limit {
-                                st.skipped += 1;
-                                continue;
-                            }
-                        }
-                        st.offered[request.principal.0] += 1;
-                        st.outstanding[client] += 1;
-                        let bytes =
-                            if bytes > 0.0 { bytes } else { request.cost * st.unit_bytes };
-                        meta.insert(
-                            request.id.0,
-                            RequestMeta { client, first_arrival: request.arrival, bytes },
-                        );
-                    }
-                    let outcome = st.cores[redirector].on_arrival(request);
-                    if let Some(trace) = st.decisions.as_mut() {
-                        trace.push(ArrivalDecision {
-                            time: now,
-                            redirector,
-                            principal: request.principal,
-                            cost: request.cost,
-                            outcome,
-                        });
-                    }
-                    match outcome {
-                        ArrivalOutcome::Forward { server } => {
-                            st.admitted[request.principal.0] += 1;
-                            match st.servers[server].offer(now + st.hop, request) {
-                                Accept::CompletesAt(done) => {
-                                    events.push(done, Event::Completion { server });
-                                }
-                                Accept::Dropped => {
-                                    st.dropped_server += 1;
-                                    if let Some(m) = meta.remove(&request.id.0) {
-                                        st.outstanding[m.client] =
-                                            st.outstanding[m.client].saturating_sub(1);
-                                    }
-                                }
-                            }
-                        }
-                        ArrivalOutcome::Defer => {
-                            st.deferred[request.principal.0] += 1;
-                            if retries < cfg.max_retries {
-                                events.push(
-                                    now + st.retry_delay,
-                                    Event::Arrival {
-                                        request,
-                                        redirector,
-                                        client,
-                                        retries: retries + 1,
-                                        bytes,
-                                    },
-                                );
-                            } else {
-                                st.abandoned += 1;
-                                if let Some(m) = meta.remove(&request.id.0) {
-                                    st.outstanding[m.client] =
-                                        st.outstanding[m.client].saturating_sub(1);
-                                }
-                            }
-                        }
-                        ArrivalOutcome::Queued => {}
-                    }
-                }
-                Event::WindowTick => {
-                    Self::apply_boundary_schedules(&cfg, &mut st, now);
-                    // Fresh per-tick allocations, as the seed engine made.
-                    for ri in 0..n_redirectors {
-                        let mut released = Vec::new();
-                        st.roll(ri, now, &mut released);
-                        for (req, server) in released {
-                            st.admitted[req.principal.0] += 1;
-                            match st.servers[server].offer(now + st.hop, req) {
-                                Accept::CompletesAt(done) => {
-                                    events.push(done, Event::Completion { server });
-                                }
-                                Accept::Dropped => {
-                                    st.dropped_server += 1;
-                                    if let Some(m) = meta.remove(&req.id.0) {
-                                        st.outstanding[m.client] =
-                                            st.outstanding[m.client].saturating_sub(1);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // The oracle's coordination: the published demands
-                    // summed centrally and stamped straight into each view,
-                    // no tree node involved.
-                    let round = cfg.tree.aggregate(st.tree.demands());
-                    tree_messages += round.messages() as u64;
-                    for id in 0..n_redirectors {
-                        let view = st.tree.view(id).expect("one view per redirector");
-                        view.publish(now, round.total.clone());
-                    }
-                }
-                Event::Completion { server } => {
-                    let req = st.servers[server].complete();
-                    st.rates.record(req.principal, now, req.cost);
-                    if st.links.is_empty() {
-                        if let Some(m) = meta.remove(&req.id.0) {
-                            st.response[req.principal.0]
-                                .record(now + 2.0 * st.hop - m.first_arrival);
-                            st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                        }
-                    } else if let Some(m) = meta.get(&req.id.0).copied() {
-                        let link = cfg.clients[m.client].redirector;
-                        match st.links[link].start(now, m.bytes, req) {
-                            LinkStart::Deliver(at) => events
-                                .push(at, Event::ReplyDelivered { request: req, link, entered: now }),
-                            LinkStart::Wake(at, version) => {
-                                events.push(at, Event::LinkWake { link, version });
-                            }
-                        }
-                    }
-                }
-                Event::ReplyDelivered { request, link, entered } => {
-                    st.transfer[link].record(now - entered);
-                    st.links[link].note_delivered();
-                    if let Some(m) = meta.remove(&request.id.0) {
-                        st.response[request.principal.0]
-                            .record(now + 2.0 * st.hop - m.first_arrival);
-                        st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                    }
-                }
-                Event::LinkWake { link, version } => {
-                    let mut buf = Vec::new();
-                    if let Some((at, v)) = st.links[link].on_wake(now, version, &mut buf) {
-                        events.push(at, Event::LinkWake { link, version: v });
-                    }
-                    for (req, entered) in buf {
-                        st.transfer[link].record(now - entered);
-                        if let Some(m) = meta.remove(&req.id.0) {
-                            st.response[req.principal.0]
-                                .record(now + 2.0 * st.hop - m.first_arrival);
-                            st.outstanding[m.client] = st.outstanding[m.client].saturating_sub(1);
-                        }
-                    }
-                }
-            }
+    fn remove(&mut self, id: u64) -> Option<RequestMeta> {
+        HashMap::remove(self, &id)
+    }
+
+    fn get(&self, id: u64) -> Option<RequestMeta> {
+        HashMap::get(self, &id).copied()
+    }
+}
+
+/// The oracle's round close: the published demands summed centrally and
+/// stamped straight into each view, no tree node involved.
+#[cfg(test)]
+struct CentralRounds {
+    topology: covenant_tree::Topology,
+    messages: u64,
+}
+
+#[cfg(test)]
+impl RoundClose for CentralRounds {
+    fn close(&mut self, tree: &mut LocalTree, now: f64) {
+        let round = self.topology.aggregate(tree.demands());
+        self.messages += round.messages() as u64;
+        for id in 0..self.topology.len() {
+            let view = tree.view(id).expect("one view per redirector");
+            view.publish(now, round.total.clone());
         }
+    }
 
-        let peak = events.peak_len();
-        let wall = start.elapsed().as_secs_f64();
-        let mut report = Self::finish(&cfg, st, events_processed, peak, wall);
-        report.tree_messages = tree_messages;
-        report
+    fn messages(&self, _: &LocalTree) -> u64 {
+        self.messages
     }
 }
 #[cfg(test)]
@@ -1189,6 +1051,41 @@ mod tests {
         // B's rate in the crash window must not exceed its share by much.
         let crash_bucket = report.rates.mean_rate_secs(b, 20.0, 22.0);
         assert!(crash_bucket <= 100.0 + 1.0, "crash bucket {crash_bucket}");
+    }
+
+    /// A crashed redirector's queued or parked requests are abandoned with
+    /// it, not stranded: their closed-loop clients get their slots back,
+    /// and the served rates after the restart recover to the rates of a
+    /// run without one.
+    #[test]
+    fn restart_abandons_held_requests() {
+        let mut g = AgreementGraph::new();
+        let s = g.add_principal("S", 100.0);
+        let a = g.add_principal("A", 0.0);
+        let b = g.add_principal("B", 0.0);
+        g.add_agreement(s, a, 0.5, 1.0).unwrap();
+        g.add_agreement(s, b, 0.5, 1.0).unwrap();
+        for mode in [QueueMode::CreditPark, QueueMode::Explicit] {
+            let mk = |restart: bool| {
+                let load = PhasedLoad::constant(200.0, 40.0);
+                let cfg = SimConfig::new(g.clone(), 40.0)
+                    .with_mode(mode.clone())
+                    .closed_loop_client(ClientMachine::uniform(0, a, load.clone()), 0, 16)
+                    .closed_loop_client(ClientMachine::uniform(1, b, load), 0, 16);
+                if restart { cfg.with_redirector_restart(20.0, 0) } else { cfg }
+            };
+            let steady = Simulation::new(mk(false)).run();
+            let restarted = Simulation::new(mk(true)).run();
+            assert!(restarted.abandoned > steady.abandoned, "{mode:?}: nothing abandoned");
+            for p in [a, b] {
+                let want = steady.rates.mean_rate_secs(p, 25.0, 40.0);
+                let got = restarted.rates.mean_rate_secs(p, 25.0, 40.0);
+                let after = format!("{mode:?} {p:?}: {got} after the restart, {want} without");
+                assert!(got >= 0.9 * want, "{after}");
+            }
+            let reference = Simulation::new(mk(true)).run_reference();
+            assert!(restarted.outcome_eq(&reference), "{mode:?}: streamed and reference differ");
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! 3. runtime events — completions, retries — in push order (FIFO among
 //!    equal timestamps).
 //!
-//! The legacy engine pushed all ticks first, then every client's arrivals
-//! in client order, then scheduled runtime events while running; insertion
-//! sequence therefore produced exactly this order. Encoding it in the key
-//! lets the streaming engine hold one pending arrival per client and still
-//! pop the identical event sequence.
+//! The tests' reference path pushes all ticks first, then every client's
+//! arrivals in client order, then schedules runtime events while running;
+//! insertion sequence therefore produces exactly this order. Encoding it in
+//! the key lets the streaming path hold one pending arrival per client
+//! and still pop the identical event sequence.
 
 use covenant_sched::Request;
 use std::cmp::Ordering;
@@ -30,8 +30,8 @@ pub enum Event {
         request: Request,
         /// Redirector receiving it.
         redirector: usize,
-        /// Generating client machine (for closed-loop accounting);
-        /// `usize::MAX` for retries that lost their slot.
+        /// Generating client, indexed like `SimConfig::clients` (for
+        /// closed-loop accounting).
         client: usize,
         /// How many times this request has been retried already.
         retries: u32,
@@ -200,55 +200,30 @@ mod tests {
         for r in 0..5 {
             q.push(1.0, Event::Completion { server: r });
         }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::Completion { server } => server,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let pushed: Vec<Event> = (0..5).map(|server| Event::Completion { server }).collect();
+        assert_eq!(order, pushed);
     }
 
     #[test]
     fn classes_order_ticks_arrivals_runtime_at_equal_time() {
         use covenant_agreements::PrincipalId;
+        let arrival = |client, id| Event::Arrival {
+            request: Request::unit(id, PrincipalId(0), 1.0),
+            redirector: 0,
+            client,
+            retries: 0,
+            bytes: 0.0,
+        };
         let mut q = EventQueue::new();
         // Pushed in deliberately scrambled order; all at t = 1.0.
         q.push(1.0, Event::Completion { server: 9 });
-        q.push_arrival(
-            1.0,
-            2,
-            0,
-            Event::Arrival {
-                request: Request::unit(0, PrincipalId(0), 1.0),
-                redirector: 0,
-                client: 2,
-                retries: 0,
-                bytes: 0.0,
-            },
-        );
+        q.push_arrival(1.0, 2, 0, arrival(2, 0));
         q.push_tick(1.0, 5, Event::WindowTick);
-        q.push_arrival(
-            1.0,
-            1,
-            3,
-            Event::Arrival {
-                request: Request::unit(1, PrincipalId(0), 1.0),
-                redirector: 0,
-                client: 1,
-                retries: 0,
-                bytes: 0.0,
-            },
-        );
-        let order: Vec<&'static str> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| match e {
-                Event::WindowTick => "tick",
-                Event::Arrival { client: 1, .. } => "arrival-c1",
-                Event::Arrival { .. } => "arrival-c2",
-                _ => "runtime",
-            })
-            .collect();
-        assert_eq!(order, vec!["tick", "arrival-c1", "arrival-c2", "runtime"]);
+        q.push_arrival(1.0, 1, 3, arrival(1, 1));
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let runtime = Event::Completion { server: 9 };
+        assert_eq!(order, vec![Event::WindowTick, arrival(1, 1), arrival(2, 0), runtime]);
     }
 
     #[test]

@@ -16,7 +16,12 @@
 //!   Figure 8's deliberate 10 s delay). At each boundary the engine reads
 //!   every redirector's view from it, ticks the core on that view, and
 //!   publishes the demand the tick returns before closing the round,
-//! * capacity-limited servers with finite accept backlogs.
+//! * capacity-limited servers with finite accept backlogs, and optional
+//!   shared-rate reply links.
+//!
+//! The engine's state is grouped by owner — clients (arrival sources,
+//! closed-loop slots, request metadata), redirectors, servers, links and
+//! the timeline schedules — and one handler applies every event to it.
 //!
 //! The output is a per-principal, per-second processing-rate series — the
 //! exact quantity plotted in the paper's Figures 6–10 — plus response-time
@@ -26,7 +31,9 @@
 //! ties by event class (window ticks, then original arrivals, then runtime
 //! events FIFO — see [`events`]), so runs are fully deterministic for a
 //! given seed whether arrivals are streamed lazily ([`Simulation::run`]) or
-//! materialized up front (the tests' reference engine).
+//! materialized up front (the tests' reference run of the same handler).
+//! The server and link models are checked against closed-form queueing
+//! results (M/D/1, Pollaczek–Khinchine, M/G/1-PS) in their tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

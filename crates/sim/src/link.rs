@@ -105,7 +105,6 @@ pub(crate) struct Link {
     /// Transfers currently on the link (both disciplines).
     in_flight: usize,
     /// Stats.
-    pub transfers: u64,
     pub bytes: f64,
     pub active_peak: usize,
 }
@@ -126,7 +125,6 @@ impl Link {
             version: 0,
             next_seq: 0,
             in_flight: 0,
-            transfers: 0,
             bytes: 0.0,
             active_peak: 0,
         }
@@ -155,7 +153,6 @@ impl Link {
 
     /// Begins transferring `bytes` of reply for `request` at `now`.
     pub fn start(&mut self, now: f64, bytes: f64, request: Request) -> LinkStart {
-        self.transfers += 1;
         self.bytes += bytes;
         self.in_flight += 1;
         if self.in_flight > self.active_peak {
@@ -298,6 +295,76 @@ mod tests {
         assert_eq!(l.on_wake(at, v, &mut out), None);
         let ids: Vec<u64> = out.iter().map(|(r, _)| r.id.0).collect();
         assert_eq!(ids, vec![7, 8]);
+    }
+
+    /// `n` seeded WebBench reply sizes, with the link rate that loads a
+    /// unit-rate Poisson stream of them to `rho`.
+    fn webbench_load(seed: u64, rho: f64, n: usize) -> (Vec<f64>, f64) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sizes = covenant_workload::ReplySizes::default();
+        let bytes: Vec<f64> = (0..n).map(|_| sizes.sample(&mut rng) as f64).collect();
+        let mean = bytes.iter().sum::<f64>() / n as f64;
+        (bytes, mean / rho)
+    }
+
+    /// A FIFO link fed Poisson replies of WebBench sizes is M/G/1: the mean
+    /// wait is Pollaczek–Khinchine, λE[S²] / 2(1−ρ).
+    #[test]
+    fn fifo_link_matches_pollaczek_khinchine() {
+        use crate::metrics::tests::{assert_in_batch_means_ci, poisson_times};
+        for (seed, rho) in [(4, 0.3), (5, 0.6), (6, 0.9)] {
+            let (bytes, rate) = webbench_load(seed, rho, 2_000_000);
+            let mut l = fifo(rate);
+            let waits: Vec<f64> = poisson_times(seed, 1.0, bytes.len())
+                .zip(&bytes)
+                .enumerate()
+                .map(|(i, (t, &b))| {
+                    let LinkStart::Deliver(done) = l.start(t, b, req(i as u64)) else {
+                        unreachable!("FIFO delivers")
+                    };
+                    done - t - b / rate
+                })
+                .collect();
+            let es2 = bytes.iter().map(|b| (b / rate).powi(2)).sum::<f64>() / bytes.len() as f64;
+            assert_in_batch_means_ci(&waits, es2 / (2.0 * (1.0 - rho)), &format!("M/G/1 ρ={rho}"));
+        }
+    }
+
+    /// A fair-share link fed Poisson replies is M/G/1-PS: the mean time a
+    /// reply spends on the link is E[S] / (1−ρ), whatever the size mix.
+    #[test]
+    fn fair_share_link_matches_processor_sharing() {
+        use crate::metrics::tests::{assert_in_batch_means_ci, poisson_times};
+        for (seed, rho) in [(7, 0.3), (8, 0.6), (9, 0.9)] {
+            let (bytes, rate) = webbench_load(seed, rho, 800_000);
+            let mut l = fair(rate);
+            let mut wake: Option<(f64, u64)> = None;
+            let mut out = Vec::new();
+            let mut sojourns = Vec::with_capacity(bytes.len());
+            let mut arrivals = poisson_times(seed, 1.0, bytes.len()).zip(&bytes).enumerate();
+            let mut next = arrivals.next();
+            loop {
+                let due = wake.map_or(f64::INFINITY, |(at, _)| at);
+                match next {
+                    Some((i, (t, &b))) if t < due => {
+                        let LinkStart::Wake(at, v) = l.start(t, b, req(i as u64)) else {
+                            unreachable!("fair share wakes")
+                        };
+                        wake = Some((at, v));
+                        next = arrivals.next();
+                    }
+                    _ => {
+                        let Some((at, v)) = wake else { break };
+                        wake = l.on_wake(at, v, &mut out);
+                        sojourns.extend(out.drain(..).map(|(_, entered)| at - entered));
+                    }
+                }
+            }
+            // E[S] = ρ at unit arrival rate. Departures, not arrivals,
+            // order the samples; the mean is the same.
+            assert_in_batch_means_ci(&sojourns, rho / (1.0 - rho), &format!("M/G/1-PS ρ={rho}"));
+        }
     }
 
     #[test]

@@ -30,24 +30,9 @@ impl RateSeries {
         row[bucket] += cost;
     }
 
-    /// Bucket width in seconds.
-    pub fn bucket_secs(&self) -> f64 {
-        self.bucket_secs
-    }
-
-    /// Number of principals.
-    pub fn n_principals(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The rate (units/second) of `principal` in bucket `b`.
     pub fn rate(&self, principal: PrincipalId, b: usize) -> f64 {
         self.counts[principal.0].get(b).copied().unwrap_or(0.0) / self.bucket_secs
-    }
-
-    /// Number of buckets recorded for the busiest principal.
-    pub fn n_buckets(&self) -> usize {
-        self.counts.iter().map(|r| r.len()).max().unwrap_or(0)
     }
 
     /// Mean rate of `principal` over the bucket range `[from, to)` —
@@ -127,8 +112,40 @@ impl ResponseStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `n` seeded Poisson arrival times at rate `lambda`.
+    pub(crate) fn poisson_times(seed: u64, lambda: f64, n: usize) -> impl Iterator<Item = f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = 0.0;
+        (0..n).map(move |_| {
+            t += -(1.0 - rng.gen::<f64>()).ln() / lambda;
+            t
+        })
+    }
+
+    /// Asserts that the closed-form `expected` lies inside the 99 %
+    /// batch-means confidence interval of the per-customer `samples` (the
+    /// first tenth dropped as warm-up, the rest cut into 20 batches), and
+    /// that the interval is tight enough (±10 %) to mean something.
+    pub(crate) fn assert_in_batch_means_ci(samples: &[f64], expected: f64, what: &str) {
+        const BATCHES: usize = 20;
+        const T_99: f64 = 2.861; // Student t, 19 degrees of freedom, two-sided 99 %
+        let body = &samples[samples.len() / 10..];
+        let size = body.len() / BATCHES;
+        let means: Vec<f64> =
+            body.chunks_exact(size).map(|b| b.iter().sum::<f64>() / size as f64).collect();
+        let mean = means.iter().sum::<f64>() / BATCHES as f64;
+        let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (BATCHES - 1) as f64;
+        let half = T_99 * (var / BATCHES as f64).sqrt();
+        assert!(
+            (mean - expected).abs() <= half && half <= 0.1 * expected,
+            "{what}: closed form {expected:.4}, simulated {mean:.4} ± {half:.4}"
+        );
+    }
 
     #[test]
     fn records_into_buckets() {
@@ -141,7 +158,6 @@ mod tests {
         assert_eq!(s.rate(PrincipalId(0), 1), 1.0);
         assert_eq!(s.rate(PrincipalId(1), 2), 2.0);
         assert_eq!(s.rate(PrincipalId(1), 0), 0.0);
-        assert_eq!(s.n_buckets(), 3);
     }
 
     #[test]

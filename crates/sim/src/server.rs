@@ -50,21 +50,11 @@ impl Server {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Changes the service rate from now on (already-accepted work keeps
     /// its scheduled completion times; only new work sees the new rate).
     pub fn set_capacity(&mut self, capacity: f64) {
         assert!(capacity >= 0.0 && capacity.is_finite());
         self.capacity = capacity;
-    }
-
-    /// Currently accepted-but-unfinished requests.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
     }
 
     /// Offers `req` at time `now`; on acceptance returns the completion
@@ -146,6 +136,32 @@ mod tests {
     fn zero_capacity_server_drops_everything() {
         let mut s = Server::new(0.0, 10);
         assert_eq!(s.offer(0.0, req(1)), Accept::Dropped);
+    }
+
+    /// A unit-rate server fed unit requests by Poisson arrivals is M/D/1:
+    /// the mean wait is ρ·s / 2(1−ρ) with s = 1.
+    #[test]
+    fn poisson_fed_server_matches_md1_wait() {
+        use crate::metrics::tests::{assert_in_batch_means_ci, poisson_times};
+        for (seed, rho) in [(1, 0.3), (2, 0.6), (3, 0.9)] {
+            let mut s = Server::new(1.0, usize::MAX);
+            let mut pending = std::collections::VecDeque::new();
+            let waits: Vec<f64> = poisson_times(seed, rho, 400_000)
+                .enumerate()
+                .map(|(i, t)| {
+                    while pending.front().is_some_and(|&done| done <= t) {
+                        pending.pop_front();
+                        s.complete();
+                    }
+                    let Accept::CompletesAt(done) = s.offer(t, req(i as u64)) else {
+                        panic!("an unbounded backlog drops nothing")
+                    };
+                    pending.push_back(done);
+                    done - t - 1.0
+                })
+                .collect();
+            assert_in_batch_means_ci(&waits, rho / (2.0 * (1.0 - rho)), &format!("M/D/1 ρ={rho}"));
+        }
     }
 
     #[test]

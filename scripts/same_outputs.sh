@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Behaviour check for refactors: this tree's `covenant` must print the same
+# bytes as another revision's on every library scenario and on the paper
+# figures.
+#
+#   scripts/same_outputs.sh <rev>
+#
+#   scripts/same_outputs.sh HEAD~1
+#
+# <rev>'s committed files are unpacked (`git archive`) under $TMPDIR, built
+# there, and removed again on exit. Both binaries run
+# `covenant sim <f> --json` for every examples/scenarios/*.json of this tree,
+# then `covenant figures`; the outputs are compared with `cmp`. Exits 0 when
+# all are identical, 1 naming the first that differs.
+set -euo pipefail
+
+usage() { sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+
+rev="${1:-}"
+[[ -n "$rev" && "$rev" != -* && $# -eq 1 ]] || usage
+
+here="$(cd "$(dirname "$0")/.." && pwd)"
+commit="$(git -C "$here" rev-parse --verify "$rev^{commit}")"
+work="$(mktemp -d "${TMPDIR:-/tmp}/covenant-same.XXXXXX")"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/other"
+git -C "$here" archive "$commit" | tar -x -C "$work/other"
+
+for dir in "$work/other" "$here"; do
+  (cd "$dir" && cargo build --release --offline --quiet --bin covenant)
+done
+other="$work/other/target/release/covenant"
+this="$here/target/release/covenant"
+
+same() { # <name> <args...>
+  local name="$1"; shift
+  "$other" "$@" > "$work/a"
+  "$this" "$@" > "$work/b"
+  if ! cmp -s "$work/a" "$work/b"; then
+    echo "differs from $rev: $name"
+    diff "$work/a" "$work/b" | head -20 || true
+    exit 1
+  fi
+  echo "same: $name"
+}
+
+for scenario in "$here"/examples/scenarios/*.json; do
+  same "${scenario#"$here"/}" sim "$scenario" --json
+done
+same "covenant figures" figures
+echo "same outputs as $rev ($commit)"
