@@ -146,8 +146,9 @@ fn revised_cold_vs_warm(c: &mut Criterion) {
 }
 
 /// Pivot counts behind the cold/warm comparison: total pivots of one cold
-/// solve, and mean pivots per warm window over a drifting-queue sequence.
-fn pivot_profile(n: usize) -> (u64, f64) {
+/// solve, and mean pivots — all, and those of the walk along the optimal
+/// face — per warm window over a drifting-queue sequence.
+fn pivot_profile(n: usize) -> (u64, f64, f64) {
     let g = bipartite_graph(n, 42);
     let queues: Vec<f64> = (0..n).map(|i| 10.0 + (i as f64) * 3.0).collect();
     let levels = g.access_levels().scaled(0.1);
@@ -155,7 +156,7 @@ fn pivot_profile(n: usize) -> (u64, f64) {
     let mut warm = WarmBasis::new();
     let p = prepared.window_problem(&queues).clone();
     assert_eq!(p.solve_warm(&mut warm), WarmOutcome::Optimal);
-    let cold_pivots = warm.stats().pivots;
+    let cold = warm.stats();
     let windows = 16u64;
     for w in 0..windows {
         let drifted: Vec<f64> = queues
@@ -166,8 +167,13 @@ fn pivot_profile(n: usize) -> (u64, f64) {
         let p = prepared.window_problem(&drifted).clone();
         assert_eq!(p.solve_warm(&mut warm), WarmOutcome::Optimal);
     }
-    let warm_pivots = warm.stats().pivots - cold_pivots;
-    (cold_pivots, warm_pivots as f64 / windows as f64)
+    let per_window = |count: u64| count as f64 / windows as f64;
+    let stats = warm.stats();
+    (
+        cold.pivots,
+        per_window(stats.pivots - cold.pivots),
+        per_window(stats.face_pivots - cold.face_pivots),
+    )
 }
 
 fn simplex_small(c: &mut Criterion) {
@@ -235,12 +241,13 @@ fn main() {
     for (i, n) in WARM_SIZES.iter().enumerate() {
         let cold = mean_ns(&c, &format!("revised_lp_cold/{n}"));
         let warm = mean_ns(&c, &format!("revised_lp_warm/{n}"));
-        let (cold_pivots, warm_pivots) = pivot_profile(*n);
+        let (cold_pivots, warm_pivots, face_pivots) = pivot_profile(*n);
         let sep = if i + 1 < WARM_SIZES.len() { ", " } else { "" };
         body.push_str(&format!(
             "\"{n}\": {{\"cold\": {cold:.1}, \"warm\": {warm:.1}, \
              \"speedup\": {:.2}, \"cold_pivots\": {cold_pivots}, \
-             \"warm_pivots_per_window\": {warm_pivots:.1}}}{sep}",
+             \"warm_pivots_per_window\": {warm_pivots:.1}, \
+             \"warm_face_pivots_per_window\": {face_pivots:.1}}}{sep}",
             cold / warm
         ));
     }

@@ -26,6 +26,15 @@
 //!   the etas its nonzeros reach. Replacing a single basic column (the θ
 //!   coefficient changes with every window's queue lengths) is a rank-one
 //!   update: one FTRAN plus one appended eta.
+//! - **Hypersparse BTRAN.** The etas appended since the last rebuild are
+//!   marked, one bit each, in every row they reach, so the BTRAN of a pivot
+//!   row — a unit vector whose image has about a dozen nonzeros at
+//!   n = 512 — visits only the appended etas those nonzeros reach instead
+//!   of all of them (up to `refactor_after`, 128 at 2 048 rows): Hall and
+//!   McKinnon's hyper-sparsity. A row's bits take a few word operations to
+//!   read, so a vector that fills in costs no more than the walk did. An
+//!   eta left out would only have written a zero over a zero: no value
+//!   changes.
 //! - **Warm-started dual simplex.** Consecutive windows differ only in
 //!   queue-derived right-hand sides and bounds, so the previous window's
 //!   optimal basis stays *dual* feasible. [`WarmBasis`] persists the basis,
@@ -39,34 +48,45 @@
 //!   sweeps. A cold solve is the same dual simplex started from the
 //!   all-slack basis (trivially dual feasible for the scheduler LPs, whose
 //!   positive-cost variables are all boxed).
-//! - **Canonical vertex.** After the dual phase a primal walk over the
-//!   optimal face maximizes a fixed tie-break weight per column, so the
-//!   returned vertex is a function of the problem and not of the solve
-//!   history. The weight is derived from [`Problem::tiebreak_id`], which
-//!   lets a problem that leaves out the zero-bounded columns of a larger
-//!   formulation keep that formulation's vertex. Face membership is read
-//!   off the reduced costs the dual phase maintains (a zero-reduced-cost
-//!   entering column leaves the duals where they are), and the tie-break
-//!   reduced costs are computed once per solve — one BTRAN and one dot per
-//!   face column — and then carried along the pivot rows like the true
-//!   ones.
+//! - **Canonical vertex.** The returned vertex is the one of the optimal
+//!   face that maximizes a fixed tie-break weight per column, so it is a
+//!   function of the problem and not of the solve history. The weight is
+//!   derived from [`Problem::tiebreak_id`], which lets a problem that
+//!   leaves out the zero-bounded columns of a larger formulation keep that
+//!   formulation's vertex. The dual phase is lexicographic in the two
+//!   objectives: each solve starts by computing both sets of reduced costs
+//!   (one BTRAN of the pair of cost vectors, one pass over the columns),
+//!   carries both along every pivot row, and breaks the many ties of its
+//!   degenerate ratio tests by the tie-break reduced costs. From the
+//!   previous window's canonical basis it therefore stops on the new
+//!   canonical vertex. (The slack basis of a cold start is not dual
+//!   feasible for the tie-break objective, so there its reduced costs order
+//!   nothing: a cold dual phase breaks ties by pivot size and column id
+//!   alone.) A primal walk over the optimal face stays as the guarantee; it
+//!   reads face membership off the true reduced costs and its entering
+//!   candidates off the carried tie-break ones, and in steady state pivots
+//!   nowhere.
 //!
 //! Cost of one warm solve on a 512-principal two-tier community (2 048
-//! rows, `θ` + 1 022 pair columns, ≈ 235 pivots, demand around the
-//! mandatory levels), before and after the columns were compacted and the
-//! pivot made sparse — timers inside this file, on a copy:
+//! rows, `θ` + 1 022 pair columns, demand drifting around the mandatory
+//! levels the way the `tick_large` benchmark draws it), before and after
+//! the dual phase became lexicographic and BTRAN hypersparse — timers
+//! inside this file, on a copy, one core of a 2-vCPU Xeon:
 //!
 //! | where | before | after |
 //! |---|---|---|
-//! | per-solve walks: value and bound sync, active list, extract, verify, fingerprint | 3.2 ms | 0.03 ms |
-//! | dual phase | 4.2 ms (139 pivots × 30 µs) | 0.80 ms (144 × 5.6 µs) |
-//! | canonicalization | 3.4 ms (96 × 35 µs) | 0.54 ms (92 × 5.9 µs) |
-//! | refactorization, inside the two rows above | 1.5 ms (0.26 × 5.8 ms) | 0.21 ms (1.8 × 0.12 ms) |
-//! | whole solve | 11.8 ms | 1.4 ms |
+//! | dual phase | 1.35 ms (152 pivots, 104 under Bland's rule) | 0.84 ms (132 pivots, none under Bland's rule) |
+//! | canonicalization | 0.93 ms (103 pivots) | 0.03 ms (no pivots) |
+//! | BTRAN, inside the two rows above | 0.71 ms | 0.14 ms |
+//! | refactorization, inside the two rows above | 0.39 ms | 0.17 ms |
+//! | whole solve | 2.47 ms | 1.03 ms |
 //!
-//! Where demand is far above every entitlement `θ` binds every coverage
-//! row and pivot rows and columns are ten times denser; a pivot then costs
-//! about 30 µs (90 µs before).
+//! Without the lexicographic ties nearly every dual pivot is degenerate
+//! (the entering column is already on the optimal face), so the
+//! anti-cycling rule took over early in every solve and the face walk then
+//! undid what it had chosen. A cold solve takes the same pivots as before
+//! (at n = 512, 4 157 when demand is far above every entitlement, 1 947
+//! around the mandatory levels) and about the same time.
 //!
 //! The engine refuses problems it cannot start dual-feasible (a variable
 //! with positive cost and no upper bound) or that misbehave numerically,
@@ -86,9 +106,11 @@ const PIV_TOL: f64 = 1e-8;
 const ETA_DROP: f64 = 1e-12;
 /// Tolerance used when verifying a claimed optimum against the problem.
 const VERIFY_TOL: f64 = 1e-5;
-/// Consecutive degenerate (no dual-objective progress) pivots before the
-/// anti-cycling rule (smallest-index leaving row and entering column)
-/// engages; any strict progress resets both the streak and the rule.
+/// Consecutive degenerate pivots before the anti-cycling rule
+/// (smallest-index leaving row and entering column) engages; any strict
+/// progress resets both the streak and the rule. From a warm start progress
+/// is lexicographic: a pivot that moves the true dual objective or, failing
+/// that, the tie-break one.
 const BLAND_AFTER: usize = 24;
 /// A true-objective reduced cost below this is treated as exactly zero
 /// when walking the optimal face: the column is free to enter without
@@ -122,10 +144,28 @@ pub struct WarmStats {
     /// Solves that restarted from the all-slack basis (first solve, shape
     /// change, or recovery from numerical trouble).
     pub cold_starts: u64,
-    /// Dual simplex pivots performed.
+    /// Basis changes performed, of both phases.
     pub pivots: u64,
+    /// The part of `pivots` spent walking the optimal face to the
+    /// canonical vertex after the dual phase had stopped elsewhere.
+    pub face_pivots: u64,
     /// Basis rebuilds (scheduled refactorizations plus recoveries).
     pub refactorizations: u64,
+}
+
+impl WarmStats {
+    /// Adds `other`'s counts to these: the lifetime counters of a handle
+    /// and the one it replaced.
+    pub fn merge(&mut self, other: WarmStats) {
+        let WarmStats { solves, warm_solves, cold_starts, pivots, face_pivots, refactorizations } =
+            other;
+        self.solves += solves;
+        self.warm_solves += warm_solves;
+        self.cold_starts += cold_starts;
+        self.pivots += pivots;
+        self.face_pivots += face_pivots;
+        self.refactorizations += refactorizations;
+    }
 }
 
 /// Where a column currently sits.
@@ -237,8 +277,11 @@ impl SparseVec {
 /// pivot at (`of_row`) and by the rows they have entries in (`feeds`), so
 /// a transform of a *sparse* vector visits only the etas its nonzeros
 /// reach instead of the whole file. Etas `[base, count)` were appended by
-/// pivots since; they are few (the rebuild cadence bounds them) and are
-/// walked one by one.
+/// pivots since; they are few (the rebuild cadence bounds them), FTRAN
+/// walks them one by one, and BTRAN finds them through a bit set per row
+/// of the appended etas reaching it — pivoting there or with an entry
+/// there — so that it too visits only the etas its nonzeros reach (Hall
+/// and McKinnon's hyper-sparsity).
 #[derive(Debug, Clone, Default)]
 struct EtaFile {
     slot: Vec<u32>,
@@ -253,10 +296,13 @@ struct EtaFile {
     /// Rebuild etas with an entry in row `r`: `feeds[feeds_ptr[r]..feeds_ptr[r + 1]]`.
     feeds_ptr: Vec<u32>,
     feeds: Vec<u32>,
-    /// Scratch of the sparse transforms: one bit per rebuild eta waiting
-    /// its turn. A transform only ever queues etas on the side it has not
-    /// reached yet, so sweeping the words once in its direction visits them
-    /// in order.
+    /// The appended etas reaching each row, one bit per eta: bit `b` of
+    /// `reach[w · m + r]` stands for eta `base + 64·w + b` reaching row `r`.
+    reach: Vec<u64>,
+    /// Scratch of the sparse transforms: one bit per eta waiting its turn.
+    /// A transform only ever queues etas on the side it has not reached
+    /// yet, so sweeping the words once in its direction visits them in
+    /// order.
     waiting: Vec<u64>,
 }
 
@@ -275,6 +321,7 @@ impl EtaFile {
         self.feeds_ptr.clear();
         self.feeds_ptr.resize(m + 1, 0);
         self.feeds.clear();
+        self.reach.clear();
         self.waiting.clear();
     }
 
@@ -291,9 +338,9 @@ impl EtaFile {
         self.count() - self.base
     }
 
-    /// Appends the eta for pivoting column `w` into slot `p`; `w.val[p]` is
+    /// Stores the eta for pivoting column `w` into slot `p`; `w.val[p]` is
     /// the pivot element.
-    fn push(&mut self, p: usize, w: &SparseVec) {
+    fn store(&mut self, p: usize, w: &SparseVec) {
         self.slot.push(p as u32);
         self.pivot.push(w.val[p]);
         for i in w.positions() {
@@ -304,14 +351,28 @@ impl EtaFile {
             }
         }
         self.start.push(self.row.len());
+        self.waiting.resize(self.count().div_ceil(64), 0);
     }
 
-    /// [`Self::push`] during a rebuild: row `p` has not pivoted before.
+    /// Appends the eta for pivoting column `w` into slot `p`, marking it in
+    /// the rows it reaches.
+    fn push(&mut self, p: usize, w: &SparseVec) {
+        let (k, m) = (self.count(), self.of_row.len());
+        self.store(p, w);
+        let (word, bit) = ((k - self.base) / 64, (k - self.base) % 64);
+        self.reach.resize((word + 1) * m, 0);
+        let rows = &mut self.reach[word * m..];
+        rows[p] |= 1 << bit;
+        for &r in &self.row[self.start[k]..self.start[k + 1]] {
+            rows[r as usize] |= 1 << bit;
+        }
+    }
+
+    /// [`Self::store`] during a rebuild: row `p` has not pivoted before.
     fn push_rebuilt(&mut self, p: usize, w: &SparseVec) {
         self.of_row[p] = self.count() as u32;
-        self.push(p, w);
+        self.store(p, w);
         self.base = self.count();
-        self.waiting.resize(self.base.div_ceil(64), 0);
     }
 
     /// Ends a rebuild: indexes its etas by the rows they have entries in.
@@ -403,27 +464,26 @@ impl EtaFile {
         }
     }
 
-    /// The value eta `k` leaves in its slot under the transposed inverse.
-    #[inline]
-    fn back(&self, k: usize, v: &[f64]) -> f64 {
-        let mut s = v[self.slot[k] as usize];
-        for at in self.start[k]..self.start[k + 1] {
-            s -= self.val[at] * v[self.row[at] as usize];
-        }
-        s / self.pivot[k]
-    }
-
-    /// Applies the transposed inverse to a dense vector: `v ← B⁻ᵀ v`.
-    fn btran(&self, v: &mut [f64]) {
+    /// Applies the transposed inverse to two dense vectors at once:
+    /// `v[r] ← (B⁻ᵀ v₀)[r], (B⁻ᵀ v₁)[r]` — the duals of two objectives over
+    /// one pass of the file.
+    fn btran_pair(&self, v: &mut [[f64; 2]]) {
         for k in (0..self.count()).rev() {
-            v[self.slot[k] as usize] = self.back(k, v);
+            let p = self.slot[k] as usize;
+            let [mut s0, mut s1] = v[p];
+            for at in self.start[k]..self.start[k + 1] {
+                let (a, [v0, v1]) = (self.val[at], v[self.row[at] as usize]);
+                s0 -= a * v0;
+                s1 -= a * v1;
+            }
+            v[p] = [s0 / self.pivot[k], s1 / self.pivot[k]];
         }
     }
 
-    /// Queues for a sparse BTRAN the rebuild etas below `below` that a
-    /// nonzero in row `r` reaches: the one pivoting there and those with an
-    /// entry there.
-    fn queue_reached(&mut self, r: usize, below: u32) {
+    /// Queues for a sparse BTRAN the etas below `below` that a nonzero in
+    /// row `r` reaches: the rebuild eta pivoting there, the rebuild etas
+    /// with an entry there, and the appended etas marked there.
+    fn queue_reaching(&mut self, r: usize, below: u32) {
         let own = self.of_row[r];
         let fed = &self.feeds[self.feeds_ptr[r] as usize..self.feeds_ptr[r + 1] as usize];
         for &k in fed.iter().chain(std::iter::once(&own)) {
@@ -431,26 +491,37 @@ impl EtaFile {
                 self.waiting[k as usize / 64] |= 1 << (k % 64);
             }
         }
-    }
-
-    /// [`Self::btran`] over a sparse vector. Only eta slots are ever
-    /// written, so the nonzeros stay inside the start set plus those; and
-    /// a rebuild eta can only change its slot if the vector is nonzero
-    /// there or in one of the eta's rows, so those are found through the
-    /// row index — latest first, newly filled rows queueing the earlier
-    /// etas they reach — instead of by walking the file.
-    fn btran_sparse(&mut self, v: &mut SparseVec) {
-        for k in (self.base..self.count()).rev() {
-            let p = self.slot[k] as usize;
-            let out = self.back(k, &v.val);
-            if v.written.listed[p] || out != 0.0 { // covenant: allow(float-eq)
-                v.touch(p);
-                v.val[p] = out;
+        // The appended etas, a word of the bit set at a time, shifted onto
+        // the waiting set's alignment.
+        let m = self.of_row.len();
+        for word in 0..self.reach.len() / m {
+            let first = self.base + 64 * word;
+            if first >= below as usize {
+                break;
+            }
+            let mut bits = self.reach[word * m + r];
+            if below as usize - first < 64 {
+                bits &= (1 << (below as usize - first)) - 1;
+            }
+            let (at, shift) = (first / 64, first % 64);
+            self.waiting[at] |= bits << shift;
+            if shift > 0 && bits >> (64 - shift) != 0 {
+                self.waiting[at + 1] |= bits >> (64 - shift);
             }
         }
+    }
+
+    /// `v ← B⁻ᵀ v` over a sparse vector. Only eta slots are ever written,
+    /// so the nonzeros stay inside the start set plus those; and an eta can
+    /// only change its slot if the vector is nonzero there or in one of the
+    /// eta's rows, so those are found through the row indexes — latest
+    /// first, newly filled rows queueing the earlier etas they reach —
+    /// instead of by walking the file. An eta left out would only have
+    /// written a zero over a zero.
+    fn btran_sparse(&mut self, v: &mut SparseVec) {
         for r in v.positions() {
             if v.val[r] != 0.0 { // covenant: allow(float-eq)
-                self.queue_reached(r, NO_ETA);
+                self.queue_reaching(r, NO_ETA);
             }
         }
         for word in (0..self.waiting.len()).rev() {
@@ -459,14 +530,18 @@ impl EtaFile {
                 self.waiting[word] &= !(1 << bit);
                 let k = word * 64 + bit;
                 let p = self.slot[k] as usize;
-                let out = self.back(k, &v.val);
+                let mut out = v.val[p];
+                for at in self.start[k]..self.start[k + 1] {
+                    out -= self.val[at] * v.val[self.row[at] as usize];
+                }
+                out /= self.pivot[k];
                 let was_zero = v.val[p] == 0.0; // covenant: allow(float-eq)
                 if v.written.listed[p] || out != 0.0 { // covenant: allow(float-eq)
                     v.touch(p);
                     v.val[p] = out;
                 }
                 if was_zero && out != 0.0 { // covenant: allow(float-eq)
-                    self.queue_reached(p, k as u32);
+                    self.queue_reaching(p, k as u32);
                 }
             }
         }
@@ -511,8 +586,8 @@ pub struct WarmBasis {
     active: Vec<u32>,
     /// Reduced costs (maintained for active columns).
     d: Vec<f64>,
-    /// Tie-break reduced costs, maintained during canonicalization for the
-    /// nonbasic columns on the optimal face (zero true reduced cost).
+    /// Tie-break reduced costs (maintained for active columns, alongside
+    /// `d`).
     dw: Vec<f64>,
     /// Face columns whose tie-break reduced cost may call them into the
     /// basis: the entering candidates of canonicalization.
@@ -530,8 +605,10 @@ pub struct WarmBasis {
     refactor_after: usize,
 
     // ---- scratch ----
-    /// Dense row-space vector (basic values under construction, duals).
+    /// Dense row-space vector (basic values under construction).
     work: Vec<f64>,
+    /// Dense row-space pairs: the true and the tie-break duals.
+    duals: Vec<[f64; 2]>,
     /// The entering column `B⁻¹ A_q`.
     col: SparseVec,
     /// The pivot row of the inverse, `B⁻ᵀ e_r`.
@@ -696,6 +773,8 @@ impl WarmBasis {
         }
         self.work.clear();
         self.work.resize(m, 0.0);
+        self.duals.clear();
+        self.duals.resize(m, [0.0; 2]);
         self.col.reset(m);
         self.rho.reset(m);
         self.alpha.reset(ncols);
@@ -788,19 +867,6 @@ impl WarmBasis {
         self.scatter_column(j, &mut w);
         self.col = w;
         self.eta.ftran_sparse(&mut self.col);
-    }
-
-    /// `ρ · A_j` without materializing the column.
-    fn dot_column(&self, j: usize, rho: &[f64]) -> f64 {
-        if j < self.n_vars {
-            let mut s = 0.0;
-            for at in self.col_ptr[j]..self.col_ptr[j + 1] {
-                s += self.col_val[at] * rho[self.row_idx[at] as usize];
-            }
-            s
-        } else {
-            rho[j - self.n_vars]
-        }
     }
 
     /// Pivots structural basic `j` into the free row `r` during a rebuild,
@@ -1032,23 +1098,38 @@ impl WarmBasis {
         (self.lower[b] - x).max(x - self.upper[b])
     }
 
-    /// Recomputes reduced costs `d_j = c_j − y·A_j`, `y = B⁻ᵀ c_B`, for
-    /// every active column.
+    /// Recomputes, for every active column, both reduced costs: the true
+    /// ones `d_j = c_j − y·A_j`, `y = B⁻ᵀ c_B`, and the tie-break ones
+    /// `dw_j = w_j − yw·A_j`, `yw = B⁻ᵀ w_B` — one BTRAN of the pair and
+    /// one pass over the columns.
     fn compute_reduced_costs(&mut self) {
-        let mut y = std::mem::take(&mut self.work);
-        for (r, v) in y.iter_mut().enumerate() {
-            *v = self.cost[self.basis[r] as usize];
+        let mut y = std::mem::take(&mut self.duals);
+        for (v, &b) in y.iter_mut().zip(&self.basis) {
+            *v = [self.cost[b as usize], self.tiebreak_weight(b as usize)];
         }
-        self.eta.btran(&mut y);
+        self.eta.btran_pair(&mut y);
         for k in 0..self.active.len() {
             let j = self.active[k] as usize;
-            self.d[j] = if self.pos_in_basis[j] != NOT_BASIC {
-                0.0
+            if self.pos_in_basis[j] != NOT_BASIC {
+                self.d[j] = 0.0;
+                self.dw[j] = 0.0;
+                continue;
+            }
+            let [s, sw] = if j < self.n_vars {
+                let (mut s, mut sw) = (0.0, 0.0);
+                for at in self.col_ptr[j]..self.col_ptr[j + 1] {
+                    let (a, [y0, y1]) = (self.col_val[at], y[self.row_idx[at] as usize]);
+                    s += a * y0;
+                    sw += a * y1;
+                }
+                [s, sw]
             } else {
-                self.cost[j] - self.dot_column(j, &y)
+                y[j - self.n_vars]
             };
+            self.d[j] = self.cost[j] - s;
+            self.dw[j] = self.tiebreak_weight(j) - sw;
         }
-        self.work = y;
+        self.duals = y;
     }
 
     /// Makes every nonbasic active column dual feasible, flipping to the
@@ -1184,8 +1265,10 @@ impl WarmBasis {
     }
 
     /// The dual simplex loop: repair primal feasibility while preserving
-    /// dual feasibility. Assumes `x_basic` and `d` are current.
-    fn dual_simplex(&mut self) -> LoopResult {
+    /// dual feasibility. Assumes `x_basic`, `d` and `dw` are current.
+    /// `warm`: the basis is the previous solve's canonical one (see the
+    /// degeneracy streak below).
+    fn dual_simplex(&mut self, warm: bool) -> LoopResult {
         let m = self.m;
         let max_iters = 200 + 12 * (m + self.active.len());
         let mut streak = 0usize;
@@ -1226,9 +1309,14 @@ impl WarmBasis {
 
             self.price_row(r);
 
-            // Dual ratio test over eligible columns: the smallest
-            // |d_j/α_j|; among those within 1e-12 of it the largest |α|,
-            // then the smallest column id (Bland: the smallest id alone).
+            // Dual ratio test over eligible columns, lexicographic in the
+            // two objectives: the smallest |d_j/α_j|; among those within
+            // 1e-12 of it the smallest s_j·dw_j/|α_j| (s = −1 at lower, +1
+            // at upper: the tie-break reduced cost that reaches its bound
+            // first, so the step keeps those signs too; on a cold start,
+            // where those signs do not hold, every key is zero); among
+            // those within 1e-12 of that the largest |α|, then the smallest
+            // column id (Bland: the smallest id among those).
             let ratio_of = |this: &Self, j: usize| {
                 let a = this.alpha.val[j];
                 let eligible = match this.status[j] {
@@ -1241,10 +1329,18 @@ impl WarmBasis {
             let least = (self.alpha.positions())
                 .filter_map(|j| ratio_of(self, j))
                 .fold(f64::INFINITY, f64::min);
+            let tie_key = |this: &Self, j: usize| {
+                let tied = ratio_of(this, j).is_some_and(|ratio| ratio < least + 1e-12);
+                let s = if this.status[j] == CStat::AtLower { -1.0 } else { 1.0 };
+                tied.then(|| if warm { s * this.dw[j] / this.alpha.val[j].abs() } else { 0.0 })
+            };
+            let least_key = (self.alpha.positions())
+                .filter_map(|j| tie_key(self, j))
+                .fold(f64::INFINITY, f64::min);
             let mut q = usize::MAX;
             let mut best_abs = 0.0;
             for j in self.alpha.positions() {
-                if !ratio_of(self, j).is_some_and(|ratio| ratio < least + 1e-12) {
+                if !tie_key(self, j).is_some_and(|key| key < least_key + 1e-12) {
                     continue;
                 }
                 let a = self.alpha.val[j].abs();
@@ -1286,20 +1382,31 @@ impl WarmBasis {
             }
             self.x_basic[r] = self.nonbasic_value(q) + delta;
 
-            // Dual step γ zeroes the entering reduced cost; columns the
-            // pivot row misses keep theirs.
+            // Dual steps γ and γ_w zero the entering reduced costs; columns
+            // the pivot row misses keep theirs.
             let gamma = self.d[q] / self.alpha.val[q];
+            let gamma_w = self.dw[q] / self.alpha.val[q];
             for j in self.alpha.positions() {
                 if matches!(self.status[j], CStat::AtLower | CStat::AtUpper) {
                     self.d[j] -= gamma * self.alpha.val[j];
+                    self.dw[j] -= gamma_w * self.alpha.val[j];
                 }
             }
             self.d[q] = 0.0;
+            self.dw[q] = 0.0;
             self.d[leaving] = -gamma;
+            self.dw[leaving] = -gamma_w;
             self.swap_basis(r, q, sigma > 0.0);
 
-            // Degeneracy streak: the dual objective moves by |γ|·|violation|.
-            if gamma.abs() * worst > 1e-12 {
+            // Degeneracy streak: the dual objective moves by |γ|·|violation|,
+            // the tie-break one by |γ_w|·|violation|. The second counts as
+            // progress only from a warm start: the previous canonical basis
+            // is (up to the window's drift) dual feasible for the tie-break
+            // objective too, so that objective only ever moves one way. From
+            // the slack basis, where it is not, it can move both ways and
+            // proves nothing against cycling.
+            let moved = if warm { gamma.abs().max(gamma_w.abs()) } else { gamma.abs() };
+            if moved * worst > 1e-12 {
                 streak = 0;
             } else {
                 streak = streak.saturating_add(1);
@@ -1335,33 +1442,31 @@ impl WarmBasis {
     /// vertex of the face, is unique for generic weights and therefore
     /// independent of whichever optimal basis the dual phase reached.
     ///
-    /// Errors only when a refactorization fails (basis left unusable; the
-    /// caller must fall back). Hitting the iteration cap exits cleanly:
-    /// the point is still optimal and feasible, merely not canonical.
+    /// The dual phase already breaks its ties by the same weight, so from
+    /// a canonical warm start it ends on the canonical vertex and this walk
+    /// finds nothing to improve; it stays as the guarantee.
+    ///
+    /// Errors when a refactorization fails (basis left unusable), and when
+    /// the walk hits its iteration cap or a non-finite step: the point is
+    /// then optimal but not canonical, and returning it would hand two
+    /// redirectors the mirror vertices the walk exists to rule out. The
+    /// caller falls back to a cold start, then to the dense solver.
     fn canonicalize(&mut self) -> Result<(), ()> {
         let m = self.m;
-        // The face: nonbasic columns whose true reduced cost `d` — left
-        // current by the dual phase — is zero. Their tie-break reduced
-        // costs dw_j = w_j − yw·A_j, yw = B⁻ᵀ w_B, are computed once here
-        // and then carried from vertex to vertex by the pivot row, like `d`
-        // in the dual phase. A column entering at zero true reduced cost
-        // does not move the true duals, so the face only ever gains the
-        // columns that leave the basis.
-        let mut yw = std::mem::take(&mut self.work);
-        for (w, &b) in yw.iter_mut().zip(&self.basis) {
-            *w = self.tiebreak_weight(b as usize);
-        }
-        self.eta.btran(&mut yw);
+        // The face: nonbasic columns whose true reduced cost `d` is zero.
+        // Their tie-break reduced costs `dw` came along the dual phase's
+        // pivot rows, and are carried from vertex to vertex here the same
+        // way. A column entering at zero true reduced cost does not move
+        // the true duals, so the face only ever gains the columns that
+        // leave the basis.
         self.improving.clear();
         for k in 0..self.active.len() {
             let j = self.active[k] as usize;
             let nonbasic = matches!(self.status[j], CStat::AtLower | CStat::AtUpper);
             if nonbasic && self.d[j].abs() <= FACE_TOL {
-                self.dw[j] = self.tiebreak_weight(j) - self.dot_column(j, &yw);
                 self.improving.push(j);
             }
         }
-        self.work = yw;
 
         let max_iters = 100 + 4 * (m + self.active.len());
         let mut streak = 0usize;
@@ -1446,9 +1551,8 @@ impl WarmBasis {
             }
             if !t.is_finite() {
                 // Numerically unbounded tie-break direction (cannot happen
-                // with boxed structural columns): stop with the current
-                // optimal point rather than guessing a step.
-                return Ok(());
+                // with boxed structural columns).
+                return Err(());
             }
 
             if leave == usize::MAX {
@@ -1485,6 +1589,7 @@ impl WarmBasis {
                 self.d[leaving] = -gamma;
                 self.dw[leaving] = -gamma_w;
                 self.swap_basis(leave, q, leave_up);
+                self.stats.face_pivots += 1;
                 self.improving.push(leaving);
             }
 
@@ -1496,7 +1601,7 @@ impl WarmBasis {
                 streak = streak.saturating_add(1);
             }
         }
-        Ok(())
+        Err(())
     }
 
     /// Extracts the structural solution and objective.
@@ -1513,15 +1618,16 @@ impl WarmBasis {
         self.objective = problem.objective_at(&self.x_out);
     }
 
-    /// One full attempt from the current basis. `x_basic` and `d` must not
-    /// be assumed current; they are recomputed here.
-    fn attempt(&mut self, problem: &Problem) -> LoopResult {
+    /// One full attempt from the current basis, `warm` when that is the
+    /// previous solve's. `x_basic`, `d` and `dw` must not be assumed
+    /// current; they are recomputed here.
+    fn attempt(&mut self, problem: &Problem, warm: bool) -> LoopResult {
         self.compute_reduced_costs();
         if self.repair_statuses().is_err() {
             return LoopResult::Trouble;
         }
         self.compute_x_basic();
-        let out = self.dual_simplex();
+        let out = self.dual_simplex(warm);
         if let LoopResult::Optimal = out {
             if self.canonicalize().is_err() {
                 return LoopResult::Trouble;
@@ -1540,7 +1646,7 @@ impl WarmBasis {
             self.shape = 0; // force rebuild next time
             return WarmOutcome::Unsuitable;
         }
-        match self.attempt(problem) {
+        match self.attempt(problem, false) {
             LoopResult::Optimal => WarmOutcome::Optimal,
             LoopResult::Infeasible => WarmOutcome::Infeasible,
             LoopResult::Trouble => {
@@ -1585,7 +1691,7 @@ impl WarmBasis {
         }
 
         self.stats.warm_solves += 1;
-        match self.attempt(problem) {
+        match self.attempt(problem, true) {
             LoopResult::Optimal => WarmOutcome::Optimal,
             // Dual-simplex infeasibility proofs are exact in exact
             // arithmetic but tolerance-based here; confirm from a clean
@@ -1689,6 +1795,16 @@ mod tests {
         let mut p = Problem::new(2);
         p.set_objective(vec![1.0, 0.0]);
         p.add_constraint(vec![(1, 1.0)], Relation::Le, 1.0);
+        assert_eq!(p.solve_warm(&mut WarmBasis::new()), WarmOutcome::Unsuitable);
+    }
+
+    #[test]
+    fn unfinished_face_walk_is_unsuitable() {
+        // x is optimal anywhere in [0, ∞), and the tie-break weight pulls
+        // it up without end: the face walk cannot reach a canonical vertex,
+        // so the engine must not claim the history-dependent x = 0 as one.
+        let mut p = Problem::new(1);
+        p.set_objective(vec![0.0]);
         assert_eq!(p.solve_warm(&mut WarmBasis::new()), WarmOutcome::Unsuitable);
     }
 

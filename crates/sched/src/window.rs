@@ -184,12 +184,7 @@ impl WindowScheduler {
     /// the prepared constraint matrix (retiring its warm basis into the
     /// lifetime counters) and invalidates the plan cache.
     pub fn update_levels(&mut self, levels: &AccessLevels) {
-        let retired = self.engine.warm_stats();
-        self.warm_retired.solves += retired.solves;
-        self.warm_retired.warm_solves += retired.warm_solves;
-        self.warm_retired.cold_starts += retired.cold_starts;
-        self.warm_retired.pivots += retired.pivots;
-        self.warm_retired.refactorizations += retired.refactorizations;
+        self.warm_retired.merge(self.engine.warm_stats());
         self.dense_retired += self.engine.dense_fallbacks();
         self.window_levels = levels.scaled(self.cfg.window_secs);
         self.engine = Engine::build(&self.window_levels, &self.cfg.policy);
@@ -218,14 +213,9 @@ impl WindowScheduler {
     /// Lifetime counters of the warm-started revised solver, including
     /// engines retired by level changes.
     pub fn warm_stats(&self) -> covenant_lp::WarmStats {
-        let live = self.engine.warm_stats();
-        covenant_lp::WarmStats {
-            solves: self.warm_retired.solves + live.solves,
-            warm_solves: self.warm_retired.warm_solves + live.warm_solves,
-            cold_starts: self.warm_retired.cold_starts + live.cold_starts,
-            pivots: self.warm_retired.pivots + live.pivots,
-            refactorizations: self.warm_retired.refactorizations + live.refactorizations,
-        }
+        let mut stats = self.warm_retired;
+        stats.merge(self.engine.warm_stats());
+        stats
     }
 
     /// Windows where the warm engine refused and the dense tableau solved.

@@ -165,8 +165,9 @@ proptest! {
     }
 
     /// A level change mid-walk (update_levels) rebuilds the skeleton; the
-    /// scheduler must keep matching the oracle on the new levels and the
-    /// replacement engine must cold-start rather than reuse a stale basis.
+    /// scheduler must keep matching the oracle on the new levels, the
+    /// replacement engine must cold-start rather than reuse a stale basis,
+    /// and the lifetime counters must carry the retired engine's counts.
     #[test]
     fn warm_survives_level_change_mid_walk(
         (g, queues) in graph_and_queues(),
@@ -191,7 +192,7 @@ proptest! {
         check(&mut sched, &q)?;
         q[0] += 5.0;
         check(&mut sched, &q)?;
-        let cold_before = sched.warm_stats().cold_starts;
+        let before = sched.warm_stats();
         // Scale every capacity: same principals and share fractions, new
         // levels. `lv1` is in rates (unscaled), like the graph capacities.
         let mut g2 = AgreementGraph::new();
@@ -218,11 +219,14 @@ proptest! {
             }
         }
         sched.update_levels(&g2.access_levels());
+        // The replacement engine has solved nothing yet: the lifetime
+        // counters, `face_pivots` included, are the retired engine's.
+        prop_assert_eq!(sched.warm_stats(), before, "the level change lost lifetime counts");
         check(&mut sched, &q)?;
         q[0] += 5.0;
         check(&mut sched, &q)?;
         prop_assert!(
-            sched.warm_stats().cold_starts > cold_before,
+            sched.warm_stats().cold_starts > before.cold_starts,
             "rebuilt engine must cold-start: {:?}", sched.warm_stats()
         );
         prop_assert_eq!(sched.dense_fallbacks(), 0);
