@@ -1,16 +1,18 @@
 //! Deployment facade: the paper's experiments as declarative scenarios.
 //!
-//! This crate wires the workspace together for downstream users: given a
-//! handful of parameters it builds the agreement graphs, client loads,
-//! redirector trees, and simulator configurations for each of the paper's
-//! evaluation setups (Figures 1 and 6–10), runs them, and summarizes the
-//! per-phase processing rates the paper reports.
+//! This crate wires the workspace together for downstream users: a JSON
+//! scenario file declares the agreement graph, client loads, redirector
+//! tree, dynamics, and reporting phases; [`ScenarioSpec::build_sim`] turns
+//! it into a simulator configuration, and [`ScenarioOutcome::run`] runs it
+//! and summarizes the per-phase processing rates the paper reports. The
+//! paper's Figures 6–10 ship as such files (`examples/scenarios/fig*.json`).
 //!
 //! ```no_run
-//! use covenant_core::scenarios;
+//! use covenant_core::{ScenarioOutcome, ScenarioSpec};
 //!
-//! let scenario = scenarios::fig6(50.0);
-//! let outcome = scenario.run();
+//! let text = std::fs::read_to_string("examples/scenarios/fig6.json").unwrap();
+//! let spec = ScenarioSpec::from_json(&text).unwrap();
+//! let outcome = ScenarioOutcome::run(&spec, spec.build_sim().unwrap());
 //! println!("{}", outcome.phase_table());
 //! ```
 
@@ -20,12 +22,10 @@
 pub mod json;
 pub mod report;
 pub mod scenario;
-pub mod scenarios;
 pub mod spec;
 
 pub use report::{
     counters_report_json, run_report_json, sim_counters, PhaseRates, ScenarioOutcome,
 };
-pub use scenario::{LinkSpec, NetSpec, ScenarioSpec, TimelineEvent};
-pub use scenarios::FigureScenario;
+pub use scenario::{LinkSpec, NetSpec, PhaseWindow, ScenarioSpec, TimelineEvent};
 pub use spec::{DeploymentSpec, SpecError};

@@ -1,8 +1,9 @@
 //! Scenario result summarization and export.
 
+use crate::scenario::ScenarioSpec;
 use covenant_agreements::PrincipalId;
 use covenant_enforce::{CountersReport, EngineTotals, NetTotals, SolverTotals};
-use covenant_sim::SimReport;
+use covenant_sim::{SimConfig, SimReport, Simulation};
 use serde::Serialize;
 
 /// Mean processing rates over one phase.
@@ -193,19 +194,51 @@ pub fn run_report_json(
     ])
 }
 
-/// The outcome of one figure scenario.
+/// A scenario run summarized per declared phase.
 pub struct ScenarioOutcome {
-    /// Scenario identifier ("fig6", …).
-    pub id: &'static str,
-    /// Per-phase summaries.
+    /// Per-phase summaries, one per [`ScenarioSpec::phases`] entry.
     pub phases: Vec<PhaseRates>,
     /// The raw simulator report (full time series, counters).
     pub report: SimReport,
-    /// Tracked principals.
+    /// Tracked principals: every principal with at least one client, in
+    /// id order, with its display name.
     pub tracked: Vec<(String, PrincipalId)>,
 }
 
 impl ScenarioOutcome {
+    /// Runs `cfg` — `spec` materialized by [`ScenarioSpec::build_sim`],
+    /// possibly adjusted — and summarizes each of the spec's phases: the
+    /// mean rate of every tracked principal over the phase minus its first
+    /// fifth (at least one rate bucket, at most 10 s), since the paper's
+    /// plotted steady levels exclude the adaptation transient.
+    pub fn run(spec: &ScenarioSpec, cfg: SimConfig) -> Self {
+        let bucket = cfg.bucket_secs;
+        let report = Simulation::new(cfg).run();
+        let dep = &spec.deployment;
+        let tracked: Vec<(String, PrincipalId)> = dep
+            .principals
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| dep.clients.iter().any(|c| c.principal == p.name))
+            .map(|(i, p)| (p.name.clone(), PrincipalId(i)))
+            .collect();
+        let phases = spec
+            .phases
+            .iter()
+            .map(|ph| {
+                let settle = ((ph.end - ph.start) * 0.2).clamp(bucket, 10.0);
+                let rates = tracked
+                    .iter()
+                    .map(|(name, p)| {
+                        (name.clone(), report.rates.mean_rate_secs(*p, ph.start + settle, ph.end))
+                    })
+                    .collect();
+                PhaseRates { name: ph.name.clone(), start: ph.start, end: ph.end, rates }
+            })
+            .collect();
+        ScenarioOutcome { phases, report, tracked }
+    }
+
     /// Per-phase summary as an aligned text table.
     pub fn phase_table(&self) -> String {
         let mut out = format!("{:<26}{:>12}", "phase", "window");
@@ -226,33 +259,6 @@ impl ScenarioOutcome {
         }
         out
     }
-
-    /// Per-phase summary serialized as JSON.
-    pub fn phases_json(&self) -> String {
-        use crate::json::Value;
-        Value::Arr(
-            self.phases
-                .iter()
-                .map(|ph| {
-                    Value::Obj(vec![
-                        ("name".into(), ph.name.as_str().into()),
-                        ("start".into(), ph.start.into()),
-                        ("end".into(), ph.end.into()),
-                        (
-                            "rates".into(),
-                            Value::Arr(
-                                ph.rates
-                                    .iter()
-                                    .map(|(n, r)| Value::Arr(vec![n.as_str().into(), (*r).into()]))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
-        .to_pretty()
-    }
 }
 
 #[cfg(test)]
@@ -260,29 +266,20 @@ mod tests {
     use super::*;
     use covenant_agreements::AgreementGraph;
     use covenant_enforce::EnforcementCounters;
-    use covenant_sim::{SimConfig, Simulation};
     use covenant_workload::{ClientMachine, PhasedLoad};
 
     fn outcome() -> ScenarioOutcome {
-        let mut g = AgreementGraph::new();
-        let s = g.add_principal("S", 50.0);
-        let a = g.add_principal("A", 0.0);
-        g.add_agreement(s, a, 0.5, 1.0).unwrap();
-        let cfg = SimConfig::new(g, 5.0)
-            .client(ClientMachine::uniform(0, a, PhasedLoad::constant(30.0, 5.0)), 0);
-        let report = Simulation::new(cfg).run();
-        let rate = report.rates.mean_rate_secs(a, 1.0, 5.0);
-        ScenarioOutcome {
-            id: "test",
-            phases: vec![PhaseRates {
-                name: "steady".into(),
-                start: 0.0,
-                end: 5.0,
-                rates: vec![("A".into(), rate)],
-            }],
-            report,
-            tracked: vec![("A".into(), a)],
-        }
+        let sc = ScenarioSpec::from_json(
+            r#"{
+                "principals": [{"name": "S", "capacity": 50.0}, {"name": "A"}],
+                "agreements": [{"issuer": "S", "holder": "A", "lb": 0.5, "ub": 1.0}],
+                "clients": [{"principal": "A", "phases": [[5.0, 30.0]]}],
+                "duration": 5.0,
+                "phases": [{"name": "steady", "start": 0.0, "end": 5.0}]
+            }"#,
+        )
+        .unwrap();
+        ScenarioOutcome::run(&sc, sc.build_sim().unwrap())
     }
 
     #[test]
@@ -297,11 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn phases_json_parses_back() {
+    fn phases_track_loaded_principals_after_the_settle_trim() {
         let o = outcome();
-        let parsed = crate::json::Value::parse(&o.phases_json()).unwrap();
-        assert_eq!(parsed[0]["name"], "steady");
-        assert!(parsed[0]["rates"][0][1].as_f64().unwrap() > 20.0);
+        // S has no client, so only A is tracked.
+        assert_eq!(o.tracked, vec![("A".to_string(), PrincipalId(1))]);
+        let want = o.report.rates.mean_rate_secs(PrincipalId(1), 1.0, 5.0);
+        assert_eq!(o.phases[0].rate("A"), want);
+        assert!(want > 20.0, "A {want}");
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //!   dynamic-reinterpretation hook, §2.2), server failure and recovery,
 //!   adversarial demand inflation, and redirector restarts;
 //! * `seed` — the RNG seed for the reply-size distribution (each client
-//!   derives its own stream from it), making every run reproducible.
+//!   derives its own stream from it), making every run reproducible;
+//! * `phases` — named `[start, end)` windows over which
+//!   [`crate::ScenarioOutcome`] reports each loaded principal's settled
+//!   rate (the paper's per-phase figure summaries).
 //!
-//! Because the deployment decoder ignores unknown keys, every scenario
-//! file is *also* a valid deployment spec — `covenant check` verifies the
-//! whole thing (rules V1–V10) and `covenant run` would simply ignore the
-//! dynamics. [`ScenarioSpec::build_sim`] is the full materialization:
-//! timeline events become phase overlays, capacity/agreement change
-//! schedules, and restart injections on the [`SimConfig`].
+//! The deployment decoder accepts these four keys and rejects every other
+//! unknown one, so every scenario file is *also* a valid deployment spec —
+//! `covenant check` verifies the whole thing (rules V1–V10) and
+//! `covenant run` would simply ignore the dynamics.
+//! [`ScenarioSpec::build_sim`] is the full materialization: timeline
+//! events become phase overlays, capacity/agreement change schedules, and
+//! restart injections on the [`SimConfig`].
 
 use crate::json::{JsonError, Value};
 use crate::spec::{decode, encode, DeploymentSpec, SpecError};
@@ -163,7 +167,19 @@ impl TimelineEvent {
     }
 }
 
-/// A whole scenario: deployment plus net model, timeline, and seed.
+/// One named reporting window of a run, seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhaseWindow {
+    /// Label ("phase 1", …).
+    pub name: String,
+    /// Window start.
+    pub start: f64,
+    /// Window end.
+    pub end: f64,
+}
+
+/// A whole scenario: deployment plus net model, timeline, seed, and
+/// reporting phases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The embedded deployment (same JSON object; scenario keys ride
@@ -176,11 +192,14 @@ pub struct ScenarioSpec {
     pub timeline: Vec<TimelineEvent>,
     /// Seed for the reply-size sampler streams.
     pub seed: u64,
+    /// Reporting windows, each within `[0, duration]`; empty when the
+    /// scenario declares none.
+    pub phases: Vec<PhaseWindow>,
 }
 
 impl ScenarioSpec {
     /// Parses a scenario from JSON. Plain deployment specs parse too,
-    /// with no net model, an empty timeline, and seed 0.
+    /// with no net model, an empty timeline, seed 0, and no phases.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let v = Value::parse(text).map_err(SpecError::Json)?;
         let deployment = decode::deployment_value(&v).map_err(SpecError::Json)?;
@@ -190,13 +209,7 @@ impl ScenarioSpec {
         };
         let timeline = match v.get("timeline") {
             None => Vec::new(),
-            Some(t) => t
-                .as_array()
-                .ok_or_else(|| SpecError::Json(JsonError::msg("'timeline' must be an array")))?
-                .iter()
-                .map(decode_event)
-                .collect::<Result<_, _>>()
-                .map_err(SpecError::Json)?,
+            Some(_) => decode::list(&v, "timeline", decode_event).map_err(SpecError::Json)?,
         };
         let seed = match v.get("seed") {
             None => 0,
@@ -204,7 +217,14 @@ impl ScenarioSpec {
                 SpecError::Json(JsonError::msg("'seed' must be a non-negative integer"))
             })? as u64,
         };
-        Ok(ScenarioSpec { deployment, net, timeline, seed })
+        let phases = match v.get("phases") {
+            None => Vec::new(),
+            Some(_) => decode::list(&v, "phases", |p, path| {
+                decode_phase(p, path, deployment.duration)
+            })
+            .map_err(SpecError::Json)?,
+        };
+        Ok(ScenarioSpec { deployment, net, timeline, seed, phases })
     }
 
     /// Serializes the scenario to pretty JSON (deployment keys first,
@@ -224,6 +244,23 @@ impl ScenarioSpec {
         }
         if self.seed != 0 {
             fields.push(("seed".into(), (self.seed as f64).into()));
+        }
+        if !self.phases.is_empty() {
+            fields.push((
+                "phases".into(),
+                Value::Arr(
+                    self.phases
+                        .iter()
+                        .map(|p| {
+                            Value::Obj(vec![
+                                ("name".into(), p.name.as_str().into()),
+                                ("start".into(), p.start.into()),
+                                ("end".into(), p.end.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ));
         }
         Value::Obj(fields).to_pretty()
     }
@@ -428,12 +465,14 @@ fn truncate(phases: &[(f64, f64)], cut: f64) -> Vec<(f64, f64)> {
 }
 
 fn decode_net(v: &Value) -> Result<NetSpec, JsonError> {
+    decode::known_keys(v, "net", &["links", "unit_bytes", "hop_latency"])?;
     let links = v
         .get("links")
         .and_then(Value::as_array)
         .ok_or_else(|| JsonError::msg("'net.links' must be an array"))?
         .iter()
-        .map(decode_link)
+        .enumerate()
+        .map(|(i, l)| decode_link(l, &format!("net.links[{i}]")))
         .collect::<Result<_, _>>()?;
     Ok(NetSpec {
         links,
@@ -442,7 +481,8 @@ fn decode_net(v: &Value) -> Result<NetSpec, JsonError> {
     })
 }
 
-fn decode_link(v: &Value) -> Result<LinkSpec, JsonError> {
+fn decode_link(v: &Value, path: &str) -> Result<LinkSpec, JsonError> {
+    decode::known_keys(v, path, &["rate_bytes_per_sec", "discipline"])?;
     let discipline = match v.get("discipline") {
         None => LinkDiscipline::Fifo,
         Some(d) => match d.as_str() {
@@ -463,7 +503,37 @@ fn req_usize(v: &Value, key: &str) -> Result<usize, JsonError> {
         .ok_or_else(|| JsonError::msg(format!("'{key}' must be a non-negative integer")))
 }
 
-fn decode_event(v: &Value) -> Result<TimelineEvent, JsonError> {
+/// A phase must be a finite window with `0 ≤ start < end ≤ duration`.
+fn decode_phase(v: &Value, path: &str, duration: f64) -> Result<PhaseWindow, JsonError> {
+    decode::known_keys(v, path, &["name", "start", "end"])?;
+    let (start, end) = (decode::req_f64(v, "start")?, decode::req_f64(v, "end")?);
+    if !(start < end && end <= duration) {
+        return Err(JsonError::msg(format!(
+            "{path} must satisfy 0 <= start < end <= duration ({duration}), got {start}..{end}"
+        )));
+    }
+    Ok(PhaseWindow { name: decode::req_str(v, "name")?, start, end })
+}
+
+/// The keys a timeline event of `kind` may carry; `None` for an unknown
+/// kind (which [`decode_event`] rejects by name).
+fn event_keys(kind: &str) -> Option<&'static [&'static str]> {
+    Some(match kind {
+        "flash_crowd" => &["kind", "at", "duration", "client", "extra_rate"],
+        "diurnal" => &["kind", "at", "period", "client", "peak_rate", "trough_rate"],
+        "renegotiate" => &["kind", "at", "issuer", "holder", "lb", "ub"],
+        "server_fail" => &["kind", "at", "principal"],
+        "server_recover" => &["kind", "at", "principal", "capacity"],
+        "inflate" => &["kind", "at", "client", "factor"],
+        "restart_redirector" => &["kind", "at", "redirector"],
+        _ => return None,
+    })
+}
+
+fn decode_event(v: &Value, path: &str) -> Result<TimelineEvent, JsonError> {
+    if let Some(keys) = v["kind"].as_str().and_then(event_keys) {
+        decode::known_keys(v, path, keys)?;
+    }
     let at = decode::req_f64(v, "at")?;
     match v["kind"].as_str() {
         Some("flash_crowd") => Ok(TimelineEvent::FlashCrowd {
@@ -608,7 +678,8 @@ mod tests {
             {"kind": "flash_crowd", "at": 10.0, "duration": 5.0, "client": 0, "extra_rate": 90.0},
             {"kind": "renegotiate", "at": 20.0, "issuer": "S", "holder": "B", "lb": 0.4, "ub": 1.0}
         ],
-        "seed": 7
+        "seed": 7,
+        "phases": [{"name": "crowd", "start": 10.0, "end": 15.0}]
     }"#;
 
     #[test]
@@ -616,6 +687,10 @@ mod tests {
         let sc = ScenarioSpec::from_json(SCENARIO).unwrap();
         assert_eq!(sc.timeline.len(), 2);
         assert_eq!(sc.seed, 7);
+        assert_eq!(
+            sc.phases,
+            vec![PhaseWindow { name: "crowd".into(), start: 10.0, end: 15.0 }]
+        );
         let net = sc.net.as_ref().unwrap();
         assert_eq!(net.links.len(), 1);
         assert_eq!(net.links[0].discipline, LinkDiscipline::FairShare);
@@ -638,6 +713,7 @@ mod tests {
         assert!(sc.net.is_none());
         assert!(sc.timeline.is_empty());
         assert_eq!(sc.seed, 0);
+        assert!(sc.phases.is_empty());
         let cfg = sc.build_sim().unwrap();
         assert!(cfg.net.is_none());
         assert!(matches!(cfg.clients[0].cost, RequestCost::Unit));
@@ -741,6 +817,66 @@ mod tests {
         let zero = SCENARIO.replace("1.0e6", "0.0");
         let sc = ScenarioSpec::from_json(&zero).unwrap();
         assert!(matches!(sc.build_sim(), Err(SpecError::Scenario(_))));
+    }
+
+    /// A phase must be a finite window inside the run: NaN (not JSON at
+    /// all), an infinite or negative bound, `start >= end`, or an end past
+    /// `duration` each fail the decode.
+    #[test]
+    fn bad_phase_windows_rejected_at_decode() {
+        let phase = r#"{"name": "crowd", "start": 10.0, "end": 15.0}"#;
+        for bad in [
+            r#"{"name": "crowd", "start": NaN, "end": 15.0}"#,
+            r#"{"name": "crowd", "start": 10.0, "end": 1e999}"#,
+            r#"{"name": "crowd", "start": -1.0, "end": 15.0}"#,
+            r#"{"name": "crowd", "start": 15.0, "end": 15.0}"#,
+            r#"{"name": "crowd", "start": 20.0, "end": 15.0}"#,
+            r#"{"name": "crowd", "start": 10.0, "end": 30.5}"#,
+            r#"{"name": "crowd", "start": 10.0}"#,
+        ] {
+            let text = SCENARIO.replace(phase, bad);
+            assert!(
+                matches!(ScenarioSpec::from_json(&text), Err(SpecError::Json(_))),
+                "{bad} must fail decode"
+            );
+        }
+        // A window ending exactly at `duration` is fine.
+        let last = SCENARIO.replace(phase, r#"{"name": "all", "start": 0.0, "end": 30.0}"#);
+        assert_eq!(ScenarioSpec::from_json(&last).unwrap().phases[0].end, 30.0);
+    }
+
+    /// A misspelled key fails the decode at every level of a scenario,
+    /// naming the key and where it sits, instead of silently dropping
+    /// whatever it was meant to configure.
+    #[test]
+    fn unknown_scenario_keys_rejected_with_their_path() {
+        for (good, bad, want) in [
+            (r#""seed": 7"#, r#""sed": 7"#, "unknown key 'sed'"),
+            (r#""unit_bytes": 6144.0"#, r#""unit_byte": 6144.0"#, "unknown key 'unit_byte' in net"),
+            (
+                r#""discipline": "fair_share""#,
+                r#""disciplin": "fair_share""#,
+                "unknown key 'disciplin' in net.links[0]",
+            ),
+            (
+                r#""extra_rate": 90.0"#,
+                r#""extra_rat": 90.0, "extra_rate": 90.0"#,
+                "unknown key 'extra_rat' in timeline[0]",
+            ),
+            (
+                r#""lb": 0.4, "ub": 1.0}"#,
+                r#""lb": 0.4, "ub": 1.0, "client": 0}"#,
+                "unknown key 'client' in timeline[1]",
+            ),
+            (r#""end": 15.0"#, r#""end": 15.0, "stop": 16.0"#, "unknown key 'stop' in phases[0]"),
+        ] {
+            let text = SCENARIO.replace(good, bad);
+            assert_ne!(text, SCENARIO, "{good} not found");
+            match ScenarioSpec::from_json(&text) {
+                Err(e) => assert!(e.to_string().contains(want), "{bad}: {e}"),
+                Ok(_) => panic!("{bad} must fail decode"),
+            }
+        }
     }
 
     #[test]

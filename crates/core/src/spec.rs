@@ -276,10 +276,19 @@ pub(crate) mod decode {
         deployment_value(&v)
     }
 
+    /// Every top-level key a spec file may carry: the deployment's own,
+    /// then the scenario extras, which `run`, `levels` and `cluster` ignore.
+    const TOP_KEYS: [&str; 15] = [
+        "principals", "agreements", "redirector_tree", "tree_edge_delay", "extra_tree_lag",
+        "policy", "window_secs", "queue_mode", "clients", "duration", "allow",
+        "net", "timeline", "seed", "phases",
+    ];
+
     pub fn deployment_value(v: &Value) -> Result<DeploymentSpec, JsonError> {
         if !matches!(v, Value::Obj(_)) {
             return Err(JsonError::msg("spec must be a JSON object"));
         }
+        known_keys(v, "", &TOP_KEYS)?;
         Ok(DeploymentSpec {
             principals: list(v, "principals", principal)?,
             agreements: list(v, "agreements", agreement)?,
@@ -307,14 +316,16 @@ pub(crate) mod decode {
         })
     }
 
-    fn principal(v: &Value) -> Result<PrincipalSpec, JsonError> {
+    fn principal(v: &Value, path: &str) -> Result<PrincipalSpec, JsonError> {
+        known_keys(v, path, &["name", "capacity"])?;
         Ok(PrincipalSpec {
             name: req_str(v, "name")?,
             capacity: opt_f64(v, "capacity", 0.0)?,
         })
     }
 
-    fn agreement(v: &Value) -> Result<AgreementSpec, JsonError> {
+    fn agreement(v: &Value, path: &str) -> Result<AgreementSpec, JsonError> {
+        known_keys(v, path, &["issuer", "holder", "lb", "ub"])?;
         Ok(AgreementSpec {
             issuer: req_str(v, "issuer")?,
             holder: req_str(v, "holder")?,
@@ -340,30 +351,40 @@ pub(crate) mod decode {
     }
 
     fn policy(v: &Value) -> Result<PolicySpec, JsonError> {
-        match v["kind"].as_str() {
-            Some("community") => Ok(PolicySpec::Community),
-            Some("community_with_locality") => Ok(PolicySpec::CommunityWithLocality {
-                caps: f64_array(&v["caps"], "policy caps")?,
-            }),
-            Some("provider") => Ok(PolicySpec::Provider {
-                prices: f64_array(&v["prices"], "policy prices")?,
-            }),
-            _ => Err(JsonError::msg("policy kind must be community, community_with_locality, or provider")),
-        }
+        let (policy, keys): (_, &[&str]) = match v["kind"].as_str() {
+            Some("community") => (PolicySpec::Community, &["kind"]),
+            Some("community_with_locality") => (
+                PolicySpec::CommunityWithLocality { caps: f64_array(&v["caps"], "policy caps")? },
+                &["kind", "caps"],
+            ),
+            Some("provider") => (
+                PolicySpec::Provider { prices: f64_array(&v["prices"], "policy prices")? },
+                &["kind", "prices"],
+            ),
+            _ => return Err(JsonError::msg("policy kind must be community, community_with_locality, or provider")),
+        };
+        known_keys(v, "policy", keys)?;
+        Ok(policy)
     }
 
     fn queue_mode(v: &Value) -> Result<QueueModeSpec, JsonError> {
-        match v["kind"].as_str() {
-            Some("explicit") => Ok(QueueModeSpec::Explicit),
-            Some("credit_retry") => Ok(QueueModeSpec::CreditRetry {
-                retry_delay: opt_f64(v, "retry_delay", default_retry())?,
-            }),
-            Some("credit_park") => Ok(QueueModeSpec::CreditPark),
-            _ => Err(JsonError::msg("queue_mode kind must be explicit, credit_retry, or credit_park")),
-        }
+        let (mode, keys): (_, &[&str]) = match v["kind"].as_str() {
+            Some("explicit") => (QueueModeSpec::Explicit, &["kind"]),
+            Some("credit_retry") => (
+                QueueModeSpec::CreditRetry {
+                    retry_delay: opt_f64(v, "retry_delay", default_retry())?,
+                },
+                &["kind", "retry_delay"],
+            ),
+            Some("credit_park") => (QueueModeSpec::CreditPark, &["kind"]),
+            _ => return Err(JsonError::msg("queue_mode kind must be explicit, credit_retry, or credit_park")),
+        };
+        known_keys(v, "queue_mode", keys)?;
+        Ok(mode)
     }
 
-    fn client(v: &Value) -> Result<ClientSpec, JsonError> {
+    fn client(v: &Value, path: &str) -> Result<ClientSpec, JsonError> {
+        known_keys(v, path, &["principal", "redirector", "phases", "max_outstanding"])?;
         let phases = v["phases"]
             .as_array()
             .ok_or_else(|| JsonError::msg("client phases must be an array"))?
@@ -398,17 +419,32 @@ pub(crate) mod decode {
         })
     }
 
+    /// Decodes the array under `key`, handing each item its path
+    /// (`key[i]`) for error messages.
     pub fn list<T>(
         v: &Value,
         key: &str,
-        item: fn(&Value) -> Result<T, JsonError>,
+        item: impl Fn(&Value, &str) -> Result<T, JsonError>,
     ) -> Result<Vec<T>, JsonError> {
         v.get(key)
             .and_then(Value::as_array)
             .ok_or_else(|| JsonError::msg(format!("'{key}' must be an array")))?
             .iter()
-            .map(item)
+            .enumerate()
+            .map(|(i, e)| item(e, &format!("{key}[{i}]")))
             .collect()
+    }
+
+    /// Rejects any key of the object `v` (found at `path`; empty for the
+    /// top level) that is not in `known`, so a misspelled key fails the
+    /// decode instead of silently falling back to a default.
+    pub fn known_keys(v: &Value, path: &str, known: &[&str]) -> Result<(), JsonError> {
+        let Value::Obj(fields) = v else { return Ok(()) };
+        match fields.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some((k, _)) if path.is_empty() => Err(JsonError::msg(format!("unknown key '{k}'"))),
+            Some((k, _)) => Err(JsonError::msg(format!("unknown key '{k}' in {path}"))),
+        }
     }
 
     pub fn str_array(v: &Value, what: &str) -> Result<Vec<String>, JsonError> {
@@ -697,6 +733,66 @@ mod tests {
         let plain = DeploymentSpec::from_json(EXAMPLE).unwrap();
         assert!(plain.allow.is_empty());
         assert!(!plain.to_json().contains("allow"));
+    }
+
+    /// A misspelled key fails the decode at every object level, naming the
+    /// key and its path. Before, `max_outstandng` silently turned a
+    /// closed-loop client open-loop and `extra_tree_lagg` ran without lag.
+    #[test]
+    fn unknown_keys_rejected_with_their_path() {
+        let closed = EXAMPLE.replace(
+            r#"{"principal": "A", "phases": [[20.0, 150.0]]}"#,
+            r#"{"principal": "A", "phases": [[20.0, 150.0]], "max_outstanding": 64}"#,
+        );
+        assert!(DeploymentSpec::from_json(&closed).is_ok());
+        for (text, want) in [
+            (
+                closed.replace("max_outstanding", "max_outstandng"),
+                "unknown key 'max_outstandng' in clients[0]",
+            ),
+            (
+                EXAMPLE.replace(
+                    r#""duration": 20.0"#,
+                    r#""duration": 20.0, "extra_tree_lagg": 10.0"#,
+                ),
+                "unknown key 'extra_tree_lagg'",
+            ),
+            (
+                EXAMPLE.replace(r#""name": "A""#, r#""name": "A", "cap": 5.0"#),
+                "unknown key 'cap' in principals[1]",
+            ),
+            (
+                EXAMPLE.replace(r#""lb": 0.8"#, r#""lb": 0.8, "weight": 2.0"#),
+                "unknown key 'weight' in agreements[1]",
+            ),
+            (
+                EXAMPLE.replace(
+                    r#""duration": 20.0"#,
+                    r#""duration": 20.0,
+                       "queue_mode": {"kind": "credit_park", "retry_delay": 0.1}"#,
+                ),
+                "unknown key 'retry_delay' in queue_mode",
+            ),
+            (
+                EXAMPLE.replace(
+                    r#""duration": 20.0"#,
+                    r#""duration": 20.0, "policy": {"kind": "community", "prices": [1.0]}"#,
+                ),
+                "unknown key 'prices' in policy",
+            ),
+        ] {
+            match DeploymentSpec::from_json(&text) {
+                Err(e) => assert!(e.to_string().contains(want), "want {want}, got {e}"),
+                Ok(_) => panic!("must fail decode: {want}"),
+            }
+        }
+        // The scenario keys ride along: `run`, `levels` and `cluster` take
+        // scenario files.
+        let scenario = EXAMPLE.replace(
+            r#""duration": 20.0"#,
+            r#""duration": 20.0, "net": null, "timeline": [], "seed": 3, "phases": []"#,
+        );
+        assert!(DeploymentSpec::from_json(&scenario).is_ok());
     }
 
     #[test]

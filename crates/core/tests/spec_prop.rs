@@ -6,7 +6,7 @@
 //! decoder rejects non-finite and negative link rates, and out-of-order
 //! timelines — which decode permissively — always trip verifier rule V9.
 
-use covenant_core::scenario::{LinkSpec, NetSpec, ScenarioSpec, TimelineEvent};
+use covenant_core::scenario::{LinkSpec, NetSpec, PhaseWindow, ScenarioSpec, TimelineEvent};
 use covenant_core::spec::{
     AgreementSpec, ClientSpec, DeploymentSpec, PolicySpec, PrincipalSpec, QueueModeSpec,
 };
@@ -161,19 +161,29 @@ fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
         (any::<bool>(), net_strategy()),
         vec(event_strategy(), 0..5),
         0usize..1_000_000,
+        vec((0.0..0.5f64, 0.5..1.0f64), 0..3),
     )
-        .prop_map(|(deployment, (has_net, net), timeline, seed)| ScenarioSpec {
-            deployment,
-            net: has_net.then_some(net),
-            timeline,
-            seed: seed as u64,
+        .prop_map(|(deployment, (has_net, net), timeline, seed, windows)| {
+            // Phase windows as fractions of the run, so 0 ≤ start < end ≤ duration.
+            let d = deployment.duration;
+            let phases = windows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (s, e))| PhaseWindow {
+                    name: format!("phase {i}"),
+                    start: s * d,
+                    end: e * d,
+                })
+                .collect();
+            let net = has_net.then_some(net);
+            ScenarioSpec { deployment, net, timeline, seed: seed as u64, phases }
         })
 }
 
 proptest! {
     /// Encode → decode returns the identical scenario: the deployment
     /// keys plus net links, the full timeline (order preserved verbatim),
-    /// and the seed.
+    /// the seed, and the phases.
     #[test]
     fn scenario_spec_json_roundtrip(sc in scenario_strategy()) {
         let json = sc.to_json();

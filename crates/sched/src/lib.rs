@@ -40,7 +40,6 @@ mod multi;
 mod plan;
 mod provider;
 mod request;
-mod vclock;
 mod window;
 
 pub use cache::{levels_fingerprint, PlanCache};
@@ -49,5 +48,4 @@ pub use multi::{MultiCommunityScheduler, PreparedMulti};
 pub use plan::Plan;
 pub use provider::{PreparedProvider, ProviderScheduler};
 pub use request::{Request, RequestId};
-pub use vclock::VirtualClock;
 pub use window::{GlobalView, Policy, SchedulerConfig, WindowScheduler};

@@ -6,12 +6,8 @@
 //! (time-series output where meaningful), and `--deny all|V1,…`
 //! (escalate verifier findings to hard failures, exactly as `check`
 //! interprets it). The parser is strict: an unknown `--flag` is an error,
-//! never silently ignored.
-//!
-//! The old ad-hoc simulation overrides survive as deprecated aliases:
-//! `--duration <secs>` and `--seed <n>` rewrite the corresponding
-//! `ScenarioSpec` fields after parsing, with a warning pointing at the
-//! scenario file as the durable home for both.
+//! never silently ignored. What to run — duration and seed included — is
+//! the spec file's to say.
 
 use covenant::verify::{RuleMeta, VRule};
 
@@ -30,10 +26,6 @@ pub struct Options {
     pub list_rules: bool,
     /// `--deny`: findings from these rules fail the command.
     pub deny: Vec<VRule>,
-    /// Deprecated `--duration` alias onto the spec's `duration` field.
-    pub duration: Option<f64>,
-    /// Deprecated `--seed` alias onto the scenario's `seed` field.
-    pub seed: Option<u64>,
 }
 
 impl Options {
@@ -58,22 +50,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 )?;
                 o.deny = VRule::parse_deny(spec)
                     .ok_or_else(|| format!("unknown rule in --deny {spec}; see --list-rules"))?;
-            }
-            "--duration" => {
-                let v = it.next().ok_or("--duration needs a number of seconds")?;
-                eprintln!(
-                    "warning: --duration is deprecated; set \"duration\" in the spec file"
-                );
-                o.duration =
-                    Some(v.parse().map_err(|_| format!("--duration needs a number, got {v}"))?);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a non-negative integer")?;
-                eprintln!("warning: --seed is deprecated; set \"seed\" in the scenario file");
-                o.seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("--seed needs a non-negative integer, got {v}"))?,
-                );
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag {flag}"));
@@ -118,13 +94,8 @@ mod tests {
         assert!(parse(&args(&["--jsno"])).is_err());
         assert!(parse(&args(&["--deny"])).is_err());
         assert!(parse(&args(&["--deny", "V99"])).is_err());
-    }
-
-    #[test]
-    fn deprecated_aliases_parse_with_values() {
-        let o = parse(&args(&["s.json", "--duration", "12.5", "--seed", "9"])).unwrap();
-        assert_eq!(o.duration, Some(12.5));
-        assert_eq!(o.seed, Some(9));
-        assert!(parse(&args(&["--duration", "soon"])).is_err());
+        // The spec file owns duration and seed; the old overrides are gone.
+        assert!(parse(&args(&["s.json", "--duration", "inf"])).is_err());
+        assert!(parse(&args(&["s.json", "--seed", "9"])).is_err());
     }
 }

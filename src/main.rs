@@ -16,9 +16,12 @@
 //! covenant sim scenario.json [--csv | --json] [--deny ...]
 //!                                      # simulate the full scenario: shared
 //!                                      # links, timeline dynamics, seeded
-//!                                      # reply sizes; --json output is
-//!                                      # replay-deterministic
-//! covenant figures                     # reproduce Figures 1 and 6-10
+//!                                      # reply sizes; the table output adds
+//!                                      # a per-phase rate table when the
+//!                                      # file declares "phases"; --json
+//!                                      # output is replay-deterministic
+//! covenant figures                     # Figure 1, then Figures 6-10 from
+//!                                      # examples/scenarios/fig*.json
 //! covenant cluster spec.json [secs] [--deny ...]
 //!                                      # launch the spec's combining tree as
 //!                                      # real OS processes, run for `secs`
@@ -33,11 +36,11 @@
 //! everything.
 
 mod cli;
+mod figures;
 
 use cli::Options;
 use covenant::agreements::PrincipalId;
-use covenant::core::scenarios;
-use covenant::core::{DeploymentSpec, ScenarioSpec};
+use covenant::core::{DeploymentSpec, ScenarioOutcome, ScenarioSpec};
 use covenant::sim::{SimReport, Simulation};
 use std::process::ExitCode;
 
@@ -80,10 +83,6 @@ fn main() -> ExitCode {
             Ok(())
         }),
         Some("run") => with_spec(&opts, true, |spec| {
-            let mut spec = spec.clone();
-            if let Some(d) = opts.duration {
-                spec.duration = d;
-            }
             let cfg = spec.build_sim()?;
             let names: Vec<String> = spec.principals.iter().map(|p| p.name.clone()).collect();
             let report = Simulation::new(cfg).run();
@@ -124,25 +123,7 @@ fn main() -> ExitCode {
             cluster.shutdown();
             Ok(())
         }),
-        Some("figures") => {
-            let f1 = scenarios::fig1();
-            println!("== Figure 1 ==");
-            println!(
-                "uncoordinated (A {:.0}, B {:.0})  coordinated (A {:.0}, B {:.0})\n",
-                f1.uncoordinated.0, f1.uncoordinated.1, f1.coordinated.0, f1.coordinated.1
-            );
-            for (name, scenario) in [
-                ("Figure 6", scenarios::fig6(30.0)),
-                ("Figure 7", scenarios::fig7(30.0)),
-                ("Figure 8", scenarios::fig8(10.0)),
-                ("Figure 9", scenarios::fig9(30.0)),
-                ("Figure 10", scenarios::fig10(30.0)),
-            ] {
-                println!("== {name} ==");
-                println!("{}", scenario.run().phase_table());
-            }
-            ExitCode::SUCCESS
-        }
+        Some("figures") => exit_of(figures::run(&opts)),
         _ => {
             eprintln!(
                 "usage: covenant <example-spec | check <spec.json> [--json] [--deny all|V1,...] \
@@ -202,27 +183,39 @@ fn check_cmd(opts: &Options) -> ExitCode {
 }
 
 /// `covenant sim`: materialize a full scenario — shared links, timeline
-/// dynamics, seeded reply sizes — and run it on the streaming engine.
+/// dynamics, seeded reply sizes — and run it on the streaming engine. The
+/// table output ends with the per-phase rate table when the scenario
+/// declares `phases`.
 fn sim_cmd(opts: &Options) -> ExitCode {
     let run = || -> Result<(), Box<dyn std::error::Error>> {
         let path =
             opts.require_path("covenant sim <scenario.json> [--csv | --json] [--deny ...]")?;
-        let text = verify_gate(path, opts)?;
-        let mut sc = ScenarioSpec::from_json(&text)?;
-        if let Some(d) = opts.duration {
-            sc.deployment.duration = d;
-        }
-        if let Some(s) = opts.seed {
-            sc.seed = s;
-        }
-        let cfg = sc.build_sim()?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        let (sc, outcome) = simulate(path, &text, opts)?;
         let names: Vec<String> =
             sc.deployment.principals.iter().map(|p| p.name.clone()).collect();
-        let report = Simulation::new(cfg).run();
-        print_report(opts, &names, sc.deployment.duration, &report, true);
+        print_report(opts, &names, sc.deployment.duration, &outcome.report, true);
+        if !(opts.json || opts.csv || sc.phases.is_empty()) {
+            print!("\n{}", outcome.phase_table());
+        }
         Ok(())
     };
     exit_of(run())
+}
+
+/// The one scenario path behind `sim` and `figures`: verify the text
+/// (labelled `label` in diagnostics), decode it, build it, run it, and
+/// summarize its phases.
+fn simulate(
+    label: &str,
+    text: &str,
+    opts: &Options,
+) -> Result<(ScenarioSpec, ScenarioOutcome), Box<dyn std::error::Error>> {
+    verify_gate(label, text, opts)?;
+    let sc = ScenarioSpec::from_json(text)?;
+    let cfg = sc.build_sim()?;
+    let outcome = ScenarioOutcome::run(&sc, cfg);
+    Ok((sc, outcome))
 }
 
 fn with_spec(
@@ -232,11 +225,10 @@ fn with_spec(
 ) -> ExitCode {
     let run = || -> Result<(), Box<dyn std::error::Error>> {
         let path = opts.require_path("covenant <subcommand> <spec.json> [flags]")?;
-        let text = if verify {
-            verify_gate(path, opts)?
-        } else {
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
-        };
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        if verify {
+            verify_gate(path, &text, opts)?;
+        }
         let spec = DeploymentSpec::from_json(&text)?;
         f(&spec)
     };
@@ -258,12 +250,12 @@ fn read_and_check(path: &str) -> Result<Vec<covenant::verify::Diagnostic>, Strin
     covenant::verify::check_text(path, &text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Reads the spec, verifies it (rules V1–V10 over the full scenario), and
-/// fails on error-severity findings or anything in `--deny`.
-fn verify_gate(path: &str, opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
+/// Verifies a spec (rules V1–V10 over the full scenario; `label` names it
+/// in diagnostics) and fails on error-severity findings or anything in
+/// `--deny`.
+fn verify_gate(label: &str, text: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     use covenant::verify::RuleMeta;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let diags = covenant::verify::check_text(path, &text)?;
+    let diags = covenant::verify::check_text(label, text)?;
     for d in &diags {
         eprintln!("{d}");
     }
@@ -280,7 +272,7 @@ fn verify_gate(path: &str, opts: &Options) -> Result<String, Box<dyn std::error:
         )
         .into());
     }
-    Ok(text)
+    Ok(())
 }
 
 /// One report printer behind `run` and `sim`: rate table by default, CSV

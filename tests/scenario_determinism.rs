@@ -1,5 +1,7 @@
-//! Tier-1 gates over the shipped scenario library (`examples/scenarios/`):
-//! every scenario must verify clean under the strictest setting, and must
+//! Tier-1 gates over the shipped scenario library (`examples/scenarios/`,
+//! the paper's `fig*.json` testbeds included): every scenario must verify
+//! clean under the strictest setting (findings a file deliberately allows
+//! are suppressed by its `"allow"` list), and must
 //! be replay-deterministic — two runs with the declared seed produce
 //! byte-identical report JSON (the same document `covenant sim --json`
 //! prints).
@@ -16,9 +18,10 @@ fn shipped_scenarios() -> Vec<PathBuf> {
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
+    // Six library scenarios plus the paper's five figure files.
     assert!(
-        paths.len() >= 6,
-        "scenario library must ship at least 6 scenarios, found {}",
+        paths.len() >= 11,
+        "scenario library must ship at least 11 scenarios, found {}",
         paths.len()
     );
     paths
