@@ -26,7 +26,7 @@
 //! restart injections on the [`SimConfig`].
 
 use crate::json::{JsonError, Value};
-use crate::spec::{decode, encode, DeploymentSpec, SpecError};
+use crate::spec::{check_retry_gap, decode, encode, DeploymentSpec, SpecError};
 use covenant_agreements::PrincipalId;
 use covenant_sim::{
     LinkCfg, LinkDiscipline, NetModelCfg, RequestCost, SimConfig,
@@ -283,9 +283,14 @@ impl ScenarioSpec {
                     *phases = overlay(phases, *at, f64::INFINITY, |r| r * *factor);
                 }
                 TimelineEvent::Diurnal { at, period, client, peak_rate, trough_rate } => {
-                    if *period <= 0.0 || period.is_nan() {
+                    // No scheduler sees modulation faster than its window,
+                    // and this bound keeps the phase list within about
+                    // twice the run's tick count.
+                    if period.is_nan() || *period < dep.window_secs {
                         return Err(scenario_err(format!(
-                            "timeline[{ei}] (diurnal) period must be positive, got {period}"
+                            "timeline[{ei}] (diurnal) period must be at least window_secs \
+                             ({}), got {period}",
+                            dep.window_secs
                         )));
                     }
                     let duration = dep.duration;
@@ -305,7 +310,7 @@ impl ScenarioSpec {
             }
         }
 
-        let mut cfg = dep.build_sim()?;
+        let mut cfg = dep.sim_config()?;
 
         if let Some(net) = &self.net {
             if net.links.len() != cfg.n_redirectors() {
@@ -389,6 +394,7 @@ impl ScenarioSpec {
                 scenario_err(format!("timeline[{ei}] (renegotiate) cannot apply: {e}"))
             })?;
         }
+        check_retry_gap(&cfg)?;
         Ok(cfg)
     }
 }
@@ -760,6 +766,58 @@ mod tests {
         let _ = machine; // phases live inside the load; run smoke below
         let report = Simulation::new(cfg).run();
         assert!(report.events_processed > 0);
+    }
+
+    /// A diurnal period shorter than the scheduling window is a build
+    /// error, not a phase list of one entry per half-period.
+    #[test]
+    fn diurnal_period_below_window_rejected() {
+        let diurnal = |period: &str| {
+            SCENARIO.replace(
+                r#"{"kind": "flash_crowd", "at": 10.0, "duration": 5.0, "client": 0, "extra_rate": 90.0}"#,
+                &format!(
+                    r#"{{"kind": "diurnal", "at": 0.0, "period": {period}, "client": 0, "peak_rate": 80.0, "trough_rate": 10.0}}"#
+                ),
+            )
+        };
+        for bad in ["0.05", "0.0", "1e-9"] {
+            let sc = ScenarioSpec::from_json(&diurnal(bad)).unwrap();
+            match sc.build_sim() {
+                Err(SpecError::Scenario(m)) => {
+                    assert!(m.starts_with("timeline[0] (diurnal) period"), "{bad}: {m}")
+                }
+                other => panic!("period {bad}: {other:?}"),
+            }
+        }
+        let at_window = ScenarioSpec::from_json(&diurnal("0.1")).unwrap();
+        assert!(at_window.build_sim().is_ok());
+    }
+
+    /// A credit-retry self-redirect that costs no time would re-present a
+    /// deferred request at the same instant for ever; the build refuses it
+    /// instead of hanging the run. Hop latency alone is enough of a gap.
+    #[test]
+    fn zero_retry_gap_rejected() {
+        let spec = |net: &str| {
+            format!(
+                r#"{{
+                "principals": [{{"name": "S", "capacity": 100.0}}, {{"name": "A", "capacity": 0.0}}],
+                "agreements": [{{"issuer": "S", "holder": "A", "lb": 0.0, "ub": 0.5}}],
+                "queue_mode": {{"kind": "credit_retry", "retry_delay": 0.0}},
+                "clients": [{{"principal": "A", "phases": [[5.0, 200.0]]}}],
+                "duration": 5.0{net}
+            }}"#
+            )
+        };
+        let sc = ScenarioSpec::from_json(&spec("")).unwrap();
+        match sc.build_sim() {
+            Err(SpecError::Scenario(m)) => assert!(m.contains("queue_mode.retry_delay"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(sc.deployment.build_sim(), Err(SpecError::Scenario(_))));
+        let hop = r#", "net": {"links": [{"rate_bytes_per_sec": 1.0e6}], "hop_latency": 0.001}"#;
+        let sc = ScenarioSpec::from_json(&spec(hop)).unwrap();
+        assert!(sc.build_sim().is_ok());
     }
 
     #[test]

@@ -212,6 +212,14 @@ impl DeploymentSpec {
 
     /// Materializes the full simulator configuration.
     pub fn build_sim(&self) -> Result<SimConfig, SpecError> {
+        let cfg = self.sim_config()?;
+        check_retry_gap(&cfg)?;
+        Ok(cfg)
+    }
+
+    /// [`DeploymentSpec::build_sim`] without the final whole-config checks,
+    /// for a scenario that adds its hop latency first.
+    pub(crate) fn sim_config(&self) -> Result<SimConfig, SpecError> {
         let graph = self.build_graph()?;
         let tree = Topology::from_parents(
             &self.redirector_tree,
@@ -259,6 +267,26 @@ impl DeploymentSpec {
             };
         }
         Ok(cfg)
+    }
+}
+
+/// Rejects a credit-retry run whose self-redirect costs no time at all
+/// (`retry_delay + 2 × hop latency = 0`): a deferred request would come
+/// back at the instant it left, for ever, before the next window tick
+/// could refill any credit, and the run would never end.
+pub(crate) fn check_retry_gap(cfg: &SimConfig) -> Result<(), SpecError> {
+    match cfg.mode {
+        QueueMode::CreditRetry { retry_delay }
+            if retry_delay + 2.0 * cfg.network_latency <= 0.0 =>
+        {
+            Err(SpecError::Scenario(format!(
+                "queue_mode.retry_delay is {retry_delay} and the hop latency is {}: a \
+                 self-redirected request would return at the instant it left, so the run \
+                 never advances; make retry_delay or net.hop_latency positive",
+                cfg.network_latency
+            )))
+        }
+        _ => Ok(()),
     }
 }
 

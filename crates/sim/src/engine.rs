@@ -7,16 +7,19 @@
 //! * [`Simulation::run`] — the production engine. Client arrivals and
 //!   window ticks are *streamed*: the event heap holds at most one pending
 //!   arrival per client (plus in-flight completions/retries and the next
-//!   tick), so memory is bounded by concurrency, not run length. Request
+//!   tick), so memory is bounded by concurrency, not run length. A
+//!   deferred request's retry, which under credit retry is most events,
+//!   joins the queue's FIFO retry lane instead of the heap. Request
 //!   metadata lives in a dense free-list slab keyed by the [`RequestId`]s
 //!   it hands out, and each window's round closes through the `TreeNode`s
 //!   of the world's `LocalTree`.
 //! * `Simulation::run_reference` — the tests' correctness oracle (the role
 //!   `solve_reference` plays for the LP), compiled for tests only. It
 //!   materializes every arrival and tick up front, keeps metadata in a
-//!   `HashMap`, and closes each round centrally with `Topology::aggregate`,
-//!   stamping the views itself. What it checks — streaming, the slab, tree
-//!   rounds — is thereby independent of the path under test.
+//!   `HashMap`, closes each round centrally with `Topology::aggregate`,
+//!   stamping the views itself, and heap-schedules every retry. What it
+//!   checks — streaming, the retry lane, the slab, tree rounds — is thereby
+//!   independent of the path under test.
 //!
 //! The [`EventQueue`]'s class-keyed ordering guarantees both paths pop
 //! the identical event sequence, so their reports agree on every
@@ -584,7 +587,7 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                     ArrivalOutcome::Defer if retries < self.cfg.max_retries => {
                         let retries = retries + 1;
                         let retry = Event::Arrival { request, redirector, client, retries, bytes };
-                        events.push(now + self.redirectors.retry_delay, retry);
+                        events.push_retry(now + self.redirectors.retry_delay, retry);
                     }
                     ArrivalOutcome::Defer => {
                         self.redirectors.abandoned += 1;
@@ -764,9 +767,10 @@ impl Simulation {
     }
 
     /// Runs to completion on the pre-optimization path: every arrival and
-    /// tick is materialized and heap-scheduled up front, request metadata
-    /// lives in a `HashMap`, and rounds close centrally — the seed engine's
-    /// O(total requests) memory and cost profile.
+    /// tick is materialized and heap-scheduled up front, retries go through
+    /// the heap too, request metadata lives in a `HashMap`, and rounds close
+    /// centrally — the seed engine's O(total requests) memory and cost
+    /// profile.
     ///
     /// The oracle the `streaming_matches_reference_*` tests compare
     /// [`Simulation::run`] against.
@@ -774,7 +778,7 @@ impl Simulation {
     pub fn run_reference(self) -> SimReport {
         let start = Instant::now();
         let cfg = &self.cfg;
-        let mut events = EventQueue::new();
+        let mut events = EventQueue::heap_only();
         let ticks = (0u64..).map(|i| i as f64 * cfg.window_secs).take_while(|&t| t <= cfg.duration);
         for t in ticks {
             events.push(t, Event::WindowTick);

@@ -1,4 +1,5 @@
-//! The event queue: a deterministic min-heap of timestamped events.
+//! The event queue: a deterministic min-heap of timestamped events, plus a
+//! FIFO lane for self-redirect retries.
 //!
 //! Events are totally ordered by `(time, key)`. The key encodes the event's
 //! *class* so that lazily streamed events reproduce the exact tie-breaking
@@ -16,10 +17,22 @@
 //! insertion sequence therefore produces exactly this order. Encoding it in
 //! the key lets the streaming path hold one pending arrival per client
 //! and still pop the identical event sequence.
+//!
+//! Retries are the fourth source, and under credit retry nearly every
+//! event is one. The engine schedules each at `now + retry_delay`, with a
+//! delay fixed for the run and a `now` that never decreases, so retry times
+//! never decrease in push order; their runtime keys come from the one
+//! shared counter and only grow. A `VecDeque` filled in push order is then
+//! already sorted by `(time, key)`, and [`EventQueue::push_retry`] appends
+//! to it instead of sifting through the heap. [`EventQueue::pop`] takes the
+//! earlier of the lane's front and the heap's top under the same order, so
+//! the popped sequence is the one an all-heap queue would produce. A retry
+//! earlier than the lane's back goes to the heap, so that order holds
+//! whatever delays a caller uses.
 
 use covenant_sched::Request;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Simulation events.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,8 +132,13 @@ impl Ord for Scheduled {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
+    /// Retries in push order, sorted by construction (see the module docs).
+    retries: VecDeque<Scheduled>,
     next_seq: u64,
     peak: usize,
+    /// Test oracle only: every retry goes through the heap.
+    #[cfg(test)]
+    heap_only: bool,
 }
 
 impl EventQueue {
@@ -129,13 +147,45 @@ impl EventQueue {
         Self::default()
     }
 
+    /// Empty queue whose [`EventQueue::push_retry`] is a plain
+    /// [`EventQueue::push`], so an oracle run checks the lane end to end.
+    #[cfg(test)]
+    pub(crate) fn heap_only() -> Self {
+        EventQueue { heap_only: true, ..Self::default() }
+    }
+
     /// Schedules a runtime `event` at absolute time `time` (FIFO among
     /// equal timestamps, after any tick or original arrival at the same
     /// time).
     pub fn push(&mut self, time: f64, event: Event) {
+        let key = self.next_runtime_key();
+        self.push_keyed(time, key, event);
+    }
+
+    /// Schedules a self-redirect retry: ordered exactly like
+    /// [`EventQueue::push`], but a retry no earlier than the last one
+    /// queued joins the FIFO lane instead of the heap.
+    pub fn push_retry(&mut self, time: f64, event: Event) {
+        let key = self.next_runtime_key();
+        #[cfg(test)]
+        if self.heap_only {
+            return self.push_keyed(time, key, event);
+        }
+        // Keys only grow, so a retry due no earlier than the lane's back
+        // keeps the lane sorted.
+        if self.retries.back().is_some_and(|back| time < back.time) {
+            self.push_keyed(time, key, event);
+        } else {
+            assert!(time.is_finite(), "event time must be finite");
+            self.retries.push_back(Scheduled { time, key, event });
+            self.note_len();
+        }
+    }
+
+    fn next_runtime_key(&mut self) -> EventKey {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_keyed(time, EventKey::Runtime(seq), event);
+        EventKey::Runtime(seq)
     }
 
     /// Schedules window tick number `index` (ticks sort before everything
@@ -154,24 +204,32 @@ impl EventQueue {
     fn push_keyed(&mut self, time: f64, key: EventKey, event: Event) {
         assert!(time.is_finite(), "event time must be finite");
         self.heap.push(Scheduled { time, key, event });
-        if self.heap.len() > self.peak {
-            self.peak = self.heap.len();
-        }
+        self.note_len();
     }
 
-    /// Pops the earliest event.
+    fn note_len(&mut self) {
+        self.peak = self.peak.max(self.len());
+    }
+
+    /// Pops the earliest event, from the heap or the retry lane.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        // `Scheduled` orders the earlier event as the greater.
+        let lane_first = match (self.retries.front(), self.heap.peek()) {
+            (Some(lane), Some(top)) => lane > top,
+            (lane, _) => lane.is_some(),
+        };
+        let next = if lane_first { self.retries.pop_front() } else { self.heap.pop() };
+        next.map(|s| (s.time, s.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.retries.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.retries.is_empty()
     }
 
     /// Largest number of events ever pending at once.
@@ -240,6 +298,67 @@ mod tests {
     }
 
     #[test]
+    fn peak_counts_the_retry_lane() {
+        let mut q = EventQueue::new();
+        q.push(5.0, Event::Completion { server: 0 });
+        q.push_retry(1.0, Event::Completion { server: 1 });
+        q.push_retry(2.0, Event::Completion { server: 2 });
+        assert_eq!((q.len(), q.peak_len()), (3, 3));
+        q.pop();
+        q.push_retry(3.0, Event::Completion { server: 3 });
+        q.push_retry(4.0, Event::Completion { server: 4 });
+        assert_eq!((q.len(), q.peak_len()), (4, 4));
+        while q.pop().is_some() {}
+        assert!(q.is_empty());
+        assert_eq!(q.peak_len(), 4);
+    }
+
+    #[test]
+    fn retries_merge_with_the_heap_in_key_order() {
+        let mut q = EventQueue::new();
+        q.push_retry(1.0, Event::Completion { server: 0 });
+        q.push(1.0, Event::Completion { server: 1 });
+        q.push_retry(1.0, Event::Completion { server: 2 });
+        q.push_tick(1.0, 0, Event::WindowTick);
+        q.push_retry(3.0, Event::Completion { server: 3 });
+        // Earlier than the lane's back: must still pop in time order.
+        q.push_retry(2.0, Event::Completion { server: 4 });
+        q.push(0.5, Event::Completion { server: 5 });
+        let order: Vec<(f64, Event)> = std::iter::from_fn(|| q.pop()).collect();
+        let c = |server| Event::Completion { server };
+        let want = vec![
+            (0.5, c(5)),
+            (1.0, Event::WindowTick),
+            (1.0, c(0)),
+            (1.0, c(1)),
+            (1.0, c(2)),
+            (2.0, c(4)),
+            (3.0, c(3)),
+        ];
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn heap_only_queue_pops_the_same_sequence() {
+        let fill = |q: &mut EventQueue| {
+            for (i, t) in [2.0, 2.0, 3.0, 1.0, 4.0, 4.0].into_iter().enumerate() {
+                if i % 2 == 0 {
+                    q.push_retry(t, Event::Completion { server: i });
+                } else {
+                    q.push(t, Event::Completion { server: i });
+                }
+            }
+        };
+        let (mut lane, mut heap) = (EventQueue::new(), EventQueue::heap_only());
+        fill(&mut lane);
+        fill(&mut heap);
+        assert!(heap.retries.is_empty());
+        assert_eq!(lane.retries.len(), 3);
+        let drain = |q: &mut EventQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut lane), drain(&mut heap));
+    }
+
+    #[test]
     fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -255,5 +374,12 @@ mod tests {
     fn rejects_nan_time() {
         let mut q = EventQueue::new();
         q.push(f64::NAN, Event::Completion { server: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn rejects_infinite_retry_time() {
+        let mut q = EventQueue::new();
+        q.push_retry(f64::INFINITY, Event::Completion { server: 0 });
     }
 }

@@ -18,6 +18,54 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     (0u8..6).prop_map(|v| if v < 4 { Op::Push(v) } else { Op::Pop })
 }
 
+/// One step of a schedule that mixes every push kind.
+#[derive(Debug, Clone)]
+enum MixedOp {
+    /// Runtime push at this time slot.
+    Push(u8),
+    /// Retry this many slots after the previous retry (monotone).
+    Retry(u8),
+    /// Retry this many slots *before* the previous retry: an out-of-order
+    /// retry, which must fall back to the heap.
+    EarlyRetry(u8),
+    /// Window tick at this time slot.
+    Tick(u8),
+    /// Original arrival at this time slot from this client.
+    Arrival(u8, u8),
+    /// Pop the earliest event.
+    Pop,
+}
+
+fn mixed_op() -> impl Strategy<Value = MixedOp> {
+    // Weights out of 13: push 2, retry 4, early retry 1, tick 1, arrival 1,
+    // pop 4.
+    (0u8..13, 0u8..8, 0u8..3).prop_map(|(kind, t, c)| match kind {
+        0..=1 => MixedOp::Push(t),
+        2..=5 => MixedOp::Retry(t % 2),
+        6 => MixedOp::EarlyRetry(1 + t % 2),
+        7 => MixedOp::Tick(t),
+        8 => MixedOp::Arrival(t, c),
+        _ => MixedOp::Pop,
+    })
+}
+
+fn arrival_event(t: u8, client: u8, index: u64) -> Event {
+    use covenant_agreements::PrincipalId;
+    use covenant_sched::{Request, RequestId};
+    Event::Arrival {
+        request: Request {
+            id: RequestId(index),
+            principal: PrincipalId(0),
+            arrival: t as f64,
+            cost: 1.0,
+        },
+        redirector: 0,
+        client: client as usize,
+        retries: 0,
+        bytes: 0.0,
+    }
+}
+
 proptest! {
     /// Runtime events at equal timestamps pop in push order (FIFO), no
     /// matter how pushes and pops interleave. The model is a stable sort
@@ -62,6 +110,77 @@ proptest! {
             let (time, event) = q.pop().expect("drain");
             prop_assert_eq!(time, t as f64);
             prop_assert_eq!(event, Event::Completion { server: s });
+        }
+        prop_assert!(q.pop().is_none());
+    }
+
+    /// The retry lane merges with the heap without changing the pop order:
+    /// under any interleaving of runtime pushes, retries (mostly monotone,
+    /// some deliberately earlier than the lane's back), ticks, original
+    /// arrivals and pops, the queue pops exactly what the naive model —
+    /// min by `(time, class, index)` — picks, and `len`/`peak_len` count
+    /// every pending event wherever it waits.
+    #[test]
+    fn retry_lane_matches_naive_order(ops in proptest::collection::vec(mixed_op(), 1..96)) {
+        let mut q = EventQueue::new();
+        // Model entries: ((time, class, index), event).
+        let mut pending: Vec<((u8, u8, u64), Event)> = Vec::new();
+        let (mut seq, mut ticks, mut arrivals) = (0u64, 0u64, 0u64);
+        let mut lane_time = 0u8;
+        let mut peak = 0usize;
+        for op in ops {
+            let mut runtime = |q: &mut EventQueue, t: u8, retry: bool| {
+                let event = Event::Completion { server: seq as usize };
+                if retry {
+                    q.push_retry(t as f64, event.clone());
+                } else {
+                    q.push(t as f64, event.clone());
+                }
+                pending.push(((t, 2, seq), event));
+                seq += 1;
+            };
+            match op {
+                MixedOp::Push(t) => runtime(&mut q, t, false),
+                MixedOp::Retry(step) => {
+                    lane_time = lane_time.saturating_add(step);
+                    runtime(&mut q, lane_time, true);
+                }
+                MixedOp::EarlyRetry(back) => {
+                    runtime(&mut q, lane_time.saturating_sub(back), true);
+                }
+                MixedOp::Tick(t) => {
+                    q.push_tick(t as f64, ticks, Event::WindowTick);
+                    pending.push(((t, 0, ticks), Event::WindowTick));
+                    ticks += 1;
+                }
+                MixedOp::Arrival(t, client) => {
+                    let index = arrivals;
+                    arrivals += 1;
+                    let event = arrival_event(t, client, index);
+                    q.push_arrival(t as f64, client as usize, index, event.clone());
+                    // Arrivals rank by (client, index); fold both into one key.
+                    pending.push(((t, 1, ((client as u64) << 32) | index), event));
+                }
+                MixedOp::Pop => {
+                    let got = q.pop();
+                    let best = pending.iter().enumerate().min_by_key(|(_, (k, _))| *k).map(|(i, _)| i);
+                    match best {
+                        None => prop_assert!(got.is_none()),
+                        Some(i) => {
+                            let ((t, _, _), want) = pending.remove(i);
+                            prop_assert_eq!(got, Some((t as f64, want)));
+                        }
+                    }
+                }
+            }
+            peak = peak.max(pending.len());
+            prop_assert_eq!(q.len(), pending.len());
+            prop_assert_eq!(q.is_empty(), pending.is_empty());
+            prop_assert_eq!(q.peak_len(), peak);
+        }
+        pending.sort_by_key(|(k, _)| *k);
+        for ((t, _, _), want) in pending {
+            prop_assert_eq!(q.pop(), Some((t as f64, want)));
         }
         prop_assert!(q.pop().is_none());
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour check for refactors: this tree's `covenant` must print the same
-# bytes as another revision's on every library scenario and on the paper
-# figures.
+# bytes as another revision's on every library scenario, every benchmark
+# workload scenario and the paper figures.
 #
 #   scripts/same_outputs.sh <rev>
 #
@@ -9,12 +9,13 @@
 #
 # <rev>'s committed files are unpacked (`git archive`) under $TMPDIR, built
 # there, and removed again on exit. Both binaries run
-# `covenant sim <f> --json` for every examples/scenarios/*.json of this tree,
-# then `covenant figures`; the outputs are compared with `cmp`. Exits 0 when
-# all are identical, 1 naming the first that differs.
+# `covenant sim <f> --json` for every examples/scenarios/*.json and
+# benchmark/workloads/*.json of this tree (the latter only read), then
+# `covenant figures`; the outputs are compared with `cmp`. Exits 0 when all
+# are identical, 1 naming the first that differs.
 set -euo pipefail
 
-usage() { sed -n '2,13p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 rev="${1:-}"
 [[ -n "$rev" && "$rev" != -* && $# -eq 1 ]] || usage
@@ -44,7 +45,7 @@ same() { # <name> <args...>
   echo "same: $name"
 }
 
-for scenario in "$here"/examples/scenarios/*.json; do
+for scenario in "$here"/examples/scenarios/*.json "$here"/benchmark/workloads/*.json; do
   same "${scenario#"$here"/}" sim "$scenario" --json
 done
 same "covenant figures" figures
