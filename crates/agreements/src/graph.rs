@@ -224,13 +224,6 @@ impl AgreementGraph {
         Ok(())
     }
 
-    /// The direct agreement from `issuer` to `holder`, if any.
-    pub fn agreement_between(&self, issuer: PrincipalId, holder: PrincipalId) -> Option<&Agreement> {
-        self.agreements
-            .iter()
-            .find(|a| a.issuer == issuer && a.holder == holder)
-    }
-
     /// The capacity vector `V` in id order.
     pub fn capacities(&self) -> Vec<f64> {
         self.principals.iter().map(|p| p.capacity).collect()
@@ -401,13 +394,5 @@ mod tests {
             g.set_capacity(PrincipalId(42), 1.0),
             Err(AgreementError::UnknownPrincipal(42))
         ));
-    }
-
-    #[test]
-    fn agreement_between_finds_directed_edge() {
-        let (g, a, b, c) = figure3();
-        assert!(g.agreement_between(a, b).is_some());
-        assert!(g.agreement_between(b, a).is_none());
-        assert!(g.agreement_between(a, c).is_none());
     }
 }

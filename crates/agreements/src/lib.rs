@@ -58,16 +58,12 @@ mod currency;
 mod error;
 mod flows;
 mod graph;
-mod hierarchy;
 mod levels;
-mod multi;
 mod ticket;
 
 pub use currency::{Currency, CurrencyValue};
 pub use error::AgreementError;
 pub use flows::{FlowMatrices, FlowOptions};
 pub use graph::{Agreement, AgreementGraph, Principal, PrincipalId};
-pub use hierarchy::{Hierarchy, Role};
 pub use levels::AccessLevels;
-pub use multi::{MultiAccessLevels, MultiAgreementGraph, ResourceKind, ResourceVector};
 pub use ticket::{Fraction, Ticket, TicketKind};

@@ -27,6 +27,11 @@ pub enum Value {
 
 static NULL: Value = Value::Null;
 
+/// Deepest array/object nesting the parser accepts. Parsing recurses once
+/// per level, so an unbounded depth lets a hostile document overflow the
+/// stack; no spec or report comes near this.
+pub const MAX_DEPTH: u32 = 128;
+
 impl Value {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
@@ -244,7 +249,7 @@ impl Spanned {
     /// Parses a JSON document, recording the position of every value.
     pub fn parse(text: &str) -> Result<Spanned, JsonError> {
         let mut p =
-            Parser { bytes: text.as_bytes(), pos: 0, scanned: 0, line: 1, line_start: 0 };
+            Parser { bytes: text.as_bytes(), pos: 0, scanned: 0, line: 1, line_start: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -367,6 +372,8 @@ struct Parser<'a> {
     line: u32,
     /// Byte offset where `line` starts.
     line_start: usize,
+    /// Arrays and objects open around the current position.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -437,14 +444,29 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Node::Bool(true))?,
             Some(b'f') => self.literal("false", Node::Bool(false))?,
             Some(b'"') => Node::Str(self.string()?),
-            Some(b'[') => self.array()?,
-            Some(b'{') => self.object()?,
+            Some(b'[') => self.nested(Self::array)?,
+            Some(b'{') => self.nested(Self::object)?,
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
             Some(c) => {
                 return Err(self.err(&format!("unexpected character '{}'", c as char)))
             }
         };
         Ok(Spanned { line, col, node })
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Node, JsonError>,
+    ) -> Result<Node, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let node = parse(self);
+        self.depth -= 1;
+        node
     }
 
     fn array(&mut self) -> Result<Node, JsonError> {
@@ -647,6 +669,17 @@ mod tests {
         let src = r#"{"a": [1, 2.5, null, true], "b": {"c": "x"}, "d": -3e2}"#;
         let spanned = Spanned::parse(src).unwrap();
         assert_eq!(spanned.into_value(), Value::parse(src).unwrap());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Value::parse(&nest(MAX_DEPTH as usize)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH as usize + 1)).unwrap_err();
+        assert_eq!(err.position(), Some((1, MAX_DEPTH + 1)), "{err}");
+        let objects = format!("{}1{}", "{\"a\": ".repeat(200), "}".repeat(200));
+        let err = Spanned::parse(&objects).unwrap_err();
+        assert!(err.to_string().contains(&format!("deeper than {MAX_DEPTH} levels")), "{err}");
     }
 
     #[test]

@@ -145,19 +145,14 @@ pub fn sim_counters(report: &SimReport) -> CountersReport {
     }
 }
 
-/// The `covenant run --json` / `covenant sim --json` document: the run
-/// duration, each principal's outcome (offered requests, settled service
-/// rate over the final 80% of the run, deferrals, mean response time), and
-/// the full [`counters_report_json`] payload. With `deterministic` set the
-/// wall-clock `events_per_sec` figure is zeroed — every other field derives
-/// from simulation time, so replaying the same spec and seed then yields
-/// byte-identical text (the scenario determinism gate relies on this).
-pub fn run_report_json(
-    names: &[String],
-    duration: f64,
-    report: &SimReport,
-    deterministic: bool,
-) -> crate::json::Value {
+/// The `covenant sim --json` document: the run duration, each principal's
+/// outcome (offered requests, settled service rate over the final 80% of
+/// the run, deferrals, mean response time), and the full
+/// [`counters_report_json`] payload. The wall-clock `events_per_sec`
+/// figure is zeroed — every other field derives from simulation time, so
+/// replaying the same spec and seed yields byte-identical text (the
+/// scenario determinism gate relies on this).
+pub fn run_report_json(names: &[String], duration: f64, report: &SimReport) -> crate::json::Value {
     use crate::json::Value;
     let principals = Value::Arr(
         names
@@ -182,10 +177,8 @@ pub fn run_report_json(
             .collect(),
     );
     let mut counters = sim_counters(report);
-    if deterministic {
-        if let Some(e) = counters.engine.as_mut() {
-            e.events_per_sec = 0.0;
-        }
+    if let Some(e) = counters.engine.as_mut() {
+        e.events_per_sec = 0.0;
     }
     Value::Obj(vec![
         ("duration_s".into(), duration.into()),

@@ -19,8 +19,8 @@
 //!
 //! The deployment decoder accepts these four keys and rejects every other
 //! unknown one, so every scenario file is *also* a valid deployment spec —
-//! `covenant check` verifies the whole thing (rules V1–V10) and
-//! `covenant run` would simply ignore the dynamics.
+//! `covenant check` verifies the whole thing (rules V1–V10), and
+//! `covenant levels` and `covenant cluster` read just the deployment.
 //! [`ScenarioSpec::build_sim`] is the full materialization: timeline
 //! events become phase overlays, capacity/agreement change schedules, and
 //! restart injections on the [`SimConfig`].
@@ -689,6 +689,22 @@ mod tests {
     }"#;
 
     #[test]
+    fn deep_nesting_under_principals_is_a_decode_error() {
+        // The `covenant sim` repro: 30 000 nested arrays as the principal
+        // list used to overflow the stack while decoding.
+        let text = format!(
+            "{{\n  \"principals\": {}{}}}",
+            "[".repeat(30_000),
+            "]".repeat(30_000)
+        );
+        let err = ScenarioSpec::from_json(&text).expect_err("nesting past the limit is an error");
+        // The first `[` sits at line 2, column 17; the limit is one level
+        // below the document's object.
+        let col = 16 + crate::json::MAX_DEPTH;
+        assert!(err.to_string().contains(&format!("line 2 column {col}")), "{err}");
+    }
+
+    #[test]
     fn parses_extras_and_builds() {
         let sc = ScenarioSpec::from_json(SCENARIO).unwrap();
         assert_eq!(sc.timeline.len(), 2);
@@ -814,7 +830,6 @@ mod tests {
             Err(SpecError::Scenario(m)) => assert!(m.contains("queue_mode.retry_delay"), "{m}"),
             other => panic!("{other:?}"),
         }
-        assert!(matches!(sc.deployment.build_sim(), Err(SpecError::Scenario(_))));
         let hop = r#", "net": {"links": [{"rate_bytes_per_sec": 1.0e6}], "hop_latency": 0.001}"#;
         let sc = ScenarioSpec::from_json(&spec(hop)).unwrap();
         assert!(sc.build_sim().is_ok());

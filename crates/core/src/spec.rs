@@ -210,15 +210,9 @@ impl DeploymentSpec {
         Ok(g)
     }
 
-    /// Materializes the full simulator configuration.
-    pub fn build_sim(&self) -> Result<SimConfig, SpecError> {
-        let cfg = self.sim_config()?;
-        check_retry_gap(&cfg)?;
-        Ok(cfg)
-    }
-
-    /// [`DeploymentSpec::build_sim`] without the final whole-config checks,
-    /// for a scenario that adds its hop latency first.
+    /// The deployment's simulator configuration, before the scenario's
+    /// net and timeline: [`crate::ScenarioSpec::build_sim`] adds those and
+    /// then runs the whole-config checks.
     pub(crate) fn sim_config(&self) -> Result<SimConfig, SpecError> {
         let graph = self.build_graph()?;
         let tree = Topology::from_parents(
@@ -305,7 +299,7 @@ pub(crate) mod decode {
     }
 
     /// Every top-level key a spec file may carry: the deployment's own,
-    /// then the scenario extras, which `run`, `levels` and `cluster` ignore.
+    /// then the scenario extras, which `levels` and `cluster` ignore.
     const TOP_KEYS: [&str; 15] = [
         "principals", "agreements", "redirector_tree", "tree_edge_delay", "extra_tree_lag",
         "policy", "window_secs", "queue_mode", "clients", "duration", "allow",
@@ -648,6 +642,7 @@ pub(crate) mod encode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScenarioSpec;
     use covenant_sim::Simulation;
 
     const EXAMPLE: &str = r#"{
@@ -674,15 +669,15 @@ mod tests {
         assert_eq!(g.len(), 3);
         let lv = g.access_levels();
         assert!((lv.mandatory(PrincipalId(2)) - 80.0).abs() < 1e-9);
-        let cfg = spec.build_sim().unwrap();
+        let cfg = ScenarioSpec::from_json(EXAMPLE).unwrap().build_sim().unwrap();
         assert_eq!(cfg.clients.len(), 2);
         assert_eq!(cfg.n_redirectors(), 1);
     }
 
     #[test]
     fn spec_driven_run_enforces() {
-        let spec = DeploymentSpec::from_json(EXAMPLE).unwrap();
-        let report = Simulation::new(spec.build_sim().unwrap()).run();
+        let sc = ScenarioSpec::from_json(EXAMPLE).unwrap();
+        let report = Simulation::new(sc.build_sim().unwrap()).run();
         let b = report.rates.mean_rate_secs(PrincipalId(2), 8.0, 19.0);
         assert!((b - 80.0).abs() < 8.0, "B {b}");
     }
@@ -705,16 +700,16 @@ mod tests {
 
     #[test]
     fn bad_tree_rejected() {
-        let mut spec = DeploymentSpec::from_json(EXAMPLE).unwrap();
-        spec.redirector_tree = vec![Some(1), Some(0)];
-        assert!(matches!(spec.build_sim(), Err(SpecError::Tree(_))));
+        let mut sc = ScenarioSpec::from_json(EXAMPLE).unwrap();
+        sc.deployment.redirector_tree = vec![Some(1), Some(0)];
+        assert!(matches!(sc.build_sim(), Err(SpecError::Tree(_))));
     }
 
     #[test]
     fn bad_redirector_index_rejected() {
-        let mut spec = DeploymentSpec::from_json(EXAMPLE).unwrap();
-        spec.clients[0].redirector = 5;
-        assert!(matches!(spec.build_sim(), Err(SpecError::BadRedirector(5))));
+        let mut sc = ScenarioSpec::from_json(EXAMPLE).unwrap();
+        sc.deployment.clients[0].redirector = 5;
+        assert!(matches!(sc.build_sim(), Err(SpecError::BadRedirector(5))));
     }
 
     #[test]
@@ -814,7 +809,7 @@ mod tests {
                 Ok(_) => panic!("must fail decode: {want}"),
             }
         }
-        // The scenario keys ride along: `run`, `levels` and `cluster` take
+        // The scenario keys ride along: `levels` and `cluster` take
         // scenario files.
         let scenario = EXAMPLE.replace(
             r#""duration": 20.0"#,
@@ -834,8 +829,7 @@ mod tests {
             "clients": [],
             "duration": 1.0
         }"#;
-        let spec = DeploymentSpec::from_json(json).unwrap();
-        let cfg = spec.build_sim().unwrap();
+        let cfg = ScenarioSpec::from_json(json).unwrap().build_sim().unwrap();
         assert_eq!(cfg.n_redirectors(), 2);
         assert!(matches!(cfg.mode, QueueMode::CreditPark));
         assert!(matches!(cfg.policy, Policy::Provider { .. }));

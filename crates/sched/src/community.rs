@@ -84,7 +84,7 @@ impl CommunityScheduler {
 /// `Σ_k x_ik ≤ n_i`, θ coverage `Σ_k x_ik − θ·n_i ≥ 0` (θ, variable 0, at
 /// slot 0, its coefficient rewritten each window) and mandatory floor
 /// `Σ_k x_ik ≥ floor_i`. Right-hand sides are installed per window.
-pub(crate) fn add_principal_rows(p: &mut Problem, row: Vec<(usize, f64)>) {
+fn add_principal_rows(p: &mut Problem, row: Vec<(usize, f64)>) {
     p.add_constraint(row.clone(), Relation::Le, 0.0);
     let mut cov = Vec::with_capacity(row.len() + 1);
     cov.push((0, 0.0));

@@ -6,7 +6,8 @@
 //! servers. The decision must (a) respect the mandatory/optional access
 //! levels implied by the agreement graph, and (b) optimize a global metric —
 //! either the community's worst-case response time (via the max-min `θ` LP)
-//! or the service provider's income (via the pricing LP).
+//! or the service provider's income (via a price-ordered fill that solves
+//! the pricing LP).
 //!
 //! # Components
 //!
@@ -14,9 +15,11 @@
 //!   maximize `θ = min_i (Σ_k x_ik) / n_i` subject to server capacities,
 //!   pairwise agreement bounds `MI_ki ≤ x_ik ≤ MI_ki + OI_ki`, and queue
 //!   limits; optionally with per-server locality caps.
-//! * [`ProviderScheduler`] — the "Total Income of Provider" linear program:
+//! * [`ProviderScheduler`] — the "Total Income of Provider" model:
 //!   maximize `Σ_i p_i (x_i − MC_i)` subject to aggregate capacity and
-//!   `MC_i ≤ x_i ≤ MC_i + OC_i`.
+//!   `MC_i ≤ x_i ≤ MC_i + OC_i`. One capacity row over box bounds is a
+//!   fractional knapsack, so the plan is a price-ordered fill above the
+//!   floors, with no solver; the LP formulation is its test oracle.
 //! * [`Plan`] — the solved per-window schedule, with
 //!   [`Plan::scale_for_local_queue`] implementing the distributed rule
 //!   `x_local_ij / n_local_i = x_ij / n_i` that lets every redirector apply
@@ -36,7 +39,6 @@
 
 mod cache;
 mod community;
-mod multi;
 mod plan;
 mod provider;
 mod request;
@@ -44,8 +46,7 @@ mod window;
 
 pub use cache::{levels_fingerprint, PlanCache};
 pub use community::{CommunityScheduler, LocalityCaps, PreparedCommunity};
-pub use multi::{MultiCommunityScheduler, PreparedMulti};
 pub use plan::Plan;
-pub use provider::{PreparedProvider, ProviderScheduler};
+pub use provider::ProviderScheduler;
 pub use request::{Request, RequestId};
 pub use window::{GlobalView, Policy, SchedulerConfig, WindowScheduler};

@@ -1,4 +1,4 @@
-//! The service-provider "Total Income" linear program (§3.1.2).
+//! The service-provider "Total Income" model (§3.1.2).
 //!
 //! A provider `s` negotiates a price `p_i` with each customer `i` for every
 //! request processed beyond the mandatory service level; admission maximizes
@@ -10,132 +10,101 @@
 //!            MC_i ≤ x_i ≤ MC_i + OC_i   ∀i (floor relaxed to min(MC_i, n_i))
 //!            x_i ≤ n_i                  ∀i
 //! ```
+//!
+//! One capacity row over box bounds is a fractional knapsack, so no solver
+//! runs: every principal starts at its floor, and the rest of `V_s` goes by
+//! price, highest first, each principal up to its box. Equal prices fill in
+//! id order, lowest first, and zero-price principals fill after every
+//! paying one; negative prices stay at their floors. That is the vertex the
+//! LP's canonical tie-break (weight `1/(id + 2)` per variable) selects. The
+//! LP itself is the oracle in this crate's property tests.
 
 use crate::Plan;
 use covenant_agreements::{AccessLevels, PrincipalId};
-use covenant_lp::{LpStatus, Problem, Relation, SimplexWorkspace, WarmBasis, WarmOutcome, WarmStats};
+use std::cmp::Ordering;
 
-/// Solver for the provider model.
+/// Floors may overshoot `V_s` by this fraction of it (rounding in the
+/// access-level sums) before the window counts as infeasible.
+const FLOOR_SLACK: f64 = 1e-9;
+
+/// The provider model for one set of access levels and prices: the
+/// per-principal envelope is read once, and each window is a fill.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderScheduler {
+    mandatory: Vec<f64>,
+    optional: Vec<f64>,
+    capacities: Vec<f64>,
     /// Per-principal price `p_i` for each request beyond the mandatory
     /// level. Principals that are not customers (e.g. the provider itself)
-    /// should carry price 0.
-    pub prices: Vec<f64>,
+    /// carry price 0.
+    prices: Vec<f64>,
+    /// Principals with a non-negative price, highest price first, equal
+    /// prices by id.
+    fill_order: Vec<usize>,
 }
 
 impl ProviderScheduler {
-    /// Creates a provider scheduler with the given price vector.
-    pub fn new(prices: Vec<f64>) -> Self {
-        ProviderScheduler { prices }
-    }
-
-    /// Solves the provider LP for one window and splits the admitted totals
-    /// across the provider's servers (greedy fill in server-id order —
-    /// which server processes a request is immaterial to the income model).
-    ///
-    /// `levels` must be window-scaled; `queues` are the (global) queue
-    /// lengths `n_i`.
-    pub fn plan(&self, levels: &AccessLevels, queues: &[f64]) -> Plan {
-        let mut prepared = PreparedProvider::new(levels, self.prices.clone());
-        prepared.plan_with(&mut SimplexWorkspace::new(), queues)
-    }
-}
-
-/// The provider LP with its constraint matrix built once and reused.
-///
-/// Row 0 is the aggregate capacity constraint; row `1 + i` is principal
-/// `i`'s mandatory floor (rhs 0 when it has no demand, so the row set —
-/// and therefore the tableau shape — never changes between windows). Per
-/// window only the floor right-hand sides and the demand-capped upper
-/// bounds are rewritten.
-#[derive(Debug, Clone)]
-pub struct PreparedProvider {
-    n: usize,
-    base: Problem,
-    mandatory: Vec<f64>,
-    optional: Vec<f64>,
-    caps: Vec<f64>,
-    prices: Vec<f64>,
-    /// Persistent basis for the warm-started revised solver.
-    warm: WarmBasis,
-    /// Windows the warm engine refused and the dense tableau solved.
-    dense_fallbacks: u64,
-}
-
-impl PreparedProvider {
-    /// Builds the skeleton from window-scaled access levels and prices.
+    /// The provider model over window-scaled access levels and prices.
     pub fn new(levels: &AccessLevels, prices: Vec<f64>) -> Self {
-        let n = levels.len();
-        assert_eq!(prices.len(), n, "price vector length must match principal count");
-        let caps = levels.capacities().to_vec();
-        let v_total: f64 = caps.iter().sum();
-        let mut p = Problem::new(n);
-        p.set_objective(prices.clone());
-        let cap_row: Vec<(usize, f64)> = (0..n).map(|i| (i, 1.0)).collect();
-        p.add_constraint(cap_row, Relation::Le, v_total);
-        let mut mandatory = Vec::with_capacity(n);
-        let mut optional = Vec::with_capacity(n);
-        for i in 0..n {
-            let pi = PrincipalId(i);
-            p.add_constraint(vec![(i, 1.0)], Relation::Ge, 0.0);
-            p.set_upper_bound(i, 0.0);
-            mandatory.push(levels.mandatory(pi));
-            optional.push(levels.optional(pi));
-        }
-        PreparedProvider {
-            n,
-            base: p,
-            mandatory,
-            optional,
-            caps,
+        let ids = || (0..levels.len()).map(PrincipalId);
+        Self::from_totals(
+            ids().map(|i| levels.mandatory(i)).collect(),
+            ids().map(|i| levels.optional(i)).collect(),
+            levels.capacities().to_vec(),
             prices,
-            warm: WarmBasis::new(),
-            dense_fallbacks: 0,
-        }
+        )
     }
 
-    /// Number of principals the skeleton was built for.
-    pub fn len(&self) -> usize {
-        self.n
+    /// The provider model over per-principal totals: `MC_i`, `OC_i`, the
+    /// capacity `V_i` each principal owns, and `p_i`.
+    pub fn from_totals(
+        mandatory: Vec<f64>,
+        optional: Vec<f64>,
+        capacities: Vec<f64>,
+        prices: Vec<f64>,
+    ) -> Self {
+        let n = mandatory.len();
+        assert_eq!(prices.len(), n, "price vector length must match principal count");
+        assert_eq!(optional.len(), n, "optional vector length must match principal count");
+        assert_eq!(capacities.len(), n, "capacity vector length must match principal count");
+        let mut fill_order: Vec<usize> = (0..n).filter(|&i| prices[i] >= 0.0).collect();
+        // Stable: equal prices keep id order. NaN prices were filtered out.
+        fill_order.sort_by(|&a, &b| prices[b].partial_cmp(&prices[a]).unwrap_or(Ordering::Equal));
+        ProviderScheduler { mandatory, optional, capacities, prices, fill_order }
     }
 
-    /// True when the skeleton covers no principals.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Solves one window through `ws`, with the same semantics as
-    /// [`ProviderScheduler::plan`].
-    pub fn plan_with(&mut self, ws: &mut SimplexWorkspace, queues: &[f64]) -> Plan {
-        let n = self.n;
+    /// Plans one window against the (global) queue lengths `n_i`, and
+    /// splits the admitted totals across the provider's servers (greedy
+    /// fill in server-id order — which server processes a request is
+    /// immaterial to the income model). Floors that do not fit in `V_s`
+    /// yield the zero plan.
+    pub fn plan(&self, queues: &[f64]) -> Plan {
+        let n = self.mandatory.len();
         assert_eq!(queues.len(), n, "queue vector length must match principal count");
         if n == 0 || queues.iter().all(|&q| q <= 0.0) {
             return Plan::zero(n);
         }
-        for (i, &q) in queues.iter().enumerate() {
-            let ni = q.max(0.0);
-            let (mc, oc) = (self.mandatory[i], self.optional[i]);
-            self.base.set_upper_bound_exact(i, (mc + oc).min(ni).max(0.0));
-            self.base.set_constraint_rhs(1 + i, mc.min(ni).max(0.0));
+        let mut totals: Vec<f64> =
+            queues.iter().zip(&self.mandatory).map(|(&q, &mc)| mc.min(q).max(0.0)).collect();
+        let v_total: f64 = self.capacities.iter().sum();
+        let mut left = v_total - totals.iter().sum::<f64>();
+        if left < -FLOOR_SLACK * v_total.max(1.0) {
+            return Plan::zero(n);
         }
-        // Warm-started revised solve; dense tableau only on refusal.
-        let totals: &[f64] = match self.base.solve_warm(&mut self.warm) {
-            WarmOutcome::Optimal => self.warm.x(),
-            WarmOutcome::Infeasible => return Plan::zero(n),
-            WarmOutcome::Unsuitable => {
-                self.dense_fallbacks += 1;
-                if self.base.solve_in_place(ws) != LpStatus::Optimal {
-                    return Plan::zero(n);
-                }
-                ws.x()
+        for &i in &self.fill_order {
+            if left <= 0.0 {
+                break;
             }
-        };
+            let ceiling = (self.mandatory[i] + self.optional[i]).min(queues[i]).max(0.0);
+            let take = (ceiling - totals[i]).max(0.0).min(left);
+            totals[i] += take;
+            left -= take;
+        }
 
         // Greedy split across servers, never exceeding any single server.
-        let mut remaining: Vec<f64> = self.caps.clone();
+        let mut remaining: Vec<f64> = self.capacities.clone();
         let mut plan = Plan::zero(0);
-        for &total in totals {
+        for &total in &totals {
             let mut need = total;
             plan.push_row(remaining.iter_mut().enumerate().map_while(|(k, left)| {
                 (need > 0.0).then(|| {
@@ -152,16 +121,6 @@ impl PreparedProvider {
             .sum();
         plan.income = Some(income);
         plan
-    }
-
-    /// Lifetime counters of the warm-started solver.
-    pub fn warm_stats(&self) -> WarmStats {
-        self.warm.stats()
-    }
-
-    /// Windows the warm engine refused and the dense tableau solved.
-    pub fn dense_fallbacks(&self) -> u64 {
-        self.dense_fallbacks
     }
 }
 
@@ -188,8 +147,8 @@ mod tests {
         // A gets the remaining 512.
         let (g, _s, a, b) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 800.0, 400.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 800.0, 400.0]);
         assert!((plan.admitted(b) - 128.0).abs() < 1e-6, "B {}", plan.admitted(b));
         assert!((plan.admitted(a) - 512.0).abs() < 1e-6, "A {}", plan.admitted(a));
     }
@@ -199,8 +158,8 @@ mod tests {
         // A idle → B can burst to its upper bound (the full pool).
         let (g, _s, _a, b) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 0.0, 400.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 0.0, 400.0]);
         assert!((plan.admitted(b) - 400.0).abs() < 1e-6);
     }
 
@@ -211,8 +170,8 @@ mod tests {
         // A's floor is min(512, 400) = 400), B takes the remaining 240.
         let (g, _s, a, b) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 400.0, 400.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 400.0, 400.0]);
         assert!((plan.admitted(a) - 400.0).abs() < 1e-6);
         assert!((plan.admitted(b) - 240.0).abs() < 1e-6);
     }
@@ -224,8 +183,8 @@ mod tests {
         // instead check the greedy split caps at each server's budget).
         let (g, ..) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 800.0, 400.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 800.0, 400.0]);
         for k in 0..3 {
             assert!(plan.server_load(k) <= lv.capacities()[k] + 1e-6);
         }
@@ -236,14 +195,14 @@ mod tests {
     fn income_reported() {
         let (g, ..) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 800.0, 400.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 800.0, 400.0]);
         // A beyond mandatory: 0 (512 = MC_A); B beyond mandatory: 0.
         // Income = 2·(512−512) + 1·(128−128) = 0 under total overload.
         assert!((plan.income.unwrap() - 0.0).abs() < 1e-6);
         // With A idle, B bursts: income = 1·(400 − 0) since B's effective
         // floor is min(128, 400) = 128 → income = 400 − 128 = 272.
-        let plan = sched.plan(&lv, &[0.0, 0.0, 400.0]);
+        let plan = sched.plan(&[0.0, 0.0, 400.0]);
         assert!((plan.income.unwrap() - 272.0).abs() < 1e-6);
     }
 
@@ -251,8 +210,8 @@ mod tests {
     fn empty_queues_zero_plan() {
         let (g, ..) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 2.0, 1.0]);
-        let plan = sched.plan(&lv, &[0.0, 0.0, 0.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 2.0, 1.0]);
+        let plan = sched.plan(&[0.0, 0.0, 0.0]);
         assert_eq!(plan.total_admitted(), 0.0);
     }
 
@@ -261,8 +220,8 @@ mod tests {
         // Even with price 0, B's mandatory floor holds under overload.
         let (g, _s, a, b) = figure10();
         let lv = g.access_levels();
-        let sched = ProviderScheduler::new(vec![0.0, 5.0, 0.0]);
-        let plan = sched.plan(&lv, &[0.0, 10_000.0, 10_000.0]);
+        let sched = ProviderScheduler::new(&lv, vec![0.0, 5.0, 0.0]);
+        let plan = sched.plan(&[0.0, 10_000.0, 10_000.0]);
         assert!(plan.admitted(b) >= 128.0 - 1e-6);
         assert!(plan.admitted(a) >= 512.0 - 1e-6);
     }

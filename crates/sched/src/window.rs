@@ -3,8 +3,7 @@
 
 use crate::cache::{levels_fingerprint, PlanCache};
 use crate::community::PreparedCommunity;
-use crate::provider::PreparedProvider;
-use crate::{LocalityCaps, Plan};
+use crate::{LocalityCaps, Plan, ProviderScheduler};
 use covenant_agreements::{AccessLevels, PrincipalId};
 use covenant_lp::SimplexWorkspace;
 
@@ -79,45 +78,49 @@ pub enum GlobalView {
     Queues(Vec<f64>),
 }
 
-/// The prepared (matrix-built-once) LP behind the configured policy.
+/// The prepared planner behind the configured policy: the community LP
+/// (matrix built once, warm basis kept across windows) or the provider's
+/// price-ordered fill.
 #[derive(Debug, Clone)]
 enum Engine {
-    Community(PreparedCommunity),
-    Provider(PreparedProvider),
+    Community(Box<PreparedCommunity>),
+    Provider(ProviderScheduler),
 }
 
 impl Engine {
     fn build(levels: &AccessLevels, policy: &Policy) -> Engine {
         match policy {
             Policy::Community { locality } => {
-                Engine::Community(PreparedCommunity::new(levels, locality.clone()))
+                Engine::Community(Box::new(PreparedCommunity::new(levels, locality.clone())))
             }
             Policy::Provider { prices } => {
-                Engine::Provider(PreparedProvider::new(levels, prices.clone()))
+                Engine::Provider(ProviderScheduler::new(levels, prices.clone()))
             }
+        }
+    }
+
+    /// The community LP, the one engine with solver state.
+    fn lp(&self) -> Option<&PreparedCommunity> {
+        match self {
+            Engine::Community(p) => Some(p),
+            Engine::Provider(_) => None,
         }
     }
 
     fn warm_stats(&self) -> covenant_lp::WarmStats {
-        match self {
-            Engine::Community(p) => p.warm_stats(),
-            Engine::Provider(p) => p.warm_stats(),
-        }
+        self.lp().map(PreparedCommunity::warm_stats).unwrap_or_default()
     }
 
     fn dense_fallbacks(&self) -> u64 {
-        match self {
-            Engine::Community(p) => p.dense_fallbacks(),
-            Engine::Provider(p) => p.dense_fallbacks(),
-        }
+        self.lp().map_or(0, PreparedCommunity::dense_fallbacks)
     }
 }
 
 /// One redirector's per-window planning engine.
 ///
 /// Holds the window-scaled [`AccessLevels`] (recomputed only when the
-/// agreement graph or capacities change), the prepared constraint matrix
-/// for the configured policy, a reusable [`SimplexWorkspace`], and the
+/// agreement graph or capacities change), the prepared planner for the
+/// configured policy, a reusable [`SimplexWorkspace`], and the
 /// per-window [`PlanCache`]. Planning therefore needs `&mut self`; wrap in
 /// a lock when shared.
 #[derive(Debug, Clone)]
@@ -181,7 +184,7 @@ impl WindowScheduler {
     }
 
     /// Installs new access levels (capacity or agreement change): rebuilds
-    /// the prepared constraint matrix (retiring its warm basis into the
+    /// the prepared planner (retiring a community LP's warm basis into the
     /// lifetime counters) and invalidates the plan cache.
     pub fn update_levels(&mut self, levels: &AccessLevels) {
         self.warm_retired.merge(self.engine.warm_stats());
@@ -277,7 +280,7 @@ impl WindowScheduler {
         let (engine, ws) = (&mut self.engine, &mut self.lp_ws);
         let mut solve = || match engine {
             Engine::Community(p) => p.plan_with(ws, queues),
-            Engine::Provider(p) => p.plan_with(ws, queues),
+            Engine::Provider(p) => p.plan(queues),
         };
         if self.cfg.plan_cache {
             self.cache.lookup_or_solve(queues, solve)

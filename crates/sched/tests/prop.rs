@@ -5,9 +5,10 @@
 #![allow(clippy::needless_range_loop)]
 
 use covenant_agreements::{AgreementGraph, PrincipalId};
-use covenant_lp::{LpOutcome, SimplexWorkspace};
+use covenant_lp::{LpOutcome, Problem, Relation, SimplexWorkspace};
 use covenant_sched::{
-    CommunityScheduler, PreparedCommunity, ProviderScheduler, SchedulerConfig, WindowScheduler,
+    CommunityScheduler, Plan, PreparedCommunity, ProviderScheduler, SchedulerConfig,
+    WindowScheduler,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -39,6 +40,66 @@ fn graph_and_queues() -> impl Strategy<Value = (AgreementGraph, Vec<f64>)> {
             (g, queues)
         })
     })
+}
+
+/// `(MC_i, OC_i, V_i, p_i, n_i)` per principal.
+type ProviderTotals = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// A provider model as per-principal totals. Prices are whole numbers
+/// from −1 to 4, so ties and zero prices are common. Each queue is idle,
+/// below its floor, inside its envelope or flooding, and the pool `Σ V_i`
+/// is drawn between 0.3 and 1.5 times `Σ MC_i`, so the floors of a busy
+/// window often do not fit.
+fn provider_totals() -> impl Strategy<Value = ProviderTotals> {
+    let principal = (0.0..100.0f64, 0.0..100.0f64, 0.0..1.0f64, 0u8..6, 0u8..4, 0.0..1.0f64);
+    (proptest::collection::vec(principal, 2..33), 0.3..1.5f64).prop_map(|(rows, pool)| {
+        let mandatory: Vec<f64> = rows.iter().map(|r| r.0).collect();
+        let optional: Vec<f64> = rows.iter().map(|r| r.1).collect();
+        let weight: f64 = rows.iter().map(|r| r.2).sum::<f64>().max(1e-9);
+        let v_total = pool * mandatory.iter().sum::<f64>();
+        let capacities = rows.iter().map(|r| v_total * r.2 / weight).collect();
+        let prices = rows.iter().map(|r| f64::from(r.3) - 1.0).collect();
+        let queues = rows
+            .iter()
+            .map(|&(mc, oc, _, _, kind, u)| match kind {
+                0 => 0.0,
+                1 => mc * u,
+                2 => mc + oc * u,
+                _ => 2.0 * (mc + oc) + 1.0,
+            })
+            .collect();
+        (mandatory, optional, capacities, prices, queues)
+    })
+}
+
+/// The provider LP of §3.1.2, solved by the reference simplex: maximize
+/// `Σ p_i x_i` subject to `Σ x_i ≤ Σ V_i` and
+/// `min(MC_i, n_i) ≤ x_i ≤ min(MC_i + OC_i, n_i)`. Each objective
+/// coefficient also carries the canonical tie-break weight `1e-3/(i + 2)`:
+/// prices are whole numbers, so the weight only orders equal prices
+/// (lowest id first) and fills zero prices, which makes the optimum
+/// unique. `None` when the floors do not fit.
+fn provider_lp_oracle(
+    mandatory: &[f64],
+    optional: &[f64],
+    capacities: &[f64],
+    prices: &[f64],
+    queues: &[f64],
+) -> Option<Vec<f64>> {
+    let n = mandatory.len();
+    let mut p = Problem::new(n);
+    p.set_objective((0..n).map(|i| prices[i] + 1e-3 / (i as f64 + 2.0)).collect());
+    p.add_constraint((0..n).map(|i| (i, 1.0)).collect(), Relation::Le, capacities.iter().sum());
+    for i in 0..n {
+        let q = queues[i].max(0.0);
+        p.add_constraint(vec![(i, 1.0)], Relation::Ge, mandatory[i].min(q));
+        p.set_upper_bound(i, (mandatory[i] + optional[i]).min(q));
+    }
+    match p.solve_reference() {
+        LpOutcome::Optimal(s) => Some(s.x),
+        LpOutcome::Infeasible => None,
+        other => panic!("provider LP cannot end {other:?}"),
+    }
 }
 
 proptest! {
@@ -74,7 +135,7 @@ proptest! {
         let lv = g.access_levels();
         let n = g.len();
         let prices: Vec<f64> = (0..n).map(|i| ((seed as usize + i) % 7) as f64).collect();
-        let plan = ProviderScheduler::new(prices).plan(&lv, &queues);
+        let plan = ProviderScheduler::new(&lv, prices).plan(&queues);
         let total: f64 = lv.capacities().iter().sum();
         prop_assert!(plan.total_admitted() <= total + 1e-6);
         for i in 0..n {
@@ -232,4 +293,35 @@ proptest! {
         prop_assert_eq!(sched.dense_fallbacks(), 0);
     }
 
+    /// The price-ordered fill is the provider LP's optimum: per-principal
+    /// admits and income match the LP oracle, and floors that do not fit
+    /// give the zero plan, as the LP's infeasible arm did.
+    #[test]
+    fn provider_fill_matches_lp_oracle(
+        (mandatory, optional, capacities, prices, queues) in provider_totals(),
+    ) {
+        let n = mandatory.len();
+        let plan = ProviderScheduler::from_totals(
+            mandatory.clone(), optional.clone(), capacities.clone(), prices.clone(),
+        )
+        .plan(&queues);
+        let Some(x) = provider_lp_oracle(&mandatory, &optional, &capacities, &prices, &queues)
+        else {
+            prop_assert_eq!(plan, Plan::zero(n));
+            return Ok(());
+        };
+        for i in 0..n {
+            let admitted = plan.admitted(PrincipalId(i));
+            prop_assert!(
+                (admitted - x[i]).abs() < 1e-6,
+                "P{}: fill {} vs LP {}", i, admitted, x[i]
+            );
+        }
+        let income: f64 = (0..n).map(|i| prices[i] * (x[i] - mandatory[i].min(queues[i]))).sum();
+        let fill_income = plan.income.unwrap_or(0.0);
+        prop_assert!(
+            (fill_income - income).abs() < 1e-6,
+            "income {} vs LP {}", fill_income, income
+        );
+    }
 }

@@ -241,3 +241,13 @@ fn finding_paths_render_json_style() {
     let paths: Vec<String> = findings.iter().map(|f| f.path()).collect();
     assert!(paths.iter().any(|p| p == "agreements[1].lb"), "{paths:?}");
 }
+
+#[test]
+fn check_rejects_deep_nesting_at_its_position() {
+    // `covenant check` on 30 000 nested arrays used to overflow the stack;
+    // the decoder now stops at the first level past its depth limit.
+    let text = format!("{}{}", "[".repeat(30_000), "]".repeat(30_000));
+    let err = check_text("deep.json", &text).expect_err("nesting past the limit is an error");
+    let limit = covenant_core::json::MAX_DEPTH;
+    assert!(err.to_string().contains(&format!("line 1 column {}", limit + 1)), "{err}");
+}

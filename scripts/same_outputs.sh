@@ -10,12 +10,14 @@
 # <rev>'s committed files are unpacked (`git archive`) under $TMPDIR, built
 # there, and removed again on exit. Both binaries run
 # `covenant sim <f> --json` for every examples/scenarios/*.json and
-# benchmark/workloads/*.json of this tree (the latter only read), then
-# `covenant figures`; the outputs are compared with `cmp`. Exits 0 when all
-# are identical, 1 naming the first that differs.
+# benchmark/workloads/*.json of this tree (the latter only read),
+# `covenant levels <f>` (the entitlement table) for every
+# examples/scenarios/*.json, then `covenant figures`; the outputs are
+# compared with `cmp`. Exits 0 when all are identical, 1 naming the first
+# that differs.
 set -euo pipefail
 
-usage() { sed -n '2,14p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 rev="${1:-}"
 [[ -n "$rev" && "$rev" != -* && $# -eq 1 ]] || usage
@@ -47,6 +49,9 @@ same() { # <name> <args...>
 
 for scenario in "$here"/examples/scenarios/*.json "$here"/benchmark/workloads/*.json; do
   same "${scenario#"$here"/}" sim "$scenario" --json
+done
+for scenario in "$here"/examples/scenarios/*.json; do
+  same "levels ${scenario#"$here"/}" levels "$scenario"
 done
 same "covenant figures" figures
 echo "same outputs as $rev ($commit)"

@@ -1,8 +1,8 @@
 //! Shared option parsing for the `covenant` subcommands.
 //!
-//! Every spec-taking subcommand (`check`, `levels`, `run`, `sim`,
-//! `cluster`) accepts the same surface: one positional spec path plus the
-//! common flags parsed here — `--json` (machine-readable output), `--csv`
+//! Every spec-taking subcommand (`check`, `levels`, `sim`, `cluster`)
+//! accepts the same surface: one positional spec path plus the common
+//! flags parsed here — `--json` (machine-readable output), `--csv`
 //! (time-series output where meaningful), and `--deny all|V1,…`
 //! (escalate verifier findings to hard failures, exactly as `check`
 //! interprets it). The parser is strict: an unknown `--flag` is an error,

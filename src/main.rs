@@ -9,10 +9,6 @@
 //!                                      # diagnostics; exits non-zero on
 //!                                      # errors or denied warnings
 //! covenant levels spec.json            # entitlement table for a spec
-//! covenant run spec.json [--csv | --json] [--deny ...]
-//!                                      # simulate the deployment (fixed-delay
-//!                                      # network, static load); report rates
-//!                                      # as a table, CSV series, or JSON
 //! covenant sim scenario.json [--csv | --json] [--deny ...]
 //!                                      # simulate the full scenario: shared
 //!                                      # links, timeline dynamics, seeded
@@ -31,9 +27,9 @@
 //!
 //! All spec-taking subcommands share one flag surface (see `cli`):
 //! `--json`, `--csv`, and `--deny` mean the same thing everywhere, and
-//! every spec is verified before it runs. `run` treats a scenario file as
-//! its embedded deployment (net and timeline ignored); `sim` materializes
-//! everything.
+//! every spec is verified before it runs. `levels` and `cluster` read a
+//! scenario file's deployment (net and timeline ignored); `sim`
+//! materializes everything.
 
 mod cli;
 mod figures;
@@ -41,7 +37,7 @@ mod figures;
 use cli::Options;
 use covenant::agreements::PrincipalId;
 use covenant::core::{DeploymentSpec, ScenarioOutcome, ScenarioSpec};
-use covenant::sim::{SimReport, Simulation};
+use covenant::sim::SimReport;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -82,13 +78,6 @@ fn main() -> ExitCode {
             }
             Ok(())
         }),
-        Some("run") => with_spec(&opts, true, |spec| {
-            let cfg = spec.build_sim()?;
-            let names: Vec<String> = spec.principals.iter().map(|p| p.name.clone()).collect();
-            let report = Simulation::new(cfg).run();
-            print_report(&opts, &names, spec.duration, &report, false);
-            Ok(())
-        }),
         Some("sim") => sim_cmd(&opts),
         Some("cluster") => with_spec(&opts, true, |spec| {
             let secs = opts
@@ -127,7 +116,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: covenant <example-spec | check <spec.json> [--json] [--deny all|V1,...] \
-                 [--list-rules] | levels <spec.json> | run <spec.json> [--csv | --json] | \
+                 [--list-rules] | levels <spec.json> | \
                  sim <scenario.json> [--csv | --json] | figures | cluster <spec.json> [secs]>"
             );
             ExitCode::FAILURE
@@ -194,7 +183,7 @@ fn sim_cmd(opts: &Options) -> ExitCode {
         let (sc, outcome) = simulate(path, &text, opts)?;
         let names: Vec<String> =
             sc.deployment.principals.iter().map(|p| p.name.clone()).collect();
-        print_report(opts, &names, sc.deployment.duration, &outcome.report, true);
+        print_report(opts, &names, sc.deployment.duration, &outcome.report);
         if !(opts.json || opts.csv || sc.phases.is_empty()) {
             print!("\n{}", outcome.phase_table());
         }
@@ -275,16 +264,9 @@ fn verify_gate(label: &str, text: &str, opts: &Options) -> Result<(), Box<dyn st
     Ok(())
 }
 
-/// One report printer behind `run` and `sim`: rate table by default, CSV
-/// series with `--csv`, the shared JSON document with `--json`
-/// (deterministic — wall-clock throughput zeroed — for `sim`).
-fn print_report(
-    opts: &Options,
-    names: &[String],
-    duration: f64,
-    report: &SimReport,
-    deterministic: bool,
-) {
+/// The `sim` report printer: rate table by default, CSV series with
+/// `--csv`, the replay-deterministic JSON document with `--json`.
+fn print_report(opts: &Options, names: &[String], duration: f64, report: &SimReport) {
     if opts.csv {
         println!("time_s,principal,rate_req_s");
         for (i, name) in names.iter().enumerate() {
@@ -295,7 +277,7 @@ fn print_report(
         return;
     }
     if opts.json {
-        let doc = covenant::core::run_report_json(names, duration, report, deterministic);
+        let doc = covenant::core::run_report_json(names, duration, report);
         println!("{}", doc.to_pretty());
         return;
     }

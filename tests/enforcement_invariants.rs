@@ -100,7 +100,7 @@ fn provider_plans_respect_agreements_on_random_graphs() {
         let levels = g.access_levels();
         let queues: Vec<f64> = (0..n).map(|_| (rng.f64() * 400.0).round()).collect();
         let prices: Vec<f64> = (0..n).map(|_| (rng.f64() * 5.0).round()).collect();
-        let plan = ProviderScheduler::new(prices).plan(&levels, &queues);
+        let plan = ProviderScheduler::new(&levels, prices).plan(&queues);
 
         let total_cap: f64 = levels.capacities().iter().sum();
         assert!(plan.total_admitted() <= total_cap + 1e-6, "case {case}: pool overloaded");

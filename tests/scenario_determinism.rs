@@ -6,6 +6,7 @@
 //! byte-identical report JSON (the same document `covenant sim --json`
 //! prints).
 
+use covenant::agreements::PrincipalId;
 use covenant::core::{run_report_json, ScenarioSpec};
 use covenant::sim::Simulation;
 use std::path::PathBuf;
@@ -18,10 +19,10 @@ fn shipped_scenarios() -> Vec<PathBuf> {
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
         .collect();
     paths.sort();
-    // Six library scenarios plus the paper's five figure files.
+    // Seven library scenarios plus the paper's five figure files.
     assert!(
-        paths.len() >= 11,
-        "scenario library must ship at least 11 scenarios, found {}",
+        paths.len() >= 12,
+        "scenario library must ship at least 12 scenarios, found {}",
         paths.len()
     );
     paths
@@ -37,7 +38,7 @@ fn every_shipped_scenario_replays_byte_identically() {
             sc.deployment.principals.iter().map(|p| p.name.clone()).collect();
         let render = || {
             let report = Simulation::new(sc.build_sim().expect("scenario builds")).run();
-            run_report_json(&names, sc.deployment.duration, &report, true).to_pretty()
+            run_report_json(&names, sc.deployment.duration, &report).to_pretty()
         };
         let (a, b) = (render(), render());
         assert!(!a.is_empty());
@@ -84,6 +85,33 @@ fn shipped_scenarios_exercise_links_and_every_dynamic() {
         assert!(
             kinds.iter().any(|k| k == required),
             "no shipped scenario uses timeline kind {required}"
+        );
+    }
+}
+
+/// A resale hierarchy (§2.1) is plain agreements: in
+/// `hierarchical_asp.json` an ASP sells to a sub-ASP, which resells to two
+/// retail customers, and to a direct customer. With every leaf flooding,
+/// transitive ticket flow alone must serve each leaf its end-to-end
+/// mandatory rate, less a small allowance for the closed-loop clients.
+#[test]
+fn hierarchy_leaves_get_their_transitive_floors() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/scenarios/hierarchical_asp.json");
+    let text = std::fs::read_to_string(&path).expect("scenario readable");
+    let sc = ScenarioSpec::from_json(&text).expect("scenario parses");
+    let levels = sc.deployment.build_graph().expect("graph builds").access_levels();
+    let report = Simulation::new(sc.build_sim().expect("scenario builds")).run();
+    let principals = &sc.deployment.principals;
+    for client in &sc.deployment.clients {
+        let leaf = principals.iter().position(|p| p.name == client.principal).map(PrincipalId);
+        let leaf = leaf.expect("client principal exists");
+        let served = report.rates.mean_rate_secs(leaf, 10.0, 40.0);
+        let floor = levels.mandatory(leaf);
+        assert!(
+            served >= floor - 8.0,
+            "{}: served {served:.1} req/s below its floor {floor:.1}",
+            client.principal
         );
     }
 }
