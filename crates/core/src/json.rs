@@ -248,8 +248,15 @@ pub enum Node {
 impl Spanned {
     /// Parses a JSON document, recording the position of every value.
     pub fn parse(text: &str) -> Result<Spanned, JsonError> {
-        let mut p =
-            Parser { bytes: text.as_bytes(), pos: 0, scanned: 0, line: 1, line_start: 0, depth: 0 };
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            scanned: 0,
+            line: 1,
+            line_start: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -364,6 +371,8 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Bytes already checked for newlines by [`Parser::mark`].
@@ -564,13 +573,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
+                    // Copy the run up to the next quote or backslash as one
+                    // slice. Both are ASCII, which never occurs inside a
+                    // multi-byte character, so the run ends on a character
+                    // boundary.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    self.pos += c.len_utf8();
-                    out.push(c);
+                    let run = self.bytes[start..].iter().position(|&b| matches!(b, b'"' | b'\\'));
+                    self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -587,11 +597,10 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Node::Num)
-            .ok_or_else(|| self.err("invalid number"))
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -680,6 +689,30 @@ mod tests {
         let objects = format!("{}1{}", "{\"a\": ".repeat(200), "}".repeat(200));
         let err = Spanned::parse(&objects).unwrap_err();
         assert!(err.to_string().contains(&format!("deeper than {MAX_DEPTH} levels")), "{err}");
+    }
+
+    /// Strings copy whole runs between escapes: multi-byte text survives
+    /// the parse and a round trip, also right next to an escape.
+    #[test]
+    fn multi_byte_strings_round_trip() {
+        let src = r#"{"Süd-日本": ["\u00e9é\"x", "ü\\", "\n日", "", "🦀\t🦀"]}"#;
+        let v = Value::parse(src).unwrap();
+        let items = v["Süd-日本"].as_array().unwrap();
+        let want = ["\u{e9}é\"x", "ü\\", "\n日", "", "🦀\t🦀"];
+        assert_eq!(items.iter().map(|i| i.as_str().unwrap()).collect::<Vec<_>>(), want);
+        assert_eq!(Value::parse(&v.to_pretty()).unwrap(), v);
+        let err = Value::parse("\"日本").unwrap_err();
+        assert_eq!(err.position(), Some((1, 8)), "{err}");
+    }
+
+    /// Columns count bytes, so multi-byte text before a diagnostic moves
+    /// it by its UTF-8 length.
+    #[test]
+    fn columns_after_multi_byte_text_count_bytes() {
+        let src = "{\n  \"principals\": [{\"name\": \"Süd-日本\", \"capacity\": 10.0}, \
+                   {\"name\": \"A\\u00e9é\\\"x\", \"capacity\": nulL}]\n}";
+        let err = Value::parse(src).unwrap_err();
+        assert_eq!(err.position(), Some((2, 98)), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! restart injections on the [`SimConfig`].
 
 use crate::json::{JsonError, Value};
-use crate::spec::{check_retry_gap, decode, encode, DeploymentSpec, SpecError};
+use crate::spec::{check_time_scales, decode, encode, DeploymentSpec, SpecError};
 use covenant_agreements::PrincipalId;
 use covenant_sim::{
     LinkCfg, LinkDiscipline, NetModelCfg, RequestCost, SimConfig,
@@ -394,7 +394,7 @@ impl ScenarioSpec {
                 scenario_err(format!("timeline[{ei}] (renegotiate) cannot apply: {e}"))
             })?;
         }
-        check_retry_gap(&cfg)?;
+        check_time_scales(&cfg)?;
         Ok(cfg)
     }
 }
@@ -833,6 +833,40 @@ mod tests {
         let hop = r#", "net": {"links": [{"rate_bytes_per_sec": 1.0e6}], "hop_latency": 0.001}"#;
         let sc = ScenarioSpec::from_json(&spec(hop)).unwrap();
         assert!(sc.build_sim().is_ok());
+    }
+
+    const FIG7: &str = include_str!("../../../examples/scenarios/fig7.json");
+
+    /// `fig7.json` with a 1e-12 s retry delay passes `covenant check` but
+    /// would re-present each deferred request 10¹¹ times per window; the
+    /// build refuses it instead of running for ever.
+    #[test]
+    fn fig7_with_picosecond_retry_delay_is_a_build_error() {
+        let text = FIG7.replace(r#""retry_delay": 0.05"#, r#""retry_delay": 1e-12"#);
+        assert_ne!(text, FIG7);
+        match ScenarioSpec::from_json(&text).unwrap().build_sim() {
+            Err(SpecError::Scenario(m)) => assert!(m.contains("queue_mode.retry_delay"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        // The floor is a thousandth of the window.
+        let floor = FIG7.replace(r#""retry_delay": 0.05"#, r#""retry_delay": 1e-4"#);
+        assert!(ScenarioSpec::from_json(&floor).unwrap().build_sim().is_ok());
+    }
+
+    /// `fig7.json` with a 1 ns window passes `covenant check` but would run
+    /// 3·10¹⁰ window ticks; the build refuses it.
+    #[test]
+    fn fig7_with_nanosecond_window_is_a_build_error() {
+        let window = |secs: &str| {
+            let with = format!(r#""duration": 30.0, "window_secs": {secs},"#);
+            FIG7.replace(r#""duration": 30.0,"#, &with)
+        };
+        assert_ne!(window("1e-9"), FIG7);
+        match ScenarioSpec::from_json(&window("1e-9")).unwrap().build_sim() {
+            Err(SpecError::Scenario(m)) => assert!(m.starts_with("window_secs is"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(ScenarioSpec::from_json(&window("0.001")).unwrap().build_sim().is_ok());
     }
 
     #[test]

@@ -264,20 +264,41 @@ impl DeploymentSpec {
     }
 }
 
-/// Rejects a credit-retry run whose self-redirect costs no time at all
-/// (`retry_delay + 2 × hop latency = 0`): a deferred request would come
-/// back at the instant it left, for ever, before the next window tick
-/// could refill any credit, and the run would never end.
-pub(crate) fn check_retry_gap(cfg: &SimConfig) -> Result<(), SpecError> {
+/// Shortest scheduling window a simulation accepts, seconds. The paper's
+/// window is 100 ms; one of 1 ms is already shorter than an HTTP round
+/// trip, so no redirector could roll that fast, and each roll costs the
+/// simulator an LP solve per redirector: a 1e-9 s window over a 30 s run
+/// is 3·10¹⁰ of them.
+pub(crate) const MIN_WINDOW_SECS: f64 = 1e-3;
+
+/// Most self-redirect round trips (`retry_delay + 2 × hop latency`) a
+/// simulation accepts per scheduling window. A deferred request comes back
+/// once per gap until the next roll, so this caps the re-presentations one
+/// deferral costs per window; a gap of zero would return the request at the
+/// instant it left, for ever, and a run with one would never end.
+pub(crate) const MAX_RETRIES_PER_WINDOW: f64 = 1000.0;
+
+/// Rejects the time scales a run cannot advance through: a window below
+/// [`MIN_WINDOW_SECS`], and under credit retry a self-redirect gap below
+/// `window_secs /` [`MAX_RETRIES_PER_WINDOW`].
+pub(crate) fn check_time_scales(cfg: &SimConfig) -> Result<(), SpecError> {
+    let window = cfg.window_secs;
+    if window.is_nan() || window < MIN_WINDOW_SECS {
+        return Err(SpecError::Scenario(format!(
+            "window_secs is {window}: a scheduling window must be at least {MIN_WINDOW_SECS} s"
+        )));
+    }
     match cfg.mode {
         QueueMode::CreditRetry { retry_delay }
-            if retry_delay + 2.0 * cfg.network_latency <= 0.0 =>
+            if retry_delay + 2.0 * cfg.network_latency < window / MAX_RETRIES_PER_WINDOW =>
         {
             Err(SpecError::Scenario(format!(
                 "queue_mode.retry_delay is {retry_delay} and the hop latency is {}: a \
-                 self-redirected request would return at the instant it left, so the run \
-                 never advances; make retry_delay or net.hop_latency positive",
-                cfg.network_latency
+                 self-redirected request would come back more than {MAX_RETRIES_PER_WINDOW} \
+                 times per {window} s window; make retry_delay + 2 × net.hop_latency at least \
+                 {}",
+                cfg.network_latency,
+                window / MAX_RETRIES_PER_WINDOW
             )))
         }
         _ => Ok(()),
@@ -689,6 +710,36 @@ mod tests {
         let again = DeploymentSpec::from_json(&json).unwrap();
         assert_eq!(again.principals.len(), 3);
         assert_eq!(again.agreements.len(), 2);
+    }
+
+    /// Decoding is linear in the text: a 4,096-principal spec (about
+    /// 540 kB) decodes well inside two seconds even in a debug build.
+    #[test]
+    fn large_spec_decodes_in_linear_time() {
+        let n = 4096;
+        let principals: Vec<String> = (0..n)
+            .map(|i| format!(r#"{{"name": "principal-{i:05}", "capacity": {}.5}}"#, i % 97))
+            .collect();
+        let agreements: Vec<String> = (1..n)
+            .map(|i| {
+                format!(
+                    r#"{{"issuer": "principal-{:05}", "holder": "principal-{i:05}", "lb": 0.0001, "ub": 0.5}}"#,
+                    i / 2
+                )
+            })
+            .collect();
+        let text = format!(
+            r#"{{"principals": [{}], "agreements": [{}], "clients": [], "duration": 10.0}}"#,
+            principals.join(",\n"),
+            agreements.join(",\n")
+        );
+        assert!(text.len() > 500_000, "{} bytes", text.len());
+        let start = std::time::Instant::now();
+        let spec = DeploymentSpec::from_json(&text).unwrap();
+        let took = start.elapsed();
+        assert_eq!((spec.principals.len(), spec.agreements.len()), (n, n - 1));
+        assert_eq!(spec.principals[n - 1].name, "principal-04095");
+        assert!(took.as_secs_f64() < 2.0, "decoding {} bytes took {took:?}", text.len());
     }
 
     #[test]

@@ -294,6 +294,28 @@ impl EnforcementCore {
         }
     }
 
+    /// Counts `n` more presentations of `req`, each deferred: what `n` more
+    /// calls of [`Self::on_arrival`] would do once the credit gate has
+    /// deferred `req`, as long as no window roll comes between — credit
+    /// only falls between rolls. The simulator folds a deferred request's
+    /// re-presentations before the next roll into its deferral this way.
+    /// Its costs are whole multiples of a small power of two, so adding
+    /// `n × cost` at once leaves the window's arrival sum exactly where
+    /// `n` separate additions, in any order, would.
+    ///
+    /// # Panics
+    ///
+    /// If the gate would admit `req` now.
+    pub fn defer_again(&mut self, req: &Request, n: u64) {
+        let i = req.principal.0;
+        assert!(
+            self.gate.credit(req.principal) + 1e-9 < req.cost,
+            "principal {i} has the credit for a request it is deferring"
+        );
+        self.arrivals_this_window[i] += req.cost * n as f64;
+        self.deferred += n;
+    }
+
     /// Attempts to admit *parked* work being reinjected: the request was
     /// already counted as an arrival when it first reached the redirector
     /// (and its continued presence is reported via the backlog hint), so

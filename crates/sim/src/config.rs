@@ -99,9 +99,6 @@ pub struct SimConfig {
     pub duration: f64,
     /// Server accept-backlog limit.
     pub server_backlog: usize,
-    /// Maximum retries before a deferred request is abandoned (client gives
-    /// up); `u32::MAX` to retry forever.
-    pub max_retries: u32,
     /// Fraction of the mandatory share admitted while the tree has not yet
     /// delivered any global information (paper: half).
     pub conservative_fraction: f64,
@@ -155,7 +152,6 @@ impl SimConfig {
             clients: Vec::new(),
             duration,
             server_backlog: 4096,
-            max_retries: u32::MAX,
             conservative_fraction: 0.5,
             bucket_secs: 1.0,
             capacity_changes: Vec::new(),

@@ -9,27 +9,54 @@
 //!   arrival per client (plus in-flight completions/retries and the next
 //!   tick), so memory is bounded by concurrency, not run length. A
 //!   deferred request's retry, which under credit retry is most events,
-//!   joins the queue's FIFO retry lane instead of the heap. Request
-//!   metadata lives in a dense free-list slab keyed by the [`RequestId`]s
-//!   it hands out, and each window's round closes through the `TreeNode`s
-//!   of the world's `LocalTree`.
+//!   joins one of the queue's FIFO retry lanes instead of the heap, and a
+//!   deferral *folds* the re-presentations that are certain to be deferred
+//!   again (below). Request metadata lives in a dense free-list slab keyed
+//!   by the [`RequestId`]s it hands out, and each window's round closes
+//!   through the `TreeNode`s of the world's `LocalTree`.
 //! * `Simulation::run_reference` — the tests' correctness oracle (the role
 //!   `solve_reference` plays for the LP), compiled for tests only. It
 //!   materializes every arrival and tick up front, keeps metadata in a
 //!   `HashMap`, closes each round centrally with `Topology::aggregate`,
-//!   stamping the views itself, and heap-schedules every retry. What it
-//!   checks — streaming, the retry lane, the slab, tree rounds — is thereby
-//!   independent of the path under test.
+//!   stamping the views itself, and heap-schedules and polls every retry.
+//!   What it checks — streaming, the fold, the retry lanes, the slab, tree
+//!   rounds — is thereby independent of the path under test.
 //!
 //! The [`EventQueue`]'s class-keyed ordering guarantees both paths pop
 //! the identical event sequence, so their reports agree on every
-//! behavioral observable (see [`SimReport::outcome_eq`] and the
-//! `streaming_matches_reference_*` tests).
+//! behavioral observable (see [`SimReport::outcome_eq`], the
+//! `streaming_matches_reference_*` tests and the random worlds of
+//! `folded_run_matches_polling_reference`).
+//!
+//! # A deferral holds until the roll
+//!
+//! Under credit retry a request over its principal's window credit gets a
+//! self-redirect and comes back one retry gap (`retry_delay` plus two hops)
+//! later. The credit gate's credit only falls between window rolls, and the
+//! request's cost does not change, so a deferred request that comes back
+//! before the next roll is deferred again, for certain. The streaming
+//! engine therefore decides every such re-presentation at the deferral
+//! itself: each still adds its cost to the core's window arrivals (which
+//! the demand estimate reads), one to the core's and the report's
+//! `deferred`, one entry to the decision trace and one to
+//! `events_processed`. Only the first re-presentation at or after the roll
+//! (or past the end of the run) is queued, at the time the same repeated
+//! `+ gap` addition would have reached. The retry's queue key is fixed by
+//! its request, not by when it was pushed, so it pops exactly where the
+//! polled retry would have. Folded entries enter the decision trace ahead
+//! of their time; the trace is sorted back into pop order at the end.
+//!
+//! A span never crosses a roll, so restarts, renegotiations and capacity
+//! changes, which all apply at window ticks, cannot fall inside one. The
+//! fold is exact only while credit rises at rolls alone: a mid-window
+//! credit top-up would have to end every span at the moment it lands.
+//! [`EnforcementCore::defer_again`] counts a span in one step, and refuses
+//! a request the gate would admit.
 
 use crate::config::{
     AgreementChange, CapacityChange, QueueMode, RequestCost, SimClient, SimConfig,
 };
-use crate::events::{Event, EventQueue};
+use crate::events::{Event, EventKey, EventQueue};
 use crate::link::{Link, LinkStart};
 use crate::metrics::{RateSeries, ResponseStats};
 use crate::server::{Accept, Server};
@@ -164,10 +191,10 @@ impl ClientGen {
         }
     }
 
-    /// Costs arrival `a` and returns it as an original-arrival event with
-    /// request id `id`, timed one network hop later — when it reaches the
-    /// redirector.
-    fn arrival(&mut self, a: Arrival, id: u64, hop: f64) -> (f64, Event) {
+    /// Costs arrival `a` and pushes it as this client's next original
+    /// arrival, with request id `id`, timed one network hop later — when it
+    /// reaches the redirector.
+    fn push(&mut self, a: Arrival, id: u64, hop: f64, events: &mut EventQueue) {
         // Sized clients carry their sampled reply bytes so the link model
         // transfers the exact 200 B–500 KB draw, not the unit-floored cost;
         // other cost models leave 0.0 and the clients derive bytes from
@@ -181,9 +208,12 @@ impl ClientGen {
                 (sizes.cost_units(bytes, *mean_bytes), bytes as f64)
             }
         };
+        let cost = in_cost_steps(cost);
         let request = Request { id: RequestId(id), principal: a.principal, arrival: a.time, cost };
-        let (redirector, client) = (self.redirector, self.client);
-        (a.time + hop, Event::Arrival { request, redirector, client, retries: 0, bytes })
+        let (redirector, client, index) = (self.redirector, self.client, self.next_index);
+        self.next_index += 1;
+        let event = Event::Arrival { request, redirector, client, index, retry: false, bytes };
+        events.push_arrival(a.time + hop, client, index, event);
     }
 
     /// Pushes this client's next arrival (if any remains within the run)
@@ -193,11 +223,20 @@ impl ClientGen {
     fn refill(&mut self, duration: f64, hop: f64, events: &mut EventQueue) {
         if let Some(a) = self.stream.next().filter(|a| a.time <= duration) {
             // The id is assigned from the slab when the event pops.
-            let (at, event) = self.arrival(a, u64::MAX, hop);
-            events.push_arrival(at, self.client, self.next_index, event);
-            self.next_index += 1;
+            self.push(a, u64::MAX, hop, events);
         }
     }
+}
+
+/// Steps per cost unit that request costs are rounded to: 2²⁰.
+const COST_STEPS: f64 = 1_048_576.0;
+
+/// `cost` rounded to a whole number of [`COST_STEPS`], at least one. Sums
+/// of such costs are exact in `f64` below 2³³ units, so a window's arrival
+/// sum does not depend on the order its arrivals are counted in — and a
+/// fold counts a deferred request's re-presentations ahead of their turn.
+fn in_cost_steps(cost: f64) -> f64 {
+    (cost * COST_STEPS).round().max(1.0) / COST_STEPS
 }
 
 /// One recorded admission decision (see
@@ -233,9 +272,8 @@ pub struct SimReport {
     pub deferred: Vec<u64>,
     /// Requests dropped at server backlogs.
     pub dropped_server: u64,
-    /// Requests their clients gave up on: deferred ones that exhausted
-    /// their retries, and the queued or parked ones a restarting
-    /// redirector lost.
+    /// Requests their clients gave up on: the queued or parked ones a
+    /// restarting redirector lost.
     pub abandoned: u64,
     /// Scheduled sends skipped because a closed-loop client was at its
     /// outstanding limit.
@@ -274,8 +312,13 @@ pub struct SimReport {
     /// Peak concurrent transfers per link. Empty without a network model.
     pub link_active_peak: Vec<usize>,
     /// Discrete events the engine processed (arrivals, ticks, completions,
-    /// retries) — identical for both execution paths.
+    /// retries) — identical for both execution paths. Every re-presentation
+    /// of a deferred request counts, folded or polled.
     pub events_processed: u64,
+    /// Events the engine popped from its queue: `events_processed` less the
+    /// re-presentations a deferral folded (see [`Simulation::run`]). The
+    /// reference path polls every retry, so there the two are equal.
+    pub queue_pops: u64,
     /// High-water mark of the pending-event queue: O(clients + in-flight)
     /// for the streaming engine, O(total requests) for the reference path.
     pub peak_event_queue: usize,
@@ -390,8 +433,12 @@ struct Redirectors<R> {
     cores: Vec<EnforcementCore>,
     tree: LocalTree,
     rounds: R,
-    /// `Some` when the config asked for a per-arrival decision trace.
-    decisions: Option<Vec<ArrivalDecision>>,
+    /// `Some` when the config asked for a per-arrival decision trace. Each
+    /// entry carries the queue key of the event it decided: a folded
+    /// deferral records re-presentations ahead of their time, and sorting
+    /// by `(time, key)` at the end restores the order they would have
+    /// popped in.
+    decisions: Option<Vec<(EventKey, ArrivalDecision)>>,
     /// Reused per-tick release list.
     released: Vec<(Request, usize)>,
     /// A self-redirect costs the client one full round trip on top of its
@@ -403,16 +450,50 @@ struct Redirectors<R> {
 }
 
 impl<R> Redirectors<R> {
-    /// Redirector `ri` decides the arriving `request` at `now` (a deferral
-    /// counts as one self-redirect issued).
-    fn decide(&mut self, now: f64, ri: usize, request: Request) -> ArrivalOutcome {
+    /// Redirector `ri` decides the `request` an event keyed `key` presents
+    /// at `now` (a deferral counts as one self-redirect issued).
+    fn decide(&mut self, now: f64, key: EventKey, ri: usize, request: Request) -> ArrivalOutcome {
         let outcome = self.cores[ri].on_arrival(request);
-        if let Some(trace) = self.decisions.as_mut() {
-            let (principal, cost) = (request.principal, request.cost);
-            trace.push(ArrivalDecision { time: now, redirector: ri, principal, cost, outcome });
-        }
+        self.trace(now, key, ri, request, outcome);
         self.deferred[request.principal.0] += u64::from(outcome == ArrivalOutcome::Defer);
         outcome
+    }
+
+    /// Records a decision in the trace, if the config asked for one.
+    fn trace(&mut self, now: f64, key: EventKey, ri: usize, req: Request, outcome: ArrivalOutcome) {
+        if let Some(trace) = self.decisions.as_mut() {
+            let (principal, cost) = (req.principal, req.cost);
+            let decision = ArrivalDecision { time: now, redirector: ri, principal, cost, outcome };
+            trace.push((key, decision));
+        }
+    }
+
+    /// Redirector `ri`, having just deferred `request`, decides the
+    /// re-presentations its client makes from `at` on, one `gap` apart,
+    /// that come before the next `roll` (which pops first at an equal time)
+    /// and no later than `stop`: each is deferred again, counted and traced
+    /// as if it had been presented. Returns when the first one not decided
+    /// is due, and how many were.
+    #[allow(clippy::too_many_arguments)]
+    fn defer_until(
+        &mut self,
+        ri: usize,
+        key: EventKey,
+        request: Request,
+        mut at: f64,
+        gap: f64,
+        roll: f64,
+        stop: f64,
+    ) -> (f64, u64) {
+        let mut n = 0;
+        while at < roll && at <= stop {
+            self.trace(at, key, ri, request, ArrivalOutcome::Defer);
+            at += gap;
+            n += 1;
+        }
+        self.cores[ri].defer_again(&request, n);
+        self.deferred[request.principal.0] += n;
+        (at, n)
     }
 
     /// Rolls redirector `ri`'s window at `now`: read its view of the
@@ -451,6 +532,12 @@ struct Schedules {
     /// Index of the last streamed window tick; `None` when every tick was
     /// pushed up front.
     tick: Option<u64>,
+    /// When the next window roll is due, the first moment any credit can
+    /// rise: a deferral folds the re-presentations due before it.
+    /// `INFINITY` once no tick is left in the run; `NEG_INFINITY` when
+    /// every tick was pushed up front — the oracle, which polls every
+    /// retry.
+    roll: f64,
 }
 
 /// Redirector `id`'s enforcement core on `levels`: the policy is shared,
@@ -490,6 +577,7 @@ struct World<'a, M, R> {
     links: Links,
     schedules: Schedules,
     events_processed: u64,
+    queue_pops: u64,
 }
 
 impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
@@ -498,7 +586,8 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
     /// every arrival and tick was pushed up front.
     fn new(cfg: &'a SimConfig, sources: Option<Vec<ClientGen>>, meta: M, rounds: R) -> Self {
         let n = cfg.graph.len();
-        let tick = sources.is_some().then_some(0);
+        let streamed = sources.is_some();
+        let tick = streamed.then_some(0);
         let levels = cfg.graph.access_levels();
         let capacities = cfg.graph.capacities();
         let servers = capacities.iter().map(|&c| Server::new(c, cfg.server_backlog)).collect();
@@ -546,8 +635,10 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                 restarts: timeline(&cfg.redirector_restarts, |r| r.0),
                 graph: cfg.graph.clone(),
                 tick,
+                roll: if streamed { 0.0 } else { f64::NEG_INFINITY },
             },
             events_processed: 0,
+            queue_pops: 0,
         }
     }
 
@@ -558,6 +649,7 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
             if now > self.cfg.duration + 1e-9 {
                 break;
             }
+            self.queue_pops += 1;
             self.apply(now, event, &mut events);
         }
         self.finish(events.peak_len(), start.elapsed().as_secs_f64())
@@ -568,8 +660,8 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
         self.events_processed += 1;
         let hop = self.cfg.network_latency;
         match event {
-            Event::Arrival { mut request, redirector, client, retries, bytes } => {
-                if retries == 0 {
+            Event::Arrival { mut request, redirector, client, index, retry, bytes } => {
+                if !retry {
                     // This client's next arrival takes the vacated pending
                     // slot (before the closed-loop gate can turn this away).
                     if let Some(source) = self.clients.sources.get_mut(client) {
@@ -580,18 +672,36 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                     };
                     request.id = id;
                 }
-                match self.redirectors.decide(now, redirector, request) {
+                let key = EventKey::request(client, index, retry);
+                match self.redirectors.decide(now, key, redirector, request) {
                     ArrivalOutcome::Forward { server } => {
                         self.forward(now, request, server, events)
                     }
-                    ArrivalOutcome::Defer if retries < self.cfg.max_retries => {
-                        let retries = retries + 1;
-                        let retry = Event::Arrival { request, redirector, client, retries, bytes };
-                        events.push_retry(now + self.redirectors.retry_delay, retry);
-                    }
                     ArrivalOutcome::Defer => {
-                        self.redirectors.abandoned += 1;
-                        self.clients.retire(request.id);
+                        let gap = self.redirectors.retry_delay;
+                        let mut at = now + gap;
+                        // Credit only falls between rolls, so every
+                        // re-presentation before the next one is deferred
+                        // again: count those here and queue only the first
+                        // one at or after the roll (or past the end).
+                        let (roll, stop) = (self.schedules.roll, self.cfg.duration + 1e-9);
+                        if at < roll && at <= stop {
+                            let key = EventKey::request(client, index, true);
+                            let (next, folded) = self
+                                .redirectors
+                                .defer_until(redirector, key, request, at, gap, roll, stop);
+                            self.events_processed += folded;
+                            at = next;
+                        }
+                        let event = Event::Arrival {
+                            request,
+                            redirector,
+                            client,
+                            index,
+                            retry: true,
+                            bytes,
+                        };
+                        events.push_retry(at, client, index, event);
                     }
                     ArrivalOutcome::Queued => {}
                 }
@@ -603,8 +713,10 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                 if let Some(i) = self.schedules.tick.as_mut() {
                     *i += 1;
                     let next = *i as f64 * self.cfg.window_secs;
+                    self.schedules.roll = f64::INFINITY;
                     if next <= self.cfg.duration {
                         events.push_tick(next, *i, Event::WindowTick);
+                        self.schedules.roll = next;
                     }
                 }
                 self.apply_schedules(now);
@@ -739,11 +851,18 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
             link_bytes: self.links.list.iter().map(|l| l.bytes).collect(),
             link_active_peak: self.links.list.iter().map(|l| l.active_peak).collect(),
             events_processed: self.events_processed,
+            queue_pops: self.queue_pops,
             peak_event_queue,
             wall_secs,
-            decisions: self.redirectors.decisions.unwrap_or_default(),
+            decisions: self.redirectors.decisions.map_or_else(Vec::new, pop_order),
         }
     }
+}
+
+/// A decision trace in the order its events pop: by time, then queue key.
+fn pop_order(mut trace: Vec<(EventKey, ArrivalDecision)>) -> Vec<ArrivalDecision> {
+    trace.sort_by(|(ka, a), (kb, b)| a.time.total_cmp(&b.time).then(ka.cmp(kb)));
+    trace.into_iter().map(|(_, decision)| decision).collect()
 }
 
 impl Simulation {
@@ -767,10 +886,10 @@ impl Simulation {
     }
 
     /// Runs to completion on the pre-optimization path: every arrival and
-    /// tick is materialized and heap-scheduled up front, retries go through
-    /// the heap too, request metadata lives in a `HashMap`, and rounds close
-    /// centrally — the seed engine's O(total requests) memory and cost
-    /// profile.
+    /// tick is materialized and heap-scheduled up front, every retry goes
+    /// through the heap and is polled once per gap (no fold), request
+    /// metadata lives in a `HashMap`, and rounds close centrally — the seed
+    /// engine's O(total requests) memory and cost profile.
     ///
     /// The oracle the `streaming_matches_reference_*` tests compare
     /// [`Simulation::run`] against.
@@ -780,15 +899,14 @@ impl Simulation {
         let cfg = &self.cfg;
         let mut events = EventQueue::heap_only();
         let ticks = (0u64..).map(|i| i as f64 * cfg.window_secs).take_while(|&t| t <= cfg.duration);
-        for t in ticks {
-            events.push(t, Event::WindowTick);
+        for (i, t) in ticks.enumerate() {
+            events.push_tick(t, i as u64, Event::WindowTick);
         }
         let mut next_id = 0;
         for (ci, c) in cfg.clients.iter().enumerate() {
             let mut source = ClientGen::new(ci, c);
             for a in c.machine.arrivals().into_iter().filter(|a| a.time <= cfg.duration) {
-                let (at, event) = source.arrival(a, next_id, cfg.network_latency);
-                events.push(at, event);
+                source.push(a, next_id, cfg.network_latency, &mut events);
                 next_id += 1;
             }
         }
@@ -1231,6 +1349,33 @@ mod tests {
             streamed.peak_event_queue,
             reference.peak_event_queue
         );
+    }
+
+    /// A deferral decides its certain re-deferrals up to the next roll at
+    /// once: with a retry gap of a fifth of a window, most re-presentations
+    /// never reach the queue, yet the report — events, deferrals, the
+    /// decision trace in pop order — is the oracle's, which polls them all.
+    #[test]
+    fn deferrals_fold_until_the_roll() {
+        let (a, b) = (PrincipalId(1), PrincipalId(2));
+        let mk = || {
+            SimConfig::new(small_system(), 10.0)
+                .with_mode(QueueMode::CreditRetry { retry_delay: 0.02 })
+                .with_decision_recording()
+                .client(ClientMachine::uniform(0, a, PhasedLoad::constant(150.0, 10.0)), 0)
+                .client(ClientMachine::uniform(1, b, PhasedLoad::constant(150.0, 10.0)), 0)
+        };
+        let folded = Simulation::new(mk()).run();
+        let polled = Simulation::new(mk()).run_reference();
+        assert!(folded.outcome_eq(&polled), "folded {folded:?}\npolled {polled:?}");
+        assert_eq!(polled.queue_pops, polled.events_processed);
+        assert!(
+            2 * folded.queue_pops < folded.events_processed,
+            "{} pops for {} events",
+            folded.queue_pops,
+            folded.events_processed
+        );
+        assert!(folded.decisions.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     /// Streaming/reference agreement holds in all three queuing modes.

@@ -1,5 +1,5 @@
 //! The event queue: a deterministic min-heap of timestamped events, plus a
-//! FIFO lane for self-redirect retries.
+//! few FIFO lanes for self-redirect retries.
 //!
 //! Events are totally ordered by `(time, key)`. The key encodes the event's
 //! *class* so that lazily streamed events reproduce the exact tie-breaking
@@ -9,26 +9,27 @@
 //! 2. original client arrivals (ordered by client index, then per-client
 //!    arrival index — the order a client-by-client pre-materialization
 //!    would have inserted them),
-//! 3. runtime events — completions, retries — in push order (FIFO among
-//!    equal timestamps).
+//! 3. self-redirect retries, ordered like the original arrival they retry
+//!    (client, then per-client arrival index),
+//! 4. runtime events — completions, reply deliveries, link wakes — in push
+//!    order (FIFO among equal timestamps).
 //!
-//! The tests' reference path pushes all ticks first, then every client's
-//! arrivals in client order, then schedules runtime events while running;
-//! insertion sequence therefore produces exactly this order. Encoding it in
-//! the key lets the streaming path hold one pending arrival per client
-//! and still pop the identical event sequence.
+//! Only the last class depends on when an event was pushed. A retry's key
+//! is fixed by its request, so equal-time retries pop in the same order
+//! however far ahead each was scheduled: the engine may push a retry at the
+//! first re-presentation after a window roll, skipping the ones before it
+//! that are certain to be deferred again, and still pop it exactly where
+//! a retry polled once per gap would have popped.
 //!
-//! Retries are the fourth source, and under credit retry nearly every
-//! event is one. The engine schedules each at `now + retry_delay`, with a
-//! delay fixed for the run and a `now` that never decreases, so retry times
-//! never decrease in push order; their runtime keys come from the one
-//! shared counter and only grow. A `VecDeque` filled in push order is then
-//! already sorted by `(time, key)`, and [`EventQueue::push_retry`] appends
-//! to it instead of sifting through the heap. [`EventQueue::pop`] takes the
-//! earlier of the lane's front and the heap's top under the same order, so
-//! the popped sequence is the one an all-heap queue would produce. A retry
-//! earlier than the lane's back goes to the heap, so that order holds
-//! whatever delays a caller uses.
+//! Under credit retry nearly every event is a retry. The engine pushes
+//! each one at the first re-presentation at or after the next window roll,
+//! so they arrive in a few ascending runs, not in one.
+//! [`EventQueue::push_retry`] appends each to the first of a few
+//! (`RETRY_LANES`) `VecDeque`s whose back it sorts at or after, and only a
+//! retry that fits no lane sifts through the heap. Every lane stays sorted,
+//! and [`EventQueue::pop`] takes the earliest of the lanes' fronts and the
+//! heap's top under the same order, so the popped sequence is the one an
+//! all-heap queue would produce.
 
 use covenant_sched::Request;
 use std::cmp::Ordering;
@@ -46,8 +47,12 @@ pub enum Event {
         /// Generating client, indexed like `SimConfig::clients` (for
         /// closed-loop accounting).
         client: usize,
-        /// How many times this request has been retried already.
-        retries: u32,
+        /// The request's per-client arrival sequence number; with `client`
+        /// it orders the request's retries among equal-time retries.
+        index: u64,
+        /// Whether this is a self-redirect retry rather than the request's
+        /// original arrival.
+        retry: bool,
         /// Reply bytes this request will put on the link (0.0 = derive
         /// from cost × the net model's `unit_bytes`; only read under a
         /// network model).
@@ -81,34 +86,67 @@ pub enum Event {
     },
 }
 
-/// Tie-break key among equal timestamps; see the module docs for why the
-/// variant order (ticks < arrivals < runtime) is load-bearing.
+/// How many FIFO lanes retries fill before falling back to the heap.
+const RETRY_LANES: usize = 3;
+
+/// Tie-break key among equal timestamps, packed into one integer so a
+/// single compare orders it: the class in the top two bits (ticks <
+/// arrivals < retries < runtime; see the module docs for why that order is
+/// load-bearing), then the class's own order — tick index, (client,
+/// per-client arrival index) for arrivals and retries, push sequence for
+/// runtime events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKey {
-    /// Initial window ticks, by tick index.
-    Tick(u64),
-    /// Original client arrivals, by (client, per-client arrival index).
-    Arrival {
-        /// Generating client machine.
-        client: u64,
-        /// Per-client arrival sequence number.
-        index: u64,
-    },
-    /// Everything scheduled while the simulation runs, in push order.
-    Runtime(u64),
+pub(crate) struct EventKey(u128);
+
+impl EventKey {
+    const ARRIVAL: u128 = 1 << 126;
+    const RETRY: u128 = 2 << 126;
+    const RUNTIME: u128 = 3 << 126;
+
+    /// Window tick number `index`.
+    fn tick(index: u64) -> EventKey {
+        EventKey(u128::from(index))
+    }
+
+    /// The key of client `client`'s `index`-th request: its original
+    /// arrival's, or (`retry`) any of its retries'.
+    pub(crate) fn request(client: usize, index: u64, retry: bool) -> EventKey {
+        let class = if retry { Self::RETRY } else { Self::ARRIVAL };
+        let client = client as u128;
+        assert!(client < 1 << 62, "client index out of range");
+        EventKey(class | client << 64 | u128::from(index))
+    }
+
+    /// The `seq`-th runtime event pushed.
+    fn runtime(seq: u64) -> EventKey {
+        EventKey(Self::RUNTIME | u128::from(seq))
+    }
 }
 
-/// Heap entry ordered by time, then key.
+/// Queue entry ordered by time, then key. The time is kept as its bit
+/// pattern, which orders finite non-negative `f64`s like their values.
 #[derive(Debug, Clone)]
 struct Scheduled {
-    time: f64,
+    at: u64,
     key: EventKey,
     event: Event,
 }
 
+impl Scheduled {
+    fn new(time: f64, key: EventKey, event: Event) -> Scheduled {
+        assert!(time.is_finite() && time >= 0.0, "event time must be finite and non-negative");
+        // `+ 0.0` turns -0.0 into +0.0, whose bits sort first.
+        Scheduled { at: (time + 0.0).to_bits(), key, event }
+    }
+
+    fn time(&self) -> f64 {
+        f64::from_bits(self.at)
+    }
+}
+
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
+        (self.at, self.key) == (other.at, other.key)
     }
 }
 impl Eq for Scheduled {}
@@ -120,11 +158,7 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("finite event times")
-            .then(other.key.cmp(&self.key))
+        (other.at, other.key).cmp(&(self.at, self.key))
     }
 }
 
@@ -132,9 +166,11 @@ impl Ord for Scheduled {
 #[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Scheduled>,
-    /// Retries in push order, sorted by construction (see the module docs).
-    retries: VecDeque<Scheduled>,
+    /// Retry lanes, each sorted by construction (see the module docs).
+    lanes: [VecDeque<Scheduled>; RETRY_LANES],
     next_seq: u64,
+    /// Pending events, wherever they wait.
+    len: usize,
     peak: usize,
     /// Test oracle only: every retry goes through the heap.
     #[cfg(test)]
@@ -147,89 +183,90 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Empty queue whose [`EventQueue::push_retry`] is a plain
-    /// [`EventQueue::push`], so an oracle run checks the lane end to end.
+    /// Empty queue whose retries all go through the heap, so an oracle run
+    /// checks the lanes end to end.
     #[cfg(test)]
     pub(crate) fn heap_only() -> Self {
         EventQueue { heap_only: true, ..Self::default() }
     }
 
     /// Schedules a runtime `event` at absolute time `time` (FIFO among
-    /// equal timestamps, after any tick or original arrival at the same
-    /// time).
+    /// equal timestamps, after any tick, original arrival or retry at the
+    /// same time).
     pub fn push(&mut self, time: f64, event: Event) {
-        let key = self.next_runtime_key();
+        let key = EventKey::runtime(self.next_seq);
+        self.next_seq += 1;
         self.push_keyed(time, key, event);
     }
 
-    /// Schedules a self-redirect retry: ordered exactly like
-    /// [`EventQueue::push`], but a retry no earlier than the last one
-    /// queued joins the FIFO lane instead of the heap.
-    pub fn push_retry(&mut self, time: f64, event: Event) {
-        let key = self.next_runtime_key();
+    /// Schedules a self-redirect retry of client `client`'s `index`-th
+    /// request (retries sort after ticks and original arrivals and before
+    /// runtime events at the same timestamp, by client then per-client
+    /// index). It joins the first lane whose back it sorts at or after,
+    /// or else the heap.
+    pub fn push_retry(&mut self, time: f64, client: usize, index: u64, event: Event) {
+        let key = EventKey::request(client, index, true);
         #[cfg(test)]
         if self.heap_only {
             return self.push_keyed(time, key, event);
         }
-        // Keys only grow, so a retry due no earlier than the lane's back
-        // keeps the lane sorted.
-        if self.retries.back().is_some_and(|back| time < back.time) {
-            self.push_keyed(time, key, event);
-        } else {
-            assert!(time.is_finite(), "event time must be finite");
-            self.retries.push_back(Scheduled { time, key, event });
-            self.note_len();
+        let entry = Scheduled::new(time, key, event);
+        // `Scheduled` orders the earlier event as the greater.
+        match self.lanes.iter_mut().find(|lane| lane.back().is_none_or(|back| *back >= entry)) {
+            Some(lane) => lane.push_back(entry),
+            None => self.heap.push(entry),
         }
-    }
-
-    fn next_runtime_key(&mut self) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        EventKey::Runtime(seq)
+        self.note_push();
     }
 
     /// Schedules window tick number `index` (ticks sort before everything
     /// else at the same timestamp).
     pub fn push_tick(&mut self, time: f64, index: u64, event: Event) {
-        self.push_keyed(time, EventKey::Tick(index), event);
+        self.push_keyed(time, EventKey::tick(index), event);
     }
 
     /// Schedules client `client`'s `index`-th original arrival (arrivals
-    /// sort after ticks and before runtime events at the same timestamp,
-    /// by client then per-client index).
+    /// sort after ticks and before retries and runtime events at the same
+    /// timestamp, by client then per-client index).
     pub fn push_arrival(&mut self, time: f64, client: usize, index: u64, event: Event) {
-        self.push_keyed(time, EventKey::Arrival { client: client as u64, index }, event);
+        self.push_keyed(time, EventKey::request(client, index, false), event);
     }
 
     fn push_keyed(&mut self, time: f64, key: EventKey, event: Event) {
-        assert!(time.is_finite(), "event time must be finite");
-        self.heap.push(Scheduled { time, key, event });
-        self.note_len();
+        self.heap.push(Scheduled::new(time, key, event));
+        self.note_push();
     }
 
-    fn note_len(&mut self) {
-        self.peak = self.peak.max(self.len());
+    fn note_push(&mut self) {
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
     }
 
-    /// Pops the earliest event, from the heap or the retry lane.
+    /// Pops the earliest event, from the heap or a retry lane.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
         // `Scheduled` orders the earlier event as the greater.
-        let lane_first = match (self.retries.front(), self.heap.peek()) {
-            (Some(lane), Some(top)) => lane > top,
-            (lane, _) => lane.is_some(),
-        };
-        let next = if lane_first { self.retries.pop_front() } else { self.heap.pop() };
-        next.map(|s| (s.time, s.event))
+        let (mut first, mut lane) = (self.heap.peek(), None);
+        for (i, front) in self.lanes.iter().enumerate().filter_map(|(i, l)| Some((i, l.front()?))) {
+            if first.is_none_or(|first| front > first) {
+                (first, lane) = (Some(front), Some(i));
+            }
+        }
+        let next = match lane {
+            Some(i) => self.lanes[i].pop_front(),
+            None => self.heap.pop(),
+        }?;
+        self.len -= 1;
+        Some((next.time(), next.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.retries.len()
+        self.len
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.retries.is_empty()
+        self.len() == 0
     }
 
     /// Largest number of events ever pending at once.
@@ -241,6 +278,26 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covenant_agreements::PrincipalId;
+
+    fn arrival(client: usize, index: u64) -> Event {
+        Event::Arrival {
+            request: Request::unit(index, PrincipalId(0), 1.0),
+            redirector: 0,
+            client,
+            index,
+            retry: false,
+            bytes: 0.0,
+        }
+    }
+
+    fn retry(q: &mut EventQueue, time: f64, client: usize, index: u64) {
+        q.push_retry(time, client, index, arrival(client, index));
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<(f64, Event)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -248,7 +305,7 @@ mod tests {
         q.push(3.0, Event::Completion { server: 3 });
         q.push(1.0, Event::Completion { server: 1 });
         q.push(2.0, Event::Completion { server: 2 });
-        let order: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
+        let order: Vec<f64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
         assert_eq!(order, vec![1.0, 2.0, 3.0]);
     }
 
@@ -258,30 +315,68 @@ mod tests {
         for r in 0..5 {
             q.push(1.0, Event::Completion { server: r });
         }
-        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let order: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         let pushed: Vec<Event> = (0..5).map(|server| Event::Completion { server }).collect();
         assert_eq!(order, pushed);
     }
 
     #[test]
-    fn classes_order_ticks_arrivals_runtime_at_equal_time() {
-        use covenant_agreements::PrincipalId;
-        let arrival = |client, id| Event::Arrival {
-            request: Request::unit(id, PrincipalId(0), 1.0),
-            redirector: 0,
-            client,
-            retries: 0,
-            bytes: 0.0,
-        };
+    fn classes_order_ticks_arrivals_retries_runtime_at_equal_time() {
         let mut q = EventQueue::new();
         // Pushed in deliberately scrambled order; all at t = 1.0.
         q.push(1.0, Event::Completion { server: 9 });
+        retry(&mut q, 1.0, 0, 0);
         q.push_arrival(1.0, 2, 0, arrival(2, 0));
         q.push_tick(1.0, 5, Event::WindowTick);
-        q.push_arrival(1.0, 1, 3, arrival(1, 1));
-        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        q.push_arrival(1.0, 1, 3, arrival(1, 3));
+        let order: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         let runtime = Event::Completion { server: 9 };
-        assert_eq!(order, vec![Event::WindowTick, arrival(1, 1), arrival(2, 0), runtime]);
+        let want = vec![Event::WindowTick, arrival(1, 3), arrival(2, 0), arrival(0, 0), runtime];
+        assert_eq!(order, want);
+    }
+
+    /// Equal-time retries pop by (client, index), not by when they were
+    /// pushed: a retry scheduled long before its twin still pops after it
+    /// when its request sorts later.
+    #[test]
+    fn equal_time_retries_pop_by_key_whatever_the_push_order() {
+        let keys = [(2, 0), (0, 7), (1, 1), (0, 3), (1, 0)];
+        let mut want: Vec<(usize, u64)> = keys.to_vec();
+        want.sort();
+        for rotation in 0..keys.len() {
+            for reversed in [false, true] {
+                let mut pushed = keys.to_vec();
+                pushed.rotate_left(rotation);
+                if reversed {
+                    pushed.reverse();
+                }
+                let mut q = EventQueue::new();
+                for &(client, index) in &pushed {
+                    retry(&mut q, 2.5, client, index);
+                }
+                let got: Vec<(usize, u64)> = drain(&mut q)
+                    .into_iter()
+                    .map(|(_, e)| match e {
+                        Event::Arrival { client, index, .. } => (client, index),
+                        other => panic!("{other:?}"),
+                    })
+                    .collect();
+                assert_eq!(got, want, "pushed {pushed:?}");
+            }
+        }
+    }
+
+    /// A retry that sorts before every lane's back falls back to the heap
+    /// and still pops in order.
+    #[test]
+    fn out_of_order_retries_still_pop_in_order() {
+        let mut q = EventQueue::new();
+        for (i, t) in [5.0, 4.0, 3.0, 2.0, 1.0, 6.0, 0.5].into_iter().enumerate() {
+            retry(&mut q, t, 0, i as u64);
+        }
+        assert_eq!(q.heap.len(), 3, "one lane per descending retry, then the heap");
+        let times: Vec<f64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(times, vec![0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -298,15 +393,15 @@ mod tests {
     }
 
     #[test]
-    fn peak_counts_the_retry_lane() {
+    fn peak_counts_the_retry_lanes() {
         let mut q = EventQueue::new();
         q.push(5.0, Event::Completion { server: 0 });
-        q.push_retry(1.0, Event::Completion { server: 1 });
-        q.push_retry(2.0, Event::Completion { server: 2 });
+        retry(&mut q, 1.0, 0, 1);
+        retry(&mut q, 0.5, 0, 2);
         assert_eq!((q.len(), q.peak_len()), (3, 3));
         q.pop();
-        q.push_retry(3.0, Event::Completion { server: 3 });
-        q.push_retry(4.0, Event::Completion { server: 4 });
+        retry(&mut q, 3.0, 0, 3);
+        retry(&mut q, 4.0, 0, 4);
         assert_eq!((q.len(), q.peak_len()), (4, 4));
         while q.pop().is_some() {}
         assert!(q.is_empty());
@@ -316,46 +411,44 @@ mod tests {
     #[test]
     fn retries_merge_with_the_heap_in_key_order() {
         let mut q = EventQueue::new();
-        q.push_retry(1.0, Event::Completion { server: 0 });
+        retry(&mut q, 1.0, 1, 0);
         q.push(1.0, Event::Completion { server: 1 });
-        q.push_retry(1.0, Event::Completion { server: 2 });
+        retry(&mut q, 1.0, 0, 2);
         q.push_tick(1.0, 0, Event::WindowTick);
-        q.push_retry(3.0, Event::Completion { server: 3 });
-        // Earlier than the lane's back: must still pop in time order.
-        q.push_retry(2.0, Event::Completion { server: 4 });
+        retry(&mut q, 3.0, 0, 3);
+        // Earlier than a lane's back: must still pop in time order.
+        retry(&mut q, 2.0, 0, 4);
         q.push(0.5, Event::Completion { server: 5 });
-        let order: Vec<(f64, Event)> = std::iter::from_fn(|| q.pop()).collect();
         let c = |server| Event::Completion { server };
         let want = vec![
             (0.5, c(5)),
             (1.0, Event::WindowTick),
-            (1.0, c(0)),
+            (1.0, arrival(0, 2)),
+            (1.0, arrival(1, 0)),
             (1.0, c(1)),
-            (1.0, c(2)),
-            (2.0, c(4)),
-            (3.0, c(3)),
+            (2.0, arrival(0, 4)),
+            (3.0, arrival(0, 3)),
         ];
-        assert_eq!(order, want);
+        assert_eq!(drain(&mut q), want);
     }
 
     #[test]
     fn heap_only_queue_pops_the_same_sequence() {
         let fill = |q: &mut EventQueue| {
-            for (i, t) in [2.0, 2.0, 3.0, 1.0, 4.0, 4.0].into_iter().enumerate() {
+            for (i, t) in [2.0, 2.0, 3.0, 1.0, 4.0, 4.0, 0.5, 2.0].into_iter().enumerate() {
                 if i % 2 == 0 {
-                    q.push_retry(t, Event::Completion { server: i });
+                    retry(q, t, i % 3, i as u64);
                 } else {
                     q.push(t, Event::Completion { server: i });
                 }
             }
         };
-        let (mut lane, mut heap) = (EventQueue::new(), EventQueue::heap_only());
-        fill(&mut lane);
+        let (mut lanes, mut heap) = (EventQueue::new(), EventQueue::heap_only());
+        fill(&mut lanes);
         fill(&mut heap);
-        assert!(heap.retries.is_empty());
-        assert_eq!(lane.retries.len(), 3);
-        let drain = |q: &mut EventQueue| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
-        assert_eq!(drain(&mut lane), drain(&mut heap));
+        assert!(heap.lanes.iter().all(VecDeque::is_empty));
+        assert_eq!(lanes.lanes.iter().map(VecDeque::len).sum::<usize>(), 4);
+        assert_eq!(drain(&mut lanes), drain(&mut heap));
     }
 
     #[test]
@@ -380,6 +473,6 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_infinite_retry_time() {
         let mut q = EventQueue::new();
-        q.push_retry(f64::INFINITY, Event::Completion { server: 0 });
+        retry(&mut q, f64::INFINITY, 0, 0);
     }
 }

@@ -28,10 +28,12 @@
 //! and drop statistics.
 //!
 //! Time is `f64` seconds from run start; the event queue breaks timestamp
-//! ties by event class (window ticks, then original arrivals, then runtime
-//! events FIFO — see [`events`]), so runs are fully deterministic for a
-//! given seed whether arrivals are streamed lazily ([`Simulation::run`]) or
-//! materialized up front (the tests' reference run of the same handler).
+//! ties by event class (window ticks, then original arrivals, then retries
+//! by the request they carry, then runtime events FIFO — see [`events`]),
+//! so runs are fully deterministic for a given seed whether arrivals are
+//! streamed lazily and certain re-deferrals folded ([`Simulation::run`]) or
+//! everything is materialized up front and every retry polled (the tests'
+//! reference run of the same handler).
 //! The server and link models are checked against closed-form queueing
 //! results (M/D/1, Pollaczek–Khinchine, M/G/1-PS) in their tests.
 
@@ -43,6 +45,8 @@ mod engine;
 pub mod events;
 mod link;
 mod metrics;
+#[cfg(test)]
+mod reference_prop;
 mod server;
 
 pub use config::{AgreementChange, CapacityChange, QueueMode, RequestCost, SimClient, SimConfig};

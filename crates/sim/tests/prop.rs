@@ -23,11 +23,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 enum MixedOp {
     /// Runtime push at this time slot.
     Push(u8),
-    /// Retry this many slots after the previous retry (monotone).
-    Retry(u8),
-    /// Retry this many slots *before* the previous retry: an out-of-order
-    /// retry, which must fall back to the heap.
-    EarlyRetry(u8),
+    /// Retry of this client's request, this many slots after the previous
+    /// retry (monotone in time; keys in any order at equal times).
+    Retry(u8, u8),
+    /// Retry of this client's request, this many slots *before* the
+    /// previous retry: an out-of-order retry, which must find another lane
+    /// or the heap.
+    EarlyRetry(u8, u8),
     /// Window tick at this time slot.
     Tick(u8),
     /// Original arrival at this time slot from this client.
@@ -41,8 +43,8 @@ fn mixed_op() -> impl Strategy<Value = MixedOp> {
     // pop 4.
     (0u8..13, 0u8..8, 0u8..3).prop_map(|(kind, t, c)| match kind {
         0..=1 => MixedOp::Push(t),
-        2..=5 => MixedOp::Retry(t % 2),
-        6 => MixedOp::EarlyRetry(1 + t % 2),
+        2..=5 => MixedOp::Retry(t % 2, c),
+        6 => MixedOp::EarlyRetry(1 + t % 2, c),
         7 => MixedOp::Tick(t),
         8 => MixedOp::Arrival(t, c),
         _ => MixedOp::Pop,
@@ -61,7 +63,8 @@ fn arrival_event(t: u8, client: u8, index: u64) -> Event {
         },
         redirector: 0,
         client: client as usize,
-        retries: 0,
+        index,
+        retry: false,
         bytes: 0.0,
     }
 }
@@ -114,39 +117,44 @@ proptest! {
         prop_assert!(q.pop().is_none());
     }
 
-    /// The retry lane merges with the heap without changing the pop order:
-    /// under any interleaving of runtime pushes, retries (mostly monotone,
-    /// some deliberately earlier than the lane's back), ticks, original
-    /// arrivals and pops, the queue pops exactly what the naive model —
-    /// min by `(time, class, index)` — picks, and `len`/`peak_len` count
-    /// every pending event wherever it waits.
+    /// The retry lanes merge with the heap without changing the pop order:
+    /// under any interleaving of runtime pushes, retries (mostly monotone
+    /// in time, some deliberately earlier than the last, with request keys
+    /// in any order), ticks, original arrivals and pops, the queue pops
+    /// exactly what the naive model picks — min by `(time, class, index)`,
+    /// where a retry's index is its request's (client, arrival index) and
+    /// only a runtime event's is its push sequence — and `len`/`peak_len`
+    /// count every pending event wherever it waits.
     #[test]
     fn retry_lane_matches_naive_order(ops in proptest::collection::vec(mixed_op(), 1..96)) {
         let mut q = EventQueue::new();
         // Model entries: ((time, class, index), event).
         let mut pending: Vec<((u8, u8, u64), Event)> = Vec::new();
-        let (mut seq, mut ticks, mut arrivals) = (0u64, 0u64, 0u64);
+        let (mut seq, mut ticks, mut arrivals, mut retries) = (0u64, 0u64, 0u64, 0u64);
         let mut lane_time = 0u8;
         let mut peak = 0usize;
+        // Arrivals and retries rank by (client, index); fold both into one key.
+        let request_key = |client: u8, index: u64| ((client as u64) << 32) | index;
         for op in ops {
-            let mut runtime = |q: &mut EventQueue, t: u8, retry: bool| {
-                let event = Event::Completion { server: seq as usize };
-                if retry {
-                    q.push_retry(t as f64, event.clone());
-                } else {
-                    q.push(t as f64, event.clone());
-                }
-                pending.push(((t, 2, seq), event));
-                seq += 1;
+            let mut retry = |q: &mut EventQueue, t: u8, client: u8| {
+                let event = Event::Completion { server: retries as usize };
+                q.push_retry(t as f64, client as usize, retries, event.clone());
+                pending.push(((t, 2, request_key(client, retries)), event));
+                retries += 1;
             };
             match op {
-                MixedOp::Push(t) => runtime(&mut q, t, false),
-                MixedOp::Retry(step) => {
-                    lane_time = lane_time.saturating_add(step);
-                    runtime(&mut q, lane_time, true);
+                MixedOp::Push(t) => {
+                    let event = Event::Completion { server: seq as usize };
+                    q.push(t as f64, event.clone());
+                    pending.push(((t, 3, seq), event));
+                    seq += 1;
                 }
-                MixedOp::EarlyRetry(back) => {
-                    runtime(&mut q, lane_time.saturating_sub(back), true);
+                MixedOp::Retry(step, client) => {
+                    lane_time = lane_time.saturating_add(step);
+                    retry(&mut q, lane_time, client);
+                }
+                MixedOp::EarlyRetry(back, client) => {
+                    retry(&mut q, lane_time.saturating_sub(back), client);
                 }
                 MixedOp::Tick(t) => {
                     q.push_tick(t as f64, ticks, Event::WindowTick);
@@ -158,8 +166,7 @@ proptest! {
                     arrivals += 1;
                     let event = arrival_event(t, client, index);
                     q.push_arrival(t as f64, client as usize, index, event.clone());
-                    // Arrivals rank by (client, index); fold both into one key.
-                    pending.push(((t, 1, ((client as u64) << 32) | index), event));
+                    pending.push(((t, 1, request_key(client, index)), event));
                 }
                 MixedOp::Pop => {
                     let got = q.pop();
@@ -185,55 +192,46 @@ proptest! {
         prop_assert!(q.pop().is_none());
     }
 
-    /// The class ordering (ticks < original arrivals < runtime) holds at
-    /// every shared timestamp under arbitrary interleavings, and within a
-    /// class the index order is preserved.
+    /// The class ordering (ticks < original arrivals < retries < runtime)
+    /// holds at every shared timestamp under arbitrary interleavings, and
+    /// within the request classes the (client, index) order is preserved.
     #[test]
     fn classes_keep_rank_under_interleaving(
         ticks in proptest::collection::vec(0u8..4, 0..8),
         arrivals in proptest::collection::vec((0u8..4, 0u8..3), 0..8),
+        retries in proptest::collection::vec((0u8..4, 0u8..3), 0..8),
         runtime in proptest::collection::vec(0u8..4, 0..8),
     ) {
-        use covenant_agreements::PrincipalId;
-        use covenant_sched::{Request, RequestId};
         let mut q = EventQueue::new();
         for (i, &t) in ticks.iter().enumerate() {
             q.push_tick(t as f64, i as u64, Event::WindowTick);
         }
         for (i, &(t, client)) in arrivals.iter().enumerate() {
-            let req = Request {
-                id: RequestId(i as u64),
-                principal: PrincipalId(0),
-                arrival: t as f64,
-                cost: 1.0,
-            };
-            q.push_arrival(
-                t as f64,
-                client as usize,
-                i as u64,
-                Event::Arrival {
-                    request: req,
-                    redirector: 0,
-                    client: client as usize,
-                    retries: 0,
-                    bytes: 0.0,
-                },
-            );
+            q.push_arrival(t as f64, client as usize, i as u64, arrival_event(t, client, i as u64));
+        }
+        for (i, &(t, client)) in retries.iter().enumerate() {
+            let mut event = arrival_event(t, client, i as u64);
+            if let Event::Arrival { retry, .. } = &mut event {
+                *retry = true;
+            }
+            q.push_retry(t as f64, client as usize, i as u64, event);
         }
         for &t in &runtime {
             q.push(t as f64, Event::Completion { server: 0 });
         }
-        // Rank within the popped sequence: time first, then class.
+        // Rank within the popped sequence: time, class, then the request
+        // key for arrivals and retries.
         let mut popped = Vec::new();
         while let Some((time, e)) = q.pop() {
-            let class = match e {
-                Event::WindowTick => 0,
-                Event::Arrival { .. } => 1,
-                _ => 2,
+            let rank = match e {
+                Event::WindowTick => (0, 0, 0),
+                Event::Arrival { client, index, retry, .. } => (1 + u8::from(retry), client, index),
+                _ => (3, 0, 0),
             };
-            popped.push((time, class));
+            popped.push((time, rank));
         }
         prop_assert!(popped.windows(2).all(|w| w[0] <= w[1]), "order violated: {popped:?}");
-        prop_assert_eq!(popped.len(), ticks.len() + arrivals.len() + runtime.len());
+        let total = ticks.len() + arrivals.len() + retries.len() + runtime.len();
+        prop_assert_eq!(popped.len(), total);
     }
 }

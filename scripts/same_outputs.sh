@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour check for refactors: this tree's `covenant` must print the same
 # bytes as another revision's on every library scenario, every benchmark
-# workload scenario and the paper figures.
+# workload scenario, every verifier example and the paper figures.
 #
 #   scripts/same_outputs.sh <rev>
 #
@@ -12,12 +12,15 @@
 # `covenant sim <f> --json` for every examples/scenarios/*.json and
 # benchmark/workloads/*.json of this tree (the latter only read),
 # `covenant levels <f>` (the entitlement table) for every
+# examples/scenarios/*.json, `covenant check --deny all <f>` (its
+# diagnostics and its exit status) for every examples/specs/*.json and
 # examples/scenarios/*.json, then `covenant figures`; the outputs are
-# compared with `cmp`. Exits 0 when all are identical, 1 naming the first
-# that differs.
+# compared with `cmp`. Every comparison runs; each one that differs is
+# named with the head of its diff. Exits 0 when all are identical, 1 when
+# any differs.
 set -euo pipefail
 
-usage() { sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 rev="${1:-}"
 [[ -n "$rev" && "$rev" != -* && $# -eq 1 ]] || usage
@@ -35,16 +38,21 @@ done
 other="$work/other/target/release/covenant"
 this="$here/target/release/covenant"
 
-same() { # <name> <args...>
+differing=0
+same() { # <name> <args...>: stdout, stderr and exit status must match
   local name="$1"; shift
-  "$other" "$@" > "$work/a"
-  "$this" "$@" > "$work/b"
-  if ! cmp -s "$work/a" "$work/b"; then
+  local status
+  status=0; "$other" "$@" > "$work/a" 2>&1 || status=$?
+  echo "exit $status" >> "$work/a"
+  status=0; "$this" "$@" > "$work/b" 2>&1 || status=$?
+  echo "exit $status" >> "$work/b"
+  if cmp -s "$work/a" "$work/b"; then
+    echo "same: $name"
+  else
     echo "differs from $rev: $name"
     diff "$work/a" "$work/b" | head -20 || true
-    exit 1
+    differing=$((differing + 1))
   fi
-  echo "same: $name"
 }
 
 for scenario in "$here"/examples/scenarios/*.json "$here"/benchmark/workloads/*.json; do
@@ -53,5 +61,12 @@ done
 for scenario in "$here"/examples/scenarios/*.json; do
   same "levels ${scenario#"$here"/}" levels "$scenario"
 done
+for spec in "$here"/examples/specs/*.json "$here"/examples/scenarios/*.json; do
+  same "check ${spec#"$here"/}" check --deny all "$spec"
+done
 same "covenant figures" figures
+if ((differing > 0)); then
+  echo "$differing outputs differ from $rev ($commit)"
+  exit 1
+fi
 echo "same outputs as $rev ($commit)"
