@@ -26,7 +26,7 @@
 //! restart injections on the [`SimConfig`].
 
 use crate::json::{JsonError, Value};
-use crate::spec::{check_time_scales, decode, encode, DeploymentSpec, SpecError};
+use crate::spec::{decode, encode, DeploymentSpec, QueueModeSpec, SpecError};
 use covenant_agreements::PrincipalId;
 use covenant_sim::{
     LinkCfg, LinkDiscipline, NetModelCfg, RequestCost, SimConfig,
@@ -197,6 +197,20 @@ pub struct ScenarioSpec {
     pub phases: Vec<PhaseWindow>,
 }
 
+/// Shortest scheduling window a simulation accepts, seconds. The paper's
+/// window is 100 ms; one of 1 ms is already shorter than an HTTP round
+/// trip, so no redirector could roll that fast, and each roll costs the
+/// simulator an LP solve per redirector: a 1e-9 s window over a 30 s run
+/// is 3·10¹⁰ of them.
+const MIN_WINDOW_SECS: f64 = 1e-3;
+
+/// Most self-redirect round trips (`retry_delay + 2 × hop latency`) a
+/// simulation accepts per scheduling window. A deferred request comes back
+/// once per gap until the next roll, so this caps the re-presentations one
+/// deferral costs per window; a gap of zero would return the request at the
+/// instant it left, for ever, and a run with one would never end.
+const MAX_RETRIES_PER_WINDOW: f64 = 1000.0;
+
 impl ScenarioSpec {
     /// Parses a scenario from JSON. Plain deployment specs parse too,
     /// with no net model, an empty timeline, seed 0, and no phases.
@@ -263,6 +277,36 @@ impl ScenarioSpec {
             ));
         }
         Value::Obj(fields).to_pretty()
+    }
+
+    /// Rejects the time scales a run cannot advance through: a scheduling
+    /// window below [`MIN_WINDOW_SECS`], and under credit retry a
+    /// self-redirect gap, `retry_delay + 2 × net.hop_latency`, below
+    /// `window_secs /` [`MAX_RETRIES_PER_WINDOW`]. [`Self::build_sim`] ends
+    /// with it, and `covenant check` runs it, so `check` refuses what `sim`
+    /// would.
+    pub fn check_time_scales(&self) -> Result<(), SpecError> {
+        let window = self.deployment.window_secs;
+        if window.is_nan() || window < MIN_WINDOW_SECS {
+            return Err(SpecError::Scenario(format!(
+                "window_secs is {window}: a scheduling window must be at least {MIN_WINDOW_SECS} s"
+            )));
+        }
+        let hop = self.net.as_ref().map_or(0.0, |n| n.hop_latency);
+        match self.deployment.queue_mode {
+            QueueModeSpec::CreditRetry { retry_delay }
+                if retry_delay + 2.0 * hop < window / MAX_RETRIES_PER_WINDOW =>
+            {
+                Err(SpecError::Scenario(format!(
+                    "queue_mode.retry_delay is {retry_delay} and the hop latency is {hop}: a \
+                     self-redirected request would come back more than \
+                     {MAX_RETRIES_PER_WINDOW} times per {window} s window; make retry_delay + \
+                     2 × net.hop_latency at least {}",
+                    window / MAX_RETRIES_PER_WINDOW
+                )))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Materializes the full simulator configuration: load-shaping events
@@ -394,7 +438,7 @@ impl ScenarioSpec {
                 scenario_err(format!("timeline[{ei}] (renegotiate) cannot apply: {e}"))
             })?;
         }
-        check_time_scales(&cfg)?;
+        self.check_time_scales()?;
         Ok(cfg)
     }
 }
@@ -837,24 +881,29 @@ mod tests {
 
     const FIG7: &str = include_str!("../../../examples/scenarios/fig7.json");
 
-    /// `fig7.json` with a 1e-12 s retry delay passes `covenant check` but
-    /// would re-present each deferred request 10¹¹ times per window; the
-    /// build refuses it instead of running for ever.
+    /// `fig7.json` with a 1e-12 s retry delay would re-present each
+    /// deferred request 10¹¹ times per window; the build refuses it instead
+    /// of running for ever, and so does the scenario's own time-scale
+    /// check, which `covenant check` runs.
     #[test]
     fn fig7_with_picosecond_retry_delay_is_a_build_error() {
         let text = FIG7.replace(r#""retry_delay": 0.05"#, r#""retry_delay": 1e-12"#);
         assert_ne!(text, FIG7);
-        match ScenarioSpec::from_json(&text).unwrap().build_sim() {
-            Err(SpecError::Scenario(m)) => assert!(m.contains("queue_mode.retry_delay"), "{m}"),
-            other => panic!("{other:?}"),
+        let sc = ScenarioSpec::from_json(&text).unwrap();
+        for result in [sc.build_sim().map(drop), sc.check_time_scales()] {
+            match result {
+                Err(SpecError::Scenario(m)) => assert!(m.contains("queue_mode.retry_delay"), "{m}"),
+                other => panic!("{other:?}"),
+            }
         }
         // The floor is a thousandth of the window.
         let floor = FIG7.replace(r#""retry_delay": 0.05"#, r#""retry_delay": 1e-4"#);
-        assert!(ScenarioSpec::from_json(&floor).unwrap().build_sim().is_ok());
+        let sc = ScenarioSpec::from_json(&floor).unwrap();
+        assert!(sc.build_sim().is_ok() && sc.check_time_scales().is_ok());
     }
 
-    /// `fig7.json` with a 1 ns window passes `covenant check` but would run
-    /// 3·10¹⁰ window ticks; the build refuses it.
+    /// `fig7.json` with a 1 ns window would run 3·10¹⁰ window ticks; the
+    /// build and the time-scale check refuse it.
     #[test]
     fn fig7_with_nanosecond_window_is_a_build_error() {
         let window = |secs: &str| {
@@ -862,11 +911,15 @@ mod tests {
             FIG7.replace(r#""duration": 30.0,"#, &with)
         };
         assert_ne!(window("1e-9"), FIG7);
-        match ScenarioSpec::from_json(&window("1e-9")).unwrap().build_sim() {
-            Err(SpecError::Scenario(m)) => assert!(m.starts_with("window_secs is"), "{m}"),
-            other => panic!("{other:?}"),
+        let sc = ScenarioSpec::from_json(&window("1e-9")).unwrap();
+        for result in [sc.build_sim().map(drop), sc.check_time_scales()] {
+            match result {
+                Err(SpecError::Scenario(m)) => assert!(m.starts_with("window_secs is"), "{m}"),
+                other => panic!("{other:?}"),
+            }
         }
-        assert!(ScenarioSpec::from_json(&window("0.001")).unwrap().build_sim().is_ok());
+        let sc = ScenarioSpec::from_json(&window("0.001")).unwrap();
+        assert!(sc.build_sim().is_ok() && sc.check_time_scales().is_ok());
     }
 
     #[test]

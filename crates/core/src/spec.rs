@@ -264,47 +264,6 @@ impl DeploymentSpec {
     }
 }
 
-/// Shortest scheduling window a simulation accepts, seconds. The paper's
-/// window is 100 ms; one of 1 ms is already shorter than an HTTP round
-/// trip, so no redirector could roll that fast, and each roll costs the
-/// simulator an LP solve per redirector: a 1e-9 s window over a 30 s run
-/// is 3·10¹⁰ of them.
-pub(crate) const MIN_WINDOW_SECS: f64 = 1e-3;
-
-/// Most self-redirect round trips (`retry_delay + 2 × hop latency`) a
-/// simulation accepts per scheduling window. A deferred request comes back
-/// once per gap until the next roll, so this caps the re-presentations one
-/// deferral costs per window; a gap of zero would return the request at the
-/// instant it left, for ever, and a run with one would never end.
-pub(crate) const MAX_RETRIES_PER_WINDOW: f64 = 1000.0;
-
-/// Rejects the time scales a run cannot advance through: a window below
-/// [`MIN_WINDOW_SECS`], and under credit retry a self-redirect gap below
-/// `window_secs /` [`MAX_RETRIES_PER_WINDOW`].
-pub(crate) fn check_time_scales(cfg: &SimConfig) -> Result<(), SpecError> {
-    let window = cfg.window_secs;
-    if window.is_nan() || window < MIN_WINDOW_SECS {
-        return Err(SpecError::Scenario(format!(
-            "window_secs is {window}: a scheduling window must be at least {MIN_WINDOW_SECS} s"
-        )));
-    }
-    match cfg.mode {
-        QueueMode::CreditRetry { retry_delay }
-            if retry_delay + 2.0 * cfg.network_latency < window / MAX_RETRIES_PER_WINDOW =>
-        {
-            Err(SpecError::Scenario(format!(
-                "queue_mode.retry_delay is {retry_delay} and the hop latency is {}: a \
-                 self-redirected request would come back more than {MAX_RETRIES_PER_WINDOW} \
-                 times per {window} s window; make retry_delay + 2 × net.hop_latency at least \
-                 {}",
-                cfg.network_latency,
-                window / MAX_RETRIES_PER_WINDOW
-            )))
-        }
-        _ => Ok(()),
-    }
-}
-
 pub(crate) mod decode {
     //! JSON → spec mapping (replaces the serde derive path so the
     //! workspace builds offline). Field defaults mirror the `#[serde]`

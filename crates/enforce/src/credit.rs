@@ -83,6 +83,7 @@ impl CreditGate {
     }
 
     /// Remaining credit for principal `i`.
+    #[inline]
     pub fn credit(&self, i: PrincipalId) -> f64 {
         self.credit[i.0]
     }

@@ -294,25 +294,26 @@ impl EnforcementCore {
         }
     }
 
-    /// Counts `n` more presentations of `req`, each deferred: what `n` more
-    /// calls of [`Self::on_arrival`] would do once the credit gate has
-    /// deferred `req`, as long as no window roll comes between — credit
-    /// only falls between rolls. The simulator folds a deferred request's
-    /// re-presentations before the next roll into its deferral this way.
-    /// Its costs are whole multiples of a small power of two, so adding
-    /// `n × cost` at once leaves the window's arrival sum exactly where
-    /// `n` separate additions, in any order, would.
-    ///
-    /// # Panics
-    ///
-    /// If the gate would admit `req` now.
-    pub fn defer_again(&mut self, req: &Request, n: u64) {
-        let i = req.principal.0;
-        assert!(
-            self.gate.credit(req.principal) + 1e-9 < req.cost,
-            "principal {i} has the credit for a request it is deferring"
-        );
-        self.arrivals_this_window[i] += req.cost * n as f64;
+    /// Whether the credit gate would defer a request of `principal` that
+    /// costs `cost` now: the principal's remaining credit cannot cover it.
+    /// Credit only falls between window rolls, so such a request is
+    /// deferred at every presentation until the next roll.
+    #[inline]
+    pub fn defers(&self, principal: covenant_agreements::PrincipalId, cost: f64) -> bool {
+        self.gate.credit(principal) + 1e-9 < cost
+    }
+
+    /// Counts `n` more presentations of `principal`'s requests, whose costs
+    /// add up to `cost`, each deferred: what `n` more calls of
+    /// [`Self::on_arrival`] would do for requests the credit gate defers
+    /// ([`Self::defers`]), as long as no window roll comes between — credit
+    /// only falls between rolls. The simulator counts the re-presentations
+    /// it decides ahead of their time this way. Its costs are whole
+    /// multiples of a small power of two, so adding their sum at once
+    /// leaves the window's arrival sum exactly where separate additions, in
+    /// any order, would.
+    pub fn defer_again(&mut self, principal: covenant_agreements::PrincipalId, n: u64, cost: f64) {
+        self.arrivals_this_window[principal.0] += cost;
         self.deferred += n;
     }
 

@@ -3,7 +3,7 @@
 use crate::{HttpError, HttpRequest, HttpResponse, StatusCode};
 use parking_lot::Mutex;
 use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,7 +22,8 @@ where
 }
 
 /// A running HTTP server. Dropping it (or calling [`HttpServer::shutdown`])
-/// stops the accept loop and joins it.
+/// stops the accept loop and joins it. The accept thread blocks in
+/// `accept` while idle; shutdown wakes it with a connection of its own.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -37,7 +38,6 @@ impl HttpServer {
     pub fn bind(addr: &str, handler: Handler) -> Result<Self, HttpError> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let served = Arc::new(Mutex::new(0u64));
 
@@ -47,8 +47,12 @@ impl HttpServer {
             .name(format!("http-accept-{local}"))
             .spawn(move || {
                 let mut workers: Vec<JoinHandle<()>> = Vec::new();
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
+                loop {
+                    let accepted = listener.accept();
+                    if stop2.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, peer)) => {
                             let handler = Arc::clone(&handler);
                             let served = Arc::clone(&served2);
@@ -63,9 +67,8 @@ impl HttpServer {
                             // Reap finished workers opportunistically.
                             workers.retain(|h| !h.is_finished());
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
+                        // A connection that failed before it was accepted.
+                        Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
                         Err(_) => break,
                     }
                 }
@@ -88,12 +91,24 @@ impl HttpServer {
         *self.served.lock()
     }
 
-    /// Stops the accept loop and joins it (idempotent).
+    /// Stops the accept loop and joins it (idempotent). The loop blocks in
+    /// `accept`, so a connection to the server's own address wakes it to
+    /// see the stop flag; if that connect fails, the loop has already
+    /// ended.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
+        let Some(h) = self.accept_thread.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = h.join();
     }
 }
 

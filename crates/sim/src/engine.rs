@@ -9,17 +9,18 @@
 //!   arrival per client (plus in-flight completions/retries and the next
 //!   tick), so memory is bounded by concurrency, not run length. A
 //!   deferred request's retry, which under credit retry is most events,
-//!   joins one of the queue's FIFO retry lanes instead of the heap, and a
-//!   deferral *folds* the re-presentations that are certain to be deferred
-//!   again (below). Request metadata lives in a dense free-list slab keyed
-//!   by the [`RequestId`]s it hands out, and each window's round closes
+//!   waits in one of the queue's rooms of its `(redirector, principal)`
+//!   instead of the heap, and a deferral *folds* those rooms'
+//!   re-presentations that are certain to be deferred again
+//!   (below). Request metadata lives in a dense free-list slab keyed by
+//!   the [`RequestId`]s it hands out, and each window's round closes
 //!   through the `TreeNode`s of the world's `LocalTree`.
 //! * `Simulation::run_reference` — the tests' correctness oracle (the role
 //!   `solve_reference` plays for the LP), compiled for tests only. It
 //!   materializes every arrival and tick up front, keeps metadata in a
 //!   `HashMap`, closes each round centrally with `Topology::aggregate`,
 //!   stamping the views itself, and heap-schedules and polls every retry.
-//!   What it checks — streaming, the fold, the retry lanes, the slab, tree
+//!   What it checks — streaming, the fold, the rooms, the slab, tree
 //!   rounds — is thereby independent of the path under test.
 //!
 //! The [`EventQueue`]'s class-keyed ordering guarantees both paths pop
@@ -28,30 +29,53 @@
 //! `streaming_matches_reference_*` tests and the random worlds of
 //! `folded_run_matches_polling_reference`).
 //!
-//! # A deferral holds until the roll
+//! # An exhausted principal holds until the roll
 //!
 //! Under credit retry a request over its principal's window credit gets a
 //! self-redirect and comes back one retry gap (`retry_delay` plus two hops)
-//! later. The credit gate's credit only falls between window rolls, and the
-//! request's cost does not change, so a deferred request that comes back
-//! before the next roll is deferred again, for certain. The streaming
-//! engine therefore decides every such re-presentation at the deferral
-//! itself: each still adds its cost to the core's window arrivals (which
-//! the demand estimate reads), one to the core's and the report's
-//! `deferred`, one entry to the decision trace and one to
-//! `events_processed`. Only the first re-presentation at or after the roll
-//! (or past the end of the run) is queued, at the time the same repeated
-//! `+ gap` addition would have reached. The retry's queue key is fixed by
-//! its request, not by when it was pushed, so it pops exactly where the
-//! polled retry would have. Folded entries enter the decision trace ahead
-//! of their time; the trace is sorted back into pop order at the end.
+//! later. A redirector's credit for a principal only falls between window
+//! rolls, and a request's cost does not change. So once the credit cannot
+//! cover a cost, every request of that principal costing that much or
+//! more, waiting at that redirector, is deferred at each of its
+//! presentations before the next roll, for certain. A deferral at a
+//! `(redirector, principal)`, of an original arrival or of a retry,
+//! therefore decides all of those at once (`World::fold_rooms`): its own
+//! re-presentations, and in one pass over each room where the principal's
+//! retries wait ([`EventQueue::fold_room`]) those of every member due
+//! before the roll whose cost the remaining credit cannot cover (the
+//! predicate [`EnforcementCore::defers`]). Each decided presentation still
+//! adds its cost to the core's window arrivals (which the demand estimate
+//! reads), one to the core's and the report's `deferred`, one entry to the
+//! decision trace and one to `events_processed`. Each request then waits
+//! for its first re-presentation at or after the roll (or past the end of
+//! the run), at the time the same repeated `+ gap` addition would have
+//! reached. A retry's queue key is fixed by its request, not by when it was
+//! pushed, so it pops exactly where the polled retry would have. Folded
+//! entries enter the decision trace ahead of their time; the trace is
+//! sorted back into pop order at the end.
+//!
+//! Members whose cost the credit still covers stay where they are and are
+//! decided one by one when they pop. After a roll, then, a room's members
+//! pop one at a time only until the one that exhausts the fresh credit;
+//! its deferral folds the rest. A room folds at the first deferral in a
+//! window that its costs can reach, and again only once the credit no
+//! longer covers a member the last fold left, so a later deferral usually
+//! folds only its own re-presentations. A principal's retries wait in one
+//! room per cost class (`CLASS_CEILINGS`): a fold that a costly request's
+//! deferral sets off while the credit still covers a unit leaves the room
+//! of the usual unit-cost requests alone, instead of visiting each of them
+//! once for it and again when the credit runs out. A principal's rooms at
+//! a redirector, and the record of their last folds, open at its first
+//! deferral there.
 //!
 //! A span never crosses a roll, so restarts, renegotiations and capacity
 //! changes, which all apply at window ticks, cannot fall inside one. The
 //! fold is exact only while credit rises at rolls alone: a mid-window
-//! credit top-up would have to end every span at the moment it lands.
-//! [`EnforcementCore::defer_again`] counts a span in one step, and refuses
-//! a request the gate would admit.
+//! credit top-up would have to end every span at the moment it lands, and
+//! wake every room folded since the last roll — move its folded members
+//! back to their next presentation after the top-up.
+//! [`EnforcementCore::defer_again`] counts the presentations a fold
+//! decides in one step.
 
 use crate::config::{
     AgreementChange, CapacityChange, QueueMode, RequestCost, SimClient, SimConfig,
@@ -239,6 +263,18 @@ fn in_cost_steps(cost: f64) -> f64 {
     (cost * COST_STEPS).round().max(1.0) / COST_STEPS
 }
 
+/// The cost classes a principal's retries wait in at a redirector, one
+/// room each, by the most a request in the class may cost: a quarter unit
+/// for the first, four times the last for each next one, and no ceiling
+/// for the top class. A fold visits only the rooms the remaining credit no
+/// longer fully covers, so one that a costly request's deferral sets off
+/// leaves the room of the usual unit requests alone until the credit can
+/// no longer cover a unit.
+const CLASS_CEILINGS: [f64; 8] = [0.25, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, f64::INFINITY];
+
+/// A `room_index` entry of a redirector and principal with no rooms yet.
+const NO_ROOMS: u32 = u32::MAX;
+
 /// One recorded admission decision (see
 /// [`SimConfig::record_decisions`]): what the enforcement core decided for
 /// a single arrival event, retries included.
@@ -316,7 +352,7 @@ pub struct SimReport {
     /// of a deferred request counts, folded or polled.
     pub events_processed: u64,
     /// Events the engine popped from its queue: `events_processed` less the
-    /// re-presentations a deferral folded (see [`Simulation::run`]). The
+    /// re-presentations a fold decided (see [`Simulation::run`]). The
     /// reference path polls every retry, so there the two are equal.
     pub queue_pops: u64,
     /// High-water mark of the pending-event queue: O(clients + in-flight)
@@ -441,6 +477,16 @@ struct Redirectors<R> {
     decisions: Option<Vec<(EventKey, ArrivalDecision)>>,
     /// Reused per-tick release list.
     released: Vec<(Request, usize)>,
+    /// Per redirector and principal (`ri × principals + principal`), the
+    /// slot of its retry rooms: `NO_ROOMS` until its first deferral there.
+    /// A slot's rooms are the queue's rooms `slot × CLASS_CEILINGS.len()
+    /// + class`, one per cost class (see `World::room`).
+    room_index: Vec<u32>,
+    /// Per slot, each of its rooms' last fold: the index of the tick that
+    /// ends the window it folded in (0: never; the first window ends at
+    /// tick 1), and the largest cost among the members it left due before
+    /// the roll (`-∞`: none).
+    folds: Vec<[(u64, f64); CLASS_CEILINGS.len()]>,
     /// A self-redirect costs the client one full round trip on top of its
     /// think/retry delay.
     retry_delay: f64,
@@ -461,39 +507,15 @@ impl<R> Redirectors<R> {
 
     /// Records a decision in the trace, if the config asked for one.
     fn trace(&mut self, now: f64, key: EventKey, ri: usize, req: Request, outcome: ArrivalOutcome) {
-        if let Some(trace) = self.decisions.as_mut() {
-            let (principal, cost) = (req.principal, req.cost);
-            let decision = ArrivalDecision { time: now, redirector: ri, principal, cost, outcome };
-            trace.push((key, decision));
-        }
+        record(&mut self.decisions, now, key, ri, &req, outcome);
     }
 
-    /// Redirector `ri`, having just deferred `request`, decides the
-    /// re-presentations its client makes from `at` on, one `gap` apart,
-    /// that come before the next `roll` (which pops first at an equal time)
-    /// and no later than `stop`: each is deferred again, counted and traced
-    /// as if it had been presented. Returns when the first one not decided
-    /// is due, and how many were.
-    #[allow(clippy::too_many_arguments)]
-    fn defer_until(
-        &mut self,
-        ri: usize,
-        key: EventKey,
-        request: Request,
-        mut at: f64,
-        gap: f64,
-        roll: f64,
-        stop: f64,
-    ) -> (f64, u64) {
-        let mut n = 0;
-        while at < roll && at <= stop {
-            self.trace(at, key, ri, request, ArrivalOutcome::Defer);
-            at += gap;
-            n += 1;
-        }
-        self.cores[ri].defer_again(&request, n);
-        self.deferred[request.principal.0] += n;
-        (at, n)
+    /// Counts `n` presentations of `principal`'s requests at redirector
+    /// `ri`, whose costs add up to `cost`, each deferred: decided ahead of
+    /// their time, because the credit cannot cover them before the roll.
+    fn count_deferred(&mut self, ri: usize, principal: PrincipalId, n: u64, cost: f64) {
+        self.cores[ri].defer_again(principal, n, cost);
+        self.deferred[principal.0] += n;
     }
 
     /// Rolls redirector `ri`'s window at `now`: read its view of the
@@ -538,6 +560,47 @@ struct Schedules {
     /// every tick was pushed up front — the oracle, which polls every
     /// retry.
     roll: f64,
+}
+
+/// Puts a decision of redirector `ri` on `req`, made at `now` for the event
+/// keyed `key`, in the decision `trace`, if the config asked for one.
+fn record(
+    trace: &mut Option<Vec<(EventKey, ArrivalDecision)>>,
+    now: f64,
+    key: EventKey,
+    ri: usize,
+    req: &Request,
+    outcome: ArrivalOutcome,
+) {
+    if let Some(trace) = trace.as_mut() {
+        let (principal, cost) = (req.principal, req.cost);
+        trace.push((key, ArrivalDecision { time: now, redirector: ri, principal, cost, outcome }));
+    }
+}
+
+/// Where a deferred request's presentations stop being certain deferrals:
+/// at the next window `roll`, which pops first at an equal time, or past
+/// `stop`, the end of the run. They come one `gap` apart.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    gap: f64,
+    roll: f64,
+    stop: f64,
+}
+
+impl Span {
+    /// Walks the presentations from `at` on that fall in the span, calling
+    /// `each` with each one's time. Returns when the first one after them
+    /// is due, and how many there were.
+    fn walk(self, mut at: f64, mut each: impl FnMut(f64)) -> (f64, u64) {
+        let mut n = 0;
+        while at < self.roll && at <= self.stop {
+            each(at);
+            at += self.gap;
+            n += 1;
+        }
+        (at, n)
+    }
 }
 
 /// Redirector `id`'s enforcement core on `levels`: the policy is shared,
@@ -622,6 +685,8 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                 rounds,
                 decisions: cfg.record_decisions.then(Vec::new),
                 released: Vec::new(),
+                room_index: vec![NO_ROOMS; cfg.n_redirectors() * n],
+                folds: Vec::new(),
                 retry_delay,
                 admitted: vec![0; n],
                 deferred: vec![0; n],
@@ -678,21 +743,27 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                         self.forward(now, request, server, events)
                     }
                     ArrivalOutcome::Defer => {
-                        let gap = self.redirectors.retry_delay;
-                        let mut at = now + gap;
+                        let principal = request.principal;
+                        // The folds below count on the gate deferring
+                        // exactly the requests its credit cannot cover.
+                        debug_assert!(
+                            self.redirectors.cores[redirector].defers(principal, request.cost)
+                        );
+                        self.fold_rooms(redirector, principal, events);
                         // Credit only falls between rolls, so every
                         // re-presentation before the next one is deferred
                         // again: count those here and queue only the first
                         // one at or after the roll (or past the end).
-                        let (roll, stop) = (self.schedules.roll, self.cfg.duration + 1e-9);
-                        if at < roll && at <= stop {
-                            let key = EventKey::request(client, index, true);
-                            let (next, folded) = self
-                                .redirectors
-                                .defer_until(redirector, key, request, at, gap, roll, stop);
-                            self.events_processed += folded;
-                            at = next;
-                        }
+                        let span = self.span();
+                        let key = EventKey::request(client, index, true);
+                        let trace = &mut self.redirectors.decisions;
+                        let (at, n) = span.walk(now + span.gap, |at| {
+                            record(trace, at, key, redirector, &request, ArrivalOutcome::Defer)
+                        });
+                        let cost = n as f64 * request.cost;
+                        self.redirectors.count_deferred(redirector, principal, n, cost);
+                        self.events_processed += n;
+                        let room = self.room(redirector, principal, request.cost);
                         let event = Event::Arrival {
                             request,
                             redirector,
@@ -701,7 +772,7 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                             retry: true,
                             bytes,
                         };
-                        events.push_retry(at, client, index, event);
+                        events.push_retry(at, room, event);
                     }
                     ArrivalOutcome::Queued => {}
                 }
@@ -768,6 +839,79 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
                 self.links.wake_buf = buf;
             }
         }
+    }
+
+    /// The room of the retries of `principal`'s requests that cost `cost`
+    /// at redirector `ri`, opening the principal's rooms there if this is
+    /// its first deferral.
+    fn room(&mut self, ri: usize, principal: PrincipalId, cost: f64) -> usize {
+        let Redirectors { room_index, folds, .. } = &mut self.redirectors;
+        let slot = &mut room_index[ri * self.cfg.graph.len() + principal.0];
+        if *slot == NO_ROOMS {
+            *slot = u32::try_from(folds.len()).expect("room slot fits in a u32");
+            folds.push([(0, f64::NEG_INFINITY); CLASS_CEILINGS.len()]);
+        }
+        let classes = CLASS_CEILINGS.len();
+        let class = CLASS_CEILINGS.iter().position(|&ceiling| cost <= ceiling);
+        *slot as usize * classes + class.unwrap_or(classes - 1)
+    }
+
+    /// A deferral of `principal` at redirector `ri`: in each of the
+    /// principal's rooms there, every member due before the roll whose
+    /// cost the remaining credit cannot cover is deferred at each of its
+    /// presentations until then, so those are decided now and each moves
+    /// to its first re-presentation at or after the roll (see the module
+    /// docs). A room whose every member fits is not visited; a room folds
+    /// at its first deferral in a window that can reach it, and again only
+    /// once the credit can no longer cover a member the last fold left.
+    fn fold_rooms(&mut self, ri: usize, principal: PrincipalId, events: &mut EventQueue) {
+        // The oracle streams no ticks: it polls every retry.
+        let Some(window) = self.schedules.tick else {
+            return;
+        };
+        let span = self.span();
+        let (mut presented, mut cost) = (0, 0.0);
+        let Redirectors { cores, decisions, room_index, folds, .. } = &mut self.redirectors;
+        let slot = room_index[ri * self.cfg.graph.len() + principal.0];
+        // `NO_ROOMS` is past the end: no retry of the principal waits here.
+        let Some(folds) = folds.get_mut(slot as usize) else {
+            return;
+        };
+        let core = &cores[ri];
+        let fits = |cost| !core.defers(principal, cost);
+        let first = slot as usize * CLASS_CEILINGS.len();
+        for ((room, &ceiling), last) in (first..).zip(&CLASS_CEILINGS).zip(folds) {
+            match *last {
+                _ if fits(ceiling) => continue,
+                (folded, left) if folded == window && fits(left) => continue,
+                _ => {}
+            }
+            let mut left = f64::NEG_INFINITY;
+            events.fold_room(room, span.roll, |at, key, request| {
+                if at > span.stop {
+                    // Past the end of the run: never presented.
+                    return at;
+                }
+                if fits(request.cost) {
+                    left = left.max(request.cost);
+                    return at;
+                }
+                let defer = ArrivalOutcome::Defer;
+                let (next, n) = span.walk(at, |at| record(decisions, at, key, ri, request, defer));
+                presented += n;
+                cost += n as f64 * request.cost;
+                next
+            });
+            *last = (window, left);
+        }
+        self.redirectors.count_deferred(ri, principal, presented, cost);
+        self.events_processed += presented;
+    }
+
+    /// The span the presentations of a request deferred now fall in.
+    fn span(&self) -> Span {
+        let (gap, roll) = (self.redirectors.retry_delay, self.schedules.roll);
+        Span { gap, roll, stop: self.cfg.duration + 1e-9 }
     }
 
     /// Forwards an admitted request to `server`, which sees it one hop

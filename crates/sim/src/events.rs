@@ -1,5 +1,6 @@
-//! The event queue: a deterministic min-heap of timestamped events, plus a
-//! few FIFO lanes for self-redirect retries.
+//! The event queue: a deterministic min-heap of timestamped events, plus
+//! the rooms where self-redirect retries wait, one per redirector,
+//! principal and cost class.
 //!
 //! Events are totally ordered by `(time, key)`. The key encodes the event's
 //! *class* so that lazily streamed events reproduce the exact tie-breaking
@@ -16,24 +17,38 @@
 //!
 //! Only the last class depends on when an event was pushed. A retry's key
 //! is fixed by its request, so equal-time retries pop in the same order
-//! however far ahead each was scheduled: the engine may push a retry at the
+//! however far ahead each was scheduled: the engine may move a retry to the
 //! first re-presentation after a window roll, skipping the ones before it
-//! that are certain to be deferred again, and still pop it exactly where
-//! a retry polled once per gap would have popped.
+//! that are certain to be deferred again, and it still pops exactly where a
+//! retry polled once per gap would have popped.
 //!
-//! Under credit retry nearly every event is a retry. The engine pushes
-//! each one at the first re-presentation at or after the next window roll,
-//! so they arrive in a few ascending runs, not in one.
-//! [`EventQueue::push_retry`] appends each to the first of a few
-//! (`RETRY_LANES`) `VecDeque`s whose back it sorts at or after, and only a
-//! retry that fits no lane sifts through the heap. Every lane stays sorted,
-//! and [`EventQueue::pop`] takes the earliest of the lanes' fronts and the
-//! heap's top under the same order, so the popped sequence is the one an
-//! all-heap queue would produce.
+//! # Rooms
+//!
+//! Under credit retry nearly every pending event is a retry, and the
+//! engine decides them a principal at a time: once a principal's credit at
+//! a redirector cannot cover a cost, every request of that principal
+//! waiting there with that cost or more is deferred until the next roll
+//! (see the engine's module docs). So a retry waits in a *room*, which the
+//! engine picks by redirector, principal and cost class
+//! ([`EventQueue::push_retry`]), and `EventQueue::fold_room` lets the
+//! engine move a room's members at once. A room is a heap of its members
+//! by `(time, key)`. A fold sets the time of each member due before its
+//! bound to the one the engine moves it to, in place, and re-heapifies
+//! the room once: right after a roll nearly every member is due, so one
+//! pass and one heapify cost less than popping and pushing each.
+//!
+//! The main heap holds one marker per non-empty room, at the room's head,
+//! and [`EventQueue::pop`] takes a marker's member from its room: the
+//! popped sequence is the one an all-heap queue would produce. A marker
+//! whose `(time, key)` is no longer its room's head (a fold moved the head,
+//! or an earlier retry joined the room) is dropped when it surfaces; a
+//! pending `(time, key)` is never the head again once it has left, because
+//! a request's times only grow.
 
 use covenant_sched::Request;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// Simulation events.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,9 +101,6 @@ pub enum Event {
     },
 }
 
-/// How many FIFO lanes retries fill before falling back to the heap.
-const RETRY_LANES: usize = 3;
-
 /// Tie-break key among equal timestamps, packed into one integer so a
 /// single compare orders it: the class in the top two bits (ticks <
 /// arrivals < retries < runtime; see the module docs for why that order is
@@ -117,6 +129,11 @@ impl EventKey {
         EventKey(class | client << 64 | u128::from(index))
     }
 
+    /// The client and per-client arrival index of a request's key.
+    fn client_index(self) -> (usize, u64) {
+        (((self.0 >> 64) & ((1 << 62) - 1)) as usize, self.0 as u64)
+    }
+
     /// The `seq`-th runtime event pushed.
     fn runtime(seq: u64) -> EventKey {
         EventKey(Self::RUNTIME | u128::from(seq))
@@ -125,51 +142,89 @@ impl EventKey {
 
 /// Queue entry ordered by time, then key. The time is kept as its bit
 /// pattern, which orders finite non-negative `f64`s like their values.
-#[derive(Debug, Clone)]
-struct Scheduled {
+#[derive(Debug, Clone, Copy)]
+struct Timed<T> {
     at: u64,
     key: EventKey,
-    event: Event,
+    item: T,
 }
 
-impl Scheduled {
-    fn new(time: f64, key: EventKey, event: Event) -> Scheduled {
-        assert!(time.is_finite() && time >= 0.0, "event time must be finite and non-negative");
-        // `+ 0.0` turns -0.0 into +0.0, whose bits sort first.
-        Scheduled { at: (time + 0.0).to_bits(), key, event }
+/// `time`'s bit pattern, which sorts like the time.
+fn bits(time: f64) -> u64 {
+    assert!(time.is_finite() && time >= 0.0, "event time must be finite and non-negative");
+    // `+ 0.0` turns -0.0 into +0.0, whose bits sort first.
+    (time + 0.0).to_bits()
+}
+
+impl<T> Timed<T> {
+    fn new(time: f64, key: EventKey, item: T) -> Timed<T> {
+        Timed { at: bits(time), key, item }
     }
 
     fn time(&self) -> f64 {
         f64::from_bits(self.at)
     }
-}
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.key) == (other.at, other.key)
+    /// Where the entry sorts: its `(time, key)`.
+    fn slot(&self) -> (u64, EventKey) {
+        (self.at, self.key)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+
+impl<T> PartialEq for Timed<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slot() == other.slot()
+    }
+}
+impl<T> Eq for Timed<T> {}
+impl<T> PartialOrd for Timed<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<T> Ord for Timed<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.key).cmp(&(self.at, self.key))
+        other.slot().cmp(&self.slot())
+    }
+}
+
+/// What the main heap holds: an event, or the marker of a room's head.
+#[derive(Debug)]
+enum Pending {
+    Event(Event),
+    Room(usize),
+}
+
+/// A deferred request waiting in its room. The room knows the redirector
+/// and the key the client and per-client index.
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    request: Request,
+    bytes: f64,
+}
+
+/// One room's waiting retries, earliest first.
+#[derive(Debug, Default)]
+struct Room {
+    redirector: usize,
+    members: BinaryHeap<Timed<Waiting>>,
+}
+
+impl Room {
+    fn head(&self) -> Option<(u64, EventKey)> {
+        self.members.peek().map(Timed::slot)
     }
 }
 
 /// Deterministic event queue.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    /// Retry lanes, each sorted by construction (see the module docs).
-    lanes: [VecDeque<Scheduled>; RETRY_LANES],
+    heap: BinaryHeap<Timed<Pending>>,
+    /// Retry rooms, indexed as the engine numbers them.
+    rooms: Vec<Room>,
     next_seq: u64,
-    /// Pending events, wherever they wait.
+    /// Pending events, wherever they wait (markers do not count).
     len: usize,
     peak: usize,
     /// Test oracle only: every retry goes through the heap.
@@ -184,7 +239,7 @@ impl EventQueue {
     }
 
     /// Empty queue whose retries all go through the heap, so an oracle run
-    /// checks the lanes end to end.
+    /// checks the rooms end to end.
     #[cfg(test)]
     pub(crate) fn heap_only() -> Self {
         EventQueue { heap_only: true, ..Self::default() }
@@ -199,24 +254,65 @@ impl EventQueue {
         self.push_keyed(time, key, event);
     }
 
-    /// Schedules a self-redirect retry of client `client`'s `index`-th
-    /// request (retries sort after ticks and original arrivals and before
-    /// runtime events at the same timestamp, by client then per-client
-    /// index). It joins the first lane whose back it sorts at or after,
-    /// or else the heap.
-    pub fn push_retry(&mut self, time: f64, client: usize, index: u64, event: Event) {
+    /// Schedules a self-redirect retry, the [`Event::Arrival`] `event`, in
+    /// room `room` (retries sort after ticks and original arrivals and
+    /// before runtime events at the same timestamp, by client then
+    /// per-client index). The engine gives each redirector, principal and
+    /// cost class a room of its own, numbered densely from 0.
+    ///
+    /// # Panics
+    ///
+    /// If `event` is not an arrival.
+    pub fn push_retry(&mut self, time: f64, room: usize, event: Event) {
+        let Event::Arrival { request, redirector, client, index, bytes, .. } = event else {
+            panic!("only arrivals are retried: {event:?}");
+        };
         let key = EventKey::request(client, index, true);
         #[cfg(test)]
         if self.heap_only {
             return self.push_keyed(time, key, event);
         }
-        let entry = Scheduled::new(time, key, event);
-        // `Scheduled` orders the earlier event as the greater.
-        match self.lanes.iter_mut().find(|lane| lane.back().is_none_or(|back| *back >= entry)) {
-            Some(lane) => lane.push_back(entry),
-            None => self.heap.push(entry),
+        if room >= self.rooms.len() {
+            self.rooms.resize_with(room + 1, Room::default);
         }
+        let entry = Timed::new(time, key, Waiting { request, bytes });
+        let r = &mut self.rooms[room];
+        r.redirector = redirector;
+        if r.head().is_none_or(|head| entry.slot() < head) {
+            self.heap.push(Timed { at: entry.at, key, item: Pending::Room(room) });
+        }
+        r.members.push(entry);
         self.note_push();
+    }
+
+    /// Lets `fold` move the members of room `room` that are due before
+    /// `before`: it gets each one's time, key and request, in no
+    /// particular order, and returns when that member is next due (its own
+    /// time to leave it there, never an earlier one). The room's order and
+    /// its marker are restored once, afterwards.
+    pub(crate) fn fold_room(
+        &mut self,
+        room: usize,
+        before: f64,
+        mut fold: impl FnMut(f64, EventKey, &Request) -> f64,
+    ) {
+        let Some(r) = self.rooms.get_mut(room) else {
+            return;
+        };
+        let head = r.head();
+        let mut members = std::mem::take(&mut r.members).into_vec();
+        for w in &mut members {
+            let at = w.time();
+            if at < before {
+                let next = fold(at, w.key, &w.item.request);
+                debug_assert!(next >= at, "a fold moved a retry back in time");
+                w.at = bits(next);
+            }
+        }
+        r.members = BinaryHeap::from(members);
+        if let Some((at, key)) = r.head().filter(|&now| Some(now) != head) {
+            self.heap.push(Timed { at, key, item: Pending::Room(room) });
+        }
     }
 
     /// Schedules window tick number `index` (ticks sort before everything
@@ -233,7 +329,7 @@ impl EventQueue {
     }
 
     fn push_keyed(&mut self, time: f64, key: EventKey, event: Event) {
-        self.heap.push(Scheduled::new(time, key, event));
+        self.heap.push(Timed::new(time, key, Pending::Event(event)));
         self.note_push();
     }
 
@@ -242,21 +338,44 @@ impl EventQueue {
         self.peak = self.peak.max(self.len);
     }
 
-    /// Pops the earliest event, from the heap or a retry lane.
+    /// Pops the earliest event, from the heap or a room.
     pub fn pop(&mut self) -> Option<(f64, Event)> {
-        // `Scheduled` orders the earlier event as the greater.
-        let (mut first, mut lane) = (self.heap.peek(), None);
-        for (i, front) in self.lanes.iter().enumerate().filter_map(|(i, l)| Some((i, l.front()?))) {
-            if first.is_none_or(|first| front > first) {
-                (first, lane) = (Some(front), Some(i));
-            }
+        loop {
+            let mut top = self.heap.peek_mut()?;
+            let time = top.time();
+            let event = match top.item {
+                Pending::Event(_) => {
+                    let Pending::Event(event) = PeekMut::pop(top).item else {
+                        unreachable!("matched an event");
+                    };
+                    event
+                }
+                Pending::Room(room) => {
+                    let r = &mut self.rooms[room];
+                    if r.head() != Some(top.slot()) {
+                        // The room's head has moved since this marker.
+                        PeekMut::pop(top);
+                        continue;
+                    }
+                    let Some(Timed { item: Waiting { request, bytes }, .. }) = r.members.pop()
+                    else {
+                        unreachable!("the room has a head");
+                    };
+                    let (client, index) = top.key.client_index();
+                    // The marker moves to the room's new head in place.
+                    match r.head() {
+                        Some(slot) => (top.at, top.key) = slot,
+                        None => {
+                            PeekMut::pop(top);
+                        }
+                    }
+                    let redirector = r.redirector;
+                    Event::Arrival { request, redirector, client, index, retry: true, bytes }
+                }
+            };
+            self.len -= 1;
+            return Some((time, event));
         }
-        let next = match lane {
-            Some(i) => self.lanes[i].pop_front(),
-            None => self.heap.pop(),
-        }?;
-        self.len -= 1;
-        Some((next.time(), next.event))
     }
 
     /// Number of pending events.
@@ -279,20 +398,23 @@ impl EventQueue {
 mod tests {
     use super::*;
     use covenant_agreements::PrincipalId;
+    use proptest::prelude::*;
 
-    fn arrival(client: usize, index: u64) -> Event {
+    fn arrival(client: usize, index: u64, retry: bool) -> Event {
         Event::Arrival {
             request: Request::unit(index, PrincipalId(0), 1.0),
             redirector: 0,
             client,
             index,
-            retry: false,
+            retry,
             bytes: 0.0,
         }
     }
 
+    /// A retry of client `client`'s `index`-th request, in the room of the
+    /// client's parity.
     fn retry(q: &mut EventQueue, time: f64, client: usize, index: u64) {
-        q.push_retry(time, client, index, arrival(client, index));
+        q.push_retry(time, client % 2, arrival(client, index, true));
     }
 
     fn drain(q: &mut EventQueue) -> Vec<(f64, Event)> {
@@ -326,18 +448,24 @@ mod tests {
         // Pushed in deliberately scrambled order; all at t = 1.0.
         q.push(1.0, Event::Completion { server: 9 });
         retry(&mut q, 1.0, 0, 0);
-        q.push_arrival(1.0, 2, 0, arrival(2, 0));
+        q.push_arrival(1.0, 2, 0, arrival(2, 0, false));
         q.push_tick(1.0, 5, Event::WindowTick);
-        q.push_arrival(1.0, 1, 3, arrival(1, 3));
+        q.push_arrival(1.0, 1, 3, arrival(1, 3, false));
         let order: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         let runtime = Event::Completion { server: 9 };
-        let want = vec![Event::WindowTick, arrival(1, 3), arrival(2, 0), arrival(0, 0), runtime];
+        let want = vec![
+            Event::WindowTick,
+            arrival(1, 3, false),
+            arrival(2, 0, false),
+            arrival(0, 0, true),
+            runtime,
+        ];
         assert_eq!(order, want);
     }
 
     /// Equal-time retries pop by (client, index), not by when they were
-    /// pushed: a retry scheduled long before its twin still pops after it
-    /// when its request sorts later.
+    /// pushed or which room they wait in: a retry scheduled long before its
+    /// twin still pops after it when its request sorts later.
     #[test]
     fn equal_time_retries_pop_by_key_whatever_the_push_order() {
         let keys = [(2, 0), (0, 7), (1, 1), (0, 3), (1, 0)];
@@ -366,17 +494,20 @@ mod tests {
         }
     }
 
-    /// A retry that sorts before every lane's back falls back to the heap
-    /// and still pops in order.
+    /// A retry that sorts before its room's head marks the room again; the
+    /// marker it replaces is dropped when it surfaces, and every member
+    /// pops once, in order.
     #[test]
-    fn out_of_order_retries_still_pop_in_order() {
+    fn an_earlier_retry_remarks_its_room() {
         let mut q = EventQueue::new();
         for (i, t) in [5.0, 4.0, 3.0, 2.0, 1.0, 6.0, 0.5].into_iter().enumerate() {
-            retry(&mut q, t, 0, i as u64);
+            q.push_retry(t, 0, arrival(0, i as u64, true));
         }
-        assert_eq!(q.heap.len(), 3, "one lane per descending retry, then the heap");
+        assert_eq!(q.heap.len(), 6, "one marker per new head");
+        assert_eq!(q.len(), 7);
         let times: Vec<f64> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
         assert_eq!(times, vec![0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert!(q.heap.is_empty() && q.is_empty());
     }
 
     #[test]
@@ -392,8 +523,10 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
+    /// Every waiting retry counts once, however many markers its room left
+    /// in the heap; a fold moves retries without changing the count.
     #[test]
-    fn peak_counts_the_retry_lanes() {
+    fn peak_counts_room_members_not_markers() {
         let mut q = EventQueue::new();
         q.push(5.0, Event::Completion { server: 0 });
         retry(&mut q, 1.0, 0, 1);
@@ -402,6 +535,8 @@ mod tests {
         q.pop();
         retry(&mut q, 3.0, 0, 3);
         retry(&mut q, 4.0, 0, 4);
+        assert_eq!((q.len(), q.peak_len()), (4, 4));
+        q.fold_room(0, 3.5, |at, _, _| at + 10.0);
         assert_eq!((q.len(), q.peak_len()), (4, 4));
         while q.pop().is_some() {}
         assert!(q.is_empty());
@@ -416,20 +551,49 @@ mod tests {
         retry(&mut q, 1.0, 0, 2);
         q.push_tick(1.0, 0, Event::WindowTick);
         retry(&mut q, 3.0, 0, 3);
-        // Earlier than a lane's back: must still pop in time order.
+        // Earlier than its room's head: must still pop in time order.
         retry(&mut q, 2.0, 0, 4);
         q.push(0.5, Event::Completion { server: 5 });
         let c = |server| Event::Completion { server };
         let want = vec![
             (0.5, c(5)),
             (1.0, Event::WindowTick),
-            (1.0, arrival(0, 2)),
-            (1.0, arrival(1, 0)),
+            (1.0, arrival(0, 2, true)),
+            (1.0, arrival(1, 0, true)),
             (1.0, c(1)),
-            (2.0, arrival(0, 4)),
-            (3.0, arrival(0, 3)),
+            (2.0, arrival(0, 4, true)),
+            (3.0, arrival(0, 3, true)),
         ];
         assert_eq!(drain(&mut q), want);
+    }
+
+    /// A fold moves only the members due before its bound, leaves the
+    /// others where they were, and the room pops in the moved order.
+    #[test]
+    fn fold_moves_the_members_before_the_bound() {
+        let mut q = EventQueue::new();
+        for (i, t) in [0.1, 0.4, 0.2, 1.5, 0.3].into_iter().enumerate() {
+            q.push_retry(t, 0, arrival(0, i as u64, true));
+        }
+        q.push(1.2, Event::Completion { server: 0 });
+        let mut seen = Vec::new();
+        // Members before 1.0 go to 1.0 + their old time.
+        q.fold_room(0, 1.0, |at, key, _| {
+            seen.push(key.client_index().1);
+            1.0 + at
+        });
+        seen.sort();
+        assert_eq!(seen, vec![0, 1, 2, 4]);
+        let got: Vec<(f64, Option<u64>)> = drain(&mut q)
+            .into_iter()
+            .map(|(t, e)| match e {
+                Event::Arrival { index, .. } => (t, Some(index)),
+                _ => (t, None),
+            })
+            .collect();
+        let want =
+            vec![(1.1, Some(0)), (1.2, Some(2)), (1.2, None), (1.3, Some(4)), (1.4, Some(1)), (1.5, Some(3))];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -443,12 +607,81 @@ mod tests {
                 }
             }
         };
-        let (mut lanes, mut heap) = (EventQueue::new(), EventQueue::heap_only());
-        fill(&mut lanes);
+        let (mut rooms, mut heap) = (EventQueue::new(), EventQueue::heap_only());
+        fill(&mut rooms);
         fill(&mut heap);
-        assert!(heap.lanes.iter().all(VecDeque::is_empty));
-        assert_eq!(lanes.lanes.iter().map(VecDeque::len).sum::<usize>(), 4);
-        assert_eq!(drain(&mut lanes), drain(&mut heap));
+        assert!(heap.rooms.is_empty());
+        assert_eq!(rooms.rooms.iter().map(|r| r.members.len()).sum::<usize>(), 4);
+        assert_eq!(drain(&mut rooms), drain(&mut heap));
+    }
+
+    /// One step of [`rooms_pop_like_a_sorted_list`]'s random scripts.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Runtime(u8),
+        Retry { time: u8, client: usize, room: usize },
+        Fold { room: usize, before: u8, shift: u8 },
+        Pop,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..4, 0u8..40, 0usize..4, 0usize..3, 0u8..20).prop_map(|(kind, t, client, room, shift)| {
+            match kind {
+                0 => Op::Runtime(t),
+                1 => Op::Retry { time: t, client, room },
+                2 => Op::Fold { room, before: t, shift },
+                _ => Op::Pop,
+            }
+        })
+    }
+
+    proptest! {
+        /// Pushes, folds and pops in any interleaving: the queue pops what
+        /// a plain list sorted by `(time, key)` would, and counts the same
+        /// pending events.
+        #[test]
+        fn rooms_pop_like_a_sorted_list(ops in proptest::collection::vec(op(), 1..120)) {
+            let mut q = EventQueue::new();
+            // (time, key, room or `usize::MAX` for runtime events, event)
+            let mut list: Vec<(f64, EventKey, usize, Event)> = Vec::new();
+            let (mut now, mut seq, mut index) = (0.0f64, 0u64, 0u64);
+            for op in ops {
+                match op {
+                    Op::Runtime(t) => {
+                        let t = now + f64::from(t) / 8.0;
+                        q.push(t, Event::Completion { server: seq as usize });
+                        list.push((t, EventKey::runtime(seq), usize::MAX, Event::Completion { server: seq as usize }));
+                        seq += 1;
+                    }
+                    Op::Retry { time, client, room } => {
+                        let t = now + f64::from(time) / 8.0;
+                        q.push_retry(t, room, arrival(client, index, true));
+                        list.push((t, EventKey::request(client, index, true), room, arrival(client, index, true)));
+                        index += 1;
+                    }
+                    Op::Fold { room, before, shift } => {
+                        let before = now + f64::from(before) / 8.0;
+                        let move_to = |at: f64| at + f64::from(shift) / 4.0;
+                        q.fold_room(room, before, |at, _, _| move_to(at));
+                        for e in list.iter_mut().filter(|e| e.2 == room && e.0 < before) {
+                            e.0 = move_to(e.0);
+                        }
+                    }
+                    Op::Pop => {
+                        let first = (0..list.len()).min_by(|&a, &b| {
+                            list[a].0.total_cmp(&list[b].0).then(list[a].1.cmp(&list[b].1))
+                        });
+                        let want = first.map(|i| list.remove(i)).map(|(t, _, _, e)| (t, e));
+                        let got = q.pop();
+                        prop_assert_eq!(&got, &want);
+                        if let Some((t, _)) = got {
+                            now = t;
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), list.len());
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The production engine against its oracle on random worlds.
 //!
-//! [`Simulation::run`] folds each deferral's certain re-deferrals into one
-//! event and fills the retry lanes; `Simulation::run_reference` polls
-//! every retry through the heap. Their reports must agree on every
-//! behavioural observable, the decision trace element by element. The
-//! worlds mix what makes a fold easy to get wrong: uniform clients on one
-//! shared rate (exact equal-time retries), sized and fractional costs
-//! (sums in a different order), retry gaps from a fiftieth of a window to
-//! two windows, restarts and capacity changes at window boundaries, and
-//! closed-loop limits.
+//! [`Simulation::run`] folds every re-deferral that is certain before the
+//! next roll, a whole room of a principal's retries at once, and keeps the
+//! retries in rooms; `Simulation::run_reference` polls every retry through
+//! the heap. Their reports must agree on every behavioural observable, the
+//! decision trace element by element. The worlds mix what makes a fold
+//! easy to get wrong: uniform clients on one shared rate (exact equal-time
+//! retries), sized and fractional costs (sums in a different order), retry
+//! gaps from a fiftieth of a window to two windows, restarts and capacity
+//! changes at window boundaries, and closed-loop limits. Some worlds add a
+//! principal that floods at 5–10× its ceiling for the whole run, so its
+//! room grows large, and some add two clients of one principal on one
+//! redirector whose requests cost 0.3 and 2.5 units, so a small request
+//! can still be admitted after a large one was deferred.
 
 use crate::{QueueMode, RequestCost, SimClient, SimConfig, Simulation};
 use covenant_agreements::{AgreementGraph, PrincipalId};
@@ -61,8 +65,24 @@ fn world_strategy() -> impl Strategy<Value = WorldDraw> {
     )
 }
 
-fn build(world: WorldDraw, clients: &[ClientDraw]) -> SimConfig {
+/// The additions some worlds get: a flood of principal A at this multiple
+/// of its ceiling, and (`true`) B's two clients of 0.3 and 2.5 units on
+/// redirector 0.
+type ExtraDraw = (Option<f64>, bool);
+
+fn extra_strategy() -> impl Strategy<Value = ExtraDraw> {
+    (0u8..4, 5.0..10.0f64).prop_map(|(which, factor)| ((which & 1 == 1).then_some(factor), which & 2 == 2))
+}
+
+fn build(world: WorldDraw, clients: &[ClientDraw], (flood, mixed): ExtraDraw) -> SimConfig {
     let (redirectors, window, gap, hop, rate, capacity, duration, restart, change) = world;
+    // The oracle polls every retry of a flood, so a flooded world is kept
+    // small enough for it: a short run, a small server, a gap of at least
+    // a quarter window.
+    let (gap, capacity, duration) = match flood {
+        Some(_) => (gap.max(0.25), capacity.min(100.0), duration.min(2.0)),
+        None => (gap, capacity, duration),
+    };
     let mut g = AgreementGraph::new();
     let s = g.add_principal("S", capacity);
     for (name, lb) in [("A", 0.2), ("B", 0.3), ("C", 0.1)] {
@@ -96,6 +116,19 @@ fn build(world: WorldDraw, clients: &[ClientDraw]) -> SimConfig {
         let redirector = redirector % redirectors;
         cfg.clients.push(SimClient { machine, redirector, max_outstanding: limit, cost });
     }
+    if let Some(factor) = flood {
+        // A's ceiling is the whole server (its upper bound is 1).
+        let load = PhasedLoad::constant(factor * capacity, duration);
+        let machine = ClientMachine::uniform(cfg.clients.len(), PrincipalId(1), load);
+        cfg.clients.push(SimClient { machine, redirector: 0, max_outstanding: None, cost: RequestCost::Unit });
+    }
+    if mixed {
+        for cost in [RequestCost::Fixed(0.3), RequestCost::Fixed(2.5)] {
+            let load = PhasedLoad::constant(rate, duration);
+            let machine = ClientMachine::uniform(cfg.clients.len(), PrincipalId(2), load);
+            cfg.clients.push(SimClient { machine, redirector: 0, max_outstanding: None, cost });
+        }
+    }
     // The oracle closes every round centrally, so it only matches the
     // tree's own rounds around a restart once those have settled, and only
     // when the node that restarts is not the root of a larger tree: the
@@ -120,18 +153,19 @@ proptest! {
     fn folded_run_matches_polling_reference(
         world in world_strategy(),
         clients in proptest::collection::vec(client_strategy(), 1..5),
+        extra in extra_strategy(),
     ) {
-        let streamed = Simulation::new(build(world, &clients)).run();
-        let reference = Simulation::new(build(world, &clients)).run_reference();
+        let streamed = Simulation::new(build(world, &clients, extra)).run();
+        let reference = Simulation::new(build(world, &clients, extra)).run_reference();
         let (s, r) = (&streamed.decisions, &reference.decisions);
         if let Some(i) = s.iter().zip(r).position(|(s, r)| s != r) {
             return Err(proptest::TestCaseError::fail(format!(
-                "decision {i} differs: {:?} vs {:?} in {world:?} {clients:?}",
+                "decision {i} differs: {:?} vs {:?} in {world:?} {clients:?} {extra:?}",
                 s[i], r[i]
             )));
         }
         prop_assert_eq!(s.len(), r.len());
-        prop_assert!(streamed.outcome_eq(&reference), "{:?} {:?}", world, clients);
+        prop_assert!(streamed.outcome_eq(&reference), "{:?} {:?} {:?}", world, clients, extra);
         prop_assert_eq!(reference.queue_pops, reference.events_processed);
         prop_assert!(streamed.queue_pops <= streamed.events_processed);
     }

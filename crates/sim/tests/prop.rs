@@ -27,8 +27,8 @@ enum MixedOp {
     /// retry (monotone in time; keys in any order at equal times).
     Retry(u8, u8),
     /// Retry of this client's request, this many slots *before* the
-    /// previous retry: an out-of-order retry, which must find another lane
-    /// or the heap.
+    /// previous retry: one that may sort before its room's head, which
+    /// then marks the room again.
     EarlyRetry(u8, u8),
     /// Window tick at this time slot.
     Tick(u8),
@@ -117,7 +117,7 @@ proptest! {
         prop_assert!(q.pop().is_none());
     }
 
-    /// The retry lanes merge with the heap without changing the pop order:
+    /// The retry rooms merge with the heap without changing the pop order:
     /// under any interleaving of runtime pushes, retries (mostly monotone
     /// in time, some deliberately earlier than the last, with request keys
     /// in any order), ticks, original arrivals and pops, the queue pops
@@ -126,19 +126,23 @@ proptest! {
     /// only a runtime event's is its push sequence — and `len`/`peak_len`
     /// count every pending event wherever it waits.
     #[test]
-    fn retry_lane_matches_naive_order(ops in proptest::collection::vec(mixed_op(), 1..96)) {
+    fn retry_rooms_match_naive_order(ops in proptest::collection::vec(mixed_op(), 1..96)) {
         let mut q = EventQueue::new();
         // Model entries: ((time, class, index), event).
         let mut pending: Vec<((u8, u8, u64), Event)> = Vec::new();
         let (mut seq, mut ticks, mut arrivals, mut retries) = (0u64, 0u64, 0u64, 0u64);
-        let mut lane_time = 0u8;
+        let mut retry_time = 0u8;
         let mut peak = 0usize;
         // Arrivals and retries rank by (client, index); fold both into one key.
         let request_key = |client: u8, index: u64| ((client as u64) << 32) | index;
         for op in ops {
             let mut retry = |q: &mut EventQueue, t: u8, client: u8| {
-                let event = Event::Completion { server: retries as usize };
-                q.push_retry(t as f64, client as usize, retries, event.clone());
+                let mut event = arrival_event(t, client, retries);
+                if let Event::Arrival { retry, .. } = &mut event {
+                    *retry = true;
+                }
+                // Two rooms, so rooms merge with each other as well as the heap.
+                q.push_retry(t as f64, usize::from(client % 2), event.clone());
                 pending.push(((t, 2, request_key(client, retries)), event));
                 retries += 1;
             };
@@ -150,11 +154,11 @@ proptest! {
                     seq += 1;
                 }
                 MixedOp::Retry(step, client) => {
-                    lane_time = lane_time.saturating_add(step);
-                    retry(&mut q, lane_time, client);
+                    retry_time = retry_time.saturating_add(step);
+                    retry(&mut q, retry_time, client);
                 }
                 MixedOp::EarlyRetry(back, client) => {
-                    retry(&mut q, lane_time.saturating_sub(back), client);
+                    retry(&mut q, retry_time.saturating_sub(back), client);
                 }
                 MixedOp::Tick(t) => {
                     q.push_tick(t as f64, ticks, Event::WindowTick);
@@ -214,7 +218,7 @@ proptest! {
             if let Event::Arrival { retry, .. } = &mut event {
                 *retry = true;
             }
-            q.push_retry(t as f64, client as usize, i as u64, event);
+            q.push_retry(t as f64, client as usize, event);
         }
         for &t in &runtime {
             q.push(t as f64, Event::Completion { server: 0 });

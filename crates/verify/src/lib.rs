@@ -274,13 +274,14 @@ fn locate(root: &Spanned, steps: &[Step]) -> (u32, u32) {
 }
 
 /// The full `covenant check` pipeline: positioned parse, scenario decode
-/// (plain deployment specs are scenarios with no extras), verification of
-/// all rules V1–V10, and position resolution. `label` is the path printed
-/// in diagnostics. Parse and decode failures are themselves load-time
-/// errors and surface as `Err`.
+/// (plain deployment specs are scenarios with no extras), the time-scale
+/// check `build_sim` makes, verification of all rules V1–V10, and position
+/// resolution. `label` is the path printed in diagnostics. Parse, decode
+/// and time-scale failures are load-time errors and surface as `Err`.
 pub fn check_text(label: &str, text: &str) -> Result<Vec<Diagnostic>, SpecError> {
     let spanned = Spanned::parse(text).map_err(SpecError::Json)?;
     let spec = ScenarioSpec::from_json(text)?;
+    spec.check_time_scales()?;
     let findings = verify_scenario(&spec);
     Ok(resolve(&findings, Some(&spanned), label))
 }

@@ -251,3 +251,27 @@ fn check_rejects_deep_nesting_at_its_position() {
     let limit = covenant_core::json::MAX_DEPTH;
     assert!(err.to_string().contains(&format!("line 1 column {}", limit + 1)), "{err}");
 }
+
+const FIG7: &str = include_str!("../../../examples/scenarios/fig7.json");
+
+/// `fig7.json` with a 1e-12 s retry delay would re-present each deferred
+/// request 10¹¹ times per window: `check` refuses it with the message
+/// `sim` gives, instead of passing it.
+#[test]
+fn check_rejects_fig7_with_picosecond_retry_delay() {
+    let text = FIG7.replace(r#""retry_delay": 0.05"#, r#""retry_delay": 1e-12"#);
+    assert_ne!(text, FIG7);
+    let err = check_text("fig7.json", &text).expect_err("a picosecond retry delay is an error");
+    assert!(err.to_string().contains("queue_mode.retry_delay is 0.000000000001"), "{err}");
+    check(FIG7);
+}
+
+/// `fig7.json` with a 1 ns window would run 3·10¹⁰ window ticks: `check`
+/// refuses it with the message `sim` gives.
+#[test]
+fn check_rejects_fig7_with_nanosecond_window() {
+    let text = FIG7.replace(r#""duration": 30.0,"#, r#""duration": 30.0, "window_secs": 1e-9,"#);
+    assert_ne!(text, FIG7);
+    let err = check_text("fig7.json", &text).expect_err("a nanosecond window is an error");
+    assert!(err.to_string().contains("window_secs is 0.000000001"), "{err}");
+}

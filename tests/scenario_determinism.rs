@@ -115,3 +115,27 @@ fn hierarchy_leaves_get_their_transitive_floors() {
         );
     }
 }
+
+/// The engine's work on two library scenarios, pinned exactly: the events
+/// it models, the events it pops from its queue and the most it ever held
+/// pending. A change that makes the simulator do more (or less) work shows
+/// here as an edit to these numbers, whatever the machine's speed.
+/// `events_processed` and `peak_event_queue` are part of `covenant sim
+/// --json`; `queue_pops` falls as the engine decides more of a principal's
+/// certain re-deferrals at once.
+#[test]
+fn engine_work_on_library_scenarios_is_pinned() {
+    // (file, queue_pops, events_processed, peak_event_queue)
+    let pinned = [
+        ("adversarial_inflation.json", 42_990, 2_345_589, 7_716),
+        ("flash_crowd.json", 35_807, 847_218, 2_345),
+    ];
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios");
+    for (file, pops, events, peak) in pinned {
+        let text = std::fs::read_to_string(dir.join(file)).expect("scenario readable");
+        let sc = ScenarioSpec::from_json(&text).expect("scenario parses");
+        let report = Simulation::new(sc.build_sim().expect("scenario builds")).run();
+        let work = (report.queue_pops, report.events_processed, report.peak_event_queue);
+        assert_eq!(work, (pops, events, peak), "{file}: (queue_pops, events_processed, peak)");
+    }
+}
