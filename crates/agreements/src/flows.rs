@@ -220,14 +220,24 @@ mod tests {
     }
 
     #[test]
-    fn o_ticket4_real_value_from_flows() {
-        // O-Ticket4's real value in the paper: 1900×0.4 + 200×1.0 = 960.
-        // In flow terms, C's total optional in-flow is V_A×OT_AC + V_B×OT_BC.
+    fn figure3_ticket_real_values_from_flows() {
+        // The paper's real values: M-Ticket1 1000×0.4 = 400, O-Ticket2
+        // 1000×0.2 = 200, M-Ticket3 1900×0.6 = 1140, and O-Ticket4
+        // 1900×0.4 + 200×1.0 = 960. In flow terms a mandatory ticket is the
+        // issuer's real value times lb, and C's optional in-flow is
+        // V_A×OT_AC + V_B×OT_BC.
         let (g, a, b, c) = figure3();
         let f = g.flows();
         let v = g.capacities();
-        let oi_c = f.oi(&v, a, c) + f.oi(&v, b, c);
-        assert!((oi_c - 960.0).abs() < 1e-9);
+        let m_ticket1 = f.currency_mandatory_value(&v, a) * 0.4;
+        let m_ticket3 = f.currency_mandatory_value(&v, b) * 0.6;
+        let o_ticket2 = f.oi(&v, a, b);
+        let o_ticket4 = f.oi(&v, a, c) + f.oi(&v, b, c);
+        let real_values =
+            [(m_ticket1, 400.0), (o_ticket2, 200.0), (m_ticket3, 1140.0), (o_ticket4, 960.0)];
+        for (got, paper) in real_values {
+            assert!((got - paper).abs() < 1e-9, "{got} != {paper}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The agreement graph: principals, capacities, and direct `[lb, ub]`
 //! agreements between them.
 
-use crate::{AccessLevels, AgreementError, Currency, FlowMatrices, FlowOptions, Fraction, Ticket};
+use crate::{AccessLevels, AgreementError, FlowMatrices, FlowOptions, Fraction};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a principal within one [`AgreementGraph`].
@@ -34,8 +34,6 @@ pub struct Principal {
     /// Aggregate physical capacity `V_i`, scaled in average-request units per
     /// second. Zero for pure consumers.
     pub capacity: f64,
-    /// The principal's currency.
-    pub currency: Currency,
 }
 
 /// A direct agreement: principal `issuer` grants `holder` access to between
@@ -72,27 +70,11 @@ impl AgreementGraph {
         Self::default()
     }
 
-    /// Adds a principal with physical capacity `capacity` (units/second) and
-    /// a default face-100 currency, returning its id.
+    /// Adds a principal with physical capacity `capacity` (units/second),
+    /// returning its id.
     pub fn add_principal(&mut self, name: impl Into<String>, capacity: f64) -> PrincipalId {
         let id = PrincipalId(self.principals.len());
-        self.principals.push(Principal {
-            name: name.into(),
-            capacity,
-            currency: Currency::with_default_face(id.0),
-        });
-        id
-    }
-
-    /// Adds a principal with an explicit currency face value.
-    pub fn add_principal_with_face(
-        &mut self,
-        name: impl Into<String>,
-        capacity: f64,
-        face_value: f64,
-    ) -> PrincipalId {
-        let id = self.add_principal(name, capacity);
-        self.principals[id.0].currency.face_value = face_value;
+        self.principals.push(Principal { name: name.into(), capacity });
         id
     }
 
@@ -239,24 +221,6 @@ impl AgreementGraph {
             .sum()
     }
 
-    /// Materializes the ticket pairs for every agreement (Figure 3 view).
-    ///
-    /// Zero-face optional tickets (from `lb == ub` agreements) are omitted.
-    pub fn tickets(&self) -> Vec<Ticket> {
-        let mut out = Vec::with_capacity(self.agreements.len() * 2);
-        for a in &self.agreements {
-            let face = self.principals[a.issuer.0].currency.face_value;
-            let (m, o) = Ticket::pair_for_agreement(a.issuer.0, a.holder.0, a.lb, a.ub, face);
-            if m.face > 0.0 {
-                out.push(m);
-            }
-            if o.face > 0.0 {
-                out.push(o);
-            }
-        }
-        out
-    }
-
     /// Computes the full transitive-closure flow matrices (all simple paths).
     pub fn flows(&self) -> FlowMatrices {
         FlowMatrices::compute(self, FlowOptions::default())
@@ -366,19 +330,6 @@ mod tests {
         assert!((g.mandatory_out_fraction(a) - 0.4).abs() < 1e-12);
         assert!((g.mandatory_out_fraction(b) - 0.6).abs() < 1e-12);
         assert_eq!(g.mandatory_out_fraction(c), 0.0);
-    }
-
-    #[test]
-    fn tickets_match_figure_3_faces() {
-        let (g, ..) = figure3();
-        let tickets = g.tickets();
-        // M-Ticket1 40, O-Ticket2 20, M-Ticket3 60, O-Ticket4 40.
-        let faces: Vec<f64> = tickets.iter().map(|t| t.face).collect();
-        assert_eq!(faces.len(), 4);
-        assert!((faces[0] - 40.0).abs() < 1e-9);
-        assert!((faces[1] - 20.0).abs() < 1e-9);
-        assert!((faces[2] - 60.0).abs() < 1e-9);
-        assert!((faces[3] - 40.0).abs() < 1e-9);
     }
 
     #[test]

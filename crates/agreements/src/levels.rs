@@ -13,7 +13,7 @@
 //! * `MC_i = Σ_j mand_share(i, j)` and `OC_i = Σ_j opt_share(i, j)` — the
 //!   final (mandatory, optional) remaining value of `i`'s currency.
 
-use crate::{AgreementGraph, CurrencyValue, FlowMatrices, PrincipalId};
+use crate::{AgreementGraph, FlowMatrices, PrincipalId};
 use serde::{Deserialize, Serialize};
 
 /// The scheduler-facing view of an agreement graph: who may use how much of
@@ -93,11 +93,6 @@ impl AccessLevels {
     /// `OC_i`: total additional best-effort processing rate for `i`.
     pub fn optional(&self, i: PrincipalId) -> f64 {
         self.opt[i.0].iter().sum()
-    }
-
-    /// `(MC_i, OC_i)` as a [`CurrencyValue`].
-    pub fn currency_value(&self, i: PrincipalId) -> CurrencyValue {
-        CurrencyValue { mandatory: self.mandatory(i), optional: self.optional(i) }
     }
 
     /// The capacity vector the table was computed against.

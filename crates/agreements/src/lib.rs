@@ -11,13 +11,14 @@
 //!
 //! A set of [`Principal`]s own *rate resources* (server capacity, measured in
 //! requests per second, scaled by the average per-request cost). Each
-//! principal has a [`Currency`] funded by its physical resources. An
+//! principal's *currency* is funded by its physical resources. An
 //! [`Agreement`] `[lb, ub]` from principal `i` to principal `j` lets `j`
 //! access between a fraction `lb` (guaranteed during overload) and `ub`
-//! (best-effort) of `i`'s currency value. Agreements are represented as a
-//! flow of [`Ticket`]s — a *mandatory* ticket of face value `lb` and an
-//! *optional* ticket of face value `ub - lb`, denominated in the issuer's
-//! currency.
+//! (best-effort) of `i`'s currency value. In the paper an agreement is a
+//! pair of *tickets* — a mandatory one of face value `lb` and an optional
+//! one of face value `ub - lb`, denominated in the issuer's currency; here
+//! the tickets are the coefficients of [`FlowMatrices`], which compute
+//! their real values.
 //!
 //! Because tickets contribute value to the recipient's currency, agreements
 //! compose transitively: if `A` shares with `B` and `B` shares with `C`, part
@@ -54,16 +55,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod currency;
 mod error;
 mod flows;
+mod fraction;
 mod graph;
 mod levels;
-mod ticket;
 
-pub use currency::{Currency, CurrencyValue};
 pub use error::AgreementError;
 pub use flows::{FlowMatrices, FlowOptions};
+pub use fraction::Fraction;
 pub use graph::{Agreement, AgreementGraph, Principal, PrincipalId};
 pub use levels::AccessLevels;
-pub use ticket::{Fraction, Ticket, TicketKind};

@@ -10,14 +10,14 @@
 //! wedge the queue), while far above the knee both converge to the
 //! serialization time and the fixed-delay model's constant.
 //!
-//! Sweep points are independent scenario runs with fixed seeds, fanned
-//! across worker threads; results are identical for any worker count.
+//! Sweep points are independent scenario runs with fixed seeds, run in
+//! order (each takes milliseconds).
 //!
 //! Stays beside `benchmark/` because these simulated link means are the
 //! numbers the closed-form queueing oracles of ROADMAP item 6 must
 //! explain; `sim_replay` runs links at one rate each.
 
-use covenant_bench::{emit_net_bench_section, run_sweep};
+use covenant_bench::emit_net_bench_section;
 use covenant_core::{sim_counters, ScenarioSpec};
 use covenant_sim::Simulation;
 
@@ -76,7 +76,8 @@ fn main() {
         }
     }
 
-    let rows = run_sweep(points, |_, p| {
+    let mut rows = Vec::new();
+    for p in &points {
         let json = scenario_json(p.discipline.map(|d| (p.rate, d)));
         let sc = ScenarioSpec::from_json(&json).expect("sweep scenario parses");
         let report = Simulation::new(sc.build_sim().expect("sweep scenario builds")).run();
@@ -96,8 +97,8 @@ fn main() {
             p.rate,
         );
         println!("net sweep: {row}");
-        row
-    });
+        rows.push(row);
+    }
 
     let body = format!(
         "{{\"unit_bytes\": {UNIT_BYTES}, \"offered_req_s\": {OFFERED_REQ_S}, \

@@ -1,4 +1,4 @@
-//! Shared helpers for the figure-regeneration binaries and benches.
+//! Shared helpers for the bench binaries and the Criterion benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +94,7 @@ mod rand_free {
     }
 }
 
-pub use rand_free::SmallLcg;
+use rand_free::SmallLcg;
 
 mod perfjson {
     use std::fs;
@@ -164,83 +164,6 @@ pub fn first_line(cmd: &str, args: &[&str]) -> String {
     text.and_then(|t| t.lines().next().map(str::to_owned)).unwrap_or_else(|| "unknown".into())
 }
 
-mod sweep {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Deterministic seed for sweep point `index` under base seed `base`
-    /// (splitmix64 finalizer). Depends only on the inputs — never on which
-    /// worker thread runs the point — so parallel sweeps reproduce serial
-    /// ones exactly.
-    pub fn point_seed(base: u64, index: usize) -> u64 {
-        let mut z = base
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((index as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Runs `f(index, &point)` for every point, fanning the points across
-    /// one scoped worker thread per available core, and returns the results
-    /// in input order. Points are claimed from a shared counter (work
-    /// stealing), so uneven point costs still keep all workers busy.
-    ///
-    /// Determinism contract: `f` must derive any randomness from its
-    /// arguments (e.g. [`point_seed`]) — then the result vector is
-    /// identical for any worker count, including the serial fallback.
-    pub fn run_sweep<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        run_sweep_with(points, workers, f)
-    }
-
-    /// [`run_sweep`] with an explicit worker count.
-    pub fn run_sweep_with<T, R, F>(points: Vec<T>, workers: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let n = points.len();
-        if workers <= 1 || n <= 1 {
-            return points.iter().enumerate().map(|(i, p)| f(i, p)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let points = &points;
-        let slots_ref = &slots;
-        let f = &f;
-        let next = &next;
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(n) {
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(i, &points[i]);
-                    *slots_ref[i].lock().expect("no poisoned sweep slot") = Some(r);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("no poisoned sweep slot")
-                    .expect("every sweep point produces a result")
-            })
-            .collect()
-    }
-}
-
-pub use sweep::{point_seed, run_sweep, run_sweep_with};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,46 +200,6 @@ mod tests {
             assert!(ag.holder.0 >= 32, "provider holds an agreement");
         }
         assert!(!a.agreements().is_empty());
-    }
-
-    #[test]
-    fn sweep_returns_results_in_input_order() {
-        let points: Vec<u64> = (0..37).collect();
-        let serial = run_sweep_with(points.clone(), 1, |i, p| (i as u64) * 1000 + p * p);
-        let parallel = run_sweep_with(points, 4, |i, p| (i as u64) * 1000 + p * p);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[3], 3009);
-    }
-
-    #[test]
-    fn sweep_seeds_are_deterministic_and_distinct() {
-        let seeds: Vec<u64> = (0..64).map(|i| point_seed(42, i)).collect();
-        assert_eq!(seeds, (0..64).map(|i| point_seed(42, i)).collect::<Vec<_>>());
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len(), "per-point seeds must not collide");
-        assert_ne!(point_seed(42, 0), point_seed(43, 0), "base seed must matter");
-    }
-
-    #[test]
-    fn sweep_parallel_matches_serial_with_seeded_points() {
-        // The contract users rely on: deriving randomness from point_seed
-        // makes the sweep result independent of the worker count.
-        let run = |workers| {
-            run_sweep_with((0..16).collect::<Vec<usize>>(), workers, |i, _| {
-                let mut lcg = SmallLcg::new(point_seed(7, i));
-                (0..100).map(|_| lcg.next_f64()).sum::<f64>()
-            })
-        };
-        assert_eq!(run(1), run(5));
-    }
-
-    #[test]
-    fn sweep_handles_empty_and_single_point() {
-        let empty: Vec<i32> = run_sweep_with(Vec::<i32>::new(), 4, |_, p| *p);
-        assert!(empty.is_empty());
-        assert_eq!(run_sweep_with(vec![9], 4, |_, p| p + 1), vec![10]);
     }
 
     #[test]

@@ -215,15 +215,20 @@ impl ScenarioSpec {
     /// Parses a scenario from JSON. Plain deployment specs parse too,
     /// with no net model, an empty timeline, seed 0, and no phases.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let v = Value::parse(text).map_err(SpecError::Json)?;
-        let deployment = decode::deployment_value(&v).map_err(SpecError::Json)?;
+        Self::from_value(&Value::parse(text).map_err(SpecError::Json)?)
+    }
+
+    /// Decodes a scenario from an already-parsed document, with the same
+    /// strict key checks as [`Self::from_json`].
+    pub fn from_value(v: &Value) -> Result<Self, SpecError> {
+        let deployment = decode::deployment_value(v).map_err(SpecError::Json)?;
         let net = match v.get("net") {
             None | Some(Value::Null) => None,
             Some(n) => Some(decode_net(n).map_err(SpecError::Json)?),
         };
         let timeline = match v.get("timeline") {
             None => Vec::new(),
-            Some(_) => decode::list(&v, "timeline", decode_event).map_err(SpecError::Json)?,
+            Some(_) => decode::list(v, "timeline", decode_event).map_err(SpecError::Json)?,
         };
         let seed = match v.get("seed") {
             None => 0,
@@ -233,7 +238,7 @@ impl ScenarioSpec {
         };
         let phases = match v.get("phases") {
             None => Vec::new(),
-            Some(_) => decode::list(&v, "phases", |p, path| {
+            Some(_) => decode::list(v, "phases", |p, path| {
                 decode_phase(p, path, deployment.duration)
             })
             .map_err(SpecError::Json)?,

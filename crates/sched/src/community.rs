@@ -430,6 +430,24 @@ mod tests {
         // Mandatory floors conflict with the caps; solver must fall back
         // rather than return a zero plan.
         assert!(plan.admitted(a) > 0.0);
+
+        // The trade-off: two 10-request-per-window servers, both principals
+        // flooding through a redirector beside server 0 that caps its
+        // pushes to server 1. A cap of 0 leaves server 1 idle (50 % use);
+        // from 10 per window, both servers are full.
+        let mut g = AgreementGraph::new();
+        let a = g.add_principal("A", 100.0);
+        let b = g.add_principal("B", 100.0);
+        g.add_agreement(a, b, 0.3, 0.8).unwrap();
+        g.add_agreement(b, a, 0.3, 0.8).unwrap();
+        let lv = g.access_levels().scaled(0.1);
+        for (remote_cap, utilization) in [(0.0, 0.5), (10.0, 1.0), (1e12, 1.0)] {
+            let sched = CommunityScheduler::with_locality(LocalityCaps(vec![1e12, remote_cap]));
+            let plan = sched.plan(&lv, &[30.0, 30.0]);
+            assert!(plan.server_load(1) <= remote_cap + 1e-9, "cap {remote_cap}");
+            let used = plan.total_admitted() / 20.0;
+            assert!((used - utilization).abs() < 1e-6, "cap {remote_cap}: {used}");
+        }
     }
 
     #[test]

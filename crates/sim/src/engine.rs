@@ -1152,6 +1152,34 @@ mod tests {
         assert!((rate_a - 20.0).abs() < 8.0, "A rate {rate_a}");
     }
 
+    /// Every floor holds as the community grows: a provider of 100·n req/s
+    /// grants each of n customers lb = 0.9/n, and all of them flood at
+    /// twice their floor.
+    #[test]
+    fn floors_hold_as_the_community_grows() {
+        for n in [2usize, 8, 20] {
+            let mut g = AgreementGraph::new();
+            let pool = 100.0 * n as f64;
+            let s = g.add_principal("S", pool);
+            let customers: Vec<_> = (0..n).map(|i| g.add_principal(format!("C{i}"), 0.0)).collect();
+            let lb = 0.9 / n as f64;
+            for &c in &customers {
+                g.add_agreement(s, c, lb, 1.0).unwrap();
+            }
+            let (floor, duration) = (lb * pool, 6.0);
+            let mut cfg = SimConfig::new(g, duration);
+            for (i, &c) in customers.iter().enumerate() {
+                let load = PhasedLoad::constant(2.0 * floor, duration);
+                cfg = cfg.client(ClientMachine::uniform(i, c, load), 0);
+            }
+            let report = Simulation::new(cfg).run();
+            for &c in &customers {
+                let rate = report.rates.mean_rate_secs(c, 2.0, duration);
+                assert!(rate >= floor, "n = {n}: {c:?} served {rate} below its floor {floor}");
+            }
+        }
+    }
+
     #[test]
     fn idle_partner_capacity_flows_to_active() {
         let g = small_system();

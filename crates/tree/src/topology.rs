@@ -319,6 +319,14 @@ mod tests {
         assert_eq!(t.pairwise_messages(), 240);
         let single = Topology::star(1, 0.0);
         assert_eq!(single.messages_per_round(), 0);
+        // n = 256: 510 messages against 65,280, paid for in depth — the
+        // worst information lag over 50 ms edges is 800 ms for a balanced
+        // binary tree and 100 ms for a star.
+        let (bin, star) = (Topology::balanced(256, 2, 0.05), Topology::star(256, 0.05));
+        assert_eq!((bin.messages_per_round(), bin.pairwise_messages()), (510, 65_280));
+        let worst_lag = |t: &Topology| (0..256).map(|i| t.information_lag(i)).fold(0.0, f64::max);
+        assert!((worst_lag(&bin) - 0.8).abs() < 1e-9, "{}", worst_lag(&bin));
+        assert!((worst_lag(&star) - 0.1).abs() < 1e-9, "{}", worst_lag(&star));
     }
 
     #[test]

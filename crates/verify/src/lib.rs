@@ -60,7 +60,7 @@ mod rules;
 
 pub use covenant_lint::{to_json, Diag, RuleMeta, Severity};
 
-use covenant_core::json::Spanned;
+use covenant_core::json::{Spanned, Value};
 use covenant_core::scenario::ScenarioSpec;
 use covenant_core::spec::DeploymentSpec;
 use covenant_core::SpecError;
@@ -279,11 +279,23 @@ fn locate(root: &Spanned, steps: &[Step]) -> (u32, u32) {
 /// resolution. `label` is the path printed in diagnostics. Parse, decode
 /// and time-scale failures are load-time errors and surface as `Err`.
 pub fn check_text(label: &str, text: &str) -> Result<Vec<Diagnostic>, SpecError> {
-    let spanned = Spanned::parse(text).map_err(SpecError::Json)?;
-    let spec = ScenarioSpec::from_json(text)?;
+    let source = Spanned::parse(text).map_err(SpecError::Json)?;
+    check_value(label, &source, &source.clone().into_value())
+}
+
+/// [`check_text`] after the parse: decodes `doc`, checks it, and positions
+/// the findings in `source`. `doc` is `source` without its positions, or a
+/// copy of it with one key set (a `covenant sim --sweep` point), whose
+/// findings then point at the key's place in the file.
+pub fn check_value(
+    label: &str,
+    source: &Spanned,
+    doc: &Value,
+) -> Result<Vec<Diagnostic>, SpecError> {
+    let spec = ScenarioSpec::from_value(doc)?;
     spec.check_time_scales()?;
     let findings = verify_scenario(&spec);
-    Ok(resolve(&findings, Some(&spanned), label))
+    Ok(resolve(&findings, Some(source), label))
 }
 
 /// Whether any diagnostic carries error severity (the launch-refusal

@@ -9,13 +9,15 @@
 //!                                      # diagnostics; exits non-zero on
 //!                                      # errors or denied warnings
 //! covenant levels spec.json            # entitlement table for a spec
-//! covenant sim scenario.json [--csv | --json] [--deny ...]
+//! covenant sim scenario.json [--csv | --json] [--deny ...] [--sweep KEY=v1,v2,...]
 //!                                      # simulate the full scenario: shared
 //!                                      # links, timeline dynamics, seeded
 //!                                      # reply sizes; the table output adds
 //!                                      # a per-phase rate table when the
 //!                                      # file declares "phases"; --json
-//!                                      # output is replay-deterministic
+//!                                      # output is replay-deterministic;
+//!                                      # --sweep runs once per value of one
+//!                                      # spec key (see `cli`)
 //! covenant figures                     # Figure 1, then Figures 6-10 from
 //!                                      # examples/scenarios/fig*.json
 //! covenant cluster spec.json [secs] [--deny ...]
@@ -36,8 +38,10 @@ mod figures;
 
 use cli::Options;
 use covenant::agreements::PrincipalId;
-use covenant::core::{DeploymentSpec, ScenarioOutcome, ScenarioSpec};
-use covenant::sim::SimReport;
+use covenant::core::json::{Spanned, Value};
+use covenant::core::{DeploymentSpec, ScenarioOutcome, ScenarioSpec, SpecError};
+use covenant::sim::{SimConfig, SimReport};
+use covenant::verify::Diagnostic;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -53,6 +57,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opts.sweep.is_some() && cmd != Some("sim") {
+        eprintln!("error: --sweep applies only to `covenant sim`");
+        return ExitCode::FAILURE;
+    }
     match cmd {
         Some("example-spec") => {
             println!("{EXAMPLE_SPEC}");
@@ -117,7 +125,8 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: covenant <example-spec | check <spec.json> [--json] [--deny all|V1,...] \
                  [--list-rules] | levels <spec.json> | \
-                 sim <scenario.json> [--csv | --json] | figures | cluster <spec.json> [secs]>"
+                 sim <scenario.json> [--csv | --json] [--sweep KEY=v1,v2,...] | figures | \
+                 cluster <spec.json> [secs]>"
             );
             ExitCode::FAILURE
         }
@@ -174,22 +183,65 @@ fn check_cmd(opts: &Options) -> ExitCode {
 /// `covenant sim`: materialize a full scenario — shared links, timeline
 /// dynamics, seeded reply sizes — and run it on the streaming engine. The
 /// table output ends with the per-phase rate table when the scenario
-/// declares `phases`.
+/// declares `phases`. With `--sweep`, every point is verified and built
+/// before the first one runs, so a bad value fails before any output.
 fn sim_cmd(opts: &Options) -> ExitCode {
+    const USAGE: &str =
+        "covenant sim <scenario.json> [--csv | --json] [--deny ...] [--sweep KEY=v1,v2,...]";
     let run = || -> Result<(), Box<dyn std::error::Error>> {
-        let path =
-            opts.require_path("covenant sim <scenario.json> [--csv | --json] [--deny ...]")?;
+        let path = opts.require_path(USAGE)?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let (sc, outcome) = simulate(path, &text, opts)?;
-        let names: Vec<String> =
-            sc.deployment.principals.iter().map(|p| p.name.clone()).collect();
-        print_report(opts, &names, sc.deployment.duration, &outcome.report);
-        if !(opts.json || opts.csv || sc.phases.is_empty()) {
-            print!("\n{}", outcome.phase_table());
+        let Some(sweep) = &opts.sweep else {
+            let (sc, outcome) = simulate(path, &text, opts)?;
+            print_run(opts, &sc, &outcome);
+            return Ok(());
+        };
+        let source = Spanned::parse(&text).map_err(SpecError::Json)?;
+        let doc = source.clone().into_value();
+        let mut points = Vec::new();
+        for value in &sweep.values {
+            let point = sweep.point(&doc, value)?;
+            points.push((value, prepare(path, &source, &point, opts)?));
+        }
+        if opts.csv {
+            println!("{},time_s,principal,rate_req_s", sweep.key);
+        }
+        let mut docs = Vec::new();
+        for (i, (value, (sc, cfg))) in points.into_iter().enumerate() {
+            let outcome = ScenarioOutcome::run(&sc, cfg);
+            if opts.json {
+                docs.push(report_json(&sc, &outcome.report));
+            } else if opts.csv {
+                print_csv(&sc, &outcome.report, &format!("{value},"));
+            } else {
+                let gap = if i == 0 { "" } else { "\n" };
+                println!("{gap}== {} = {value} ==", sweep.key);
+                print_run(opts, &sc, &outcome);
+            }
+        }
+        if opts.json {
+            println!("{}", Value::Arr(docs).to_pretty());
         }
         Ok(())
     };
     exit_of(run())
+}
+
+/// Prints one `sim` run as plain `covenant sim` does: the JSON document
+/// with `--json`, the per-second series with `--csv`, else the rate table
+/// and the phase table.
+fn print_run(opts: &Options, sc: &ScenarioSpec, outcome: &ScenarioOutcome) {
+    if opts.json {
+        println!("{}", report_json(sc, &outcome.report).to_pretty());
+    } else if opts.csv {
+        println!("time_s,principal,rate_req_s");
+        print_csv(sc, &outcome.report, "");
+    } else {
+        print_table(sc, &outcome.report);
+        if !sc.phases.is_empty() {
+            print!("\n{}", outcome.phase_table());
+        }
+    }
 }
 
 /// The one scenario path behind `sim` and `figures`: verify the text
@@ -200,11 +252,24 @@ fn simulate(
     text: &str,
     opts: &Options,
 ) -> Result<(ScenarioSpec, ScenarioOutcome), Box<dyn std::error::Error>> {
-    verify_gate(label, text, opts)?;
-    let sc = ScenarioSpec::from_json(text)?;
-    let cfg = sc.build_sim()?;
+    let source = Spanned::parse(text).map_err(SpecError::Json)?;
+    let (sc, cfg) = prepare(label, &source, &source.clone().into_value(), opts)?;
     let outcome = ScenarioOutcome::run(&sc, cfg);
     Ok((sc, outcome))
+}
+
+/// Verifies `doc` (positioned in `source`, labelled `label`), decodes it
+/// and builds its simulator configuration.
+fn prepare(
+    label: &str,
+    source: &Spanned,
+    doc: &Value,
+    opts: &Options,
+) -> Result<(ScenarioSpec, SimConfig), Box<dyn std::error::Error>> {
+    verify_gate(covenant::verify::check_value(label, source, doc)?, opts)?;
+    let sc = ScenarioSpec::from_value(doc)?;
+    let cfg = sc.build_sim()?;
+    Ok((sc, cfg))
 }
 
 fn with_spec(
@@ -216,7 +281,7 @@ fn with_spec(
         let path = opts.require_path("covenant <subcommand> <spec.json> [flags]")?;
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         if verify {
-            verify_gate(path, &text, opts)?;
+            verify_gate(covenant::verify::check_text(path, &text)?, opts)?;
         }
         let spec = DeploymentSpec::from_json(&text)?;
         f(&spec)
@@ -239,12 +304,10 @@ fn read_and_check(path: &str) -> Result<Vec<covenant::verify::Diagnostic>, Strin
     covenant::verify::check_text(path, &text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Verifies a spec (rules V1–V10 over the full scenario; `label` names it
-/// in diagnostics) and fails on error-severity findings or anything in
-/// `--deny`.
-fn verify_gate(label: &str, text: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+/// Prints a spec's verifier findings (rules V1–V10 over the full
+/// scenario) and fails on error-severity findings or anything in `--deny`.
+fn verify_gate(diags: Vec<Diagnostic>, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     use covenant::verify::RuleMeta;
-    let diags = covenant::verify::check_text(label, text)?;
     for d in &diags {
         eprintln!("{d}");
     }
@@ -264,28 +327,34 @@ fn verify_gate(label: &str, text: &str, opts: &Options) -> Result<(), Box<dyn st
     Ok(())
 }
 
-/// The `sim` report printer: rate table by default, CSV series with
-/// `--csv`, the replay-deterministic JSON document with `--json`.
-fn print_report(opts: &Options, names: &[String], duration: f64, report: &SimReport) {
-    if opts.csv {
-        println!("time_s,principal,rate_req_s");
-        for (i, name) in names.iter().enumerate() {
-            for (t, r) in report.rates.series(PrincipalId(i)) {
-                println!("{t},{name},{r}");
-            }
+/// The replay-deterministic JSON document of one run.
+fn report_json(sc: &ScenarioSpec, report: &SimReport) -> Value {
+    covenant::core::run_report_json(&names(sc), sc.deployment.duration, report)
+}
+
+fn names(sc: &ScenarioSpec) -> Vec<String> {
+    sc.deployment.principals.iter().map(|p| p.name.clone()).collect()
+}
+
+/// The per-second served-rate series, one `prefix,time,principal,rate` row
+/// per sample.
+fn print_csv(sc: &ScenarioSpec, report: &SimReport, prefix: &str) {
+    for (i, name) in names(sc).iter().enumerate() {
+        for (t, r) in report.rates.series(PrincipalId(i)) {
+            println!("{prefix}{t},{name},{r}");
         }
-        return;
     }
-    if opts.json {
-        let doc = covenant::core::run_report_json(names, duration, report);
-        println!("{}", doc.to_pretty());
-        return;
-    }
+}
+
+/// The `sim` rate table: offered, served, deferred and response time per
+/// principal, then the run's server, tree and link counters.
+fn print_table(sc: &ScenarioSpec, report: &SimReport) {
+    let duration = sc.deployment.duration;
     println!(
         "{:<16}{:>12}{:>12}{:>12}{:>14}",
         "principal", "offered", "served/s", "deferred", "mean resp ms"
     );
-    for (i, name) in names.iter().enumerate() {
+    for (i, name) in names(sc).iter().enumerate() {
         let id = PrincipalId(i);
         println!(
             "{:<16}{:>12}{:>12.1}{:>12}{:>14.1}",
