@@ -14,20 +14,40 @@
 //! Both sums exclude paths revisiting a node (the paper's summation
 //! constraints `k_p ≠ k_q, k ≠ i, j`), so cyclic agreement graphs are safe.
 //! Because `MI_ji = V_j × MT_ji` and `OI_ji = V_j × OT_ji`, the `MT`/`OT`
-//! coefficient matrices are precomputed once per graph shape and reused as
-//! capacities fluctuate.
+//! coefficients are precomputed once per graph shape and reused as
+//! capacities fluctuate. They are kept sparse: row `j` holds only the
+//! principals some path from `j` reaches.
+//!
+//! # Computation
+//!
+//! Extending a path by one agreement `[lb, ub]` maps its pair of partial
+//! sums linearly, `(mand, opt) → (mand·lb, opt·ub + mand·(ub − lb))`, so
+//! paths that end at the same principal having visited the same set can
+//! be summed before they are extended. A simple path never returns to a
+//! strongly connected component (SCC) it has left, so from each source the
+//! SCCs are taken in topological order of the condensation: the sums
+//! entering an SCC are carried across the DAG edge by edge, and only
+//! inside an SCC of two or more principals does a DP over (visited set,
+//! principal) run, seeded with what entered it. A tree or DAG of
+//! agreements — the paper's hierarchical case — costs `O(E)` per source.
+//! A single path's coefficient is computed edge by edge from the source,
+//! so it is the product the paper writes, rounded the same way; a pair
+//! reached along several paths sums them in the DP's order.
 //!
 //! # Complexity
 //!
-//! Exact simple-path enumeration is exponential in the worst case (dense
-//! graphs with many long chains of agreements). This is fine for the
-//! paper's setting — "the number of principals involved in the agreements
-//! … is expected to be small" — and the computation runs *once per graph
-//! shape*, not per window. For large, dense communities use the paper's
-//! own remedy: the bounded-length truncation
-//! [`crate::AgreementGraph::flows_bounded`] (`MI^(m)`/`OI^(m)` with small
-//! `m`), which caps path length and is what transitive value decays along
-//! anyway (each hop multiplies by `lb ≤ 1`).
+//! Per source, `O(E)` plus, per SCC of `k` principals, `O(2^k · k · deg)`
+//! time — exponential in the largest SCC, not in `n`. Exact sums are not
+//! to be had in polynomial time in general: they are weighted sums over
+//! the simple paths, and counting simple `s`–`t` paths is #P-complete
+//! (Valiant, "The complexity of enumeration and reliability problems",
+//! SIAM J. Comput. 8(3), 1979). The DP keeps only the (visited set,
+//! principal) states some path reaches, so a sparse SCC — a long ring of
+//! agreements — costs what its few paths cost, while a complete SCC of
+//! `k` reaches all `(k − 1) · 2^(k−2) + 1` states from each source that
+//! enters it at one principal. The paper's `MI^(m)` truncation
+//! ([`crate::AgreementGraph::flows_bounded`]) runs on the same DP with
+//! each state's sums split by path length.
 
 use crate::{AgreementGraph, PrincipalId};
 use serde::{Deserialize, Serialize};
@@ -41,90 +61,29 @@ pub struct FlowOptions {
     pub max_path_len: Option<usize>,
 }
 
-/// Precomputed flow coefficient matrices for an agreement graph.
+/// Precomputed flow coefficients for an agreement graph, one sparse row per
+/// source.
 ///
-/// `mt[j][i]` (`MT_ji`) and `ot[j][i]` (`OT_ji`) are the capacity-independent
-/// coefficients such that `MI_ji = V_j × MT_ji` and `OI_ji = V_j × OT_ji`.
-/// Diagonals are `MT_jj = 1`, `OT_jj = 0` (a principal's own capacity flows
-/// to itself entirely and mandatorily).
+/// Row `j` lists `(i, MT_ji, OT_ji)` for every principal `i` that a path
+/// from `j` reaches with a non-zero coefficient, `i` ascending:
+/// `MI_ji = V_j × MT_ji` and `OI_ji = V_j × OT_ji`. The diagonal
+/// `(j, 1, 0)` is always present (a principal's own capacity flows to
+/// itself entirely and mandatorily); an absent pair reads 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowMatrices {
     n: usize,
-    mt: Vec<Vec<f64>>,
-    ot: Vec<Vec<f64>>,
+    /// Row `j` is `entries[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(usize, f64, f64)>,
     /// `Σ_k lb_ik` per principal: the fraction of `i`'s currency leaked out
     /// via mandatory tickets.
     out_fraction: Vec<f64>,
 }
 
 impl FlowMatrices {
-    /// Runs the path enumeration for `graph` under `opts`.
+    /// Computes the coefficients of `graph` under `opts`.
     pub fn compute(graph: &AgreementGraph, opts: FlowOptions) -> Self {
-        let n = graph.len();
-        let mut mt = vec![vec![0.0; n]; n];
-        let mut ot = vec![vec![0.0; n]; n];
-        for (j, row) in mt.iter_mut().enumerate() {
-            row[j] = 1.0;
-        }
-
-        // Adjacency: edges[i] = list of (holder, lb, ub) issued by i.
-        let mut edges: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n];
-        for a in graph.agreements() {
-            edges[a.issuer.0].push((a.holder.0, a.lb.get(), a.ub.get()));
-        }
-
-        let max_len = opts.max_path_len.unwrap_or(n.saturating_sub(1)).min(n.saturating_sub(1));
-
-        // DFS from every source j over simple paths, carrying two partial
-        // products: `mand` = Π lb so far (mandatory value still flowing), and
-        // `opt` = Σ over earlier switch points of mand-prefix × (ub−lb) ×
-        // ub-suffix so far. At each new edge (lb, ub):
-        //   opt'  = opt × ub + mand × (ub − lb)   (either already optional and
-        //            propagating at the upper bound, or switching here)
-        //   mand' = mand × lb
-        for j in 0..n {
-            let mut visited = vec![false; n];
-            visited[j] = true;
-            Self::dfs(j, j, 1.0, 0.0, 0, max_len, &edges, &mut visited, &mut mt, &mut ot);
-        }
-
-        let out_fraction = (0..n)
-            .map(|i| graph.mandatory_out_fraction(PrincipalId(i)))
-            .collect();
-
-        FlowMatrices { n, mt, ot, out_fraction }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        src: usize,
-        at: usize,
-        mand: f64,
-        opt: f64,
-        depth: usize,
-        max_len: usize,
-        edges: &[Vec<(usize, f64, f64)>],
-        visited: &mut [bool],
-        mt: &mut [Vec<f64>],
-        ot: &mut [Vec<f64>],
-    ) {
-        if depth == max_len {
-            return;
-        }
-        for &(next, lb, ub) in &edges[at] {
-            if visited[next] {
-                continue;
-            }
-            let nmand = mand * lb;
-            let nopt = opt * ub + mand * (ub - lb);
-            if nmand > 0.0 || nopt > 0.0 {
-                mt[src][next] += nmand;
-                ot[src][next] += nopt;
-                visited[next] = true;
-                Self::dfs(src, next, nmand, nopt, depth + 1, max_len, edges, visited, mt, ot);
-                visited[next] = false;
-            }
-        }
+        Closure::new(graph, opts).matrices(graph)
     }
 
     /// Number of principals.
@@ -139,29 +98,29 @@ impl FlowMatrices {
         self.n == 0
     }
 
+    /// Row `j`: `(i, MT_ji, OT_ji)` for every principal `i` reached from
+    /// `j`, `i` ascending, the diagonal included.
+    #[inline]
+    pub fn row(&self, j: PrincipalId) -> &[(usize, f64, f64)] {
+        &self.entries[self.starts[j.0]..self.starts[j.0 + 1]]
+    }
+
+    fn entry(&self, j: PrincipalId, i: PrincipalId) -> Option<&(usize, f64, f64)> {
+        let row = self.row(j);
+        row.binary_search_by_key(&i.0, |e| e.0).ok().map(|at| &row[at])
+    }
+
     /// Capacity-independent mandatory coefficient `MT_ji` (flow from `j`'s
     /// physical resource into `i`'s currency, per unit of `V_j`).
     #[inline]
     pub fn mt(&self, j: PrincipalId, i: PrincipalId) -> f64 {
-        self.mt[j.0][i.0]
+        self.entry(j, i).map_or(0.0, |e| e.1)
     }
 
     /// Capacity-independent optional coefficient `OT_ji`.
     #[inline]
     pub fn ot(&self, j: PrincipalId, i: PrincipalId) -> f64 {
-        self.ot[j.0][i.0]
-    }
-
-    /// Mandatory flow `MI_ji = V_j × MT_ji` for concrete capacities `v`.
-    #[inline]
-    pub fn mi(&self, v: &[f64], j: PrincipalId, i: PrincipalId) -> f64 {
-        v[j.0] * self.mt[j.0][i.0]
-    }
-
-    /// Optional flow `OI_ji = V_j × OT_ji` for concrete capacities `v`.
-    #[inline]
-    pub fn oi(&self, v: &[f64], j: PrincipalId, i: PrincipalId) -> f64 {
-        v[j.0] * self.ot[j.0][i.0]
+        self.entry(j, i).map_or(0.0, |e| e.2)
     }
 
     /// The mandatory leak-out fraction `Σ_k lb_ik` of principal `i`.
@@ -170,17 +129,525 @@ impl FlowMatrices {
         self.out_fraction[i.0]
     }
 
-    /// The real mandatory value of `i`'s currency: `V_i + Σ_{j≠i} MI_ji`
-    /// (before excluding outbound leaks). In Figure 3 this is 1900 for `B`.
-    pub fn currency_mandatory_value(&self, v: &[f64], i: PrincipalId) -> f64 {
-        (0..self.n).map(|j| v[j] * self.mt[j][i.0]).sum()
+    /// Per principal `i`, for concrete capacities `v`: the real mandatory
+    /// value of its currency `Σ_j V_j × MT_ji = V_i + Σ_{j≠i} MI_ji` (before
+    /// excluding outbound leaks; in Figure 3 this is 1900 for `B`), and its
+    /// optional in-flow `Σ_j OI_ji`. Both sums run in `j` order.
+    pub fn inflows(&self, v: &[f64]) -> Vec<(f64, f64)> {
+        let mut sums = vec![(0.0, 0.0); self.n];
+        for (j, &vj) in v.iter().enumerate().take(self.n) {
+            for &(i, mt, ot) in self.row(PrincipalId(j)) {
+                sums[i].0 += vj * mt;
+                sums[i].1 += vj * ot;
+            }
+        }
+        sums
     }
+}
+
+/// Extends a path's `(mand, opt)` sums over one agreement `[lb, ub]`:
+/// mandatory value continues at `lb`; optional value is what was already
+/// optional, continuing at `ub`, plus the mandatory value switching to the
+/// `ub − lb` slice here.
+#[inline]
+fn extend([mand, opt]: [f64; 2], lb: f64, ub: f64) -> [f64; 2] {
+    [mand * lb, opt * ub + mand * (ub - lb)]
+}
+
+#[inline]
+fn add(into: &mut [f64; 2], x: [f64; 2]) {
+    into[0] += x[0];
+    into[1] += x[1];
+}
+
+/// Adds each path-length layer of `from`, extended over `[lb, ub]`, into
+/// `to` `step` layers up; what would land past the last layer is dropped.
+#[inline]
+fn spread(from: &[[f64; 2]], to: &mut [[f64; 2]], step: usize, lb: f64, ub: f64) {
+    for (x, into) in from.iter().zip(&mut to[step..]) {
+        if *x != [0.0; 2] {
+            add(into, extend(*x, lb, ub));
+        }
+    }
+}
+
+/// Strongly connected components of the graph whose out-edges from `v`
+/// are `edges[start[v]..start[v + 1]]` (Tarjan's algorithm, iteratively),
+/// numbered in topological order of the condensation: every edge stays in
+/// its component or goes to a later one.
+fn components(start: &[usize], edges: &[(usize, f64, f64)]) -> Vec<usize> {
+    const NONE: usize = usize::MAX;
+    let n = start.len() - 1;
+    let (mut index, mut low, mut comp) = (vec![NONE; n], vec![0; n], vec![NONE; n]);
+    let (mut stack, mut call) = (Vec::new(), Vec::new());
+    let (mut next, mut found) = (0, 0);
+    for root in 0..n {
+        if index[root] != NONE {
+            continue;
+        }
+        index[root] = next;
+        low[root] = next;
+        next += 1;
+        stack.push(root);
+        call.push((root, start[root]));
+        while let Some(top) = call.last_mut() {
+            let v = top.0;
+            let edge = (top.1 < start[v + 1]).then(|| edges[top.1].0);
+            top.1 += 1;
+            match edge {
+                Some(w) if index[w] == NONE => {
+                    index[w] = next;
+                    low[w] = next;
+                    next += 1;
+                    stack.push(w);
+                    call.push((w, start[w]));
+                }
+                Some(w) => {
+                    // Visited and not yet in a component: still on the stack.
+                    if comp[w] == NONE {
+                        low[v] = low[v].min(index[w]);
+                    }
+                }
+                None => {
+                    call.pop();
+                    if let Some(&(u, _)) = call.last() {
+                        low[u] = low[u].min(low[v]);
+                    }
+                    if low[v] == index[v] {
+                        while let Some(w) = stack.pop() {
+                            comp[w] = found;
+                            if w == v {
+                                break;
+                            }
+                        }
+                        found += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Tarjan closes sink components first.
+    comp.into_iter().map(|c| found - 1 - c).collect()
+}
+
+/// The closure engine: the graph split by SCC, and per-source scratch.
+///
+/// Sums are kept per path-length layer: one layer when lengths are not
+/// capped (`step = 0`: an edge stays in layer 0), else `cap + 1` layers
+/// and an edge from layer `l` lands in `l + 1` (`step = 1`), dropped past
+/// the cap.
+struct Closure {
+    n: usize,
+    comp: Vec<usize>,
+    /// The members of component `c`, ascending, are
+    /// `members[member_start[c]..member_start[c + 1]]`.
+    members: Vec<usize>,
+    member_start: Vec<usize>,
+    /// Principal `v`'s agreements, each part in agreement order:
+    /// `edges[edge_start[v]..split[v]]` stay in its component, as
+    /// `(holder slot, lb, ub)` — a slot is a principal's position among its
+    /// component's members — and `edges[split[v]..edge_start[v + 1]]` leave
+    /// it, as `(holder, lb, ub)`.
+    edges: Vec<(usize, f64, f64)>,
+    edge_start: Vec<usize>,
+    split: Vec<usize>,
+    layers: usize,
+    step: usize,
+    /// `sums[i * layers + l]`: the `(mand, opt)` sums of length-`l` paths
+    /// from the current source that end at `i` — entering `i`'s component
+    /// until it is processed, every such path afterwards.
+    sums: Vec<[f64; 2]>,
+    seen: Vec<bool>,
+    reached: Vec<usize>,
+    todo: Vec<usize>,
+    /// The DP's visited sets, in the order they are first reached: each
+    /// one's principals (`words` u64s a set) in `masks` and its last
+    /// state in `heads`; an open-addressing index of the sets (entry
+    /// `set + 1`, 0 when empty); and the visited set being looked up.
+    masks: Vec<u64>,
+    heads: Vec<usize>,
+    index: Vec<usize>,
+    key: Vec<u64>,
+    /// The DP's states: `layers` sums each in `table`, and each one's slot
+    /// and the state before it in its set (`NONE` for the first) in
+    /// `links`.
+    table: Vec<[f64; 2]>,
+    links: Vec<(usize, usize)>,
+    /// The sums the set being read sends to each slot (`layers` a slot),
+    /// the slots it sends to, in the order first sent, and a flag per
+    /// slot marking them.
+    acc: Vec<[f64; 2]>,
+    sent: Vec<usize>,
+    sending: Vec<bool>,
+}
+
+impl Closure {
+    fn new(graph: &AgreementGraph, opts: FlowOptions) -> Closure {
+        let n = graph.len();
+        let mut edge_start = vec![0; n + 1];
+        for a in graph.agreements() {
+            edge_start[a.issuer.0 + 1] += 1;
+        }
+        for i in 0..n {
+            edge_start[i + 1] += edge_start[i];
+        }
+        let mut edges = vec![(0, 0.0, 0.0); edge_start[n]];
+        let mut split = edge_start[..n].to_vec();
+        for a in graph.agreements() {
+            let at = &mut split[a.issuer.0];
+            edges[*at] = (a.holder.0, a.lb.get(), a.ub.get());
+            *at += 1;
+        }
+        let comp = components(&edge_start, &edges);
+
+        let count = comp.iter().max().map_or(0, |c| c + 1);
+        let mut member_start = vec![0; count + 1];
+        for &c in &comp {
+            member_start[c + 1] += 1;
+        }
+        for c in 0..count {
+            member_start[c + 1] += member_start[c];
+        }
+        let (mut members, mut slot) = (vec![0; n], vec![0; n]);
+        // `split` is free until the agreements are split below.
+        split[..count].copy_from_slice(&member_start[..count]);
+        for (i, &c) in comp.iter().enumerate() {
+            slot[i] = split[c] - member_start[c];
+            members[split[c]] = i;
+            split[c] += 1;
+        }
+        for i in 0..n {
+            let mine = &mut edges[edge_start[i]..edge_start[i + 1]];
+            mine.sort_by_key(|e| comp[e.0] != comp[i]);
+            let stay = mine.iter().take_while(|e| comp[e.0] == comp[i]).count();
+            for e in &mut mine[..stay] {
+                e.0 = slot[e.0];
+            }
+            split[i] = edge_start[i] + stay;
+        }
+        // Simple paths have at most n − 1 edges: a cap at or past that is
+        // no cap.
+        let cap = opts.max_path_len.filter(|&m| m < n.saturating_sub(1));
+        let layers = cap.map_or(1, |m| m + 1);
+        Closure {
+            n,
+            comp,
+            members,
+            member_start,
+            edges,
+            edge_start,
+            split,
+            layers,
+            step: usize::from(cap.is_some()),
+            sums: vec![[0.0; 2]; n * layers],
+            seen: vec![false; n],
+            reached: Vec::new(),
+            todo: Vec::new(),
+            masks: Vec::new(),
+            heads: Vec::new(),
+            index: Vec::new(),
+            key: Vec::new(),
+            table: Vec::new(),
+            links: Vec::new(),
+            acc: Vec::new(),
+            sent: Vec::new(),
+            sending: Vec::new(),
+        }
+    }
+
+    fn matrices(mut self, graph: &AgreementGraph) -> FlowMatrices {
+        let mut starts = Vec::with_capacity(self.n + 1);
+        let mut entries = Vec::new();
+        starts.push(0);
+        for s in 0..self.n {
+            self.source(s, &mut entries);
+            starts.push(entries.len());
+        }
+        FlowMatrices { n: self.n, starts, entries, out_fraction: graph.mandatory_out_fractions() }
+    }
+
+    /// Appends row `s`: every path from `s`, component by component.
+    fn source(&mut self, s: usize, row: &mut Vec<(usize, f64, f64)>) {
+        let l = self.layers;
+        self.reached.clear();
+        self.todo.clear();
+        self.reach(s);
+        let mut at = 0;
+        while let Some(&v) = self.reached.get(at) {
+            at += 1;
+            for e in self.split[v]..self.edge_start[v + 1] {
+                self.reach(self.edges[e].0);
+            }
+        }
+        self.todo.sort_unstable();
+
+        self.sums[s * l] = [1.0, 0.0];
+        for t in 0..self.todo.len() {
+            let c = self.todo[t];
+            let members = self.member_start[c]..self.member_start[c + 1];
+            if members.len() > 1 {
+                self.within(c);
+            }
+            for &w in &self.members[members] {
+                for &(x, lb, ub) in &self.edges[self.split[w]..self.edge_start[w + 1]] {
+                    for layer in 0..l - self.step {
+                        let from = self.sums[w * l + layer];
+                        if from != [0.0; 2] {
+                            add(&mut self.sums[x * l + layer + self.step], extend(from, lb, ub));
+                        }
+                    }
+                }
+            }
+        }
+
+        self.reached.sort_unstable();
+        for &i in &self.reached {
+            let layers = &mut self.sums[i * l..(i + 1) * l];
+            let mut total = layers[0];
+            for x in &layers[1..] {
+                add(&mut total, *x);
+            }
+            layers.fill([0.0; 2]);
+            self.seen[i] = false;
+            if i == s {
+                row.push((i, 1.0, 0.0));
+            } else if total != [0.0; 2] {
+                row.push((i, total[0], total[1]));
+            }
+        }
+    }
+
+    /// Marks `v`'s whole component reached (its members reach each other).
+    fn reach(&mut self, v: usize) {
+        if self.seen[v] {
+            return;
+        }
+        let c = self.comp[v];
+        for &m in &self.members[self.member_start[c]..self.member_start[c + 1]] {
+            self.seen[m] = true;
+            self.reached.push(m);
+        }
+        self.todo.push(c);
+    }
+
+    /// Runs the DP over (visited set, principal) inside component `c`,
+    /// seeded with the sums entering its members, and leaves in `sums`
+    /// the sums of every path ending at each member.
+    ///
+    /// Only the visited sets some path reaches are kept, each with the
+    /// states (principals a path over exactly that set ends at) reached.
+    /// A state `(S ∪ {y}, y)` is reached only from the states of `S`, so
+    /// reading the sets in the order they are first reached — by size —
+    /// finds each complete, and reading one set sums everything it sends
+    /// to each `y` before `S ∪ {y}` is looked up: one lookup a state. A
+    /// sparse component — a long ring — costs what its few paths cost.
+    fn within(&mut self, c: usize) {
+        let (k, l) = (self.member_start[c + 1] - self.member_start[c], self.layers);
+        let members = self.member_start[c];
+        let words = k.div_ceil(64);
+        self.masks.clear();
+        self.heads.clear();
+        self.index.clear();
+        self.index.resize(64, 0);
+        self.table.clear();
+        self.links.clear();
+        self.acc.clear();
+        self.acc.resize(k * l, [0.0; 2]);
+        self.sending.clear();
+        self.sending.resize(k, false);
+        for b in 0..k {
+            let v = self.members[members + b];
+            let entering = &mut self.sums[v * l..(v + 1) * l];
+            if entering.iter().all(|x| *x == [0.0; 2]) {
+                continue;
+            }
+            self.table.extend_from_slice(entering);
+            entering.fill([0.0; 2]);
+            self.key.clear();
+            self.key.resize(words, 0);
+            self.key[b / 64] |= 1 << (b % 64);
+            let set = self.set();
+            self.link(set, b);
+        }
+        let mut set = 0;
+        while set < self.heads.len() {
+            let mut state = self.heads[set];
+            while state != NONE {
+                let (b, before) = self.links[state];
+                let v = self.members[members + b];
+                if self.collect(v, state) {
+                    let from = &self.table[state * l..(state + 1) * l];
+                    let mask = &self.masks[set * words..(set + 1) * words];
+                    for &(y, lb, ub) in &self.edges[self.edge_start[v]..self.split[v]] {
+                        if mask[y / 64] >> (y % 64) & 1 == 1 {
+                            continue;
+                        }
+                        if !self.sending[y] {
+                            self.sending[y] = true;
+                            self.sent.push(y);
+                        }
+                        if l == 1 {
+                            add(&mut self.acc[y], extend(from[0], lb, ub));
+                        } else {
+                            spread(from, &mut self.acc[y * l..(y + 1) * l], self.step, lb, ub);
+                        }
+                    }
+                }
+                state = before;
+            }
+            for t in 0..self.sent.len() {
+                let y = self.sent[t];
+                self.sending[y] = false;
+                let acc = &mut self.acc[y * l..(y + 1) * l];
+                self.table.extend_from_slice(acc);
+                acc.fill([0.0; 2]);
+                self.key.clear();
+                self.key.extend_from_slice(&self.masks[set * words..(set + 1) * words]);
+                self.key[y / 64] |= 1 << (y % 64);
+                let to = self.set();
+                self.link(to, y);
+            }
+            self.sent.clear();
+            set += 1;
+        }
+    }
+
+    /// Folds state `state` into principal `v`'s path sums; true when it
+    /// holds sums that one more agreement may extend (none past the cap).
+    #[inline]
+    fn collect(&mut self, v: usize, state: usize) -> bool {
+        let l = self.layers;
+        if l == 1 {
+            let x = self.table[state];
+            if x == [0.0; 2] {
+                return false;
+            }
+            add(&mut self.sums[v], x);
+            return true;
+        }
+        let x = &self.table[state * l..(state + 1) * l];
+        if x.iter().all(|x| *x == [0.0; 2]) {
+            return false;
+        }
+        for (into, x) in self.sums[v * l..(v + 1) * l].iter_mut().zip(x) {
+            add(into, *x);
+        }
+        x[..l - self.step].iter().any(|x| *x != [0.0; 2])
+    }
+
+    /// Adds to `set` a state ending at `slot`, its sums the last `layers`
+    /// pairs of `table`.
+    fn link(&mut self, set: usize, slot: usize) {
+        self.links.push((slot, self.heads[set]));
+        self.heads[set] = self.links.len() - 1;
+    }
+
+    /// The DP's set for the visited set `key`, added (with no states) if it
+    /// is new.
+    fn set(&mut self) -> usize {
+        let words = self.key.len();
+        if 2 * (self.heads.len() + 1) > self.index.len() {
+            let size = 2 * self.index.len();
+            self.index.clear();
+            self.index.resize(size, 0);
+            for s in 0..self.heads.len() {
+                let mut at = self.probe(&self.masks[s * words..(s + 1) * words]);
+                while self.index[at] != 0 {
+                    at = (at + 1) & (size - 1);
+                }
+                self.index[at] = s + 1;
+            }
+        }
+        let mut at = self.probe(&self.key);
+        loop {
+            let Some(s) = self.index[at].checked_sub(1) else {
+                let s = self.heads.len();
+                self.index[at] = s + 1;
+                self.masks.extend_from_slice(&self.key);
+                self.heads.push(NONE);
+                return s;
+            };
+            if self.masks[s * words..(s + 1) * words] == self.key[..] {
+                return s;
+            }
+            at = (at + 1) & (self.index.len() - 1);
+        }
+    }
+
+    /// Home position of a visited set in the DP's index.
+    fn probe(&self, mask: &[u64]) -> usize {
+        let mut h = 0u64;
+        for &w in mask {
+            h = (h ^ w).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 31;
+        }
+        h as usize & (self.index.len() - 1)
+    }
+}
+
+/// Ends a set's chain of states.
+const NONE: usize = usize::MAX;
+
+/// The simple-path walk Formulae 1–2 describe, kept as the oracle for the
+/// closure: dense `(MT, OT)` matrices from a depth-first walk over every
+/// simple path of at most `max_len` edges from every source.
+#[cfg(test)]
+pub(crate) fn walk(
+    graph: &AgreementGraph,
+    max_len: Option<usize>,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    #[allow(clippy::too_many_arguments)]
+    fn dfs(
+        src: usize,
+        at: usize,
+        (mand, opt): (f64, f64),
+        depth: usize,
+        max_len: usize,
+        edges: &[Vec<(usize, f64, f64)>],
+        visited: &mut [bool],
+        mt: &mut [Vec<f64>],
+        ot: &mut [Vec<f64>],
+    ) {
+        if depth == max_len {
+            return;
+        }
+        for &(next, lb, ub) in &edges[at] {
+            if visited[next] {
+                continue;
+            }
+            let [nmand, nopt] = extend([mand, opt], lb, ub);
+            if nmand > 0.0 || nopt > 0.0 {
+                mt[src][next] += nmand;
+                ot[src][next] += nopt;
+                visited[next] = true;
+                dfs(src, next, (nmand, nopt), depth + 1, max_len, edges, visited, mt, ot);
+                visited[next] = false;
+            }
+        }
+    }
+    let n = graph.len();
+    let mut mt = vec![vec![0.0; n]; n];
+    let mut ot = vec![vec![0.0; n]; n];
+    let mut edges: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); n];
+    for a in graph.agreements() {
+        edges[a.issuer.0].push((a.holder.0, a.lb.get(), a.ub.get()));
+    }
+    let longest = n.saturating_sub(1);
+    let max_len = max_len.unwrap_or(longest).min(longest);
+    for j in 0..n {
+        mt[j][j] = 1.0;
+        let mut visited = vec![false; n];
+        visited[j] = true;
+        dfs(j, j, (1.0, 0.0), 0, max_len, &edges, &mut visited, &mut mt, &mut ot);
+    }
+    (mt, ot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::AgreementGraph;
+    use proptest::prelude::*;
 
     fn figure3() -> (AgreementGraph, PrincipalId, PrincipalId, PrincipalId) {
         let mut g = AgreementGraph::new();
@@ -195,12 +662,11 @@ mod tests {
     #[test]
     fn figure3_mandatory_currency_values() {
         let (g, a, b, c) = figure3();
-        let f = g.flows();
-        let v = g.capacities();
+        let inflows = g.flows().inflows(&g.capacities());
         // B's currency: 1500 + 1000×0.4 = 1900; C's: 0.6×1900 = 1140.
-        assert!((f.currency_mandatory_value(&v, a) - 1000.0).abs() < 1e-9);
-        assert!((f.currency_mandatory_value(&v, b) - 1900.0).abs() < 1e-9);
-        assert!((f.currency_mandatory_value(&v, c) - 1140.0).abs() < 1e-9);
+        assert!((inflows[a.0].0 - 1000.0).abs() < 1e-9);
+        assert!((inflows[b.0].0 - 1900.0).abs() < 1e-9);
+        assert!((inflows[c.0].0 - 1140.0).abs() < 1e-9);
     }
 
     #[test]
@@ -217,6 +683,9 @@ mod tests {
         assert!((f.ot(a, b) - 0.2).abs() < 1e-12);
         assert!((f.ot(b, c) - 0.4).abs() < 1e-12);
         assert!((f.ot(a, c) - 0.36).abs() < 1e-12);
+        // Rows list only what each source reaches.
+        assert_eq!(f.row(c), &[(c.0, 1.0, 0.0)]);
+        assert_eq!(f.row(b).len(), 2);
     }
 
     #[test]
@@ -229,10 +698,11 @@ mod tests {
         let (g, a, b, c) = figure3();
         let f = g.flows();
         let v = g.capacities();
-        let m_ticket1 = f.currency_mandatory_value(&v, a) * 0.4;
-        let m_ticket3 = f.currency_mandatory_value(&v, b) * 0.6;
-        let o_ticket2 = f.oi(&v, a, b);
-        let o_ticket4 = f.oi(&v, a, c) + f.oi(&v, b, c);
+        let inflows = f.inflows(&v);
+        let m_ticket1 = inflows[a.0].0 * 0.4;
+        let m_ticket3 = inflows[b.0].0 * 0.6;
+        let o_ticket2 = v[a.0] * f.ot(a, b);
+        let o_ticket4 = inflows[c.0].1;
         let real_values =
             [(m_ticket1, 400.0), (o_ticket2, 200.0), (m_ticket3, 1140.0), (o_ticket4, 960.0)];
         for (got, paper) in real_values {
@@ -292,8 +762,10 @@ mod tests {
         let (g, ..) = figure3();
         let f = g.flows();
         for j in 0..g.len() {
-            let total: f64 = (0..g.len())
-                .map(|i| f.mt[j][i] * (1.0 - f.out_fraction[i]))
+            let total: f64 = f
+                .row(PrincipalId(j))
+                .iter()
+                .map(|&(i, mt, _)| mt * (1.0 - f.out_fraction[i]))
                 .sum();
             assert!((total - 1.0).abs() < 1e-9, "source {j}: {total}");
         }
@@ -311,6 +783,178 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f.mt(a, a), 1.0);
         assert_eq!(f.ot(a, a), 0.0);
-        assert!((f.currency_mandatory_value(&[42.0], a) - 42.0).abs() < 1e-12);
+        assert!((f.inflows(&[42.0])[0].0 - 42.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn components_are_numbered_in_topological_order() {
+        // 0 ⇄ 1 → 2 → 3 ⇄ 4, and 5 alone.
+        let e = |h| (h, 0.1, 0.2);
+        let edges = [e(1), e(0), e(2), e(3), e(4), e(3)];
+        let start = [0, 1, 3, 4, 5, 6, 6];
+        let comp = components(&start, &edges);
+        assert_eq!(comp[0], comp[1]);
+        assert_eq!(comp[3], comp[4]);
+        assert!(comp[1] < comp[2] && comp[2] < comp[3]);
+        for i in 0..6 {
+            for &(h, ..) in &edges[start[i]..start[i + 1]] {
+                assert!(comp[i] <= comp[h], "edge {i}→{h} goes backwards");
+            }
+        }
+    }
+
+    /// Relative agreement to 1e-12 (absolute below 1e-300).
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1e-300)
+    }
+
+    /// Checks `f` against the walk's dense matrices: every stored entry to
+    /// 1e-12 relative, every absent pair exactly 0 in the walk.
+    fn matches_walk(
+        f: &FlowMatrices,
+        (mt, ot): &(Vec<Vec<f64>>, Vec<Vec<f64>>),
+    ) -> Result<(), String> {
+        let n = f.len();
+        for j in 0..n {
+            let row = f.row(PrincipalId(j));
+            if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("row {j} not strictly ascending: {row:?}"));
+            }
+            for i in 0..n {
+                let (got_m, got_o) =
+                    (f.mt(PrincipalId(j), PrincipalId(i)), f.ot(PrincipalId(j), PrincipalId(i)));
+                if !close(got_m, mt[j][i]) || !close(got_o, ot[j][i]) {
+                    return Err(format!(
+                        "({j},{i}): closure ({got_m}, {got_o}), walk ({}, {})",
+                        mt[j][i], ot[j][i]
+                    ));
+                }
+                let stored = row.iter().any(|e| e.0 == i);
+                if !stored && (mt[j][i] != 0.0 || ot[j][i] != 0.0) {
+                    return Err(format!("({j},{i}) missing from the row"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Random graphs of up to nine principals: `density` is the chance of
+    /// each ordered pair getting an agreement, so the strategy spans
+    /// sparse DAG-like graphs through complete (one-SCC) ones. No
+    /// self-loops; each issuer stays solvent.
+    fn graph_strategy() -> impl Strategy<Value = AgreementGraph> {
+        (2usize..10, 0.0..1.0f64).prop_flat_map(|(n, density)| {
+            let caps = proptest::collection::vec(0.0..1000.0f64, n);
+            let edges = proptest::collection::vec((0.0..1.0f64, 0.0..0.3f64, 0.0..0.6f64), n * n);
+            (caps, edges).prop_map(move |(caps, edges)| {
+                let mut g = AgreementGraph::new();
+                for (i, &c) in caps.iter().enumerate() {
+                    g.add_principal(format!("P{i}"), c);
+                }
+                let mut budget = vec![1.0f64; n];
+                for (idx, (coin, lb_raw, width)) in edges.into_iter().enumerate() {
+                    let (i, j) = (idx / n, idx % n);
+                    if i == j || coin >= density {
+                        continue;
+                    }
+                    let lb = lb_raw.min(budget[i] - 0.01).max(0.0);
+                    let ub = (lb + width).min(1.0);
+                    if g.add_agreement(PrincipalId(i), PrincipalId(j), lb, ub).is_ok() {
+                        budget[i] -= lb;
+                    }
+                }
+                g
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The closure equals the simple-path walk, unbounded and with the
+        /// path length capped at 1–3; and every sparse access level equals
+        /// the dense one derived from the walk, with absent pairs reading 0.
+        #[test]
+        fn closure_matches_the_path_walk(g in graph_strategy()) {
+            let n = g.len();
+            for cap in [None, Some(1), Some(2), Some(3)] {
+                let oracle = walk(&g, cap);
+                let f = FlowMatrices::compute(&g, FlowOptions { max_path_len: cap });
+                prop_assert_eq!(matches_walk(&f, &oracle), Ok(()), "cap {:?}", cap);
+            }
+
+            let (mt, ot) = walk(&g, None);
+            let v = g.capacities();
+            let lv = g.access_levels();
+            let out = g.mandatory_out_fractions();
+            for i in 0..n {
+                let pi = PrincipalId(i);
+                let (keep, leak) = (1.0 - out[i], out[i]);
+                let (mut mc, mut oc) = (0.0, 0.0);
+                for j in 0..n {
+                    let pj = PrincipalId(j);
+                    let mi = v[j] * mt[j][i];
+                    let (mand, opt) = (mi * keep, v[j] * ot[j][i] + mi * leak);
+                    prop_assert!(close(lv.mand_share(pi, pj), mand), "mand ({}, {}): {} vs {}", i, j, lv.mand_share(pi, pj), mand);
+                    prop_assert!(close(lv.opt_share(pi, pj), opt), "opt ({}, {}): {} vs {}", i, j, lv.opt_share(pi, pj), opt);
+                    if !lv.row(pi).iter().any(|e| e.0 == j) {
+                        prop_assert_eq!(lv.mand_share(pi, pj), 0.0);
+                        prop_assert_eq!(lv.opt_share(pi, pj), 0.0);
+                        prop_assert!(mand == 0.0 && opt == 0.0, "({}, {}) absent but worth {}, {}", i, j, mand, opt);
+                    }
+                    mc += mand;
+                    oc += opt;
+                }
+                prop_assert!(close(lv.mandatory(pi), mc), "MC {}: {} vs {}", i, lv.mandatory(pi), mc);
+                prop_assert!(close(lv.optional(pi), oc), "OC {}: {} vs {}", i, lv.optional(pi), oc);
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_path_is_rounded_as_the_walk_rounds_it() {
+        // A chain into a 3-cycle and out of it: every pair has one path, so
+        // the closure must equal the walk bit for bit.
+        let mut g = AgreementGraph::new();
+        let ids: Vec<_> =
+            (0..6).map(|i| g.add_principal(format!("P{i}"), 100.0 + i as f64)).collect();
+        for (i, h, lb, ub) in [
+            (0, 1, 0.13, 0.71),
+            (1, 2, 0.29, 0.37),
+            (2, 3, 0.31, 0.93),
+            (3, 1, 0.07, 0.11),
+            (3, 4, 0.17, 0.59),
+            (4, 5, 0.23, 0.61),
+        ] {
+            g.add_agreement(ids[i], ids[h], lb, ub).unwrap();
+        }
+        let (mt, ot) = walk(&g, None);
+        let f = g.flows();
+        for j in 0..6 {
+            for i in 0..6 {
+                let (pj, pi) = (PrincipalId(j), PrincipalId(i));
+                assert_eq!(f.mt(pj, pi).to_bits(), mt[j][i].to_bits(), "MT ({j},{i})");
+                assert_eq!(f.ot(pj, pi).to_bits(), ot[j][i].to_bits(), "OT ({j},{i})");
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_ring_costs_what_its_paths_cost() {
+        // One SCC of 200 principals: 2^200 visited sets, but a ring has
+        // one simple path per pair, and so few reachable states.
+        let n = 200;
+        let mut g = AgreementGraph::new();
+        let ids: Vec<_> = (0..n).map(|i| g.add_principal(format!("P{i}"), 10.0)).collect();
+        for i in 0..n {
+            g.add_agreement(ids[i], ids[(i + 1) % n], 0.5, 0.75).unwrap();
+        }
+        let f = g.flows();
+        let oracle = walk(&g, None);
+        assert_eq!(matches_walk(&f, &oracle), Ok(()));
+        assert_eq!(f.row(ids[0]).len(), 200, "(0.5)^199 is still a normal float");
+        let bounded = g.flows_bounded(3);
+        assert_eq!(matches_walk(&bounded, &walk(&g, Some(3))), Ok(()));
+        assert_eq!(bounded.row(ids[7]).len(), 4);
     }
 }

@@ -7,7 +7,8 @@ use serde::{Deserialize, Serialize};
 /// Identifier of a principal within one [`AgreementGraph`].
 ///
 /// Ids are dense indices assigned by [`AgreementGraph::add_principal`] and
-/// are used directly as row/column indices in the flow matrices.
+/// are used directly as row indices and entry keys in the flow and
+/// access-level tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PrincipalId(pub usize);
 
@@ -211,22 +212,24 @@ impl AgreementGraph {
         self.principals.iter().map(|p| p.capacity).collect()
     }
 
-    /// Total mandatory fraction `Σ_k lb_ik` issued by principal `i` ("leak
-    /// out" factor of Formula 1).
-    pub fn mandatory_out_fraction(&self, i: PrincipalId) -> f64 {
-        self.agreements
-            .iter()
-            .filter(|a| a.issuer == i)
-            .map(|a| a.lb.get())
-            .sum()
+    /// Total mandatory fraction `Σ_k lb_ik` issued by each principal `i`
+    /// ("leak out" factor of Formula 1), summed in agreement order, in one
+    /// pass over the agreements.
+    pub fn mandatory_out_fractions(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.principals.len()];
+        for a in &self.agreements {
+            out[a.issuer.0] += a.lb.get();
+        }
+        out
     }
 
-    /// Computes the full transitive-closure flow matrices (all simple paths).
+    /// Computes the full transitive-closure flow coefficients (all simple
+    /// paths).
     pub fn flows(&self) -> FlowMatrices {
         FlowMatrices::compute(self, FlowOptions::default())
     }
 
-    /// Computes flow matrices restricted to paths of at most `m` tickets,
+    /// Computes flow coefficients restricted to paths of at most `m` tickets,
     /// matching the paper's `MI^(m)`/`OI^(m)` truncated recurrences.
     pub fn flows_bounded(&self, m: usize) -> FlowMatrices {
         FlowMatrices::compute(self, FlowOptions { max_path_len: Some(m) })
@@ -327,9 +330,10 @@ mod tests {
     #[test]
     fn mandatory_out_fraction_sums_lbs() {
         let (g, a, b, c) = figure3();
-        assert!((g.mandatory_out_fraction(a) - 0.4).abs() < 1e-12);
-        assert!((g.mandatory_out_fraction(b) - 0.6).abs() < 1e-12);
-        assert_eq!(g.mandatory_out_fraction(c), 0.0);
+        let out = g.mandatory_out_fractions();
+        assert!((out[a.0] - 0.4).abs() < 1e-12);
+        assert!((out[b.0] - 0.6).abs() < 1e-12);
+        assert_eq!(out[c.0], 0.0);
     }
 
     #[test]

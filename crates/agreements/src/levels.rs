@@ -1,6 +1,7 @@
 //! Per-principal and per-pair access levels (paper Formulae 3–4).
 //!
-//! Reduces the flow matrices to the quantities the scheduling LPs consume:
+//! Reduces the flow coefficients to the quantities the scheduling LPs
+//! consume, one sparse row per principal:
 //!
 //! * `mand_share(i, j)` — the amount of `j`'s *physical* capacity that
 //!   principal `i` is mandatorily entitled to: the flow `V_j × MT_ji`
@@ -18,13 +19,16 @@ use serde::{Deserialize, Serialize};
 
 /// The scheduler-facing view of an agreement graph: who may use how much of
 /// whose physical capacity, in guaranteed and best-effort tiers.
+///
+/// One sparse row per principal `i`: `(j, mand_share(i, j), opt_share(i, j))`
+/// for every server `j` whose capacity reaches `i` along some agreement
+/// path, `j` ascending, `i`'s own server included. An absent pair reads 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccessLevels {
     n: usize,
-    /// `mand[i][j]`: mandatory entitlement of principal `i` on server `j`.
-    mand: Vec<Vec<f64>>,
-    /// `opt[i][j]`: optional entitlement of principal `i` on server `j`.
-    opt: Vec<Vec<f64>>,
+    /// Row `i` is `entries[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(usize, f64, f64)>,
     /// Physical capacities `V_j` the table was computed for.
     capacities: Vec<f64>,
 }
@@ -39,24 +43,36 @@ impl AccessLevels {
 
     /// Same as [`Self::from_flows`] but with an explicit capacity vector
     /// (agreements are interpreted dynamically; capacities may fluctuate
-    /// without re-running the path enumeration).
+    /// without re-running the closure). The flow rows are transposed:
+    /// source `j`'s entry for `i` becomes server `j` in row `i`, and since
+    /// sources are taken in order every row comes out server-sorted.
     pub fn from_flows_with_capacities(flows: &FlowMatrices, v: &[f64]) -> Self {
         let n = flows.len();
         assert_eq!(v.len(), n, "capacity vector length must match principal count");
-        let mut mand = vec![vec![0.0; n]; n];
-        let mut opt = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            let keep = 1.0 - flows.out_fraction(PrincipalId(i));
-            let leak = flows.out_fraction(PrincipalId(i));
-            for j in 0..n {
-                let mi = v[j] * flows.mt(PrincipalId(j), PrincipalId(i));
-                let oi = v[j] * flows.ot(PrincipalId(j), PrincipalId(i));
-                mand[i][j] = mi * keep;
-                // Optional = optional in-flow + reusable mandatory out-flow.
-                opt[i][j] = oi + mi * leak;
+        let sources = || (0..n).map(|j| (j, flows.row(PrincipalId(j))));
+        let mut starts = vec![0; n + 1];
+        for (_, row) in sources() {
+            for &(i, ..) in row {
+                starts[i + 1] += 1;
             }
         }
-        AccessLevels { n, mand, opt, capacities: v.to_vec() }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut entries = vec![(0, 0.0, 0.0); starts[n]];
+        for (j, row) in sources() {
+            for &(i, mt, ot) in row {
+                let leak = flows.out_fraction(PrincipalId(i));
+                let keep = 1.0 - leak;
+                let mi = v[j] * mt;
+                let oi = v[j] * ot;
+                // Optional = optional in-flow + reusable mandatory out-flow.
+                entries[fill[i]] = (j, mi * keep, oi + mi * leak);
+                fill[i] += 1;
+            }
+        }
+        AccessLevels { n, starts, entries, capacities: v.to_vec() }
     }
 
     /// Number of principals.
@@ -71,28 +87,40 @@ impl AccessLevels {
         self.n == 0
     }
 
+    /// Row `i`: `(j, mand_share(i, j), opt_share(i, j))` for every server
+    /// `j` whose capacity reaches `i`, `j` ascending.
+    #[inline]
+    pub fn row(&self, i: PrincipalId) -> &[(usize, f64, f64)] {
+        &self.entries[self.starts[i.0]..self.starts[i.0 + 1]]
+    }
+
+    fn entry(&self, i: PrincipalId, j: PrincipalId) -> Option<&(usize, f64, f64)> {
+        let row = self.row(i);
+        row.binary_search_by_key(&j.0, |e| e.0).ok().map(|at| &row[at])
+    }
+
     /// Mandatory entitlement of principal `i` on server `j` (the LP's
     /// pairwise lower bound `MI_ji`).
     #[inline]
     pub fn mand_share(&self, i: PrincipalId, j: PrincipalId) -> f64 {
-        self.mand[i.0][j.0]
+        self.entry(i, j).map_or(0.0, |e| e.1)
     }
 
     /// Optional entitlement of principal `i` on server `j` (the LP's
     /// pairwise slack `OI_ji`).
     #[inline]
     pub fn opt_share(&self, i: PrincipalId, j: PrincipalId) -> f64 {
-        self.opt[i.0][j.0]
+        self.entry(i, j).map_or(0.0, |e| e.2)
     }
 
     /// `MC_i`: total guaranteed processing rate for principal `i`.
     pub fn mandatory(&self, i: PrincipalId) -> f64 {
-        self.mand[i.0].iter().sum()
+        self.row(i).iter().map(|e| e.1).sum()
     }
 
     /// `OC_i`: total additional best-effort processing rate for `i`.
     pub fn optional(&self, i: PrincipalId) -> f64 {
-        self.opt[i.0].iter().sum()
+        self.row(i).iter().map(|e| e.2).sum()
     }
 
     /// The capacity vector the table was computed against.
@@ -103,15 +131,14 @@ impl AccessLevels {
     /// Scales every entitlement by `window_secs`, converting rates
     /// (requests/second) into per-window request budgets.
     pub fn scaled(&self, window_secs: f64) -> AccessLevels {
-        let scale = |m: &Vec<Vec<f64>>| {
-            m.iter()
-                .map(|row| row.iter().map(|x| x * window_secs).collect())
-                .collect()
-        };
         AccessLevels {
             n: self.n,
-            mand: scale(&self.mand),
-            opt: scale(&self.opt),
+            starts: self.starts.clone(),
+            entries: self
+                .entries
+                .iter()
+                .map(|&(j, m, o)| (j, m * window_secs, o * window_secs))
+                .collect(),
             capacities: self.capacities.iter().map(|c| c * window_secs).collect(),
         }
     }
@@ -120,8 +147,11 @@ impl AccessLevels {
     /// mandatory entitlements does not exceed `V_j` (within `tol`). Returns
     /// the worst violation if any.
     pub fn check_mandatory_feasible(&self, tol: f64) -> Result<(), (usize, f64)> {
-        for j in 0..self.n {
-            let total: f64 = (0..self.n).map(|i| self.mand[i][j]).sum();
+        let mut totals = vec![0.0; self.n];
+        for &(j, m, _) in &self.entries {
+            totals[j] += m;
+        }
+        for (j, total) in totals.into_iter().enumerate() {
             if total > self.capacities[j] + tol {
                 return Err((j, total - self.capacities[j]));
             }

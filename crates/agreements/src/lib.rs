@@ -26,9 +26,11 @@
 //! `A`–`C` agreement. [`AgreementGraph::access_levels`] performs the
 //! transitive-closure computation of Figure 5 of the paper and yields an
 //! [`AccessLevels`] table: for every principal `i` and every physical
-//! resource owner `j`, the mandatory entitlement `m[i][j]` and optional
-//! entitlement `o[i][j]`, plus the per-principal aggregates `MC_i` and
-//! `OC_i` used by the scheduler.
+//! resource owner `j` whose capacity reaches it, the mandatory entitlement
+//! `m[i][j]` and optional entitlement `o[i][j]` (a sparse row per
+//! principal; an owner that does not reach `i` is entitled to nothing),
+//! plus the per-principal aggregates `MC_i` and `OC_i` used by the
+//! scheduler.
 //!
 //! # Worked example (paper Figure 3)
 //!

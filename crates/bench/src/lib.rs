@@ -37,8 +37,9 @@ pub fn random_graph(n: usize, density: f64, seed: u64) -> AgreementGraph {
 /// providers, the rest are consumers holding agreements with up to three
 /// providers each. Every simple agreement path has length one, so the
 /// exact transitive-flow closure stays linear in the edge count —
-/// [`random_graph`]'s free-form topology makes path enumeration
-/// intractable past a few dozen principals, while the window LP it feeds
+/// [`random_graph`]'s free-form topology puts most principals in one
+/// strongly connected component, and the exact closure is exponential in
+/// that component's size — while the window LP it feeds
 /// keeps the same shape (`θ` plus one variable per agreement-backed pair —
 /// about two per principal here — over `3n` principal rows and `n` server
 /// rows).

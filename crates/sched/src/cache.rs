@@ -25,33 +25,28 @@
 use crate::Plan;
 use covenant_agreements::{AccessLevels, PrincipalId};
 
-/// FNV-style fold over the raw bits of an `f64` sequence, one whole word
-/// per step.
-fn fold_f64(mut h: u64, values: impl IntoIterator<Item = f64>) -> u64 {
-    for v in values {
-        h = (h ^ v.to_bits()).wrapping_mul(0x100000001b3);
+/// FNV-style fold over a sequence of 64-bit words, one whole word per step.
+fn fold(mut h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    for w in words {
+        h = (h ^ w).wrapping_mul(0x100000001b3);
     }
     h
 }
 
 /// A stable fingerprint of everything the scheduling LPs read from the
-/// access levels: principal count, pairwise mandatory/optional shares, and
-/// capacities. Two level tables with equal fingerprints produce identical
-/// constraint matrices.
+/// access levels: principal count, each principal's row of pairwise
+/// mandatory/optional shares (its length, then every entry's server and
+/// bits), and capacities. Two level tables with equal fingerprints produce
+/// identical constraint matrices.
 pub fn levels_fingerprint(levels: &AccessLevels) -> u64 {
     let n = levels.len();
     let mut h = 0xcbf29ce484222325u64 ^ (n as u64).wrapping_mul(0x9e3779b97f4a7c15);
     for i in 0..n {
-        let pi = PrincipalId(i);
-        h = fold_f64(
-            h,
-            (0..n).flat_map(|j| {
-                let pj = PrincipalId(j);
-                [levels.mand_share(pi, pj), levels.opt_share(pi, pj)]
-            }),
-        );
+        let row = levels.row(PrincipalId(i));
+        h = fold(h, [row.len() as u64]);
+        h = fold(h, row.iter().flat_map(|&(j, m, o)| [j as u64, m.to_bits(), o.to_bits()]));
     }
-    fold_f64(h, levels.capacities().iter().copied())
+    fold(h, levels.capacities().iter().map(|c| c.to_bits()))
 }
 
 /// One memoized window.

@@ -142,10 +142,8 @@ impl PreparedCommunity {
         let mut pairs = Plan::zero(0);
         let mut ubs = Vec::new();
         for i in 0..n {
-            let pi = PrincipalId(i);
-            pairs.push_row((0..n).filter_map(|k| {
-                let pk = PrincipalId(k);
-                let ub = levels.mand_share(pi, pk) + levels.opt_share(pi, pk);
+            pairs.push_row(levels.row(PrincipalId(i)).iter().filter_map(|&(k, mand, opt)| {
+                let ub = mand + opt;
                 (ub > 0.0).then(|| {
                     ubs.push(ub);
                     (k, 0.0)

@@ -310,10 +310,13 @@ fn mandatory_split(levels: &AccessLevels) -> (Vec<f64>, Plan) {
         let pi = PrincipalId(i);
         let mc = levels.mandatory(pi);
         mandatory.push(mc);
-        split.push_row((0..n).filter_map(|k| {
-            let share = levels.mand_share(pi, PrincipalId(k));
-            (mc > 0.0 && share > 0.0).then(|| (k, share / mc))
-        }));
+        split.push_row(
+            levels
+                .row(pi)
+                .iter()
+                .filter(|&&(_, share, _)| mc > 0.0 && share > 0.0)
+                .map(|&(k, share, _)| (k, share / mc)),
+        );
     }
     (mandatory, split)
 }

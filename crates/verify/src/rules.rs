@@ -7,7 +7,7 @@
 //! rules ahead of them cover every reason it could not.
 
 use crate::{Finding, RuleMeta, Step, VRule};
-use covenant_agreements::{AgreementGraph, PrincipalId};
+use covenant_agreements::{AccessLevels, FlowMatrices, PrincipalId};
 use covenant_core::scenario::{ScenarioSpec, TimelineEvent};
 use covenant_core::spec::{DeploymentSpec, PolicySpec};
 use Step::{Index, Key};
@@ -45,9 +45,10 @@ fn run_unfiltered(spec: &DeploymentSpec) -> Vec<Finding> {
     tree_and_timing(spec, &mut out);
     policy_shape(spec, &mut out);
     if let Ok(graph) = spec.build_graph() {
-        solvency_backing(spec, &graph, &mut out);
+        let flows = graph.flows();
+        solvency_backing(spec, &flows, &graph.capacities(), &mut out);
         cycles(spec, &mut out);
-        load(spec, &graph, &mut out);
+        load(spec, &AccessLevels::from_flows(&graph, &flows), &mut out);
     }
     out
 }
@@ -250,18 +251,18 @@ fn solvency_direct(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
 /// own capacity or transitive in-flow along the agreement graph, via the
 /// same simple-path closure the scheduler uses. Mandatory (`lb > 0`)
 /// tickets specifically need *mandatory* backing.
-fn solvency_backing(spec: &DeploymentSpec, graph: &AgreementGraph, out: &mut Vec<Finding>) {
-    let flows = graph.flows();
-    let v = graph.capacities();
+fn solvency_backing(
+    spec: &DeploymentSpec,
+    flows: &FlowMatrices,
+    v: &[f64],
+    out: &mut Vec<Finding>,
+) {
+    let inflows = flows.inflows(v);
     for (pi, p) in spec.principals.iter().enumerate() {
         let Some(first) = spec.agreements.iter().position(|a| a.issuer == p.name) else {
             continue;
         };
-        let id = PrincipalId(pi);
-        let mandatory_value = flows.currency_mandatory_value(&v, id);
-        let optional_in: f64 = (0..spec.principals.len())
-            .map(|j| flows.oi(&v, PrincipalId(j), id))
-            .sum();
+        let (mandatory_value, optional_in) = inflows[pi];
         let issues_mandatory =
             spec.agreements.iter().any(|a| a.issuer == p.name && a.lb > 0.0);
         let at = vec![Key("agreements"), Index(first), Key("issuer")];
@@ -708,8 +709,7 @@ fn renegotiation(sc: &ScenarioSpec, out: &mut Vec<Finding>) {
 /// rate, summed over its clients) vs its entitled mandatory + optional
 /// share. Excess demand is legal — the scheduler defers or drops it — but
 /// usually a misconfiguration.
-fn load(spec: &DeploymentSpec, graph: &AgreementGraph, out: &mut Vec<Finding>) {
-    let levels = graph.access_levels();
+fn load(spec: &DeploymentSpec, levels: &AccessLevels, out: &mut Vec<Finding>) {
     for (pi, p) in spec.principals.iter().enumerate() {
         let mut demand = 0.0;
         let mut first_client = None;

@@ -275,3 +275,63 @@ fn check_rejects_fig7_with_nanosecond_window() {
     let err = check_text("fig7.json", &text).expect_err("a nanosecond window is an error");
     assert!(err.to_string().contains("window_secs is 0.000000001"), "{err}");
 }
+
+/// Thirteen principals, each holding an agreement from every other one
+/// (lb 0.05, so every issuer guarantees 0.6 in all, ub 0.1): one currency
+/// cycle through everybody, 13·12 agreements, and more simple paths than
+/// a walk over them could finish in minutes.
+fn dense_spec(n: usize) -> String {
+    let principals: Vec<String> =
+        (0..n).map(|i| format!(r#"{{"name": "P{i}", "capacity": 100.0}}"#)).collect();
+    let mut agreements = Vec::new();
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            agreements.push(format!(
+                r#"{{"issuer": "P{i}", "holder": "P{j}", "lb": 0.05, "ub": 0.1}}"#
+            ));
+        }
+    }
+    format!(
+        r#"{{"principals": [{}], "agreements": [{}], "redirector_tree": [null],
+            "clients": [{{"principal": "P0", "redirector": 0, "phases": [[2.0, 50.0]]}}],
+            "duration": 2.0, "allow": ["V4"]}}"#,
+        principals.join(", "),
+        agreements.join(", ")
+    )
+}
+
+/// Runs `f` three times; returns its last result and the median wall
+/// time in seconds, so one run slowed by a busy machine does not decide.
+fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut secs = Vec::new();
+    let mut out = None;
+    for _ in 0..3 {
+        let t = std::time::Instant::now();
+        out = Some(f());
+        secs.push(t.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    (out.expect("three runs"), secs[1])
+}
+
+#[test]
+fn dense_thirteen_principal_graph_levels_and_check_in_well_under_a_second() {
+    let text = dense_spec(13);
+    let graph = DeploymentSpec::from_json(&text).unwrap().build_graph().unwrap();
+    let (levels, levels_s) = timed(|| graph.access_levels());
+    // Symmetric graph, equal capacities: every principal is entitled to
+    // the same levels, and (simple paths only) no more than the pool.
+    let id = covenant_agreements::PrincipalId;
+    let (mc, oc) = (levels.mandatory(id(0)), levels.optional(id(0)));
+    for i in 1..13 {
+        assert!((levels.mandatory(id(i)) - mc).abs() <= 1e-12 * mc, "MC_{i} vs MC_0 {mc}");
+        assert!((levels.optional(id(i)) - oc).abs() <= 1e-12 * oc, "OC_{i} vs OC_0 {oc}");
+    }
+    assert!(mc > 40.0 && 13.0 * mc <= 1300.0, "MC {mc}");
+    levels.check_mandatory_feasible(1e-9).unwrap();
+
+    let (diags, check_s) = timed(|| check(&text));
+    assert!(!has_errors(&diags), "{diags:?}");
+    assert!(levels_s < 1.0, "access_levels() took {levels_s:.3} s (median of 3)");
+    assert!(check_s < 1.0, "check took {check_s:.3} s (median of 3)");
+}

@@ -23,15 +23,15 @@ pub const FIGURES: [(&str, &str, &str); 5] = [
 /// Prints Figure 1, then each figure file's phase table.
 pub fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let f1 = fig1();
-    println!("== Figure 1 ==");
-    println!(
+    outln!("== Figure 1 ==");
+    outln!(
         "uncoordinated (A {:.0}, B {:.0})  coordinated (A {:.0}, B {:.0})\n",
         f1.uncoordinated.0, f1.uncoordinated.1, f1.coordinated.0, f1.coordinated.1
     );
     for (title, path, text) in FIGURES {
         let (_, outcome) = crate::simulate(path, text, opts)?;
-        println!("== {title} ==");
-        println!("{}", outcome.phase_table());
+        outln!("== {title} ==");
+        outln!("{}", outcome.phase_table());
     }
     Ok(())
 }

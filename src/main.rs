@@ -33,6 +33,22 @@
 //! scenario file's deployment (net and timeline ignored); `sim`
 //! materializes everything.
 
+/// `print!` for the CLI's standard output. When the reader has gone
+/// (`covenant sim … --csv | head`), the process stops writing and exits 0
+/// instead of panicking as `print!` does on a closed pipe.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod cli;
 mod figures;
 
@@ -63,20 +79,20 @@ fn main() -> ExitCode {
     }
     match cmd {
         Some("example-spec") => {
-            println!("{EXAMPLE_SPEC}");
+            outln!("{EXAMPLE_SPEC}");
             ExitCode::SUCCESS
         }
         Some("check") => check_cmd(&opts),
         Some("levels") => with_spec(&opts, false, |spec| {
             let g = spec.build_graph()?;
             let lv = g.access_levels();
-            println!(
+            outln!(
                 "{:<16}{:>12}{:>14}{:>14}",
                 "principal", "capacity", "mandatory", "optional"
             );
             for (i, p) in g.principals().iter().enumerate() {
                 let id = PrincipalId(i);
-                println!(
+                outln!(
                     "{:<16}{:>12.1}{:>14.1}{:>14.1}",
                     p.name,
                     p.capacity,
@@ -94,6 +110,8 @@ fn main() -> ExitCode {
                 .and_then(|a| a.parse::<f64>().ok())
                 .unwrap_or(5.0)
                 .clamp(0.5, 600.0);
+            // Plain `println!`: on a closed pipe it panics, and unwinding
+            // drops the cluster, which stops its node processes.
             let mut cluster = covenant::cluster::Cluster::launch(spec)?;
             println!("origin backend: http://{}/", cluster.origin_addr());
             println!("{:<6}{:<12}{:<24}{:<24}{:<24}", "node", "role", "wire", "metrics", "http");
@@ -140,7 +158,7 @@ fn check_cmd(opts: &Options) -> ExitCode {
     use covenant::verify::{has_errors, to_json, RuleMeta, VRule};
     if opts.list_rules {
         for r in VRule::registry() {
-            println!("{:<4}{:<9}{}", r.code(), r.severity().to_string(), r.describe());
+            outln!("{:<4}{:<9}{}", r.code(), r.severity().to_string(), r.describe());
         }
         return ExitCode::SUCCESS;
     }
@@ -160,21 +178,23 @@ fn check_cmd(opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let failed = has_errors(&diags) || diags.iter().any(|d| opts.deny.contains(&d.rule));
+    let say = |args: std::fmt::Arguments<'_>| emit_or_exit(args, i32::from(failed));
     if opts.json {
-        println!("{}", to_json(&diags));
+        say(format_args!("{}\n", to_json(&diags)));
     } else {
         for d in &diags {
-            println!("{d}");
+            say(format_args!("{d}\n"));
         }
     }
-    if has_errors(&diags) || diags.iter().any(|d| opts.deny.contains(&d.rule)) {
+    if failed {
         return ExitCode::FAILURE;
     }
     if !opts.json {
         if diags.is_empty() {
-            println!("{path}: OK");
+            say(format_args!("{path}: OK\n"));
         } else {
-            println!("{path}: OK with {} warning(s)", diags.len());
+            say(format_args!("{path}: OK with {} warning(s)\n", diags.len()));
         }
     }
     ExitCode::SUCCESS
@@ -204,7 +224,7 @@ fn sim_cmd(opts: &Options) -> ExitCode {
             points.push((value, prepare(path, &source, &point, opts)?));
         }
         if opts.csv {
-            println!("{},time_s,principal,rate_req_s", sweep.key);
+            outln!("{},time_s,principal,rate_req_s", sweep.key);
         }
         let mut docs = Vec::new();
         for (i, (value, (sc, cfg))) in points.into_iter().enumerate() {
@@ -215,12 +235,12 @@ fn sim_cmd(opts: &Options) -> ExitCode {
                 print_csv(&sc, &outcome.report, &format!("{value},"));
             } else {
                 let gap = if i == 0 { "" } else { "\n" };
-                println!("{gap}== {} = {value} ==", sweep.key);
+                outln!("{gap}== {} = {value} ==", sweep.key);
                 print_run(opts, &sc, &outcome);
             }
         }
         if opts.json {
-            println!("{}", Value::Arr(docs).to_pretty());
+            outln!("{}", Value::Arr(docs).to_pretty());
         }
         Ok(())
     };
@@ -232,14 +252,14 @@ fn sim_cmd(opts: &Options) -> ExitCode {
 /// and the phase table.
 fn print_run(opts: &Options, sc: &ScenarioSpec, outcome: &ScenarioOutcome) {
     if opts.json {
-        println!("{}", report_json(sc, &outcome.report).to_pretty());
+        outln!("{}", report_json(sc, &outcome.report).to_pretty());
     } else if opts.csv {
-        println!("time_s,principal,rate_req_s");
+        outln!("time_s,principal,rate_req_s");
         print_csv(sc, &outcome.report, "");
     } else {
         print_table(sc, &outcome.report);
         if !sc.phases.is_empty() {
-            print!("\n{}", outcome.phase_table());
+            out!("\n{}", outcome.phase_table());
         }
     }
 }
@@ -287,6 +307,25 @@ fn with_spec(
         f(&spec)
     };
     exit_of(run())
+}
+
+/// Writes to standard output; a closed pipe ends the process with status 0
+/// (the reader asked for no more), any other write error with status 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    emit_or_exit(args, 0)
+}
+
+/// [`emit`], with the status a closed pipe ends the process with:
+/// `check`'s status is its verdict, whether or not its reader stayed.
+fn emit_or_exit(args: std::fmt::Arguments<'_>, closed: i32) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(closed);
+        }
+        eprintln!("error: writing to standard output: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn exit_of(r: Result<(), Box<dyn std::error::Error>>) -> ExitCode {
@@ -341,7 +380,7 @@ fn names(sc: &ScenarioSpec) -> Vec<String> {
 fn print_csv(sc: &ScenarioSpec, report: &SimReport, prefix: &str) {
     for (i, name) in names(sc).iter().enumerate() {
         for (t, r) in report.rates.series(PrincipalId(i)) {
-            println!("{prefix}{t},{name},{r}");
+            outln!("{prefix}{t},{name},{r}");
         }
     }
 }
@@ -350,13 +389,13 @@ fn print_csv(sc: &ScenarioSpec, report: &SimReport, prefix: &str) {
 /// principal, then the run's server, tree and link counters.
 fn print_table(sc: &ScenarioSpec, report: &SimReport) {
     let duration = sc.deployment.duration;
-    println!(
+    outln!(
         "{:<16}{:>12}{:>12}{:>12}{:>14}",
         "principal", "offered", "served/s", "deferred", "mean resp ms"
     );
     for (i, name) in names(sc).iter().enumerate() {
         let id = PrincipalId(i);
-        println!(
+        outln!(
             "{:<16}{:>12}{:>12.1}{:>12}{:>14.1}",
             name,
             report.offered[i],
@@ -365,12 +404,12 @@ fn print_table(sc: &ScenarioSpec, report: &SimReport) {
             report.response[i].mean().unwrap_or(0.0) * 1000.0
         );
     }
-    println!(
+    outln!(
         "\nserver drops: {}; tree messages: {} (pairwise equivalent {})",
         report.dropped_server, report.tree_messages, report.pairwise_messages_equivalent
     );
     if let Some(net) = covenant::core::sim_counters(report).net {
-        println!(
+        outln!(
             "net: {} transfers, {:.2} MB over shared links, peak {} concurrent, \
              mean transfer {:.1} ms",
             net.transfers,

@@ -2,11 +2,13 @@
 //! point prints what plain `covenant sim` prints for the file with that key
 //! edited, bad arguments are usage errors, and the §4.1 load ramp
 //! (`examples/scenarios/explicit_vs_implicit.json`) reproduces the paper's
-//! explicit-versus-implicit queuing result from one sweep.
+//! explicit-versus-implicit queuing result from one sweep. A reader that
+//! closes the pipe early (`covenant sim … | head`) ends the run quietly.
 
 use covenant::core::json::Value;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn covenant(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_covenant"))
@@ -144,4 +146,52 @@ fn bad_sweeps_are_errors_that_say_why() {
     // Every point is built before the first runs: a bad later value fails
     // the sweep before it prints anything.
     fails_with(&["sim", fig6, "--sweep", "window_secs=0.1,0.00001"], "window_secs is 0.00001");
+}
+
+/// Reads the first line of `args`' output, closes the pipe, and checks the
+/// process stops writing without a panic and exits with `code`.
+fn closed_pipe_ends_quietly(args: &[&str], code: i32) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_covenant"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the covenant binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first line");
+    assert!(!first.is_empty(), "{args:?} printed nothing");
+    // The reader (and with it the pipe) is dropped here, mid-output.
+    let out = child.wait_with_output().expect("the process ends");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    let fig8 = scenario("fig8.json");
+    let fig8 = fig8.to_str().unwrap();
+    // Each sweep point prints after it runs, so the later points write
+    // into the closed pipe.
+    closed_pipe_ends_quietly(&["sim", fig8, "--csv", "--sweep", "extra_tree_lag=10,10,10,10"], 0);
+    closed_pipe_ends_quietly(&["figures"], 0);
+}
+
+#[test]
+fn a_check_whose_reader_leaves_early_still_fails() {
+    // 3000 agreements with undeclared holders: 3000 V1 errors, far more
+    // output than a pipe buffers, so the later lines meet the closed pipe.
+    let agreements: Vec<String> = (0..3000)
+        .map(|i| format!(r#"{{"issuer": "S", "holder": "Z{i}", "lb": 0.0, "ub": 0.1}}"#))
+        .collect();
+    let spec = format!(
+        r#"{{"principals": [{{"name": "S", "capacity": 100.0}}], "agreements": [{}],
+            "clients": [], "duration": 1.0}}"#,
+        agreements.join(",\n")
+    );
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("check_closed_pipe.json");
+    std::fs::write(&path, spec).unwrap();
+    closed_pipe_ends_quietly(&["check", path.to_str().unwrap()], 1);
 }
