@@ -45,21 +45,10 @@
 //! principal) states some path reaches, so a sparse SCC — a long ring of
 //! agreements — costs what its few paths cost, while a complete SCC of
 //! `k` reaches all `(k − 1) · 2^(k−2) + 1` states from each source that
-//! enters it at one principal. The paper's `MI^(m)` truncation
-//! ([`crate::AgreementGraph::flows_bounded`]) runs on the same DP with
-//! each state's sums split by path length.
+//! enters it at one principal.
 
 use crate::{AgreementGraph, PrincipalId};
 use serde::{Deserialize, Serialize};
-
-/// Options controlling the flow computation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowOptions {
-    /// Maximum number of tickets (edges) per transitive path; `None` means
-    /// unbounded, i.e. the full transitive closure over simple paths (which
-    /// have at most `n − 1` edges).
-    pub max_path_len: Option<usize>,
-}
 
 /// Precomputed flow coefficients for an agreement graph, one sparse row per
 /// source.
@@ -78,12 +67,14 @@ pub struct FlowMatrices {
     /// `Σ_k lb_ik` per principal: the fraction of `i`'s currency leaked out
     /// via mandatory tickets.
     out_fraction: Vec<f64>,
+    /// Each principal's strongly connected component.
+    component: Vec<usize>,
 }
 
 impl FlowMatrices {
-    /// Computes the coefficients of `graph` under `opts`.
-    pub fn compute(graph: &AgreementGraph, opts: FlowOptions) -> Self {
-        Closure::new(graph, opts).matrices(graph)
+    /// Computes the coefficients of `graph`.
+    pub fn compute(graph: &AgreementGraph) -> Self {
+        Closure::new(graph).matrices(graph)
     }
 
     /// Number of principals.
@@ -129,6 +120,15 @@ impl FlowMatrices {
         self.out_fraction[i.0]
     }
 
+    /// Each principal's strongly connected component of the agreement
+    /// graph — the decomposition the closure ran on — numbered in
+    /// topological order of the condensation: every agreement stays in
+    /// its issuer's component or goes to a later one.
+    #[inline]
+    pub fn components(&self) -> &[usize] {
+        &self.component
+    }
+
     /// Per principal `i`, for concrete capacities `v`: the real mandatory
     /// value of its currency `Σ_j V_j × MT_ji = V_i + Σ_{j≠i} MI_ji` (before
     /// excluding outbound leaks; in Figure 3 this is 1900 for `B`), and its
@@ -158,17 +158,6 @@ fn extend([mand, opt]: [f64; 2], lb: f64, ub: f64) -> [f64; 2] {
 fn add(into: &mut [f64; 2], x: [f64; 2]) {
     into[0] += x[0];
     into[1] += x[1];
-}
-
-/// Adds each path-length layer of `from`, extended over `[lb, ub]`, into
-/// `to` `step` layers up; what would land past the last layer is dropped.
-#[inline]
-fn spread(from: &[[f64; 2]], to: &mut [[f64; 2]], step: usize, lb: f64, ub: f64) {
-    for (x, into) in from.iter().zip(&mut to[step..]) {
-        if *x != [0.0; 2] {
-            add(into, extend(*x, lb, ub));
-        }
-    }
 }
 
 /// Strongly connected components of the graph whose out-edges from `v`
@@ -231,11 +220,6 @@ fn components(start: &[usize], edges: &[(usize, f64, f64)]) -> Vec<usize> {
 }
 
 /// The closure engine: the graph split by SCC, and per-source scratch.
-///
-/// Sums are kept per path-length layer: one layer when lengths are not
-/// capped (`step = 0`: an edge stays in layer 0), else `cap + 1` layers
-/// and an edge from layer `l` lands in `l + 1` (`step = 1`), dropped past
-/// the cap.
 struct Closure {
     n: usize,
     comp: Vec<usize>,
@@ -251,11 +235,9 @@ struct Closure {
     edges: Vec<(usize, f64, f64)>,
     edge_start: Vec<usize>,
     split: Vec<usize>,
-    layers: usize,
-    step: usize,
-    /// `sums[i * layers + l]`: the `(mand, opt)` sums of length-`l` paths
-    /// from the current source that end at `i` — entering `i`'s component
-    /// until it is processed, every such path afterwards.
+    /// `sums[i]`: the `(mand, opt)` sums of the paths from the current
+    /// source that end at `i` — entering `i`'s component until it is
+    /// processed, every such path afterwards.
     sums: Vec<[f64; 2]>,
     seen: Vec<bool>,
     reached: Vec<usize>,
@@ -268,21 +250,19 @@ struct Closure {
     heads: Vec<usize>,
     index: Vec<usize>,
     key: Vec<u64>,
-    /// The DP's states: `layers` sums each in `table`, and each one's slot
-    /// and the state before it in its set (`NONE` for the first) in
-    /// `links`.
+    /// The DP's states: each one's sums in `table`, and its slot and the
+    /// state before it in its set (`NONE` for the first) in `links`.
     table: Vec<[f64; 2]>,
     links: Vec<(usize, usize)>,
-    /// The sums the set being read sends to each slot (`layers` a slot),
-    /// the slots it sends to, in the order first sent, and a flag per
-    /// slot marking them.
+    /// The sums the set being read sends to each slot, the slots it sends
+    /// to, in the order first sent, and a flag per slot marking them.
     acc: Vec<[f64; 2]>,
     sent: Vec<usize>,
     sending: Vec<bool>,
 }
 
 impl Closure {
-    fn new(graph: &AgreementGraph, opts: FlowOptions) -> Closure {
+    fn new(graph: &AgreementGraph) -> Closure {
         let n = graph.len();
         let mut edge_start = vec![0; n + 1];
         for a in graph.agreements() {
@@ -325,10 +305,6 @@ impl Closure {
             }
             split[i] = edge_start[i] + stay;
         }
-        // Simple paths have at most n − 1 edges: a cap at or past that is
-        // no cap.
-        let cap = opts.max_path_len.filter(|&m| m < n.saturating_sub(1));
-        let layers = cap.map_or(1, |m| m + 1);
         Closure {
             n,
             comp,
@@ -337,9 +313,7 @@ impl Closure {
             edges,
             edge_start,
             split,
-            layers,
-            step: usize::from(cap.is_some()),
-            sums: vec![[0.0; 2]; n * layers],
+            sums: vec![[0.0; 2]; n],
             seen: vec![false; n],
             reached: Vec::new(),
             todo: Vec::new(),
@@ -363,12 +337,12 @@ impl Closure {
             self.source(s, &mut entries);
             starts.push(entries.len());
         }
-        FlowMatrices { n: self.n, starts, entries, out_fraction: graph.mandatory_out_fractions() }
+        let out_fraction = graph.mandatory_out_fractions();
+        FlowMatrices { n: self.n, starts, entries, out_fraction, component: self.comp }
     }
 
     /// Appends row `s`: every path from `s`, component by component.
     fn source(&mut self, s: usize, row: &mut Vec<(usize, f64, f64)>) {
-        let l = self.layers;
         self.reached.clear();
         self.todo.clear();
         self.reach(s);
@@ -381,7 +355,7 @@ impl Closure {
         }
         self.todo.sort_unstable();
 
-        self.sums[s * l] = [1.0, 0.0];
+        self.sums[s] = [1.0, 0.0];
         for t in 0..self.todo.len() {
             let c = self.todo[t];
             let members = self.member_start[c]..self.member_start[c + 1];
@@ -389,25 +363,19 @@ impl Closure {
                 self.within(c);
             }
             for &w in &self.members[members] {
+                let from = self.sums[w];
+                if from == [0.0; 2] {
+                    continue;
+                }
                 for &(x, lb, ub) in &self.edges[self.split[w]..self.edge_start[w + 1]] {
-                    for layer in 0..l - self.step {
-                        let from = self.sums[w * l + layer];
-                        if from != [0.0; 2] {
-                            add(&mut self.sums[x * l + layer + self.step], extend(from, lb, ub));
-                        }
-                    }
+                    add(&mut self.sums[x], extend(from, lb, ub));
                 }
             }
         }
 
         self.reached.sort_unstable();
         for &i in &self.reached {
-            let layers = &mut self.sums[i * l..(i + 1) * l];
-            let mut total = layers[0];
-            for x in &layers[1..] {
-                add(&mut total, *x);
-            }
-            layers.fill([0.0; 2]);
+            let total = std::mem::take(&mut self.sums[i]);
             self.seen[i] = false;
             if i == s {
                 row.push((i, 1.0, 0.0));
@@ -442,7 +410,7 @@ impl Closure {
     /// to each `y` before `S ∪ {y}` is looked up: one lookup a state. A
     /// sparse component — a long ring — costs what its few paths cost.
     fn within(&mut self, c: usize) {
-        let (k, l) = (self.member_start[c + 1] - self.member_start[c], self.layers);
+        let k = self.member_start[c + 1] - self.member_start[c];
         let members = self.member_start[c];
         let words = k.div_ceil(64);
         self.masks.clear();
@@ -452,17 +420,15 @@ impl Closure {
         self.table.clear();
         self.links.clear();
         self.acc.clear();
-        self.acc.resize(k * l, [0.0; 2]);
+        self.acc.resize(k, [0.0; 2]);
         self.sending.clear();
         self.sending.resize(k, false);
         for b in 0..k {
-            let v = self.members[members + b];
-            let entering = &mut self.sums[v * l..(v + 1) * l];
-            if entering.iter().all(|x| *x == [0.0; 2]) {
+            let entering = std::mem::take(&mut self.sums[self.members[members + b]]);
+            if entering == [0.0; 2] {
                 continue;
             }
-            self.table.extend_from_slice(entering);
-            entering.fill([0.0; 2]);
+            self.table.push(entering);
             self.key.clear();
             self.key.resize(words, 0);
             self.key[b / 64] |= 1 << (b % 64);
@@ -475,8 +441,9 @@ impl Closure {
             while state != NONE {
                 let (b, before) = self.links[state];
                 let v = self.members[members + b];
-                if self.collect(v, state) {
-                    let from = &self.table[state * l..(state + 1) * l];
+                let from = self.table[state];
+                if from != [0.0; 2] {
+                    add(&mut self.sums[v], from);
                     let mask = &self.masks[set * words..(set + 1) * words];
                     for &(y, lb, ub) in &self.edges[self.edge_start[v]..self.split[v]] {
                         if mask[y / 64] >> (y % 64) & 1 == 1 {
@@ -486,11 +453,7 @@ impl Closure {
                             self.sending[y] = true;
                             self.sent.push(y);
                         }
-                        if l == 1 {
-                            add(&mut self.acc[y], extend(from[0], lb, ub));
-                        } else {
-                            spread(from, &mut self.acc[y * l..(y + 1) * l], self.step, lb, ub);
-                        }
+                        add(&mut self.acc[y], extend(from, lb, ub));
                     }
                 }
                 state = before;
@@ -498,9 +461,8 @@ impl Closure {
             for t in 0..self.sent.len() {
                 let y = self.sent[t];
                 self.sending[y] = false;
-                let acc = &mut self.acc[y * l..(y + 1) * l];
-                self.table.extend_from_slice(acc);
-                acc.fill([0.0; 2]);
+                let acc = std::mem::take(&mut self.acc[y]);
+                self.table.push(acc);
                 self.key.clear();
                 self.key.extend_from_slice(&self.masks[set * words..(set + 1) * words]);
                 self.key[y / 64] |= 1 << (y % 64);
@@ -512,31 +474,8 @@ impl Closure {
         }
     }
 
-    /// Folds state `state` into principal `v`'s path sums; true when it
-    /// holds sums that one more agreement may extend (none past the cap).
-    #[inline]
-    fn collect(&mut self, v: usize, state: usize) -> bool {
-        let l = self.layers;
-        if l == 1 {
-            let x = self.table[state];
-            if x == [0.0; 2] {
-                return false;
-            }
-            add(&mut self.sums[v], x);
-            return true;
-        }
-        let x = &self.table[state * l..(state + 1) * l];
-        if x.iter().all(|x| *x == [0.0; 2]) {
-            return false;
-        }
-        for (into, x) in self.sums[v * l..(v + 1) * l].iter_mut().zip(x) {
-            add(into, *x);
-        }
-        x[..l - self.step].iter().any(|x| *x != [0.0; 2])
-    }
-
-    /// Adds to `set` a state ending at `slot`, its sums the last `layers`
-    /// pairs of `table`.
+    /// Adds to `set` a state ending at `slot`, its sums the last pair of
+    /// `table`.
     fn link(&mut self, set: usize, slot: usize) {
         self.links.push((slot, self.heads[set]));
         self.heads[set] = self.links.len() - 1;
@@ -590,27 +529,18 @@ const NONE: usize = usize::MAX;
 
 /// The simple-path walk Formulae 1–2 describe, kept as the oracle for the
 /// closure: dense `(MT, OT)` matrices from a depth-first walk over every
-/// simple path of at most `max_len` edges from every source.
+/// simple path from every source.
 #[cfg(test)]
-pub(crate) fn walk(
-    graph: &AgreementGraph,
-    max_len: Option<usize>,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    #[allow(clippy::too_many_arguments)]
+pub(crate) fn walk(graph: &AgreementGraph) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     fn dfs(
         src: usize,
         at: usize,
         (mand, opt): (f64, f64),
-        depth: usize,
-        max_len: usize,
         edges: &[Vec<(usize, f64, f64)>],
         visited: &mut [bool],
         mt: &mut [Vec<f64>],
         ot: &mut [Vec<f64>],
     ) {
-        if depth == max_len {
-            return;
-        }
         for &(next, lb, ub) in &edges[at] {
             if visited[next] {
                 continue;
@@ -620,7 +550,7 @@ pub(crate) fn walk(
                 mt[src][next] += nmand;
                 ot[src][next] += nopt;
                 visited[next] = true;
-                dfs(src, next, (nmand, nopt), depth + 1, max_len, edges, visited, mt, ot);
+                dfs(src, next, (nmand, nopt), edges, visited, mt, ot);
                 visited[next] = false;
             }
         }
@@ -632,13 +562,11 @@ pub(crate) fn walk(
     for a in graph.agreements() {
         edges[a.issuer.0].push((a.holder.0, a.lb.get(), a.ub.get()));
     }
-    let longest = n.saturating_sub(1);
-    let max_len = max_len.unwrap_or(longest).min(longest);
     for j in 0..n {
         mt[j][j] = 1.0;
         let mut visited = vec![false; n];
         visited[j] = true;
-        dfs(j, j, (1.0, 0.0), 0, max_len, &edges, &mut visited, &mut mt, &mut ot);
+        dfs(j, j, (1.0, 0.0), &edges, &mut visited, &mut mt, &mut ot);
     }
     (mt, ot)
 }
@@ -708,18 +636,6 @@ mod tests {
         for (got, paper) in real_values {
             assert!((got - paper).abs() < 1e-9, "{got} != {paper}");
         }
-    }
-
-    #[test]
-    fn bounded_path_length_truncates_transitive_flows() {
-        let (g, a, _b, c) = figure3();
-        // Paths of length ≤ 1 capture only direct agreements: no A→C flow.
-        let f1 = g.flows_bounded(1);
-        assert_eq!(f1.mt(a, c), 0.0);
-        assert_eq!(f1.ot(a, c), 0.0);
-        // Length ≤ 2 recovers the full closure for this 3-node chain.
-        let f2 = g.flows_bounded(2);
-        assert!((f2.mt(a, c) - 0.24).abs() < 1e-12);
     }
 
     #[test]
@@ -871,19 +787,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The closure equals the simple-path walk, unbounded and with the
-        /// path length capped at 1–3; and every sparse access level equals
-        /// the dense one derived from the walk, with absent pairs reading 0.
+        /// The closure equals the simple-path walk, and every sparse access
+        /// level equals the dense one derived from the walk, with absent
+        /// pairs reading 0.
         #[test]
         fn closure_matches_the_path_walk(g in graph_strategy()) {
             let n = g.len();
-            for cap in [None, Some(1), Some(2), Some(3)] {
-                let oracle = walk(&g, cap);
-                let f = FlowMatrices::compute(&g, FlowOptions { max_path_len: cap });
-                prop_assert_eq!(matches_walk(&f, &oracle), Ok(()), "cap {:?}", cap);
-            }
+            let oracle = walk(&g);
+            prop_assert_eq!(matches_walk(&g.flows(), &oracle), Ok(()));
 
-            let (mt, ot) = walk(&g, None);
+            let (mt, ot) = oracle;
             let v = g.capacities();
             let lv = g.access_levels();
             let out = g.mandatory_out_fractions();
@@ -928,7 +841,7 @@ mod tests {
         ] {
             g.add_agreement(ids[i], ids[h], lb, ub).unwrap();
         }
-        let (mt, ot) = walk(&g, None);
+        let (mt, ot) = walk(&g);
         let f = g.flows();
         for j in 0..6 {
             for i in 0..6 {
@@ -950,11 +863,7 @@ mod tests {
             g.add_agreement(ids[i], ids[(i + 1) % n], 0.5, 0.75).unwrap();
         }
         let f = g.flows();
-        let oracle = walk(&g, None);
-        assert_eq!(matches_walk(&f, &oracle), Ok(()));
+        assert_eq!(matches_walk(&f, &walk(&g)), Ok(()));
         assert_eq!(f.row(ids[0]).len(), 200, "(0.5)^199 is still a normal float");
-        let bounded = g.flows_bounded(3);
-        assert_eq!(matches_walk(&bounded, &walk(&g, Some(3))), Ok(()));
-        assert_eq!(bounded.row(ids[7]).len(), 4);
     }
 }

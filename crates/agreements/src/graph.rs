@@ -1,7 +1,7 @@
 //! The agreement graph: principals, capacities, and direct `[lb, ub]`
 //! agreements between them.
 
-use crate::{AccessLevels, AgreementError, FlowMatrices, FlowOptions, Fraction};
+use crate::{AccessLevels, AgreementError, FlowMatrices, Fraction};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a principal within one [`AgreementGraph`].
@@ -226,13 +226,7 @@ impl AgreementGraph {
     /// Computes the full transitive-closure flow coefficients (all simple
     /// paths).
     pub fn flows(&self) -> FlowMatrices {
-        FlowMatrices::compute(self, FlowOptions::default())
-    }
-
-    /// Computes flow coefficients restricted to paths of at most `m` tickets,
-    /// matching the paper's `MI^(m)`/`OI^(m)` truncated recurrences.
-    pub fn flows_bounded(&self, m: usize) -> FlowMatrices {
-        FlowMatrices::compute(self, FlowOptions { max_path_len: Some(m) })
+        FlowMatrices::compute(self)
     }
 
     /// Computes per-principal and per-pair mandatory/optional access levels

@@ -64,7 +64,7 @@ mod graph;
 mod levels;
 
 pub use error::AgreementError;
-pub use flows::{FlowMatrices, FlowOptions};
+pub use flows::FlowMatrices;
 pub use fraction::Fraction;
 pub use graph::{Agreement, AgreementGraph, Principal, PrincipalId};
 pub use levels::AccessLevels;

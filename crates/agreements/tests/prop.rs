@@ -76,32 +76,6 @@ proptest! {
         prop_assert!(sum <= total + 1e-6, "Σ MC {sum} > ΣV {total}");
     }
 
-    /// Bounded-path flows are monotone in the path-length cap and converge
-    /// to the full closure by m = n − 1.
-    #[test]
-    fn bounded_flows_monotone_and_convergent(g in graph_strategy()) {
-        let n = g.len();
-        let full = g.flows();
-        let mut prev = 0.0;
-        for m in 1..n {
-            let f = g.flows_bounded(m);
-            let mass: f64 = (0..n)
-                .flat_map(|j| (0..n).map(move |i| (j, i)))
-                .map(|(j, i)| f.mt(PrincipalId(j), PrincipalId(i)))
-                .sum();
-            prop_assert!(mass >= prev - 1e-9, "m={m}: flow mass shrank");
-            prev = mass;
-        }
-        let fm = g.flows_bounded(n.saturating_sub(1));
-        for j in 0..n {
-            for i in 0..n {
-                prop_assert!(
-                    (fm.mt(PrincipalId(j), PrincipalId(i)) - full.mt(PrincipalId(j), PrincipalId(i))).abs() < 1e-12
-                );
-            }
-        }
-    }
-
     /// Scaling access levels by a window length scales every quantity
     /// linearly.
     #[test]

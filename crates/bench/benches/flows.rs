@@ -3,9 +3,8 @@
 //! The exact closure on sparse graphs (out-degree ~2.5, small SCCs) and on
 //! dense ones, where every principal holds an agreement from every other
 //! so the whole graph is one SCC and the subset DP runs over all `2^n`
-//! visited sets; beside them the paper's bounded-length `MI^(m)`
-//! truncation on the same engine, and the per-capacity-change recompute
-//! of the access levels from precomputed coefficients.
+//! visited sets; beside them the per-capacity-change recompute of the
+//! access levels from precomputed coefficients.
 
 use covenant_agreements::AgreementGraph;
 use covenant_bench::random_graph;
@@ -46,21 +45,10 @@ fn flow_closure_dense(c: &mut Criterion) {
     group.finish();
 }
 
-fn flow_bounded(c: &mut Criterion) {
-    let g = random_graph(16, 0.25, 9);
-    let mut group = c.benchmark_group("flow_closure_bounded_n16");
-    for m in [1usize, 2, 3, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, &m| {
-            b.iter(|| black_box(g.flows_bounded(m)))
-        });
-    }
-    group.finish();
-}
-
 fn access_levels_from_flows(c: &mut Criterion) {
     // The per-capacity-change recomputation: reuse precomputed MT/OT.
     let g = random_graph(12, 0.25, 9);
-    let flows = g.flows_bounded(4);
+    let flows = g.flows();
     let v = g.capacities();
     c.bench_function("access_levels_recompute_n12", |b| {
         b.iter(|| {
@@ -72,5 +60,5 @@ fn access_levels_from_flows(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, flow_closure, flow_closure_dense, flow_bounded, access_levels_from_flows);
+criterion_group!(benches, flow_closure, flow_closure_dense, access_levels_from_flows);
 criterion_main!(benches);

@@ -74,10 +74,10 @@ impl Cluster {
         // Static verification first: refuse to fork processes for a spec
         // with error-severity contract findings (V1-V7).
         {
-            use covenant_verify::{RuleMeta, Severity};
+            use covenant_verify::Severity;
             let errors: Vec<String> = covenant_verify::verify_spec(spec)
                 .iter()
-                .filter(|f| f.rule.severity() == Severity::Error)
+                .filter(|f| f.severity == Severity::Error)
                 .map(|f| f.to_string())
                 .collect();
             if !errors.is_empty() {

@@ -23,6 +23,12 @@ pub enum Policy {
     },
 }
 
+/// Fraction of the mandatory share a redirector admits while it has no
+/// global queue information yet. The paper's prototype uses half its
+/// mandatory tickets when one other redirector's state is unknown
+/// (Figure 8, phase 1).
+const CONSERVATIVE_FRACTION: f64 = 0.5;
+
 /// Redirector-side scheduler configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
@@ -30,12 +36,6 @@ pub struct SchedulerConfig {
     pub window_secs: f64,
     /// Optimization policy.
     pub policy: Policy,
-    /// Fraction of the mandatory share a redirector admits while it has no
-    /// global queue information yet. The paper's prototype uses half its
-    /// mandatory tickets when one other redirector's state is unknown
-    /// (Figure 8, phase 1); with `r` redirectors the natural choice is
-    /// `1/r`.
-    pub conservative_fraction: f64,
     /// Memoize the last solved `(levels, quantized queues) → Plan` and skip
     /// the LP when consecutive windows see the same demand (exact within
     /// [`PlanCache::QUANTUM`]). Steady-state EWMA estimates converge to a
@@ -51,7 +51,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             window_secs: 0.1,
             policy: Policy::Community { locality: None },
-            conservative_fraction: 0.5,
             plan_cache: true,
         }
     }
@@ -61,7 +60,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             window_secs: 0.1,
             policy: Policy::Provider { prices },
-            conservative_fraction: 0.5,
             plan_cache: true,
         }
     }
@@ -151,10 +149,6 @@ impl WindowScheduler {
     /// configuration; levels are scaled to the window internally.
     pub fn new(levels: &AccessLevels, cfg: SchedulerConfig) -> Self {
         assert!(cfg.window_secs > 0.0, "window must be positive");
-        assert!(
-            (0.0..=1.0).contains(&cfg.conservative_fraction),
-            "conservative fraction must be in [0,1]"
-        );
         let window_levels = levels.scaled(cfg.window_secs);
         let engine = Engine::build(&window_levels, &cfg.policy);
         let cache = PlanCache::new(levels_fingerprint(&window_levels));
@@ -289,12 +283,12 @@ impl WindowScheduler {
         }
     }
 
-    /// Conservative fallback: admit `conservative_fraction` of each
+    /// Conservative fallback: admit [`CONSERVATIVE_FRACTION`] of each
     /// principal's mandatory share, capped by local demand, spread across
     /// servers proportionally to the mandatory entitlement.
     fn conservative_plan(&self, local_queues: &[f64]) -> Plan {
         self.mandatory_split.with_rows_scaled(|i| {
-            (self.mandatory[i] * self.cfg.conservative_fraction).min(local_queues[i].max(0.0))
+            (self.mandatory[i] * CONSERVATIVE_FRACTION).min(local_queues[i].max(0.0))
         })
     }
 }

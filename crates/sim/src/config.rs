@@ -99,9 +99,6 @@ pub struct SimConfig {
     pub duration: f64,
     /// Server accept-backlog limit.
     pub server_backlog: usize,
-    /// Fraction of the mandatory share admitted while the tree has not yet
-    /// delivered any global information (paper: half).
-    pub conservative_fraction: f64,
     /// Rate-series bucket width for reporting, seconds.
     pub bucket_secs: f64,
     /// Mid-run capacity changes, applied at window boundaries.
@@ -152,7 +149,6 @@ impl SimConfig {
             clients: Vec::new(),
             duration,
             server_backlog: 4096,
-            conservative_fraction: 0.5,
             bucket_secs: 1.0,
             capacity_changes: Vec::new(),
             agreement_changes: Vec::new(),

@@ -617,7 +617,6 @@ fn core_for(cfg: &SimConfig, id: usize, levels: &AccessLevels) -> EnforcementCor
     let sched = SchedulerConfig {
         window_secs: cfg.window_secs,
         policy,
-        conservative_fraction: cfg.conservative_fraction,
         plan_cache: cfg.plan_cache,
     };
     EnforcementCore::new(levels, sched, cfg.mode.clone())

@@ -21,15 +21,19 @@
 //!   capacity or transitive flow along the agreement graph, computed with
 //!   the same simple-path closure the scheduler uses (paper Formulae 1–2).
 //! - **V4 `cycles`** (warning) — currency cycles are legal (the flow
-//!   closure follows simple paths only) but each one is surfaced with its
-//!   full path, because value around a cycle is easy to misread.
+//!   closure follows simple paths only) but are surfaced, because value
+//!   around a cycle is easy to misread: one witness cycle per strongly
+//!   connected component of the agreement graph, naming the component's
+//!   size when it holds more than that one cycle.
 //! - **V5 `timing`** — the redirector tree is well-formed (one root,
 //!   parents in range, no parent cycles) and worst-case coordination
 //!   staleness `2 × depth × tree_edge_delay + extra_tree_lag` fits within
 //!   one scheduling window — the one-window-staleness assumption the
 //!   sim/live differential proves. Deployments that deliberately model
 //!   WAN lag (the paper's Figure 8 regime) can opt out per spec with
-//!   `"allow": ["V5"]`.
+//!   `"allow": ["V5"]`. A credit-retry gap `retry_delay + 2 ×
+//!   net.hop_latency` longer than the window is a warning: deferred
+//!   requests skip whole windows and leave credit idle.
 //! - **V6 `policy-shape`** — `caps`/`prices` vectors are exactly one
 //!   entry per principal, all finite and non-negative.
 //! - **V7 `load`** (warning) — worst-case offered client demand per
@@ -75,9 +79,9 @@ pub enum VRule {
     Agreements,
     /// V3: issuer solvency (direct guarantees and currency backing).
     Solvency,
-    /// V4: currency cycles (legal; reported with the full path).
+    /// V4: currency cycles (legal; one witness per strongly connected component).
     Cycles,
-    /// V5: timing sanity (tree shape and staleness vs the window).
+    /// V5: timing sanity (tree shape, staleness and retry gap vs the window).
     Timing,
     /// V6: policy vector shape.
     PolicyShape,
@@ -142,8 +146,8 @@ impl RuleMeta for VRule {
             VRule::References => "references to unknown principals, redirectors, or rule codes",
             VRule::Agreements => "agreement sanity: bounds order and range, self-deals, duplicates",
             VRule::Solvency => "issuer solvency: direct guarantees and transitive currency backing",
-            VRule::Cycles => "currency cycles (legal; reported with the full path)",
-            VRule::Timing => "timing sanity: tree well-formedness and staleness vs the window",
+            VRule::Cycles => "currency cycles (legal; one witness per strongly connected component)",
+            VRule::Timing => "timing sanity: tree shape, staleness and retry gap vs the window",
             VRule::PolicyShape => "policy caps/prices vector shape vs the principal list",
             VRule::Load => "worst-case client demand vs entitled mandatory+optional share",
             VRule::LinkSanity => "scenario link sanity: one positive finite rate per redirector",
@@ -168,7 +172,8 @@ pub enum Step {
     Index(usize),
 }
 
-/// A structural finding: a rule plus the JSON path to the offending value.
+/// A structural finding: a rule, its severity (the rule's default unless
+/// the finding is milder) and the JSON path to the offending value.
 ///
 /// Findings are produced against the decoded [`DeploymentSpec`] (which may
 /// never have been JSON at all — `Cluster::launch` verifies Rust-built
@@ -177,6 +182,8 @@ pub enum Step {
 pub struct Finding {
     /// The rule that fired.
     pub rule: VRule,
+    /// The finding's severity.
+    pub severity: Severity,
     /// Path from the document root to the offending value.
     pub at: Vec<Step>,
     /// Human-readable description.
@@ -212,7 +219,7 @@ impl Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}[{}] {}", self.path(), self.rule.severity(), self.rule, self.message)
+        write!(f, "{}: {}[{}] {}", self.path(), self.severity, self.rule, self.message)
     }
 }
 
@@ -244,13 +251,9 @@ pub fn resolve(findings: &[Finding], source: Option<&Spanned>, label: &str) -> V
         .iter()
         .map(|f| {
             let (line, col) = source.map_or((0, 0), |s| locate(s, &f.at));
-            Diagnostic::new(
-                f.rule,
-                label.to_string(),
-                line,
-                col,
-                format!("{}: {}", f.path(), f.message),
-            )
+            let message = format!("{}: {}", f.path(), f.message);
+            let d = Diagnostic::new(f.rule, label.to_string(), line, col, message);
+            Diagnostic { severity: f.severity, ..d }
         })
         .collect()
 }

@@ -6,29 +6,24 @@
 //! backing walk, V4, V7) only run when the graph builds — the structural
 //! rules ahead of them cover every reason it could not.
 
-use crate::{Finding, RuleMeta, Step, VRule};
+use crate::{Finding, RuleMeta, Severity, Step, VRule};
 use covenant_agreements::{AccessLevels, FlowMatrices, PrincipalId};
 use covenant_core::scenario::{ScenarioSpec, TimelineEvent};
-use covenant_core::spec::{DeploymentSpec, PolicySpec};
+use covenant_core::spec::{DeploymentSpec, PolicySpec, QueueModeSpec};
 use Step::{Index, Key};
 
 /// Slack for floating-point sums of fractions.
 const TOL: f64 = 1e-9;
 
-/// At most this many distinct cycles are reported per spec (V4).
-const MAX_CYCLES: usize = 16;
-
-/// Work bound on the cycle search; beyond it the report notes truncation.
-const MAX_CYCLE_STEPS: usize = 100_000;
-
 pub(crate) fn run(spec: &DeploymentSpec) -> Vec<Finding> {
-    let mut out = run_unfiltered(spec);
+    let mut out = run_unfiltered(spec, 0.0);
     filter_allowed(spec, &mut out);
     out
 }
 
 pub(crate) fn run_scenario(sc: &ScenarioSpec) -> Vec<Finding> {
-    let mut out = run_unfiltered(&sc.deployment);
+    let hop_latency = sc.net.as_ref().map_or(0.0, |n| n.hop_latency);
+    let mut out = run_unfiltered(&sc.deployment, hop_latency);
     link_sanity(sc, &mut out);
     timeline_order(sc, &mut out);
     renegotiation(sc, &mut out);
@@ -36,18 +31,19 @@ pub(crate) fn run_scenario(sc: &ScenarioSpec) -> Vec<Finding> {
     out
 }
 
-fn run_unfiltered(spec: &DeploymentSpec) -> Vec<Finding> {
+/// The deployment rules; `hop_latency` is the scenario's (0 without `net`).
+fn run_unfiltered(spec: &DeploymentSpec, hop_latency: f64) -> Vec<Finding> {
     let mut out = Vec::new();
     references(spec, &mut out);
     agreement_sanity(spec, &mut out);
     scalar_sanity(spec, &mut out);
     solvency_direct(spec, &mut out);
-    tree_and_timing(spec, &mut out);
+    tree_and_timing(spec, hop_latency, &mut out);
     policy_shape(spec, &mut out);
     if let Ok(graph) = spec.build_graph() {
         let flows = graph.flows();
         solvency_backing(spec, &flows, &graph.capacities(), &mut out);
-        cycles(spec, &mut out);
+        cycles(spec, flows.components(), &mut out);
         load(spec, &AccessLevels::from_flows(&graph, &flows), &mut out);
     }
     out
@@ -60,7 +56,7 @@ fn filter_allowed(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
 }
 
 fn push(out: &mut Vec<Finding>, rule: VRule, at: Vec<Step>, message: String) {
-    out.push(Finding { rule, at, message });
+    out.push(Finding { rule, severity: rule.severity(), at, message });
 }
 
 fn finite_nonneg(x: f64) -> bool {
@@ -293,8 +289,10 @@ fn solvency_backing(
 }
 
 /// V5 — the redirector tree must be well-formed, and worst-case
-/// coordination staleness must fit within one scheduling window.
-fn tree_and_timing(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
+/// coordination staleness must fit within one scheduling window. A
+/// self-redirect's retry gap past the window is a warning: the retry
+/// lands whole windows later, and its credit idles meanwhile.
+fn tree_and_timing(spec: &DeploymentSpec, hop_latency: f64, out: &mut Vec<Finding>) {
     let tree = &spec.redirector_tree;
     let n = tree.len();
     if n == 0 {
@@ -420,6 +418,22 @@ fn tree_and_timing(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
             );
         }
     }
+    if let QueueModeSpec::CreditRetry { retry_delay } = spec.queue_mode {
+        let gap = retry_delay + 2.0 * hop_latency;
+        if gap > spec.window_secs + TOL {
+            out.push(Finding {
+                rule: VRule::Timing,
+                severity: Severity::Warning,
+                at: vec![Key("queue_mode"), Key("retry_delay")],
+                message: format!(
+                    "a self-redirected request retries {gap:.3}s later (retry_delay \
+                     {retry_delay}s + 2 x {hop_latency}s hop latency), past the {}s scheduling \
+                     window: deferred requests skip whole windows and leave credit idle",
+                    spec.window_secs
+                ),
+            });
+        }
+    }
 }
 
 /// V6 — locality caps and provider prices are per-principal vectors: the
@@ -456,98 +470,79 @@ fn policy_shape(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
     }
 }
 
-/// Bounded elementary-cycle search state (V4).
-struct CycleSearch<'a> {
-    spec: &'a DeploymentSpec,
-    /// `adj[i]` lists `(holder, agreement index)` edges issued by `i`.
-    adj: Vec<Vec<(usize, usize)>>,
-    found: usize,
-    steps: usize,
-    truncated: bool,
-}
-
-impl CycleSearch<'_> {
-    /// Explores simple paths from `start` through nodes `> start` only, so
-    /// each elementary cycle is reported exactly once (anchored at its
-    /// minimum-index node).
-    fn dfs(
-        &mut self,
-        start: usize,
-        at: usize,
-        path: &mut Vec<usize>,
-        on_path: &mut [bool],
-        out: &mut Vec<Finding>,
-    ) {
-        if self.steps >= MAX_CYCLE_STEPS {
-            self.truncated = true;
-            return;
-        }
-        self.steps += 1;
-        let edges = self.adj.get(at).cloned().unwrap_or_default();
-        for (next, ai) in edges {
-            if next == start {
-                self.report(path, ai, out);
-            } else if next > start && !on_path[next] {
-                on_path[next] = true;
-                path.push(next);
-                self.dfs(start, next, path, on_path, out);
-                path.pop();
-                on_path[next] = false;
-            }
-        }
-    }
-
-    fn report(&mut self, path: &[usize], closing_agreement: usize, out: &mut Vec<Finding>) {
-        if self.found >= MAX_CYCLES {
-            self.truncated = true;
-            return;
-        }
-        self.found += 1;
-        let name = |i: usize| {
-            self.spec.principals.get(i).map_or("?", |p| p.name.as_str())
-        };
-        let mut names: Vec<&str> = path.iter().map(|&i| name(i)).collect();
-        if let Some(&first) = path.first() {
-            names.push(name(first));
-        }
-        push(
-            out,
-            VRule::Cycles,
-            vec![Key("agreements"), Index(closing_agreement)],
-            format!(
-                "currency cycle: {} — legal (transitive flows follow simple paths only, so \
-                 value does not amplify around the loop), but worth knowing about",
-                names.join(" -> ")
-            ),
-        );
-    }
-}
-
-/// V4 — report every elementary currency cycle with its full path.
-fn cycles(spec: &DeploymentSpec, out: &mut Vec<Finding>) {
-    let n = spec.principals.len();
+/// V4 — one finding per strongly connected component of two or more
+/// principals (`component`, the flow closure's decomposition): the
+/// shortest cycle through its lowest-index member, found breadth first
+/// over the agreements that stay inside it, in agreement order, and
+/// pointed at by its closing agreement. Every currency cycle lies in
+/// exactly one component, so the report is complete, and the searches
+/// read each agreement at most once.
+fn cycles(spec: &DeploymentSpec, component: &[usize], out: &mut Vec<Finding>) {
+    const NONE: usize = usize::MAX;
+    let n = component.len();
     let index = |name: &str| spec.principals.iter().position(|p| p.name == name);
+    let name = |i: usize| spec.principals[i].name.as_str();
+    // `adj[i]` lists `(holder, agreement index)` for `i`'s agreements that
+    // stay in its component.
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for (ai, a) in spec.agreements.iter().enumerate() {
         if let (Some(i), Some(j)) = (index(&a.issuer), index(&a.holder)) {
-            if let Some(row) = adj.get_mut(i) {
-                row.push((j, ai));
+            if component[i] == component[j] {
+                adj[i].push((j, ai));
             }
         }
     }
-    let mut search = CycleSearch { spec, adj, found: 0, steps: 0, truncated: false };
-    for s in 0..n {
-        let mut path = vec![s];
-        let mut on_path = vec![false; n];
-        on_path[s] = true;
-        search.dfs(s, s, &mut path, &mut on_path, out);
-    }
-    if search.truncated {
+    // `before[v]`: the principal a search reached `v` from. A search
+    // reaches all of its component and nothing else, so the first
+    // principal no search has reached is its component's lowest-index one.
+    let mut before = vec![NONE; n];
+    let mut queue = Vec::new();
+    for root in 0..n {
+        if before[root] != NONE {
+            continue;
+        }
+        before[root] = root;
+        queue.clear();
+        queue.push(root);
+        let (mut head, mut closing) = (0, None);
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &(v, ai) in &adj[u] {
+                if v == root {
+                    closing = closing.or(Some((u, ai)));
+                } else if before[v] == NONE {
+                    before[v] = u;
+                    queue.push(v);
+                }
+            }
+        }
+        // A lone principal has no agreement inside its component.
+        let Some((last, ai)) = closing else { continue };
+        let back = std::iter::successors(Some(last), |&at| (at != root).then(|| before[at]));
+        let mut names: Vec<&str> = back.map(name).collect();
+        names.reverse();
+        names.push(name(root));
+        // A component with as many agreements inside as members is one
+        // simple cycle, and the witness is all of it.
+        let inside: usize = queue.iter().map(|&u| adj[u].len()).sum();
+        let extent = if inside == queue.len() {
+            String::new()
+        } else {
+            format!(
+                ", the shortest through {} in a strongly connected component of {} principals",
+                name(root),
+                queue.len()
+            )
+        };
         push(
             out,
             VRule::Cycles,
-            vec![Key("agreements")],
-            format!("cycle report truncated after {MAX_CYCLES} cycles; the graph is densely cyclic"),
+            vec![Key("agreements"), Index(ai)],
+            format!(
+                "currency cycle: {}{extent} — legal (transitive flows follow simple paths only, \
+                 so value does not amplify around the loop), but worth knowing about",
+                names.join(" -> ")
+            ),
         );
     }
 }

@@ -4,14 +4,16 @@
 
 use covenant_core::spec::DeploymentSpec;
 use covenant_verify::{
-    check_text, has_errors, resolve, verify_spec, Diagnostic, RuleMeta, Severity, VRule,
+    check_text, has_errors, resolve, verify_spec, Diagnostic, Finding, RuleMeta, Severity, VRule,
 };
+use proptest::prelude::*;
 
 const VALID: &str = include_str!("../../../examples/specs/valid.json");
 const V1: &str = include_str!("../../../examples/specs/v1_unknown_holder.json");
 const V2: &str = include_str!("../../../examples/specs/v2_inverted_bounds.json");
 const V3: &str = include_str!("../../../examples/specs/v3_oversubscribed.json");
 const V4: &str = include_str!("../../../examples/specs/v4_mutual_cycle.json");
+const V4_TANGLED: &str = include_str!("../../../examples/specs/v4_tangled_currencies.json");
 const V5: &str = include_str!("../../../examples/specs/v5_stale_tree.json");
 const V6: &str = include_str!("../../../examples/specs/v6_short_prices.json");
 const V7: &str = include_str!("../../../examples/specs/v7_overload.json");
@@ -47,6 +49,7 @@ fn every_bad_fixture_fires_exactly_its_rule() {
         (V2, "V2"),
         (V3, "V3"),
         (V4, "V4"),
+        (V4_TANGLED, "V4"),
         (V5, "V5"),
         (V6, "V6"),
         (V7, "V7"),
@@ -79,6 +82,8 @@ fn diagnostics_point_at_the_offending_token() {
         (V2, "\"lb\": 0.9", "0.9"),
         // Oversubscription anchors at the last contributing lb.
         (V3, "\"lb\": 0.6", "0.6"),
+        // A component's witness cycle anchors at its closing agreement.
+        (V4_TANGLED, "\"issuer\": \"B\", \"holder\": \"A\"", "{"),
         // The staleness overrun anchors at the edge delay.
         (V5, "\"tree_edge_delay\"", "0.05"),
         // The short vector: the prices array.
@@ -96,7 +101,7 @@ fn diagnostics_point_at_the_offending_token() {
 
 #[test]
 fn warning_rules_do_not_count_as_errors() {
-    for warn in [V4, V7] {
+    for warn in [V4, V4_TANGLED, V7] {
         let diags = check(warn);
         assert!(!diags.is_empty());
         assert!(!has_errors(&diags));
@@ -115,6 +120,11 @@ fn cycle_report_carries_the_full_path() {
         messages.iter().any(|m| m.contains("A -> B -> A")),
         "cycle path missing: {messages:?}"
     );
+    // A → B → C → A and A → B → A share one component: one finding, its
+    // shortest cycle through A, naming the component's size.
+    let diags = check(V4_TANGLED);
+    let witness = "A -> B -> A, the shortest through A in a strongly connected component of 3 ";
+    assert!(diags.len() == 1 && diags[0].message.contains(witness), "{diags:?}");
 }
 
 #[test]
@@ -252,7 +262,24 @@ fn check_rejects_deep_nesting_at_its_position() {
     assert!(err.to_string().contains(&format!("line 1 column {}", limit + 1)), "{err}");
 }
 
+const FIG6: &str = include_str!("../../../examples/scenarios/fig6.json");
 const FIG7: &str = include_str!("../../../examples/scenarios/fig7.json");
+
+/// `fig6.json`'s 50 ms self-redirect gap fits its 100 ms window; in a
+/// 25 ms window each deferred request skips a window, so `check` warns
+/// (V5) and still passes.
+#[test]
+fn a_retry_gap_past_the_window_warns() {
+    assert_eq!(check(FIG6), Vec::new());
+    let text = FIG6.replace(r#""duration": 90.0,"#, r#""duration": 90.0, "window_secs": 0.025,"#);
+    assert_ne!(text, FIG6);
+    let diags = check(&text);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    let d = &diags[0];
+    assert_eq!((d.rule, d.severity), (VRule::Timing, Severity::Warning), "{d}");
+    assert!(d.message.contains("skip whole windows and leave credit idle"), "{d}");
+    assert_eq!((d.line, d.col), pos_of(&text, "\"retry_delay\"", "0.05"), "{d}");
+}
 
 /// `fig7.json` with a 1e-12 s retry delay would re-present each deferred
 /// request 10¹¹ times per window: `check` refuses it with the message
@@ -334,4 +361,102 @@ fn dense_thirteen_principal_graph_levels_and_check_in_well_under_a_second() {
     assert!(!has_errors(&diags), "{diags:?}");
     assert!(levels_s < 1.0, "access_levels() took {levels_s:.3} s (median of 3)");
     assert!(check_s < 1.0, "check took {check_s:.3} s (median of 3)");
+
+    // Without `allow`, the one component is one V4 finding.
+    let mut spec = DeploymentSpec::from_json(&text).unwrap();
+    spec.allow.clear();
+    let cycles: Vec<Finding> =
+        verify_spec(&spec).into_iter().filter(|f| f.rule == VRule::Cycles).collect();
+    assert_eq!(cycles.len(), 1, "{cycles:?}");
+    assert!(cycles[0].message.contains("component of 13 principals"), "{}", cycles[0]);
+}
+
+/// A random spec of up to nine principals, its agreements drawn as the
+/// flow closure's oracle test draws its graphs: `density` is the chance of
+/// each ordered pair getting one, from no agreements to a complete graph.
+/// V4 reads only which agreements exist, so bounds and capacities are fixed.
+fn spec_strategy() -> impl Strategy<Value = DeploymentSpec> {
+    (2usize..10, 0.0..1.0f64).prop_flat_map(|(n, density)| {
+        proptest::collection::vec(0.0..1.0f64, n * n).prop_map(move |coins| {
+            let principals: Vec<String> =
+                (0..n).map(|i| format!(r#"{{"name": "P{i}", "capacity": 10.0}}"#)).collect();
+            let agreements: Vec<String> = (0..n * n)
+                .filter(|&idx| idx / n != idx % n && coins[idx] < density)
+                .map(|idx| {
+                    let (i, j) = (idx / n, idx % n);
+                    format!(r#"{{"issuer": "P{i}", "holder": "P{j}", "lb": 0.0, "ub": 0.1}}"#)
+                })
+                .collect();
+            let text = format!(
+                r#"{{"principals": [{}], "agreements": [{}], "clients": [], "duration": 1.0}}"#,
+                principals.join(", "),
+                agreements.join(", ")
+            );
+            DeploymentSpec::from_json(&text).expect("generated spec decodes")
+        })
+    })
+}
+
+/// The witness path a V4 message names, as principal indices.
+fn witness(f: &Finding) -> Vec<usize> {
+    let rest = f.message.strip_prefix("currency cycle: ").expect("V4 message");
+    let path = rest[..rest.find([',', '—']).expect("the path ends")].trim();
+    path.split(" -> ").map(|p| p[1..].parse().expect("a P<i> name")).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// V4 reports each strongly connected component of two or more
+    /// principals once — components taken from mutual reachability — with
+    /// a real cycle of the spec's agreements from and to the component's
+    /// lowest-index member, no longer than the component, pointed at by
+    /// its closing agreement, and naming the component's size unless the
+    /// component is that one cycle.
+    #[test]
+    fn one_witness_cycle_per_component(spec in spec_strategy()) {
+        let n = spec.principals.len();
+        let id = |name: &str| name[1..].parse::<usize>().unwrap();
+        let mut reach: Vec<Vec<bool>> = (0..n).map(|i| (0..n).map(|j| i == j).collect()).collect();
+        for a in &spec.agreements {
+            reach[id(&a.issuer)][id(&a.holder)] = true;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    reach[i][j] = reach[i][j] || (reach[i][k] && reach[k][j]);
+                }
+            }
+        }
+        let component =
+            |r: usize| (0..n).filter(|&v| reach[r][v] && reach[v][r]).collect::<Vec<_>>();
+        let roots: Vec<usize> =
+            (0..n).filter(|&r| component(r).len() > 1 && component(r)[0] == r).collect();
+
+        let cycles: Vec<Finding> =
+            verify_spec(&spec).into_iter().filter(|f| f.rule == VRule::Cycles).collect();
+        prop_assert_eq!(cycles.len(), roots.len(), "{:?}", cycles);
+        for (f, &root) in cycles.iter().zip(&roots) {
+            let path = witness(f);
+            let members = component(root);
+            prop_assert_eq!(path[0], root, "{}", f);
+            prop_assert_eq!(path[path.len() - 1], root, "{}", f);
+            prop_assert!(path.len() - 1 <= members.len(), "{}", f);
+            let agreement = |h: &[usize]| {
+                spec.agreements.iter().position(|a| id(&a.issuer) == h[0] && id(&a.holder) == h[1])
+            };
+            let hops: Option<Vec<usize>> = path.windows(2).map(agreement).collect();
+            prop_assert!(hops.is_some(), "a hop of the witness is no agreement: {}", f);
+            let closing = hops.unwrap().pop().unwrap();
+            prop_assert_eq!(f.path(), format!("agreements[{closing}]"), "{}", f);
+            // Only a component that is more than one cycle names its size.
+            let inside = spec
+                .agreements
+                .iter()
+                .filter(|a| members.contains(&id(&a.issuer)) && members.contains(&id(&a.holder)))
+                .count();
+            let size = format!("component of {} principals", members.len());
+            prop_assert_eq!(f.message.contains(&size), inside > members.len(), "{}", f);
+        }
+    }
 }
