@@ -245,6 +245,13 @@ impl EnforcementCore {
         }
     }
 
+    /// Lifetime counters of the scheduler's warm-started LP solver (all
+    /// zero under the provider policy): pivots, basis rebuilds, warm and
+    /// cold solves.
+    pub fn warm_stats(&self) -> covenant_sched::WarmStats {
+        self.scheduler.warm_stats()
+    }
+
     /// Consumes the core, returning the requests it still held — explicit
     /// queues or parked work — FIFO per principal: what a crash loses.
     pub fn into_held(mut self) -> Vec<Request> {
@@ -383,25 +390,28 @@ impl EnforcementCore {
 
         let n = self.n_principals();
         let view = view.filter(|v| v.len() == n && v.iter().all(|x| x.is_finite() && *x >= 0.0));
-        let plan: Plan = self.scheduler.plan_window_shared(view, &self.demand_buf);
+        // The finished window's audit reads only what it admitted, so it
+        // closes before the plan (which borrows the scheduler) is made.
+        #[cfg(debug_assertions)]
+        if !matches!(self.mode, QueueMode::Explicit) {
+            self.audit_window_end();
+        }
+        // The scheduler keeps the plan: planning a window allocates nothing.
+        let plan: &Plan = self.scheduler.plan_window_in_place(view, &self.demand_buf);
 
         match self.mode {
             QueueMode::Explicit => {
-                let dispatches = self.queues.release(&plan);
+                let dispatches = self.queues.release(plan);
                 self.admitted += dispatches.len() as u64;
                 released.extend(dispatches.into_iter().map(|d| (d.request, d.server)));
             }
             QueueMode::CreditRetry { .. } => {
-                #[cfg(debug_assertions)]
-                self.audit_window_end();
-                self.gate.roll_window(&plan);
+                self.gate.roll_window(plan);
                 #[cfg(debug_assertions)]
                 self.audit_window_start();
             }
             QueueMode::CreditPark => {
-                #[cfg(debug_assertions)]
-                self.audit_window_end();
-                self.gate.roll_window(&plan);
+                self.gate.roll_window(plan);
                 #[cfg(debug_assertions)]
                 self.audit_window_start();
                 // Reinject parked requests through the fresh credit, FIFO

@@ -18,14 +18,18 @@
 //!   pricing.
 //! - **Product-form basis inverse.** The basis inverse is an eta file
 //!   (elementary column transforms) grown by one eta per pivot and rebuilt
-//!   every `refactor_after` pivots. The rebuild peels the structural basics
-//!   like a triangular matrix — column singletons and row singletons pivot
-//!   without elimination, the column that blocks the peeling (`θ`, which
-//!   sits in every coverage row) is set aside to go last — and indexes its
-//!   etas by row, so that an FTRAN or BTRAN of a sparse vector visits only
-//!   the etas its nonzeros reach. Replacing a single basic column (the θ
-//!   coefficient changes with every window's queue lengths) is a rank-one
-//!   update: one FTRAN plus one appended eta.
+//!   every `refactor_after` appended etas: the row count `m`, kept between
+//!   8 and `64 + m/32`, so a small basis never carries more etas than it
+//!   has rows. The rebuild peels the structural basics like a triangular
+//!   matrix — column singletons and row singletons pivot without
+//!   elimination, the column that blocks the peeling (`θ`, which sits in
+//!   every coverage row) is set aside to go last — and indexes its etas by
+//!   row, so that an FTRAN or BTRAN of a sparse vector visits only the
+//!   etas its nonzeros reach. Its scratch lives in the [`WarmBasis`], so
+//!   once that has grown to the basis a rebuild allocates nothing, and
+//!   neither does a steady-state solve. Replacing a single basic column
+//!   (the θ coefficient changes with every window's queue lengths) is a
+//!   rank-one update: one FTRAN plus one appended eta.
 //! - **Hypersparse BTRAN.** The etas appended since the last rebuild are
 //!   marked, one bit each, in every row they reach, so the BTRAN of a pivot
 //!   row — a unit vector whose image has about a dozen nonzeros at
@@ -304,6 +308,9 @@ struct EtaFile {
     /// yet, so sweeping the words once in its direction visits them in
     /// order.
     waiting: Vec<u64>,
+    /// Scratch of [`Self::index_rebuilt`]: the next free slot of each row's
+    /// `feeds` run.
+    cursor: Vec<u32>,
 }
 
 impl EtaFile {
@@ -388,12 +395,12 @@ impl EtaFile {
         }
         self.feeds.clear();
         self.feeds.resize(self.row.len(), 0);
-        let mut cursor = self.feeds_ptr.clone();
+        self.cursor.clone_from(&self.feeds_ptr);
         for k in 0..self.base {
             for at in self.start[k]..self.start[k + 1] {
                 let r = self.row[at] as usize;
-                self.feeds[cursor[r] as usize] = k as u32;
-                cursor[r] += 1;
+                self.feeds[self.cursor[r] as usize] = k as u32;
+                self.cursor[r] += 1;
             }
         }
     }
@@ -622,6 +629,10 @@ pub struct WarmBasis {
     col_state: Vec<ColState>,
     free_entries: Vec<u32>,
     row_waiting: Vec<u32>,
+    /// The structural basics a rebuild pivots in.
+    rebuild_cols: Vec<u32>,
+    /// The rebuild's singleton queue.
+    peel: Vec<Peel>,
     x_out: Vec<f64>,
     objective: f64,
 
@@ -790,9 +801,18 @@ impl WarmBasis {
         // since the last rebuild one by one, while the rebuild's own etas
         // are reached through their row index — so the appended ones are
         // what a long cadence costs, and a rebuild (column singletons
-        // first, sparse FTRANs) is cheap enough to come often. Measured
-        // flat between 100 and 200 pivots at 2 048 and 4 096 rows.
-        self.refactor_after = 64 + m / 32;
+        // first, sparse FTRANs) is cheap enough to come often. `64 + m/32`
+        // was measured flat between 100 and 200 pivots at 2 048 and 4 096
+        // rows; below ~70 rows it let a basis carry more appended etas
+        // than it has rows through every BTRAN, FTRAN and reduced-cost
+        // pass, so there the cadence is the row count, never below 8. On
+        // the 4-principal `tick_small` community (16 rows, ~3 etas a
+        // window) that took a warm window solve from ~4.7 µs to ~2.9 µs.
+        // A trigger on the appended etas' entries against the rebuilt
+        // file's was as fast on drifting demand at n = 4 … 512, but the
+        // cold solve of the `lp` bench's n = 32 window ran out of
+        // iterations under it and fell back to the dense solver.
+        self.refactor_after = m.clamp(8, 64 + m / 32);
         self.shape = problem.pattern_fingerprint();
     }
 
@@ -927,6 +947,19 @@ impl WarmBasis {
     /// completely. Columns set aside go last, sparsest first, each into the
     /// free row where its transformed column is largest.
     fn refactorize(&mut self) -> Result<(), ()> {
+        // The scratch lists live in the handle, so a rebuild allocates
+        // nothing once they have grown to the basis.
+        let mut cols = std::mem::take(&mut self.rebuild_cols);
+        let mut work = std::mem::take(&mut self.peel);
+        let rebuilt = self.rebuild_from(&mut cols, &mut work);
+        self.rebuild_cols = cols;
+        self.peel = work;
+        rebuilt
+    }
+
+    /// [`Self::refactorize`] over its scratch: `cols` collects the
+    /// structural basics, `work` is the peeling's singleton queue.
+    fn rebuild_from(&mut self, cols: &mut Vec<u32>, work: &mut Vec<Peel>) -> Result<(), ()> {
         self.stats.refactorizations += 1;
         let m = self.m;
         self.eta.clear(m);
@@ -934,7 +967,12 @@ impl WarmBasis {
         self.row_free.resize(m, true);
         self.col_state.clear();
         self.col_state.resize(self.n_vars, ColState::Absent);
-        let mut cols: Vec<u32> = Vec::new();
+        // At most `m` basics, and the peeling lists each of them and each
+        // row at most once (a count reaches 1 once): sized once per shape.
+        cols.clear();
+        cols.reserve(m);
+        work.clear();
+        work.reserve(2 * m);
         for &c in &self.basis {
             let j = c as usize;
             if j >= self.n_vars {
@@ -954,7 +992,7 @@ impl WarmBasis {
         self.free_entries.resize(self.n_vars, 0);
         self.row_waiting.clear();
         self.row_waiting.resize(m, 0);
-        for &c in &cols {
+        for &c in cols.iter() {
             for at in self.col_ptr[c as usize]..self.col_ptr[c as usize + 1] {
                 let r = self.row_idx[at] as usize;
                 if self.row_free[r] {
@@ -963,7 +1001,6 @@ impl WarmBasis {
                 }
             }
         }
-        let mut work: Vec<Peel> = Vec::new();
         work.extend(cols.iter().filter(|&&c| self.free_entries[c as usize] == 1).map(|&c| Peel::Col(c)));
         work.extend((0..m).filter(|&r| self.row_waiting[r] == 1).map(|r| Peel::Row(r as u32)));
         let mut waiting = cols.len();
@@ -979,7 +1016,7 @@ impl WarmBasis {
                     break;
                 };
                 self.col_state[spike as usize] = ColState::Aside;
-                self.leave_rows(spike as usize, &mut work);
+                self.leave_rows(spike as usize, work);
                 waiting -= 1;
                 continue;
             };
@@ -1001,23 +1038,19 @@ impl WarmBasis {
                 _ => None,
             };
             if let Some((r, j)) = found {
-                if self.claim_row(r, j, &mut work) {
+                if self.claim_row(r, j, work) {
                     waiting -= 1;
                 }
             }
         }
 
         // Whatever was set aside or refused its singleton pivot.
-        let mut rest: Vec<u32> = cols
-            .iter()
-            .copied()
-            .filter(|&c| self.col_state[c as usize] != ColState::Placed)
-            .collect();
-        rest.sort_by_key(|&c| {
+        cols.retain(|&c| self.col_state[c as usize] != ColState::Placed);
+        cols.sort_by_key(|&c| {
             let j = c as usize;
             (self.col_ptr[j + 1] - self.col_ptr[j], c)
         });
-        for &c in &rest {
+        for &c in cols.iter() {
             self.ftran_column(c as usize);
             let mut best = usize::MAX;
             let mut best_abs = PIV_TOL;
@@ -1029,7 +1062,7 @@ impl WarmBasis {
                     best = r;
                 }
             }
-            if best == usize::MAX || !self.claim_row(best, c as usize, &mut work) {
+            if best == usize::MAX || !self.claim_row(best, c as usize, work) {
                 return Err(());
             }
         }

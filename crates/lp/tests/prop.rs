@@ -264,3 +264,202 @@ proptest! {
         prop_assert!(s2.objective <= s1.objective + 1e-6);
     }
 }
+
+/// A community window LP's fixed parts, laid out the way the community
+/// scheduler lays them out: `θ` is variable 0, then one variable per
+/// agreement-backed `(principal, server)` pair, with the pair's textbook
+/// index `1 + i·n + k` as its tie-break id.
+#[derive(Debug, Clone)]
+struct Community {
+    n: usize,
+    capacity: Vec<f64>,
+    /// `(principal, server, upper bound, mandatory part)` per pair,
+    /// row-major.
+    pairs: Vec<(usize, usize, f64, f64)>,
+    /// Mean demand per principal and window, and the phase of its drift.
+    demand: Vec<(f64, f64)>,
+    seed: u64,
+}
+
+impl Community {
+    /// Mandatory level `MC_i`: the pair floors of principal `i`.
+    fn mandatory(&self, i: usize) -> f64 {
+        self.pairs.iter().filter(|p| p.0 == i).map(|p| p.3).sum()
+    }
+
+    /// The rows of the window LP for queues `q`: per principal the queue
+    /// limit `Σ_k x_ik ≤ n_i`, the coverage row `Σ_k x_ik − θ·n_i ≥ 0` and
+    /// the floor `Σ_k x_ik ≥ min(MC_i, n_i)`, then one capacity row per
+    /// server. Every window is the same shape.
+    fn window_lp(&self, q: &[f64]) -> Problem {
+        let mut p = Problem::new(1 + self.pairs.len());
+        p.set_objective_coeff(0, 1.0);
+        p.set_upper_bound(0, 1.0);
+        for (e, &(i, k, ub, _)) in self.pairs.iter().enumerate() {
+            p.set_upper_bound(1 + e, ub);
+            p.set_tiebreak_id(1 + e, 1 + i * self.n + k);
+        }
+        let of = |pred: &dyn Fn(usize, usize) -> bool| -> Vec<(usize, f64)> {
+            (self.pairs.iter().enumerate())
+                .filter(|(_, &(i, k, ..))| pred(i, k))
+                .map(|(e, _)| (1 + e, 1.0))
+                .collect()
+        };
+        for (i, &qi) in q.iter().enumerate() {
+            let row = of(&|pi, _| pi == i);
+            p.add_constraint(row.clone(), Relation::Le, qi);
+            let mut cov = vec![(0, -qi)];
+            cov.extend_from_slice(&row);
+            p.add_constraint(cov, Relation::Ge, 0.0);
+            p.add_constraint(row, Relation::Ge, self.mandatory(i).min(qi));
+        }
+        for (k, &cap) in self.capacity.iter().enumerate() {
+            p.add_constraint(of(&|_, pk| pk == k), Relation::Le, cap);
+        }
+        p
+    }
+
+    /// Window `w`'s queues: each mean drifting ±10 % on a 40-window sine
+    /// and jittered ±5 % per window; with `idle`, one queue in sixteen is
+    /// empty instead.
+    fn queues(&self, w: usize, idle: bool) -> Vec<f64> {
+        let mut h = self.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (self.demand.iter())
+            .map(|&(mean, phase)| {
+                h = h.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+                let drift = 0.1 * (std::f64::consts::TAU * (w as f64 / 40.0 + phase)).sin();
+                if idle && u < 1.0 / 16.0 {
+                    0.0
+                } else {
+                    mean * (1.0 + drift + 0.1 * (u - 0.5))
+                }
+            })
+            .collect()
+    }
+}
+
+/// Strategy: a community of 2–8 principals. About half own a server; a
+/// pair exists with probability 0.4 (always on a principal's own server),
+/// its mandatory parts within each server's capacity; mean demand is
+/// 0.2–2 times what the principal's pairs can carry, so `θ` mostly sits
+/// strictly inside `(0, 1)` and stays basic.
+fn community() -> impl Strategy<Value = Community> {
+    (2usize..9).prop_flat_map(|n| {
+        let caps = proptest::collection::vec((0.0..1.0f64, 20.0..200.0f64), n);
+        let cells = proptest::collection::vec((0.0..1.0f64, 0.1..1.0f64, 0.0..1.0f64), n * n);
+        let demand = proptest::collection::vec((0.2..2.0f64, 0.0..1.0f64), n);
+        (caps, cells, demand, any::<u64>()).prop_map(move |(caps, cells, demand, seed)| {
+            let capacity: Vec<f64> =
+                caps.iter().map(|&(dice, cap)| if dice < 0.5 { cap } else { 0.0 }).collect();
+            let mut pairs = Vec::new();
+            for i in 0..n {
+                for (k, &cap) in capacity.iter().enumerate() {
+                    let (dice, ub, mand) = cells[i * n + k];
+                    if cap > 0.0 && (i == k || dice < 0.4) {
+                        pairs.push((i, k, cap * ub, cap * ub * mand));
+                    }
+                }
+            }
+            // Scale each server's mandatory parts into its capacity.
+            for (k, &cap) in capacity.iter().enumerate() {
+                let held: f64 = pairs.iter().filter(|p| p.1 == k).map(|p| p.3).sum();
+                if held > cap {
+                    for p in pairs.iter_mut().filter(|p| p.1 == k) {
+                        p.3 *= cap / held;
+                    }
+                }
+            }
+            let demand = (0..n)
+                .map(|i| {
+                    let reach: f64 = pairs.iter().filter(|p| p.0 == i).map(|p| p.2).sum();
+                    (demand[i].0 * (reach + 5.0), demand[i].1)
+                })
+                .collect();
+            Community { n, capacity, pairs, demand, seed }
+        })
+    })
+}
+
+/// The refactorization cadence of a basis over `m` rows (see
+/// `WarmBasis`): a rebuild once more etas have been appended than this.
+fn cadence(m: usize) -> usize {
+    m.clamp(8, 64 + m / 32)
+}
+
+/// What one persistent basis did over a community's windows.
+struct Walk {
+    rows: usize,
+    cold_restarts: u64,
+    /// Etas appended at least: one per pivot, one per window that rewrote
+    /// the basic `θ` column.
+    appended: u64,
+    rebuilds: u64,
+}
+
+/// Follows 200 windows of `c`'s queues with one persistent basis, checking
+/// every window's plan against a cold solve (the same canonical vertex
+/// within 1e-9) and against the reference solver (its objective).
+fn walk_windows(c: &Community, idle: bool) -> Result<Walk, TestCaseError> {
+    const WINDOWS: usize = 200;
+    let mut warm = WarmBasis::new();
+    let first = c.window_lp(&c.queues(0, idle));
+    prop_assert_eq!(first.solve_warm(&mut warm), WarmOutcome::Optimal);
+    let start = warm.stats();
+    let mut theta_updates = 0u64;
+    for w in 1..=WINDOWS {
+        let theta_basic = warm.x()[0] > 1e-9 && warm.x()[0] < 1.0 - 1e-9;
+        let q = c.queues(w, idle);
+        let p = c.window_lp(&q);
+        prop_assert_eq!(p.solve_warm(&mut warm), WarmOutcome::Optimal, "window {}", w);
+        let mut cold = WarmBasis::new();
+        prop_assert_eq!(p.solve_warm(&mut cold), WarmOutcome::Optimal);
+        for (j, (a, b)) in warm.x().iter().zip(cold.x()).enumerate() {
+            prop_assert!(
+                (a - b).abs() <= 1e-9,
+                "window {}, variable {}: warm {} vs cold {}", w, j, a, b
+            );
+        }
+        match p.solve_reference() {
+            LpOutcome::Optimal(s) => prop_assert!(
+                (warm.objective_value() - s.objective).abs() < 1e-6,
+                "window {}: warm {} vs reference {}", w, warm.objective_value(), s.objective
+            ),
+            other => prop_assert!(false, "window {}: reference returned {:?}", w, other),
+        }
+        // The θ column's coefficients are the queues: a basic θ is
+        // replaced by one rank-one eta whenever they moved.
+        if theta_basic && q != c.queues(w - 1, idle) {
+            theta_updates += 1;
+        }
+    }
+    let end = warm.stats();
+    Ok(Walk {
+        rows: first.n_constraints(),
+        cold_restarts: end.cold_starts - start.cold_starts,
+        appended: end.pivots - start.pivots + theta_updates,
+        rebuilds: end.refactorizations - start.refactorizations,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The small-basis warm path against its oracles, over bases of 8–32
+    /// rows. While every principal has demand the basis stays warm through
+    /// all 200 windows, and the rebuild comes at the row-count cadence: no
+    /// more than `cadence + 3` etas go between two rebuilds. Principals
+    /// going idle are checked too; one that does while `θ` is basic zeroes
+    /// the `θ` column's pivot entry and the basis restarts cold, so there
+    /// only the plans are checked.
+    #[test]
+    fn small_basis_warm_windows_match_cold_and_reference(c in community()) {
+        let busy = walk_windows(&c, false)?;
+        prop_assert_eq!(busy.cold_restarts, 0, "a busy window fell back cold");
+        prop_assert!(
+            (busy.rebuilds + 1) * (cadence(busy.rows) as u64 + 3) >= busy.appended,
+            "{} rebuilds for {} appended etas over {} rows", busy.rebuilds, busy.appended, busy.rows
+        );
+        walk_windows(&c, true)?;
+    }
+}

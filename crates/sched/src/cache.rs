@@ -114,40 +114,49 @@ impl PlanCache {
         (q / Self::QUANTUM).round() as i64
     }
 
-    /// The plan for `queues`: the memoized one if they quantize to a stored
-    /// key (a hit, which refreshes the entry's LRU position), otherwise
-    /// whatever `solve` returns (a miss), which is stored under the key the
-    /// lookup just quantized, evicting the least recently used entry when
-    /// the cache is full.
-    pub fn lookup_or_solve(&mut self, queues: &[f64], solve: impl FnOnce() -> Plan) -> Plan {
+    /// Looks `queues` up: the entry holding their plan if they quantize to
+    /// a stored key (a hit, which refreshes the entry's LRU position; read
+    /// it with [`Self::plan`]), `None` on a miss, after which
+    /// [`Self::store`] files the solved plan under the key this lookup
+    /// quantized.
+    pub fn lookup(&mut self, queues: &[f64]) -> Option<usize> {
         self.clock += 1;
         self.probe.clear();
         self.probe.extend(queues.iter().map(|&q| Self::quantized(q)));
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == self.probe) {
-            e.used = self.clock;
-            self.hits += 1;
-            return e.plan.clone();
-        }
-        self.misses += 1;
-        let plan = solve();
-        if self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(i, _)| i)
-            {
-                self.entries.swap_remove(oldest);
-                self.evictions += 1;
+        match self.entries.iter().position(|e| e.key == self.probe) {
+            Some(at) => {
+                self.entries[at].used = self.clock;
+                self.hits += 1;
+                Some(at)
+            }
+            None => {
+                self.misses += 1;
+                None
             }
         }
-        self.entries.push(Entry {
-            key: std::mem::take(&mut self.probe),
-            plan: plan.clone(),
-            used: self.clock,
-        });
-        plan
+    }
+
+    /// The plan of the entry a hit returned.
+    pub fn plan(&self, entry: usize) -> &Plan {
+        &self.entries[entry].plan
+    }
+
+    /// Stores `plan` under the key of the last [`Self::lookup`], a miss.
+    /// A full cache evicts its least recently used entry and reuses that
+    /// entry's buffers, so a steady state of misses allocates nothing.
+    pub fn store(&mut self, plan: &Plan) {
+        if self.entries.len() < self.capacity {
+            self.entries.push(Entry { key: self.probe.clone(), plan: plan.clone(), used: self.clock });
+            return;
+        }
+        let oldest = (self.entries.iter().enumerate())
+            .min_by_key(|(_, e)| e.used)
+            .map_or(0, |(at, _)| at);
+        self.evictions += 1;
+        let entry = &mut self.entries[oldest];
+        entry.key.clone_from(&self.probe);
+        entry.plan.clone_from(plan);
+        entry.used = self.clock;
     }
 
     /// The levels fingerprint this cache is bound to.
@@ -196,21 +205,36 @@ mod tests {
 
     /// Looks `queues` up, storing a zero plan on a miss; true on a hit.
     fn hit(c: &mut PlanCache, queues: &[f64]) -> bool {
-        let mut solved = false;
-        c.lookup_or_solve(queues, || {
-            solved = true;
-            Plan::zero(queues.len())
-        });
-        !solved
+        let found = c.lookup(queues).is_some();
+        if !found {
+            c.store(&Plan::zero(queues.len()));
+        }
+        found
     }
 
     #[test]
     fn identical_queues_hit() {
         let mut c = PlanCache::new(levels_fingerprint(&levels()));
         let plan = Plan::from_dense(&[vec![1.0, 2.0], vec![0.0, 3.0]]);
-        assert_eq!(c.lookup_or_solve(&[1.0, 2.0], || plan.clone()), plan);
-        assert_eq!(c.lookup_or_solve(&[1.0, 2.0], || unreachable!("memoized")), plan);
+        assert_eq!(c.lookup(&[1.0, 2.0]), None);
+        c.store(&plan);
+        let at = c.lookup(&[1.0, 2.0]).expect("memoized");
+        assert_eq!(c.plan(at), &plan);
         assert_eq!((c.hits(), c.misses()), (1, 1));
+    }
+
+    #[test]
+    fn an_evicted_entry_takes_the_new_key_and_plan() {
+        let mut c = PlanCache::with_capacity(0, 1);
+        hit(&mut c, &[1.0]);
+        let plan = Plan::from_dense(&[vec![4.0, 5.0]]);
+        assert_eq!(c.lookup(&[2.0]), None);
+        c.store(&plan);
+        assert_eq!((c.len(), c.evictions()), (1, 1));
+        assert_eq!(c.lookup(&[1.0]), None, "the old key is gone");
+        c.store(&plan);
+        let at = c.lookup(&[1.0]).expect("stored again");
+        assert_eq!(c.plan(at), &plan);
     }
 
     #[test]

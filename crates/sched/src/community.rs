@@ -124,9 +124,13 @@ pub struct PreparedCommunity {
     base: Problem,
     /// Window-scaled mandatory level `MC_i` per principal.
     mandatory: Vec<f64>,
-    /// The all-zero plan over the agreement-backed pairs: entry `p` is LP
-    /// variable `1 + p`. Every solved plan is this with amounts filled in.
-    pairs: Plan,
+    /// The plan over the agreement-backed pairs, entry `p` being LP
+    /// variable `1 + p`: each solved window writes its amounts here, so a
+    /// window allocates no plan.
+    plan: Plan,
+    /// The all-zero plan: a window without demand, or with no feasible
+    /// program.
+    zero: Plan,
     /// Persistent basis for the warm-started revised solver.
     warm: WarmBasis,
     /// Windows the warm engine refused and the dense tableau solved.
@@ -183,7 +187,8 @@ impl PreparedCommunity {
             n,
             base: p,
             mandatory,
-            pairs,
+            plan: pairs,
+            zero: Plan::zero(n),
             warm: WarmBasis::new(),
             dense_fallbacks: 0,
         }
@@ -218,47 +223,52 @@ impl PreparedCommunity {
         &self.base
     }
 
-    fn extract(&self, x: &[f64]) -> Plan {
-        self.pairs.with_amounts(&x[1..], x.first().copied())
-    }
-
-    /// Warm solve with dense fallback; `None` means infeasible under both
-    /// engines (caller retries without floors).
-    fn solve_window(&mut self, ws: &mut SimplexWorkspace) -> Option<Plan> {
-        match self.base.solve_warm(&mut self.warm) {
-            WarmOutcome::Optimal => Some(self.extract(self.warm.x())),
-            WarmOutcome::Infeasible => None,
+    /// Warm solve with dense fallback, writing the solution into the kept
+    /// plan; false means infeasible under both engines (caller retries
+    /// without floors).
+    fn solve_window(&mut self, ws: &mut SimplexWorkspace) -> bool {
+        let x = match self.base.solve_warm(&mut self.warm) {
+            WarmOutcome::Optimal => self.warm.x(),
+            WarmOutcome::Infeasible => return false,
             WarmOutcome::Unsuitable => {
                 self.dense_fallbacks += 1;
-                if self.base.solve_in_place(ws) == LpStatus::Optimal {
-                    Some(self.extract(ws.x()))
-                } else {
-                    None
+                if self.base.solve_in_place(ws) != LpStatus::Optimal {
+                    return false;
                 }
+                ws.x()
             }
-        }
+        };
+        self.plan.fill_amounts(&x[1..], x.first().copied());
+        true
     }
 
     /// Solves one window, with the same semantics as
     /// [`CommunityScheduler::plan`] (floors dropped on infeasibility, zero
     /// plan as the last resort). The window goes through the warm-started
     /// revised solver, reusing the previous window's basis; `ws` only runs
-    /// when the warm engine declares the problem unsuitable.
-    pub fn plan_with(&mut self, ws: &mut SimplexWorkspace, queues: &[f64]) -> Plan {
+    /// when the warm engine declares the problem unsuitable. The plan is
+    /// written into one this skeleton keeps, so a steady-state window
+    /// allocates nothing; it stays valid until the next call.
+    pub fn plan_in_place(&mut self, ws: &mut SimplexWorkspace, queues: &[f64]) -> &Plan {
         let n = self.n;
         assert_eq!(queues.len(), n, "queue vector length must match principal count");
         if n == 0 || queues.iter().all(|&q| q <= 0.0) {
-            return Plan::zero(n);
+            return &self.zero;
         }
         self.update_queues(queues, true);
-        if let Some(plan) = self.solve_window(ws) {
-            return plan;
+        if self.solve_window(ws) {
+            return &self.plan;
         }
         self.update_queues(queues, false);
-        if let Some(plan) = self.solve_window(ws) {
-            return plan;
+        if self.solve_window(ws) {
+            return &self.plan;
         }
-        Plan::zero(n)
+        &self.zero
+    }
+
+    /// [`Self::plan_in_place`], returning a plan of the caller's own.
+    pub fn plan_with(&mut self, ws: &mut SimplexWorkspace, queues: &[f64]) -> Plan {
+        self.plan_in_place(ws, queues).clone()
     }
 
     /// Lifetime counters of the warm-started solver.

@@ -49,4 +49,5 @@ pub use community::{CommunityScheduler, LocalityCaps, PreparedCommunity};
 pub use plan::Plan;
 pub use provider::ProviderScheduler;
 pub use request::{Request, RequestId};
+pub use covenant_lp::WarmStats;
 pub use window::{GlobalView, Policy, SchedulerConfig, WindowScheduler};

@@ -136,40 +136,41 @@ impl Plan {
         self.amounts.iter().sum()
     }
 
-    /// A plan over this plan's entries with `amounts` (clamped at zero)
-    /// in their place — how the schedulers turn an LP solution, one
-    /// variable per entry, into a plan.
-    pub(crate) fn with_amounts(&self, amounts: &[f64], theta: Option<f64>) -> Plan {
-        let mut out = self.clone();
-        for (a, &x) in out.amounts.iter_mut().zip(amounts) {
+    /// Writes `amounts` (clamped at zero) over this plan's entries, in
+    /// entry order, and sets `theta` — how the community scheduler turns
+    /// an LP solution, one variable per entry, into the plan it keeps.
+    pub(crate) fn fill_amounts(&mut self, amounts: &[f64], theta: Option<f64>) {
+        for (a, &x) in self.amounts.iter_mut().zip(amounts) {
             *a = x.max(0.0);
         }
-        out.theta = theta;
-        out
+        self.theta = theta;
     }
 
-    /// This plan with every entry of row `i` multiplied by `factor(i)`.
-    pub(crate) fn with_rows_scaled(&self, factor: impl Fn(usize) -> f64) -> Plan {
-        let mut out = self.clone();
-        for i in 0..self.n_principals() {
+    /// Makes this plan `src` with every entry of row `i` multiplied by
+    /// `factor(i)`, in this plan's buffers.
+    pub(crate) fn scale_rows_from(&mut self, src: &Plan, factor: impl Fn(usize) -> f64) {
+        self.clone_from(src);
+        for i in 0..src.n_principals() {
             let f = factor(i);
-            for x in &mut out.amounts[self.row_range(i)] {
+            for x in &mut self.amounts[src.row_range(i)] {
                 *x *= f;
             }
         }
-        out
     }
 
-    /// The coordinated-scheduling rule of §3.2: a redirector holding
-    /// `n_local` of the global `n_global` queued requests per principal
-    /// applies the same *fraction* of each queue the global plan does:
-    /// `x_local_ij = x_ij × n_local_i / n_i`.
+    /// The coordinated-scheduling rule of §3.2, written into `out`: a
+    /// redirector holding `n_local` of the global `n_global` queued
+    /// requests per principal applies the same *fraction* of each queue the
+    /// global plan does: `x_local_ij = x_ij × n_local_i / n_i`.
     ///
     /// Principals with an empty global queue get zero (nothing to scale).
-    pub fn scale_for_local_queue(&self, n_local: &[f64], n_global: &[f64]) -> Plan {
+    /// `out` keeps its buffers, so a redirector that scales into the one
+    /// local plan it keeps allocates nothing once that plan has grown to
+    /// the global one.
+    pub fn scale_for_local_queue(&self, n_local: &[f64], n_global: &[f64], out: &mut Plan) {
         assert_eq!(n_local.len(), self.n_principals());
         assert_eq!(n_global.len(), self.n_principals());
-        self.with_rows_scaled(|i| {
+        out.scale_rows_from(self, |i| {
             if n_global[i] > 0.0 {
                 (n_local[i] / n_global[i]).clamp(0.0, 1.0)
             } else {
@@ -182,6 +183,13 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `plan` scaled to the local queues, in a plan of its own.
+    fn local(plan: &Plan, n_local: &[f64], n_global: &[f64]) -> Plan {
+        let mut out = Plan::zero(0);
+        plan.scale_for_local_queue(n_local, n_global, &mut out);
+        out
+    }
 
     fn dense(plan: &Plan, servers: usize) -> Vec<Vec<f64>> {
         (0..plan.n_principals())
@@ -225,16 +233,15 @@ mod tests {
     fn local_scaling_matches_queue_fractions() {
         let p = Plan { theta: Some(1.0), ..Plan::from_dense(&[vec![10.0, 10.0], vec![8.0, 0.0]]) };
         // Redirector holds 25% of principal 0's queue, 100% of principal 1's.
-        let local = p.scale_for_local_queue(&[5.0, 8.0], &[20.0, 8.0]);
-        assert_eq!(dense(&local, 2), vec![vec![2.5, 2.5], vec![8.0, 0.0]]);
-        assert_eq!(local.theta, Some(1.0));
+        let scaled = local(&p, &[5.0, 8.0], &[20.0, 8.0]);
+        assert_eq!(dense(&scaled, 2), vec![vec![2.5, 2.5], vec![8.0, 0.0]]);
+        assert_eq!(scaled.theta, Some(1.0));
     }
 
     #[test]
     fn local_scaling_empty_global_queue_is_zero() {
         let p = Plan::from_dense(&[vec![4.0]]);
-        let local = p.scale_for_local_queue(&[0.0], &[0.0]);
-        assert_eq!(local.amount(0, 0), 0.0);
+        assert_eq!(local(&p, &[0.0], &[0.0]).amount(0, 0), 0.0);
     }
 
     #[test]
@@ -242,8 +249,7 @@ mod tests {
         // Staleness can make n_local > n_global momentarily; the fraction is
         // clamped to 1 so a redirector never over-admits past the plan.
         let p = Plan::from_dense(&[vec![4.0]]);
-        let local = p.scale_for_local_queue(&[10.0], &[5.0]);
-        assert_eq!(local.amount(0, 0), 4.0);
+        assert_eq!(local(&p, &[10.0], &[5.0]).amount(0, 0), 4.0);
     }
 
     #[test]
@@ -254,7 +260,7 @@ mod tests {
         let locals = [[5.0, 4.0], [15.0, 8.0]];
         let mut total = vec![vec![0.0; 2]; 2];
         for l in &locals {
-            let lp = p.scale_for_local_queue(l, &global);
+            let lp = local(&p, l, &global);
             for i in 0..2 {
                 for k in 0..2 {
                     total[i][k] += lp.amount(i, k);
@@ -297,13 +303,13 @@ mod tests {
             }
             // A principal in three has nothing queued globally, one in three
             // holds more locally than the (stale) global count.
-            let local: Vec<f64> = queues[..n].iter().map(|q| q.0).collect();
+            let local_q: Vec<f64> = queues[..n].iter().map(|q| q.0).collect();
             let global: Vec<f64> =
                 queues[..n].iter().enumerate().map(|(i, q)| if i % 3 == 2 { 0.0 } else { q.1 }).collect();
-            let scaled = plan.scale_for_local_queue(&local, &global);
+            let scaled = local(&plan, &local_q, &global);
             for i in 0..n {
                 let frac =
-                    if global[i] > 0.0 { (local[i] / global[i]).clamp(0.0, 1.0) } else { 0.0 };
+                    if global[i] > 0.0 { (local_q[i] / global[i]).clamp(0.0, 1.0) } else { 0.0 };
                 for k in 0..n {
                     prop_assert_eq!(scaled.amount(i, k), rows[i][k] * frac);
                 }

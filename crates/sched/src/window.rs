@@ -82,7 +82,8 @@ pub enum GlobalView {
 #[derive(Debug, Clone)]
 enum Engine {
     Community(Box<PreparedCommunity>),
-    Provider(ProviderScheduler),
+    /// The provider's fill, and the plan it last returned.
+    Provider(ProviderScheduler, Box<Plan>),
 }
 
 impl Engine {
@@ -91,8 +92,21 @@ impl Engine {
             Policy::Community { locality } => {
                 Engine::Community(Box::new(PreparedCommunity::new(levels, locality.clone())))
             }
-            Policy::Provider { prices } => {
-                Engine::Provider(ProviderScheduler::new(levels, prices.clone()))
+            Policy::Provider { prices } => Engine::Provider(
+                ProviderScheduler::new(levels, prices.clone()),
+                Box::new(Plan::zero(levels.len())),
+            ),
+        }
+    }
+
+    /// The global plan for `queues`, kept by the engine until its next
+    /// call.
+    fn plan(&mut self, ws: &mut SimplexWorkspace, queues: &[f64]) -> &Plan {
+        match self {
+            Engine::Community(p) => p.plan_in_place(ws, queues),
+            Engine::Provider(p, last) => {
+                **last = p.plan(queues);
+                last
             }
         }
     }
@@ -101,7 +115,7 @@ impl Engine {
     fn lp(&self) -> Option<&PreparedCommunity> {
         match self {
             Engine::Community(p) => Some(p),
-            Engine::Provider(_) => None,
+            Engine::Provider(..) => None,
         }
     }
 
@@ -118,9 +132,9 @@ impl Engine {
 ///
 /// Holds the window-scaled [`AccessLevels`] (recomputed only when the
 /// agreement graph or capacities change), the prepared planner for the
-/// configured policy, a reusable [`SimplexWorkspace`], and the
-/// per-window [`PlanCache`]. Planning therefore needs `&mut self`; wrap in
-/// a lock when shared.
+/// configured policy, a reusable [`SimplexWorkspace`], the per-window
+/// [`PlanCache`], and the local plan it scales each window into. Planning
+/// therefore needs `&mut self`; wrap in a lock when shared.
 #[derive(Debug, Clone)]
 pub struct WindowScheduler {
     cfg: SchedulerConfig,
@@ -137,6 +151,8 @@ pub struct WindowScheduler {
     /// Scratch for the global/local demand merge, reused across windows so
     /// steady-state planning allocates nothing.
     merged_buf: Vec<f64>,
+    /// The last local plan, rewritten in place each window.
+    local: Plan,
     /// Warm-solver counters accumulated from engines retired by
     /// [`WindowScheduler::update_levels`] (a level change rebuilds the
     /// prepared matrix and its basis; lifetime totals must not reset).
@@ -162,6 +178,7 @@ impl WindowScheduler {
             cache,
             cfg,
             merged_buf: Vec::new(),
+            local: Plan::zero(0),
             warm_retired: covenant_lp::WarmStats::default(),
             dense_retired: 0,
         }
@@ -238,15 +255,28 @@ impl WindowScheduler {
     /// means the tree has delivered nothing yet. Callers holding the
     /// aggregate in a buffer of their own (the view a driver read from its
     /// tree and handed to the enforcement core's tick) plan without
-    /// materializing a `GlobalView`, and the global/local merge reuses an
-    /// internal scratch buffer instead of allocating. `global` must hold
-    /// one value per principal; the enforcement core passes `None` for a
-    /// view that does not.
+    /// materializing a `GlobalView`. `global` must hold one value per
+    /// principal; the enforcement core passes `None` for a view that does
+    /// not.
     pub fn plan_window_shared(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> Plan {
+        self.plan_window_in_place(global, local_queues).clone()
+    }
+
+    /// [`WindowScheduler::plan_window_shared`] into the local plan this
+    /// scheduler keeps, which stays valid until the next window: the global
+    /// plan is written where the planner keeps it, the global/local merge
+    /// reuses a scratch buffer, and the local plan is scaled in its own
+    /// buffers, so a steady-state window allocates nothing.
+    pub fn plan_window_in_place(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> &Plan {
         let n = self.window_levels.len();
         assert_eq!(local_queues.len(), n);
         match global {
-            None => self.conservative_plan(local_queues),
+            // Conservative fallback: admit [`CONSERVATIVE_FRACTION`] of each
+            // principal's mandatory share, capped by local demand, spread
+            // across servers proportionally to the mandatory entitlement.
+            None => self.local.scale_rows_from(&self.mandatory_split, |i| {
+                (self.mandatory[i] * CONSERVATIVE_FRACTION).min(local_queues[i].max(0.0))
+            }),
             Some(global_queues) => {
                 assert_eq!(global_queues.len(), n);
                 // Never plan below local knowledge: a redirector always
@@ -255,42 +285,41 @@ impl WindowScheduler {
                 let mut merged = std::mem::take(&mut self.merged_buf);
                 merged.clear();
                 merged.extend(global_queues.iter().zip(local_queues).map(|(g, l)| g.max(*l)));
-                let global_plan = self.solve(&merged);
-                let plan = global_plan.scale_for_local_queue(local_queues, &merged);
+                let cache = self.cfg.plan_cache.then_some(&mut self.cache);
+                let global_plan = solve(&mut self.engine, &mut self.lp_ws, cache, &merged);
+                global_plan.scale_for_local_queue(local_queues, &merged, &mut self.local);
                 self.merged_buf = merged;
-                plan
             }
         }
+        &self.local
     }
 
     /// Plans one window against explicit global queues, returning the
     /// *global* (unscaled) plan. Used by single-redirector deployments and
     /// by tests.
     pub fn plan_global(&mut self, queues: &[f64]) -> Plan {
-        self.solve(queues)
+        let cache = self.cfg.plan_cache.then_some(&mut self.cache);
+        solve(&mut self.engine, &mut self.lp_ws, cache, queues).clone()
     }
+}
 
-    fn solve(&mut self, queues: &[f64]) -> Plan {
-        let (engine, ws) = (&mut self.engine, &mut self.lp_ws);
-        let mut solve = || match engine {
-            Engine::Community(p) => p.plan_with(ws, queues),
-            Engine::Provider(p) => p.plan(queues),
-        };
-        if self.cfg.plan_cache {
-            self.cache.lookup_or_solve(queues, solve)
-        } else {
-            solve()
-        }
+/// The global plan for `queues`: the memoized one on a cache hit, else the
+/// engine's, which a cache in use then stores.
+fn solve<'a>(
+    engine: &'a mut Engine,
+    ws: &mut SimplexWorkspace,
+    cache: Option<&'a mut PlanCache>,
+    queues: &[f64],
+) -> &'a Plan {
+    let Some(cache) = cache else {
+        return engine.plan(ws, queues);
+    };
+    if let Some(hit) = cache.lookup(queues) {
+        return cache.plan(hit);
     }
-
-    /// Conservative fallback: admit [`CONSERVATIVE_FRACTION`] of each
-    /// principal's mandatory share, capped by local demand, spread across
-    /// servers proportionally to the mandatory entitlement.
-    fn conservative_plan(&self, local_queues: &[f64]) -> Plan {
-        self.mandatory_split.with_rows_scaled(|i| {
-            (self.mandatory[i] * CONSERVATIVE_FRACTION).min(local_queues[i].max(0.0))
-        })
-    }
+    let plan = engine.plan(ws, queues);
+    cache.store(plan);
+    plan
 }
 
 /// `MC_i` per principal, and as row `i` of a plan `mand_share(i, k) / MC_i`

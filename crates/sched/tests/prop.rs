@@ -162,10 +162,11 @@ proptest! {
         // Partition each queue across the redirectors by normalized splits.
         let total_split: f64 = splits.iter().sum::<f64>().max(1e-9);
         let mut recon = vec![vec![0.0; n]; n];
+        let mut lp = Plan::zero(0);
         for s in &splits {
             let frac = s / total_split;
             let local: Vec<f64> = queues.iter().map(|q| q * frac).collect();
-            let lp = plan.scale_for_local_queue(&local, &queues);
+            plan.scale_for_local_queue(&local, &queues, &mut lp);
             for i in 0..n {
                 for k in 0..n {
                     recon[i][k] += lp.amount(i, k);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the one entry point builders run before pushing.
 #
-#   release build + workspace tests + covenant-lint + spec and scenario
+#   release build + the benchmark's release build + workspace tests + covenant-lint + spec and scenario
 #   gates + clippy -D warnings + `cargo bench --no-run` + cluster_soak +
 #   the gate rule on canned samples (scripts/test_bench_gate.sh) + the gate:
 #   three quick alternating pairs of every benchmark workload, output checks
@@ -13,6 +13,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release --offline
+
+# The benchmark is the one consumer of the workspace's scheduler APIs
+# outside it; build it now so a broken signature fails here, not minutes
+# later at the gate.
+echo "==> cargo build --release (benchmark/)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test (workspace, includes the root package's tier-1 tests)"
 cargo test -q --offline --workspace
