@@ -3,7 +3,7 @@
 //! The paper argues per-window LP solves are cheap because "the complexity
 //! of this strategy only depends on the number of principals". This bench
 //! quantifies that: community-model solve time for n ∈ {2..32} principals
-//! (`θ` plus one variable per agreement-backed pair, `4n` rows), the
+//! (`θ` plus one variable per agreement-backed pair, at most `3n` rows), the
 //! production window path against the retained naive reference on the
 //! identical window LPs, and raw simplex throughput on a fixed small model.
 //!

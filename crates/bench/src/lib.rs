@@ -41,8 +41,8 @@ pub fn random_graph(n: usize, density: f64, seed: u64) -> AgreementGraph {
 /// strongly connected component, and the exact closure is exponential in
 /// that component's size — while the window LP it feeds
 /// keeps the same shape (`θ` plus one variable per agreement-backed pair —
-/// about two per principal here — over `3n` principal rows and `n` server
-/// rows).
+/// about two per principal here — over `2n` principal rows and a server
+/// row per provider).
 pub fn bipartite_graph(n: usize, seed: u64) -> AgreementGraph {
     let mut rng = SmallLcg::new(seed);
     let mut g = AgreementGraph::new();

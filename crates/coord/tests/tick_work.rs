@@ -15,7 +15,9 @@
 //!   the view `Coordinator::read_at` copies out and the demand vector
 //!   `publish_at` takes;
 //! - the LP's pivots and rebuilds over the measured windows are pinned, so
-//!   a change in solver work shows up as a change to this file.
+//!   a change in solver work shows up as a change to this file; so are the
+//!   pivots of the first window's cold solve, which at n = 512 must finish
+//!   from the plain slack basis, without the lexicographic restart.
 
 use covenant_agreements::{AccessLevels, AgreementGraph, PrincipalId};
 use covenant_coord::{Coordinator, ShardCore};
@@ -164,12 +166,23 @@ impl Demand {
     }
 }
 
-/// What the measured windows of one driver did, in total.
+/// What the measured windows of one driver did, in total, and the cold
+/// solve of its first window.
 #[derive(Debug, PartialEq, Eq)]
 struct Work {
     allocations: u64,
     pivots: u64,
     rebuilds: u64,
+    cold: Cold,
+}
+
+/// The first window's cold solve: its pivots, and whether its plain slack
+/// basis ran out of budget and the solve restarted from the lexicographic
+/// one.
+#[derive(Debug, PartialEq, Eq)]
+struct Cold {
+    pivots: u64,
+    lexicographic_starts: u64,
 }
 
 /// One lone redirector's `EnforcementCore` at `n` principals, planning on
@@ -188,7 +201,12 @@ fn core_ticks(n: usize, mode: QueueMode) -> Work {
     let capacity: f64 = levels.capacities().iter().sum();
     let mut released = Vec::with_capacity((8.0 * capacity * WINDOW_SECS) as usize + 4 * n);
     let mut id = 0;
-    let mut work = Work { allocations: 0, pivots: 0, rebuilds: 0 };
+    let mut work = Work {
+        allocations: 0,
+        pivots: 0,
+        rebuilds: 0,
+        cold: Cold { pivots: 0, lexicographic_starts: 0 },
+    };
     for w in 0..WARM_WINDOWS + MEASURED_WINDOWS {
         let t = w as f64 * WINDOW_SECS;
         for i in 0..n {
@@ -208,6 +226,11 @@ fn core_ticks(n: usize, mode: QueueMode) -> Work {
             next.extend_from_slice(core.on_window_tick(published, None, &mut released));
         });
         std::mem::swap(&mut view, &mut next);
+        if lp_before.solves == 0 {
+            // Until the first solve, which is the cold one.
+            let lp = core.warm_stats();
+            work.cold = Cold { pivots: lp.pivots, lexicographic_starts: lp.lexicographic_starts };
+        }
         if w >= WARM_WINDOWS {
             let lp = core.warm_stats();
             work.allocations += allocations;
@@ -246,12 +269,17 @@ fn shard_rolls(n: usize) -> u64 {
 #[test]
 fn a_steady_state_tick_allocates_nothing_and_its_lp_work_is_pinned() {
     let retry = QueueMode::CreditRetry { retry_delay: 0.05 };
-    let work = |allocations, pivots, rebuilds| Work { allocations, pivots, rebuilds };
+    let work = |allocations, pivots, rebuilds, cold_pivots| Work {
+        allocations,
+        pivots,
+        rebuilds,
+        cold: Cold { pivots: cold_pivots, lexicographic_starts: 0 },
+    };
     for (n, mode, expected) in [
-        (4, retry.clone(), work(0, 10, 2)),
-        (4, QueueMode::CreditPark, work(0, 9, 1)),
-        (512, retry, work(0, 631, 5)),
-        (512, QueueMode::CreditPark, work(0, 482, 4)),
+        (4, retry.clone(), work(0, 6, 2, 5)),
+        (4, QueueMode::CreditPark, work(0, 7, 2, 7)),
+        (512, retry, work(0, 573, 5, 1284)),
+        (512, QueueMode::CreditPark, work(0, 425, 4, 1840)),
     ] {
         let got = core_ticks(n, mode.clone());
         assert_eq!(got, expected, "n = {n}, {mode:?}, over {MEASURED_WINDOWS} ticks");

@@ -7,8 +7,8 @@
 //! two-phase primal simplex over a tableau, using Bland's anti-cycling rule.
 //!
 //! Problems are stated in the natural mixed form — maximize `c·x` subject to
-//! `≤`/`≥`/`=` constraints with non-negative variables and optional per-
-//! variable upper bounds:
+//! `≤`/`≥`/`=` constraints, ranged `lo ≤ a·x ≤ hi` rows among them, with
+//! non-negative variables and optional per-variable upper bounds:
 //!
 //! ```
 //! use covenant_lp::{Problem, Relation, LpOutcome};

@@ -23,6 +23,17 @@ pub struct Constraint {
     pub rel: Relation,
     /// Right-hand side.
     pub rhs: f64,
+    /// Lower end of a ranged `≤` row, `lo ≤ Σ a_j x_j ≤ rhs`
+    /// ([`Problem::set_constraint_lower`]); `−∞` for a plain row.
+    pub lo: f64,
+}
+
+impl Constraint {
+    /// True for a `≤` row that also has a finite lower end.
+    #[inline]
+    pub fn is_ranged(&self) -> bool {
+        self.lo.is_finite()
+    }
 }
 
 /// Errors raised during problem construction or solving.
@@ -56,7 +67,10 @@ impl fmt::Display for LpError {
 impl std::error::Error for LpError {}
 
 /// A linear program: maximize `c·x` subject to mixed constraints, `x ≥ 0`,
-/// and optional per-variable upper bounds.
+/// and optional per-variable upper bounds. A `≤` row may also have a lower
+/// end ([`Problem::set_constraint_lower`]): the revised engine keeps such
+/// a ranged row as one row with a boxed slack, the dense tableau and the
+/// reference split it in two.
 ///
 /// Minimization is expressed by negating the objective. The builder methods
 /// panic-free validate eagerly via [`Problem::try_add_constraint`] /
@@ -170,8 +184,31 @@ impl Problem {
             h = fold(h, i as u64);
         }
         self.pattern = h;
-        self.constraints.push(Constraint { coeffs, rel, rhs });
+        self.constraints.push(Constraint { coeffs, rel, rhs, lo: f64::NEG_INFINITY });
         Ok(())
+    }
+
+    /// Gives the `≤` row `idx` the lower end `lo`, making it the ranged row
+    /// `lo ≤ Σ a_j x_j ≤ rhs`; `−∞` makes it a plain row again. Like the
+    /// right-hand side this is a value, not part of the pattern: a prepared
+    /// skeleton rewrites it every window. Panics on a `≥`/`=` row or a NaN
+    /// or `+∞` end.
+    pub fn set_constraint_lower(&mut self, idx: usize, lo: f64) {
+        let c = &mut self.constraints[idx];
+        assert_eq!(c.rel, Relation::Le, "only a `≤` row takes a lower end");
+        assert!(lo.is_finite() || lo == f64::NEG_INFINITY, "bad lower end {lo}");
+        c.lo = lo;
+    }
+
+    /// The rows of the problem with every ranged row split in two: each
+    /// constraint as it is (a ranged one as its `≤` half), and after a
+    /// ranged one its `≥ lo` half. The engines without ranged rows of their
+    /// own (the dense tableau, the reference) solve these.
+    pub(crate) fn split_rows(&self) -> impl Iterator<Item = (&[(usize, f64)], Relation, f64)> {
+        self.constraints.iter().flat_map(|c| {
+            let low = c.is_ranged().then_some((&c.coeffs[..], Relation::Ge, c.lo));
+            std::iter::once((&c.coeffs[..], c.rel, c.rhs)).chain(low)
+        })
     }
 
     /// Fingerprint of the constraint pattern: equal for two problems built
@@ -298,7 +335,7 @@ impl Problem {
         for c in &self.constraints {
             let lhs: f64 = c.coeffs.iter().map(|&(i, a)| a * x[i]).sum();
             let ok = match c.rel {
-                Relation::Le => lhs <= c.rhs + tol,
+                Relation::Le => lhs <= c.rhs + tol && lhs >= c.lo - tol,
                 Relation::Ge => lhs >= c.rhs - tol,
                 Relation::Eq => (lhs - c.rhs).abs() <= tol,
             };
@@ -361,5 +398,22 @@ mod tests {
         assert!(!p.is_feasible(&[3.0, 2.0], 1e-9)); // violates Le
         assert!(!p.is_feasible(&[-0.1, 0.0], 1e-9)); // violates x >= 0
         assert!(!p.is_feasible(&[1.0], 1e-9)); // wrong arity
+        p.set_constraint_lower(0, 3.5);
+        assert!(!p.is_feasible(&[1.0, 2.0], 1e-9)); // under the ranged row's lower end
+        assert!(p.is_feasible(&[1.5, 2.0], 1e-9));
+        p.set_constraint_lower(0, f64::NEG_INFINITY);
+        assert!(p.is_feasible(&[1.0, 2.0], 1e-9));
+    }
+
+    #[test]
+    fn ranged_rows_split_in_two() {
+        let mut p = Problem::new(2);
+        p.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 4.0);
+        p.add_constraint(vec![(0, 1.0)], Relation::Ge, 1.0);
+        let plain = p.pattern_fingerprint();
+        p.set_constraint_lower(0, 2.0);
+        assert_eq!(p.pattern_fingerprint(), plain, "a lower end is a value");
+        let rows: Vec<_> = p.split_rows().map(|(c, rel, rhs)| (c.len(), rel, rhs)).collect();
+        assert_eq!(rows, [(2, Relation::Le, 4.0), (2, Relation::Ge, 2.0), (1, Relation::Ge, 1.0)]);
     }
 }

@@ -126,19 +126,20 @@ pub fn solve_reference(problem: &Problem) -> LpOutcome {
     let n = problem.n_vars();
 
     // Collect rows: structural coefficients (dense), relation, rhs — with
-    // upper bounds materialized as additional `≤` rows.
+    // ranged rows split in two and upper bounds materialized as additional
+    // `≤` rows.
     struct Row {
         a: Vec<f64>,
         rel: Relation,
         rhs: f64,
     }
     let mut raw: Vec<Row> = Vec::with_capacity(problem.n_constraints());
-    for c in problem.constraints() {
+    for (coeffs, rel, rhs) in problem.split_rows() {
         let mut a = vec![0.0; n];
-        for &(i, v) in &c.coeffs {
+        for &(i, v) in coeffs {
             a[i] += v;
         }
-        raw.push(Row { a, rel: c.rel, rhs: c.rhs });
+        raw.push(Row { a, rel, rhs });
     }
     for (i, ub) in problem.upper_bounds().iter().enumerate() {
         if let Some(u) = ub {

@@ -16,6 +16,14 @@
 //!   `ρ` is nonzero instead of one dot product per column. Slack columns
 //!   are implicit unit columns. Columns boxed to zero width never enter
 //!   pricing.
+//! - **Ranged rows.** A row `lo ≤ a·x ≤ hi` is one row, not two: its slack
+//!   `hi − a·x` is boxed to `[0, hi − lo]`, and a range that is a point
+//!   (`lo = hi`) fixes it. The box is a value like a structural bound: each
+//!   solve re-reads it, and only a box that opens or closes touches the
+//!   active column list. The community LP's floor and queue limit are one
+//!   such row per principal, which takes that LP from `4n` rows to at most
+//!   `3n` and removes the degenerate pair of tight rows an under-floor
+//!   principal used to carry.
 //! - **Product-form basis inverse.** The basis inverse is an eta file
 //!   (elementary column transforms) grown by one eta per pivot and rebuilt
 //!   every `refactor_after` appended etas: the row count `m`, kept between
@@ -29,12 +37,17 @@
 //!   once that has grown to the basis a rebuild allocates nothing, and
 //!   neither does a steady-state solve. Replacing a single basic column
 //!   (the θ coefficient changes with every window's queue lengths) is a
-//!   rank-one update: one FTRAN plus one appended eta.
+//!   rank-one update: one FTRAN plus one appended eta. When a principal
+//!   goes idle while `θ` is basic at its coverage row, `θ`'s entry there
+//!   drops to 0 and the update is singular; the rebuild it then asks for
+//!   swaps each column it cannot place for the slack of the row left free,
+//!   and the solve goes on from that basis, with statuses re-chosen by
+//!   their reduced costs, instead of from the slack basis.
 //! - **Hypersparse BTRAN.** The etas appended since the last rebuild are
 //!   marked, one bit each, in every row they reach, so the BTRAN of a pivot
 //!   row — a unit vector whose image has about a dozen nonzeros at
 //!   n = 512 — visits only the appended etas those nonzeros reach instead
-//!   of all of them (up to `refactor_after`, 128 at 2 048 rows): Hall and
+//!   of all of them (up to `refactor_after`, 104 at 1 280 rows): Hall and
 //!   McKinnon's hyper-sparsity. A row's bits take a few word operations to
 //!   read, so a vector that fills in costs no more than the walk did. An
 //!   eta left out would only have written a zero over a zero: no value
@@ -45,13 +58,46 @@
 //!   bound statuses, and eta file across solves; `solve_warm` repairs
 //!   primal feasibility with dual simplex pivots instead of re-solving
 //!   from scratch. Per solve it re-reads only what a window can change —
-//!   coefficient values, right-hand sides, bounds, costs — and recognises
-//!   the shape by the fingerprint the [`Problem`] keeps as it is built. A
-//!   pivot works on the nonzeros of its row and column: the violated rows
-//!   and the reduced costs are kept current from those, not recomputed by
-//!   sweeps. A cold solve is the same dual simplex started from the
-//!   all-slack basis (trivially dual feasible for the scheduler LPs, whose
-//!   positive-cost variables are all boxed).
+//!   coefficient values, right-hand sides, ranges, bounds, costs — and
+//!   recognises the shape by the fingerprint the [`Problem`] keeps as it
+//!   is built. A pivot works on the nonzeros of its row and column: the
+//!   reduced costs are kept current from those, not recomputed by sweeps,
+//!   and so is the choice of the leaving row. The violated rows sit in a
+//!   lazy max-heap keyed by (violation, lowest row); a pivot pushes the
+//!   rows whose value it moved, and an entry whose stored violation is no
+//!   longer its row's is dropped when it surfaces. The rule is the rescan's
+//!   — worst violation, lowest row among equals — at the cost of the rows
+//!   a pivot moved. Under the anti-cycling rule (the lowest violated row)
+//!   a scan of the violated rows still decides.
+//! - **Cold starts.** A cold solve is the same dual simplex started from
+//!   the all-slack basis, trivially dual feasible for the scheduler LPs,
+//!   whose positive-cost variables are all boxed. Their pair columns cost
+//!   nothing, so from that basis nearly every early pivot is dual
+//!   degenerate: it leaves the dual objective where it was. Counting only
+//!   that as progress, the anti-cycling rule took over most cold dual
+//!   phases (813 of 1 004 pivots on the `tick_large` community), and its
+//!   lowest-index choices ran strongly connected communities of 28–32
+//!   principals into the iteration cap. A pivot that cuts the phase's
+//!   lowest total primal infeasibility by `NEW_LOW` counts as progress too
+//!   (a cycle cannot set new lows for ever); with it those cold solves no
+//!   longer engage the anti-cycling rule. (The `lp` bench's cold solves at
+//!   demand far above every entitlement still do, and at n = 256 and
+//!   1 024 got slower with the rule: see ROADMAP item 20.) From the plain
+//!   slack basis the dual phase gets `200 + 2·(m + active columns)`
+//!   pivots. Past that budget (or on any failure) the solve restarts once
+//!   from the *lexicographic*
+//!   slack basis, where every zero-cost column with a tie-break weight
+//!   also starts at its upper bound: that basis is dual feasible for the
+//!   tie-break objective too, so the restarted dual phase breaks its ties
+//!   by the tie-break reduced costs from its first pivot, as a warm one
+//!   does. Only if that fails too does the caller get `Unsuitable` (and
+//!   use the dense engine). The trigger is the solve's own pivot count
+//!   against the problem's size, not a property of a workload: the
+//!   lexicographic start costs the `tick_large` community pivots 3–8 times
+//!   denser, and that community's plain solve ends far inside its budget
+//!   (890 dual pivots), while `random_graph(32, 3/32, 1)` runs its plain
+//!   budget out and finishes after the restart (5 958 pivots in all, where
+//!   the plain start would run into the iteration cap).
 //! - **Canonical vertex.** The returned vertex is the one of the optimal
 //!   face that maximizes a fixed tie-break weight per column, so it is a
 //!   function of the problem and not of the solve history. The weight is
@@ -63,34 +109,36 @@
 //!   carries both along every pivot row, and breaks the many ties of its
 //!   degenerate ratio tests by the tie-break reduced costs. From the
 //!   previous window's canonical basis it therefore stops on the new
-//!   canonical vertex. (The slack basis of a cold start is not dual
-//!   feasible for the tie-break objective, so there its reduced costs order
-//!   nothing: a cold dual phase breaks ties by pivot size and column id
-//!   alone.) A primal walk over the optimal face stays as the guarantee; it
-//!   reads face membership off the true reduced costs and its entering
+//!   canonical vertex. (The plain slack basis of a cold start, and a basis
+//!   an idle principal made the rebuild repair, are not dual feasible for
+//!   the tie-break objective, so there its reduced costs order nothing:
+//!   that dual phase breaks ties by pivot size and column id alone.) A
+//!   primal walk over the optimal face stays as the guarantee; it reads
+//!   face membership off the true reduced costs and its entering
 //!   candidates off the carried tie-break ones, and in steady state pivots
 //!   nowhere.
 //!
-//! Cost of one warm solve on a 512-principal two-tier community (2 048
-//! rows, `θ` + 1 022 pair columns, demand drifting around the mandatory
-//! levels the way the `tick_large` benchmark draws it), before and after
-//! the dual phase became lexicographic and BTRAN hypersparse — timers
-//! inside this file, on a copy, one core of a 2-vCPU Xeon:
+//! Cost of one solve on the `tick_large` benchmark's 512-principal two-tier
+//! community (`θ` + 1 022 pair columns; 1 280 rows, 2 048 before the
+//! ranged rows): the cold solve at its mean demand, and a warm window of
+//! demand drifting ±3 % around it (Poisson draws through an EWMA of 0.5,
+//! 300 windows after 40 of warm-up). Before is four rows per principal, a
+//! rescan of the violated rows per pivot and progress counted on the dual
+//! objective alone; after is this module. Timers
+//! inside this file, on a copy; medians of three interleaved runs per
+//! side, one core of a 2-vCPU Xeon:
 //!
-//! | where | before | after |
-//! |---|---|---|
-//! | dual phase | 1.35 ms (152 pivots, 104 under Bland's rule) | 0.84 ms (132 pivots, none under Bland's rule) |
-//! | canonicalization | 0.93 ms (103 pivots) | 0.03 ms (no pivots) |
-//! | BTRAN, inside the two rows above | 0.71 ms | 0.14 ms |
-//! | refactorization, inside the two rows above | 0.39 ms | 0.17 ms |
-//! | whole solve | 2.47 ms | 1.03 ms |
+//! | where | warm, before | warm, after | cold, before | cold, after |
+//! |---|---|---|---|---|
+//! | dual phase | 0.62 ms (124.4 pivots) | 0.50 ms (111.5 pivots) | 4.07 ms (1 248 pivots, 1 057 under Bland's rule) | 1.90 ms (890 pivots, none under Bland's rule) |
+//! | canonicalization | 0.02 ms (no pivots) | 0.02 ms (no pivots) | 2.77 ms (639 pivots) | 1.93 ms (366 pivots) |
+//! | BTRAN, inside the two rows above | 0.12 ms | 0.10 ms | 1.06 ms | 0.63 ms |
+//! | refactorization, inside the two rows above | 0.12 ms (1.0 rebuild) | 0.12 ms (1.1 rebuilds) | 1.06 ms (14 rebuilds) | 0.82 ms (11 rebuilds) |
+//! | whole solve | 0.76 ms | 0.63 ms | 6.99 ms | 3.96 ms |
 //!
-//! Without the lexicographic ties nearly every dual pivot is degenerate
-//! (the entering column is already on the optimal face), so the
-//! anti-cycling rule took over early in every solve and the face walk then
-//! undid what it had chosen. A cold solve takes the same pivots as before
-//! (at n = 512, 4 157 when demand is far above every entitlement, 1 947
-//! around the mandatory levels) and about the same time.
+//! The cold solve has 37 % fewer rows and takes 33 % fewer pivots and
+//! 43 % less time; half of it is now the face walk. A warm window pivots
+//! 10 % less.
 //!
 //! The engine refuses problems it cannot start dual-feasible (a variable
 //! with positive cost and no upper bound) or that misbehave numerically,
@@ -99,9 +147,15 @@
 //! feasibility checker before being returned.
 
 use crate::{Problem, Relation};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Dual-feasibility tolerance on reduced costs.
 const DTOL: f64 = 1e-7;
+/// The wrong-signed reduced cost past which a boxed nonbasic column flips
+/// to its other bound when a solve starts (see `repair_statuses`): well
+/// above accumulated update noise, well below `DTOL`.
+const FLIP_TOL: f64 = 1e-11;
 /// Primal-feasibility tolerance on basic-variable bound violations.
 const PTOL: f64 = 1e-7;
 /// Smallest acceptable pivot magnitude.
@@ -112,9 +166,9 @@ const ETA_DROP: f64 = 1e-12;
 const VERIFY_TOL: f64 = 1e-5;
 /// Consecutive degenerate pivots before the anti-cycling rule
 /// (smallest-index leaving row and entering column) engages; any strict
-/// progress resets both the streak and the rule. From a warm start progress
-/// is lexicographic: a pivot that moves the true dual objective or, failing
-/// that, the tie-break one.
+/// progress resets both the streak and the rule. Progress is a pivot that
+/// moves the true dual objective, or from a warm start the tie-break one,
+/// or that takes the total primal infeasibility to a new low.
 const BLAND_AFTER: usize = 24;
 /// A true-objective reduced cost below this is treated as exactly zero
 /// when walking the optimal face: the column is free to enter without
@@ -123,6 +177,21 @@ const BLAND_AFTER: usize = 24;
 const FACE_TOL: f64 = 1e-9;
 /// Minimum tie-break-objective improvement worth a canonicalization pivot.
 const WTOL: f64 = 1e-9;
+/// The fraction by which a dual pivot must cut the lowest total primal
+/// infeasibility of its phase to count as progress against the
+/// anti-cycling streak. Smaller fractions let long runs of barely
+/// improving pivots keep that rule away: at 1e-9 the `lp` bench's
+/// n = 1 024 cold solve took 22 095 pivots (and the lexicographic restart)
+/// where 1e-3 takes 9 748; `tick_large`'s community and the
+/// `random_graph` communities of 24–32 principals read the same at both.
+const NEW_LOW: f64 = 1e-3;
+/// The dual phase's iteration cap, in pivots per row and active column
+/// (plus 200).
+const DUAL_BUDGET: usize = 12;
+/// The cap of a cold dual phase from the plain slack basis. Past it the
+/// solve restarts from the lexicographic slack basis (see
+/// `WarmBasis::cold_attempt`).
+const PLAIN_COLD_BUDGET: usize = 2;
 
 /// Result of a warm (or cold) revised-simplex solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +217,10 @@ pub struct WarmStats {
     /// Solves that restarted from the all-slack basis (first solve, shape
     /// change, or recovery from numerical trouble).
     pub cold_starts: u64,
+    /// The part of `cold_starts` whose plain slack basis ran out of its
+    /// pivot budget (or failed) and that restarted from the lexicographic
+    /// one.
+    pub lexicographic_starts: u64,
     /// Basis changes performed, of both phases.
     pub pivots: u64,
     /// The part of `pivots` spent walking the optimal face to the
@@ -161,11 +234,19 @@ impl WarmStats {
     /// Adds `other`'s counts to these: the lifetime counters of a handle
     /// and the one it replaced.
     pub fn merge(&mut self, other: WarmStats) {
-        let WarmStats { solves, warm_solves, cold_starts, pivots, face_pivots, refactorizations } =
-            other;
+        let WarmStats {
+            solves,
+            warm_solves,
+            cold_starts,
+            lexicographic_starts,
+            pivots,
+            face_pivots,
+            refactorizations,
+        } = other;
         self.solves += solves;
         self.warm_solves += warm_solves;
         self.cold_starts += cold_starts;
+        self.lexicographic_starts += lexicographic_starts;
         self.pivots += pivots;
         self.face_pivots += face_pivots;
         self.refactorizations += refactorizations;
@@ -604,9 +685,19 @@ pub struct WarmBasis {
     basis: Vec<u32>,
     pos_in_basis: Vec<u32>,
     x_basic: Vec<f64>,
-    /// Basis slots whose value may violate a bound: the leaving candidates
-    /// of the dual phase.
-    violated: Worklist,
+    /// The leaving candidates of the dual phase: a lazy max-heap of basis
+    /// slots keyed by (violation bits, lowest slot). A slot is pushed
+    /// whenever its value moves and is over a bound; an entry whose bits
+    /// are no longer the slot's violation is stale and is dropped when it
+    /// surfaces. Every violated slot thus has a current entry, and the top
+    /// current one is the worst violation, the lowest slot among equals.
+    violated: BinaryHeap<(u64, Reverse<u32>)>,
+    /// The same slots listed once each, for the anti-cycling rule's scan
+    /// for the lowest violated one.
+    violated_rows: Worklist,
+    /// The sum of those slots' violations, kept along the pivots: the
+    /// dual phase's measure of primal progress.
+    infeasibility: f64,
     rhs: Vec<f64>,
     eta: EtaFile,
     refactor_after: usize,
@@ -789,7 +880,10 @@ impl WarmBasis {
         self.col.reset(m);
         self.rho.reset(m);
         self.alpha.reset(ncols);
-        self.violated.reset(m);
+        // Compaction (`relist`) keeps the heap at 3m entries at most, so
+        // it never grows after this.
+        self.violated = BinaryHeap::with_capacity(3 * m);
+        self.violated_rows.reset(m);
         self.improving.reset(ncols);
         self.changed.reset(m);
         self.x_out.clear();
@@ -816,10 +910,11 @@ impl WarmBasis {
         self.shape = problem.pattern_fingerprint();
     }
 
-    /// Syncs mutable problem data (coefficient values, bounds, rhs,
+    /// Syncs mutable problem data (coefficient values, bounds, rhs, ranges,
     /// objective) into the store, leaving in `changed` the basis slots
-    /// whose columns changed value. Returns whether any structural
-    /// bound moved (the active list may then be stale).
+    /// whose columns changed value. Returns whether a box opened or
+    /// closed, a ranged row's slack included (the active list is then
+    /// stale).
     fn sync_values(&mut self, problem: &Problem) -> bool {
         let mut seq = 0usize;
         for c in problem.constraints() {
@@ -835,22 +930,31 @@ impl WarmBasis {
                 seq += 1;
             }
         }
+        let mut boxes_moved = false;
         for (i, c) in problem.constraints().iter().enumerate() {
             self.rhs[i] = c.rhs;
-        }
-        let mut bounds_moved = false;
-        for (j, ub) in problem.upper_bounds().iter().enumerate() {
-            let u = match ub {
-                Some(u) => u.max(0.0),
-                None => f64::INFINITY,
-            };
-            if self.upper[j].to_bits() != u.to_bits() {
-                self.upper[j] = u;
-                bounds_moved = true;
+            // A ranged row's slack `rhs − Σ a_j x_j` is boxed by the range:
+            // `[0, rhs − lo]`, fixed when the range is a point.
+            if c.rel == Relation::Le {
+                let u = if c.is_ranged() { c.rhs - c.lo } else { f64::INFINITY };
+                boxes_moved |= self.set_upper(self.slack_col(i), u);
             }
         }
+        for (j, ub) in problem.upper_bounds().iter().enumerate() {
+            boxes_moved |= self.set_upper(j, ub.map_or(f64::INFINITY, |u| u.max(0.0)));
+        }
         self.cost[..self.n_vars].copy_from_slice(problem.objective());
-        bounds_moved
+        boxes_moved
+    }
+
+    /// Moves column `j`'s upper bound to `u`; true when that opens or
+    /// closes its box (see [`Self::rebuild_active`]).
+    #[inline]
+    fn set_upper(&mut self, j: usize, u: f64) -> bool {
+        let open = |upper: f64| upper - self.lower[j] > PTOL;
+        let flipped = open(self.upper[j]) != open(u);
+        self.upper[j] = u;
+        flipped
     }
 
     /// Rebuilds the active-column list (everything not fixed to a
@@ -932,8 +1036,11 @@ impl WarmBasis {
     }
 
     /// Rebuilds the eta file from the identity (slack) basis by pivoting in
-    /// every non-slack basic column. Fails on a (numerically) singular
-    /// basis.
+    /// every non-slack basic column. On a (numerically) singular basis it
+    /// fails, or with `repair` it leaves out each column it cannot place
+    /// and makes the slack of the row left free basic in its stead,
+    /// returning how many it swapped so (the caller must then restore dual
+    /// feasibility, which `attempt` does).
     ///
     /// The order of the pivots decides how much the etas fill in. Rows owned
     /// by basic slacks are taken from the start; the structural basics are
@@ -946,12 +1053,12 @@ impl WarmBasis {
     /// eta; without it the assignment columns form a forest and peel
     /// completely. Columns set aside go last, sparsest first, each into the
     /// free row where its transformed column is largest.
-    fn refactorize(&mut self) -> Result<(), ()> {
+    fn refactorize(&mut self, repair: bool) -> Result<usize, ()> {
         // The scratch lists live in the handle, so a rebuild allocates
         // nothing once they have grown to the basis.
         let mut cols = std::mem::take(&mut self.rebuild_cols);
         let mut work = std::mem::take(&mut self.peel);
-        let rebuilt = self.rebuild_from(&mut cols, &mut work);
+        let rebuilt = self.rebuild_from(&mut cols, &mut work, repair);
         self.rebuild_cols = cols;
         self.peel = work;
         rebuilt
@@ -959,7 +1066,12 @@ impl WarmBasis {
 
     /// [`Self::refactorize`] over its scratch: `cols` collects the
     /// structural basics, `work` is the peeling's singleton queue.
-    fn rebuild_from(&mut self, cols: &mut Vec<u32>, work: &mut Vec<Peel>) -> Result<(), ()> {
+    fn rebuild_from(
+        &mut self,
+        cols: &mut Vec<u32>,
+        work: &mut Vec<Peel>,
+        repair: bool,
+    ) -> Result<usize, ()> {
         self.stats.refactorizations += 1;
         let m = self.m;
         self.eta.clear(m);
@@ -1050,6 +1162,7 @@ impl WarmBasis {
             let j = c as usize;
             (self.col_ptr[j + 1] - self.col_ptr[j], c)
         });
+        let mut swapped = 0;
         for &c in cols.iter() {
             self.ftran_column(c as usize);
             let mut best = usize::MAX;
@@ -1063,7 +1176,15 @@ impl WarmBasis {
                 }
             }
             if best == usize::MAX || !self.claim_row(best, c as usize, work) {
-                return Err(());
+                if !repair {
+                    return Err(());
+                }
+                // The column leaves the basis (its bound is chosen by its
+                // reduced cost later); a row left free keeps its slack.
+                let j = c as usize;
+                let open = self.upper[j] - self.lower[j] > PTOL;
+                self.status[j] = if open { CStat::AtLower } else { CStat::Fixed };
+                swapped += 1;
             }
         }
         for p in self.pos_in_basis.iter_mut() {
@@ -1071,9 +1192,10 @@ impl WarmBasis {
         }
         for (r, &c) in self.basis.iter().enumerate() {
             self.pos_in_basis[c as usize] = r as u32;
+            self.status[c as usize] = CStat::Basic;
         }
         self.eta.index_rebuilt();
-        Ok(())
+        Ok(swapped)
     }
 
     /// The value a nonbasic column currently sits at.
@@ -1116,12 +1238,88 @@ impl WarmBasis {
         self.x_basic.clear();
         self.x_basic.extend_from_slice(&w);
         self.work = w;
-        self.violated.reset(self.m);
+        self.list_violated();
+    }
+
+    /// Refills the leaving-row heap and list, and `infeasibility`, from
+    /// every basis slot.
+    fn list_violated(&mut self) {
+        self.infeasibility = self.refill_violated();
+    }
+
+    /// Refills the leaving-row heap and list from every basis slot;
+    /// returns the sum of the violations.
+    fn refill_violated(&mut self) -> f64 {
+        let mut heap = std::mem::take(&mut self.violated).into_vec();
+        heap.clear();
+        self.violated_rows.clear();
+        let mut sum = 0.0;
         for r in 0..self.m {
-            if self.violation(r) > PTOL {
-                self.violated.push(r);
+            let viol = self.violation(r);
+            if viol > PTOL {
+                sum += viol;
+                heap.push((viol.to_bits(), Reverse(r as u32)));
+                self.violated_rows.push(r);
             }
         }
+        self.violated = BinaryHeap::from(heap);
+        sum
+    }
+
+    /// The violation of basis slot `r` if it counts (is past `PTOL`), else
+    /// 0: its share of `infeasibility`.
+    fn counted_violation(&self, r: usize) -> f64 {
+        let viol = self.violation(r);
+        if viol > PTOL {
+            viol
+        } else {
+            0.0
+        }
+    }
+
+    /// Lists slot `r` as a leaving candidate after its value moved, if it
+    /// is over a bound, and adds its violation to `infeasibility`. The
+    /// heap's stale entries are compacted away once it holds three per
+    /// row.
+    fn relist(&mut self, r: usize) {
+        let viol = self.violation(r);
+        if viol <= PTOL {
+            return;
+        }
+        self.infeasibility += viol;
+        if self.violated.len() >= 3 * self.m {
+            self.refill_violated();
+        } else {
+            self.violated.push((viol.to_bits(), Reverse(r as u32)));
+            self.violated_rows.push(r);
+        }
+    }
+
+    /// The dual phase's leaving row and its violation: the worst violated
+    /// slot, the lowest among equals, off the heap (Bland: the lowest
+    /// violated slot, by a scan of the list).
+    fn leaving_row(&mut self, bland: bool) -> Option<(usize, f64)> {
+        if bland {
+            let mut lowest = None;
+            let mut rows = std::mem::take(&mut self.violated_rows);
+            rows.retain(|r| {
+                let viol = self.violation(r);
+                if viol > PTOL && lowest.is_none_or(|(low, _)| r < low) {
+                    lowest = Some((r, viol));
+                }
+                viol > PTOL
+            });
+            self.violated_rows = rows;
+            return lowest;
+        }
+        while let Some(&(bits, Reverse(r))) = self.violated.peek() {
+            let viol = self.violation(r as usize);
+            if viol.to_bits() == bits {
+                return Some((r as usize, viol));
+            }
+            self.violated.pop();
+        }
+        None
     }
 
     /// By how much the value in basis slot `r` is outside its bounds
@@ -1166,9 +1364,11 @@ impl WarmBasis {
     }
 
     /// Makes every nonbasic active column dual feasible, flipping to the
-    /// opposite bound where the reduced-cost sign demands it. Fails when a
-    /// flip target is unbounded (the dense solver must take over).
-    fn repair_statuses(&mut self) -> Result<(), ()> {
+    /// opposite bound where the reduced-cost sign demands it, and with
+    /// `lexicographic` a boxed column on the optimal face where the
+    /// tie-break reduced cost's sign does. Fails when a flip target is
+    /// unbounded (the dense solver must take over).
+    fn repair_statuses(&mut self, lexicographic: bool) -> Result<(), ()> {
         for k in 0..self.active.len() {
             let j = self.active[k] as usize;
             if self.pos_in_basis[j] != NOT_BASIC {
@@ -1189,17 +1389,36 @@ impl WarmBasis {
                 st = CStat::AtUpper;
             }
             let d = self.d[j];
-            if st == CStat::AtLower && d > DTOL {
+            // A boxed column flips at the first sign of a wrong reduced
+            // cost: flipping costs nothing, and left where it is a column
+            // with `d` just under `DTOL` keeps its whole box of objective
+            // on the table, which on a window whose queues dwarf `θ`'s
+            // scale is more than `θ` itself.
+            let boxed = self.lower[j].is_finite() && self.upper[j].is_finite();
+            let tol = if boxed { FLIP_TOL } else { DTOL };
+            if st == CStat::AtLower && d > tol {
                 if self.upper[j].is_finite() {
                     st = CStat::AtUpper;
                 } else {
                     return Err(());
                 }
-            } else if st == CStat::AtUpper && d < -DTOL {
+            } else if st == CStat::AtUpper && d < -tol {
                 if self.lower[j].is_finite() {
                     st = CStat::AtLower;
                 } else {
                     return Err(());
+                }
+            } else if lexicographic && boxed && d.abs() <= FLIP_TOL {
+                // On the optimal face the tie-break reduced cost decides,
+                // so that the dual phase stops on the canonical vertex and
+                // the face walk has nothing to do (a range that reopens
+                // re-enters at its lower bound, which that cost may not
+                // favour).
+                let dw = self.dw[j];
+                if st == CStat::AtLower && dw > WTOL {
+                    st = CStat::AtUpper;
+                } else if st == CStat::AtUpper && dw < -WTOL {
+                    st = CStat::AtLower;
                 }
             }
             if !(match st {
@@ -1214,9 +1433,11 @@ impl WarmBasis {
         Ok(())
     }
 
-    /// Resets to the all-slack basis with statuses chosen by cost sign.
-    fn reset_to_slack_basis(&mut self) -> Result<(), ()> {
-        self.stats.cold_starts += 1;
+    /// Resets to the all-slack basis with statuses chosen by cost sign;
+    /// `lexicographic` also puts every zero-cost column with a tie-break
+    /// weight at its finite upper bound, where that weight's reduced cost
+    /// (the weight itself) has the sign dual feasibility asks for.
+    fn reset_to_slack_basis(&mut self, lexicographic: bool) -> Result<(), ()> {
         self.eta.clear(self.m);
         self.basis.clear();
         for r in 0..self.m {
@@ -1236,10 +1457,16 @@ impl WarmBasis {
             }
             // y = 0 ⇒ d_j = c_j: positive costs must start at a finite
             // upper bound, everything else at the (finite) lower bound.
+            let weighted = lexicographic
+                && self.cost[j].abs() <= DTOL
+                && self.tiebreak_weight(j) > 0.0
+                && self.upper[j].is_finite();
             self.status[j] = if self.cost[j] > DTOL {
                 if !self.upper[j].is_finite() {
                     return Err(());
                 }
+                CStat::AtUpper
+            } else if weighted {
                 CStat::AtUpper
             } else if self.lower[j].is_finite() {
                 CStat::AtLower
@@ -1301,41 +1528,22 @@ impl WarmBasis {
     /// dual feasibility. Assumes `x_basic`, `d` and `dw` are current.
     /// `warm`: the basis is the previous solve's canonical one (see the
     /// degeneracy streak below).
-    fn dual_simplex(&mut self, warm: bool) -> LoopResult {
-        let m = self.m;
-        let max_iters = 200 + 12 * (m + self.active.len());
+    fn dual_simplex(&mut self, warm: bool, max_iters: usize) -> LoopResult {
         let mut streak = 0usize;
+        // The least `infeasibility` seen so far in this phase.
+        let mut lowest = f64::MAX;
         let mut refactored_here = false;
         for _ in 0..max_iters {
             if self.eta.grown() > self.refactor_after {
-                if self.refactorize().is_err() {
+                if self.refactorize(false).is_err() {
                     return LoopResult::Trouble;
                 }
                 self.compute_x_basic();
             }
             let bland = streak >= BLAND_AFTER;
-            // Leaving row: worst bound violation, the lowest row among
-            // equals (Bland: the lowest violated row).
-            let mut r = usize::MAX;
-            let mut worst = PTOL;
-            let mut violated = std::mem::take(&mut self.violated);
-            violated.retain(|i| {
-                let viol = self.violation(i);
-                if viol <= PTOL {
-                    return false;
-                }
-                let better = r == usize::MAX
-                    || if bland { i < r } else { viol > worst || (viol >= worst && i < r) };
-                if better {
-                    r = i;
-                    worst = viol;
-                }
-                true
-            });
-            self.violated = violated;
-            if r == usize::MAX {
+            let Some((r, worst)) = self.leaving_row(bland) else {
                 return LoopResult::Optimal;
-            }
+            };
             let leaving = self.basis[r] as usize;
             // σ = +1: too high, must decrease; σ = −1: too low, must rise.
             let sigma = if self.x_basic[r] > self.upper[leaving] { 1.0 } else { -1.0 };
@@ -1395,7 +1603,7 @@ impl WarmBasis {
             if pivot.abs() < PIV_TOL {
                 // FTRAN disagrees with BTRAN pricing: factorization has
                 // drifted. Rebuild once and retry; twice is fatal.
-                if refactored_here || self.refactorize().is_err() {
+                if refactored_here || self.refactorize(false).is_err() {
                     return LoopResult::Trouble;
                 }
                 refactored_here = true;
@@ -1409,9 +1617,10 @@ impl WarmBasis {
             // bound; the entering variable absorbs the difference.
             let target = if sigma > 0.0 { self.upper[leaving] } else { self.lower[leaving] };
             let delta = (self.x_basic[r] - target) / pivot;
-            for i in self.col.positions() {
+            for at in 0..self.col.written.items.len() {
+                let i = self.col.written.items[at] as usize;
+                self.infeasibility -= self.counted_violation(i);
                 self.x_basic[i] -= self.col.val[i] * delta;
-                self.violated.push(i);
             }
             self.x_basic[r] = self.nonbasic_value(q) + delta;
 
@@ -1430,6 +1639,9 @@ impl WarmBasis {
             self.d[leaving] = -gamma;
             self.dw[leaving] = -gamma_w;
             self.swap_basis(r, q, sigma > 0.0);
+            for at in 0..self.col.written.items.len() {
+                self.relist(self.col.written.items[at] as usize);
+            }
 
             // Degeneracy streak: the dual objective moves by |γ|·|violation|,
             // the tie-break one by |γ_w|·|violation|. The second counts as
@@ -1437,9 +1649,21 @@ impl WarmBasis {
             // is (up to the window's drift) dual feasible for the tie-break
             // objective too, so that objective only ever moves one way. From
             // the slack basis, where it is not, it can move both ways and
-            // proves nothing against cycling.
+            // proves nothing against cycling. A pivot that moves neither but
+            // takes the total infeasibility to a new low for this phase is
+            // progress too: a cycle revisits its bases, and with them their
+            // infeasibilities, so it cannot set new lows for ever. Without
+            // it the cold dual phase, whose pair columns all cost 0 and
+            // whose every early pivot is therefore dual degenerate, ran
+            // mostly under the anti-cycling rule (813 of 1 004 pivots on
+            // `tick_large`'s community, where its lowest-index choices
+            // cost more pivots and denser ones).
             let moved = if warm { gamma.abs().max(gamma_w.abs()) } else { gamma.abs() };
-            if moved * worst > 1e-12 {
+            let new_low = self.infeasibility < lowest * (1.0 - NEW_LOW);
+            if new_low {
+                lowest = self.infeasibility;
+            }
+            if moved * worst > 1e-12 || new_low {
                 streak = 0;
             } else {
                 streak = streak.saturating_add(1);
@@ -1505,7 +1729,7 @@ impl WarmBasis {
         let mut streak = 0usize;
         for _ in 0..max_iters {
             if self.eta.grown() > self.refactor_after {
-                self.refactorize()?;
+                self.refactorize(false)?;
                 self.compute_x_basic();
             }
             // Entering column: largest tie-break improvement on the face,
@@ -1598,7 +1822,7 @@ impl WarmBasis {
             } else {
                 let pivot = self.col.val[leave];
                 if pivot.abs() < PIV_TOL {
-                    self.refactorize()?;
+                    self.refactorize(false)?;
                     self.compute_x_basic();
                     continue;
                 }
@@ -1651,16 +1875,24 @@ impl WarmBasis {
         self.objective = problem.objective_at(&self.x_out);
     }
 
-    /// One full attempt from the current basis, `warm` when that is the
-    /// previous solve's. `x_basic`, `d` and `dw` must not be assumed
-    /// current; they are recomputed here.
-    fn attempt(&mut self, problem: &Problem, warm: bool) -> LoopResult {
+    /// The dual phase's iteration cap at `per` pivots per row and active
+    /// column.
+    fn dual_cap(&self, per: usize) -> usize {
+        200 + per * (self.m + self.active.len())
+    }
+
+    /// One full attempt from the current basis, `warm` when that basis is
+    /// dual feasible for the tie-break objective too (the previous solve's,
+    /// or the lexicographic slack basis), its dual phase held to `cap`
+    /// pivots. `x_basic`, `d` and `dw` must not be assumed current; they
+    /// are recomputed here.
+    fn attempt(&mut self, problem: &Problem, warm: bool, cap: usize) -> LoopResult {
         self.compute_reduced_costs();
-        if self.repair_statuses().is_err() {
+        if self.repair_statuses(warm).is_err() {
             return LoopResult::Trouble;
         }
         self.compute_x_basic();
-        let out = self.dual_simplex(warm);
+        let out = self.dual_simplex(warm, cap);
         if let LoopResult::Optimal = out {
             if self.canonicalize().is_err() {
                 return LoopResult::Trouble;
@@ -1673,20 +1905,33 @@ impl WarmBasis {
         out
     }
 
-    /// Cold path: rebuild nothing but the basis — reset to slacks and solve.
+    /// Cold path: rebuild nothing but the basis — reset to slacks and
+    /// solve. A plain slack basis first, its dual phase held to
+    /// [`PLAIN_COLD_BUDGET`]; if that attempt runs out or fails, the
+    /// lexicographic slack basis, with the full cap; only if that fails
+    /// too, the dense solver (`Unsuitable`).
     fn cold_attempt(&mut self, problem: &Problem) -> WarmOutcome {
-        if self.reset_to_slack_basis().is_err() {
-            self.shape = 0; // force rebuild next time
-            return WarmOutcome::Unsuitable;
-        }
-        match self.attempt(problem, false) {
-            LoopResult::Optimal => WarmOutcome::Optimal,
-            LoopResult::Infeasible => WarmOutcome::Infeasible,
-            LoopResult::Trouble => {
-                self.shape = 0;
-                WarmOutcome::Unsuitable
+        let plain_cap = self.dual_cap(PLAIN_COLD_BUDGET);
+        self.cold_attempt_within(problem, plain_cap)
+    }
+
+    /// [`Self::cold_attempt`] with the plain attempt's cap given.
+    fn cold_attempt_within(&mut self, problem: &Problem, plain_cap: usize) -> WarmOutcome {
+        self.stats.cold_starts += 1;
+        for lexicographic in [false, true] {
+            if self.reset_to_slack_basis(lexicographic).is_err() {
+                break;
+            }
+            self.stats.lexicographic_starts += u64::from(lexicographic);
+            let cap = if lexicographic { self.dual_cap(DUAL_BUDGET) } else { plain_cap };
+            match self.attempt(problem, lexicographic, cap) {
+                LoopResult::Optimal => return WarmOutcome::Optimal,
+                LoopResult::Infeasible => return WarmOutcome::Infeasible,
+                LoopResult::Trouble => {}
             }
         }
+        self.shape = 0; // force a rebuild next time
+        WarmOutcome::Unsuitable
     }
 
     /// Solves `problem` through this handle. See [`Problem::solve_warm`].
@@ -1707,7 +1952,13 @@ impl WarmBasis {
         }
 
         // Rank-one basis updates for changed basic columns (the θ column,
-        // most windows); a near-singular replacement forces a rebuild.
+        // most windows); a near-singular replacement forces a rebuild. That
+        // happens when a principal goes idle while `θ` is basic at its
+        // coverage row, whose `θ` coefficient `−n_i` is then 0: the rebuild
+        // cannot place `θ`, so it leaves the basis for that row's slack.
+        // The swap keeps the basis but not its dual feasibility for the
+        // tie-break objective, so this solve's dual phase breaks ties as a
+        // cold one does and leaves the vertex to the face walk.
         let mut need_refactor = false;
         for at in 0..self.changed.items.len() {
             let p = self.changed.items[at] as usize;
@@ -1719,12 +1970,16 @@ impl WarmBasis {
             self.eta.push(p, &self.col);
         }
         self.changed.clear();
-        if need_refactor && self.refactorize().is_err() {
-            return self.cold_attempt(problem);
+        let mut canonical = true;
+        if need_refactor {
+            match self.refactorize(true) {
+                Ok(swapped) => canonical = swapped == 0,
+                Err(()) => return self.cold_attempt(problem),
+            }
         }
 
         self.stats.warm_solves += 1;
-        match self.attempt(problem, true) {
+        match self.attempt(problem, canonical, self.dual_cap(DUAL_BUDGET)) {
             LoopResult::Optimal => WarmOutcome::Optimal,
             // Dual-simplex infeasibility proofs are exact in exact
             // arithmetic but tolerance-based here; confirm from a clean
@@ -2027,6 +2282,92 @@ mod tests {
         let mut warm = WarmBasis::new();
         assert_matches_reference(&p, &mut warm);
         assert!((warm.objective_value() - 0.05).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_wide_box_flips_on_a_reduced_cost_under_dtol() {
+        // The column's reduced cost is positive by less than `DTOL`; across
+        // a box of 10⁴ that is still 5e-4 of objective, the whole optimum.
+        // Cold, and warm after a window where it was negative, the column
+        // must go to its upper bound.
+        let build = |c: f64| {
+            let mut p = Problem::new(1);
+            p.set_objective(vec![c]);
+            p.set_upper_bound(0, 1e4);
+            p.add_constraint(vec![(0, 1.0)], Relation::Le, 2e4);
+            p
+        };
+        assert_matches_reference(&build(5e-8), &mut WarmBasis::new());
+        let mut warm = WarmBasis::new();
+        assert_matches_reference(&build(-1e-8), &mut warm);
+        assert_matches_reference(&build(5e-8), &mut warm);
+        assert_eq!(warm.stats().warm_solves, 1);
+        assert_eq!(warm.x(), &[1e4]);
+    }
+
+    /// Solves `p` cold with a plain attempt that runs out at once, so the
+    /// solve restarts from the lexicographic slack basis.
+    fn solve_restarted(p: &Problem) -> (WarmOutcome, WarmBasis) {
+        let mut warm = WarmBasis::new();
+        warm.stats.solves += 1;
+        warm.rebuild_store(p);
+        warm.sync_values(p);
+        warm.rebuild_active();
+        let out = warm.cold_attempt_within(p, 0);
+        (out, warm)
+    }
+
+    #[test]
+    fn a_plain_cold_start_that_runs_out_restarts_lexicographically() {
+        // A θ-style window with a fat optimal face (the mirror-symmetric
+        // community above), a ranged row at a point and one open, and
+        // Beale's cycling example: each solves to the reference optimum
+        // and, on the community, to the same canonical vertex as a plain
+        // cold solve.
+        let mut community = Problem::new(5);
+        community.set_objective(vec![1.0, 0.0, 0.0, 0.0, 0.0]);
+        community.set_upper_bound(0, 1.0);
+        for (i, q) in [90.0, 84.0].into_iter().enumerate() {
+            let pairs = [(1 + 2 * i, 1.0), (2 + 2 * i, 1.0)];
+            community.add_constraint(pairs.to_vec(), Relation::Le, q);
+            community.set_constraint_lower(2 * i, if i == 0 { q } else { 20.0 });
+            let mut cov = vec![(0, -q)];
+            cov.extend_from_slice(&pairs);
+            community.add_constraint(cov, Relation::Ge, 0.0);
+        }
+        community.add_constraint(vec![(1, 1.0), (3, 1.0)], Relation::Le, 60.0);
+        community.add_constraint(vec![(2, 1.0), (4, 1.0)], Relation::Le, 60.0);
+        for j in 1..5 {
+            community.set_upper_bound(j, 60.0);
+            community.set_tiebreak_id(j, 10 - j);
+        }
+        let mut beale = Problem::new(4);
+        beale.set_objective(vec![0.75, -150.0, 0.02, -6.0]);
+        for j in 0..4 {
+            beale.set_upper_bound(j, 100.0);
+        }
+        beale.add_constraint(vec![(0, 0.25), (1, -60.0), (2, -0.04), (3, 9.0)], Relation::Le, 0.0);
+        beale.add_constraint(vec![(0, 0.5), (1, -90.0), (2, -0.02), (3, 3.0)], Relation::Le, 0.0);
+        beale.add_constraint(vec![(2, 1.0)], Relation::Le, 1.0);
+        for p in [&community, &beale] {
+            let (out, restarted) = solve_restarted(p);
+            assert_eq!(out, WarmOutcome::Optimal);
+            assert_eq!(restarted.stats().lexicographic_starts, 1);
+            let reference = p.solve_reference().expect_optimal("reference");
+            assert!((restarted.objective_value() - reference.objective).abs() < 1e-9);
+            let mut plain = WarmBasis::new();
+            assert_eq!(p.solve_warm(&mut plain), WarmOutcome::Optimal);
+            assert_eq!(plain.stats().lexicographic_starts, 0);
+            for (a, b) in restarted.x().iter().zip(plain.x()) {
+                assert!((a - b).abs() < 1e-9, "{:?} vs {:?}", restarted.x(), plain.x());
+            }
+        }
+        // A restarted basis is the next window's warm start.
+        let (_, mut restarted) = solve_restarted(&community);
+        community.set_constraint_rhs(0, 95.0);
+        community.set_constraint_coeff(1, 0, -95.0);
+        assert_matches_reference(&community, &mut restarted);
+        assert_eq!(restarted.stats().warm_solves, 1);
     }
 
     #[test]

@@ -408,12 +408,14 @@ pub(crate) fn solve_in_place(problem: &Problem, ws: &mut SimplexWorkspace) -> Lp
     let n = problem.n_vars();
 
     // Row census. Upper bounds are handled as column bounds by the ratio
-    // test, not as rows, so only the real constraints shape the tableau.
-    let m = problem.n_constraints();
+    // test, not as rows, so only the real constraints shape the tableau; a
+    // ranged row is its two halves.
+    let mut m = 0;
     let mut n_slack = 0;
     let mut n_art = 0;
-    for c in problem.constraints() {
-        match effective_rel(c.rel, c.rhs) {
+    for (_, rel, rhs) in problem.split_rows() {
+        m += 1;
+        match effective_rel(rel, rhs) {
             Relation::Le => n_slack += 1,
             Relation::Ge => {
                 n_slack += 1;
@@ -478,14 +480,14 @@ pub(crate) fn solve_in_place(problem: &Problem, ws: &mut SimplexWorkspace) -> Lp
             art_at += 1;
         }
     };
-    for (i, c) in problem.constraints().iter().enumerate() {
-        let sign = if c.rhs < 0.0 { -1.0 } else { 1.0 };
+    for (i, (coeffs, rel, rhs)) in problem.split_rows().enumerate() {
+        let sign = if rhs < 0.0 { -1.0 } else { 1.0 };
         let row = &mut ws.tab[i * stride..(i + 1) * stride];
-        for &(j, v) in &c.coeffs {
+        for &(j, v) in coeffs {
             row[j] += sign * v;
         }
-        row[ncols] = sign * c.rhs;
-        fill(ws, i, effective_rel(c.rel, c.rhs));
+        row[ncols] = sign * rhs;
+        fill(ws, i, effective_rel(rel, rhs));
     }
 
     let max_iters = 200 * (m + ncols + 16);

@@ -121,7 +121,125 @@ fn assert_warm_matches_reference(
     Ok(())
 }
 
+/// One ranged row's lower end, by kind: none, 0, the row's own upper
+/// end (`lo = hi`, an equality), or a fraction `t` of it.
+fn lower_end(kind: u8, t: f64, hi: f64) -> f64 {
+    match kind {
+        0 => f64::NEG_INFINITY,
+        1 => 0.0,
+        2 => hi,
+        _ => t * hi,
+    }
+}
+
+/// Strategy: a small LP of `≤` rows with non-negative coefficients, each
+/// row plain or ranged (`lo` none, 0, `= hi` or a fraction of `hi`), and an
+/// upper bound on every variable; plus per-window redraws of every row's
+/// lower end, for walks.
+#[allow(clippy::type_complexity)]
+fn ranged_lp() -> impl Strategy<Value = (Problem, Vec<Vec<(u8, f64)>>)> {
+    (2usize..6, 1usize..6).prop_flat_map(|(n, m)| {
+        let obj = proptest::collection::vec(-5.0..5.0f64, n);
+        let rows = proptest::collection::vec(
+            (proptest::collection::vec(0.0..4.0f64, n), 0.5..50.0f64, 0u8..4, 0.0..1.0f64),
+            m,
+        );
+        let ubs = proptest::collection::vec(0.0..20.0f64, n);
+        let windows =
+            proptest::collection::vec(proptest::collection::vec((0u8..4, 0.0..1.0f64), m), 1..6);
+        (obj, rows, ubs, windows).prop_map(move |(obj, rows, ubs, windows)| {
+            let mut p = Problem::new(n);
+            p.set_objective(obj);
+            for (i, (coeffs, hi, kind, t)) in rows.into_iter().enumerate() {
+                p.add_constraint(coeffs.into_iter().enumerate().collect(), Relation::Le, hi);
+                p.set_constraint_lower(i, lower_end(kind, t, hi));
+            }
+            for (i, ub) in ubs.into_iter().enumerate() {
+                p.set_upper_bound(i, ub);
+            }
+            (p, windows)
+        })
+    })
+}
+
+/// `p` with every ranged row written as two plain rows, `≤ hi` and `≥ lo`.
+fn split_ranged_rows(p: &Problem) -> Problem {
+    let mut two = Problem::new(p.n_vars());
+    two.set_objective(p.objective().to_vec());
+    for (j, ub) in p.upper_bounds().iter().enumerate() {
+        if let Some(u) = ub {
+            two.set_upper_bound(j, *u);
+        }
+    }
+    for c in p.constraints() {
+        two.add_constraint(c.coeffs.clone(), c.rel, c.rhs);
+        if c.is_ranged() {
+            two.add_constraint(c.coeffs.clone(), Relation::Ge, c.lo);
+        }
+    }
+    two
+}
+
+/// Asserts `out` (objective `value`, point `x`) is what the reference
+/// solver finds for `p` written with two plain rows per ranged row.
+fn assert_solves_like_split(
+    engine: &str,
+    p: &Problem,
+    optimal: bool,
+    value: f64,
+    x: &[f64],
+) -> Result<(), TestCaseError> {
+    match split_ranged_rows(p).solve_reference() {
+        LpOutcome::Optimal(s) => {
+            prop_assert!(optimal, "{}: not optimal, split rows {}", engine, s.objective);
+            prop_assert!(
+                (value - s.objective).abs() < 1e-6,
+                "{}: {} vs split rows {}", engine, value, s.objective
+            );
+            prop_assert!(p.is_feasible(x, 1e-6), "{}: optimum off its ranges", engine);
+        }
+        LpOutcome::Infeasible => {
+            prop_assert!(!optimal, "{}: optimal, split rows infeasible", engine)
+        }
+        other => prop_assert!(false, "split rows: reference returned {:?}", other),
+    }
+    Ok(())
+}
+
 proptest! {
+    /// A ranged row solves like its two plain rows in all three engines,
+    /// and in the revised engine also over windows whose lower ends move:
+    /// ranges open, close to a point (a fixed slack) and reopen under one
+    /// persistent basis, which is never given up.
+    #[test]
+    fn ranged_rows_solve_like_their_two_halves((p, windows) in ranged_lp()) {
+        let dense = p.solve();
+        let (ok, value, x) = match &dense {
+            LpOutcome::Optimal(s) => (true, s.objective, s.x.clone()),
+            _ => (false, 0.0, vec![]),
+        };
+        assert_solves_like_split("dense", &p, ok, value, &x)?;
+        let reference = p.solve_reference();
+        let (ok, value, x) = match &reference {
+            LpOutcome::Optimal(s) => (true, s.objective, s.x.clone()),
+            _ => (false, 0.0, vec![]),
+        };
+        assert_solves_like_split("reference", &p, ok, value, &x)?;
+        let mut warm = WarmBasis::new();
+        let mut window = p.clone();
+        for lows in std::iter::once(None).chain(windows.iter().map(Some)) {
+            for (i, &(kind, t)) in lows.into_iter().flatten().enumerate() {
+                let hi = window.constraints()[i].rhs;
+                window.set_constraint_lower(i, lower_end(kind, t, hi));
+            }
+            let out = window.solve_warm(&mut warm);
+            prop_assert_ne!(out, WarmOutcome::Unsuitable);
+            let ok = out == WarmOutcome::Optimal;
+            assert_solves_like_split("revised", &window, ok, warm.objective_value(), warm.x())?;
+        }
+        prop_assert_eq!(warm.stats().solves, 1 + windows.len() as u64);
+    }
+
     /// The Dantzig/flat-tableau solver must classify and value every
     /// bounded-feasible LP exactly as the retained reference does.
     #[test]
@@ -287,10 +405,10 @@ impl Community {
         self.pairs.iter().filter(|p| p.0 == i).map(|p| p.3).sum()
     }
 
-    /// The rows of the window LP for queues `q`: per principal the queue
-    /// limit `Σ_k x_ik ≤ n_i`, the coverage row `Σ_k x_ik − θ·n_i ≥ 0` and
-    /// the floor `Σ_k x_ik ≥ min(MC_i, n_i)`, then one capacity row per
-    /// server. Every window is the same shape.
+    /// The rows of the window LP for queues `q`: per principal the ranged
+    /// row `min(MC_i, n_i) ≤ Σ_k x_ik ≤ n_i` (floor and queue limit) and
+    /// the coverage row `Σ_k x_ik − θ·n_i ≥ 0`, then one capacity row per
+    /// server that a pair reaches. Every window is the same shape.
     fn window_lp(&self, q: &[f64]) -> Problem {
         let mut p = Problem::new(1 + self.pairs.len());
         p.set_objective_coeff(0, 1.0);
@@ -307,14 +425,17 @@ impl Community {
         };
         for (i, &qi) in q.iter().enumerate() {
             let row = of(&|pi, _| pi == i);
-            p.add_constraint(row.clone(), Relation::Le, qi);
             let mut cov = vec![(0, -qi)];
             cov.extend_from_slice(&row);
+            p.add_constraint(row, Relation::Le, qi);
+            p.set_constraint_lower(p.n_constraints() - 1, self.mandatory(i).min(qi));
             p.add_constraint(cov, Relation::Ge, 0.0);
-            p.add_constraint(row, Relation::Ge, self.mandatory(i).min(qi));
         }
         for (k, &cap) in self.capacity.iter().enumerate() {
-            p.add_constraint(of(&|_, pk| pk == k), Relation::Le, cap);
+            let row = of(&|_, pk| pk == k);
+            if !row.is_empty() {
+                p.add_constraint(row, Relation::Le, cap);
+            }
         }
         p
     }
@@ -445,13 +566,13 @@ fn walk_windows(c: &Community, idle: bool) -> Result<Walk, TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The small-basis warm path against its oracles, over bases of 8–32
+    /// The small-basis warm path against its oracles, over bases of 4–24
     /// rows. While every principal has demand the basis stays warm through
     /// all 200 windows, and the rebuild comes at the row-count cadence: no
     /// more than `cadence + 3` etas go between two rebuilds. Principals
-    /// going idle are checked too; one that does while `θ` is basic zeroes
-    /// the `θ` column's pivot entry and the basis restarts cold, so there
-    /// only the plans are checked.
+    /// going idle keep the basis too: one that does while `θ` is basic
+    /// zeroes the `θ` column's pivot entry, and the rebuild swaps `θ` for
+    /// that row's slack instead of restarting cold.
     #[test]
     fn small_basis_warm_windows_match_cold_and_reference(c in community()) {
         let busy = walk_windows(&c, false)?;
@@ -460,6 +581,7 @@ proptest! {
             (busy.rebuilds + 1) * (cadence(busy.rows) as u64 + 3) >= busy.appended,
             "{} rebuilds for {} appended etas over {} rows", busy.rebuilds, busy.appended, busy.rows
         );
-        walk_windows(&c, true)?;
+        let idle = walk_windows(&c, true)?;
+        prop_assert_eq!(idle.cold_restarts, 0, "an idle principal cost the basis");
     }
 }

@@ -15,6 +15,12 @@
 //!            Σ_k x_ki ≤ c_i                      ∀i   (optional locality cap)
 //! ```
 //!
+//! The mandatory guarantee and the queue limit bound the same sum, so they
+//! are one ranged row `min(n_i, MC_i) ≤ Σ_k x_ik ≤ n_i`
+//! ([`Problem::set_constraint_lower`]): two rows per principal (the range
+//! and the coverage row) plus one per server that a pair reaches — at most
+//! `3n` rows where the list above reads `4n`.
+//!
 //! The mandatory guarantee is enforced as an *aggregate* floor per
 //! principal rather than the paper's per-pair `MI_ki ≤ x_ik` form (whose
 //! lower bound the paper drops when `n_i < MC_i`). The aggregate form is
@@ -79,18 +85,18 @@ impl CommunityScheduler {
     }
 }
 
-/// Appends the three rows every principal has in a community window LP,
-/// over `row` — its pair variables, coefficient 1 each: queue limit
-/// `Σ_k x_ik ≤ n_i`, θ coverage `Σ_k x_ik − θ·n_i ≥ 0` (θ, variable 0, at
-/// slot 0, its coefficient rewritten each window) and mandatory floor
-/// `Σ_k x_ik ≥ floor_i`. Right-hand sides are installed per window.
+/// Appends the two rows every principal has in a community window LP,
+/// over `row` — its pair variables, coefficient 1 each: the ranged row
+/// `floor_i ≤ Σ_k x_ik ≤ n_i` (mandatory floor and queue limit) and θ
+/// coverage `Σ_k x_ik − θ·n_i ≥ 0` (θ, variable 0, at slot 0, its
+/// coefficient rewritten each window). Both ends of the range are
+/// installed per window.
 fn add_principal_rows(p: &mut Problem, row: Vec<(usize, f64)>) {
-    p.add_constraint(row.clone(), Relation::Le, 0.0);
     let mut cov = Vec::with_capacity(row.len() + 1);
     cov.push((0, 0.0));
     cov.extend_from_slice(&row);
+    p.add_constraint(row, Relation::Le, 0.0);
     p.add_constraint(cov, Relation::Ge, 0.0);
-    p.add_constraint(row, Relation::Ge, 0.0);
 }
 
 /// The community LP with its constraint matrix built once and reused.
@@ -106,18 +112,22 @@ fn add_principal_rows(p: &mut Problem, row: Vec<(usize, f64)>) {
 /// yields.
 ///
 /// All rows exist for every window: principals with an empty queue keep a
-/// trivially-satisfied coverage row (θ-coefficient 0) and floor row
-/// (rhs 0), so the shape is identical across windows and the warm basis
-/// carries over. Per window only the right-hand sides and the
-/// queue-derived θ-coefficients are rewritten.
+/// trivially-satisfied coverage row (θ-coefficient 0) and a ranged row
+/// pinned to `[0, 0]`, so the shape is identical across windows and the
+/// warm basis carries over. Per window only the two ends of each range
+/// and the queue-derived θ-coefficients are rewritten.
 ///
-/// Row layout: for principal `i`, rows `3i` (queue limit `≤ n_i`),
-/// `3i + 1` (θ coverage `≥ 0`), `3i + 2` (mandatory floor `≥ floor_i`);
-/// then one capacity row per server (each followed by its locality row
-/// when caps are configured). The θ coefficient sits at slot 0 of every
-/// coverage row (the one per-window coefficient rewrite). A principal with
-/// no agreements at all keeps an empty queue/floor row and a coverage row
-/// of just `−θ·n_i ≥ 0`, which forces `θ = 0` whenever it has demand.
+/// Row layout: for principal `i`, rows `2i` (the ranged row
+/// `floor_i ≤ Σ_k x_ik ≤ n_i`: mandatory floor and queue limit in one) and
+/// `2i + 1` (θ coverage `≥ 0`); then one capacity row per server that some
+/// pair reaches, in server order (each followed by its locality row when
+/// caps are configured). A principal under its floor has `floor_i = n_i`:
+/// its range is a point, and the solver fixes that row's slack instead of
+/// carrying a degenerate pair of tight rows. The θ coefficient sits at
+/// slot 0 of every coverage row (the one per-window coefficient rewrite).
+/// A principal with no agreements at all keeps an empty ranged row and a
+/// coverage row of just `−θ·n_i ≥ 0`, which forces `θ = 0` whenever it has
+/// demand.
 #[derive(Debug, Clone)]
 pub struct PreparedCommunity {
     n: usize,
@@ -174,8 +184,9 @@ impl PreparedCommunity {
             add_principal_rows(&mut p, row);
             mandatory.push(levels.mandatory(PrincipalId(i)));
         }
-        // Server capacities: Σ_i x_ik ≤ V_k, plus locality caps.
-        for (k, row) in by_server.into_iter().enumerate() {
+        // Server capacities: Σ_i x_ik ≤ V_k, plus locality caps, for the
+        // servers some pair reaches (the others' rows would be empty).
+        for (k, row) in by_server.into_iter().enumerate().filter(|(_, row)| !row.is_empty()) {
             if let Some(LocalityCaps(c)) = &locality {
                 p.add_constraint(row.clone(), Relation::Le, caps[k].max(0.0));
                 p.add_constraint(row, Relation::Le, c[k].max(0.0));
@@ -207,10 +218,10 @@ impl PreparedCommunity {
     fn update_queues(&mut self, queues: &[f64], floors: bool) {
         for (i, &q) in queues.iter().enumerate().take(self.n) {
             let ni = q.max(0.0);
-            self.base.set_constraint_rhs(3 * i, ni);
-            self.base.set_constraint_coeff(3 * i + 1, 0, -ni);
             let floor = if floors { self.mandatory[i].min(ni).max(0.0) } else { 0.0 };
-            self.base.set_constraint_rhs(3 * i + 2, floor);
+            self.base.set_constraint_rhs(2 * i, ni);
+            self.base.set_constraint_lower(2 * i, floor);
+            self.base.set_constraint_coeff(2 * i + 1, 0, -ni);
         }
     }
 
