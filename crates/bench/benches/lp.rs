@@ -14,9 +14,8 @@
 //! principal's entitlement, so `θ` binds every coverage row: the regime
 //! where pivot rows and columns are densest.
 //!
-//! The run ends by writing its means — plus the steady-state plan-cache hit
-//! rate — into the repo-root `BENCH_lp.json` so the perf trajectory is
-//! tracked across PRs.
+//! The run ends by writing its means into the repo-root `BENCH_lp.json` so
+//! the perf trajectory is tracked across PRs.
 //!
 //! Stays beside `benchmark/` because its `solve_ns` rows at n ∈ {4 … 32}
 //! are the dense-against-revised crossover the solver consolidation
@@ -26,9 +25,7 @@
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::{bipartite_graph, emit_bench_section, random_graph};
 use covenant_lp::{Problem, Relation, SimplexWorkspace, WarmBasis, WarmOutcome};
-use covenant_sched::{
-    CommunityScheduler, GlobalView, PreparedCommunity, SchedulerConfig, WindowScheduler,
-};
+use covenant_sched::{CommunityScheduler, PreparedCommunity};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -191,21 +188,6 @@ fn simplex_small(c: &mut Criterion) {
     });
 }
 
-/// Steady-state plan-cache hit rate: a window scheduler fed the same demand
-/// vector for many consecutive windows, as happens in the flat phases of
-/// Figures 6–10 once the EWMA estimator converges.
-fn plan_cache_hit_rate() -> f64 {
-    let (g, queues) = scaling_workload(16);
-    let mut ws =
-        WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
-    let view = GlobalView::Queues(queues.clone());
-    for _ in 0..256 {
-        black_box(ws.plan_window(&view, &queues));
-    }
-    let (hits, misses) = ws.cache_stats();
-    hits as f64 / (hits + misses).max(1) as f64
-}
-
 fn mean_ns(c: &Criterion, id: &str) -> f64 {
     c.results()
         .iter()
@@ -251,8 +233,7 @@ fn main() {
             cold / warm
         ));
     }
-    let hit_rate = plan_cache_hit_rate();
-    body.push_str(&format!("}}, \"plan_cache_hit_rate\": {hit_rate:.4}}}"));
+    body.push_str("}}");
     emit_bench_section("lp", &body).expect("write BENCH_lp.json");
-    println!("BENCH_lp.json \"lp\" section updated (cache hit rate {hit_rate:.4})");
+    println!("BENCH_lp.json \"lp\" section updated");
 }

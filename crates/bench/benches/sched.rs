@@ -3,10 +3,9 @@
 //!
 //! The paper reports <15% redirector CPU at full load; here the admit path
 //! must be tens of nanoseconds and the window roll (one LP solve) tens of
-//! microseconds, making 100 ms windows essentially free. The plan benches
-//! disable the plan cache so they time actual solving; the `_cached`
-//! variant shows the steady-state replay cost. `window_plan_community_n3`
-//! repeats one demand, so its warm solve never pivots; the
+//! microseconds, making 100 ms windows essentially free.
+//! `window_plan_community_n3` repeats one demand, so its warm solve never
+//! pivots; the
 //! `window_plan_community_drift_n*` rows plan a demand that drifts from
 //! window to window, as a redirector's does, so each window pivots and
 //! appends to the basis factorization. The run appends its means
@@ -17,7 +16,7 @@
 use covenant_agreements::{AgreementGraph, PrincipalId};
 use covenant_bench::{bipartite_graph, emit_bench_section};
 use covenant_enforce::CreditGate;
-use covenant_sched::{GlobalView, Plan, Request, SchedulerConfig, WindowScheduler};
+use covenant_sched::{Plan, Request, SchedulerConfig, WindowScheduler};
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
@@ -29,10 +28,6 @@ fn provider_system() -> AgreementGraph {
     g.add_agreement(s, a, 0.2, 1.0).unwrap();
     g.add_agreement(s, b, 0.8, 1.0).unwrap();
     g
-}
-
-fn uncached(cfg: SchedulerConfig) -> SchedulerConfig {
-    SchedulerConfig { plan_cache: false, ..cfg }
 }
 
 fn admit_path(c: &mut Criterion) {
@@ -53,34 +48,27 @@ fn admit_path(c: &mut Criterion) {
 
 fn window_roll(c: &mut Criterion) {
     let g = provider_system();
-    let view = GlobalView::Queues(vec![0.0, 40.0, 25.0]);
+    let global = vec![0.0, 40.0, 25.0];
     let local = vec![0.0, 20.0, 10.0];
 
-    let mut ws =
-        WindowScheduler::new(&g.access_levels(), uncached(SchedulerConfig::community_default()));
+    let mut ws = WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
     c.bench_function("window_plan_community_n3", |b| {
-        b.iter(|| black_box(ws.plan_window(black_box(&view), black_box(&local))))
-    });
-
-    let mut ws =
-        WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
-    c.bench_function("window_plan_community_n3_cached", |b| {
-        b.iter(|| black_box(ws.plan_window(black_box(&view), black_box(&local))))
+        b.iter(|| black_box(ws.plan_window_shared(Some(black_box(&global)), black_box(&local))))
     });
 
     let mut ws = WindowScheduler::new(
         &g.access_levels(),
-        uncached(SchedulerConfig::provider(vec![0.0, 2.0, 1.0])),
+        SchedulerConfig::provider(vec![0.0, 2.0, 1.0]),
     );
     c.bench_function("window_plan_provider_n3", |b| {
-        b.iter(|| black_box(ws.plan_window(black_box(&view), black_box(&local))))
+        b.iter(|| black_box(ws.plan_window_shared(Some(black_box(&global)), black_box(&local))))
     });
 }
 
 /// Principal counts of the drifting-demand rows.
 const DRIFT_SIZES: [usize; 5] = [3, 4, 8, 16, 32];
 /// Windows in one drifting-demand cycle (the bench walks it round and
-/// round; with the plan cache off a repeat is solved again).
+/// round).
 const DRIFT_WINDOWS: usize = 256;
 
 /// One window's global queues and this redirector's local ones.
@@ -115,10 +103,7 @@ fn drifting_demand(n: usize) -> (AgreementGraph, Vec<WindowDemand>) {
 fn drifting_window_plan(c: &mut Criterion) {
     for n in DRIFT_SIZES {
         let (g, windows) = drifting_demand(n);
-        let mut ws = WindowScheduler::new(
-            &g.access_levels(),
-            uncached(SchedulerConfig::community_default()),
-        );
+        let mut ws = WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
         let mut w = 0;
         c.bench_function(&format!("window_plan_community_drift_n{n}"), |b| {
             b.iter(|| {
@@ -132,11 +117,10 @@ fn drifting_window_plan(c: &mut Criterion) {
 
 fn conservative_fallback(c: &mut Criterion) {
     let g = provider_system();
-    let mut ws =
-        WindowScheduler::new(&g.access_levels(), uncached(SchedulerConfig::community_default()));
+    let mut ws = WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
     let local = vec![0.0, 20.0, 10.0];
     c.bench_function("window_plan_conservative_n3", |b| {
-        b.iter(|| black_box(ws.plan_window(black_box(&GlobalView::Unknown), black_box(&local))))
+        b.iter(|| black_box(ws.plan_window_shared(None, black_box(&local))))
     });
 }
 
@@ -149,7 +133,6 @@ fn main() {
     let mut ids: Vec<String> = [
         "credit_gate_admit",
         "window_plan_community_n3",
-        "window_plan_community_n3_cached",
         "window_plan_provider_n3",
         "window_plan_conservative_n3",
     ]

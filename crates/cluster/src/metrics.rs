@@ -90,13 +90,11 @@ mod tests {
                 admitted: 10 * k + 1,
                 deferred: 10 * k + 2,
                 parked: 10 * k + 3,
-                plan_cache_hits: 10 * k + 4,
-                plan_cache_misses: 10 * k + 5,
-                plan_cache_evictions: 10 * k + 6,
                 lp_solves: 10 * k + 7,
                 lp_pivots: 10 * k + 8,
                 lp_warm_hits: 10 * k + 9,
                 lp_cold_fallbacks: 100 * k,
+                ..Default::default()
             },
             reactor_wakes: 1000 * k + 1,
             batched_verdicts: 1000 * k + 2,

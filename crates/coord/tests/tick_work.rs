@@ -9,8 +9,8 @@
 //! generator is the set-up heap test's):
 //!
 //! - `EnforcementCore::on_window_tick` in both credit modes allocates
-//!   nothing: the plan is written where the scheduler keeps it, the cache
-//!   reuses its evicted entries, the basis its scratch;
+//!   nothing: the plan is written where the scheduler keeps it, the basis
+//!   reuses its scratch;
 //! - `ShardCore::roll_window_at` allocates exactly what its tree I/O does:
 //!   the view `Coordinator::read_at` copies out and the demand vector
 //!   `publish_at` takes;
@@ -127,9 +127,10 @@ fn bipartite_graph(n: usize, rng: &mut Rng) -> AgreementGraph {
 }
 
 const WINDOW_SECS: f64 = 0.1;
-/// Windows before counting: more than the plan cache's 32 entries, so
-/// every measured miss evicts, and enough for the basis and the gate's
-/// buffers to reach their size.
+/// Windows before counting: enough for the basis and the gate's buffers to
+/// reach their size. The pinned pivots and rebuilds are those of windows
+/// 40–51 of the drifting demand, so the value stays where the pins were
+/// taken.
 const WARM_WINDOWS: usize = 40;
 /// Windows counted.
 const MEASURED_WINDOWS: usize = 12;

@@ -54,9 +54,6 @@ pub fn counters_report_json(r: &CountersReport) -> crate::json::Value {
         fields.push(("parked".into(), (a.parked as f64).into()));
     }
     let s = &r.solver;
-    fields.push(("plan_cache_hits".into(), (s.plan_cache_hits as f64).into()));
-    fields.push(("plan_cache_misses".into(), (s.plan_cache_misses as f64).into()));
-    fields.push(("plan_cache_evictions".into(), (s.plan_cache_evictions as f64).into()));
     fields.push(("lp_solves".into(), (s.lp_solves as f64).into()));
     fields.push(("lp_pivots".into(), (s.lp_pivots as f64).into()));
     fields.push(("lp_warm_hits".into(), (s.lp_warm_hits as f64).into()));
@@ -123,9 +120,6 @@ pub fn sim_counters(report: &SimReport) -> CountersReport {
     };
     CountersReport {
         solver: SolverTotals {
-            plan_cache_hits: report.plan_cache_hits,
-            plan_cache_misses: report.plan_cache_misses,
-            plan_cache_evictions: report.plan_cache_evictions,
             lp_solves: report.lp_solves,
             lp_pivots: report.lp_pivots,
             lp_warm_hits: report.lp_warm_hits,
@@ -310,13 +304,11 @@ mod tests {
             admitted: 42,
             deferred: 7,
             parked: 3,
-            plan_cache_hits: 90,
-            plan_cache_misses: 10,
-            plan_cache_evictions: 4,
             lp_solves: 10,
             lp_pivots: 25,
             lp_warm_hits: 8,
             lp_cold_fallbacks: 2,
+            ..Default::default()
         };
         let shard = ShardSnapshot { counters, shed: 5, ..Default::default() };
         let v = counters_report_json(&CountersReport::sharded(&[shard]));
@@ -324,8 +316,6 @@ mod tests {
         assert_eq!(parsed["admitted"].as_f64().unwrap(), 42.0);
         assert_eq!(parsed["deferred"].as_f64().unwrap(), 7.0);
         assert_eq!(parsed["parked"].as_f64().unwrap(), 3.0);
-        assert_eq!(parsed["plan_cache_hits"].as_f64().unwrap(), 90.0);
-        assert_eq!(parsed["plan_cache_evictions"].as_f64().unwrap(), 4.0);
         assert_eq!(parsed["lp_pivots"].as_f64().unwrap(), 25.0);
         assert_eq!(parsed["lp_warm_hits"].as_f64().unwrap(), 8.0);
         assert_eq!(parsed["lp_cold_fallbacks"].as_f64().unwrap(), 2.0);
@@ -384,10 +374,7 @@ mod tests {
         }
     }
 
-    const SOLVER_KEYS: [&str; 7] = [
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_cache_evictions",
+    const SOLVER_KEYS: [&str; 4] = [
         "lp_solves",
         "lp_pivots",
         "lp_warm_hits",
@@ -456,11 +443,7 @@ mod tests {
         assert!(parsed["events_processed"].as_f64().unwrap() > 100.0);
         assert!(parsed["peak_event_queue"].as_usize().unwrap() > 0);
         assert!(parsed["events_per_sec"].as_f64().unwrap() > 0.0);
-        assert_eq!(
-            parsed["plan_cache_hits"].as_f64().unwrap()
-                + parsed["plan_cache_misses"].as_f64().unwrap(),
-            (o.report.plan_cache_hits + o.report.plan_cache_misses) as f64
-        );
+        assert_eq!(parsed["lp_solves"].as_f64().unwrap(), o.report.lp_solves as f64);
         // The steady single-redirector scenario runs the LP and reuses the
         // previous window's basis after the first solve.
         assert!(parsed["lp_solves"].as_f64().unwrap() > 0.0);

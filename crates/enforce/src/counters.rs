@@ -11,16 +11,10 @@
 
 use crate::shard::ShardSnapshot;
 
-/// LP / plan-cache work profile. Every stack runs the same windowed
-/// solver, so this section is always present.
+/// LP work profile. Every stack runs the same windowed solver, so this
+/// section is always present.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverTotals {
-    /// Windows that replayed a memoized plan instead of running the LP.
-    pub plan_cache_hits: u64,
-    /// Windows that ran the LP.
-    pub plan_cache_misses: u64,
-    /// Plan-cache entries pushed out by the LRU cap.
-    pub plan_cache_evictions: u64,
     /// Simplex solves performed.
     pub lp_solves: u64,
     /// Simplex pivots performed.
@@ -93,7 +87,7 @@ pub struct ShardingTotals {
 /// plus the sections this particular stack has.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CountersReport {
-    /// LP / plan-cache work (always present).
+    /// LP work (always present).
     pub solver: SolverTotals,
     /// Admission outcomes (live stacks).
     pub admission: Option<AdmissionTotals>,
@@ -119,9 +113,6 @@ impl CountersReport {
             adm.deferred += c.deferred;
             adm.parked += c.parked;
             adm.shed += s.shed;
-            solver.plan_cache_hits += c.plan_cache_hits;
-            solver.plan_cache_misses += c.plan_cache_misses;
-            solver.plan_cache_evictions += c.plan_cache_evictions;
             solver.lp_solves += c.lp_solves;
             solver.lp_pivots += c.lp_pivots;
             solver.lp_warm_hits += c.lp_warm_hits;

@@ -94,12 +94,10 @@ pub struct EnforcementCounters {
     /// Work currently parked awaiting credit (core-internal queues;
     /// transports that park externally add their own depth on top).
     pub parked: u64,
-    /// Windows that replayed a memoized plan instead of running the LP.
+    /// Always 0, kept for `benchmark/` until ROADMAP item 1.
     pub plan_cache_hits: u64,
-    /// Windows that ran the LP.
+    /// Windows the planner ran, kept for `benchmark/` until ROADMAP item 1.
     pub plan_cache_misses: u64,
-    /// Plan-cache entries pushed out by the LRU cap.
-    pub plan_cache_evictions: u64,
     /// Simplex solves performed (warm revised plus dense tableau).
     pub lp_solves: u64,
     /// Simplex pivots performed (warm revised plus dense tableau).
@@ -237,7 +235,6 @@ impl EnforcementCore {
             parked: self.queues.total_len() as u64,
             plan_cache_hits,
             plan_cache_misses,
-            plan_cache_evictions: self.scheduler.cache_evictions(),
             lp_solves,
             lp_pivots,
             lp_warm_hits: warm.warm_solves,
@@ -421,8 +418,7 @@ impl EnforcementCore {
                 #[cfg(debug_assertions)]
                 let audit_cost = &mut self.audit.admitted_cost;
                 reinject_fifo(
-                    self.queues.n_principals(),
-                    &mut self.queues,
+                    self.queues.fifos_mut(),
                     |_i, req: &Request| match gate.admit(req) {
                         Admission::Admit { server } => {
                             *admitted += 1;

@@ -17,14 +17,13 @@
 //!   L7 implementation, kept for the bunching comparison).
 //! * [`RateEstimator`] — EWMA arrival-rate estimation feeding the LP in
 //!   implicit mode.
-//! * [`reinject_fifo`] — the shared FIFO drain that reinjects parked work
-//!   (simulator park queues, L7 waiting handlers, L4 parked connections)
-//!   through fresh credit at each window boundary.
+//! * [`reinject_fifo`] — the FIFO drain that readmits parked work (the
+//!   core's park-mode queues, the L4 machine's parked connections) through
+//!   fresh credit at each window boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod boundary;
 mod counters;
 mod credit;
 mod enforcement;
@@ -33,7 +32,6 @@ mod queue;
 mod reinject;
 mod shard;
 
-pub use boundary::next_aligned_boundary;
 pub use counters::{
     AdmissionTotals, CountersReport, EngineTotals, NetTotals, ShardingTotals, SolverTotals,
 };
@@ -41,5 +39,5 @@ pub use credit::{Admission, CreditGate};
 pub use enforcement::{ArrivalOutcome, EnforcementCore, EnforcementCounters, QueueMode};
 pub use estimator::RateEstimator;
 pub use queue::{Dispatch, PrincipalQueues};
-pub use reinject::{reinject_fifo, ParkedQueue};
+pub use reinject::reinject_fifo;
 pub use shard::{ShardSnapshot, ShardStats};

@@ -115,16 +115,14 @@ impl PrincipalQueues {
         out
     }
 
-    /// Pops the head of principal `i`'s queue, if any (used by the L4
-    /// parking drain, where the credit gate decides admission per request).
+    /// Pops the head of principal `i`'s queue, if any.
     pub fn release_one(&mut self, i: usize) -> Option<Request> {
         self.queues[i].pop_front()
     }
 
-    /// Returns a request to the *front* of its principal's queue (undo of a
-    /// failed [`Self::release_one`] admission attempt, preserving FIFO).
-    pub fn push_front(&mut self, req: Request) {
-        self.queues[req.principal.0].push_front(req);
+    /// The per-principal FIFOs, for [`crate::reinject_fifo`].
+    pub(crate) fn fifos_mut(&mut self) -> &mut [VecDeque<Request>] {
+        &mut self.queues
     }
 
     /// Drops every queued request older than `horizon` seconds at time
@@ -141,16 +139,6 @@ impl PrincipalQueues {
             }
         }
         dropped
-    }
-}
-
-impl crate::ParkedQueue<Request> for PrincipalQueues {
-    fn pop(&mut self, principal: usize) -> Option<Request> {
-        self.release_one(principal)
-    }
-
-    fn unpop(&mut self, _principal: usize, item: Request) {
-        self.push_front(item)
     }
 }
 

@@ -1,52 +1,31 @@
-//! Shared FIFO reinjection of parked work through the credit gate.
+//! FIFO reinjection of parked work through the credit gate.
 //!
-//! Every parking transport — the simulator's CreditPark queues, the L7
-//! explicit redirector's waiting handler threads, the L4 proxy's parked
-//! TCP connections — drains the same way at each window boundary: walk the
-//! principals, pop parked items in FIFO order, admit each through the
-//! fresh credit, and stop a principal's drain at the first deferral (the
-//! head of the queue must go first or FIFO is violated). This module is
-//! that loop, written once.
+//! Both parking transports — the enforcement core's CreditPark queues and
+//! the L4 machine's parked connections — drain the same way at each window
+//! boundary: walk the principals, pop parked items in FIFO order, admit
+//! each through the fresh credit, and stop a principal's drain at the first
+//! deferral (the head of the queue must go first or FIFO is violated).
+//! This module is that loop, written once.
 
 use std::collections::VecDeque;
 
-/// A per-principal FIFO store of parked work items.
-pub trait ParkedQueue<T> {
-    /// Pops the oldest parked item for `principal`, if any.
-    fn pop(&mut self, principal: usize) -> Option<T>;
-    /// Returns an item to the *front* of `principal`'s queue (undo of a
-    /// failed admission attempt, preserving FIFO order).
-    fn unpop(&mut self, principal: usize, item: T);
-}
-
-impl<T> ParkedQueue<T> for Vec<VecDeque<T>> {
-    fn pop(&mut self, principal: usize) -> Option<T> {
-        self[principal].pop_front()
-    }
-
-    fn unpop(&mut self, principal: usize, item: T) {
-        self[principal].push_front(item)
-    }
-}
-
 /// Drains parked work through a fresh window's credit, FIFO per principal.
 ///
-/// For each of the `n_principals` queues in `queue`, pops items in order
-/// and calls `admit(principal, &item)`; an admitted item (with its chosen
-/// server) is handed to `forward`, while the first deferred item is pushed
-/// back to the queue front and ends that principal's drain for this window.
-pub fn reinject_fifo<T, Q: ParkedQueue<T> + ?Sized>(
-    n_principals: usize,
-    queue: &mut Q,
+/// For each principal's queue in `queues`, pops items in order and calls
+/// `admit(principal, &item)`; an admitted item (with its chosen server) is
+/// handed to `forward`, while the first deferred item is pushed back to the
+/// queue front and ends that principal's drain for this window.
+pub fn reinject_fifo<T>(
+    queues: &mut [VecDeque<T>],
     mut admit: impl FnMut(usize, &T) -> Option<usize>,
     mut forward: impl FnMut(T, usize),
 ) {
-    for i in 0..n_principals {
-        while let Some(item) = queue.pop(i) {
+    for (i, queue) in queues.iter_mut().enumerate() {
+        while let Some(item) = queue.pop_front() {
             match admit(i, &item) {
                 Some(server) => forward(item, server),
                 None => {
-                    queue.unpop(i, item);
+                    queue.push_front(item);
                     break;
                 }
             }
@@ -68,7 +47,6 @@ mod tests {
         let mut credits = [2u32, 0];
         let mut out = Vec::new();
         reinject_fifo(
-            2,
             &mut q,
             |p, _item| {
                 if credits[p] > 0 {
@@ -90,10 +68,14 @@ mod tests {
     fn empty_queues_are_a_no_op() {
         let mut q: Vec<VecDeque<u32>> = vec![VecDeque::new(); 3];
         let mut calls = 0;
-        reinject_fifo(3, &mut q, |_, _| {
-            calls += 1;
-            Some(0)
-        }, |_, _| {});
+        reinject_fifo(
+            &mut q,
+            |_, _| {
+                calls += 1;
+                Some(0)
+            },
+            |_, _| {},
+        );
         assert_eq!(calls, 0);
     }
 }

@@ -10,8 +10,8 @@
 use crate::EnforcementCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic mirror of one shard's [`EnforcementCounters`] plus the
-/// reactor-level batching counters the sharded JSON payload reports.
+/// Shared atomic mirror of the [`EnforcementCounters`] the sharded JSON
+/// payload reports, plus the reactor-level batching counters.
 #[derive(Debug, Default)]
 pub struct ShardStats {
     /// Readiness wakes processed (epoll returns with ≥1 event or an
@@ -28,9 +28,6 @@ pub struct ShardStats {
     admitted: AtomicU64,
     deferred: AtomicU64,
     parked: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_evictions: AtomicU64,
     lp_solves: AtomicU64,
     lp_pivots: AtomicU64,
     lp_warm_hits: AtomicU64,
@@ -59,9 +56,6 @@ impl ShardStats {
         self.admitted.store(c.admitted, Ordering::Relaxed);
         self.deferred.store(c.deferred, Ordering::Relaxed);
         self.parked.store(c.parked, Ordering::Relaxed);
-        self.plan_cache_hits.store(c.plan_cache_hits, Ordering::Relaxed);
-        self.plan_cache_misses.store(c.plan_cache_misses, Ordering::Relaxed);
-        self.plan_cache_evictions.store(c.plan_cache_evictions, Ordering::Relaxed);
         self.lp_solves.store(c.lp_solves, Ordering::Relaxed);
         self.lp_pivots.store(c.lp_pivots, Ordering::Relaxed);
         self.lp_warm_hits.store(c.lp_warm_hits, Ordering::Relaxed);
@@ -75,13 +69,11 @@ impl ShardStats {
                 admitted: self.admitted.load(Ordering::Relaxed),
                 deferred: self.deferred.load(Ordering::Relaxed),
                 parked: self.parked.load(Ordering::Relaxed),
-                plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-                plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-                plan_cache_evictions: self.plan_cache_evictions.load(Ordering::Relaxed),
                 lp_solves: self.lp_solves.load(Ordering::Relaxed),
                 lp_pivots: self.lp_pivots.load(Ordering::Relaxed),
                 lp_warm_hits: self.lp_warm_hits.load(Ordering::Relaxed),
                 lp_cold_fallbacks: self.lp_cold_fallbacks.load(Ordering::Relaxed),
+                ..EnforcementCounters::default()
             },
             reactor_wakes: self.reactor_wakes.load(Ordering::Relaxed),
             batched_verdicts: self.batched_verdicts.load(Ordering::Relaxed),

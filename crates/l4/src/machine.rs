@@ -87,7 +87,7 @@ impl<T> L4Machine<T> {
             pin_affinity(affinity, ip, server);
             Some(server)
         };
-        reinject_fifo(self.parked.len(), &mut self.parked, admit, |(conn, _), server| {
+        reinject_fifo(&mut self.parked, admit, |(conn, _), server| {
             readmitted.push((conn, server))
         });
     }

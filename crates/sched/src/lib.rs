@@ -37,17 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod community;
 mod plan;
 mod provider;
 mod request;
 mod window;
 
-pub use cache::{levels_fingerprint, PlanCache};
 pub use community::{CommunityScheduler, LocalityCaps, PreparedCommunity};
 pub use plan::Plan;
 pub use provider::ProviderScheduler;
 pub use request::{Request, RequestId};
 pub use covenant_lp::WarmStats;
-pub use window::{GlobalView, Policy, SchedulerConfig, WindowScheduler};
+pub use window::{Policy, SchedulerConfig, WindowScheduler};

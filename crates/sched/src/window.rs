@@ -1,7 +1,6 @@
 //! Per-window scheduling orchestration: policy dispatch and the
 //! conservative fallback used before coordination data arrives.
 
-use crate::cache::{levels_fingerprint, PlanCache};
 use crate::community::PreparedCommunity;
 use crate::{LocalityCaps, Plan, ProviderScheduler};
 use covenant_agreements::{AccessLevels, PrincipalId};
@@ -36,12 +35,6 @@ pub struct SchedulerConfig {
     pub window_secs: f64,
     /// Optimization policy.
     pub policy: Policy,
-    /// Memoize the last solved `(levels, quantized queues) → Plan` and skip
-    /// the LP when consecutive windows see the same demand (exact within
-    /// [`PlanCache::QUANTUM`]). Steady-state EWMA estimates converge to a
-    /// fixpoint, so this short-circuits most windows of a stable phase.
-    /// Never changes admitted plans — a hit replays the identical solve.
-    pub plan_cache: bool,
 }
 
 impl SchedulerConfig {
@@ -51,7 +44,6 @@ impl SchedulerConfig {
         SchedulerConfig {
             window_secs: 0.1,
             policy: Policy::Community { locality: None },
-            plan_cache: true,
         }
     }
 
@@ -60,20 +52,8 @@ impl SchedulerConfig {
         SchedulerConfig {
             window_secs: 0.1,
             policy: Policy::Provider { prices },
-            plan_cache: true,
         }
     }
-}
-
-/// What the redirector currently knows about global demand.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GlobalView {
-    /// No aggregate information has arrived yet (tree still propagating):
-    /// schedule conservatively from local knowledge only.
-    Unknown,
-    /// Global per-principal queue lengths (possibly stale by the tree's
-    /// propagation delay).
-    Queues(Vec<f64>),
 }
 
 /// The prepared planner behind the configured policy: the community LP
@@ -132,9 +112,9 @@ impl Engine {
 ///
 /// Holds the window-scaled [`AccessLevels`] (recomputed only when the
 /// agreement graph or capacities change), the prepared planner for the
-/// configured policy, a reusable [`SimplexWorkspace`], the per-window
-/// [`PlanCache`], and the local plan it scales each window into. Planning
-/// therefore needs `&mut self`; wrap in a lock when shared.
+/// configured policy, a reusable [`SimplexWorkspace`], and the local plan
+/// it scales each window into. Planning therefore needs `&mut self`; wrap
+/// in a lock when shared.
 #[derive(Debug, Clone)]
 pub struct WindowScheduler {
     cfg: SchedulerConfig,
@@ -142,7 +122,9 @@ pub struct WindowScheduler {
     window_levels: AccessLevels,
     engine: Engine,
     lp_ws: SimplexWorkspace,
-    cache: PlanCache,
+    /// Windows the planner ran: one per window with a view, one per
+    /// [`WindowScheduler::plan_global`].
+    planned: u64,
     /// `MC_i` per principal, and its split over the servers it is held on
     /// as fractions of `MC_i`: the conservative plan is the split with
     /// every row scaled by the principal's budget.
@@ -167,7 +149,6 @@ impl WindowScheduler {
         assert!(cfg.window_secs > 0.0, "window must be positive");
         let window_levels = levels.scaled(cfg.window_secs);
         let engine = Engine::build(&window_levels, &cfg.policy);
-        let cache = PlanCache::new(levels_fingerprint(&window_levels));
         let (mandatory, mandatory_split) = mandatory_split(&window_levels);
         WindowScheduler {
             mandatory,
@@ -175,7 +156,7 @@ impl WindowScheduler {
             window_levels,
             engine,
             lp_ws: SimplexWorkspace::new(),
-            cache,
+            planned: 0,
             cfg,
             merged_buf: Vec::new(),
             local: Plan::zero(0),
@@ -195,25 +176,19 @@ impl WindowScheduler {
     }
 
     /// Installs new access levels (capacity or agreement change): rebuilds
-    /// the prepared planner (retiring a community LP's warm basis into the
-    /// lifetime counters) and invalidates the plan cache.
+    /// the prepared planner, retiring a community LP's warm basis into the
+    /// lifetime counters.
     pub fn update_levels(&mut self, levels: &AccessLevels) {
         self.warm_retired.merge(self.engine.warm_stats());
         self.dense_retired += self.engine.dense_fallbacks();
         self.window_levels = levels.scaled(self.cfg.window_secs);
         self.engine = Engine::build(&self.window_levels, &self.cfg.policy);
         (self.mandatory, self.mandatory_split) = mandatory_split(&self.window_levels);
-        self.cache.invalidate(levels_fingerprint(&self.window_levels));
     }
 
-    /// `(hits, misses)` of the plan cache since construction.
+    /// `(0, windows planned)`, kept for `benchmark/` until ROADMAP item 1.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
-    /// Plan-cache entries pushed out by the LRU cap since construction.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
+        (0, self.planned)
     }
 
     /// `(solves, pivots)` across both solver engines: warm revised solves
@@ -237,36 +212,22 @@ impl WindowScheduler {
         self.dense_retired + self.engine.dense_fallbacks()
     }
 
-    /// Plans one window. `global` is what the combining tree has delivered;
-    /// `local_queues` are this redirector's own per-principal demands
-    /// (requests for the coming window). Returns the *local* plan — already
-    /// scaled to this redirector's queue fraction when global data is
-    /// available.
-    pub fn plan_window(&mut self, global: &GlobalView, local_queues: &[f64]) -> Plan {
-        match global {
-            GlobalView::Unknown => self.plan_window_shared(None, local_queues),
-            GlobalView::Queues(global_queues) => {
-                self.plan_window_shared(Some(global_queues), local_queues)
-            }
-        }
-    }
-
-    /// [`WindowScheduler::plan_window`] over borrowed global data: `None`
-    /// means the tree has delivered nothing yet. Callers holding the
-    /// aggregate in a buffer of their own (the view a driver read from its
-    /// tree and handed to the enforcement core's tick) plan without
-    /// materializing a `GlobalView`. `global` must hold one value per
-    /// principal; the enforcement core passes `None` for a view that does
-    /// not.
+    /// An owned copy of [`WindowScheduler::plan_window_in_place`]'s plan.
     pub fn plan_window_shared(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> Plan {
         self.plan_window_in_place(global, local_queues).clone()
     }
 
-    /// [`WindowScheduler::plan_window_shared`] into the local plan this
-    /// scheduler keeps, which stays valid until the next window: the global
-    /// plan is written where the planner keeps it, the global/local merge
-    /// reuses a scratch buffer, and the local plan is scaled in its own
-    /// buffers, so a steady-state window allocates nothing.
+    /// Plans one window. `global` is what the combining tree has delivered,
+    /// one value per principal, or `None` while it has delivered nothing
+    /// (the enforcement core also passes `None` for a view it cannot use);
+    /// `local_queues` are this redirector's own per-principal demands
+    /// (requests for the coming window). Returns the *local* plan, scaled to
+    /// this redirector's queue fraction when global data is available.
+    ///
+    /// The plan stays valid until the next window: the global plan is
+    /// written where the planner keeps it, the global/local merge reuses a
+    /// scratch buffer, and the local plan is scaled in its own buffers, so
+    /// a steady-state window allocates nothing.
     pub fn plan_window_in_place(&mut self, global: Option<&[f64]>, local_queues: &[f64]) -> &Plan {
         let n = self.window_levels.len();
         assert_eq!(local_queues.len(), n);
@@ -285,8 +246,8 @@ impl WindowScheduler {
                 let mut merged = std::mem::take(&mut self.merged_buf);
                 merged.clear();
                 merged.extend(global_queues.iter().zip(local_queues).map(|(g, l)| g.max(*l)));
-                let cache = self.cfg.plan_cache.then_some(&mut self.cache);
-                let global_plan = solve(&mut self.engine, &mut self.lp_ws, cache, &merged);
+                self.planned += 1;
+                let global_plan = self.engine.plan(&mut self.lp_ws, &merged);
                 global_plan.scale_for_local_queue(local_queues, &merged, &mut self.local);
                 self.merged_buf = merged;
             }
@@ -298,28 +259,9 @@ impl WindowScheduler {
     /// *global* (unscaled) plan. Used by single-redirector deployments and
     /// by tests.
     pub fn plan_global(&mut self, queues: &[f64]) -> Plan {
-        let cache = self.cfg.plan_cache.then_some(&mut self.cache);
-        solve(&mut self.engine, &mut self.lp_ws, cache, queues).clone()
+        self.planned += 1;
+        self.engine.plan(&mut self.lp_ws, queues).clone()
     }
-}
-
-/// The global plan for `queues`: the memoized one on a cache hit, else the
-/// engine's, which a cache in use then stores.
-fn solve<'a>(
-    engine: &'a mut Engine,
-    ws: &mut SimplexWorkspace,
-    cache: Option<&'a mut PlanCache>,
-    queues: &[f64],
-) -> &'a Plan {
-    let Some(cache) = cache else {
-        return engine.plan(ws, queues);
-    };
-    if let Some(hit) = cache.lookup(queues) {
-        return cache.plan(hit);
-    }
-    let plan = engine.plan(ws, queues);
-    cache.store(plan);
-    plan
 }
 
 /// `MC_i` per principal, and as row `i` of a plan `mand_share(i, k) / MC_i`
@@ -360,6 +302,15 @@ mod tests {
         (g, a, b)
     }
 
+    /// Every bit of a plan: its per-pair amounts and its objective.
+    fn bits(plan: &Plan) -> (Vec<u64>, Option<u64>, Option<u64>) {
+        (
+            plan.amounts().iter().map(|x| x.to_bits()).collect(),
+            plan.theta.map(f64::to_bits),
+            plan.income.map(f64::to_bits),
+        )
+    }
+
     #[test]
     fn conservative_mode_uses_half_mandatory() {
         // Figure 8 phase 1: B's redirector without global info admits half
@@ -368,7 +319,7 @@ mod tests {
         let lv = g.access_levels();
         let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
         // B floods locally; nothing known globally.
-        let plan = ws.plan_window(&GlobalView::Unknown, &[0.0, 0.0, 100.0]);
+        let plan = ws.plan_window_shared(None, &[0.0, 0.0, 100.0]);
         // Per 100 ms window: half of 6.4 = 3.2 requests → 32 req/s.
         assert!((plan.admitted(b) - 3.2).abs() < 1e-9, "B got {}", plan.admitted(b));
     }
@@ -378,7 +329,7 @@ mod tests {
         let (g, _a, b) = figure8();
         let lv = g.access_levels();
         let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
-        let plan = ws.plan_window(&GlobalView::Unknown, &[0.0, 0.0, 1.0]);
+        let plan = ws.plan_window_shared(None, &[0.0, 0.0, 1.0]);
         assert!((plan.admitted(b) - 1.0).abs() < 1e-9);
     }
 
@@ -388,8 +339,7 @@ mod tests {
         let lv = g.access_levels();
         let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
         // Globally A has 40 queued this window; locally we hold 10 (25%).
-        let global = GlobalView::Queues(vec![0.0, 40.0, 0.0]);
-        let plan = ws.plan_window(&global, &[0.0, 10.0, 0.0]);
+        let plan = ws.plan_window_shared(Some(&[0.0, 40.0, 0.0]), &[0.0, 10.0, 0.0]);
         // Global plan admits min(40, 32-per-window)=32; local share = 25%.
         assert!((plan.admitted(a) - 8.0).abs() < 1e-6, "A got {}", plan.admitted(a));
     }
@@ -400,8 +350,7 @@ mod tests {
         let lv = g.access_levels();
         let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
         // Tree says zero demand, but we locally hold 10 requests for A.
-        let global = GlobalView::Queues(vec![0.0, 0.0, 0.0]);
-        let plan = ws.plan_window(&global, &[0.0, 10.0, 0.0]);
+        let plan = ws.plan_window_shared(Some(&[0.0, 0.0, 0.0]), &[0.0, 10.0, 0.0]);
         assert!(plan.admitted(a) > 0.0, "local demand must not be starved by a stale tree");
     }
 
@@ -429,65 +378,42 @@ mod tests {
         g2.add_agreement(s, a2, 0.8, 1.0).unwrap();
         g2.add_agreement(s, b2, 0.2, 1.0).unwrap();
         ws.update_levels(&g2.access_levels());
-        let plan = ws.plan_window(&GlobalView::Unknown, &[0.0, 0.0, 100.0]);
+        let plan = ws.plan_window_shared(None, &[0.0, 0.0, 100.0]);
         assert!((plan.admitted(b) - 6.4).abs() < 1e-9);
     }
 
     #[test]
-    fn repeated_queues_hit_the_plan_cache() {
+    fn same_queues_replan_to_a_bit_equal_plan() {
+        // A window whose demand repeats the last one's costs its planner
+        // nothing worth memoizing: the community LP's warm re-solve takes
+        // no pivot, and both planners return the same plan to the bit.
         let (g, ..) = figure8();
         let lv = g.access_levels();
-        let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
-        let queues = vec![0.0, 40.0, 25.0];
-        let first = ws.plan_global(&queues);
-        let (solves_after_first, _) = ws.lp_stats();
+        let queues = [0.0, 40.0, 25.0];
+        let mut community = WindowScheduler::new(&lv, SchedulerConfig::community_default());
+        let first = bits(&community.plan_global(&queues));
+        let pivots = community.warm_stats().pivots;
         for _ in 0..5 {
-            assert_eq!(ws.plan_global(&queues), first);
+            assert_eq!(bits(&community.plan_global(&queues)), first);
         }
-        let (hits, misses) = ws.cache_stats();
-        assert_eq!(hits, 5);
-        assert_eq!(misses, 1);
-        // Cache hits must not have touched the solver.
-        assert_eq!(ws.lp_stats().0, solves_after_first);
+        assert_eq!(community.warm_stats().pivots, pivots);
+        assert_eq!(community.cache_stats(), (0, 6), "every window ran the planner");
+
+        let mut provider = WindowScheduler::new(&lv, SchedulerConfig::provider(vec![0.0, 2.0, 1.0]));
+        let first = bits(&provider.plan_global(&queues));
+        for _ in 0..5 {
+            assert_eq!(bits(&provider.plan_global(&queues)), first);
+        }
     }
 
     #[test]
-    fn plan_cache_never_changes_plans() {
-        let (g, ..) = figure8();
-        let lv = g.access_levels();
-        let mut cached = WindowScheduler::new(&lv, SchedulerConfig::community_default());
-        let mut uncached = WindowScheduler::new(
-            &lv,
-            SchedulerConfig { plan_cache: false, ..SchedulerConfig::community_default() },
-        );
-        // A demand walk with repeats: hits and misses interleave. The
-        // final vector differs sub-quantum from the first, so the cache is
-        // allowed to replay the earlier plan — plans must agree within the
-        // quantum, not bit-for-bit.
-        let walks =
-            [[0.0, 10.0, 5.0], [0.0, 10.0, 5.0], [0.0, 12.0, 5.0], [0.0, 10.0, 5.0 + 1e-9]];
-        for q in &walks {
-            let a = cached.plan_global(q);
-            let b = uncached.plan_global(q);
-            for (va, vb) in a.amounts().iter().zip(b.amounts()) {
-                assert!((va - vb).abs() <= 1e-6, "queues {q:?}: {va} vs {vb}");
-            }
-            assert!(
-                (a.theta.unwrap_or(0.0) - b.theta.unwrap_or(0.0)).abs() <= 1e-6,
-                "queues {q:?}"
-            );
-        }
-        assert!(cached.cache_stats().0 > 0, "walk contained repeats; cache must hit");
-        assert_eq!(uncached.cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn update_levels_invalidates_the_cache() {
+    fn update_levels_replans_the_same_queues() {
         let (g, _a, b) = figure8();
         let lv = g.access_levels();
         let mut ws = WindowScheduler::new(&lv, SchedulerConfig::community_default());
         let queues = vec![0.0, 0.0, 100.0];
-        let _ = ws.plan_global(&queues);
+        let before = ws.plan_global(&queues);
+        assert!((before.admitted(b) - 32.0).abs() < 1e-6, "B {}", before.admitted(b));
         let mut g2 = AgreementGraph::new();
         let s = g2.add_principal("S", 640.0);
         let a2 = g2.add_principal("A", 0.0);
@@ -495,11 +421,9 @@ mod tests {
         g2.add_agreement(s, a2, 0.8, 1.0).unwrap();
         g2.add_agreement(s, b2, 0.2, 1.0).unwrap();
         ws.update_levels(&g2.access_levels());
-        // Same queue vector, new levels: must re-solve, not replay. Alone on
-        // the doubled server, B bursts to the full 64 per window (a stale
-        // replay would still say 32).
+        // Same queue vector, new levels: alone on the doubled server, B
+        // bursts to the full 64 per window, not the old levels' 32.
         let plan = ws.plan_global(&queues);
         assert!((plan.admitted(b) - 64.0).abs() < 1e-6, "B {}", plan.admitted(b));
-        assert_eq!(ws.cache_stats().0, 0);
     }
 }

@@ -122,11 +122,6 @@ pub struct SimConfig {
     /// degenerate fixed-delay model (replies land `2 × network_latency`
     /// after server completion, no contention).
     pub net: Option<crate::link::NetModelCfg>,
-    /// Let redirectors memoize the last solved window (see
-    /// `covenant_sched::SchedulerConfig::plan_cache`). On by default; turn
-    /// off to force an LP solve every window (plans are identical either
-    /// way — the cache only replays exact repeats).
-    pub plan_cache: bool,
     /// Record every per-arrival admission decision into
     /// [`crate::SimReport::decisions`] (time, redirector, principal, cost,
     /// outcome — retries included). Off by default: the trace grows with
@@ -156,7 +151,6 @@ impl SimConfig {
             redirector_locality: None,
             network_latency: 0.0,
             net: None,
-            plan_cache: true,
             record_decisions: false,
         }
     }

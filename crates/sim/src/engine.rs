@@ -320,15 +320,10 @@ pub struct SimReport {
     pub tree_messages: u64,
     /// Coordination messages a pairwise scheme would have needed.
     pub pairwise_messages_equivalent: u64,
-    /// Plan-cache hits summed over all redirectors (windows that replayed
-    /// the previous solve instead of running the LP).
+    /// Always 0, kept for `benchmark/` until ROADMAP item 1.
     pub plan_cache_hits: u64,
-    /// Plan-cache misses summed over all redirectors (windows that ran the
-    /// LP).
+    /// Windows planned, all redirectors; kept for `benchmark/` until ROADMAP item 1.
     pub plan_cache_misses: u64,
-    /// Plan-cache entries pushed out by the LRU cap, summed over all
-    /// redirectors.
-    pub plan_cache_evictions: u64,
     /// Simplex solves summed over all redirectors (warm revised plus dense
     /// tableau).
     pub lp_solves: u64,
@@ -383,9 +378,9 @@ impl SimReport {
 
     /// True when two reports describe the same simulated behavior: every
     /// observable is compared except the performance profile
-    /// (`peak_event_queue`, `wall_secs`, and the solver-internal
-    /// `plan_cache_evictions`/`lp_*` counters), which legitimately differs
-    /// between the streaming and reference paths.
+    /// (`peak_event_queue`, `wall_secs`, and the solver-internal `lp_*`
+    /// counters), which legitimately differs between the streaming and
+    /// reference paths.
     pub fn outcome_eq(&self, other: &SimReport) -> bool {
         self.rates == other.rates
             && self.response == other.response
@@ -398,7 +393,6 @@ impl SimReport {
             && self.server_utilization == other.server_utilization
             && self.tree_messages == other.tree_messages
             && self.pairwise_messages_equivalent == other.pairwise_messages_equivalent
-            && self.plan_cache_hits == other.plan_cache_hits
             && self.plan_cache_misses == other.plan_cache_misses
             && self.transfer == other.transfer
             && self.link_bytes == other.link_bytes
@@ -614,11 +608,7 @@ fn core_for(cfg: &SimConfig, id: usize, levels: &AccessLevels) -> EnforcementCor
             *locality = Some(caps);
         }
     }
-    let sched = SchedulerConfig {
-        window_secs: cfg.window_secs,
-        policy,
-        plan_cache: cfg.plan_cache,
-    };
+    let sched = SchedulerConfig { window_secs: cfg.window_secs, policy };
     EnforcementCore::new(levels, sched, cfg.mode.clone())
 }
 
@@ -985,7 +975,6 @@ impl<'a, M: MetaStore, R: RoundClose> World<'a, M, R> {
             pairwise_messages_equivalent: windows * cfg.tree.pairwise_messages() as u64,
             plan_cache_hits: sum(|c| c.plan_cache_hits),
             plan_cache_misses: sum(|c| c.plan_cache_misses),
-            plan_cache_evictions: sum(|c| c.plan_cache_evictions),
             lp_solves: sum(|c| c.lp_solves),
             lp_pivots: sum(|c| c.lp_pivots),
             lp_warm_hits: sum(|c| c.lp_warm_hits),

@@ -3,7 +3,7 @@
 //! pipeline (agreements → LP → window scheduler → simulator).
 
 use covenant::agreements::{AgreementGraph, PrincipalId};
-use covenant::sched::{CommunityScheduler, GlobalView, ProviderScheduler, SchedulerConfig, WindowScheduler};
+use covenant::sched::{CommunityScheduler, ProviderScheduler, SchedulerConfig, WindowScheduler};
 use covenant::sim::{QueueMode, SimConfig, Simulation};
 use covenant::workload::{ClientMachine, PhasedLoad};
 
@@ -221,7 +221,7 @@ fn conservative_fallback_is_bounded() {
     g.add_agreement(s, a, 0.5, 1.0).unwrap();
     let mut ws = WindowScheduler::new(&g.access_levels(), SchedulerConfig::community_default());
     for demand in [0.0, 1.0, 5.0, 100.0, 10_000.0] {
-        let plan = ws.plan_window(&GlobalView::Unknown, &[0.0, demand]);
+        let plan = ws.plan_window_shared(None, &[0.0, demand]);
         // Half of A's mandatory 100/s = 50/s = 5 per 100 ms window.
         assert!(plan.admitted(a) <= 5.0 + 1e-9, "demand {demand}: {}", plan.admitted(a));
         assert!(plan.admitted(a) <= demand + 1e-9);
