@@ -7,8 +7,13 @@
 //! - both redirectors admitted traffic (the enforcement core ran);
 //! - the exposition bodies carry the documented metric families.
 //!
+//! Then a 7-process tree of depth 2 (root, two interior heartbeat nodes,
+//! four redirector leaves) comes up: every node exchanges frames and
+//! completes a round, and every leaf answers one request. Both trees'
+//! launch times are printed.
+//!
 //! Run by `scripts/tier1.sh`; exits non-zero on any failure. Pass a load
-//! duration in seconds to soak longer (default 4).
+//! duration in seconds to soak the 3-process tree longer (default 4).
 //!
 //! Stays beside `benchmark/` as the only launcher of the multi-process
 //! cluster outside it: the `/metrics` families are checked nowhere else,
@@ -39,6 +44,10 @@ const SPEC: &str = r#"{
   "clients": [],
   "duration": 5.0
 }"#;
+
+/// The tree of [`SPEC`], a level deeper: root 0, interior nodes 1 and 2,
+/// redirector leaves 3–6.
+const DEEP_TREE: &str = "[null, 0, 0, 1, 1, 2, 2]";
 
 /// Pulls `url` as fast as completions allow until `stop`.
 fn load_thread(
@@ -74,6 +83,73 @@ fn metric(body: &str, family: &str) -> Option<f64> {
         .and_then(|v| v.parse().ok())
 }
 
+/// Launches `spec`'s tree and prints how long that took.
+fn launch(spec: &str) -> Cluster {
+    let spec = DeploymentSpec::from_json(spec).expect("soak spec parses");
+    let t = Instant::now();
+    let cluster = Cluster::launch(&spec).expect("cluster launches");
+    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let redirectors = cluster.redirector_addrs();
+    println!(
+        "cluster of {} nodes up in {ms:.2} ms: origin {}, redirectors {redirectors:?}",
+        cluster.nodes().len(),
+        cluster.origin_addr()
+    );
+    cluster
+}
+
+/// The deep tree: polls every node until each has sent a frame and
+/// completed a round (3 s at most), and has every leaf answer one request.
+/// Returns whether all of it held.
+fn deep_tree() -> bool {
+    let mut cluster = launch(&SPEC.replace("[null, 0, 0]", DEEP_TREE));
+    let mut ok = true;
+    let leaves = cluster.redirector_addrs();
+    if leaves.len() != 4 {
+        eprintln!("FAIL: deep tree runs {} data planes, not 4", leaves.len());
+        ok = false;
+    }
+    let client = HttpClient {
+        max_redirects: 64,
+        self_redirect_pause: Duration::from_millis(5),
+        timeout: Duration::from_millis(800),
+    };
+    for leaf in &leaves {
+        match client.get(&format!("http://{leaf}/org/A/page")) {
+            Ok(r) if r.response.status == StatusCode::OK => {}
+            Ok(r) => {
+                eprintln!("FAIL: leaf {leaf} answered HTTP {}", r.response.status.0);
+                ok = false;
+            }
+            Err(e) => {
+                eprintln!("FAIL: leaf {leaf} answered nothing: {e}");
+                ok = false;
+            }
+        }
+    }
+    let t0 = Instant::now();
+    let mut waiting: Vec<usize> = cluster.nodes().iter().map(|n| n.node).collect();
+    while !waiting.is_empty() && t0.elapsed() < Duration::from_secs(3) {
+        std::thread::sleep(Duration::from_millis(50));
+        waiting.retain(|&node| {
+            let body = cluster.scrape(node).unwrap_or_default();
+            let frames = metric(&body, "covenant_tree_frames_sent").unwrap_or(0.0);
+            let rounds = metric(&body, "covenant_tree_rounds_completed").unwrap_or(0.0);
+            frames < 1.0 || rounds < 1.0
+        });
+    }
+    for node in &waiting {
+        eprintln!("FAIL: deep tree node {node} sent no frame or completed no round in 3 s");
+        ok = false;
+    }
+    if waiting.is_empty() {
+        let secs = t0.elapsed().as_secs_f64();
+        println!("deep tree: every node sent a frame and completed a round within {secs:.2} s");
+    }
+    cluster.shutdown();
+    ok
+}
+
 fn main() {
     // Re-exec hook: child processes take the node path here.
     maybe_run_node();
@@ -83,11 +159,9 @@ fn main() {
         .and_then(|a| a.parse::<f64>().ok())
         .unwrap_or(4.0)
         .clamp(1.0, 900.0);
-    let spec = DeploymentSpec::from_json(SPEC).expect("soak spec parses");
-    let mut cluster = Cluster::launch(&spec).expect("cluster launches");
+    let mut cluster = launch(SPEC);
     let redirectors = cluster.redirector_addrs();
     assert_eq!(redirectors.len(), 2, "both leaves run data planes");
-    println!("cluster up: origin {}, redirectors {redirectors:?}", cluster.origin_addr());
 
     let stop = Arc::new(AtomicBool::new(false));
     let a_done = Arc::new(AtomicU64::new(0));
@@ -170,6 +244,9 @@ fn main() {
     }
 
     cluster.shutdown();
+    if !deep_tree() {
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }

@@ -111,9 +111,10 @@ mod perfjson {
     /// The file is a JSON object with one section per line (`"name": {…},`),
     /// a format this emitter both writes and re-reads so the `lp` and
     /// `sched` benches can update their own sections independently.
-    /// `body_json` must be a JSON value serialized on a single line. Every
-    /// write also stamps the `commit` and `date` lines with the tree and
-    /// day of this run, as `BENCH_tree.json` carries them.
+    /// `body_json` must be a JSON object serialized on a single line. The
+    /// section is written with its own `commit` and `date` keys first, the
+    /// tree and day of this run, as `BENCH_tree.json` carries them; the
+    /// other sections keep theirs.
     pub fn emit_bench_section(section: &str, body_json: &str) -> io::Result<()> {
         emit_section_at(&repo_root_file("BENCH_lp.json"), section, body_json)
     }
@@ -126,6 +127,7 @@ mod perfjson {
 
     pub(super) fn emit_section_at(path: &Path, section: &str, body_json: &str) -> io::Result<()> {
         assert!(!body_json.contains('\n'), "section body must be one line");
+        let fields = body_json.strip_prefix('{').expect("section body must be an object").trim_start();
         let mut sections: Vec<(String, String)> = Vec::new();
         if let Ok(existing) = fs::read_to_string(path) {
             for line in existing.lines() {
@@ -137,14 +139,14 @@ mod perfjson {
                 }
             }
         }
-        sections.retain(|(name, _)| ![section, "commit", "date"].contains(&name.as_str()));
-        sections.push((section.to_string(), body_json.to_string()));
+        sections.retain(|(name, _)| name != section);
         // Which tree the numbers are of: the commit built (`-dirty` when
         // the working tree had uncommitted changes) and the day it ran.
         let commit = crate::first_line("git", &["describe", "--always", "--dirty"]);
         let date = crate::first_line("date", &["-u", "+%Y-%m-%d"]);
-        sections.push(("commit".into(), format!("\"{commit}\"")));
-        sections.push(("date".into(), format!("\"{date}\"")));
+        let sep = if fields.starts_with('}') { "" } else { ", " };
+        let body = format!("{{\"commit\": \"{commit}\", \"date\": \"{date}\"{sep}{fields}");
+        sections.push((section.to_string(), body));
         sections.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::from("{\n");
         for (i, (name, body)) in sections.iter().enumerate() {
@@ -208,13 +210,22 @@ mod tests {
         let path = std::env::temp_dir().join("covenant_bench_json_test.json");
         let _ = std::fs::remove_file(&path);
         crate::perfjson::emit_section_at(&path, "lp", r#"{"a": 1}"#).unwrap();
-        crate::perfjson::emit_section_at(&path, "sched", r#"{"b": 2}"#).unwrap();
-        crate::perfjson::emit_section_at(&path, "lp", r#"{"a": 3}"#).unwrap();
+        crate::perfjson::emit_section_at(&path, "sched", r#"{}"#).unwrap();
+        // A section written by an earlier tree keeps its stamp when another
+        // section is rewritten.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = r#""sched": {"commit": "0000000", "date": "2000-01-01"}"#;
+        let sched = text.lines().find(|l| l.starts_with("\"sched\"")).unwrap();
+        std::fs::write(&path, text.replace(sched, old)).unwrap();
+        crate::perfjson::emit_section_at(&path, "lp", r#"{"a": 3, "b": {"c": 4}}"#).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6, "{text}");
-        assert!(lines[1].starts_with("\"commit\": \"") && lines[2].starts_with("\"date\": \""));
-        assert_eq!(lines[3..], ["\"lp\": {\"a\": 3},", "\"sched\": {\"b\": 2}", "}"]);
+        assert_eq!(lines.len(), 4, "{text}");
+        let (stamp, fields) = lines[1].split_once("\", \"a\"").unwrap();
+        assert!(stamp.starts_with("\"lp\": {\"commit\": \""), "{text}");
+        assert!(stamp.contains("\", \"date\": \""), "{text}");
+        assert_eq!(fields, r#": 3, "b": {"c": 4}},"#);
+        assert_eq!(lines[2..], [old, "}"]);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -9,9 +9,11 @@
 //! process serving a prometheus-style `GET /metrics` endpoint.
 //!
 //! The process model is re-exec: [`Cluster::launch`] spawns the current
-//! executable with a sentinel argv, and host binaries call
-//! [`maybe_run_node`] first thing in `main` to take the node path. See
-//! [`mod@proc`] for the node side and [`mod@launch`] for the launcher.
+//! executable with a sentinel argv, a tree level at a time — the nodes of
+//! one level side by side, each told the wire address its parent's
+//! `READY` line reported — and host binaries call [`maybe_run_node`]
+//! first thing in `main` to take the node path. See [`mod@proc`] for the
+//! node side and [`mod@launch`] for the launcher.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,41 +18,47 @@ pub enum Io {
 /// Read granularity per syscall.
 const CHUNK: usize = 16 * 1024;
 
-/// One `read` onto the end of `data`, for at most `want` bytes; `data`
-/// keeps only what arrived.
-fn read_onto(data: &mut Vec<u8>, want: usize, src: &mut impl Read) -> io::Result<usize> {
-    let old = data.len();
-    data.resize(old + want, 0);
-    let got = src.read(data.get_mut(old..).unwrap_or(&mut []));
-    data.truncate(old + got.as_ref().map_or(0, |&n| n));
-    got
+/// `data[at..at + len]`, growing `data` (zeroed) first where it is
+/// shorter. `data` only grows: the bytes past a buffer's filled end stay
+/// initialised from earlier reads and pushes, so a `read` or a copy into
+/// them costs no memset.
+fn window(data: &mut Vec<u8>, at: usize, len: usize) -> &mut [u8] {
+    if data.len() < at + len {
+        data.resize(at + len, 0);
+    }
+    data.get_mut(at..at + len).unwrap_or(&mut [])
 }
 
 /// Accumulates bytes read from a nonblocking stream until a parser can
-/// consume them. `consume` trims from the front lazily (an offset, with
-/// periodic compaction) so pipelined protocol parsing is O(bytes), not
-/// O(bytes²).
+/// consume them. `consume` trims from the front lazily (an offset), so
+/// pipelined protocol parsing is O(bytes), not O(bytes²); a read that
+/// finds too little room behind the unconsumed bytes first moves them to
+/// the front. The buffer thus stays one chunk long while traffic fits in
+/// one, and a warm read costs no allocation and no memset.
 #[derive(Debug)]
 pub struct RecvBuf {
+    /// `data[start..end]` is unconsumed; what follows `end` is scratch
+    /// the next read lands in.
     data: Vec<u8>,
     start: usize,
+    end: usize,
     cap: usize,
 }
 
 impl RecvBuf {
     /// A buffer that never grows past `cap` unconsumed bytes.
     pub fn with_capacity_limit(cap: usize) -> RecvBuf {
-        RecvBuf { data: Vec::new(), start: 0, cap }
+        RecvBuf { data: Vec::new(), start: 0, end: 0, cap }
     }
 
     /// The unconsumed bytes.
     pub fn data(&self) -> &[u8] {
-        self.data.get(self.start..).unwrap_or(&[])
+        self.data.get(self.start..self.end).unwrap_or(&[])
     }
 
     /// Number of unconsumed bytes.
     pub fn len(&self) -> usize {
-        self.data.len() - self.start
+        self.end - self.start
     }
 
     /// True if nothing is pending.
@@ -68,13 +74,25 @@ impl RecvBuf {
 
     /// Marks `n` leading bytes as parsed.
     pub fn consume(&mut self, n: usize) {
-        self.start = (self.start + n).min(self.data.len());
-        if self.start == self.data.len() {
-            self.data.clear();
+        self.start = (self.start + n).min(self.end);
+        if self.start == self.end {
             self.start = 0;
-        } else if self.start > CHUNK {
-            self.data.drain(..self.start);
+            self.end = 0;
+        }
+    }
+
+    /// The size of the next read, at most `want`: the unconsumed bytes
+    /// move to the front when the room behind them is short of `want`,
+    /// and the buffer grows (by `want`) only when no room is left.
+    fn room_for(&mut self, want: usize) -> usize {
+        if self.data.len() - self.end < want && self.start > 0 {
+            self.data.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
+        }
+        match self.data.len() - self.end {
+            0 => want,
+            room => room.min(want),
         }
     }
 
@@ -92,9 +110,11 @@ impl RecvBuf {
             if want == 0 {
                 break;
             }
-            match read_onto(&mut self.data, want, stream) {
+            let want = self.room_for(want);
+            match stream.read(window(&mut self.data, self.end, want)) {
                 Ok(0) if total == 0 => return Ok(Io::Eof),
                 Ok(n) => {
+                    self.end += n;
                     total += n;
                     if n < want {
                         break;
@@ -115,8 +135,11 @@ impl RecvBuf {
 /// from a *source* stream directly into the queue for the destination.
 #[derive(Debug, Default)]
 pub struct SendBuf {
+    /// `data[written..end]` is unsent; what follows `end` is scratch that
+    /// pushes and reads overwrite.
     data: Vec<u8>,
     written: usize,
+    end: usize,
 }
 
 impl SendBuf {
@@ -127,17 +150,18 @@ impl SendBuf {
 
     /// Queues bytes for transmission.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.data.extend_from_slice(bytes);
+        window(&mut self.data, self.end, bytes.len()).copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
     /// Makes room for `additional` more bytes in one growth.
     pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
+        self.data.reserve((self.end + additional).saturating_sub(self.data.len()));
     }
 
     /// Bytes still unsent.
     pub fn len(&self) -> usize {
-        self.data.len() - self.written
+        self.end - self.written
     }
 
     /// True when everything queued has been flushed.
@@ -149,8 +173,8 @@ impl SendBuf {
     /// [`Io::Progress`] when the queue fully drained, [`Io::WouldBlock`]
     /// when bytes remain.
     pub fn flush_into(&mut self, stream: &mut impl Write) -> io::Result<Io> {
-        while self.written < self.data.len() {
-            let pending = self.data.get(self.written..).unwrap_or(&[]);
+        while self.written < self.end {
+            let pending = self.data.get(self.written..self.end).unwrap_or(&[]);
             match stream.write(pending) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.written += n,
@@ -162,8 +186,8 @@ impl SendBuf {
             }
         }
         let n = self.written;
-        self.data.clear();
         self.written = 0;
+        self.end = 0;
         Ok(Io::Progress(n))
     }
 
@@ -175,9 +199,12 @@ impl SendBuf {
         if room == 0 {
             return Ok(Io::WouldBlock);
         }
-        match read_onto(&mut self.data, room.min(CHUNK), src) {
+        match src.read(window(&mut self.data, self.end, room.min(CHUNK))) {
             Ok(0) => Ok(Io::Eof),
-            Ok(n) => Ok(Io::Progress(n)),
+            Ok(n) => {
+                self.end += n;
+                Ok(Io::Progress(n))
+            }
             Err(e) => match e.kind() {
                 io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted => Ok(Io::WouldBlock),
                 _ => Err(e),
